@@ -52,7 +52,12 @@ class Environment:
                 f"altitude {z} m is below the roughness length {self.z0} m; "
                 "the log wind law is undefined there"
             )
-        return self.v_w_ref * math.log(z / self.z0) / math.log(self.z_ref / self.z0)
+        return self.log_wind_speed(z, self.v_w_ref)
+
+    def log_wind_speed(self, z: float, v_ref: float) -> float:
+        """Log wind law at altitude ``z`` scaled to the wind speed ``v_ref``
+        measured at ``z_ref``; the caller keeps ``z`` at or above ``z0``."""
+        return v_ref * math.log(z / self.z0) / math.log(self.z_ref / self.z0)
 
     def density(self, z: float) -> float:
         """Air density [kg/m^3] at altitude ``z`` (isothermal barometric decay)."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .config import (
 )
 from .cycle import convergence_study, simulate_cycle
 from .errors import KitecycleError, ParseError, ValidationError
-from .estimation import estimate_record, segment_and_average, segment_phases
+from .estimation import average_estimates, estimate_record, segment_phases
 
 __all__ = ["run_command", "main"]
 
@@ -77,14 +76,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args)
     spec = load_sweep_spec(args.spec)
 
-    def run_one(value: float) -> dict:
+    rows = []
+    for value in spec.values:
         varied = set_by_path(cfg, spec.parameter, value)
         cycle = simulate_cycle(varied.environment, varied.kite, varied.tether, varied.operation)
-        return {"value": value, "P_m": cycle.P_m, "zeta_m": cycle.zeta_m}
-
-    with ThreadPoolExecutor(max_workers=min(8, len(spec.values))) as pool:
-        rows = list(pool.map(run_one, spec.values))
-
+        rows.append({"value": value, "P_m": cycle.P_m, "zeta_m": cycle.zeta_m})
     dataio.write_sweep_csv(out / "sweep.csv", spec.parameter, rows)
     best = max(rows, key=lambda row: row[spec.objective])
     (out / "argmax.json").write_text(
@@ -107,7 +103,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         for rec, label in zip(records, labels)
     ]
     dataio.write_estimates_csv(out / "estimates.csv", estimates)
-    averages = segment_and_average(records, cfg.kite, cfg.tether, cfg.environment)
+    averages = average_estimates(estimates)
     dataio.write_phase_averages(out / "phase_averages.json", averages)
     print(f"C_R_o = {averages.C_R_o:.3f}, C_R_i = {averages.C_R_i:.3f}, "
           f"LD_k_o = {averages.LD_k_o:.2f}, LD_k_i = {averages.LD_k_i:.2f}")

@@ -13,15 +13,18 @@ the trajectory, the state (r_max, beta_o):
   and reel out under the high force set-point until the tether reaches
   its maximum length.
 
-Positions advance by explicit Euler with the step scaled by the
-characteristic time (r_max - r_min)/v_w_ref; the final step of each
-phase is truncated at the terminating crossing so durations are not
-quantised to the step size.
+Each phase is a spec - its force controller, the quantity that ends it
+(tether length, or elevation in transition) with its end value and
+direction, and whether the polar angle moves - run by one explicit Euler
+integrator, ``_integrate``.  The step is scaled by the characteristic time
+(r_max - r_min)/v_w_ref; the final step of each phase is truncated at the
+terminating crossing so durations are not quantised to the step size.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .atmosphere import Environment, WindState, wind_state_at
@@ -90,6 +93,8 @@ class OperationSettings:
             )
         if not 0.0 < self.beta_o < 0.5 * math.pi:
             raise ValidationError(f"traction elevation must be in (0, pi/2), got {self.beta_o}")
+        if not isinstance(self.gravity, bool):
+            raise ValidationError(f"gravity must be true or false, got {self.gravity!r}")
         if self.force_at not in ("kite", "ground"):
             raise ValidationError(f"force_at must be 'kite' or 'ground', got {self.force_at!r}")
 
@@ -235,6 +240,74 @@ class _PhaseEngine:
         )
 
 
+def _integrate(
+    engine: _PhaseEngine,
+    phase: str,
+    controller: Callable[[float, float, WindState], tuple[KiteState, EquilibriumResult]],
+    r: float,
+    theta: float,
+    t: float,
+    *,
+    end: float,
+    increasing: bool,
+    by_elevation: bool = False,
+    moves_theta: bool = True,
+) -> PhaseResult:
+    """Explicit Euler integration of one phase until its end condition.
+
+    ``controller`` maps (r, theta, wind) to the controlled state and its
+    equilibrium.  The phase ends when the tether length, or the elevation
+    if ``by_elevation``, reaches ``end`` moving up if ``increasing``, else
+    down; a start already there gives a one-record phase.  theta stays
+    fixed unless ``moves_theta``.
+
+    Raises:
+        PhaseError: if the end quantity stalls for ten characteristic times.
+    """
+    sign = 1.0 if increasing else -1.0
+    stall, stall_limit = 0, max(1, math.ceil(10.0 / engine.op.dT))
+
+    wind = engine.wind_at(r, theta)
+    state, eq = controller(r, theta, wind)
+    series = [engine.record(t, state, eq, wind)]
+    if sign * (0.5 * math.pi - theta if by_elevation else r) >= sign * end:
+        return engine.finish(phase, series)
+
+    while True:
+        v_t = state.f * wind.v_w
+        beta_rate = -eq.lam * wind.v_w * math.cos(state.chi) / r if moves_theta else 0.0
+        value, rate = (0.5 * math.pi - theta, beta_rate) if by_elevation else (r, v_t)
+        done = sign * (value + rate * engine.dt) >= sign * end and sign * rate > 0.0
+        if done:
+            dt = (end - value) / rate
+        else:
+            if sign * rate <= 0.0:
+                stall += 1
+                if stall > stall_limit:
+                    quantity = "elevation" if by_elevation else "tether length"
+                    direction = "increase" if increasing else "decrease"
+                    raise PhaseError(
+                        f"{quantity} failed to {direction} for {stall} consecutive steps"
+                    )
+            else:
+                stall = 0
+            dt = engine.dt
+        r += v_t * dt
+        theta -= beta_rate * dt  # theta = pi/2 - beta
+        t += dt
+        if done:
+            # Land exactly on the end condition.
+            if by_elevation:
+                theta = 0.5 * math.pi - end
+            else:
+                r = end
+        wind = engine.wind_at(r, theta)
+        state, eq = controller(r, theta, wind)
+        series.append(engine.record(t, state, eq, wind))
+        if done:
+            return engine.finish(phase, series)
+
+
 def simulate_retraction(
     env: Environment,
     kite: KiteParams,
@@ -250,41 +323,12 @@ def simulate_retraction(
     temporarily exceed r_max.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction)
-    r, theta = op.r_max, op.theta_o
-    chi, phi = math.pi, 0.0
-    t = t0
-    stall, stall_limit = 0, max(1, math.ceil(10.0 / op.dT))
 
-    wind = engine.wind_at(r, theta)
-    state, eq = engine.solve_force(op.F_in, r, theta, phi, chi, wind)
-    series = [engine.record(t, state, eq, wind)]
-    while True:
-        v_t = state.f * wind.v_w
-        beta_rate = -eq.lam * wind.v_w * math.cos(chi) / r
-        if r + v_t * engine.dt <= op.r_min and v_t < 0.0:
-            dt = (op.r_min - r) / v_t
-            r = op.r_min
-            theta -= beta_rate * dt  # theta = pi/2 - beta
-            t += dt
-            done = True
-        else:
-            if v_t >= 0.0:
-                stall += 1
-                if stall > stall_limit:
-                    raise PhaseError(
-                        f"tether length failed to decrease for {stall} consecutive steps"
-                    )
-            else:
-                stall = 0
-            r += v_t * engine.dt
-            theta -= beta_rate * engine.dt
-            t += engine.dt
-            done = False
-        wind = engine.wind_at(r, theta)
-        state, eq = engine.solve_force(op.F_in, r, theta, phi, chi, wind)
-        series.append(engine.record(t, state, eq, wind))
-        if done:
-            return engine.finish(RETRACTION, series)
+    def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
+        return engine.solve_force(op.F_in, r, theta, 0.0, math.pi, wind)
+
+    return _integrate(engine, RETRACTION, controller, op.r_max, op.theta_o, t0,
+                      end=op.r_min, increasing=False)
 
 
 def simulate_transition(
@@ -304,11 +348,9 @@ def simulate_transition(
     in, regulating to the violated set-point.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction)
-    r, theta = r_start, theta_start
-    chi, phi = 0.0, 0.0
-    t = t0
+    phi, chi = 0.0, 0.0
 
-    def controlled(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
+    def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
         try:
             coasting = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=0.0)
             eq0 = engine.equilibrium_at(coasting, wind)
@@ -324,41 +366,8 @@ def simulate_transition(
         engine.f_hint = 0.0
         return coasting, eq0
 
-    wind = engine.wind_at(r, theta)
-    state, eq = controlled(r, theta, wind)
-    series = [engine.record(t, state, eq, wind)]
-    if 0.5 * math.pi - theta_start <= op.beta_o:
-        return engine.finish(TRANSITION, series)
-
-    stall, stall_limit = 0, max(1, math.ceil(10.0 / op.dT))
-    while True:
-        v_t = state.f * wind.v_w
-        beta_rate = -eq.lam * wind.v_w * math.cos(chi) / r
-        beta = 0.5 * math.pi - theta
-        if beta + beta_rate * engine.dt <= op.beta_o and beta_rate < 0.0:
-            dt = (op.beta_o - beta) / beta_rate
-            theta = op.theta_o
-            r += v_t * dt
-            t += dt
-            done = True
-        else:
-            if beta_rate >= 0.0:
-                stall += 1
-                if stall > stall_limit:
-                    raise PhaseError(
-                        f"elevation failed to decrease for {stall} consecutive steps"
-                    )
-            else:
-                stall = 0
-            r += v_t * engine.dt
-            theta -= beta_rate * engine.dt
-            t += engine.dt
-            done = False
-        wind = engine.wind_at(r, theta)
-        state, eq = controlled(r, theta, wind)
-        series.append(engine.record(t, state, eq, wind))
-        if done:
-            return engine.finish(TRANSITION, series)
+    return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,
+                      end=op.beta_o, increasing=False, by_elevation=True)
 
 
 def simulate_traction(
@@ -372,41 +381,12 @@ def simulate_traction(
     """Reel out under the high force set-point at the constant
     representative crosswind state until the tether reaches r_max."""
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction)
-    r = r_start
-    theta, phi, chi = op.theta_o, op.phi_o, op.chi_o
-    t = t0
-    stall, stall_limit = 0, max(1, math.ceil(10.0 / op.dT))
 
-    wind = engine.wind_at(r, theta)
-    state, eq = engine.solve_force(op.F_out, r, theta, phi, chi, wind)
-    series = [engine.record(t, state, eq, wind)]
-    if r_start >= op.r_max:
-        return engine.finish(TRACTION, series)
+    def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
+        return engine.solve_force(op.F_out, r, theta, op.phi_o, op.chi_o, wind)
 
-    while True:
-        v_t = state.f * wind.v_w
-        if r + v_t * engine.dt >= op.r_max and v_t > 0.0:
-            dt = (op.r_max - r) / v_t
-            r = op.r_max
-            t += dt
-            done = True
-        else:
-            if v_t <= 0.0:
-                stall += 1
-                if stall > stall_limit:
-                    raise PhaseError(
-                        f"tether length failed to increase for {stall} consecutive steps"
-                    )
-            else:
-                stall = 0
-            r += v_t * engine.dt
-            t += engine.dt
-            done = False
-        wind = engine.wind_at(r, theta)
-        state, eq = engine.solve_force(op.F_out, r, theta, phi, chi, wind)
-        series.append(engine.record(t, state, eq, wind))
-        if done:
-            return engine.finish(TRACTION, series)
+    return _integrate(engine, TRACTION, controller, r_start, op.theta_o, t0,
+                      end=op.r_max, increasing=True, moves_theta=False)
 
 
 def simulate_cycle(

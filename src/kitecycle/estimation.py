@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .atmosphere import Environment
+from .cycle import RETRACTION, TRACTION, TRANSITION
 from .errors import EmptyPhaseError, ValidationError
 from .steady_state import GRAVITY, KiteParams, TetherParams
 
@@ -30,12 +31,9 @@ __all__ = [
     "estimate_LD",
     "estimate_record",
     "segment_phases",
+    "average_estimates",
     "segment_and_average",
 ]
-
-RETRACTION = "retraction"
-TRANSITION = "transition"
-TRACTION = "traction"
 
 # Dead band and dwell of the reeling-speed segmentation heuristic.
 SEGMENT_SPEED_BAND = 0.1  # m/s
@@ -169,7 +167,7 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     z = rec.r * math.cos(rec.theta)
     if z < env.z0:
         return KinematicsEstimate(math.nan, math.nan, math.nan, False)
-    v_w = rec.v_w_ref * math.log(z / env.z0) / math.log(env.z_ref / env.z0)
+    v_w = env.log_wind_speed(z, rec.v_w_ref)
     if v_w <= 0.0:
         return KinematicsEstimate(math.nan, math.nan, math.nan, False)
     f = rec.v_t / v_w
@@ -192,7 +190,7 @@ def _gravity_projection_cosine(rec: LogRecord, env: Environment) -> Optional[flo
     z = rec.r * math.cos(rec.theta)
     if z < env.z0:
         return None
-    v_w = rec.v_w_ref * math.log(z / env.z0) / math.log(env.z_ref / env.z0)
+    v_w = env.log_wind_speed(z, rec.v_w_ref)
     sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
     sin_p, cos_p = math.sin(rec.phi), math.cos(rec.phi)
     e_th = (cos_t * cos_p, cos_t * sin_p, -sin_t)
@@ -235,7 +233,7 @@ def estimate_CR(
     kin = derive_kinematics(rec, env)
     if not kin.valid or kin.v_a <= 0.0:
         return None
-    m_t = tether.rho_t * 0.25 * math.pi * tether.d_t**2 * rec.r
+    m_t = tether.mass(rec.r)
     forces = _aero_force(rec, kite, m_t)
     if forces is None:
         return None
@@ -284,7 +282,7 @@ def estimate_LD(
         if chi_err > 0.35 or abs(rec.phi) > 0.35:
             return None
 
-    m_t = tether.rho_t * 0.25 * math.pi * tether.d_t**2 * rec.r
+    m_t = tether.mass(rec.r)
     forces = _aero_force(rec, kite, m_t)
     if forces is None:
         return None
@@ -377,13 +375,8 @@ def segment_phases(series: Sequence[LogRecord]) -> list[str]:
     return out
 
 
-def segment_and_average(
-    series: Sequence[LogRecord],
-    kite: KiteParams,
-    tether: TetherParams,
-    env: Environment,
-) -> PhaseAverages:
-    """Segment a telemetry series and average the per-phase estimates.
+def average_estimates(estimates: Sequence[EstimateRecord]) -> PhaseAverages:
+    """Per-phase averages of labelled per-sample estimates.
 
     Means use valid samples only and exclude the transition phase.  The
     per-phase C_R means additionally have the tether drag removed (via
@@ -391,18 +384,11 @@ def segment_and_average(
     traction values characterise the kite itself.
 
     Raises:
+        ValidationError: if ``estimates`` is empty.
         EmptyPhaseError: if retraction or traction has no valid samples.
     """
-    if not series:
+    if not estimates:
         raise ValidationError("telemetry series is empty")
-    if any(b.t <= a.t for a, b in zip(series, series[1:])):
-        raise ValidationError("telemetry timestamps must be strictly increasing")
-
-    labels = segment_phases(series)
-    estimates = [
-        estimate_record(rec, kite, tether, env, phase=label)
-        for rec, label in zip(series, labels)
-    ]
 
     sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0, 0], TRACTION: [0.0, 0.0, 0]}
     counts = {
@@ -436,3 +422,26 @@ def segment_and_average(
         LD_k_o=sums[TRACTION][1] / n_o,
         counts=counts,
     )
+
+
+def segment_and_average(
+    series: Sequence[LogRecord],
+    kite: KiteParams,
+    tether: TetherParams,
+    env: Environment,
+) -> PhaseAverages:
+    """Segment a telemetry series, estimate each sample and average the
+    estimates per phase with :func:`average_estimates`.
+
+    Raises:
+        ValidationError: if the series is empty or not strictly increasing in time.
+        EmptyPhaseError: if retraction or traction has no valid samples.
+    """
+    if any(b.t <= a.t for a, b in zip(series, series[1:])):
+        raise ValidationError("telemetry timestamps must be strictly increasing")
+
+    labels = segment_phases(series)
+    return average_estimates([
+        estimate_record(rec, kite, tether, env, phase=label)
+        for rec, label in zip(series, labels)
+    ])

@@ -95,6 +95,10 @@ class TetherParams:
         if self.d_t <= 0.0 or self.rho_t <= 0.0 or self.C_D_c <= 0.0:
             raise ValidationError(f"tether parameters must be positive, got {self}")
 
+    def mass(self, r: float) -> float:
+        """Mass [kg] of ``r`` metres of tether: cylinder volume times density."""
+        return self.rho_t * 0.25 * math.pi * self.d_t**2 * r
+
 
 @dataclass(frozen=True)
 class KiteParams:
@@ -224,7 +228,7 @@ def tether_properties(
     """
     if r <= 0.0:
         raise ValidationError(f"tether length must be > 0, got {r}")
-    m_t = tether.rho_t * 0.25 * math.pi * tether.d_t**2 * r
+    m_t = tether.mass(r)
     C_D_total = aero.C_D_k + 0.25 * (tether.d_t * r / kite.S) * tether.C_D_c
     return TetherProperties(m_t=m_t, C_D_total=C_D_total)
 

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
-from kitecycle import save_config
+from kitecycle import load_config, preset_path, save_config, segment_and_average
 from kitecycle.cli import run_command
 from kitecycle.config import config_to_dict
+from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv, write_phase_averages
 
 
 def read(path: Path) -> bytes:
@@ -34,13 +35,16 @@ def test_simulate_accepts_config_path_and_no_gravity(tmp_path, strong_config):
 
 
 def test_validation_error_exit_code(tmp_path, capsys, strong_config):
-    raw = config_to_dict(strong_config)
-    raw["operation"]["r_min"] = 5000.0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "ValidationError" in capsys.readouterr().err
+    long_r_min = config_to_dict(strong_config)
+    long_r_min["operation"]["r_min"] = 5000.0
+    # A string flag would be truthy and silently select the gravity model.
+    string_gravity = {**config_to_dict(strong_config), "gravity": "false"}
+    for raw in (long_r_min, string_gravity):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys, strong_config):
@@ -78,6 +82,15 @@ def test_missing_telemetry_file_exit_code(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_header_only_telemetry_exit_code(tmp_path, capsys):
+    log = tmp_path / "empty.csv"
+    log.write_text(",".join(TELEMETRY_COLUMNS) + "\n")
+    code = run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                        "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
 def test_convergence_command(tmp_path):
     out = tmp_path / "conv"
     code = run_command(["convergence", "--config", "strong_wind", "--no-gravity",
@@ -112,12 +125,22 @@ def test_estimate_command_round_trip(tmp_path):
     out = tmp_path / "sim"
     assert run_command(["simulate", "--config", "strong_wind", "--out", str(out),
                         "--telemetry-out", str(telemetry)]) == 0
-    est_out = tmp_path / "est"
-    assert run_command(["estimate", "--config", "strong_wind", "--log", str(telemetry),
-                        "--out", str(est_out)]) == 0
+    est_out, rerun_out = tmp_path / "est", tmp_path / "est_rerun"
+    for d in (est_out, rerun_out):
+        assert run_command(["estimate", "--config", "strong_wind", "--log", str(telemetry),
+                            "--out", str(d)]) == 0
     averages = json.loads((est_out / "phase_averages.json").read_text())
     assert abs(averages["C_R_o"] / 0.71 - 1.0) < 0.02
-    assert (est_out / "estimates.csv").exists()
+    # The CLI estimates each sample once and averages that list; the
+    # library path must give the same file.
+    cfg = load_config(preset_path("strong_wind"))
+    records = read_telemetry_csv(telemetry)
+    expected = tmp_path / "expected_averages.json"
+    write_phase_averages(expected, segment_and_average(records, cfg.kite, cfg.tether,
+                                                       cfg.environment))
+    assert read(est_out / "phase_averages.json") == read(expected)
+    for name in ("estimates.csv", "phase_averages.json"):
+        assert read(est_out / name) == read(rerun_out / name)
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

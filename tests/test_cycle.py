@@ -13,7 +13,7 @@ from kitecycle import (
     simulate_transition,
     steady_retraction_elevation,
 )
-from kitecycle.errors import ConvergenceError, PhaseError, ValidationError
+from kitecycle.errors import ConvergenceError, DomainError, PhaseError, ValidationError
 
 
 def test_operation_settings_invariants():
@@ -106,12 +106,26 @@ def test_traction_degenerate_start(strong_config):
 
 def test_traction_stalls_without_wind(strong_config):
     # In weak wind the high force set-point is only reachable by reeling
-    # in, so the tether never extends and the phase cannot terminate.
+    # in, so the tether shortens instead of extending.  The kite is reeled
+    # in below the roughness length, where the log wind law is undefined,
+    # before the stall limit is reached.
     cfg = strong_config
     env = Environment(v_w_ref=2.0, z_ref=6.0, z0=0.07)
-    op = replace(cfg.operation, dT=0.5)
-    with pytest.raises((PhaseError, Exception)):
-        simulate_traction(env, cfg.kite, cfg.tether, op, r_start=cfg.operation.r_min)
+    for gravity in (True, False):
+        op = replace(cfg.operation, dT=0.5, gravity=gravity)
+        with pytest.raises(DomainError):
+            simulate_traction(env, cfg.kite, cfg.tether, op, r_start=cfg.operation.r_min)
+
+
+def test_stalled_phase_raises_phase_error(strong_config, monkeypatch):
+    # A winch that never reels leaves the tether length where it is; the
+    # phase gives up after ten characteristic times.
+    monkeypatch.setattr("kitecycle.cycle.reel_factor_for_force_massless", lambda *args: 0.0)
+    cfg = strong_config
+    op = replace(cfg.operation, dT=0.5, gravity=False)
+    with pytest.raises(PhaseError, match="tether length failed to increase for 21 "):
+        simulate_traction(cfg.environment, cfg.kite, cfg.tether, op,
+                          r_start=cfg.operation.r_min)
 
 
 class TestSteadyRetractionElevation:
