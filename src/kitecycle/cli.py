@@ -102,8 +102,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         estimate_record(rec, cfg.kite, cfg.tether, cfg.environment, phase=label)
         for rec, label in zip(records, labels)
     ]
-    dataio.write_estimates_csv(out / "estimates.csv", estimates)
+    # Average before writing, so a failed run leaves no partial outputs.
     averages = average_estimates(estimates)
+    dataio.write_estimates_csv(out / "estimates.csv", estimates)
     dataio.write_phase_averages(out / "phase_averages.json", averages)
     print(f"C_R_o = {averages.C_R_o:.3f}, C_R_i = {averages.C_R_i:.3f}, "
           f"LD_k_o = {averages.LD_k_o:.2f}, LD_k_i = {averages.LD_k_i:.2f}")

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .cycle import CycleResult, PhaseResult
 from .errors import ParseError, ValidationError
-from .estimation import EstimateRecord, LogRecord, PhaseAverages, _spherical_velocity_to_cartesian
+from .estimation import EstimateRecord, LogRecord, PhaseAverages
 
 __all__ = [
     "TIMESERIES_COLUMNS",
@@ -42,6 +43,8 @@ TELEMETRY_COLUMNS = [
     "t", "F_tg", "r", "theta_deg", "phi_deg", "chi_deg",
     "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref", "phase",
 ]
+# Telemetry columns every log must fill; chi_deg and phase may be blank.
+_REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
 
 
 def _fmt(value) -> str:
@@ -99,11 +102,9 @@ def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
         for rec in phase.series:
             if records and rec.t <= records[-1].t:
                 continue
-            v_tau = math.sqrt(max(rec.v_k**2 - rec.v_t**2, 0.0))
-            vk = _spherical_velocity_to_cartesian(rec.theta, rec.phi, rec.chi, rec.v_t, v_tau)
-            records.append(LogRecord(
+            records.append(LogRecord.from_speed(
                 t=rec.t, F_tg=rec.F_tg, r=rec.r, theta=rec.theta, phi=rec.phi,
-                chi=rec.chi, vk=vk, v_t=rec.v_t, v_w_ref=v_w_ref, phase=phase.phase,
+                chi=rec.chi, v_k=rec.v_k, v_t=rec.v_t, v_w_ref=v_w_ref, phase=phase.phase,
             ))
     return records
 
@@ -142,17 +143,25 @@ def derive_course_angles(records: list[LogRecord]) -> list[LogRecord]:
             d_phi = nxt.phi - rec.phi
             if d_theta != 0.0 or d_phi != 0.0:
                 last_chi = math.atan2(math.sin(rec.theta) * d_phi, d_theta)
-        out[i] = LogRecord(
-            t=rec.t, F_tg=rec.F_tg, r=rec.r, theta=rec.theta, phi=rec.phi,
-            chi=last_chi, vk=rec.vk, v_t=rec.v_t, v_w_ref=rec.v_w_ref, phase=rec.phase,
-        )
+        out[i] = replace(rec, chi=last_chi)
     return out
+
+
+def _finite(row: dict, column: str, where: str) -> float:
+    try:
+        value = float(row[column])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: column {column} is not finite: {row[column]!r}")
+    return value
 
 
 def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     """Parse a telemetry CSV and validate the series invariants.
 
-    Missing course angles are derived from consecutive positions.
+    Every numeric value must be finite.  Missing course angles are
+    derived from consecutive positions.
     """
     records: list[LogRecord] = []
     try:
@@ -163,26 +172,19 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file")
-        missing = set(TELEMETRY_COLUMNS) - {"chi_deg", "phase"} - set(reader.fieldnames)
+        missing = set(_REQUIRED_COLUMNS) - set(reader.fieldnames)
         if missing:
             raise ParseError(f"{path}: missing column(s) {sorted(missing)}")
         for i, row in enumerate(reader, start=2):
-            try:
-                chi_raw = row.get("chi_deg", "")
-                records.append(LogRecord(
-                    t=float(row["t"]),
-                    F_tg=float(row["F_tg"]),
-                    r=float(row["r"]),
-                    theta=math.radians(float(row["theta_deg"])),
-                    phi=math.radians(float(row["phi_deg"])),
-                    chi=math.radians(float(chi_raw)) if chi_raw else None,
-                    vk=(float(row["vk_x"]), float(row["vk_y"]), float(row["vk_z"])),
-                    v_t=float(row["v_t"]),
-                    v_w_ref=float(row["v_w_ref"]),
-                    phase=row.get("phase") or None,
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {i}: {exc}") from exc
+            where = f"{path}: line {i}"
+            t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref = (
+                _finite(row, col, where) for col in _REQUIRED_COLUMNS)
+            chi = math.radians(_finite(row, "chi_deg", where)) if row.get("chi_deg") else None
+            records.append(LogRecord(
+                t=t, F_tg=F_tg, r=r, theta=math.radians(theta), phi=math.radians(phi),
+                chi=chi, vk=(vk_x, vk_y, vk_z), v_t=v_t, v_w_ref=v_w_ref,
+                phase=row.get("phase") or None,
+            ))
     if any(b.t <= a.t for a, b in zip(records, records[1:])):
         raise ValidationError(f"{path}: timestamps must be strictly increasing")
     if any(rec.chi is None for rec in records):

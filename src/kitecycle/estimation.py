@@ -1,12 +1,15 @@
 """Aerodynamic coefficient estimation from flight telemetry.
 
 Given ground tether force, kite position/velocity and a reference wind
-speed, each sample yields the resultant aerodynamic force coefficient
-and, via a short fixed-point correction for gravity, the system and
-kite-only lift-to-drag ratios.  Wind at the kite is always extrapolated
-from the reference measurement with the logarithmic profile, so gusts
-the ground measurement cannot see show up as outliers; such samples are
-flagged invalid and skipped, never interpolated.
+speed, each sample is derived in one pass: its kinematics; the tether
+mass, aerodynamic force at the kite, altitude, density and wind; the
+resultant aerodynamic force coefficient; and, via a short fixed-point
+correction for gravity, the system and kite-only lift-to-drag ratios.
+:func:`estimate_record`, :func:`estimate_CR` and :func:`estimate_LD` all
+read that pass.  Wind at the kite is always extrapolated from the
+reference measurement with the logarithmic profile, so gusts the ground
+measurement cannot see show up as outliers; such samples are flagged
+invalid and skipped, never interpolated.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
 # Dead band and dwell of the reeling-speed segmentation heuristic.
 SEGMENT_SPEED_BAND = 0.1  # m/s
 SEGMENT_MIN_DWELL = 2.0  # s
+CROSSWIND_RATIO = 1.5  # least traction kite speed over the reference wind
+LD_GRAVITY_UPDATES = 2  # the lift-to-drag ratio settles after two
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ class LogRecord:
             raise ValidationError(
                 f"radial speed {v_t} exceeds kite speed magnitude {v_k}"
             )
-        v_tau = math.sqrt(v_k * v_k - v_t * v_t)
+        v_tau = math.sqrt(max(v_k**2 - v_t**2, 0.0))
         vk = _spherical_velocity_to_cartesian(theta, phi, chi, v_t, v_tau)
         return cls(t=t, F_tg=F_tg, r=r, theta=theta, phi=phi, chi=chi,
                    vk=vk, v_t=v_t, v_w_ref=v_w_ref, phase=phase)
@@ -182,15 +187,12 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     return KinematicsEstimate(f, v_a, math.sqrt(radicand), True)
 
 
-def _gravity_projection_cosine(rec: LogRecord, env: Environment) -> Optional[float]:
+def _gravity_projection_cosine(rec: LogRecord, v_w: float) -> Optional[float]:
     """Cosine between the polar-tangential direction (along which gravity
     acts in the tangential plane) and the apparent-wind tangential
-    direction.  Falls back to -cos(chi), its fast-crosswind limit, when
-    the apparent tangential flow vanishes."""
-    z = rec.r * math.cos(rec.theta)
-    if z < env.z0:
-        return None
-    v_w = env.log_wind_speed(z, rec.v_w_ref)
+    direction, for the wind ``v_w`` at the kite.  Falls back to
+    -cos(chi), its fast-crosswind limit, when the apparent tangential
+    flow vanishes."""
     sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
     sin_p, cos_p = math.sin(rec.phi), math.cos(rec.phi)
     e_th = (cos_t * cos_p, cos_t * sin_p, -sin_t)
@@ -207,39 +209,88 @@ def _gravity_projection_cosine(rec: LogRecord, env: Environment) -> Optional[flo
     return va_th / va_tau
 
 
-def _aero_force(rec: LogRecord, kite: KiteParams, m_t: float) -> Optional[tuple[float, float, float]]:
-    """Resultant aerodynamic force (magnitude, radial, tangential) from the
-    measured ground force, or None when the sag radicand is violated."""
+def _estimate_sample(
+    rec: LogRecord,
+    kite: KiteParams,
+    tether: TetherParams,
+    env: Environment,
+    phase: Optional[str],
+    crosswind_ratio: float = CROSSWIND_RATIO,
+) -> tuple[KinematicsEstimate, Optional[float], Optional[LDEstimate]]:
+    """Kinematics, C_R and (LD_sys, LD_k) of one sample, each derived once;
+    C_R or the pair is None where the sample is invalid for it.
+
+    C_R normalises the aerodynamic force at the kite (the measured ground
+    force plus the airborne weights) by the apparent-wind dynamic
+    pressure; tether drag is not removed.  The pair starts from the
+    kinematic ratio and applies the gravity term of the tangential force
+    balance iteratively.  Gravity is projected onto the measured
+    apparent-wind tangential direction, which coincides with the course
+    direction in the fast-crosswind limit but deviates from it noticeably
+    when the kite flies barely faster than the wind.  LD_k removes the
+    tether drag share of the total drag.  Traction samples must fly fast
+    relative to the reference wind (``crosswind_ratio``), retraction
+    samples near upward in-plane flight; these phase gates never reject C_R.
+    """
+    kin = derive_kinematics(rec, env)
+    if not kin.valid or kin.v_a <= 0.0:
+        return kin, None, None
+    # Aerodynamic force at the kite: the measured ground force plus the
+    # airborne weights, unless the sag radicand is violated.
     sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
+    m_t = tether.mass(rec.r)
     F_t_tau = 0.5 * sin_t * m_t * GRAVITY
     radicand = rec.F_tg**2 - F_t_tau**2
     if radicand < 0.0:
-        return None
+        return kin, None, None
     F_a_r = math.sqrt(radicand) + cos_t * (m_t + kite.m) * GRAVITY
-    F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
-    return math.hypot(F_a_r, F_a_theta), F_a_r, F_a_theta
+    F_a = math.hypot(F_a_r, -(0.5 * m_t + kite.m) * GRAVITY * sin_t)
+    # Valid kinematics put the kite at or above z0 and make v_w_ref > 0.
+    z = rec.r * cos_t
+    rho = env.density(z)
+    v_w = env.log_wind_speed(z, rec.v_w_ref)
+    C_R = 2.0 * F_a / (rho * kin.v_a**2 * kite.S)
+
+    if phase == TRACTION:
+        v_k = math.sqrt(sum(c * c for c in rec.vk))
+        if v_k / rec.v_w_ref < crosswind_ratio:
+            return kin, C_R, None
+    elif phase == RETRACTION:
+        if rec.chi is None:
+            return kin, C_R, None
+        chi_err = abs(math.remainder(rec.chi - math.pi, 2.0 * math.pi))
+        if chi_err > 0.35 or abs(rec.phi) > 0.35:
+            return kin, C_R, None
+    if F_a <= 0.0:
+        return kin, C_R, None
+    cos_proj = _gravity_projection_cosine(rec, v_w)
+    if cos_proj is None:
+        return kin, C_R, None
+
+    kappa = kin.kappa
+    gravity_term = (
+        math.sqrt(1.0 + kappa * kappa)
+        * GRAVITY * (0.5 * m_t + kite.m) * sin_t * cos_proj
+        / F_a
+    )
+    G = kappa
+    for _ in range(LD_GRAVITY_UPDATES):
+        G = kappa + gravity_term * math.sqrt(1.0 + G * G)
+    if G <= 0.0:
+        return kin, C_R, None
+    drag = F_a / math.sqrt(1.0 + G * G)
+    drag_tether = 0.125 * rho * tether.d_t * rec.r * tether.C_D_c * kin.v_a**2
+    if drag <= drag_tether:
+        return kin, C_R, None
+    return kin, C_R, LDEstimate(LD_sys=G, LD_k=G * drag / (drag - drag_tether))
 
 
 def estimate_CR(
     rec: LogRecord, kite: KiteParams, tether: TetherParams, env: Environment
 ) -> Optional[float]:
-    """Resultant aerodynamic force coefficient of one sample.
-
-    Reconstructs the aerodynamic force at the kite from the measured
-    ground force plus the airborne weights, and normalises by the
-    apparent-wind dynamic pressure.  Tether drag is not removed here.
-    Returns None for invalid samples.
-    """
-    kin = derive_kinematics(rec, env)
-    if not kin.valid or kin.v_a <= 0.0:
-        return None
-    m_t = tether.mass(rec.r)
-    forces = _aero_force(rec, kite, m_t)
-    if forces is None:
-        return None
-    F_a, _, _ = forces
-    rho = env.density(rec.r * math.cos(rec.theta))
-    return 2.0 * F_a / (rho * kin.v_a**2 * kite.S)
+    """Resultant aerodynamic force coefficient of one sample, tether drag
+    included, or None for an invalid sample."""
+    return _estimate_sample(rec, kite, tether, env, phase=None)[1]
 
 
 def estimate_LD(
@@ -247,70 +298,15 @@ def estimate_LD(
     kite: KiteParams,
     tether: TetherParams,
     env: Environment,
-    iterations: int = 3,
-    crosswind_ratio: float = 1.5,
+    *,
+    crosswind_ratio: float = CROSSWIND_RATIO,
     phase: Optional[str] = None,
 ) -> Optional[LDEstimate]:
-    """System and kite-only lift-to-drag ratios of one sample.
-
-    Starting from the kinematic ratio, the gravity term of the tangential
-    force balance is applied iteratively (the value settles after two
-    updates).  Gravity is projected onto the direction the tangential
-    drag actually acts: the measured apparent-wind tangential direction,
-    which coincides with the course direction in the fast-crosswind limit
-    but deviates from it noticeably when the kite flies barely faster
-    than the wind.  The kite-only ratio removes the tether drag share of
-    the total drag.
-
-    Validity gates depend on the flight regime: traction samples must fly
-    fast relative to the reference wind (``crosswind_ratio``), retraction
-    samples must be near upward in-plane flight.  Returns None for
-    invalid samples.
-    """
+    """System and kite-only lift-to-drag ratios of one sample, gated by
+    ``phase`` (default: the record's label), or None for an invalid
+    sample."""
     phase = phase if phase is not None else rec.phase
-    kin = derive_kinematics(rec, env)
-    if not kin.valid or kin.v_a <= 0.0:
-        return None
-    if phase == TRACTION:
-        v_k = math.sqrt(sum(c * c for c in rec.vk))
-        if rec.v_w_ref <= 0.0 or v_k / rec.v_w_ref < crosswind_ratio:
-            return None
-    elif phase == RETRACTION:
-        if rec.chi is None:
-            return None
-        chi_err = abs(math.remainder(rec.chi - math.pi, 2.0 * math.pi))
-        if chi_err > 0.35 or abs(rec.phi) > 0.35:
-            return None
-
-    m_t = tether.mass(rec.r)
-    forces = _aero_force(rec, kite, m_t)
-    if forces is None:
-        return None
-    F_a, _, _ = forces
-    if F_a <= 0.0:
-        return None
-
-    cos_proj = _gravity_projection_cosine(rec, env)
-    if cos_proj is None:
-        return None
-
-    kappa = kin.kappa
-    gravity_term = (
-        math.sqrt(1.0 + kappa * kappa)
-        * GRAVITY * (0.5 * m_t + kite.m) * math.sin(rec.theta) * cos_proj
-        / F_a
-    )
-    G = kappa
-    for _ in range(iterations - 1):
-        G = kappa + gravity_term * math.sqrt(1.0 + G * G)
-    if G <= 0.0:
-        return None
-    drag = F_a / math.sqrt(1.0 + G * G)
-    rho = env.density(rec.r * math.cos(rec.theta))
-    drag_tether = 0.125 * rho * tether.d_t * rec.r * tether.C_D_c * kin.v_a**2
-    if drag <= drag_tether:
-        return None
-    return LDEstimate(LD_sys=G, LD_k=G * drag / (drag - drag_tether))
+    return _estimate_sample(rec, kite, tether, env, phase, crosswind_ratio)[2]
 
 
 def estimate_record(
@@ -320,12 +316,10 @@ def estimate_record(
     env: Environment,
     phase: Optional[str] = None,
 ) -> EstimateRecord:
-    """All estimates for one sample, with the validity flag resolved."""
+    """All estimates for one sample.  It is valid when it yields the
+    lift-to-drag pair, which needs valid kinematics and C_R."""
     phase = phase if phase is not None else rec.phase
-    kin = derive_kinematics(rec, env)
-    C_R = estimate_CR(rec, kite, tether, env)
-    ld = estimate_LD(rec, kite, tether, env, phase=phase)
-    valid = kin.valid and C_R is not None and ld is not None
+    kin, C_R, ld = _estimate_sample(rec, kite, tether, env, phase)
     return EstimateRecord(
         t=rec.t,
         C_R=C_R if C_R is not None else math.nan,
@@ -333,7 +327,7 @@ def estimate_record(
         LD_k=ld.LD_k if ld is not None else math.nan,
         kappa=kin.kappa,
         v_a=kin.v_a,
-        valid=valid,
+        valid=ld is not None,
         phase=phase,
     )
 

@@ -89,6 +89,25 @@ def test_header_only_telemetry_exit_code(tmp_path, capsys):
                         "--out", str(tmp_path / "o")])
     assert code == 2
     assert "ValidationError" in capsys.readouterr().err
+    # A failed estimate writes no outputs.
+    assert not (tmp_path / "o" / "estimates.csv").exists()
+
+
+def test_non_finite_telemetry_rejected_at_parse(tmp_path, capsys):
+    row = {"t": "0.0", "F_tg": "3000.0", "r": "400.0", "theta_deg": "60.0",
+           "phi_deg": "10.0", "chi_deg": "100.0", "vk_x": "-10.0", "vk_y": "20.0",
+           "vk_z": "5.0", "v_t": "2.0", "v_w_ref": "9.0", "phase": "traction"}
+    for column, value in (("F_tg", "nan"), ("v_w_ref", "inf"), ("chi_deg", "-inf")):
+        bad = {**row, "t": "0.1", column: value}
+        log = tmp_path / "bad.csv"
+        log.write_text("\n".join(",".join(r[c] for c in TELEMETRY_COLUMNS)
+                                  for r in ({c: c for c in TELEMETRY_COLUMNS}, row, bad)) + "\n")
+        code = run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                            "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "line 3" in err and column in err
+    assert not (tmp_path / "o" / "estimates.csv").exists()
 
 
 def test_convergence_command(tmp_path):

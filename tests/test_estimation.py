@@ -286,3 +286,40 @@ def test_log_record_invariants():
     with pytest.raises(ValidationError):
         LogRecord(t=0.0, F_tg=1.0, r=0.0, theta=1.0, phi=0.0, chi=0.0,
                   vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
+
+
+def test_estimate_record_derives_kinematics_once(monkeypatch, strong_config, strong_telemetry):
+    cfg = strong_config
+    calls = []
+
+    def counting(rec, env):
+        calls.append(rec)
+        return derive_kinematics(rec, env)
+
+    monkeypatch.setattr("kitecycle.estimation.derive_kinematics", counting)
+    for rec in strong_telemetry:
+        estimate_record(rec, cfg.kite, cfg.tether, cfg.environment)
+    assert len(calls) == len(strong_telemetry)
+
+
+def test_public_estimators_match_estimate_record(strong_config, strong_telemetry):
+    # Every sample under every phase label, plus samples that fail the sag
+    # radicand (no ground force) or the kinematics (weak reference wind).
+    cfg = strong_config
+    args = (cfg.kite, cfg.tether, cfg.environment)
+    records = list(strong_telemetry)
+    records += [replace(rec, F_tg=0.0) for rec in strong_telemetry[::10]]
+    records += [replace(rec, v_w_ref=0.5) for rec in strong_telemetry[::10]]
+    outcomes = set()
+    for rec in records:
+        for label in ("retraction", "transition", "traction"):
+            est = estimate_record(rec, *args, phase=label)
+            C_R = estimate_CR(rec, *args)
+            ld = estimate_LD(rec, *args, phase=label)
+            assert (C_R is None) == math.isnan(est.C_R)
+            assert C_R is None or C_R == est.C_R
+            assert (ld is None) == math.isnan(est.LD_sys) == math.isnan(est.LD_k)
+            assert ld is None or ld == (est.LD_sys, est.LD_k)
+            assert est.valid == (ld is not None)
+            outcomes.add((C_R is None, ld is None))
+    assert outcomes == {(False, False), (False, True), (True, True)}
