@@ -45,9 +45,22 @@ class RunConfig:
     out_dir: Optional[str] = None
 
 
+def _number(value: Any, path: str) -> float:
+    """A finite JSON number; booleans, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path}: expected a number, got {json.dumps(value)}")
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: expected a finite number, got {value}")
+    return float(value)
+
+
 def _take(mapping: dict, context: str, required: tuple[str, ...],
-          optional: tuple[str, ...] = ()) -> dict:
-    """Extract exactly the allowed keys from a parsed JSON object."""
+          optional: tuple[str, ...] = (), numbers: bool = True) -> dict:
+    """Extract exactly the allowed keys from a parsed JSON object.
+
+    With ``numbers``, every value that is not a nested object must be a
+    finite number (see :func:`_number`).
+    """
     if not isinstance(mapping, dict):
         raise ParseError(f"{context}: expected an object, got {type(mapping).__name__}")
     unknown = set(mapping) - set(required) - set(optional)
@@ -56,12 +69,15 @@ def _take(mapping: dict, context: str, required: tuple[str, ...],
     missing = set(required) - set(mapping)
     if missing:
         raise ParseError(f"{context}: missing key(s) {sorted(missing)}")
+    for key, value in mapping.items():
+        if numbers and not isinstance(value, dict):
+            _number(value, f"{context}.{key}")
     return mapping
 
 
 def _config_from_dict(raw: dict) -> RunConfig:
     top = _take(raw, "config", ("environment", "kite", "tether", "operation"),
-                ("gravity", "force_at", "out_dir"))
+                ("gravity", "force_at", "out_dir"), numbers=False)
 
     e = _take(top["environment"], "environment", ("v_w_ref", "z_ref", "z0"),
               ("rho0", "H_rho"))
@@ -205,17 +221,19 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    spec = _take(raw, "sweep", ("parameter",), ("values", "range", "objective"))
+    spec = _take(raw, "sweep", ("parameter",), ("values", "range", "objective"), numbers=False)
     if ("values" in spec) == ("range" in spec):
         raise ParseError(f"{path}: exactly one of 'values' or 'range' is required")
     if "values" in spec:
-        values = tuple(float(v) for v in spec["values"])
+        if not isinstance(spec["values"], list):
+            raise ParseError(f"{path}: sweep.values must be a list")
+        values = tuple(_number(v, f"sweep.values[{i}]") for i, v in enumerate(spec["values"]))
     else:
         rng = _take(spec["range"], "sweep.range", ("start", "stop", "num"))
         num = int(rng["num"])
         if num < 2:
             raise ValidationError("sweep range needs num >= 2")
-        start, stop = float(rng["start"]), float(rng["stop"])
+        start, stop = rng["start"], rng["stop"]
         step = (stop - start) / (num - 1)
         values = tuple(start + i * step for i in range(num))
     return SweepSpec(parameter=spec["parameter"],

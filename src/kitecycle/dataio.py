@@ -180,11 +180,14 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
             t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref = (
                 _finite(row, col, where) for col in _REQUIRED_COLUMNS)
             chi = math.radians(_finite(row, "chi_deg", where)) if row.get("chi_deg") else None
-            records.append(LogRecord(
-                t=t, F_tg=F_tg, r=r, theta=math.radians(theta), phi=math.radians(phi),
-                chi=chi, vk=(vk_x, vk_y, vk_z), v_t=v_t, v_w_ref=v_w_ref,
-                phase=row.get("phase") or None,
-            ))
+            try:
+                records.append(LogRecord(
+                    t=t, F_tg=F_tg, r=r, theta=math.radians(theta), phi=math.radians(phi),
+                    chi=chi, vk=(vk_x, vk_y, vk_z), v_t=v_t, v_w_ref=v_w_ref,
+                    phase=row.get("phase") or None,
+                ))
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from exc
     if any(b.t <= a.t for a, b in zip(records, records[1:])):
         raise ValidationError(f"{path}: timestamps must be strictly increasing")
     if any(rec.chi is None for rec in records):

@@ -4,10 +4,16 @@ Two solution routes are provided.  For a massless system the equilibrium
 has a closed form: the kinematic ratio (tangential over radial apparent
 wind) equals the system lift-to-drag ratio, and tether force, flight
 speed and power follow directly.  With airborne mass the aerodynamic
-force must additionally balance the tangential component of gravity, the
-kinematic ratio becomes an unknown, and a fixed-point iteration updates
-it until the lift-to-drag ratio implied by the force/velocity geometry
-matches the target value.
+force must additionally balance the tangential component of gravity, and
+the kinematic ratio becomes the root at which the lift-to-drag ratio
+implied by the force/velocity geometry matches the target value.
+
+Both root searches of the gravity model, for the kinematic ratio and for
+the reeling factor that meets a force set-point, are safeguarded secants:
+a secant iteration from a good start (the massless solution, or the
+previous step's reeling factor) with an in-house Illinois bracketing
+fallback.  A solve that fails names why no root exists; it never fails
+for running out of iterations.
 
 Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
@@ -19,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal, NamedTuple, Optional
-
-from scipy.optimize import brentq
+from typing import Callable, Literal, NamedTuple, Optional
 
 from .atmosphere import WindState
 from .errors import (
@@ -190,8 +194,10 @@ class EquilibriumResult:
         F_tg: Tether force at the ground station [N].
         zeta: Instantaneous power harvesting factor P/(P_w*S).
         P: Mechanical power at the ground [W], negative while reeling in.
-        converged: Whether the kinematic-ratio iteration met its tolerance.
-        iterations: Number of fixed-point iterations used (0 for closed form).
+        converged: Always True on a returned result; a solve that cannot
+            meet its tolerance raises instead.
+        iterations: Number of force-geometry evaluations of the
+            kinematic-ratio solve (0 for closed form).
     """
 
     kappa: float
@@ -341,6 +347,91 @@ def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> GroundForc
     return GroundForce(F_tg=F_tg, gamma=gamma)
 
 
+class _Probe(NamedTuple):
+    """One root-search evaluation: abscissa, residual (None where the
+    equilibrium does not exist) and the solved values."""
+
+    x: float
+    r: Optional[float]
+    value: object
+
+
+# Failures that mark a probe as outside the solvable region.
+_BRACKET_FAILURES = (SteadyStateError, NoTensionError, TetherSagError)
+
+
+def _secant(fun: Callable[[float], _Probe], x0: float, first_step: Callable[[_Probe], float],
+            lo: float, hi: float, rtol: float, steps: int, sign: float) -> Optional[_Probe]:
+    """Secant iteration from ``x0``; ``first_step`` maps the first probe
+    to the second abscissa.
+
+    Returns the first probe whose residual is within ``rtol``, or None
+    once a probe fails, a step leaves [lo, hi], a secant slope lacks the
+    sign of ``sign`` or ``steps`` steps pass.
+    """
+    try:
+        p0 = fun(x0)
+        if abs(p0.r) <= rtol:
+            return p0
+        x1 = first_step(p0)
+        for _ in range(steps):
+            if not lo <= x1 <= hi:
+                return None
+            p1 = fun(x1)
+            if abs(p1.r) <= rtol:
+                return p1
+            dr, dx = p1.r - p0.r, p1.x - p0.x
+            if not dr * dx * sign > 0.0:
+                return None
+            p0, x1 = p1, p1.x - p1.r * dx / dr
+    except _BRACKET_FAILURES:
+        pass
+    return None
+
+
+def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: float,
+                    xtol: float) -> tuple[_Probe, _Probe]:
+    """Illinois false position (Dowell & Jarratt 1971) on a sign change.
+
+    ``p`` has a positive residual and ``n`` a negative one or none: a
+    probe that fails counts as the negative side, and the next probe
+    bisects toward it.  Stops at a probe within ``rtol`` or when the
+    bracket is narrower than ``xtol``.  Returns the final (p, n).
+    """
+    w_p, w_n, last = p.r, n.r, 0  # Illinois halves the weight of an end kept twice
+    while abs(p.x - n.x) > xtol:
+        x = 0.5 * (p.x + n.x)
+        if w_n is not None:
+            x_fp = p.x - w_p * (n.x - p.x) / (w_n - w_p)
+            x = x_fp if min(p.x, n.x) < x_fp < max(p.x, n.x) else x
+        if x in (p.x, n.x):
+            break
+        try:
+            q = fun(x)
+        except _BRACKET_FAILURES:
+            q = _Probe(x, None, None)
+        if q.r is not None and q.r >= 0.0:
+            p, w_p, w_n = q, q.r, (0.5 * w_n if last > 0 and w_n is not None else w_n)
+            last = 1
+        else:
+            n, w_n, w_p = q, q.r, (0.5 * w_p if last < 0 else w_p)
+            last = -1
+        if q.r is not None and abs(q.r) <= rtol:
+            break
+    return p, n
+
+
+def _nearest(p: _Probe, n: _Probe) -> _Probe:
+    """The end of a final bracket whose residual is nearer zero."""
+    return n if n.r is not None and -n.r < p.r else p
+
+
+# Kinematic ratios lie in [1e-9, 50*G*]; the bracketed search steps down
+# from the top by factors of 2**0.25.
+_LOG_KAPPA_MIN = math.log(1e-9)
+_LOG_KAPPA_STEP = 0.25 * math.log(2.0)
+
+
 def solve_kinematic_ratio(
     state: KiteState,
     kite: KiteParams,
@@ -352,18 +443,25 @@ def solve_kinematic_ratio(
 ) -> EquilibriumResult:
     """Quasi-steady equilibrium including gravity on kite and tether.
 
-    Fixed-point iteration on the kinematic ratio kappa: starting from the
-    massless value (the system lift-to-drag ratio G*), each pass computes
-    the apparent wind and aerodynamic force components for the current
-    kappa, evaluates the implied lift-to-drag ratio G from the drag
-    projection, and updates kappa by sqrt(G*/G) until G matches G* to
-    ``tol`` (relative).
+    The kinematic ratio kappa is the root of log(G/G*), where G is the
+    lift-to-drag ratio that the apparent wind and the aerodynamic force
+    components at kappa imply and G* the system lift-to-drag ratio.  The
+    geometry is evaluated at the massless solution kappa = G* first and
+    accepted if G matches G* to ``tol`` (relative).  Otherwise one
+    fixed-point step kappa*sqrt(G*/G) seeds a secant on log kappa.  If
+    the secant leaves (0, 50*G*], a probe fails, G stops rising with
+    kappa or ``max_iter`` steps pass, a bracketed search steps down from
+    50*G* by factors of 2**0.25 to the first kappa with G < G*, or where
+    the geometry fails, and refines that sign change.  Both find the
+    largest root, where G rises through G*.  ``iterations`` counts the
+    geometry evaluations.
 
     Raises:
         NoTensionError: if the reeling factor leaves no radial apparent wind.
-        SteadyStateError: if no quasi-steady solution exists (iteration
-            diverges, kappa leaves (0, 50*G*], the radial force component
-            turns imaginary, or the tangential speed is invalid).
+        SteadyStateError: if G - G* has no sign change on (0, 50*G*] before
+            the geometry fails (the aerodynamic force falls below the
+            tangential gravity load, or gravity turns the drag projection
+            non-positive), or the root has a negative tangential speed.
     """
     a, b = _trig(state)
     if state.f >= b:
@@ -376,34 +474,30 @@ def solve_kinematic_ratio(
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
 
     G_star = aero.LD
-    C_R = aero.C_R
+    log_G_star = math.log(G_star)
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
     sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
     sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
     v_w = wind.v_w
     b_f = b - state.f
-    force_scale = wind.q * kite.S * C_R * b_f * b_f
+    force_scale = wind.q * kite.S * aero.C_R * b_f * b_f
     F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
-    kappa_max = 50.0 * G_star
+    evaluations = 0
 
-    kappa = G_star
-    lam = v_a = F_a = F_a_r = math.nan
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    def geometry(x: float) -> _Probe:
+        """Force geometry at kappa = exp(x), with residual log(G/G*)."""
+        nonlocal evaluations
+        evaluations += 1
+        kappa = math.exp(x)
         one_k2 = 1.0 + kappa * kappa
         radicand = a * a + b * b - 1.0 + kappa * kappa * b_f * b_f
         if radicand < 0.0:
             raise SteadyStateError("tangential velocity factor has no real solution")
         lam = a + math.sqrt(radicand)
-        v_a = b_f * math.sqrt(one_k2) * v_w
         F_a = force_scale * one_k2
         fr2 = F_a * F_a - F_a_theta * F_a_theta
         if fr2 < 0.0:
-            raise SteadyStateError(
-                "aerodynamic force is too small to balance the tangential "
-                "gravity component"
-            )
+            raise SteadyStateError("aerodynamic force below the tangential gravity load")
         F_a_r = math.sqrt(fr2)
 
         # Drag is the projection of the aerodynamic force on the apparent wind.
@@ -419,18 +513,14 @@ def solve_kinematic_ratio(
         if ratio2 <= 0.0:
             raise SteadyStateError("force geometry implies a non-positive "
                                    "lift-to-drag ratio")
-        G = math.sqrt(ratio2)
+        v_a = b_f * math.sqrt(one_k2) * v_w
+        return _Probe(x, 0.5 * math.log(ratio2) - log_G_star, (kappa, lam, v_a, F_a, F_a_r))
 
-        if abs(G - G_star) / G_star <= tol:
-            converged = True
-            break
-        kappa *= math.sqrt(G_star / G)
-        if not kappa > 1e-9 or kappa > kappa_max:
-            raise SteadyStateError(
-                f"kinematic ratio left the admissible range (0, {kappa_max:.1f}]"
-            )
-    if not converged:
-        raise SteadyStateError(f"no convergence within {max_iter} iterations")
+    rtol = math.log1p(tol)
+    x_max = math.log(50.0 * G_star)
+    root = _secant(geometry, log_G_star, lambda p: p.x - 0.5 * p.r, _LOG_KAPPA_MIN, x_max,
+                   rtol, max_iter, 1.0) or _largest_kappa_root(geometry, x_max, rtol)
+    kappa, lam, v_a, F_a, F_a_r = root.value
     if lam < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({lam:.4f})")
@@ -454,15 +544,85 @@ def solve_kinematic_ratio(
         F_tg=F_tg,
         zeta=zeta,
         P=P,
-        converged=converged,
-        iterations=iterations,
+        converged=True,
+        iterations=evaluations,
     )
+
+
+def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
+                        rtol: float) -> _Probe:
+    """Step down in log kappa from ``x_max`` to the first probe with
+    G < G*, or at which the geometry fails, and refine that sign change;
+    a failed probe counts as G < G*, which finds a root at the edge of the
+    geometry.  Where G stops falling from one step to the next, the last
+    two steps are first searched for the least G (:func:`_golden_least`),
+    so that a dip of G below G* between steps is found too.  Raises
+    SteadyStateError when G stays above G* down to the edge of the
+    geometry or to kappa = 1e-9."""
+    def probe(x: float) -> _Probe:
+        try:
+            return geometry(x)
+        except SteadyStateError as exc:
+            return _Probe(x, math.inf, str(exc))  # a failure ranks above every G
+
+    pp = p = None
+    x = x_max
+    while x > _LOG_KAPPA_MIN:
+        q = probe(x)
+        if p is not None and q.r >= p.r and (pp is None or pp.r > p.r):
+            top = pp or p
+            least = _golden_least(probe, q.x, top.x, rtol)
+            if least.r < rtol:
+                p, q = top, least
+        if abs(q.r) <= rtol:
+            return q
+        if 0.0 < q.r < math.inf:
+            pp, p, x = p, q, x - _LOG_KAPPA_STEP
+            continue
+        if p is None:
+            if q.r < 0.0:
+                reason = "G < G* at the upper end"
+            else:
+                reason = f"{q.value} at kappa = {math.exp(x):.4g}"
+            break
+        p, n = _bracketed_root(geometry, p, q if q.r < 0.0 else _Probe(q.x, None, None),
+                               rtol, 1e-13)
+        if n.r is not None or p.r <= rtol:
+            return _nearest(p, n)
+        reason = f"{q.value} below kappa = {math.exp(p.x):.4g}"
+        break
+    else:
+        reason = f"G > G* down to kappa = {math.exp(x):.4g}"
+    raise SteadyStateError(f"no sign change of G(kappa) - G* on "
+                           f"(0, {math.exp(x_max):.1f}]: {reason}")
+
+
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float,
+                  rtol: float) -> _Probe:
+    """Golden-section search of [lo, hi] for the least residual, on the
+    premise that G has one minimum there.  Stops at the first probe with
+    a residual below ``rtol``, or when the interval is narrower than
+    1e-13."""
+    c, d = probe(hi - _GOLDEN * (hi - lo)), probe(lo + _GOLDEN * (hi - lo))
+    while hi - lo > 1e-13 and min(c.r, d.r) >= rtol:
+        if c.r < d.r:
+            hi, d = d.x, c
+            c = probe(hi - _GOLDEN * (hi - lo))
+        else:
+            lo, c = c.x, d
+            d = probe(lo + _GOLDEN * (hi - lo))
+    return c if c.r < d.r else d
 
 
 TargetEnd = Literal["kite", "ground"]
 
-# Failures that merely mark a bracket endpoint as outside the solvable region.
-_BRACKET_FAILURES = (SteadyStateError, NoTensionError, TetherSagError)
+# The reel-factor search stops at a force within this fraction of the
+# target, below the error a kinematic solve leaves at its default tol.
+_FORCE_RTOL = 1e-7
+_REEL_SECANT_STEPS = 12
 
 
 def _force_at_end(result: EquilibriumResult, target_end: TargetEnd) -> float:
@@ -483,13 +643,14 @@ def _solve_reel_factor(
 ) -> tuple[float, EquilibriumResult]:
     """Root-find the reeling factor for a force set-point, with gravity.
 
-    The tether force decreases monotonically with the reeling factor, so a
-    sign change of force minus target brackets the root.  A warm bracket
-    around ``hint`` is tried first; otherwise the full bracket
-    [f_lo, sin(theta)*cos(phi) - eps] is used, shrinking the upper end to
-    the boundary of solver validity when the equilibrium ceases to exist
-    there (the aerodynamic force cannot drop below the tangential gravity
-    load).
+    A secant on f starts at ``hint`` (the previous step's factor), or at
+    the massless inversion without one; its second point is a Newton
+    step on the massless slope dF/df = -2F/(b - f).  If the secant fails,
+    the tether force, which falls with f, is bracketed on [f_lo, b - eps]
+    with b = sin(theta)*cos(phi) and the sign change refined by
+    :func:`_bracketed_root`; a factor without an equilibrium (the
+    aerodynamic force cannot balance the tangential gravity load) counts
+    as the low-force side.  Returns the factor and its equilibrium.
     """
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
@@ -499,66 +660,46 @@ def _solve_reel_factor(
     f_hi = b - eps
     if f_lo >= f_hi:
         raise ValidationError(f"empty reel-factor bracket [{f_lo}, {f_hi}]")
+    rtol = _FORCE_RTOL * F_target
 
-    def residual(f: float) -> float:
-        res = solve_kinematic_ratio(replace(state, f=f), kite, m_t, aero, wind)
-        return _force_at_end(res, target_end) - F_target
+    def residual(f: float) -> _Probe:
+        eq = solve_kinematic_ratio(replace(state, f=f), kite, m_t, aero, wind)
+        return _Probe(f, _force_at_end(eq, target_end) - F_target, eq)
 
-    if hint is not None:
-        half_width = 0.05
-        lo = max(f_lo, hint - half_width)
-        hi = min(f_hi, hint + half_width)
-        if lo < hi:
-            try:
-                r_lo, r_hi = residual(lo), residual(hi)
-            except _BRACKET_FAILURES:
-                r_lo = r_hi = None
-            if r_lo is not None and r_lo >= 0.0 >= r_hi:
-                f_root = brentq(residual, lo, hi, xtol=1e-12)
-                eq = solve_kinematic_ratio(replace(state, f=f_root), kite, m_t, aero, wind)
-                return f_root, eq
+    if hint is None:
+        hint = reel_factor_for_force_massless(F_target, state, aero, wind, kite.S)
+    root = _secant(residual, min(max(hint, f_lo), f_hi),
+                   lambda p: p.x + p.r * (b - p.x) / (2.0 * (p.r + F_target)),
+                   f_lo, f_hi, rtol, _REEL_SECANT_STEPS, -1.0)
+    if root is not None:
+        return root.x, root.value
 
     try:
-        r_lo = residual(f_lo)
+        p = residual(f_lo)
     except _BRACKET_FAILURES as exc:
         raise SteadyStateError(
             f"no quasi-steady solution at the lower bracket end f={f_lo}: {exc}"
         ) from exc
-    if r_lo < 0.0:
+    if p.r < 0.0:
         raise SetpointUnreachableError(
             f"force {F_target:.1f} N exceeds the maximum achievable "
-            f"{r_lo + F_target:.1f} N at f={f_lo}"
+            f"{p.r + F_target:.1f} N at f={f_lo}"
         )
-
     try:
-        r_hi = residual(f_hi)
-        hi = f_hi
+        n = residual(f_hi)
     except _BRACKET_FAILURES:
-        # The equilibrium ceases to exist before f reaches b; bisect toward
-        # the largest reeling factor that still solves.
-        good, bad = f_lo, f_hi
-        for _ in range(80):
-            mid = 0.5 * (good + bad)
-            try:
-                r_mid = residual(mid)
-            except _BRACKET_FAILURES:
-                bad = mid
-            else:
-                good = mid
-            if bad - good < 1e-12:
-                break
-        hi = good
-        r_hi = residual(hi)
-    if r_hi > 0.0:
+        n = _Probe(f_hi, None, None)
+    if n.r is None or n.r < 0.0:
+        p, n = _bracketed_root(residual, p, n, rtol, 1e-12)
+    root = _nearest(p, n)
+    if root.r > rtol and (n.r is None or n.r > 0.0):
+        # The bracket closed on the edge of solvability, or the force at
+        # the upper end is still above the set-point.
         raise SetpointUnreachableError(
             f"force {F_target:.1f} N is below the minimum achievable "
-            f"{r_hi + F_target:.1f} N near f={hi:.4f}"
+            f"{root.r + F_target:.1f} N near f={root.x:.4f}"
         )
-
-    f_root = brentq(residual, f_lo, hi, xtol=1e-12)
-    eq = solve_kinematic_ratio(replace(state, f=f_root), kite, m_t, aero, wind)
-    return f_root, eq
-
+    return root.x, root.value
 
 
 def reel_factor_for_force_gravity(

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's solution paths: the kinematic
 ratio is found by dense grid scan over the residual of the force/velocity
-geometry, and the optimal reeling factor by direct evaluation of the
-harvesting factor on a fine grid.
+geometry, or by a dense scan and bisection on log(G/G*), and the optimal
+reeling factor by direct evaluation of the harvesting factor on a fine
+grid.
 """
 
 import math
@@ -11,18 +12,18 @@ import math
 import numpy as np
 
 
-def lift_to_drag_residual(kappa, state, S, m, m_t, aero, wind):
-    """|G(kappa) - G*| evaluated vectorised over a kappa grid.
+def implied_lift_to_drag(kappa, state, S, m, m_t, aero, wind):
+    """Lift-to-drag ratio G(kappa) implied by the force/velocity geometry,
+    evaluated vectorised over a kappa grid.
 
     Invalid entries (no real tangential speed, force too small, or
-    non-positive drag projection) come back as +inf.
+    non-positive drag projection) come back as NaN.
     """
     kappa = np.asarray(kappa, dtype=float)
     a = math.cos(state.theta) * math.cos(state.phi) * math.cos(state.chi) \
         - math.sin(state.phi) * math.sin(state.chi)
     b = math.sin(state.theta) * math.cos(state.phi)
     b_f = b - state.f
-    G_star = aero.LD
     C_R = aero.C_R
     one_k2 = 1.0 + kappa**2
 
@@ -40,10 +41,46 @@ def lift_to_drag_residual(kappa, state, S, m, m_t, aero, wind):
         v_norm = np.sqrt(va_r**2 + va_th**2 + va_ph**2)
         drag = (F_a_r * va_r + F_a_theta * va_th) / v_norm
         ratio2 = (F_a / drag) ** 2 - 1.0
-        G = np.sqrt(np.where((drag > 0.0) & (ratio2 > 0.0), ratio2, np.nan))
-        residual = np.abs(G - G_star)
-    residual = np.where(np.isfinite(residual) & (lam >= 0.0), residual, np.inf)
-    return residual
+        return np.sqrt(np.where((drag > 0.0) & (ratio2 > 0.0), ratio2, np.nan)), lam
+
+
+def lift_to_drag_residual(kappa, state, S, m, m_t, aero, wind):
+    """|G(kappa) - G*| over a kappa grid; invalid entries and negative
+    tangential speeds come back as +inf."""
+    G, lam = implied_lift_to_drag(kappa, state, S, m, m_t, aero, wind)
+    residual = np.abs(G - aero.LD)
+    return np.where(np.isfinite(residual) & (lam >= 0.0), residual, np.inf)
+
+
+def bisect_kappa(state, S, m, m_t, aero, wind, points=20_000):
+    """Largest kappa in (0, 50*G*] at which G(kappa) rises through G*.
+
+    A log-spaced grid from 50*G* downward finds the first entry where G
+    is not above G* or is invalid, and bisection on log kappa, counting
+    invalid as below, refines the change to the last float.  Returns None
+    when there is no such change, or it is the edge of validity.
+    """
+    def log_ratio(log_kappa):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            G, _ = implied_lift_to_drag(np.exp(log_kappa), state, S, m, m_t, aero, wind)
+            return np.log(G / aero.LD)
+
+    grid = np.linspace(math.log(50.0 * aero.LD), math.log(1e-9), points)
+    above = log_ratio(grid) > 0.0
+    if above.all() or not above[0]:
+        return None
+    stop = np.flatnonzero(~above)[0]
+    hi, lo = grid[stop - 1], grid[stop]
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        if log_ratio(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    r_hi, r_lo = abs(log_ratio(hi)), abs(log_ratio(lo))
+    if r_lo < r_hi:
+        return math.exp(lo)
+    return math.exp(hi) if r_hi < 1e-9 else None
 
 
 def grid_scan_kappa(state, S, m, m_t, aero, wind, kappa_max=None):

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from kitecycle import load_config, preset_path, save_config, segment_and_average
@@ -45,6 +49,22 @@ def test_validation_error_exit_code(tmp_path, capsys, strong_config):
         code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "ValidationError" in capsys.readouterr().err
+
+
+def test_non_finite_and_boolean_config_numbers_rejected(tmp_path, capsys, strong_config):
+    # Each used to load: the first three then failed as solver errors
+    # (exit 3), the last silently ran a 1 kg kite.
+    cases = (("environment", "v_w_ref", math.nan), ("tether", "C_D_c", math.nan),
+             ("operation", "F_out", math.inf), ("kite", "m", True))
+    for section, key, value in cases:
+        raw = config_to_dict(strong_config)
+        raw[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and f"{section}.{key}" in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys, strong_config):
@@ -108,6 +128,31 @@ def test_non_finite_telemetry_rejected_at_parse(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "ParseError" in err and "line 3" in err and column in err
     assert not (tmp_path / "o" / "estimates.csv").exists()
+
+
+def test_invalid_telemetry_record_names_file_and_line(tmp_path, capsys):
+    row = {"t": "0.0", "F_tg": "3000.0", "r": "400.0", "theta_deg": "60.0",
+           "phi_deg": "10.0", "chi_deg": "100.0", "vk_x": "-10.0", "vk_y": "20.0",
+           "vk_z": "5.0", "v_t": "2.0", "v_w_ref": "9.0", "phase": "traction"}
+    for column, value, message in (("F_tg", "-5.0", "ground tether force"),
+                                   ("r", "0.0", "tether length")):
+        bad = {**row, "t": "0.1", column: value}
+        log = tmp_path / "bad.csv"
+        log.write_text("\n".join(",".join(r[c] for c in TELEMETRY_COLUMNS)
+                                  for r in ({c: c for c in TELEMETRY_COLUMNS}, row, bad)) + "\n")
+        code = run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                            "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {log}: line 3: {message}" in err
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c",
+                    "import kitecycle.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_convergence_command(tmp_path):

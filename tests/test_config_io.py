@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,17 @@ class TestSweepSpec:
                                     "range": {"start": 0, "stop": 1, "num": 2}}))
         with pytest.raises(ParseError):
             load_sweep_spec(path)
+
+    def test_non_numbers_rejected(self, tmp_path):
+        for spec, where in (({"values": [1.0, float("nan")]}, "sweep.values[1]"),
+                            ({"values": [True]}, "sweep.values[0]"),
+                            ({"values": ["2000"]}, "sweep.values[0]"),
+                            ({"range": {"start": 0, "stop": float("inf"), "num": 3}},
+                             "sweep.range.stop")):
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps({"parameter": "operation.F_out", **spec}))
+            with pytest.raises(ParseError, match=re.escape(where)):
+                load_sweep_spec(path)
 
     def test_bad_objective(self, tmp_path):
         path = tmp_path / "sweep.json"

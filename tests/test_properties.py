@@ -1,0 +1,183 @@
+"""Property tests for the equilibrium solvers, over drawn states and aero sets.
+
+They pin the invariants the root finders rely on or promise: the force
+inversions round-trip, the tether force falls with the reeling factor,
+gravity mode without mass is the closed form, the kinematic ratio is the
+root a tight independent bisection finds, and every failure is one of a
+few definite reasons.
+"""
+
+import math
+from dataclasses import replace
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from kitecycle import (
+    AeroSet,
+    EffectiveAero,
+    KiteParams,
+    KiteState,
+    WindState,
+    massless_state,
+    reel_factor_for_force_gravity,
+    reel_factor_for_force_massless,
+    solve_kinematic_ratio,
+)
+from kitecycle.errors import (
+    NoSolutionError,
+    NoTensionError,
+    SetpointUnreachableError,
+    SteadyStateError,
+    TetherSagError,
+)
+from oracles import bisect_kappa
+
+# Only S and m enter the gravity model; the aero sets are replaced by the
+# drawn effective coefficients.
+KITE = KiteParams(S=10.2, m=0.0, aero_traction=AeroSet(0.69, 4.0),
+                  aero_retraction=AeroSet(0.17, 3.1))
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+# Every way an equilibrium solve may fail, as (exception, message start).
+SOLVE_FAILURES = (
+    (SteadyStateError, "no sign change of G(kappa) - G*"),
+    (SteadyStateError, "converged to a negative tangential velocity factor"),
+    (NoTensionError, "reeling factor"),
+    (TetherSagError, "kite tension"),
+)
+INVERSION_FAILURES = SOLVE_FAILURES + (
+    (SetpointUnreachableError, "force"),
+    (SteadyStateError, "no quasi-steady solution at the lower bracket end"),
+)
+
+
+@st.composite
+def problems(draw, massless=False):
+    """A flight state with a tensioned tether, an aero set, a wind, and
+    the airborne masses (kite, tether)."""
+    theta = draw(st.floats(math.radians(10.0), math.radians(88.0)))
+    phi = draw(st.floats(-math.radians(40.0), math.radians(40.0)))
+    b = math.sin(theta) * math.cos(phi)
+    state = KiteState(r=draw(st.floats(50.0, 1000.0)), theta=theta, phi=phi,
+                      chi=draw(st.floats(0.0, 2.0 * math.pi)),
+                      f=draw(st.floats(-1.0, 0.9 * b)))
+    aero = EffectiveAero(C_L=draw(st.floats(0.1, 1.5)), C_D=draw(st.floats(0.03, 0.5)))
+    wind = WindState(v_w=draw(st.floats(3.0, 25.0)), rho=draw(st.floats(1.0, 1.25)))
+    if massless:
+        return state, aero, wind, 0.0, 0.0
+    return state, aero, wind, draw(st.floats(0.0, 60.0)), draw(st.floats(0.0, 8.0))
+
+
+def kite_of(m):
+    return replace(KITE, m=m)
+
+
+def force(res, end):
+    return res.F_t_kite if end == "kite" else res.F_tg
+
+
+def assume_aero_dominated(state, aero, wind, m, m_t):
+    """Keep states where the massless tether force is at least twice the
+    airborne weight.  Below that, gravity can make the force rise with f:
+    the kite-end force of a weak-wind downward kite at L/D 0.5, and the
+    ground-end force once the tether weight exceeds the kite tension.  The
+    reel-factor search assumes a falling force there and need not find
+    the drawn f."""
+    b = math.sin(state.theta) * math.cos(state.phi)
+    F_massless = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * (b - state.f) ** 2
+    assume(F_massless >= 2.0 * (m + m_t) * 9.81)
+
+
+def solve_or_skip(state, m, m_t, aero, wind, **kwargs):
+    try:
+        return solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind, **kwargs)
+    except (SteadyStateError, TetherSagError):
+        assume(False)
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(["kite", "ground"]))
+def test_gravity_inversion_round_trip(problem, end):
+    state, aero, wind, m, m_t = problem
+    assume_aero_dominated(state, aero, wind, m, m_t)
+    F = force(solve_or_skip(state, m, m_t, aero, wind), end)
+    f = reel_factor_for_force_gravity(F, end, replace(state, f=0.0), kite_of(m), m_t, aero, wind)
+    res = solve_kinematic_ratio(replace(state, f=f), kite_of(m), m_t, aero, wind)
+    assert abs(force(res, end) / F - 1.0) <= 1e-6
+
+
+@PROPERTY
+@given(problems(massless=True))
+def test_massless_inversion_round_trip(problem):
+    state, aero, wind, _, _ = problem
+    try:
+        F = massless_state(state, aero, wind, S=KITE.S).F_t_kite
+    except NoSolutionError:
+        assume(False)
+    f = reel_factor_for_force_massless(F, replace(state, f=0.0), aero, wind, KITE.S)
+    res = massless_state(replace(state, f=f), aero, wind, S=KITE.S)
+    assert abs(res.F_t_kite / F - 1.0) <= 1e-6
+
+
+@PROPERTY
+@given(problems(), st.floats(1e-3, 0.5), st.sampled_from(["kite", "ground"]))
+def test_tether_force_decreases_with_reeling_factor(problem, df, end):
+    state, aero, wind, m, m_t = problem
+    high_f = replace(state, f=state.f + df)
+    assume(high_f.f < math.sin(state.theta) * math.cos(state.phi))
+    assume_aero_dominated(high_f, aero, wind, m, m_t)
+    low = solve_or_skip(state, m, m_t, aero, wind)
+    high = solve_or_skip(high_f, m, m_t, aero, wind)
+    assert force(high, end) < force(low, end)
+
+
+@PROPERTY
+@given(problems(massless=True))
+def test_gravity_mode_without_mass_is_the_closed_form(problem):
+    state, aero, wind, _, _ = problem
+    try:
+        ml = massless_state(state, aero, wind, S=KITE.S)
+    except NoSolutionError:
+        assume(False)
+    res = solve_kinematic_ratio(state, kite_of(0.0), 0.0, aero, wind)
+    assert res.iterations == 1
+    for field in ("kappa", "lam", "v_a", "F_a", "F_t_kite", "F_tg", "zeta", "P"):
+        assert math.isclose(getattr(res, field), getattr(ml, field), rel_tol=1e-9, abs_tol=1e-9)
+
+
+@PROPERTY
+@given(problems())
+def test_kinematic_ratio_matches_tight_bisection(problem):
+    state, aero, wind, m, m_t = problem
+    reference = bisect_kappa(state, KITE.S, m, m_t, aero, wind)
+    try:
+        res = solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind, tol=1e-12)
+    except SteadyStateError as exc:
+        # The reference finds no root either, or one with a negative
+        # tangential speed.
+        assert reference is None or "negative tangential" in str(exc), (reference, exc)
+        return
+    except TetherSagError:
+        return
+    assert reference is not None
+    assert abs(res.kappa / reference - 1.0) <= 1e-8
+
+
+@PROPERTY
+@given(problems(), st.floats(10.0, 1e5), st.sampled_from(["kite", "ground"]))
+def test_failures_are_definite(problem, F_target, end):
+    state, aero, wind, m, m_t = problem
+    for call, failures in (
+        (lambda: solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind), SOLVE_FAILURES),
+        (lambda: reel_factor_for_force_gravity(F_target, end, state, kite_of(m), m_t, aero,
+                                               wind), INVERSION_FAILURES),
+    ):
+        try:
+            call()
+        except (SteadyStateError, NoTensionError, TetherSagError,
+                SetpointUnreachableError) as exc:
+            assert any(type(exc) is kind and str(exc).startswith(start)
+                       for kind, start in failures), repr(exc)
