@@ -36,6 +36,7 @@ from .steady_state import (
     KiteParams,
     KiteState,
     TetherParams,
+    _ReelStart,
     _solve_reel_factor,
     massless_state,
     reel_factor_for_force_massless,
@@ -182,7 +183,8 @@ class _PhaseEngine:
         self.aero_set = aero_set
         self.t_star = (op.r_max - op.r_min) / env.v_w_ref
         self.dt = self.t_star * op.dT
-        self.f_hint: float | None = None
+        # Where the next force inversion starts: the last one's solution.
+        self.reel_start: _ReelStart | None = None
 
     def wind_at(self, r: float, theta: float) -> WindState:
         return wind_state_at(r * math.cos(theta), self.env)
@@ -210,11 +212,10 @@ class _PhaseEngine:
             f = reel_factor_for_force_massless(F_target, probe, aero, wind, self.kite.S)
             state = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=f)
             return state, massless_state(state, aero, wind, self.kite.S)
-        f, eq = _solve_reel_factor(
+        f, eq, self.reel_start = _solve_reel_factor(
             F_target, self.op.force_at, probe, self.kite, m_t, aero, wind,
-            hint=self.f_hint,
+            start=self.reel_start,
         )
-        self.f_hint = f
         return KiteState(r=r, theta=theta, phi=phi, chi=chi, f=f), eq
 
     @staticmethod
@@ -363,7 +364,7 @@ def simulate_transition(
             return engine.solve_force(op.F_out, r, theta, phi, chi, wind)
         if force < op.F_in:
             return engine.solve_force(op.F_in, r, theta, phi, chi, wind)
-        engine.f_hint = 0.0
+        engine.reel_start = None
         return coasting, eq0
 
     return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,

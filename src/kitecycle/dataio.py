@@ -1,8 +1,8 @@
 """CSV/JSON readers and writers.
 
-All floats are written with shortest round-trip precision (``repr``);
-files are UTF-8, CSV uses comma separators and ``.`` decimals, with a
-header row.  Outputs carry no timestamps so identical runs are
+All floats are written with shortest round-trip precision (``repr``,
+which ``csv.writer`` applies to floats); files are UTF-8, CSV uses comma
+separators and ``.`` decimals, with a header row.  Outputs carry no timestamps so identical runs are
 byte-identical.
 """
 
@@ -47,12 +47,6 @@ TELEMETRY_COLUMNS = [
 _REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -60,13 +54,10 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
         for phase in cycle.phases:
             for rec in phase.series:
                 writer.writerow([
-                    _fmt(rec.t), phase.phase, _fmt(rec.r),
-                    _fmt(math.degrees(rec.theta)),
-                    _fmt(math.degrees(0.5 * math.pi - rec.theta)),
-                    _fmt(math.degrees(rec.phi)),
-                    _fmt(math.degrees(rec.chi)),
-                    _fmt(rec.f), _fmt(rec.v_t), _fmt(rec.v_k), _fmt(rec.v_a),
-                    _fmt(rec.F_t_kite), _fmt(rec.F_tg), _fmt(rec.P),
+                    rec.t, phase.phase, rec.r, math.degrees(rec.theta),
+                    math.degrees(0.5 * math.pi - rec.theta), math.degrees(rec.phi),
+                    math.degrees(rec.chi), rec.f, rec.v_t, rec.v_k, rec.v_a,
+                    rec.F_t_kite, rec.F_tg, rec.P,
                 ])
 
 
@@ -115,11 +106,11 @@ def write_telemetry_csv(path: str | Path, records: Sequence[LogRecord]) -> None:
         writer.writerow(TELEMETRY_COLUMNS)
         for rec in records:
             writer.writerow([
-                _fmt(rec.t), _fmt(rec.F_tg), _fmt(rec.r),
-                _fmt(math.degrees(rec.theta)), _fmt(math.degrees(rec.phi)),
-                "" if rec.chi is None else _fmt(math.degrees(rec.chi)),
-                _fmt(rec.vk[0]), _fmt(rec.vk[1]), _fmt(rec.vk[2]),
-                _fmt(rec.v_t), _fmt(rec.v_w_ref),
+                rec.t, rec.F_tg, rec.r,
+                math.degrees(rec.theta), math.degrees(rec.phi),
+                "" if rec.chi is None else math.degrees(rec.chi),
+                rec.vk[0], rec.vk[1], rec.vk[2],
+                rec.v_t, rec.v_w_ref,
                 rec.phase or "",
             ])
 
@@ -201,8 +192,8 @@ def write_estimates_csv(path: str | Path, estimates: Sequence[EstimateRecord]) -
         writer.writerow(["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"])
         for est in estimates:
             writer.writerow([
-                _fmt(est.t), est.phase or "", _fmt(est.C_R), _fmt(est.LD_sys),
-                _fmt(est.LD_k), _fmt(est.kappa), _fmt(est.v_a),
+                est.t, est.phase or "", est.C_R, est.LD_sys,
+                est.LD_k, est.kappa, est.v_a,
                 "1" if est.valid else "0",
             ])
 
@@ -223,9 +214,7 @@ def write_convergence_csv(path: str | Path, rows: Sequence[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["dT", "zeta_m", "steps", "ratio_to_ref"])
         for row in rows:
-            writer.writerow([
-                _fmt(row["dT"]), _fmt(row["zeta_m"]), row["steps"], _fmt(row["ratio"]),
-            ])
+            writer.writerow([row["dT"], row["zeta_m"], row["steps"], row["ratio"]])
 
 
 def write_sweep_csv(path: str | Path, parameter: str, rows: Sequence[dict]) -> None:
@@ -233,4 +222,4 @@ def write_sweep_csv(path: str | Path, parameter: str, rows: Sequence[dict]) -> N
         writer = csv.writer(fh)
         writer.writerow([parameter, "P_m", "zeta_m"])
         for row in rows:
-            writer.writerow([_fmt(row["value"]), _fmt(row["P_m"]), _fmt(row["zeta_m"])])
+            writer.writerow([row["value"], row["P_m"], row["zeta_m"]])

@@ -8,12 +8,16 @@ force must additionally balance the tangential component of gravity, and
 the kinematic ratio becomes the root at which the lift-to-drag ratio
 implied by the force/velocity geometry matches the target value.
 
-Both root searches of the gravity model, for the kinematic ratio and for
-the reeling factor that meets a force set-point, are safeguarded secants:
-a secant iteration from a good start (the massless solution, or the
-previous step's reeling factor) with an in-house Illinois bracketing
-fallback.  A solve that fails names why no root exists; it never fails
-for running out of iterations.
+The kinematic ratio at a given reeling factor is found by a safeguarded
+secant on log kappa from the massless solution, with an in-house
+Illinois bracketing fallback.  A force set-point is met by solving the
+kinematic ratio and the reeling factor together: a Broyden iteration on
+the two residuals, warm-started from the previous step's solution and
+Jacobian, falls back to bracketing the reeling factor with nested
+kinematic-ratio solves.  One function gives both searches the force
+geometry of a flight state.  This is a change to the solver, not to the
+model.  A solve that fails names why no root exists; it never fails for
+running out of iterations.
 
 Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
@@ -194,10 +198,10 @@ class EquilibriumResult:
         F_tg: Tether force at the ground station [N].
         zeta: Instantaneous power harvesting factor P/(P_w*S).
         P: Mechanical power at the ground [W], negative while reeling in.
-        converged: Always True on a returned result; a solve that cannot
-            meet its tolerance raises instead.
-        iterations: Number of force-geometry evaluations of the
-            kinematic-ratio solve (0 for closed form).
+        iterations: Number of force-geometry evaluations: of the
+            kinematic-ratio solve, or of a whole reel-factor inversion
+            (0 for closed form).  A solve that cannot meet its tolerance
+            raises instead of returning.
     """
 
     kappa: float
@@ -210,7 +214,6 @@ class EquilibriumResult:
     F_tg: float
     zeta: float
     P: float
-    converged: bool
     iterations: int
 
 
@@ -297,7 +300,6 @@ def massless_state(
         F_tg=F_t,
         zeta=zeta,
         P=P,
-        converged=True,
         iterations=0,
     )
 
@@ -360,33 +362,79 @@ class _Probe(NamedTuple):
 _BRACKET_FAILURES = (SteadyStateError, NoTensionError, TetherSagError)
 
 
-def _secant(fun: Callable[[float], _Probe], x0: float, first_step: Callable[[_Probe], float],
-            lo: float, hi: float, rtol: float, steps: int, sign: float) -> Optional[_Probe]:
-    """Secant iteration from ``x0``; ``first_step`` maps the first probe
-    to the second abscissa.
+def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: EffectiveAero,
+                    wind: WindState):
+    """The force geometry of one flight state, as two functions of the
+    reeling factor f, which neither checks against sin(theta)*cos(phi).
 
-    Returns the first probe whose residual is within ``rtol``, or None
-    once a probe fails, a step leaves [lo, hi], a secant slope lacks the
-    sign of ``sign`` or ``steps`` steps pass.
+    ``geometry(x, f)`` evaluates the apparent wind and the aerodynamic
+    force at kappa = exp(x) and returns a probe with residual log(G/G*),
+    where G is the lift-to-drag ratio they imply and G* the system
+    lift-to-drag ratio, and values (kappa, lam, v_a, F_a, F_a_r,
+    F_t_kite).  It raises SteadyStateError where the geometry has no
+    solution.  ``equilibrium(values, f, iterations)`` completes such
+    values to the ground force and power of an :class:`EquilibriumResult`.
     """
-    try:
-        p0 = fun(x0)
-        if abs(p0.r) <= rtol:
-            return p0
-        x1 = first_step(p0)
-        for _ in range(steps):
-            if not lo <= x1 <= hi:
-                return None
-            p1 = fun(x1)
-            if abs(p1.r) <= rtol:
-                return p1
-            dr, dx = p1.r - p0.r, p1.x - p0.x
-            if not dr * dx * sign > 0.0:
-                return None
-            p0, x1 = p1, p1.x - p1.r * dx / dr
-    except _BRACKET_FAILURES:
-        pass
-    return None
+    if m_t < 0.0:
+        raise ValidationError(f"tether mass must be >= 0, got {m_t}")
+    if wind.v_w <= 0.0:
+        raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
+    a, b = _trig(state)
+    log_G_star = math.log(aero.LD)
+    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
+    sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
+    sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
+    v_w = wind.v_w
+    force_coefficient = wind.q * kite.S * aero.C_R
+    F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
+    # Tether force at the kite: aerodynamic force plus kite weight, in
+    # spherical components; the theta component reduces to the sag reaction.
+    W_r = kite.m * GRAVITY * cos_t
+    F_t_theta = F_a_theta + kite.m * GRAVITY * sin_t  # = -sin_t*m_t*g/2
+
+    def geometry(x: float, f: float) -> _Probe:
+        kappa = math.exp(x)
+        b_f = b - f
+        one_k2 = 1.0 + kappa * kappa
+        radicand = a * a + b * b - 1.0 + kappa * kappa * b_f * b_f
+        if radicand < 0.0:
+            raise SteadyStateError("tangential velocity factor has no real solution")
+        lam = a + math.sqrt(radicand)
+        F_a = force_coefficient * b_f * b_f * one_k2
+        fr2 = F_a * F_a - F_a_theta * F_a_theta
+        if fr2 < 0.0:
+            raise SteadyStateError("aerodynamic force below the tangential gravity load")
+        F_a_r = math.sqrt(fr2)
+
+        # Drag is the projection of the aerodynamic force on the apparent wind.
+        va_r = b_f * v_w
+        va_th = (cos_t * cos_p - lam * cos_c) * v_w
+        va_ph = (-sin_p - lam * sin_c) * v_w
+        v_a_norm = math.sqrt(va_r * va_r + va_th * va_th + va_ph * va_ph)
+        drag = (F_a_r * va_r + F_a_theta * va_th) / v_a_norm
+        if drag <= 0.0:
+            raise SteadyStateError("drag projection is non-positive; gravity "
+                                   "dominates the flight direction")
+        ratio2 = (F_a / drag) ** 2 - 1.0
+        if ratio2 <= 0.0:
+            raise SteadyStateError("force geometry implies a non-positive "
+                                   "lift-to-drag ratio")
+        v_a = b_f * math.sqrt(one_k2) * v_w
+        F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
+        return _Probe(x, 0.5 * math.log(ratio2) - log_G_star,
+                      (kappa, lam, v_a, F_a, F_a_r, F_t_kite))
+
+    def equilibrium(value: tuple, f: float, iterations: int) -> EquilibriumResult:
+        kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
+        F_tg, _ = ground_tether_force(F_t_kite, state.theta, m_t)
+        P = F_tg * f * v_w
+        return EquilibriumResult(
+            kappa=kappa, lam=lam, v_a=v_a, F_a=F_a, F_a_r=F_a_r, F_a_theta=F_a_theta,
+            F_t_kite=F_t_kite, F_tg=F_tg, zeta=P / (wind.P_w * kite.S), P=P,
+            iterations=iterations,
+        )
+
+    return geometry, equilibrium
 
 
 def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: float,
@@ -430,6 +478,9 @@ def _nearest(p: _Probe, n: _Probe) -> _Probe:
 # from the top by factors of 2**0.25.
 _LOG_KAPPA_MIN = math.log(1e-9)
 _LOG_KAPPA_STEP = 0.25 * math.log(2.0)
+# Default tolerance on G/G* - 1; the tether force is off by about twice
+# as much, near the force tolerance of a reel-factor inversion.
+_KAPPA_TOL = 1e-7
 
 
 def solve_kinematic_ratio(
@@ -438,7 +489,7 @@ def solve_kinematic_ratio(
     m_t: float,
     aero: EffectiveAero,
     wind: WindState,
-    tol: float = 1e-6,
+    tol: float = _KAPPA_TOL,
     max_iter: int = 100,
 ) -> EquilibriumResult:
     """Quasi-steady equilibrium including gravity on kite and tether.
@@ -463,90 +514,57 @@ def solve_kinematic_ratio(
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
     """
-    a, b = _trig(state)
+    _, b = _trig(state)
     if state.f >= b:
         raise NoTensionError(
             f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
         )
-    if m_t < 0.0:
-        raise ValidationError(f"tether mass must be >= 0, got {m_t}")
-    if wind.v_w <= 0.0:
-        raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
-
-    G_star = aero.LD
-    log_G_star = math.log(G_star)
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
-    sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
-    v_w = wind.v_w
-    b_f = b - state.f
-    force_scale = wind.q * kite.S * aero.C_R * b_f * b_f
-    F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
+    geometry, equilibrium = _force_geometry(state, kite, m_t, aero, wind)
+    f = state.f
     evaluations = 0
 
-    def geometry(x: float) -> _Probe:
-        """Force geometry at kappa = exp(x), with residual log(G/G*)."""
+    def probe(x: float) -> _Probe:
         nonlocal evaluations
         evaluations += 1
-        kappa = math.exp(x)
-        one_k2 = 1.0 + kappa * kappa
-        radicand = a * a + b * b - 1.0 + kappa * kappa * b_f * b_f
-        if radicand < 0.0:
-            raise SteadyStateError("tangential velocity factor has no real solution")
-        lam = a + math.sqrt(radicand)
-        F_a = force_scale * one_k2
-        fr2 = F_a * F_a - F_a_theta * F_a_theta
-        if fr2 < 0.0:
-            raise SteadyStateError("aerodynamic force below the tangential gravity load")
-        F_a_r = math.sqrt(fr2)
-
-        # Drag is the projection of the aerodynamic force on the apparent wind.
-        va_r = b_f * v_w
-        va_th = (cos_t * cos_p - lam * cos_c) * v_w
-        va_ph = (-sin_p - lam * sin_c) * v_w
-        v_a_norm = math.sqrt(va_r * va_r + va_th * va_th + va_ph * va_ph)
-        drag = (F_a_r * va_r + F_a_theta * va_th) / v_a_norm
-        if drag <= 0.0:
-            raise SteadyStateError("drag projection is non-positive; gravity "
-                                   "dominates the flight direction")
-        ratio2 = (F_a / drag) ** 2 - 1.0
-        if ratio2 <= 0.0:
-            raise SteadyStateError("force geometry implies a non-positive "
-                                   "lift-to-drag ratio")
-        v_a = b_f * math.sqrt(one_k2) * v_w
-        return _Probe(x, 0.5 * math.log(ratio2) - log_G_star, (kappa, lam, v_a, F_a, F_a_r))
+        return geometry(x, f)
 
     rtol = math.log1p(tol)
-    x_max = math.log(50.0 * G_star)
-    root = _secant(geometry, log_G_star, lambda p: p.x - 0.5 * p.r, _LOG_KAPPA_MIN, x_max,
-                   rtol, max_iter, 1.0) or _largest_kappa_root(geometry, x_max, rtol)
-    kappa, lam, v_a, F_a, F_a_r = root.value
-    if lam < 0.0:
+    x_max = math.log(50.0 * aero.LD)
+    root = (_kappa_secant(probe, math.log(aero.LD), x_max, rtol, max_iter)
+            or _largest_kappa_root(probe, x_max, rtol))
+    if root.value[1] < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
-                               f"factor ({lam:.4f})")
+                               f"factor ({root.value[1]:.4f})")
+    return equilibrium(root.value, f, evaluations)
 
-    # Tether force at the kite: aerodynamic force plus kite weight, expressed
-    # in spherical components; the theta component reduces to the sag reaction.
-    F_t_r = F_a_r - kite.m * GRAVITY * cos_t
-    F_t_theta = F_a_theta + kite.m * GRAVITY * sin_t  # = -sin_t*m_t*g/2
-    F_t_kite = math.hypot(F_t_r, F_t_theta)
-    F_tg, _ = ground_tether_force(F_t_kite, state.theta, m_t)
-    P = F_tg * state.f * v_w
-    zeta = P / (wind.P_w * kite.S)
-    return EquilibriumResult(
-        kappa=kappa,
-        lam=lam,
-        v_a=v_a,
-        F_a=F_a,
-        F_a_r=F_a_r,
-        F_a_theta=F_a_theta,
-        F_t_kite=F_t_kite,
-        F_tg=F_tg,
-        zeta=zeta,
-        P=P,
-        converged=True,
-        iterations=evaluations,
-    )
+
+def _kappa_secant(probe: Callable[[float], _Probe], x0: float, x_max: float, rtol: float,
+                  steps: int) -> Optional[_Probe]:
+    """Secant on log kappa from ``x0``, its second point the fixed-point
+    step kappa*sqrt(G*/G).
+
+    Returns the first probe whose residual is within ``rtol``, or None
+    once a probe fails, a step leaves [1e-9, exp(x_max)], G stops rising
+    with kappa or ``steps`` steps pass.
+    """
+    try:
+        p0 = probe(x0)
+        if abs(p0.r) <= rtol:
+            return p0
+        x1 = p0.x - 0.5 * p0.r
+        for _ in range(steps):
+            if not _LOG_KAPPA_MIN <= x1 <= x_max:
+                return None
+            p1 = probe(x1)
+            if abs(p1.r) <= rtol:
+                return p1
+            dr, dx = p1.r - p0.r, p1.x - p0.x
+            if not dr * dx > 0.0:
+                return None
+            p0, x1 = p1, p1.x - p1.r * dx / dr
+    except SteadyStateError:
+        pass
+    return None
 
 
 def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
@@ -619,14 +637,71 @@ def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float,
 
 TargetEnd = Literal["kite", "ground"]
 
-# The reel-factor search stops at a force within this fraction of the
-# target, below the error a kinematic solve leaves at its default tol.
+# A reel-factor inversion stops at a force within this fraction of the
+# target; a joint root also meets the default tolerance of a kinematic solve.
 _FORCE_RTOL = 1e-7
-_REEL_SECANT_STEPS = 12
+_KAPPA_RTOL = math.log1p(_KAPPA_TOL)
+_JOINT_STEPS = 10
+_FD_STEP = 1e-6
 
 
-def _force_at_end(result: EquilibriumResult, target_end: TargetEnd) -> float:
-    return result.F_t_kite if target_end == "kite" else result.F_tg
+class _ReelStart(NamedTuple):
+    """Start of a joint solve: (log kappa, f) and the row-major Jacobian, if known."""
+
+    x: float
+    f: float
+    J: Optional[tuple[float, float, float, float]]
+
+
+def _broyden(fun: Callable[[float, float], tuple[float, float, tuple]], start: _ReelStart,
+             x_max: float, f_lo: float, f_hi: float) -> Optional[tuple[tuple, _ReelStart]]:
+    """Broyden (1965) iteration on the residuals (log(G/G*), F/F* - 1) of
+    ``fun`` over (log kappa, f), from ``start``; a start without a
+    Jacobian takes finite differences.
+
+    Returns the geometry values of the first probe within both
+    tolerances and the start for a neighbouring state, or None once a
+    probe fails, a step leaves [1e-9, exp(x_max)] x [f_lo, f_hi] or
+    ``_JOINT_STEPS`` steps pass.  Where the updated Jacobian has G
+    falling with kappa at the root, it is taken again by finite
+    differences, since after a long walk the update can be far off.
+    """
+    def differences(x, f, r1, r2):
+        # f steps down: f may sit at the upper end of its range.
+        a1, a2, _ = fun(x + _FD_STEP, f)
+        b1, b2, _ = fun(x, f - _FD_STEP)
+        return ((a1 - r1) / _FD_STEP, (r1 - b1) / _FD_STEP,
+                (a2 - r2) / _FD_STEP, (r2 - b2) / _FD_STEP)
+
+    x, f, J = start
+    try:
+        r1, r2, value = fun(x, f)
+        if J is None:
+            J = differences(x, f, r1, r2)
+        steps = 0
+        while not (abs(r1) <= _KAPPA_RTOL and abs(r2) <= _FORCE_RTOL):
+            if steps == _JOINT_STEPS:
+                return None
+            steps += 1
+            j11, j12, j21, j22 = J
+            det = j11 * j22 - j12 * j21
+            if det == 0.0:
+                return None
+            dx = (j12 * r2 - j22 * r1) / det
+            df = (j21 * r1 - j11 * r2) / det
+            x, f = x + dx, f + df
+            if not (_LOG_KAPPA_MIN <= x <= x_max and f_lo <= f <= f_hi):
+                return None
+            r1, r2, value = fun(x, f)
+            # Good Broyden update; J*(dx, df) = -(old residuals), so the
+            # secant misfit is the new residual vector.
+            s = dx * dx + df * df
+            J = (j11 + r1 * dx / s, j12 + r1 * df / s, j21 + r2 * dx / s, j22 + r2 * df / s)
+        if J[0] <= 0.0:
+            J = differences(x, f, r1, r2)
+    except _BRACKET_FAILURES:
+        return None
+    return value, _ReelStart(x, f, J)
 
 
 def _solve_reel_factor(
@@ -639,18 +714,24 @@ def _solve_reel_factor(
     wind: WindState,
     f_lo: float = -3.0,
     eps: float = 1e-6,
-    hint: Optional[float] = None,
-) -> tuple[float, EquilibriumResult]:
+    start: Optional[_ReelStart] = None,
+) -> tuple[float, EquilibriumResult, _ReelStart]:
     """Root-find the reeling factor for a force set-point, with gravity.
 
-    A secant on f starts at ``hint`` (the previous step's factor), or at
-    the massless inversion without one; its second point is a Newton
-    step on the massless slope dF/df = -2F/(b - f).  If the secant fails,
-    the tether force, which falls with f, is bracketed on [f_lo, b - eps]
-    with b = sin(theta)*cos(phi) and the sign change refined by
+    The kinematic ratio and the reeling factor are solved together
+    (:func:`_broyden`), from ``start`` (the previous step's solution and
+    Jacobian), or without one from the massless inversion at kappa = G*.
+    A joint root counts if no probe failed and it is the kind of root a
+    nested solve finds: lam >= 0 and G rising through G* with kappa.
+    Otherwise the tether force, which falls with f, is bracketed on
+    [f_lo, b - eps] with b = sin(theta)*cos(phi), each probe a
+    :func:`solve_kinematic_ratio`, and the sign change refined by
     :func:`_bracketed_root`; a factor without an equilibrium (the
     aerodynamic force cannot balance the tangential gravity load) counts
-    as the low-force side.  Returns the factor and its equilibrium.
+    as the low-force side.  Returns the factor, its equilibrium, whose
+    ``iterations`` counts the geometry evaluations of the joint solve and
+    of the nested solves that returned, and the start for a neighbouring
+    state.
     """
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
@@ -660,19 +741,34 @@ def _solve_reel_factor(
     f_hi = b - eps
     if f_lo >= f_hi:
         raise ValidationError(f"empty reel-factor bracket [{f_lo}, {f_hi}]")
+    geometry, equilibrium = _force_geometry(state, kite, m_t, aero, wind)
+    evaluations = 0
+
+    def joint(x: float, f: float) -> tuple[float, float, tuple]:
+        nonlocal evaluations
+        evaluations += 1
+        p = geometry(x, f)
+        F_tg, _ = ground_tether_force(p.value[5], state.theta, m_t)
+        return p.r, (p.value[5] if target_end == "kite" else F_tg) / F_target - 1.0, p.value
+
+    if start is None:
+        f = reel_factor_for_force_massless(F_target, state, aero, wind, kite.S)
+        start = _ReelStart(math.log(aero.LD), min(max(f, f_lo), f_hi), None)
+    found = _broyden(joint, start, math.log(50.0 * aero.LD), f_lo, f_hi)
+    if found is not None:
+        value, start = found
+        # Accept the root a nested solve would find: lam >= 0, and G
+        # rising through G* with kappa.
+        if value[1] >= 0.0 and start.J[0] > 0.0:
+            return start.f, equilibrium(value, start.f, evaluations), start
+
     rtol = _FORCE_RTOL * F_target
 
     def residual(f: float) -> _Probe:
+        nonlocal evaluations
         eq = solve_kinematic_ratio(replace(state, f=f), kite, m_t, aero, wind)
-        return _Probe(f, _force_at_end(eq, target_end) - F_target, eq)
-
-    if hint is None:
-        hint = reel_factor_for_force_massless(F_target, state, aero, wind, kite.S)
-    root = _secant(residual, min(max(hint, f_lo), f_hi),
-                   lambda p: p.x + p.r * (b - p.x) / (2.0 * (p.r + F_target)),
-                   f_lo, f_hi, rtol, _REEL_SECANT_STEPS, -1.0)
-    if root is not None:
-        return root.x, root.value
+        evaluations += eq.iterations
+        return _Probe(f, (eq.F_t_kite if target_end == "kite" else eq.F_tg) - F_target, eq)
 
     try:
         p = residual(f_lo)
@@ -699,7 +795,8 @@ def _solve_reel_factor(
             f"force {F_target:.1f} N is below the minimum achievable "
             f"{root.r + F_target:.1f} N near f={root.x:.4f}"
         )
-    return root.x, root.value
+    return root.x, replace(root.value, iterations=evaluations), _ReelStart(
+        math.log(root.value.kappa), root.x, None)
 
 
 def reel_factor_for_force_gravity(
@@ -720,5 +817,6 @@ def reel_factor_for_force_gravity(
         SteadyStateError: if the equilibrium solver fails where a solution
             is required.
     """
-    f_root, _ = _solve_reel_factor(F_target, target_end, state, kite, m_t, aero, wind, f_lo=f_lo)
+    f_root, _, _ = _solve_reel_factor(F_target, target_end, state, kite, m_t, aero, wind,
+                                      f_lo=f_lo)
     return f_root

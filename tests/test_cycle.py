@@ -13,6 +13,7 @@ from kitecycle import (
     simulate_transition,
     steady_retraction_elevation,
 )
+from kitecycle import cycle, steady_state
 from kitecycle.errors import ConvergenceError, DomainError, PhaseError, ValidationError
 
 
@@ -126,6 +127,50 @@ def test_stalled_phase_raises_phase_error(strong_config, monkeypatch):
     with pytest.raises(PhaseError, match="tether length failed to increase for 21 "):
         simulate_traction(cfg.environment, cfg.kite, cfg.tether, op,
                           r_start=cfg.operation.r_min)
+
+
+@pytest.mark.parametrize("preset", ["strong_config", "moderate_config"])
+def test_gravity_inversions_never_take_the_bracket(preset, request, monkeypatch):
+    # The bracket fallback of a force inversion probes with nested
+    # kinematic-ratio solves through the steady_state module; the cycle's
+    # own solves (coasting transition steps) go through its own binding.
+    nested = []
+    solve = steady_state.solve_kinematic_ratio
+
+    def counted(*args, **kwargs):
+        nested.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(steady_state, "solve_kinematic_ratio", counted)
+    cfg = request.getfixturevalue(preset)
+    op = replace(cfg.operation, dT=0.01, gravity=True)
+    simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
+    assert nested == []
+
+
+def test_gravity_step_work_count(strong_config, monkeypatch):
+    # Geometry evaluations per step, from the solvers' own iterations
+    # counts: a warm-started joint inversion takes two or three, a cold
+    # one (the first step of each phase) seven or more.
+    evaluations = []
+    solve, invert = cycle.solve_kinematic_ratio, cycle._solve_reel_factor
+
+    def counted_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        evaluations.append(res.iterations)
+        return res
+
+    def counted_invert(*args, **kwargs):
+        f, eq, start = invert(*args, **kwargs)
+        evaluations.append(eq.iterations)
+        return f, eq, start
+
+    monkeypatch.setattr(cycle, "solve_kinematic_ratio", counted_solve)
+    monkeypatch.setattr(cycle, "_solve_reel_factor", counted_invert)
+    cfg = strong_config
+    op = replace(cfg.operation, dT=0.01, gravity=True)
+    res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
+    assert sum(evaluations) / res.steps <= 4.0
 
 
 class TestSteadyRetractionElevation:

@@ -1,10 +1,11 @@
 """Property tests for the equilibrium solvers, over drawn states and aero sets.
 
 They pin the invariants the root finders rely on or promise: the force
-inversions round-trip, the tether force falls with the reeling factor,
-gravity mode without mass is the closed form, the kinematic ratio is the
-root a tight independent bisection finds, and every failure is one of a
-few definite reasons.
+inversions round-trip, the joint (kappa, f) inversion, cold or
+warm-started, finds the reeling factor of a tight nested search, the
+tether force falls with the reeling factor, gravity mode without mass is
+the closed form, the kinematic ratio is the root a tight independent
+bisection finds, and every failure is one of a few definite reasons.
 """
 
 import math
@@ -31,6 +32,7 @@ from kitecycle.errors import (
     SteadyStateError,
     TetherSagError,
 )
+from kitecycle.steady_state import _solve_reel_factor
 from oracles import bisect_kappa
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
@@ -107,6 +109,48 @@ def test_gravity_inversion_round_trip(problem, end):
     f = reel_factor_for_force_gravity(F, end, replace(state, f=0.0), kite_of(m), m_t, aero, wind)
     res = solve_kinematic_ratio(replace(state, f=f), kite_of(m), m_t, aero, wind)
     assert abs(force(res, end) / F - 1.0) <= 1e-6
+
+
+def bisect_reel_factor(F, end, state, m, m_t, aero, wind, f_high_force):
+    """Reeling factor at which the tether force at ``end`` falls through
+    ``F``, by bisection from ``f_high_force`` (where the force is above F)
+    to just below sin(theta)*cos(phi), each probe a kinematic solve at
+    tol 1e-12; a probe without an equilibrium counts as below F."""
+    def above(f):
+        try:
+            res = solve_kinematic_ratio(replace(state, f=f), kite_of(m), m_t, aero, wind,
+                                        tol=1e-12)
+        except (SteadyStateError, TetherSagError):
+            return False
+        return force(res, end) > F
+
+    lo, hi = f_high_force, math.sin(state.theta) * math.cos(state.phi) - 1e-9
+    assume(above(lo))
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return lo
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(["kite", "ground"]), st.floats(-0.02, 0.02),
+       st.floats(-0.02, 0.02))
+def test_joint_inversion_matches_tight_nested_reference(problem, end, dr, dtheta):
+    state, aero, wind, m, m_t = problem
+    assume_aero_dominated(state, aero, wind, m, m_t)
+    F = force(solve_or_skip(state, m, m_t, aero, wind, tol=1e-12), end)
+    f_ref = bisect_reel_factor(F, end, state, m, m_t, aero, wind, state.f - 0.5)
+    at_rest = replace(state, f=0.0)
+    # Warm start: the solution and Jacobian at a neighbouring state.
+    neighbour = replace(at_rest, r=state.r * (1.0 + dr), theta=state.theta + dtheta)
+    try:
+        _, _, warm = _solve_reel_factor(F, end, neighbour, kite_of(m), m_t, aero, wind)
+    except (SteadyStateError, NoTensionError, TetherSagError, SetpointUnreachableError):
+        assume(False)
+    for start in (None, warm):
+        f, eq, _ = _solve_reel_factor(F, end, at_rest, kite_of(m), m_t, aero, wind, start=start)
+        assert abs(f - f_ref) <= 1e-6
+        assert abs(force(eq, end) / F - 1.0) <= 1e-6
 
 
 @PROPERTY
