@@ -34,7 +34,6 @@ from .steady_state import (
     KiteParams,
     KiteState,
     TetherParams,
-    effective_aero,
     ground_tether_force,
     massless_state,
     reel_factor_for_force_gravity,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -46,20 +47,27 @@ class RunConfig:
 
 
 def _number(value: Any, path: str) -> float:
-    """A finite JSON number; booleans, NaN and infinities are rejected."""
+    """A finite JSON number that fits a float; booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {json.dumps(value)}")
-    if not math.isfinite(value):
+    # Compared, not converted: float() of a huge JSON integer overflows.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
         raise ParseError(f"{path}: expected a finite number, got {value}")
     return float(value)
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{path}: expected a string, got {json.dumps(value)}")
+    return value
 
 
 def _take(mapping: dict, context: str, required: tuple[str, ...],
           optional: tuple[str, ...] = (), numbers: bool = True) -> dict:
     """Extract exactly the allowed keys from a parsed JSON object.
 
-    With ``numbers``, every value that is not a nested object must be a
-    finite number (see :func:`_number`).
+    With ``numbers``, every value must be a finite number (see
+    :func:`_number`).
     """
     if not isinstance(mapping, dict):
         raise ParseError(f"{context}: expected an object, got {type(mapping).__name__}")
@@ -70,7 +78,7 @@ def _take(mapping: dict, context: str, required: tuple[str, ...],
     if missing:
         raise ParseError(f"{context}: missing key(s) {sorted(missing)}")
     for key, value in mapping.items():
-        if numbers and not isinstance(value, dict):
+        if numbers:
             _number(value, f"{context}.{key}")
     return mapping
 
@@ -83,11 +91,12 @@ def _config_from_dict(raw: dict) -> RunConfig:
               ("rho0", "H_rho"))
     environment = Environment(**e)
 
-    k = _take(top["kite"], "kite", ("S", "m", "aero_traction", "aero_retraction"))
+    k = _take(top["kite"], "kite", ("S", "m", "aero_traction", "aero_retraction"),
+              numbers=False)
     aero_o = _take(k["aero_traction"], "kite.aero_traction", ("C_L", "LD_k"))
     aero_i = _take(k["aero_retraction"], "kite.aero_retraction", ("C_L", "LD_k"))
     kite = KiteParams(
-        S=k["S"], m=k["m"],
+        S=_number(k["S"], "kite.S"), m=_number(k["m"], "kite.m"),
         aero_traction=AeroSet(**aero_o),
         aero_retraction=AeroSet(**aero_i),
     )
@@ -115,28 +124,28 @@ def _config_from_dict(raw: dict) -> RunConfig:
         kite=kite,
         tether=tether,
         operation=operation,
-        out_dir=top.get("out_dir"),
+        out_dir=_string(top["out_dir"], "config.out_dir") if "out_dir" in top else None,
     )
+
+
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or too many digits
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises:
-        ParseError: on malformed JSON or unknown keys.
+        ParseError: on malformed JSON, unknown or missing keys, or a value
+            of the wrong kind, naming its key path.
         ValidationError: on invariant violations, naming the invariant.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        return _config_from_dict(raw)
-    except TypeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _config_from_dict(_read_json(Path(path)))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -215,13 +224,8 @@ class SweepSpec:
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    spec = _take(raw, "sweep", ("parameter",), ("values", "range", "objective"), numbers=False)
+    spec = _take(_read_json(path), "sweep", ("parameter",), ("values", "range", "objective"),
+                 numbers=False)
     if ("values" in spec) == ("range" in spec):
         raise ParseError(f"{path}: exactly one of 'values' or 'range' is required")
     if "values" in spec:
@@ -231,12 +235,14 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     else:
         rng = _take(spec["range"], "sweep.range", ("start", "stop", "num"))
         num = int(rng["num"])
+        if num != rng["num"]:
+            raise ParseError(f"sweep.range.num: expected a whole number, got {rng['num']}")
         if num < 2:
             raise ValidationError("sweep range needs num >= 2")
         start, stop = rng["start"], rng["stop"]
         step = (stop - start) / (num - 1)
         values = tuple(start + i * step for i in range(num))
-    return SweepSpec(parameter=spec["parameter"],
+    return SweepSpec(parameter=_string(spec["parameter"], "sweep.parameter"),
                      values=values,
                      objective=spec.get("objective", "P_m"))
 

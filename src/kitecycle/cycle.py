@@ -28,7 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .atmosphere import Environment, WindState, wind_state_at
-from .errors import ConvergenceError, NoTensionError, PhaseError, ValidationError
+from .errors import ConvergenceError, NoTensionError, PhaseError, TetherSagError, ValidationError
 from .steady_state import (
     AeroSet,
     EffectiveAero,
@@ -36,9 +36,8 @@ from .steady_state import (
     KiteParams,
     KiteState,
     TetherParams,
-    _ReelStart,
-    _solve_reel_factor,
     massless_state,
+    reel_factor_for_force_gravity,
     reel_factor_for_force_massless,
     solve_kinematic_ratio,
     tether_properties,
@@ -184,7 +183,7 @@ class _PhaseEngine:
         self.t_star = (op.r_max - op.r_min) / env.v_w_ref
         self.dt = self.t_star * op.dT
         # Where the next force inversion starts: the last one's solution.
-        self.reel_start: _ReelStart | None = None
+        self.reel_start = None
 
     def wind_at(self, r: float, theta: float) -> WindState:
         return wind_state_at(r * math.cos(theta), self.env)
@@ -212,7 +211,7 @@ class _PhaseEngine:
             f = reel_factor_for_force_massless(F_target, probe, aero, wind, self.kite.S)
             state = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=f)
             return state, massless_state(state, aero, wind, self.kite.S)
-        f, eq, self.reel_start = _solve_reel_factor(
+        f, eq, self.reel_start = reel_factor_for_force_gravity(
             F_target, self.op.force_at, probe, self.kite, m_t, aero, wind,
             start=self.reel_start,
         )
@@ -355,9 +354,9 @@ def simulate_transition(
         try:
             coasting = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=0.0)
             eq0 = engine.equilibrium_at(coasting, wind)
-        except NoTensionError:
-            # An overflown kite cannot carry tension at constant length;
-            # reel in to restore the minimum force.
+        except (NoTensionError, TetherSagError):
+            # An overflown kite, or one whose tension cannot carry the
+            # tether weight, cannot coast; reel in to restore the minimum force.
             return engine.solve_force(op.F_in, r, theta, phi, chi, wind)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:

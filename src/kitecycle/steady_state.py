@@ -8,16 +8,17 @@ force must additionally balance the tangential component of gravity, and
 the kinematic ratio becomes the root at which the lift-to-drag ratio
 implied by the force/velocity geometry matches the target value.
 
-The kinematic ratio at a given reeling factor is found by a safeguarded
-secant on log kappa from the massless solution, with an in-house
-Illinois bracketing fallback.  A force set-point is met by solving the
-kinematic ratio and the reeling factor together: a Broyden iteration on
-the two residuals, warm-started from the previous step's solution and
-Jacobian, falls back to bracketing the reeling factor with nested
-kinematic-ratio solves.  One function gives both searches the force
-geometry of a flight state.  This is a change to the solver, not to the
-model.  A solve that fails names why no root exists; it never fails for
-running out of iterations.
+One iteration serves both searches: a Broyden (1965) quasi-Newton
+iteration over (log kappa, f), given the force geometry of a flight state
+by one function.  The kinematic ratio at a given reeling factor is its
+one-dimensional case, a secant on log kappa from the massless solution,
+with an in-house Illinois bracketing fallback.  A force set-point is met
+by solving the kinematic ratio and the reeling factor together,
+warm-started from the previous step's solution and Jacobian, with
+bracketing of the reeling factor over nested kinematic-ratio solves as
+the fallback.  This is a change to the solver, not to the model.  A
+solve that fails names why no root exists; it never fails for running
+out of iterations.
 
 Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
@@ -52,7 +53,6 @@ __all__ = [
     "TetherProperties",
     "GroundForce",
     "tether_properties",
-    "effective_aero",
     "massless_state",
     "reel_factor_for_force_massless",
     "ground_tether_force",
@@ -242,13 +242,6 @@ def tether_properties(
     return TetherProperties(m_t=m_t, C_D_total=C_D_total)
 
 
-def effective_aero(
-    r: float, tether: TetherParams, kite: KiteParams, aero: AeroSet
-) -> EffectiveAero:
-    """System coefficients (kite plus tether drag) at tether length ``r``."""
-    return EffectiveAero(C_L=aero.C_L, C_D=tether_properties(r, tether, kite, aero).C_D_total)
-
-
 def _trig(state: KiteState) -> tuple[float, float]:
     """Trigonometric coefficients (a, b) of the tangential-speed quadratic."""
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
@@ -334,7 +327,9 @@ def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> GroundForc
 
     Raises:
         TetherSagError: if half the tether weight exceeds the kite-end
-            tension, outside the moderate-sagging validity range.
+            tension, outside the moderate-sagging validity range, or the
+            radial tension at the kite does not carry the radial tether
+            weight, so that the tether would push on the ground station.
     """
     F_t_tau = 0.5 * math.sin(theta) * m_t * GRAVITY
     if F_t_kite <= abs(F_t_tau):
@@ -344,6 +339,10 @@ def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> GroundForc
         )
     radial_kite = math.sqrt(F_t_kite**2 - F_t_tau**2)
     radial_ground = radial_kite - math.cos(theta) * m_t * GRAVITY
+    if radial_ground < 0.0:
+        raise TetherSagError(f"kite tension {F_t_kite:.1f} N leaves the tether pushing on the "
+                             f"ground station: it cannot carry the radial tether weight "
+                             f"{radial_kite - radial_ground:.1f} N")
     F_tg = math.hypot(radial_ground, F_t_tau)
     gamma = m_t * GRAVITY / F_t_kite
     return GroundForce(F_tg=F_tg, gamma=gamma)
@@ -490,7 +489,6 @@ def solve_kinematic_ratio(
     aero: EffectiveAero,
     wind: WindState,
     tol: float = _KAPPA_TOL,
-    max_iter: int = 100,
 ) -> EquilibriumResult:
     """Quasi-steady equilibrium including gravity on kite and tether.
 
@@ -498,14 +496,14 @@ def solve_kinematic_ratio(
     lift-to-drag ratio that the apparent wind and the aerodynamic force
     components at kappa imply and G* the system lift-to-drag ratio.  The
     geometry is evaluated at the massless solution kappa = G* first and
-    accepted if G matches G* to ``tol`` (relative).  Otherwise one
-    fixed-point step kappa*sqrt(G*/G) seeds a secant on log kappa.  If
-    the secant leaves (0, 50*G*], a probe fails, G stops rising with
-    kappa or ``max_iter`` steps pass, a bracketed search steps down from
-    50*G* by factors of 2**0.25 to the first kappa with G < G*, or where
-    the geometry fails, and refines that sign change.  Both find the
-    largest root, where G rises through G*.  ``iterations`` counts the
-    geometry evaluations.
+    accepted if G matches G* to ``tol`` (relative).  Otherwise a secant
+    on log kappa (:func:`_broyden` with f held) takes the fixed-point
+    step kappa*sqrt(G*/G) first.  If the secant leaves (0, 50*G*], a
+    probe fails, ``_JOINT_STEPS`` steps pass or G falls with kappa at
+    its root, a bracketed search steps down from 50*G* by factors of
+    2**0.25 to the first kappa with G < G*, or where the geometry fails,
+    and refines that sign change.  Both find the largest root, where G
+    rises through G*.  ``iterations`` counts the geometry evaluations.
 
     Raises:
         NoTensionError: if the reeling factor leaves no radial apparent wind.
@@ -528,43 +526,24 @@ def solve_kinematic_ratio(
         evaluations += 1
         return geometry(x, f)
 
+    def secant(x: float, f_: float) -> tuple[float, float, tuple]:
+        p = probe(x)
+        return p.r, f_ - f, p.value
+
     rtol = math.log1p(tol)
     x_max = math.log(50.0 * aero.LD)
-    root = (_kappa_secant(probe, math.log(aero.LD), x_max, rtol, max_iter)
-            or _largest_kappa_root(probe, x_max, rtol))
-    if root.value[1] < 0.0:
+    # The second residual holds f, so with the Jacobian diag(2, 1) the
+    # first step is the fixed-point step and each update the secant slope.
+    found = _broyden(secant, _ReelStart(math.log(aero.LD), f, (2.0, 0.0, 0.0, 1.0)),
+                     rtol, x_max, f, f)
+    if found is not None and found[1].J[0] > 0.0:
+        value = found[0]
+    else:
+        value = _largest_kappa_root(probe, x_max, rtol).value
+    if value[1] < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
-                               f"factor ({root.value[1]:.4f})")
-    return equilibrium(root.value, f, evaluations)
-
-
-def _kappa_secant(probe: Callable[[float], _Probe], x0: float, x_max: float, rtol: float,
-                  steps: int) -> Optional[_Probe]:
-    """Secant on log kappa from ``x0``, its second point the fixed-point
-    step kappa*sqrt(G*/G).
-
-    Returns the first probe whose residual is within ``rtol``, or None
-    once a probe fails, a step leaves [1e-9, exp(x_max)], G stops rising
-    with kappa or ``steps`` steps pass.
-    """
-    try:
-        p0 = probe(x0)
-        if abs(p0.r) <= rtol:
-            return p0
-        x1 = p0.x - 0.5 * p0.r
-        for _ in range(steps):
-            if not _LOG_KAPPA_MIN <= x1 <= x_max:
-                return None
-            p1 = probe(x1)
-            if abs(p1.r) <= rtol:
-                return p1
-            dr, dx = p1.r - p0.r, p1.x - p0.x
-            if not dr * dx > 0.0:
-                return None
-            p0, x1 = p1, p1.x - p1.r * dx / dr
-    except SteadyStateError:
-        pass
-    return None
+                               f"factor ({value[1]:.4f})")
+    return equilibrium(value, f, evaluations)
 
 
 def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
@@ -640,9 +619,11 @@ TargetEnd = Literal["kite", "ground"]
 # A reel-factor inversion stops at a force within this fraction of the
 # target; a joint root also meets the default tolerance of a kinematic solve.
 _FORCE_RTOL = 1e-7
-_KAPPA_RTOL = math.log1p(_KAPPA_TOL)
 _JOINT_STEPS = 10
 _FD_STEP = 1e-6
+# The reel-factor bracket is [_F_LO, b - _F_EPS], b = sin(theta)*cos(phi).
+_F_LO = -3.0
+_F_EPS = 1e-6
 
 
 class _ReelStart(NamedTuple):
@@ -654,10 +635,12 @@ class _ReelStart(NamedTuple):
 
 
 def _broyden(fun: Callable[[float, float], tuple[float, float, tuple]], start: _ReelStart,
-             x_max: float, f_lo: float, f_hi: float) -> Optional[tuple[tuple, _ReelStart]]:
-    """Broyden (1965) iteration on the residuals (log(G/G*), F/F* - 1) of
-    ``fun`` over (log kappa, f), from ``start``; a start without a
-    Jacobian takes finite differences.
+             rtol: float, x_max: float, f_lo: float,
+             f_hi: float) -> Optional[tuple[tuple, _ReelStart]]:
+    """Broyden (1965) iteration on the two residuals of ``fun`` over
+    (log kappa, f), from ``start``; a start without a Jacobian takes
+    finite differences.  The first residual, log(G/G*), is met to
+    ``rtol``, the second to ``_FORCE_RTOL``.
 
     Returns the geometry values of the first probe within both
     tolerances and the start for a neighbouring state, or None once a
@@ -679,7 +662,7 @@ def _broyden(fun: Callable[[float, float], tuple[float, float, tuple]], start: _
         if J is None:
             J = differences(x, f, r1, r2)
         steps = 0
-        while not (abs(r1) <= _KAPPA_RTOL and abs(r2) <= _FORCE_RTOL):
+        while not (abs(r1) <= rtol and abs(r2) <= _FORCE_RTOL):
             if steps == _JOINT_STEPS:
                 return None
             steps += 1
@@ -704,7 +687,7 @@ def _broyden(fun: Callable[[float, float], tuple[float, float, tuple]], start: _
     return value, _ReelStart(x, f, J)
 
 
-def _solve_reel_factor(
+def reel_factor_for_force_gravity(
     F_target: float,
     target_end: TargetEnd,
     state: KiteState,
@@ -712,35 +695,38 @@ def _solve_reel_factor(
     m_t: float,
     aero: EffectiveAero,
     wind: WindState,
-    f_lo: float = -3.0,
-    eps: float = 1e-6,
     start: Optional[_ReelStart] = None,
 ) -> tuple[float, EquilibriumResult, _ReelStart]:
-    """Root-find the reeling factor for a force set-point, with gravity.
+    """Reeling factor whose gravity-including equilibrium carries
+    ``F_target`` at the requested tether end.
 
     The kinematic ratio and the reeling factor are solved together
-    (:func:`_broyden`), from ``start`` (the previous step's solution and
-    Jacobian), or without one from the massless inversion at kappa = G*.
-    A joint root counts if no probe failed and it is the kind of root a
-    nested solve finds: lam >= 0 and G rising through G* with kappa.
-    Otherwise the tether force, which falls with f, is bracketed on
-    [f_lo, b - eps] with b = sin(theta)*cos(phi), each probe a
-    :func:`solve_kinematic_ratio`, and the sign change refined by
-    :func:`_bracketed_root`; a factor without an equilibrium (the
-    aerodynamic force cannot balance the tangential gravity load) counts
-    as the low-force side.  Returns the factor, its equilibrium, whose
-    ``iterations`` counts the geometry evaluations of the joint solve and
-    of the nested solves that returned, and the start for a neighbouring
-    state.
+    (:func:`_broyden`), from ``start`` (the start this function returned
+    for a neighbouring state: its solution and Jacobian), or without one
+    from the massless inversion at kappa = G*.  A joint root counts if no
+    probe failed and it is the kind of root a nested solve finds:
+    lam >= 0 and G rising through G* with kappa.  Otherwise the tether
+    force, which falls with f, is bracketed on [-3, b - 1e-6] with
+    b = sin(theta)*cos(phi), each probe a :func:`solve_kinematic_ratio`,
+    and the sign change refined by :func:`_bracketed_root`; a factor
+    without an equilibrium (the aerodynamic force cannot balance the
+    tangential gravity load, or the tether would push on the ground
+    station) counts as the low-force side.  Returns the factor, its
+    equilibrium, whose ``iterations`` counts the geometry evaluations of
+    the joint solve and of the nested solves that returned, and the start
+    for a neighbouring state.
+
+    Raises:
+        SetpointUnreachableError: if no sign change exists in the bracket.
+        SteadyStateError: if the equilibrium solver fails where a solution
+            is required.
     """
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
     _, b = _trig(state)
-    f_hi = b - eps
-    if f_lo >= f_hi:
-        raise ValidationError(f"empty reel-factor bracket [{f_lo}, {f_hi}]")
+    f_hi = b - _F_EPS
     geometry, equilibrium = _force_geometry(state, kite, m_t, aero, wind)
     evaluations = 0
 
@@ -753,8 +739,9 @@ def _solve_reel_factor(
 
     if start is None:
         f = reel_factor_for_force_massless(F_target, state, aero, wind, kite.S)
-        start = _ReelStart(math.log(aero.LD), min(max(f, f_lo), f_hi), None)
-    found = _broyden(joint, start, math.log(50.0 * aero.LD), f_lo, f_hi)
+        start = _ReelStart(math.log(aero.LD), min(max(f, _F_LO), f_hi), None)
+    found = _broyden(joint, start, math.log1p(_KAPPA_TOL), math.log(50.0 * aero.LD), _F_LO,
+                     f_hi)
     if found is not None:
         value, start = found
         # Accept the root a nested solve would find: lam >= 0, and G
@@ -771,15 +758,15 @@ def _solve_reel_factor(
         return _Probe(f, (eq.F_t_kite if target_end == "kite" else eq.F_tg) - F_target, eq)
 
     try:
-        p = residual(f_lo)
+        p = residual(_F_LO)
     except _BRACKET_FAILURES as exc:
         raise SteadyStateError(
-            f"no quasi-steady solution at the lower bracket end f={f_lo}: {exc}"
+            f"no quasi-steady solution at the lower bracket end f={_F_LO}: {exc}"
         ) from exc
     if p.r < 0.0:
         raise SetpointUnreachableError(
             f"force {F_target:.1f} N exceeds the maximum achievable "
-            f"{p.r + F_target:.1f} N at f={f_lo}"
+            f"{p.r + F_target:.1f} N at f={_F_LO}"
         )
     try:
         n = residual(f_hi)
@@ -797,26 +784,3 @@ def _solve_reel_factor(
         )
     return root.x, replace(root.value, iterations=evaluations), _ReelStart(
         math.log(root.value.kappa), root.x, None)
-
-
-def reel_factor_for_force_gravity(
-    F_target: float,
-    target_end: TargetEnd,
-    state: KiteState,
-    kite: KiteParams,
-    m_t: float,
-    aero: EffectiveAero,
-    wind: WindState,
-    f_lo: float = -3.0,
-) -> float:
-    """Reeling factor whose gravity-including equilibrium carries
-    ``F_target`` at the requested tether end.
-
-    Raises:
-        SetpointUnreachableError: if no sign change exists in the bracket.
-        SteadyStateError: if the equilibrium solver fails where a solution
-            is required.
-    """
-    f_root, _, _ = _solve_reel_factor(F_target, target_end, state, kite, m_t, aero, wind,
-                                      f_lo=f_lo)
-    return f_root

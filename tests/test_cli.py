@@ -1,11 +1,17 @@
+import ast
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
-from kitecycle import load_config, preset_path, save_config, segment_and_average
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kitecycle import cli, load_config, preset_path, save_config, segment_and_average
 from kitecycle.cli import run_command
 from kitecycle.config import config_to_dict
 from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv, write_phase_averages
@@ -65,6 +71,112 @@ def test_non_finite_and_boolean_config_numbers_rejected(tmp_path, capsys, strong
         assert code == 2
         err = capsys.readouterr().err
         assert "ParseError" in err and f"{section}.{key}" in err
+
+
+def test_config_kind_errors_rejected_at_parse(tmp_path, capsys, strong_config):
+    # A non-string out_dir used to raise TypeError and a non-string sweep
+    # parameter AttributeError, both uncaught; num = 2.5 swept two points.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**config_to_dict(strong_config), "out_dir": 5}))
+    spec = tmp_path / "sweep.json"
+    sweep = ["sweep", "--config", "strong_wind", "--spec", str(spec), "--out", str(tmp_path)]
+    for argv, text, where in (
+        (["simulate", "--config", str(bad)], None, "config.out_dir"),
+        (sweep, {"parameter": 3, "values": [2000.0]}, "sweep.parameter"),
+        (sweep, {"parameter": "operation.F_out", "range": {"start": 2e3, "stop": 3e3, "num": 2.5}},
+         "sweep.range.num"),
+    ):
+        if text is not None:
+            spec.write_text(json.dumps(text))
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError") and where in err, err
+
+
+def test_oversized_and_undecodable_configs_rejected_at_parse(tmp_path, capsys, strong_config):
+    # Each used to escape run_command: OverflowError for an integer beyond
+    # the float range, ValueError for one beyond Python's digit limit and
+    # UnicodeDecodeError for a file that is not UTF-8.
+    huge = config_to_dict(strong_config)
+    huge["kite"]["m"] = 10**400
+    bad = tmp_path / "bad.json"
+    for content, where in ((json.dumps(huge).encode(), "kite.m"),
+                           (b'{"kite": ' + b"1" * 5000 + b"}", "digits"),
+                           (b"\xff{}", "utf-8")):
+        bad.write_bytes(content)
+        assert run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError") and where in err, err
+
+
+# Values of every JSON kind; each fuzzed leaf draws one of another kind.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([0.5, 2.5, math.nan, math.inf, -math.inf]), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(0, 3), st.text(max_size=1)), max_size=2),
+    st.dictionaries(st.sampled_from(["C_L", "a"]), st.integers(0, 3), max_size=1),
+)
+
+
+def is_kind(value, kind):
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    return {"number": number, "whole": number and float(value).is_integer(),
+            "bool": isinstance(value, bool), "string": isinstance(value, str),
+            "numbers": isinstance(value, list) and all(is_kind(v, "number") for v in value),
+            }[kind]
+
+
+def leaves(node, path=()):
+    """(path, kind) of every scalar of a parsed config."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    else:
+        yield path, {bool: "bool", str: "string"}.get(type(node), "number")
+
+
+PRESET = {**json.loads(preset_path("strong_wind").read_text()), "out_dir": "out"}
+VALUES_SPEC = {"parameter": "operation.F_out", "values": [2000.0, 3008.0], "objective": "P_m"}
+RANGE_SPEC = {"parameter": "operation.F_out", "range": {"start": 2e3, "stop": 3e3, "num": 3}}
+FUZZED = ([("config", PRESET, path, kind) for path, kind in leaves(PRESET)]
+          + [("sweep", VALUES_SPEC, ("parameter",), "string"),
+             ("sweep", VALUES_SPEC, ("values",), "numbers"),
+             ("sweep", VALUES_SPEC, ("values", 1), "number"),
+             ("sweep", VALUES_SPEC, ("objective",), "string")]
+          + [("sweep", RANGE_SPEC, ("range", key), kind)
+             for key, kind in (("start", "number"), ("stop", "number"), ("num", "whole"))])
+
+
+def no_simulation(*args, **kwargs):
+    raise AssertionError("a malformed input reached a simulation")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(leaf=st.sampled_from(FUZZED), data=st.data())
+def test_config_fuzzing_exits_2_before_simulating(tmp_path_factory, leaf, data):
+    # One leaf of the strong_wind preset (with out_dir) or of a sweep spec
+    # takes a value of the wrong kind: run_command must exit 2 at parse
+    # time, raising nothing and running no cycle.
+    command, base, path, kind = leaf
+    value = data.draw(JSON_VALUES.filter(lambda v: not is_kind(v, kind)), label="value")
+    raw = copy.deepcopy(base)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    config, spec = work / "config.json", work / "sweep.json"
+    if command == "config":
+        config.write_text(json.dumps(raw))
+        argv = ["simulate", "--config", str(config)]
+    else:
+        config.write_text(json.dumps({**PRESET, "out_dir": str(work / "out")}))
+        spec.write_text(json.dumps(raw))
+        argv = ["sweep", "--config", str(config), "--spec", str(spec)]
+    with mock.patch.object(cli, "simulate_cycle", no_simulation):
+        assert run_command(argv) == 2
 
 
 def test_parse_error_exit_code(tmp_path, capsys, strong_config):
@@ -153,6 +265,20 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import kitecycle.cli, sys; assert 'scipy' not in sys.modules"],
                    env=env, check=True)
+
+
+def test_no_private_names_imported_across_modules():
+    # Each module reaches another only through its public names.
+    package = Path(__file__).resolve().parents[1] / "src" / "kitecycle"
+    private = []
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("kitecycle"))
+            if sibling:
+                private += [f"{module.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_convergence_command(tmp_path):

@@ -153,7 +153,7 @@ def test_gravity_step_work_count(strong_config, monkeypatch):
     # counts: a warm-started joint inversion takes two or three, a cold
     # one (the first step of each phase) seven or more.
     evaluations = []
-    solve, invert = cycle.solve_kinematic_ratio, cycle._solve_reel_factor
+    solve, invert = cycle.solve_kinematic_ratio, cycle.reel_factor_for_force_gravity
 
     def counted_solve(*args, **kwargs):
         res = solve(*args, **kwargs)
@@ -166,7 +166,7 @@ def test_gravity_step_work_count(strong_config, monkeypatch):
         return f, eq, start
 
     monkeypatch.setattr(cycle, "solve_kinematic_ratio", counted_solve)
-    monkeypatch.setattr(cycle, "_solve_reel_factor", counted_invert)
+    monkeypatch.setattr(cycle, "reel_factor_for_force_gravity", counted_invert)
     cfg = strong_config
     op = replace(cfg.operation, dT=0.01, gravity=True)
     res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)

@@ -32,7 +32,6 @@ from kitecycle.errors import (
     SteadyStateError,
     TetherSagError,
 )
-from kitecycle.steady_state import _solve_reel_factor
 from oracles import bisect_kappa
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
@@ -106,7 +105,8 @@ def test_gravity_inversion_round_trip(problem, end):
     state, aero, wind, m, m_t = problem
     assume_aero_dominated(state, aero, wind, m, m_t)
     F = force(solve_or_skip(state, m, m_t, aero, wind), end)
-    f = reel_factor_for_force_gravity(F, end, replace(state, f=0.0), kite_of(m), m_t, aero, wind)
+    f, _, _ = reel_factor_for_force_gravity(F, end, replace(state, f=0.0), kite_of(m), m_t, aero,
+                                            wind)
     res = solve_kinematic_ratio(replace(state, f=f), kite_of(m), m_t, aero, wind)
     assert abs(force(res, end) / F - 1.0) <= 1e-6
 
@@ -144,11 +144,12 @@ def test_joint_inversion_matches_tight_nested_reference(problem, end, dr, dtheta
     # Warm start: the solution and Jacobian at a neighbouring state.
     neighbour = replace(at_rest, r=state.r * (1.0 + dr), theta=state.theta + dtheta)
     try:
-        _, _, warm = _solve_reel_factor(F, end, neighbour, kite_of(m), m_t, aero, wind)
+        _, _, warm = reel_factor_for_force_gravity(F, end, neighbour, kite_of(m), m_t, aero, wind)
     except (SteadyStateError, NoTensionError, TetherSagError, SetpointUnreachableError):
         assume(False)
     for start in (None, warm):
-        f, eq, _ = _solve_reel_factor(F, end, at_rest, kite_of(m), m_t, aero, wind, start=start)
+        f, eq, _ = reel_factor_for_force_gravity(F, end, at_rest, kite_of(m), m_t, aero, wind,
+                                                 start=start)
         assert abs(f - f_ref) <= 1e-6
         assert abs(force(eq, end) / F - 1.0) <= 1e-6
 

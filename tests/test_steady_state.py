@@ -7,7 +7,6 @@ import pytest
 from kitecycle import (
     AeroSet,
     EffectiveAero,
-    effective_aero,
     KiteParams,
     KiteState,
     TetherParams,
@@ -27,7 +26,7 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
-from oracles import grid_scan_kappa, scan_harvesting_factor
+from oracles import bisect_kappa, grid_scan_kappa, scan_harvesting_factor
 
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)
 STRONG_KITE = KiteParams(
@@ -83,13 +82,6 @@ class TestTetherProperties:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValidationError):
             tether_properties(0.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
-
-    def test_effective_aero_matches_total_drag(self):
-        aero = effective_aero(390.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
-        props = tether_properties(390.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
-        assert aero.C_D == props.C_D_total
-        assert aero.C_L == 0.69
-        assert aero.C_R == math.hypot(props.C_D_total, 0.69)
 
 
 class TestMasslessState:
@@ -183,6 +175,12 @@ class TestGroundTetherForce:
         with pytest.raises(TetherSagError):
             ground_tether_force(10.0, math.pi / 2, 5.0)
 
+    def test_tether_cannot_push_on_the_ground_station(self):
+        # Near the zenith 5 kg of tether weighs 49 N radially; 40 N at the
+        # kite cannot carry it.
+        with pytest.raises(TetherSagError, match="^kite tension 40.0 N leaves the tether pushing"):
+            ground_tether_force(40.0, 0.1, 5.0)
+
 
 # Flight state of the mass-isoline study: 25 deg elevation, f = 0.37,
 # L/D = 5 with C_L = 1, S = 16.7 m2, v_w = 7 m/s at sea-level density.
@@ -246,6 +244,18 @@ class TestKinematicRatioSolver:
             kappa_scan, residual = grid_scan_kappa(fig8_state(180), 16.7, m, 0.0, FIG8_AERO, FIG8_WIND)
             assert residual > 1e-2  # the scan confirms: no kappa satisfies the geometry
 
+    def test_upward_mass_boundary(self):
+        # The largest upward-flight mass with an equilibrium at this state
+        # lies near 21.96 kg: just below it the root matches a tight
+        # bisection, just above it neither finds one.
+        st = fig8_state(180)
+        res = solve_kinematic_ratio(st, fig8_kite(21.9), 0.0, FIG8_AERO, FIG8_WIND, tol=1e-12)
+        reference = bisect_kappa(st, 16.7, 21.9, 0.0, FIG8_AERO, FIG8_WIND)
+        assert abs(res.kappa / reference - 1.0) <= 1e-8
+        with pytest.raises(SteadyStateError, match="^no sign change"):
+            solve_kinematic_ratio(st, fig8_kite(22.0), 0.0, FIG8_AERO, FIG8_WIND, tol=1e-12)
+        assert bisect_kappa(st, 16.7, 22.0, 0.0, FIG8_AERO, FIG8_WIND) is None
+
     def test_force_component_identity(self):
         rng = np.random.default_rng(19)
         checked = 0
@@ -287,20 +297,21 @@ class TestReelFactorGravity:
             st = random_tension_state(rng, aero=aero)
             F = massless_state(st, aero, WIND, S=10.2).F_t_kite
             f_ml = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
-            f_g = reel_factor_for_force_gravity(F, "kite", st, kite0, 0.0, aero, WIND)
+            f_g, _, _ = reel_factor_for_force_gravity(F, "kite", st, kite0, 0.0, aero, WIND)
             assert f_g == pytest.approx(f_ml, abs=1e-9)
 
     def test_zero_reeling_fixed_point(self):
         st = state(63, 0, 180, f=0.0, r=720.0)
         res0 = solve_kinematic_ratio(st, STRONG_KITE, 6.55, self.AERO, self.WIND)
-        f = reel_factor_for_force_gravity(res0.F_t_kite, "kite", st, STRONG_KITE, 6.55,
-                                          self.AERO, self.WIND)
+        f, _, _ = reel_factor_for_force_gravity(res0.F_t_kite, "kite", st, STRONG_KITE, 6.55,
+                                                self.AERO, self.WIND)
         assert f == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("end", ["kite", "ground"])
     def test_force_matches_setpoint(self, end):
         st = state(63, 0, 180, f=0.0, r=720.0)
-        f = reel_factor_for_force_gravity(749.0, end, st, STRONG_KITE, 6.55, self.AERO, self.WIND)
+        f, _, _ = reel_factor_for_force_gravity(749.0, end, st, STRONG_KITE, 6.55, self.AERO,
+                                                self.WIND)
         res = solve_kinematic_ratio(replace(st, f=f), STRONG_KITE, 6.55, self.AERO, self.WIND)
         force = res.F_t_kite if end == "kite" else res.F_tg
         assert force == pytest.approx(749.0, rel=1e-6)
@@ -315,3 +326,19 @@ class TestReelFactorGravity:
         st = state(63, 0, 180, f=0.0, r=720.0)
         with pytest.raises(SetpointUnreachableError):
             reel_factor_for_force_gravity(1.0, "kite", st, STRONG_KITE, 6.55, self.AERO, self.WIND)
+
+    def test_ground_target_below_the_pushing_tether_limit(self):
+        # 3 kg of tether near the zenith and no kite mass: as f grows the
+        # radial tension falls below the radial tether weight, where the
+        # tether would push on the ground station.  Those states have no
+        # equilibrium, so the ground-end force falls through 7.6 N once,
+        # near f = -0.5, instead of rising again toward 26 N.
+        kite = KiteParams(S=10.2, m=0.0, aero_traction=AeroSet(0.5, 1.0),
+                          aero_retraction=AeroSet(0.5, 1.0))
+        st = KiteState(r=50.0, theta=0.1875, phi=0.0, chi=0.0, f=0.0)
+        aero, wind = EffectiveAero(C_L=0.5, C_D=0.5), WindState(v_w=3.0, rho=1.0)
+        f, eq, _ = reel_factor_for_force_gravity(7.6, "ground", st, kite, 3.0, aero, wind)
+        assert f == pytest.approx(-0.5006, abs=1e-4)
+        assert eq.F_tg == pytest.approx(7.6, rel=1e-6)
+        with pytest.raises(TetherSagError, match="^kite tension"):
+            solve_kinematic_ratio(replace(st, f=0.1), kite, 3.0, aero, wind)
