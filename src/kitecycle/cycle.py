@@ -28,7 +28,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .atmosphere import Environment, WindState, wind_state_at
-from .errors import ConvergenceError, NoTensionError, PhaseError, TetherSagError, ValidationError
+from .errors import (ConvergenceError, NoTensionError, PhaseError, SolverError, TetherSagError,
+                     ValidationError)
 from .steady_state import (
     AeroSet,
     EffectiveAero,
@@ -59,6 +60,7 @@ __all__ = [
 RETRACTION = "retraction"
 TRANSITION = "transition"
 TRACTION = "traction"
+_SCAN_STEP = math.radians(1.0)  # upward scan step of steady_retraction_elevation
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,7 @@ class _PhaseEngine:
         self.tether = tether
         self.op = op
         self.aero_set = aero_set
-        self.t_star = (op.r_max - op.r_min) / env.v_w_ref
-        self.dt = self.t_star * op.dT
+        self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
         # Where the next force inversion starts: the last one's solution.
         self.reel_start = None
 
@@ -433,54 +434,59 @@ def steady_retraction_elevation(
     kite: KiteParams,
     tether: TetherParams,
     op: OperationSettings,
-    uniform_wind: bool = True,
     radial_only: bool = False,
     tol: float = 1e-7,
-    hold_steps: int = 100,
-    max_steps: int = 1_000_000,
 ) -> float:
     """Asymptotic elevation angle of force-controlled upward retraction.
 
-    Diagnostic: integrates the retraction elevation dynamics with the
-    tether length held at r_max (so the asymptote is stationary) and no
-    length-based termination, until the per-step elevation change stays
-    below ``tol`` for ``hold_steps`` consecutive steps.  With
-    ``uniform_wind`` the wind speed is v_w_ref at every altitude; the
-    fixed point only exists when that wind is strong enough relative to
-    the reel-in set-point, otherwise the elevation rises past the zenith.
-    ``radial_only`` freezes the tangential motion entirely, a degenerate
-    mode in which the start elevation is already stationary.
+    Diagnostic: at r = r_max, with the wind speed v_w_ref at every altitude
+    and the density following altitude, the elevation climbs at
+    lam*v_w/r_max, lam >= 0, up to the first edge above beta_o where lam
+    stops being positive.  A scan in ``_SCAN_STEP`` steps and a bisection
+    to ``tol`` [rad] find that edge; its solvable end is returned, whatever
+    ``op.dT``.  ``radial_only`` freezes the tangential motion: beta_o stays.
 
     Raises:
-        ConvergenceError: if the step budget is exhausted or the
-            elevation leaves (0, pi/2).
+        ConvergenceError: if beta_o has no upward equilibrium, or lam is
+            still positive at the zenith.
+        SolverError: the last failed probe's, where lam has not vanished.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction)
-    r = op.r_max
-    theta = op.theta_o
-    chi, phi = math.pi, 0.0
-    held = 0
-    for _ in range(max_steps):
-        z = r * math.cos(theta)
-        if uniform_wind:
-            wind = WindState(v_w=env.v_w_ref, rho=env.density(z))
+    failures = []
+
+    def climb_rate(beta: float) -> float:
+        wind = WindState(v_w=env.v_w_ref, rho=env.density(op.r_max * math.sin(beta)))
+        try:
+            _, eq = engine.solve_force(op.F_in, op.r_max, 0.5 * math.pi - beta, 0.0, math.pi, wind)
+        except SolverError as exc:
+            failures.append(exc)
+            return -math.inf
+        return eq.lam
+
+    lo = hi = op.beta_o
+    lam_lo = lam = climb_rate(lo)
+    if failures:
+        raise ConvergenceError(f"no upward equilibrium at the start elevation beta_o = "
+                               f"{math.degrees(lo):.4f} deg: {failures[0]}") from failures[0]
+    if radial_only:
+        return lo
+    while lam > 0.0:
+        if hi >= 0.5 * math.pi:
+            raise ConvergenceError("no steady retraction elevation below the zenith")
+        lo, lam_lo = hi, lam
+        hi = min(hi + _SCAN_STEP, 0.5 * math.pi)
+        lam = climb_rate(hi)
+    # A fixed count: a tol below the float spacing cannot stall the bisection.
+    for _ in range(math.ceil(math.log2(_SCAN_STEP / tol))):
+        mid = 0.5 * (lo + hi)
+        lam = climb_rate(mid)
+        if lam > 0.0:
+            lo, lam_lo = mid, lam
         else:
-            wind = wind_state_at(z, env)
-        _, eq = engine.solve_force(op.F_in, r, theta, phi, chi, wind)
-        lam = 0.0 if radial_only else eq.lam
-        d_beta = lam * wind.v_w / r * engine.dt  # chi = 180 deg: upward
-        theta -= d_beta
-        if not 0.0 < theta < 0.5 * math.pi:
-            raise ConvergenceError(
-                "no steady retraction elevation below the zenith for this configuration"
-            )
-        if abs(d_beta) < tol:
-            held += 1
-            if held >= hold_steps:
-                return 0.5 * math.pi - theta
-        else:
-            held = 0
-    raise ConvergenceError(f"steady elevation search exhausted {max_steps} steps")
+            hi = mid
+    if failures and lam_lo >= tol:
+        raise failures[-1]
+    return lo
 
 
 def convergence_study(

@@ -42,9 +42,8 @@ class NoSolutionError(SolverError):
 
 
 class SteadyStateError(SolverError):
-    """The iterative kinematic-ratio procedure found no quasi-steady
-    equilibrium: the iteration diverged, the kinematic ratio left its
-    admissible range, or a force component turned imaginary."""
+    """No quasi-steady equilibrium: G(kappa) - G* has no admissible
+    root, or gravity leaves the force geometry without a real solution."""
 
 
 class TetherSagError(SolverError):
@@ -63,7 +62,7 @@ class PhaseError(SolverError):
 
 
 class ConvergenceError(SolverError):
-    """An asymptotic search exhausted its step budget."""
+    """No steady retraction elevation below the zenith, or none to start from."""
 
 
 class EmptyPhaseError(KitecycleError):

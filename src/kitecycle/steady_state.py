@@ -155,11 +155,6 @@ class KiteState:
         if not -0.5 * math.pi < self.theta < math.pi:
             raise ValidationError(f"polar angle must be in (-pi/2, pi), got {self.theta}")
 
-    @property
-    def beta(self) -> float:
-        """Elevation angle [rad] above the horizon."""
-        return 0.5 * math.pi - self.theta
-
 
 @dataclass(frozen=True)
 class EffectiveAero:

@@ -14,7 +14,9 @@ from kitecycle import (
     steady_retraction_elevation,
 )
 from kitecycle import cycle, steady_state
-from kitecycle.errors import ConvergenceError, DomainError, PhaseError, ValidationError
+from kitecycle.errors import (
+    ConvergenceError, DomainError, NoSolutionError, PhaseError, SolverError, ValidationError,
+)
 
 
 def test_operation_settings_invariants():
@@ -203,6 +205,60 @@ class TestSteadyRetractionElevation:
         cfg = strong_config
         with pytest.raises(ConvergenceError):
             steady_retraction_elevation(cfg.environment, cfg.kite, cfg.tether,
+                                        replace(cfg.operation, gravity=False))
+
+    @pytest.mark.parametrize("gravity", [False, True])
+    def test_asymptote_does_not_depend_on_time_step(self, strong_config, monkeypatch, gravity):
+        cfg = strong_config
+        solves = []
+        solve_force = cycle._PhaseEngine.solve_force
+
+        def counted(self, *args):
+            solves.append(1)
+            return solve_force(self, *args)
+
+        monkeypatch.setattr(cycle._PhaseEngine, "solve_force", counted)
+        op = replace(cfg.operation, gravity=gravity)
+        coarse = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, replace(op, dT=0.1))
+        assert len(solves) <= 50
+        fine = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, replace(op, dT=0.001))
+        assert abs(coarse - fine) < 1e-7
+        expected = 40.52708 if gravity else 43.14091
+        assert math.degrees(fine) == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("gravity", [False, True])
+    def test_start_above_the_asymptote_is_named(self, strong_config, gravity):
+        cfg = strong_config
+        op = replace(cfg.operation, gravity=gravity, beta_o=math.radians(45.0))
+        with pytest.raises(ConvergenceError, match="no upward equilibrium at the start "
+                                                   "elevation beta_o = 45.0000 deg: ") as err:
+            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, op)
+        assert isinstance(err.value.__cause__, SolverError)
+
+    @pytest.mark.parametrize("gravity", [False, True])
+    def test_asymptote_is_the_edge_of_upward_equilibrium(self, strong_config, gravity):
+        cfg = strong_config
+        op = replace(cfg.operation, gravity=gravity)
+        beta = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, op)
+        with pytest.raises(ConvergenceError, match="no upward equilibrium"):
+            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
+                                        replace(op, beta_o=beta + 1e-6))
+        below = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
+                                            replace(op, beta_o=beta - 1e-6))
+        assert abs(below - beta) < 1e-7
+
+    def test_solver_edge_where_the_climb_goes_on_is_raised(self, strong_config, monkeypatch):
+        cfg = strong_config
+        massless_state = cycle.massless_state
+
+        def edge_at_35_deg(state, *args):
+            if 0.5 * math.pi - state.theta > math.radians(35.0):
+                raise NoSolutionError("synthetic edge at 35 deg")
+            return massless_state(state, *args)
+
+        monkeypatch.setattr(cycle, "massless_state", edge_at_35_deg)
+        with pytest.raises(NoSolutionError, match="synthetic edge"):
+            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
                                         replace(cfg.operation, gravity=False))
 
 
