@@ -12,8 +12,9 @@ import csv
 import json
 import math
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cycle import CycleResult, PhaseResult
 from .errors import ParseError, ValidationError
@@ -115,6 +116,19 @@ def write_telemetry_csv(path: str | Path, records: Sequence[LogRecord]) -> None:
             ])
 
 
+def _course_angles(samples: Sequence[tuple[float, float, Optional[float]]]) -> list[float]:
+    """The course angle of each (theta, phi, chi) sample, a chi of None
+    filled by the rule of :func:`derive_course_angles`."""
+    filled, last = [], 0.0
+    for (theta, phi, chi), nxt in zip(samples, [*samples[1:], None]):
+        if chi is not None:
+            last = chi
+        elif nxt is not None and (nxt[0] != theta or nxt[1] != phi):
+            last = math.atan2(math.sin(theta) * (nxt[1] - phi), nxt[0] - theta)
+        filled.append(last)
+    return filled
+
+
 def derive_course_angles(records: list[LogRecord]) -> list[LogRecord]:
     """Fill missing course angles by finite differences of position.
 
@@ -122,67 +136,81 @@ def derive_course_angles(records: list[LogRecord]) -> list[LogRecord]:
     (d_theta, sin(theta)*d_phi) between consecutive samples; the last
     sample inherits its predecessor's value.
     """
-    out = list(records)
-    last_chi = 0.0
-    for i, rec in enumerate(out):
-        if rec.chi is not None:
-            last_chi = rec.chi
+    chi = _course_angles([(rec.theta, rec.phi, rec.chi) for rec in records])
+    return [rec if rec.chi is not None else replace(rec, chi=c)
+            for rec, c in zip(records, chi)]
+
+
+def _reject_numbers(where: str, row: list[str], columns: list[tuple[str, int]]) -> None:
+    """Raise the error for the first of ``columns`` in ``row`` that holds
+    no finite number; a blank chi_deg is allowed."""
+    for column, i in columns:
+        if column == "chi_deg" and not row[i]:
             continue
-        if i + 1 < len(out):
-            nxt = out[i + 1]
-            d_theta = nxt.theta - rec.theta
-            d_phi = nxt.phi - rec.phi
-            if d_theta != 0.0 or d_phi != 0.0:
-                last_chi = math.atan2(math.sin(rec.theta) * d_phi, d_theta)
-        out[i] = replace(rec, chi=last_chi)
-    return out
-
-
-def _finite(row: dict, column: str, where: str) -> float:
-    try:
-        value = float(row[column])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ParseError(f"{where}: column {column} is not finite: {row[column]!r}")
-    return value
+        try:
+            value = float(row[i])
+        except ValueError as exc:
+            raise ParseError(f"{where}: column {column}: {exc}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: column {column} is not finite: {row[i]!r}")
 
 
 def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     """Parse a telemetry CSV and validate the series invariants.
 
-    Every numeric value must be finite.  Missing course angles are
-    derived from consecutive positions.
+    Columns are found by their header names, in any order.  Blank lines
+    are skipped.  A row whose field count differs from the header's, or
+    a numeric value that is not finite, is a ``ParseError`` naming the
+    file line.  Missing course angles are derived from consecutive
+    positions.
     """
-    records: list[LogRecord] = []
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file")
-        missing = set(_REQUIRED_COLUMNS) - set(reader.fieldnames)
+        # A repeated name reads its last column, as csv.DictReader does.
+        index = {name: i for i, name in enumerate(header)}
+        missing = set(_REQUIRED_COLUMNS) - set(index)
         if missing:
             raise ParseError(f"{path}: missing column(s) {sorted(missing)}")
-        for i, row in enumerate(reader, start=2):
-            where = f"{path}: line {i}"
-            t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref = (
-                _finite(row, col, where) for col in _REQUIRED_COLUMNS)
-            chi = math.radians(_finite(row, "chi_deg", where)) if row.get("chi_deg") else None
+        columns = [(col, index[col]) for col in [*_REQUIRED_COLUMNS, "chi_deg"] if col in index]
+        numbers = itemgetter(*(index[col] for col in _REQUIRED_COLUMNS))
+        i_chi, i_phase = index.get("chi_deg"), index.get("phase")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {reader.line_num}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
             try:
-                records.append(LogRecord(
-                    t=t, F_tg=F_tg, r=r, theta=math.radians(theta), phi=math.radians(phi),
-                    chi=chi, vk=(vk_x, vk_y, vk_z), v_t=v_t, v_w_ref=v_w_ref,
-                    phase=row.get("phase") or None,
-                ))
-            except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from exc
+                values = list(map(float, numbers(row)))
+                if i_chi is not None and row[i_chi]:
+                    values.append(float(row[i_chi]))
+            except ValueError:
+                values = [math.nan]  # named below, as a non-finite value is
+            if not all(map(math.isfinite, values)):
+                _reject_numbers(f"{path}: line {reader.line_num}", row, columns)
+            t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref, *chi = values
+            rows.append((t, F_tg, r, math.radians(theta), math.radians(phi),
+                         math.radians(chi[0]) if chi else None, (vk_x, vk_y, vk_z), v_t,
+                         v_w_ref, (row[i_phase] or None) if i_phase is not None else None,
+                         reader.line_num))
+    # Course angles come from the parsed positions, so each record is built once.
+    records: list[LogRecord] = []
+    try:
+        for (t, F_tg, r, theta, phi, _, vk, v_t, v_w_ref, phase, _), chi in zip(
+                rows, _course_angles([row[3:6] for row in rows])):
+            records.append(LogRecord(t, F_tg, r, theta, phi, chi, vk, v_t, v_w_ref, phase))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: line {rows[len(records)][-1]}: {exc}") from exc
     if any(b.t <= a.t for a, b in zip(records, records[1:])):
         raise ValidationError(f"{path}: timestamps must be strictly increasing")
-    if any(rec.chi is None for rec in records):
-        records = derive_course_angles(records)
     return records
 
 

@@ -176,8 +176,8 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     if v_w <= 0.0:
         return KinematicsEstimate(math.nan, math.nan, math.nan, False)
     f = rec.v_t / v_w
-    v_a_vec = (v_w - rec.vk[0], -rec.vk[1], -rec.vk[2])
-    v_a = math.sqrt(sum(c * c for c in v_a_vec))
+    vk_x, vk_y, vk_z = rec.vk
+    v_a = math.sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
     b_f = math.sin(rec.theta) * math.cos(rec.phi) - f
     if b_f <= 0.0:
         return KinematicsEstimate(f, v_a, math.nan, False)
@@ -195,10 +195,11 @@ def _gravity_projection_cosine(rec: LogRecord, v_w: float) -> Optional[float]:
     flow vanishes."""
     sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
     sin_p, cos_p = math.sin(rec.phi), math.cos(rec.phi)
-    e_th = (cos_t * cos_p, cos_t * sin_p, -sin_t)
-    e_ph = (-sin_p, cos_p, 0.0)
-    vk_th = sum(a * b for a, b in zip(rec.vk, e_th))
-    vk_ph = sum(a * b for a, b in zip(rec.vk, e_ph))
+    vk_x, vk_y, vk_z = rec.vk
+    # Components along e_theta = (cos_t*cos_p, cos_t*sin_p, -sin_t) and
+    # e_phi = (-sin_p, cos_p, 0).
+    vk_th = vk_x * (cos_t * cos_p) + vk_y * (cos_t * sin_p) - vk_z * sin_t
+    vk_ph = -vk_x * sin_p + vk_y * cos_p
     va_th = v_w * cos_t * cos_p - vk_th
     va_ph = -v_w * sin_p - vk_ph
     va_tau = math.hypot(va_th, va_ph)
@@ -252,7 +253,8 @@ def _estimate_sample(
     C_R = 2.0 * F_a / (rho * kin.v_a**2 * kite.S)
 
     if phase == TRACTION:
-        v_k = math.sqrt(sum(c * c for c in rec.vk))
+        vk_x, vk_y, vk_z = rec.vk
+        v_k = math.sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z)
         if v_k / rec.v_w_ref < crosswind_ratio:
             return kin, C_R, None
     elif phase == RETRACTION:

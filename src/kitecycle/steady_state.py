@@ -761,7 +761,7 @@ def reel_factor_for_force_gravity(
     if p.r < 0.0:
         raise SetpointUnreachableError(
             f"force {F_target:.1f} N exceeds the maximum achievable "
-            f"{p.r + F_target:.1f} N at f={_F_LO}"
+            f"{p.r + F_target:.1f} N at f={_F_LO} (over by {-p.r:.3g} N)"
         )
     try:
         n = residual(f_hi)
@@ -775,7 +775,7 @@ def reel_factor_for_force_gravity(
         # the upper end is still above the set-point.
         raise SetpointUnreachableError(
             f"force {F_target:.1f} N is below the minimum achievable "
-            f"{root.r + F_target:.1f} N near f={root.x:.4f}"
+            f"{root.r + F_target:.1f} N near f={root.x:.4f} (short by {root.r:.3g} N)"
         )
     return root.x, replace(root.value, iterations=evaluations), _ReelStart(
         math.log(root.value.kappa), root.x, None)

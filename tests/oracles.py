@@ -4,12 +4,19 @@ These deliberately avoid the package's solution paths: the kinematic
 ratio is found by dense grid scan over the residual of the force/velocity
 geometry, or by a dense scan and bisection on log(G/G*), and the optimal
 reeling factor by direct evaluation of the harvesting factor on a fine
-grid.
+grid.  The telemetry reader's reference reads each row through
+``csv.DictReader`` and checks each value on its own.
 """
 
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from kitecycle.dataio import TELEMETRY_COLUMNS
+from kitecycle.errors import ParseError, ValidationError
+from kitecycle.estimation import LogRecord
 
 
 def implied_lift_to_drag(kappa, state, S, m, m_t, aero, wind):
@@ -105,3 +112,63 @@ def scan_harvesting_factor(C_R, LD, b, resolution=1e-5):
     f = np.arange(resolution, b, resolution)
     zeta = C_R * (1.0 + LD * LD) * f * (b - f) ** 2
     return float(f[int(np.argmax(zeta))])
+
+
+def _finite(row, column, where):
+    try:
+        value = float(row[column])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: column {column} is not finite: {row[column]!r}")
+    return value
+
+
+def _dictreader_course_angles(records):
+    """Missing course angles by finite differences of position, each
+    filled record rebuilt with ``dataclasses.replace``."""
+    out = list(records)
+    last_chi = 0.0
+    for i, rec in enumerate(out):
+        if rec.chi is not None:
+            last_chi = rec.chi
+            continue
+        if i + 1 < len(out):
+            nxt = out[i + 1]
+            d_theta = nxt.theta - rec.theta
+            d_phi = nxt.phi - rec.phi
+            if d_theta != 0.0 or d_phi != 0.0:
+                last_chi = math.atan2(math.sin(rec.theta) * d_phi, d_theta)
+        out[i] = replace(rec, chi=last_chi)
+    return out
+
+
+def dictreader_telemetry(path):
+    """Telemetry records of a valid log: one ``csv.DictReader`` dict and
+    one finite check per value, a record per row, then the missing
+    course angles.  Line numbers in its errors count rows, not file
+    lines."""
+    required = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: empty file")
+        missing = set(required) - set(reader.fieldnames)
+        if missing:
+            raise ParseError(f"{path}: missing column(s) {sorted(missing)}")
+        for i, row in enumerate(reader, start=2):
+            where = f"{path}: line {i}"
+            t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref = (
+                _finite(row, col, where) for col in required)
+            chi = math.radians(_finite(row, "chi_deg", where)) if row.get("chi_deg") else None
+            records.append(LogRecord(
+                t=t, F_tg=F_tg, r=r, theta=math.radians(theta), phi=math.radians(phi),
+                chi=chi, vk=(vk_x, vk_y, vk_z), v_t=v_t, v_w_ref=v_w_ref,
+                phase=row.get("phase") or None,
+            ))
+    if any(b.t <= a.t for a, b in zip(records, records[1:])):
+        raise ValidationError(f"{path}: timestamps must be strictly increasing")
+    if any(rec.chi is None for rec in records):
+        records = _dictreader_course_angles(records)
+    return records

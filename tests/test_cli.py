@@ -225,10 +225,14 @@ def test_header_only_telemetry_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o" / "estimates.csv").exists()
 
 
+# One valid telemetry row, as text.
+TELEMETRY_ROW = {"t": "0.0", "F_tg": "3000.0", "r": "400.0", "theta_deg": "60.0",
+                 "phi_deg": "10.0", "chi_deg": "100.0", "vk_x": "-10.0", "vk_y": "20.0",
+                 "vk_z": "5.0", "v_t": "2.0", "v_w_ref": "9.0", "phase": "traction"}
+
+
 def test_non_finite_telemetry_rejected_at_parse(tmp_path, capsys):
-    row = {"t": "0.0", "F_tg": "3000.0", "r": "400.0", "theta_deg": "60.0",
-           "phi_deg": "10.0", "chi_deg": "100.0", "vk_x": "-10.0", "vk_y": "20.0",
-           "vk_z": "5.0", "v_t": "2.0", "v_w_ref": "9.0", "phase": "traction"}
+    row = TELEMETRY_ROW
     for column, value in (("F_tg", "nan"), ("v_w_ref", "inf"), ("chi_deg", "-inf")):
         bad = {**row, "t": "0.1", column: value}
         log = tmp_path / "bad.csv"
@@ -243,9 +247,7 @@ def test_non_finite_telemetry_rejected_at_parse(tmp_path, capsys):
 
 
 def test_invalid_telemetry_record_names_file_and_line(tmp_path, capsys):
-    row = {"t": "0.0", "F_tg": "3000.0", "r": "400.0", "theta_deg": "60.0",
-           "phi_deg": "10.0", "chi_deg": "100.0", "vk_x": "-10.0", "vk_y": "20.0",
-           "vk_z": "5.0", "v_t": "2.0", "v_w_ref": "9.0", "phase": "traction"}
+    row = TELEMETRY_ROW
     for column, value, message in (("F_tg", "-5.0", "ground tether force"),
                                    ("r", "0.0", "tether length")):
         bad = {**row, "t": "0.1", column: value}
@@ -257,6 +259,36 @@ def test_invalid_telemetry_record_names_file_and_line(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert f"ValidationError: {log}: line 3: {message}" in err
+
+
+def test_telemetry_errors_name_the_file_line(tmp_path, capsys):
+    # The blank line is file line 3, so the bad row is file line 4.
+    header, row = ",".join(TELEMETRY_COLUMNS), ",".join(TELEMETRY_ROW.values())
+    for column, value, error in (("F_tg", "nan", "ParseError: {log}: line 4: column F_tg"),
+                                 ("F_tg", "-5.0", "ValidationError: {log}: line 4: ground"),
+                                 ("r", "abc", "ParseError: {log}: line 4: column r")):
+        bad = ",".join({**TELEMETRY_ROW, "t": "0.1", column: value}.values())
+        log = tmp_path / "bad.csv"
+        log.write_text(f"{header}\n{row}\n\n{bad}\n")
+        code = run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                            "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert error.format(log=log) in err, err
+
+
+def test_telemetry_rows_must_match_the_header_width(tmp_path, capsys):
+    header, row = ",".join(TELEMETRY_COLUMNS), list(TELEMETRY_ROW.values())
+    for fields in (row[:-1], row[:3], row + ["7.0"]):
+        log = tmp_path / "bad.csv"
+        log.write_text(f"{header}\n{','.join(row)}\n{','.join(fields)}\n")
+        code = run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                            "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"ParseError: {log}: line 3: expected {len(TELEMETRY_COLUMNS)} fields, "
+                f"got {len(fields)}") in err, err
+    assert not (tmp_path / "o" / "estimates.csv").exists()
 
 
 def test_import_does_not_load_scipy():

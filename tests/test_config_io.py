@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from kitecycle import load_config, load_sweep_spec, preset_path, save_config
+from kitecycle import dataio, load_config, load_sweep_spec, preset_path, save_config
 from kitecycle.config import config_to_dict, set_by_path
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
@@ -207,6 +207,23 @@ class TestTelemetryCsv:
         # Retraction flies upward: derived course angle near 180 deg.
         mid = len(strong_cycle.retraction.series) // 2
         assert abs(math.remainder(back[mid].chi - math.pi, 2 * math.pi)) < math.radians(15)
+
+    def test_each_record_is_built_once(self, tmp_path, monkeypatch, strong_telemetry):
+        # Course angles are derived before the records are built, so a
+        # log with no course angles builds each record once.
+        path = tmp_path / "telemetry.csv"
+        write_telemetry_csv(path, [replace(rec, chi=None) for rec in strong_telemetry])
+        built = []
+
+        class CountedRecord(LogRecord):
+            def __post_init__(self):
+                built.append(self.t)
+                super().__post_init__()
+
+        monkeypatch.setattr(dataio, "LogRecord", CountedRecord)
+        back = read_telemetry_csv(path)
+        assert all(rec.chi is not None for rec in back)
+        assert len(built) == len(back) == len(strong_telemetry)
 
 
 def test_derive_course_angles_direction():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,8 @@ from kitecycle import (
 )
 from kitecycle import cycle, steady_state
 from kitecycle.errors import (
-    ConvergenceError, DomainError, NoSolutionError, PhaseError, SolverError, ValidationError,
+    ConvergenceError, DomainError, NoSolutionError, PhaseError, SetpointUnreachableError,
+    SolverError, ValidationError,
 )
 
 
@@ -246,6 +248,24 @@ class TestSteadyRetractionElevation:
         below = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
                                             replace(op, beta_o=beta - 1e-6))
         assert abs(below - beta) < 1e-7
+
+    def test_unreachable_force_states_its_shortfall(self, strong_config):
+        # Just above the gravity asymptote the least retraction force
+        # exceeds F_in by less than the 0.1 N both forces are printed to.
+        cfg = strong_config
+        op = replace(cfg.operation, gravity=True)
+        beta = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, op)
+        with pytest.raises(ConvergenceError) as err:
+            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
+                                        replace(op, beta_o=beta + 1e-6))
+        cause = err.value.__cause__
+        assert isinstance(cause, SetpointUnreachableError)
+        match = re.fullmatch(r"force (\S+) N is below the minimum achievable (\S+) N "
+                             r"near f=\S+ \(short by (\S+) N\)", str(cause))
+        assert match, str(cause)
+        target, minimum, shortfall = match.groups()
+        assert target == minimum == f"{cfg.operation.F_in:.1f}"
+        assert 0.0 < float(shortfall) < 0.05
 
     def test_solver_edge_where_the_climb_goes_on_is_raised(self, strong_config, monkeypatch):
         cfg = strong_config

@@ -1,4 +1,5 @@
-"""Property tests for the equilibrium solvers, over drawn states and aero sets.
+"""Property tests for the equilibrium solvers, over drawn states and aero sets,
+and for the telemetry reader and the cycle energies.
 
 They pin the invariants the root finders rely on or promise: the force
 inversions round-trip, the joint (kappa, f) inversion, cold or
@@ -6,10 +7,19 @@ warm-started, finds the reeling factor of a tight nested search, the
 tether force falls with the reeling factor, gravity mode without mass is
 the closed form, the kinematic ratio is the root a tight independent
 bisection finds, and every failure is one of a few definite reasons.
+The telemetry reader reads every valid log as the ``csv.DictReader``
+reference does, and a simulated cycle's phase energies add up to its
+mean power times its duration.
 """
 
+import contextlib
+import csv
+import io
+import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -25,6 +35,9 @@ from kitecycle import (
     reel_factor_for_force_massless,
     solve_kinematic_ratio,
 )
+from kitecycle.cli import run_command
+from kitecycle.config import preset_path
+from kitecycle.dataio import TELEMETRY_COLUMNS, derive_course_angles, read_telemetry_csv
 from kitecycle.errors import (
     NoSolutionError,
     NoTensionError,
@@ -32,7 +45,7 @@ from kitecycle.errors import (
     SteadyStateError,
     TetherSagError,
 )
-from oracles import bisect_kappa
+from oracles import bisect_kappa, dictreader_telemetry
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
 # drawn effective coefficients.
@@ -226,3 +239,77 @@ def test_failures_are_definite(problem, F_target, end):
                 SetpointUnreachableError) as exc:
             assert any(type(exc) is kind and str(exc).startswith(start)
                        for kind, start in failures), repr(exc)
+
+
+SPEED = st.floats(-40.0, 40.0)
+TELEMETRY_ROW = st.fixed_dictionaries({
+    "dt": st.floats(1e-3, 1.0), "F_tg": st.floats(0.0, 5e3), "r": st.floats(1.0, 800.0),
+    "theta_deg": st.floats(0.0, 89.0), "phi_deg": st.floats(-60.0, 60.0),
+    "chi_deg": st.floats(-180.0, 180.0),
+    "vk_x": SPEED, "vk_y": SPEED, "vk_z": SPEED, "v_t": st.floats(-10.0, 10.0),
+    "v_w_ref": st.floats(0.0, 20.0),
+    "phase": st.sampled_from(["", "retraction", "transition", "traction"]),
+    "hold_position": st.booleans(), "blank_lines_before": st.integers(0, 2),
+})
+
+
+@st.composite
+def telemetry_logs(draw):
+    """A valid telemetry log as CSV text, and which rows have no course
+    angle: shuffled columns, chi_deg and phase possibly absent, chi_deg
+    blank in runs, labelled and unlabelled rows, repeated positions and
+    blank lines between rows."""
+    absent = draw(st.sets(st.sampled_from(["chi_deg", "phase"])))
+    columns = [col for col in draw(st.permutations(TELEMETRY_COLUMNS)) if col not in absent]
+    rows = draw(st.lists(TELEMETRY_ROW, min_size=1, max_size=25))
+    blank_chi = []
+    while len(blank_chi) < len(rows):
+        blank_chi += [draw(st.booleans()) or "chi_deg" in absent] * draw(st.integers(1, 6))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    t, position = 0.0, {}
+    for row, blank in zip(rows, blank_chi):
+        t += row["dt"]
+        if not row["hold_position"]:
+            position = {"theta_deg": row["theta_deg"], "phi_deg": row["phi_deg"]}
+        row = {**row, **position, "t": t, "chi_deg": "" if blank else row["chi_deg"]}
+        text.write("\n" * row["blank_lines_before"])
+        writer.writerow([row[col] for col in columns])
+    return text.getvalue(), blank_chi[:len(rows)]
+
+
+@settings(PROPERTY, max_examples=80)
+@given(telemetry_logs())
+def test_telemetry_reader_matches_the_dictreader_reference(log):
+    text, blank_chi = log
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "telemetry.csv"
+        path.write_text(text, encoding="utf-8")
+        records = read_telemetry_csv(path)
+        reference = dictreader_telemetry(path)
+    assert repr(records) == repr(reference)
+    # The public course-angle rule is the reader's.
+    unfilled = [replace(rec, chi=None) if blank else rec
+                for rec, blank in zip(reference, blank_chi)]
+    assert repr(derive_course_angles(unfilled)) == repr(reference)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["strong_wind", "moderate_wind"]), st.booleans(),
+       st.lists(st.floats(0.97, 1.03), min_size=3, max_size=3))
+def test_phase_energies_add_up_to_the_cycle_energy(preset, gravity, factors):
+    cfg = json.loads(preset_path(preset).read_text(encoding="utf-8"))
+    for (section, key), factor in zip((("environment", "v_w_ref"), ("operation", "F_out"),
+                                       ("operation", "F_in")), factors):
+        cfg[section][key] *= factor
+    cfg["operation"]["dT"] = 0.05
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = ["simulate", "--config", str(config), "--out", tmp]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(argv + ([] if gravity else ["--no-gravity"])) == 0
+        summary = json.loads((Path(tmp) / "cycle_summary.json").read_text(encoding="utf-8"))
+    energy = sum(phase["energy"] for phase in summary["phases"].values())
+    assert math.isclose(energy, summary["P_m"] * summary["duration"], rel_tol=1e-9)
