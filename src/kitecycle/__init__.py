@@ -20,8 +20,6 @@ from .estimation import (
     LogRecord,
     PhaseAverages,
     derive_kinematics,
-    estimate_CR,
-    estimate_LD,
     estimate_record,
     segment_and_average,
     segment_phases,

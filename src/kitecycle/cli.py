@@ -24,7 +24,7 @@ from .config import (
 )
 from .cycle import convergence_study, simulate_cycle
 from .errors import KitecycleError, ParseError, ValidationError
-from .estimation import average_estimates, estimate_record, segment_phases
+from .estimation import segment_and_average
 
 __all__ = ["run_command", "main"]
 
@@ -97,14 +97,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args.config)
     out = _out_dir(cfg, args)
     records = dataio.read_telemetry_csv(args.log)
-    labels = segment_phases(records)
-    estimates = [
-        estimate_record(rec, cfg.kite, cfg.tether, cfg.environment, phase=label)
-        for rec, label in zip(records, labels)
-    ]
     # Average before writing, so a failed run leaves no partial outputs.
-    averages = average_estimates(estimates)
-    dataio.write_estimates_csv(out / "estimates.csv", estimates)
+    averages = segment_and_average(records, cfg.kite, cfg.tether, cfg.environment)
+    dataio.write_estimates_csv(out / "estimates.csv", averages.estimates)
     dataio.write_phase_averages(out / "phase_averages.json", averages)
     print(f"C_R_o = {averages.C_R_o:.3f}, C_R_i = {averages.C_R_i:.3f}, "
           f"LD_k_o = {averages.LD_k_o:.2f}, LD_k_i = {averages.LD_k_i:.2f}")

@@ -195,12 +195,6 @@ class _PhaseEngine:
             m_t = 0.0
         return m_t, EffectiveAero(C_L=self.aero_set.C_L, C_D=C_D)
 
-    def equilibrium_at(self, state: KiteState, wind: WindState) -> EquilibriumResult:
-        m_t, aero = self.local_aero(state.r)
-        if self.op.gravity:
-            return solve_kinematic_ratio(state, self.kite, m_t, aero, wind)
-        return massless_state(state, aero, wind, self.kite.S)
-
     def solve_force(
         self, F_target: float, r: float, theta: float, phi: float, chi: float,
         wind: WindState,
@@ -352,9 +346,13 @@ def simulate_transition(
     phi, chi = 0.0, 0.0
 
     def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
+        coasting = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=0.0)
+        m_t, aero = engine.local_aero(r)
         try:
-            coasting = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=0.0)
-            eq0 = engine.equilibrium_at(coasting, wind)
+            if op.gravity:
+                eq0 = solve_kinematic_ratio(coasting, kite, m_t, aero, wind)
+            else:
+                eq0 = massless_state(coasting, aero, wind, kite.S)
         except (NoTensionError, TetherSagError):
             # An overflown kite, or one whose tension cannot carry the
             # tether weight, cannot coast; reel in to restore the minimum force.
@@ -434,7 +432,6 @@ def steady_retraction_elevation(
     kite: KiteParams,
     tether: TetherParams,
     op: OperationSettings,
-    radial_only: bool = False,
     tol: float = 1e-7,
 ) -> float:
     """Asymptotic elevation angle of force-controlled upward retraction.
@@ -444,7 +441,7 @@ def steady_retraction_elevation(
     lam*v_w/r_max, lam >= 0, up to the first edge above beta_o where lam
     stops being positive.  A scan in ``_SCAN_STEP`` steps and a bisection
     to ``tol`` [rad] find that edge; its solvable end is returned, whatever
-    ``op.dT``.  ``radial_only`` freezes the tangential motion: beta_o stays.
+    ``op.dT``.
 
     Raises:
         ConvergenceError: if beta_o has no upward equilibrium, or lam is
@@ -468,8 +465,6 @@ def steady_retraction_elevation(
     if failures:
         raise ConvergenceError(f"no upward equilibrium at the start elevation beta_o = "
                                f"{math.degrees(lo):.4f} deg: {failures[0]}") from failures[0]
-    if radial_only:
-        return lo
     while lam > 0.0:
         if hi >= 0.5 * math.pi:
             raise ConvergenceError("no steady retraction elevation below the zenith")

@@ -1,15 +1,16 @@
 """Aerodynamic coefficient estimation from flight telemetry.
 
 Given ground tether force, kite position/velocity and a reference wind
-speed, each sample is derived in one pass: its kinematics; the tether
-mass, aerodynamic force at the kite, altitude, density and wind; the
-resultant aerodynamic force coefficient; and, via a short fixed-point
+speed, each sample is derived in one pass: its kinematics and the wind
+at the kite; the tether mass, aerodynamic force at the kite and density;
+the resultant aerodynamic force coefficient; and, via a short fixed-point
 correction for gravity, the system and kite-only lift-to-drag ratios.
-:func:`estimate_record`, :func:`estimate_CR` and :func:`estimate_LD` all
-read that pass.  Wind at the kite is always extrapolated from the
-reference measurement with the logarithmic profile, so gusts the ground
-measurement cannot see show up as outliers; such samples are flagged
-invalid and skipped, never interpolated.
+:func:`estimate_record` returns that pass; :func:`segment_and_average`
+labels a series, runs the pass per sample and averages it per phase.
+Wind at the kite is always extrapolated from the reference measurement
+with the logarithmic profile, so gusts the ground measurement cannot see
+show up as outliers; such samples are flagged invalid and skipped, never
+interpolated.
 """
 
 from __future__ import annotations
@@ -27,14 +28,10 @@ __all__ = [
     "LogRecord",
     "EstimateRecord",
     "KinematicsEstimate",
-    "LDEstimate",
     "PhaseAverages",
     "derive_kinematics",
-    "estimate_CR",
-    "estimate_LD",
     "estimate_record",
     "segment_phases",
-    "average_estimates",
     "segment_and_average",
 ]
 
@@ -135,15 +132,13 @@ class EstimateRecord:
 
 
 class KinematicsEstimate(NamedTuple):
+    """``v_w`` is the wind at the kite, NaN where the kinematics are invalid."""
+
     f: float
     v_a: float
     kappa: float
     valid: bool
-
-
-class LDEstimate(NamedTuple):
-    LD_sys: float
-    LD_k: float
+    v_w: float = math.nan
 
 
 @dataclass
@@ -152,6 +147,7 @@ class PhaseAverages:
 
     The C_R means are tether-drag-corrected (kite-only) so they are
     comparable across tether lengths; transition samples are excluded.
+    ``estimates`` holds the per-sample estimates the means were taken from.
     """
 
     C_R_i: float
@@ -159,6 +155,7 @@ class PhaseAverages:
     LD_k_i: float
     LD_k_o: float
     counts: dict = field(default_factory=dict)
+    estimates: list = field(default_factory=list, repr=False)
 
 
 def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
@@ -184,7 +181,7 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
     if radicand < 0.0:
         return KinematicsEstimate(f, v_a, math.nan, False)
-    return KinematicsEstimate(f, v_a, math.sqrt(radicand), True)
+    return KinematicsEstimate(f, v_a, math.sqrt(radicand), True, v_w)
 
 
 def _gravity_projection_cosine(rec: LogRecord, v_w: float) -> Optional[float]:
@@ -216,8 +213,7 @@ def _estimate_sample(
     tether: TetherParams,
     env: Environment,
     phase: Optional[str],
-    crosswind_ratio: float = CROSSWIND_RATIO,
-) -> tuple[KinematicsEstimate, Optional[float], Optional[LDEstimate]]:
+) -> tuple[KinematicsEstimate, Optional[float], Optional[tuple[float, float]]]:
     """Kinematics, C_R and (LD_sys, LD_k) of one sample, each derived once;
     C_R or the pair is None where the sample is invalid for it.
 
@@ -230,7 +226,7 @@ def _estimate_sample(
     direction in the fast-crosswind limit but deviates from it noticeably
     when the kite flies barely faster than the wind.  LD_k removes the
     tether drag share of the total drag.  Traction samples must fly fast
-    relative to the reference wind (``crosswind_ratio``), retraction
+    relative to the reference wind (``CROSSWIND_RATIO``), retraction
     samples near upward in-plane flight; these phase gates never reject C_R.
     """
     kin = derive_kinematics(rec, env)
@@ -246,16 +242,13 @@ def _estimate_sample(
         return kin, None, None
     F_a_r = math.sqrt(radicand) + cos_t * (m_t + kite.m) * GRAVITY
     F_a = math.hypot(F_a_r, -(0.5 * m_t + kite.m) * GRAVITY * sin_t)
-    # Valid kinematics put the kite at or above z0 and make v_w_ref > 0.
-    z = rec.r * cos_t
-    rho = env.density(z)
-    v_w = env.log_wind_speed(z, rec.v_w_ref)
+    rho = env.density(rec.r * cos_t)
     C_R = 2.0 * F_a / (rho * kin.v_a**2 * kite.S)
 
     if phase == TRACTION:
         vk_x, vk_y, vk_z = rec.vk
         v_k = math.sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z)
-        if v_k / rec.v_w_ref < crosswind_ratio:
+        if v_k / rec.v_w_ref < CROSSWIND_RATIO:
             return kin, C_R, None
     elif phase == RETRACTION:
         if rec.chi is None:
@@ -265,7 +258,7 @@ def _estimate_sample(
             return kin, C_R, None
     if F_a <= 0.0:
         return kin, C_R, None
-    cos_proj = _gravity_projection_cosine(rec, v_w)
+    cos_proj = _gravity_projection_cosine(rec, kin.v_w)
     if cos_proj is None:
         return kin, C_R, None
 
@@ -284,31 +277,7 @@ def _estimate_sample(
     drag_tether = 0.125 * rho * tether.d_t * rec.r * tether.C_D_c * kin.v_a**2
     if drag <= drag_tether:
         return kin, C_R, None
-    return kin, C_R, LDEstimate(LD_sys=G, LD_k=G * drag / (drag - drag_tether))
-
-
-def estimate_CR(
-    rec: LogRecord, kite: KiteParams, tether: TetherParams, env: Environment
-) -> Optional[float]:
-    """Resultant aerodynamic force coefficient of one sample, tether drag
-    included, or None for an invalid sample."""
-    return _estimate_sample(rec, kite, tether, env, phase=None)[1]
-
-
-def estimate_LD(
-    rec: LogRecord,
-    kite: KiteParams,
-    tether: TetherParams,
-    env: Environment,
-    *,
-    crosswind_ratio: float = CROSSWIND_RATIO,
-    phase: Optional[str] = None,
-) -> Optional[LDEstimate]:
-    """System and kite-only lift-to-drag ratios of one sample, gated by
-    ``phase`` (default: the record's label), or None for an invalid
-    sample."""
-    phase = phase if phase is not None else rec.phase
-    return _estimate_sample(rec, kite, tether, env, phase, crosswind_ratio)[2]
+    return kin, C_R, (G, G * drag / (drag - drag_tether))
 
 
 def estimate_record(
@@ -322,11 +291,12 @@ def estimate_record(
     lift-to-drag pair, which needs valid kinematics and C_R."""
     phase = phase if phase is not None else rec.phase
     kin, C_R, ld = _estimate_sample(rec, kite, tether, env, phase)
+    LD_sys, LD_k = ld if ld is not None else (math.nan, math.nan)
     return EstimateRecord(
         t=rec.t,
         C_R=C_R if C_R is not None else math.nan,
-        LD_sys=ld.LD_sys if ld is not None else math.nan,
-        LD_k=ld.LD_k if ld is not None else math.nan,
+        LD_sys=LD_sys,
+        LD_k=LD_k,
         kappa=kin.kappa,
         v_a=kin.v_a,
         valid=ld is not None,
@@ -371,8 +341,14 @@ def segment_phases(series: Sequence[LogRecord]) -> list[str]:
     return out
 
 
-def average_estimates(estimates: Sequence[EstimateRecord]) -> PhaseAverages:
-    """Per-phase averages of labelled per-sample estimates.
+def segment_and_average(
+    series: Sequence[LogRecord],
+    kite: KiteParams,
+    tether: TetherParams,
+    env: Environment,
+) -> PhaseAverages:
+    """Segment a telemetry series, estimate each sample and average the
+    estimates per phase.
 
     Means use valid samples only and exclude the transition phase.  The
     per-phase C_R means additionally have the tether drag removed (via
@@ -380,12 +356,16 @@ def average_estimates(estimates: Sequence[EstimateRecord]) -> PhaseAverages:
     traction values characterise the kite itself.
 
     Raises:
-        ValidationError: if ``estimates`` is empty.
+        ValidationError: if the series is empty or not strictly increasing in time.
         EmptyPhaseError: if retraction or traction has no valid samples.
     """
-    if not estimates:
+    if not series:
         raise ValidationError("telemetry series is empty")
+    if any(b.t <= a.t for a, b in zip(series, series[1:])):
+        raise ValidationError("telemetry timestamps must be strictly increasing")
 
+    estimates = [estimate_record(rec, kite, tether, env, phase=label)
+                 for rec, label in zip(series, segment_phases(series))]
     sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0, 0], TRACTION: [0.0, 0.0, 0]}
     counts = {
         RETRACTION: {"valid": 0, "invalid": 0},
@@ -417,27 +397,5 @@ def average_estimates(estimates: Sequence[EstimateRecord]) -> PhaseAverages:
         LD_k_i=sums[RETRACTION][1] / n_i,
         LD_k_o=sums[TRACTION][1] / n_o,
         counts=counts,
+        estimates=estimates,
     )
-
-
-def segment_and_average(
-    series: Sequence[LogRecord],
-    kite: KiteParams,
-    tether: TetherParams,
-    env: Environment,
-) -> PhaseAverages:
-    """Segment a telemetry series, estimate each sample and average the
-    estimates per phase with :func:`average_estimates`.
-
-    Raises:
-        ValidationError: if the series is empty or not strictly increasing in time.
-        EmptyPhaseError: if retraction or traction has no valid samples.
-    """
-    if any(b.t <= a.t for a, b in zip(series, series[1:])):
-        raise ValidationError("telemetry timestamps must be strictly increasing")
-
-    labels = segment_phases(series)
-    return average_estimates([
-        estimate_record(rec, kite, tether, env, phase=label)
-        for rec, label in zip(series, labels)
-    ])

@@ -51,7 +51,6 @@ __all__ = [
     "EffectiveAero",
     "EquilibriumResult",
     "TetherProperties",
-    "GroundForce",
     "tether_properties",
     "massless_state",
     "reel_factor_for_force_massless",
@@ -217,11 +216,6 @@ class TetherProperties(NamedTuple):
     C_D_total: float
 
 
-class GroundForce(NamedTuple):
-    F_tg: float
-    gamma: float
-
-
 def tether_properties(
     r: float, tether: TetherParams, kite: KiteParams, aero: AeroSet
 ) -> TetherProperties:
@@ -311,14 +305,13 @@ def reel_factor_for_force_massless(
     return b - math.sqrt(F_target / scale)
 
 
-def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> GroundForce:
+def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
     """Tether force at the ground station given the force at the kite.
 
     The sag-induced tangential reaction at each suspension point is half
     the tether weight projected on the tangential direction; the ground
     radial component additionally carries the vertical projection of the
-    tether weight.  Also returns ``gamma``, the tether weight over the
-    kite-end tension, as a sag-significance diagnostic.
+    tether weight.
 
     Raises:
         TetherSagError: if half the tether weight exceeds the kite-end
@@ -338,9 +331,7 @@ def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> GroundForc
         raise TetherSagError(f"kite tension {F_t_kite:.1f} N leaves the tether pushing on the "
                              f"ground station: it cannot carry the radial tether weight "
                              f"{radial_kite - radial_ground:.1f} N")
-    F_tg = math.hypot(radial_ground, F_t_tau)
-    gamma = m_t * GRAVITY / F_t_kite
-    return GroundForce(F_tg=F_tg, gamma=gamma)
+    return math.hypot(radial_ground, F_t_tau)
 
 
 class _Probe(NamedTuple):
@@ -420,7 +411,7 @@ def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: Effect
 
     def equilibrium(value: tuple, f: float, iterations: int) -> EquilibriumResult:
         kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
-        F_tg, _ = ground_tether_force(F_t_kite, state.theta, m_t)
+        F_tg = ground_tether_force(F_t_kite, state.theta, m_t)
         P = F_tg * f * v_w
         return EquilibriumResult(
             kappa=kappa, lam=lam, v_a=v_a, F_a=F_a, F_a_r=F_a_r, F_a_theta=F_a_theta,
@@ -494,8 +485,8 @@ def solve_kinematic_ratio(
     accepted if G matches G* to ``tol`` (relative).  Otherwise a secant
     on log kappa (:func:`_broyden` with f held) takes the fixed-point
     step kappa*sqrt(G*/G) first.  If the secant leaves (0, 50*G*], a
-    probe fails, ``_JOINT_STEPS`` steps pass or G falls with kappa at
-    its root, a bracketed search steps down from 50*G* by factors of
+    probe fails, ``_JOINT_STEPS`` steps pass or its slope has G falling
+    with kappa, a bracketed search steps down from 50*G* by factors of
     2**0.25 to the first kappa with G < G*, or where the geometry fails,
     and refines that sign change.  Both find the largest root, where G
     rises through G*.  ``iterations`` counts the geometry evaluations.
@@ -531,7 +522,7 @@ def solve_kinematic_ratio(
     # first step is the fixed-point step and each update the secant slope.
     found = _broyden(secant, _ReelStart(math.log(aero.LD), f, (2.0, 0.0, 0.0, 1.0)),
                      rtol, x_max, f, f)
-    if found is not None and found[1].J[0] > 0.0:
+    if found is not None:
         value = found[0]
     else:
         value = _largest_kappa_root(probe, x_max, rtol).value
@@ -639,10 +630,11 @@ def _broyden(fun: Callable[[float, float], tuple[float, float, tuple]], start: _
 
     Returns the geometry values of the first probe within both
     tolerances and the start for a neighbouring state, or None once a
-    probe fails, a step leaves [1e-9, exp(x_max)] x [f_lo, f_hi] or
-    ``_JOINT_STEPS`` steps pass.  Where the updated Jacobian has G
-    falling with kappa at the root, it is taken again by finite
-    differences, since after a long walk the update can be far off.
+    probe fails, a step leaves [1e-9, exp(x_max)] x [f_lo, f_hi],
+    ``_JOINT_STEPS`` steps pass or, with f held (f_lo == f_hi), the
+    updated Jacobian has G falling with kappa.  Where it has G falling
+    with kappa at a joint root, it is taken again by finite differences,
+    since after a long walk the update can be far off.
     """
     def differences(x, f, r1, r2):
         # f steps down: f may sit at the upper end of its range.
@@ -675,6 +667,8 @@ def _broyden(fun: Callable[[float, float], tuple[float, float, tuple]], start: _
             # secant misfit is the new residual vector.
             s = dx * dx + df * df
             J = (j11 + r1 * dx / s, j12 + r1 * df / s, j21 + r2 * dx / s, j22 + r2 * df / s)
+            if J[0] <= 0.0 and f_lo == f_hi:
+                return None  # with f held, a root where G falls is rejected anyway
         if J[0] <= 0.0:
             J = differences(x, f, r1, r2)
     except _BRACKET_FAILURES:
@@ -729,7 +723,7 @@ def reel_factor_for_force_gravity(
         nonlocal evaluations
         evaluations += 1
         p = geometry(x, f)
-        F_tg, _ = ground_tether_force(p.value[5], state.theta, m_t)
+        F_tg = ground_tether_force(p.value[5], state.theta, m_t)
         return p.r, (p.value[5] if target_end == "kite" else F_tg) / F_target - 1.0, p.value
 
     if start is None:

@@ -1,5 +1,6 @@
 import ast
 import copy
+import importlib
 import json
 import math
 import os
@@ -311,6 +312,27 @@ def test_no_private_names_imported_across_modules():
                 private += [f"{module.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_exports_exist_and_package_imports_only_exports():
+    # A deletion cannot leave a stale name in a module's __all__, nor a
+    # package-level import of a name its module does not export.
+    package = Path(__file__).resolve().parents[1] / "src" / "kitecycle"
+    stale, unexported = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"kitecycle.{path.stem}")
+        stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(init):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"kitecycle.{node.module}").__all__
+            unexported += [f"{node.module}.{alias.name}" for alias in node.names
+                           if alias.name not in exported]
+    assert stale == []
+    assert unexported == []
 
 
 def test_convergence_command(tmp_path):

@@ -180,13 +180,6 @@ def test_gravity_step_work_count(strong_config, monkeypatch):
 class TestSteadyRetractionElevation:
     ENV28 = Environment(v_w_ref=28.0, z_ref=6.0, z0=0.07)
 
-    def test_radial_only_keeps_start_elevation(self, strong_config):
-        cfg = strong_config
-        beta = steady_retraction_elevation(cfg.environment, cfg.kite, cfg.tether,
-                                           replace(cfg.operation, gravity=False),
-                                           radial_only=True)
-        assert beta == pytest.approx(cfg.operation.beta_o, abs=1e-12)
-
     def test_massless_asymptote_is_stationary(self, strong_config):
         cfg = strong_config
         op = replace(cfg.operation, gravity=False)

@@ -14,8 +14,6 @@ from kitecycle import (
     TetherParams,
     WindState,
     derive_kinematics,
-    estimate_CR,
-    estimate_LD,
     estimate_record,
     massless_state,
     segment_and_average,
@@ -101,15 +99,29 @@ class TestEstimateCR:
         st = KiteState(r=390.0, theta=math.radians(63), phi=0.0, chi=math.radians(100), f=0.3)
         rec = synthetic_record(st, replace(KITE, m=0.0), TETHER,
                                ENV, gravity=False)
-        C_R = estimate_CR(rec, replace(KITE, m=0.0), replace(TETHER, rho_t=1e-12), ENV)
+        C_R = estimate_record(rec, replace(KITE, m=0.0), replace(TETHER, rho_t=1e-12), ENV).C_R
         assert C_R == pytest.approx(system_C_R(390.0, KITE.aero_traction), rel=1e-6)
 
     def test_gravity_recovery_within_two_percent(self):
         st = KiteState(r=500.0, theta=math.radians(63), phi=math.radians(10.5),
                        chi=math.radians(100.9), f=0.35)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True)
-        C_R = estimate_CR(rec, KITE, TETHER, ENV)
+        C_R = estimate_record(rec, KITE, TETHER, ENV).C_R
         assert C_R == pytest.approx(system_C_R(500.0, KITE.aero_traction), rel=0.02)
+
+    def test_invalid_samples_carry_nan(self, strong_config, strong_telemetry):
+        # No ground force fails the sag radicand, a weak reference wind the
+        # kinematics: neither yields C_R, whatever the phase.
+        cfg = strong_config
+        bad = [replace(rec, F_tg=0.0) for rec in strong_telemetry[::10]]
+        weak = [replace(rec, v_w_ref=0.5) for rec in strong_telemetry[::10]]
+        weak = [rec for rec in weak if not derive_kinematics(rec, cfg.environment).valid]
+        assert weak
+        for rec in bad + weak:
+            for label in ("retraction", "transition", "traction"):
+                est = estimate_record(rec, cfg.kite, cfg.tether, cfg.environment, phase=label)
+                assert not est.valid
+                assert all(math.isnan(v) for v in (est.C_R, est.LD_sys, est.LD_k))
 
     def test_phase_average_ratio_band(self, strong_config, strong_telemetry):
         # Raw (tether drag included) traction/retraction means sit three to
@@ -118,8 +130,8 @@ class TestEstimateCR:
         sums = {"retraction": [], "traction": []}
         for rec in strong_telemetry:
             if rec.phase in sums:
-                val = estimate_CR(rec, cfg.kite, cfg.tether, cfg.environment)
-                if val is not None:
+                val = estimate_record(rec, cfg.kite, cfg.tether, cfg.environment).C_R
+                if not math.isnan(val):
                     sums[rec.phase].append(val)
         mean_o = sum(sums["traction"]) / len(sums["traction"])
         mean_i = sum(sums["retraction"]) / len(sums["retraction"])
@@ -135,8 +147,8 @@ class TestEstimateLD:
         kite0 = replace(KITE, m=0.0)
         rec = synthetic_record(st, kite0, TETHER, ENV, gravity=False)
         kin = derive_kinematics(rec, ENV)
-        ld = estimate_LD(rec, kite0, replace(TETHER, rho_t=1e-12), ENV, phase="traction")
-        assert ld.LD_sys == pytest.approx(kin.kappa, rel=1e-9)
+        est = estimate_record(rec, kite0, replace(TETHER, rho_t=1e-12), ENV, phase="traction")
+        assert est.LD_sys == pytest.approx(kin.kappa, rel=1e-9)
 
     def test_zero_diameter_tether_skips_drag_correction(self):
         st = KiteState(r=390.0, theta=math.radians(63), phi=0.0,
@@ -144,36 +156,45 @@ class TestEstimateLD:
         kite0 = replace(KITE, m=0.0)
         thin = TetherParams(d_t=1e-9, rho_t=724.0)
         rec = synthetic_record(st, kite0, thin, ENV, gravity=False)
-        ld = estimate_LD(rec, kite0, thin, ENV, phase="traction")
-        assert ld.LD_k == pytest.approx(ld.LD_sys, rel=1e-6)
+        est = estimate_record(rec, kite0, thin, ENV, phase="traction")
+        assert est.LD_k == pytest.approx(est.LD_sys, rel=1e-6)
 
     def test_gravity_traction_recovery(self):
         st = KiteState(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
                        chi=math.radians(100.9), f=0.4)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True)
-        ld = estimate_LD(rec, KITE, TETHER, ENV, phase="traction")
-        assert ld.LD_k == pytest.approx(4.0, rel=0.02)
+        est = estimate_record(rec, KITE, TETHER, ENV, phase="traction")
+        assert est.LD_k == pytest.approx(4.0, rel=0.02)
 
     def test_gravity_retraction_recovery(self):
         st = KiteState(r=550.0, theta=math.radians(40), phi=0.0, chi=math.pi, f=-0.3)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=KITE.aero_retraction)
-        ld = estimate_LD(rec, KITE, TETHER, ENV, phase="retraction")
-        assert ld.LD_k == pytest.approx(3.1, rel=0.02)
+        est = estimate_record(rec, KITE, TETHER, ENV, phase="retraction")
+        assert est.LD_k == pytest.approx(3.1, rel=0.02)
 
     def test_slow_traction_sample_flagged(self):
+        # A low lift-to-drag kite flies slower than 1.5 times the reference
+        # wind; only the traction gate rejects it.
         st = KiteState(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
                        chi=math.radians(100.9), f=0.4)
-        rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True)
-        assert estimate_LD(rec, KITE, TETHER, ENV, phase="traction",
-                           crosswind_ratio=1e3) is None
+        rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
+                               aero_set=AeroSet(C_L=0.69, LD_k=2.5))
+        assert math.sqrt(sum(c * c for c in rec.vk)) < 1.5 * rec.v_w_ref
+        est = estimate_record(rec, KITE, TETHER, ENV, phase="traction")
+        assert not est.valid
+        assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
+        assert not math.isnan(est.C_R)
+        assert estimate_record(rec, KITE, TETHER, ENV, phase="transition").valid
 
     def test_misaligned_retraction_sample_flagged(self):
         st = KiteState(r=550.0, theta=math.radians(40), phi=0.0,
                        chi=math.radians(100), f=-0.3)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=KITE.aero_retraction)
-        assert estimate_LD(rec, KITE, TETHER, ENV, phase="retraction") is None
+        est = estimate_record(rec, KITE, TETHER, ENV, phase="retraction")
+        assert not est.valid
+        assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
 
     def test_consistency_triangle(self, strong_config, strong_telemetry):
         cfg = strong_config
@@ -256,10 +277,9 @@ def test_noise_degrades_spread_not_mean(strong_config, strong_telemetry):
     for rec in strong_telemetry:
         if rec.phase != "traction":
             continue
-        val = estimate_CR(rec, cfg.kite, cfg.tether, cfg.environment)
-        clean.append(val)
+        clean.append(estimate_record(rec, cfg.kite, cfg.tether, cfg.environment).C_R)
         bumped = replace(rec, F_tg=max(rec.F_tg + rng.normal(0.0, sigma), 0.0))
-        noisy.append(estimate_CR(bumped, cfg.kite, cfg.tether, cfg.environment))
+        noisy.append(estimate_record(bumped, cfg.kite, cfg.tether, cfg.environment).C_R)
     clean, noisy = np.array(clean), np.array(noisy)
     assert np.std(noisy) > np.std(clean)
     # The mean moves by at most a few noise-scaled standard errors.
@@ -302,24 +322,27 @@ def test_estimate_record_derives_kinematics_once(monkeypatch, strong_config, str
     assert len(calls) == len(strong_telemetry)
 
 
-def test_public_estimators_match_estimate_record(strong_config, strong_telemetry):
-    # Every sample under every phase label, plus samples that fail the sag
-    # radicand (no ground force) or the kinematics (weak reference wind).
+def test_wind_at_the_kite_is_computed_once_per_sample(monkeypatch, strong_config,
+                                                      strong_telemetry):
+    cfg = strong_config
+    calls = []
+    log_wind_speed = Environment.log_wind_speed
+
+    def counting(self, z, v_ref):
+        calls.append(z)
+        return log_wind_speed(self, z, v_ref)
+
+    monkeypatch.setattr(Environment, "log_wind_speed", counting)
+    segment_and_average(strong_telemetry, cfg.kite, cfg.tether, cfg.environment)
+    assert len(calls) == len(strong_telemetry)
+
+
+def test_averages_carry_the_per_sample_estimates(strong_config, strong_telemetry):
     cfg = strong_config
     args = (cfg.kite, cfg.tether, cfg.environment)
-    records = list(strong_telemetry)
-    records += [replace(rec, F_tg=0.0) for rec in strong_telemetry[::10]]
-    records += [replace(rec, v_w_ref=0.5) for rec in strong_telemetry[::10]]
-    outcomes = set()
-    for rec in records:
-        for label in ("retraction", "transition", "traction"):
-            est = estimate_record(rec, *args, phase=label)
-            C_R = estimate_CR(rec, *args)
-            ld = estimate_LD(rec, *args, phase=label)
-            assert (C_R is None) == math.isnan(est.C_R)
-            assert C_R is None or C_R == est.C_R
-            assert (ld is None) == math.isnan(est.LD_sys) == math.isnan(est.LD_k)
-            assert ld is None or ld == (est.LD_sys, est.LD_k)
-            assert est.valid == (ld is not None)
-            outcomes.add((C_R is None, ld is None))
-    assert outcomes == {(False, False), (False, True), (True, True)}
+    avg = segment_and_average(strong_telemetry, *args)
+    labels = segment_phases(strong_telemetry)
+    assert len(avg.estimates) == len(strong_telemetry)
+    for est, rec, label in zip(avg.estimates, strong_telemetry, labels):
+        assert repr(est) == repr(estimate_record(rec, *args, phase=label))
+    assert "estimates" not in repr(avg)

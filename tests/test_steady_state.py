@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kitecycle import steady_state
 from kitecycle import (
     AeroSet,
     EffectiveAero,
@@ -154,22 +155,21 @@ class TestReelFactorMassless:
 
 class TestGroundTetherForce:
     def test_horizontal_tether_identity(self):
-        gf = ground_tether_force(750.0, math.pi / 2, 5.0)
-        assert gf.F_tg == pytest.approx(750.0, rel=1e-12)
+        F_tg = ground_tether_force(750.0, math.pi / 2, 5.0)
+        assert isinstance(F_tg, float)
+        assert F_tg == pytest.approx(750.0, rel=1e-12)
 
     def test_zenith_value(self):
-        gf = ground_tether_force(750.0, 0.0, 5.459)
-        assert gf.F_tg == pytest.approx(750.0 - 5.459 * 9.81, rel=1e-9)
-        assert gf.gamma == pytest.approx(5.459 * 9.81 / 750.0, rel=1e-12)
+        F_tg = ground_tether_force(750.0, 0.0, 5.459)
+        assert F_tg == pytest.approx(750.0 - 5.459 * 9.81, rel=1e-9)
 
     def test_massless_tether_identity(self):
-        assert ground_tether_force(321.0, 1.0, 0.0).F_tg == pytest.approx(321.0, rel=1e-12)
+        assert ground_tether_force(321.0, 1.0, 0.0) == pytest.approx(321.0, rel=1e-12)
 
     def test_ground_force_below_kite_force_for_small_sag(self):
         for theta_deg in (20, 45, 80):
-            gf = ground_tether_force(3000.0, math.radians(theta_deg), 6.0)
-            assert gf.F_tg < 3000.0
-            assert gf.gamma < 0.05
+            F_tg = ground_tether_force(3000.0, math.radians(theta_deg), 6.0)
+            assert 3000.0 - 6.0 * 9.81 < F_tg < 3000.0
 
     def test_sag_too_large(self):
         with pytest.raises(TetherSagError):
@@ -255,6 +255,34 @@ class TestKinematicRatioSolver:
         with pytest.raises(SteadyStateError, match="^no sign change"):
             solve_kinematic_ratio(st, fig8_kite(22.0), 0.0, FIG8_AERO, FIG8_WIND, tol=1e-12)
         assert bisect_kappa(st, 16.7, 22.0, 0.0, FIG8_AERO, FIG8_WIND) is None
+
+    def test_secant_stops_where_g_falls(self, monkeypatch):
+        # Here the first secant step finds G falling with kappa.  The
+        # secant stops there and the scan finds the largest root; walking
+        # on, it re-probed one (x, f) in a finite-difference refresh.
+        probes = []
+        force_geometry = steady_state._force_geometry
+
+        def recording(*args):
+            geometry, equilibrium = force_geometry(*args)
+
+            def probe(x, f):
+                probes.append((x, f))
+                return geometry(x, f)
+
+            return probe, equilibrium
+
+        monkeypatch.setattr(steady_state, "_force_geometry", recording)
+        st = KiteState(r=803.2499871506205, theta=0.8608787259522742, phi=0.15429358996645726,
+                       chi=0.3522322305466722, f=-0.1618490063589043)
+        kite = replace(STRONG_KITE, m=17.864662009290797)
+        m_t = 3.6001891554916767
+        aero = EffectiveAero(0.15360667682549214, 0.2111796168650575)
+        wind = WindState(10.606576271976806, 1.005349495555756)
+        res = solve_kinematic_ratio(st, kite, m_t, aero, wind)
+        assert len(set(probes)) == len(probes) == res.iterations
+        reference = bisect_kappa(st, kite.S, kite.m, m_t, aero, wind)
+        assert abs(res.kappa / reference - 1.0) <= 1e-8
 
     def test_force_component_identity(self):
         rng = np.random.default_rng(19)
