@@ -8,7 +8,8 @@ Both are steady: profiles vary with altitude but not with time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 
@@ -64,27 +65,22 @@ class Environment:
         return self.rho0 * math.exp(-z / self.H_rho)
 
 
-@dataclass(frozen=True)
-class WindState:
-    """Local flow conditions at one altitude.
-
-    ``q`` (dynamic pressure) and ``P_w`` (wind power density) are derived
-    from ``v_w`` and ``rho`` on construction, so the identities
-    q = rho*v_w^2/2 and P_w = rho*v_w^3/2 hold exactly.
+class WindState(NamedTuple):
+    """Local flow conditions at one altitude, unchecked: the equilibrium
+    functions check v_w >= 0 and rho > 0.  ``q`` (dynamic pressure) and
+    ``P_w`` (wind power density) are derived from ``v_w`` and ``rho``.
     """
 
     v_w: float
     rho: float
-    q: float = field(init=False)
-    P_w: float = field(init=False)
 
-    def __post_init__(self):
-        if self.v_w < 0.0 or self.rho <= 0.0:
-            raise ValidationError(
-                f"wind state requires v_w >= 0 and rho > 0, got v_w={self.v_w}, rho={self.rho}"
-            )
-        object.__setattr__(self, "q", 0.5 * self.rho * self.v_w**2)
-        object.__setattr__(self, "P_w", 0.5 * self.rho * self.v_w**3)
+    @property
+    def q(self) -> float:
+        return 0.5 * self.rho * self.v_w**2
+
+    @property
+    def P_w(self) -> float:
+        return 0.5 * self.rho * self.v_w**3
 
 
 def wind_state_at(z: float, env: Environment) -> WindState:
@@ -93,4 +89,4 @@ def wind_state_at(z: float, env: Environment) -> WindState:
     Raises:
         DomainError: if ``z`` lies below the roughness length.
     """
-    return WindState(v_w=env.wind_speed(z), rho=env.density(z))
+    return WindState(env.wind_speed(z), env.density(z))

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: ``simulate``, ``convergence``, ``sweep``, ``estimate``.
-Exit codes: 0 on success, 2 on configuration/validation problems, 3 on
-solver failures; the exception class name goes to stderr.
+Exit codes: 0 on success, 2 on configuration/validation problems or an
+unusable file path, 3 on solver failures; the exception class name goes
+to stderr.  ``python -m kitecycle.cli`` runs it too.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _apply_gravity_flag(_resolve_config(args.config), args)
     out = _out_dir(cfg, args)
-    dt_list = sorted((float(v) for v in args.dt_list), reverse=True)
+    dt_list = sorted(args.dt_list, reverse=True)
     rows = convergence_study(cfg.environment, cfg.kite, cfg.tether, cfg.operation, dt_list)
     dataio.write_convergence_csv(out / "convergence.csv", rows)
     print(f"{len(rows)} rows written to {out / 'convergence.csv'}")
@@ -78,8 +79,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     for value in spec.values:
-        varied = set_by_path(cfg, spec.parameter, value)
-        cycle = simulate_cycle(varied.environment, varied.kite, varied.tether, varied.operation)
+        try:
+            varied = set_by_path(cfg, spec.parameter, value)
+            cycle = simulate_cycle(varied.environment, varied.kite, varied.tether,
+                                   varied.operation)
+        except KitecycleError as exc:
+            raise type(exc)(f"{spec.parameter} = {value}: {exc}") from exc
         rows.append({"value": value, "P_m": cycle.P_m, "zeta_m": cycle.zeta_m})
     dataio.write_sweep_csv(out / "sweep.csv", spec.parameter, rows)
     best = max(rows, key=lambda row: row[spec.objective])
@@ -129,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", parents=[common],
                        help="time-step refinement study")
-    p.add_argument("--dt-list", nargs="+", required=True, metavar="DT",
+    p.add_argument("--dt-list", nargs="+", type=float, required=True, metavar="DT",
                    help="nondimensional time steps; the smallest is the reference")
     p.add_argument("--no-gravity", action="store_true")
     p.set_defaults(func=_cmd_convergence)
@@ -155,7 +160,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except KitecycleError as exc:
@@ -165,3 +170,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

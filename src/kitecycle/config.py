@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
@@ -150,31 +150,11 @@ def load_config(path: str | Path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Inverse of :func:`load_config`; angles back to degrees."""
+    # The file keys of these three sections are their dataclass fields.
     out: dict[str, Any] = {
-        "environment": {
-            "v_w_ref": cfg.environment.v_w_ref,
-            "z_ref": cfg.environment.z_ref,
-            "z0": cfg.environment.z0,
-            "rho0": cfg.environment.rho0,
-            "H_rho": cfg.environment.H_rho,
-        },
-        "kite": {
-            "S": cfg.kite.S,
-            "m": cfg.kite.m,
-            "aero_traction": {
-                "C_L": cfg.kite.aero_traction.C_L,
-                "LD_k": cfg.kite.aero_traction.LD_k,
-            },
-            "aero_retraction": {
-                "C_L": cfg.kite.aero_retraction.C_L,
-                "LD_k": cfg.kite.aero_retraction.LD_k,
-            },
-        },
-        "tether": {
-            "d_t": cfg.tether.d_t,
-            "rho_t": cfg.tether.rho_t,
-            "C_D_c": cfg.tether.C_D_c,
-        },
+        "environment": asdict(cfg.environment),
+        "kite": asdict(cfg.kite),
+        "tether": asdict(cfg.tether),
         "operation": {
             "beta_deg": math.degrees(cfg.operation.beta_o),
             "phi_deg": math.degrees(cfg.operation.phi_o),
@@ -247,13 +227,8 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
                      objective=spec.get("objective", "P_m"))
 
 
-# Sweepable scalar fields, by dataclass attribute path.
-_SWEEPABLE = {
-    "environment": Environment,
-    "kite": KiteParams,
-    "tether": TetherParams,
-    "operation": OperationSettings,
-}
+# The RunConfig sections whose scalar fields a sweep may vary.
+_SWEEPABLE = ("environment", "kite", "tether", "operation")
 
 
 def set_by_path(cfg: RunConfig, path: str, value: float) -> RunConfig:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .atmosphere import Environment, WindState, wind_state_at
 from .errors import (ConvergenceError, NoTensionError, PhaseError, SolverError, TetherSagError,
@@ -105,8 +106,7 @@ class OperationSettings:
         return 0.5 * math.pi - self.beta_o
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One recorded integration step."""
 
     t: float
@@ -193,7 +193,7 @@ class _PhaseEngine:
         m_t, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
         if not self.op.gravity:
             m_t = 0.0
-        return m_t, EffectiveAero(C_L=self.aero_set.C_L, C_D=C_D)
+        return m_t, EffectiveAero(self.aero_set.C_L, C_D)
 
     def solve_force(
         self, F_target: float, r: float, theta: float, phi: float, chi: float,
@@ -201,26 +201,24 @@ class _PhaseEngine:
     ) -> tuple[KiteState, EquilibriumResult]:
         """Reeling factor and equilibrium for a tether-force set-point."""
         m_t, aero = self.local_aero(r)
-        probe = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=0.0)
+        probe = KiteState(r, theta, phi, chi, 0.0)
         if not self.op.gravity:
             f = reel_factor_for_force_massless(F_target, probe, aero, wind, self.kite.S)
-            state = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=f)
+            state = KiteState(r, theta, phi, chi, f)
             return state, massless_state(state, aero, wind, self.kite.S)
         f, eq, self.reel_start = reel_factor_for_force_gravity(
             F_target, self.op.force_at, probe, self.kite, m_t, aero, wind,
             start=self.reel_start,
         )
-        return KiteState(r=r, theta=theta, phi=phi, chi=chi, f=f), eq
+        return KiteState(r, theta, phi, chi, f), eq
 
     @staticmethod
     def record(t: float, state: KiteState, eq: EquilibriumResult, wind: WindState) -> StepRecord:
         v_t = state.f * wind.v_w
         v_tau = eq.lam * wind.v_w
-        return StepRecord(
-            t=t, r=state.r, theta=state.theta, phi=state.phi, chi=state.chi,
-            f=state.f, v_t=v_t, v_k=math.hypot(v_t, v_tau), v_a=eq.v_a,
-            F_t_kite=eq.F_t_kite, F_tg=eq.F_tg, P=eq.P,
-        )
+        # KiteState's fields are StepRecord's r to f.
+        return StepRecord(t, *state, v_t, math.hypot(v_t, v_tau), eq.v_a, eq.F_t_kite, eq.F_tg,
+                          eq.P)
 
     @staticmethod
     def finish(phase: str, series: list[StepRecord]) -> PhaseResult:
@@ -257,50 +255,56 @@ def _integrate(
     fixed unless ``moves_theta``.
 
     Raises:
-        PhaseError: if the end quantity stalls for ten characteristic times.
+        SolverError: a PhaseError if the end quantity stalls for ten
+            characteristic times, or what the wind law or ``controller``
+            raised, chained and prefixed with the phase, t, r and elevation.
     """
     sign = 1.0 if increasing else -1.0
     stall, stall_limit = 0, max(1, math.ceil(10.0 / engine.op.dT))
-
-    wind = engine.wind_at(r, theta)
-    state, eq = controller(r, theta, wind)
-    series = [engine.record(t, state, eq, wind)]
-    if sign * (0.5 * math.pi - theta if by_elevation else r) >= sign * end:
-        return engine.finish(phase, series)
-
-    while True:
-        v_t = state.f * wind.v_w
-        beta_rate = -eq.lam * wind.v_w * math.cos(state.chi) / r if moves_theta else 0.0
-        value, rate = (0.5 * math.pi - theta, beta_rate) if by_elevation else (r, v_t)
-        done = sign * (value + rate * engine.dt) >= sign * end and sign * rate > 0.0
-        if done:
-            dt = (end - value) / rate
-        else:
-            if sign * rate <= 0.0:
-                stall += 1
-                if stall > stall_limit:
-                    quantity = "elevation" if by_elevation else "tether length"
-                    direction = "increase" if increasing else "decrease"
-                    raise PhaseError(
-                        f"{quantity} failed to {direction} for {stall} consecutive steps"
-                    )
-            else:
-                stall = 0
-            dt = engine.dt
-        r += v_t * dt
-        theta -= beta_rate * dt  # theta = pi/2 - beta
-        t += dt
-        if done:
-            # Land exactly on the end condition.
-            if by_elevation:
-                theta = 0.5 * math.pi - end
-            else:
-                r = end
+    try:
         wind = engine.wind_at(r, theta)
         state, eq = controller(r, theta, wind)
-        series.append(engine.record(t, state, eq, wind))
-        if done:
+        series = [engine.record(t, state, eq, wind)]
+        if sign * (0.5 * math.pi - theta if by_elevation else r) >= sign * end:
             return engine.finish(phase, series)
+
+        while True:
+            v_t = state.f * wind.v_w
+            beta_rate = -eq.lam * wind.v_w * math.cos(state.chi) / r if moves_theta else 0.0
+            value, rate = (0.5 * math.pi - theta, beta_rate) if by_elevation else (r, v_t)
+            done = sign * (value + rate * engine.dt) >= sign * end and sign * rate > 0.0
+            if done:
+                dt = (end - value) / rate
+            else:
+                if sign * rate <= 0.0:
+                    stall += 1
+                    if stall > stall_limit:
+                        quantity = "elevation" if by_elevation else "tether length"
+                        direction = "increase" if increasing else "decrease"
+                        raise PhaseError(
+                            f"{quantity} failed to {direction} for {stall} consecutive steps"
+                        )
+                else:
+                    stall = 0
+                dt = engine.dt
+            r += v_t * dt
+            theta -= beta_rate * dt  # theta = pi/2 - beta
+            t += dt
+            if done:
+                # Land exactly on the end condition.
+                if by_elevation:
+                    theta = 0.5 * math.pi - end
+                else:
+                    r = end
+            wind = engine.wind_at(r, theta)
+            state, eq = controller(r, theta, wind)
+            series.append(engine.record(t, state, eq, wind))
+            if done:
+                return engine.finish(phase, series)
+    except SolverError as exc:
+        beta = math.degrees(0.5 * math.pi - theta)
+        raise type(exc)(f"{phase} at t = {t:.6g} s, r = {r:.6g} m, beta = {beta:.6g} deg: "
+                        f"{exc}") from exc
 
 
 def simulate_retraction(
@@ -346,7 +350,7 @@ def simulate_transition(
     phi, chi = 0.0, 0.0
 
     def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
-        coasting = KiteState(r=r, theta=theta, phi=phi, chi=chi, f=0.0)
+        coasting = KiteState(r, theta, phi, chi, 0.0)
         m_t, aero = engine.local_aero(r)
         try:
             if op.gravity:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .cycle import CycleResult, PhaseResult
 from .errors import ParseError, ValidationError
-from .estimation import EstimateRecord, LogRecord, PhaseAverages
+from .estimation import EstimateRecord, LogRecord, PhaseAverages, sample_fault
 
 __all__ = [
     "TIMESERIES_COLUMNS",
@@ -137,7 +136,7 @@ def derive_course_angles(records: list[LogRecord]) -> list[LogRecord]:
     sample inherits its predecessor's value.
     """
     chi = _course_angles([(rec.theta, rec.phi, rec.chi) for rec in records])
-    return [rec if rec.chi is not None else replace(rec, chi=c)
+    return [rec if rec.chi is not None else rec._replace(chi=c)
             for rec, c in zip(records, chi)]
 
 
@@ -161,8 +160,10 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     Columns are found by their header names, in any order.  Blank lines
     are skipped.  A row whose field count differs from the header's, or
     a numeric value that is not finite, is a ``ParseError`` naming the
-    file line.  Missing course angles are derived from consecutive
-    positions.
+    file line.  Once every row parses, a row with r <= 0 or F_tg < 0 is a
+    ``ValidationError`` naming the file line; so are timestamps that do
+    not strictly increase, naming the file.  Missing course angles are
+    derived from consecutive positions.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -203,12 +204,13 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
                          reader.line_num))
     # Course angles come from the parsed positions, so each record is built once.
     records: list[LogRecord] = []
-    try:
-        for (t, F_tg, r, theta, phi, _, vk, v_t, v_w_ref, phase, _), chi in zip(
-                rows, _course_angles([row[3:6] for row in rows])):
-            records.append(LogRecord(t, F_tg, r, theta, phi, chi, vk, v_t, v_w_ref, phase))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: line {rows[len(records)][-1]}: {exc}") from exc
+    for (t, F_tg, r, theta, phi, _, vk, v_t, v_w_ref, phase, line), chi in zip(
+            rows, _course_angles([row[3:6] for row in rows])):
+        rec = LogRecord(t, F_tg, r, theta, phi, chi, vk, v_t, v_w_ref, phase)
+        fault = sample_fault(rec)
+        if fault is not None:
+            raise ValidationError(f"{path}: line {line}: {fault}")
+        records.append(rec)
     if any(b.t <= a.t for a, b in zip(records, records[1:])):
         raise ValidationError(f"{path}: timestamps must be strictly increasing")
     return records

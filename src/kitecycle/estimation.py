@@ -11,6 +11,10 @@ Wind at the kite is always extrapolated from the reference measurement
 with the logarithmic profile, so gusts the ground measurement cannot see
 show up as outliers; such samples are flagged invalid and skipped, never
 interpolated.
+
+The records are NamedTuples that check nothing.  Samples are checked
+where they enter (:func:`sample_fault`): by ``dataio.read_telemetry_csv``
+and by :func:`segment_and_average`, not by :func:`estimate_record`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "estimate_record",
     "segment_phases",
     "segment_and_average",
+    "sample_fault",
 ]
 
 # Dead band and dwell of the reeling-speed segmentation heuristic.
@@ -42,8 +47,7 @@ CROSSWIND_RATIO = 1.5  # least traction kite speed over the reference wind
 LD_GRAVITY_UPDATES = 2  # the lift-to-drag ratio settles after two
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     """One telemetry sample.
 
     ``vk`` is the kite velocity vector in the wind reference frame
@@ -61,12 +65,6 @@ class LogRecord:
     v_t: float
     v_w_ref: float
     phase: Optional[str] = None
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValidationError(f"tether length must be > 0, got {self.r}")
-        if self.F_tg < 0.0:
-            raise ValidationError(f"ground tether force must be >= 0, got {self.F_tg}")
 
     @classmethod
     def from_speed(
@@ -97,6 +95,15 @@ class LogRecord:
                    vk=vk, v_t=v_t, v_w_ref=v_w_ref, phase=phase)
 
 
+def sample_fault(rec: LogRecord) -> Optional[str]:
+    """The invariant a telemetry sample breaks, r > 0 or F_tg >= 0, or None."""
+    if rec.r <= 0.0:
+        return f"tether length must be > 0, got {rec.r}"
+    if rec.F_tg < 0.0:
+        return f"ground tether force must be >= 0, got {rec.F_tg}"
+    return None
+
+
 def _spherical_velocity_to_cartesian(
     theta: float, phi: float, chi: float, v_r: float, v_tau: float
 ) -> tuple[float, float, float]:
@@ -111,8 +118,7 @@ def _spherical_velocity_to_cartesian(
     )
 
 
-@dataclass(frozen=True)
-class EstimateRecord:
+class EstimateRecord(NamedTuple):
     """Derived aerodynamic estimates for one telemetry sample.
 
     ``C_R`` is the resultant coefficient of the airborne system as
@@ -356,13 +362,19 @@ def segment_and_average(
     traction values characterise the kite itself.
 
     Raises:
-        ValidationError: if the series is empty or not strictly increasing in time.
+        ValidationError: if the series is empty, a sample has r <= 0 or
+            F_tg < 0 (naming its index), or the series is not strictly
+            increasing in time.
         EmptyPhaseError: if retraction or traction has no valid samples.
     """
     if not series:
         raise ValidationError("telemetry series is empty")
-    if any(b.t <= a.t for a, b in zip(series, series[1:])):
-        raise ValidationError("telemetry timestamps must be strictly increasing")
+    for i, rec in enumerate(series):
+        fault = sample_fault(rec)
+        if fault is not None:
+            raise ValidationError(f"sample {i}: {fault}")
+        if i and rec.t <= series[i - 1].t:
+            raise ValidationError("telemetry timestamps must be strictly increasing")
 
     estimates = [estimate_record(rec, kite, tether, env, phase=label)
                  for rec, label in zip(series, segment_phases(series))]

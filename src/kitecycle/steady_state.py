@@ -24,12 +24,15 @@ Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
 lumped with the kite weight and a sag-induced tangential reaction at the
 suspension points.
+
+The per-step values are NamedTuples that check nothing; each public
+equilibrium function checks its inputs first, in :func:`_trig`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Optional
 
 from .atmosphere import WindState
@@ -126,8 +129,7 @@ class KiteParams:
             raise ValidationError(f"airborne mass must be >= 0, got {self.m}")
 
 
-@dataclass(frozen=True)
-class KiteState:
+class KiteState(NamedTuple):
     """Kinematic state of the kite at one instant.
 
     Attributes:
@@ -148,24 +150,13 @@ class KiteState:
     chi: float
     f: float
 
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValidationError(f"tether length must be > 0, got {self.r}")
-        if not -0.5 * math.pi < self.theta < math.pi:
-            raise ValidationError(f"polar angle must be in (-pi/2, pi), got {self.theta}")
 
-
-@dataclass(frozen=True)
-class EffectiveAero:
+class EffectiveAero(NamedTuple):
     """Aerodynamic coefficients of the airborne system: kite plus lumped
     tether drag."""
 
     C_L: float
     C_D: float
-
-    def __post_init__(self):
-        if self.C_L <= 0.0 or self.C_D <= 0.0:
-            raise ValidationError(f"effective coefficients must be positive, got {self}")
 
     @property
     def LD(self) -> float:
@@ -177,8 +168,7 @@ class EffectiveAero:
         return math.hypot(self.C_D, self.C_L)
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     """Solved quasi-steady state.
 
     Attributes:
@@ -231,8 +221,17 @@ def tether_properties(
     return TetherProperties(m_t=m_t, C_D_total=C_D_total)
 
 
-def _trig(state: KiteState) -> tuple[float, float]:
-    """Trigonometric coefficients (a, b) of the tangential-speed quadratic."""
+def _trig(state: KiteState, aero: EffectiveAero, wind: WindState) -> tuple[float, float]:
+    """Trigonometric coefficients (a, b) of the tangential-speed quadratic,
+    once theta is in (-pi/2, pi), C_L, C_D > 0, v_w >= 0 and rho > 0."""
+    if not -0.5 * math.pi < state.theta < math.pi:
+        raise ValidationError(f"polar angle must be in (-pi/2, pi), got {state.theta}")
+    if aero.C_L <= 0.0 or aero.C_D <= 0.0:
+        raise ValidationError(f"effective coefficients must be positive, got {aero}")
+    if wind.v_w < 0.0 or wind.rho <= 0.0:
+        raise ValidationError(
+            f"wind state requires v_w >= 0 and rho > 0, got v_w={wind.v_w}, rho={wind.rho}"
+        )
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
     sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
     a = cos_t * cos_p * math.cos(state.chi) - sin_p * math.sin(state.chi)
@@ -255,7 +254,7 @@ def massless_state(
         NoSolutionError: if the tangential velocity factor has no real
             non-negative solution.
     """
-    a, b = _trig(state)
+    a, b = _trig(state, aero, wind)
     if state.f >= b:
         raise NoTensionError(
             f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
@@ -295,11 +294,11 @@ def reel_factor_for_force_massless(
     root is taken since the larger one corresponds to a compressed
     tether.  Large targets give a negative factor, i.e. reeling in.
     """
+    _, b = _trig(state, aero, wind)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if wind.v_w <= 0.0:
         raise ValidationError("force inversion requires a positive wind speed")
-    _, b = _trig(state)
     G = aero.LD
     scale = wind.q * S * aero.C_R * (1.0 + G * G)
     return b - math.sqrt(F_target / scale)
@@ -364,11 +363,11 @@ def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: Effect
         raise ValidationError(f"tether mass must be >= 0, got {m_t}")
     if wind.v_w <= 0.0:
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
-    a, b = _trig(state)
     log_G_star = math.log(aero.LD)
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
     sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
     sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
+    a, b = cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p  # as in _trig
     v_w = wind.v_w
     force_coefficient = wind.q * kite.S * aero.C_R
     F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
@@ -498,7 +497,7 @@ def solve_kinematic_ratio(
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
     """
-    _, b = _trig(state)
+    _, b = _trig(state, aero, wind)
     if state.f >= b:
         raise NoTensionError(
             f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
@@ -710,11 +709,11 @@ def reel_factor_for_force_gravity(
         SteadyStateError: if the equilibrium solver fails where a solution
             is required.
     """
+    _, b = _trig(state, aero, wind)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
-    _, b = _trig(state)
     f_hi = b - _F_EPS
     geometry, equilibrium = _force_geometry(state, kite, m_t, aero, wind)
     evaluations = 0
@@ -742,7 +741,7 @@ def reel_factor_for_force_gravity(
 
     def residual(f: float) -> _Probe:
         nonlocal evaluations
-        eq = solve_kinematic_ratio(replace(state, f=f), kite, m_t, aero, wind)
+        eq = solve_kinematic_ratio(state._replace(f=f), kite, m_t, aero, wind)
         evaluations += eq.iterations
         return _Probe(f, (eq.F_t_kite if target_end == "kite" else eq.F_tg) - F_target, eq)
 
@@ -771,5 +770,5 @@ def reel_factor_for_force_gravity(
             f"force {F_target:.1f} N is below the minimum achievable "
             f"{root.r + F_target:.1f} N near f={root.x:.4f} (short by {root.r:.3g} N)"
         )
-    return root.x, replace(root.value, iterations=evaluations), _ReelStart(
+    return root.x, root.value._replace(iterations=evaluations), _ReelStart(
         math.log(root.value.kappa), root.x, None)

@@ -10,7 +10,6 @@ grid.  The telemetry reader's reference reads each row through
 
 import csv
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -126,7 +125,7 @@ def _finite(row, column, where):
 
 def _dictreader_course_angles(records):
     """Missing course angles by finite differences of position, each
-    filled record rebuilt with ``dataclasses.replace``."""
+    filled record rebuilt with ``_replace``."""
     out = list(records)
     last_chi = 0.0
     for i, rec in enumerate(out):
@@ -139,7 +138,7 @@ def _dictreader_course_angles(records):
             d_phi = nxt.phi - rec.phi
             if d_theta != 0.0 or d_phi != 0.0:
                 last_chi = math.atan2(math.sin(rec.theta) * d_phi, d_theta)
-        out[i] = replace(rec, chi=last_chi)
+        out[i] = rec._replace(chi=last_chi)
     return out
 
 

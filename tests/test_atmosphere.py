@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kitecycle import Environment, WindState, wind_state_at
+from kitecycle import (Environment, EffectiveAero, KiteState, WindState, massless_state,
+                       wind_state_at)
 from kitecycle.errors import DomainError, ValidationError
 
 
@@ -71,7 +72,11 @@ def test_environment_invariants(kwargs):
 
 
 def test_wind_state_rejects_nonphysical_inputs():
-    with pytest.raises(ValidationError):
-        WindState(v_w=-1.0, rho=1.2)
-    with pytest.raises(ValidationError):
-        WindState(v_w=5.0, rho=0.0)
+    # A wind state checks nothing itself; the equilibrium it enters does.
+    state = KiteState(r=300.0, theta=0.6, phi=0.0, chi=0.0, f=0.2)
+    aero = EffectiveAero(C_L=0.7, C_D=0.2)
+    for wind in (WindState(v_w=-1.0, rho=1.2), WindState(v_w=5.0, rho=0.0)):
+        with pytest.raises(ValidationError) as info:
+            massless_state(state, aero, wind, S=10.2)
+        assert str(info.value) == (f"wind state requires v_w >= 0 and rho > 0, "
+                                   f"got v_w={wind.v_w}, rho={wind.rho}")

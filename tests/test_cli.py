@@ -207,6 +207,54 @@ def test_unknown_arguments_exit_code(capsys):
     assert run_command(["explode", "--config", "strong_wind"]) == 2
 
 
+def test_malformed_dt_list_exit_code(tmp_path, capsys):
+    # Used to escape as an uncaught ValueError.
+    code = run_command(["convergence", "--config", "strong_wind", "--dt-list", "0.01", "abc",
+                        "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_output_directory_that_is_a_file_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_command(["simulate", "--config", "strong_wind", "--out", str(taken)]) == 2
+    assert "FileExistsError" in capsys.readouterr().err
+
+
+def test_telemetry_out_in_missing_directory_exit_code(tmp_path, capsys):
+    code = run_command(["simulate", "--config", "strong_wind", "--out", str(tmp_path / "o"),
+                        "--telemetry-out", str(tmp_path / "no_such_dir" / "t.csv")])
+    assert code == 2
+    assert "FileNotFoundError" in capsys.readouterr().err
+
+
+def test_failed_sweep_point_names_its_value(tmp_path, capsys):
+    # An invalid point is a ValidationError (exit 2), a failed solve
+    # keeps its solver class (exit 3); both name the parameter value.
+    spec = tmp_path / "sweep.json"
+    for parameter, value, code, prefix in (
+            ("operation.F_in", 1.0e8, 2, "ValidationError: operation.F_in = 100000000.0: "),
+            ("operation.F_out", 2.0e8, 3,
+             "SetpointUnreachableError: operation.F_out = 200000000.0: traction at t = ")):
+        spec.write_text(json.dumps({"parameter": parameter, "values": [value]}))
+        assert run_command(["sweep", "--config", "strong_wind", "--spec", str(spec),
+                            "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_cli_module_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "kitecycle.cli", "simulate", "--out", str(tmp_path / "o")]
+    done = subprocess.run(argv + ["--config", "strong_wind"], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "cycle_summary.json").exists()
+    assert (tmp_path / "o" / "timeseries.csv").exists()
+    done = subprocess.run(argv + ["--config", "no_such_preset"], env=env, capture_output=True)
+    assert done.returncode == 2
+
+
 def test_missing_telemetry_file_exit_code(tmp_path, capsys):
     code = run_command(["estimate", "--config", "strong_wind",
                         "--log", str(tmp_path / "nope.csv"),

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -199,7 +198,7 @@ class TestTelemetryCsv:
 
     def test_missing_chi_derived_from_positions(self, tmp_path, strong_config, strong_cycle):
         records = cycle_to_log_records(strong_cycle, strong_config.environment.v_w_ref)
-        blanked = [replace(rec, chi=None) for rec in records]
+        blanked = [rec._replace(chi=None) for rec in records]
         path = tmp_path / "telemetry.csv"
         write_telemetry_csv(path, blanked)
         back = read_telemetry_csv(path)
@@ -212,13 +211,13 @@ class TestTelemetryCsv:
         # Course angles are derived before the records are built, so a
         # log with no course angles builds each record once.
         path = tmp_path / "telemetry.csv"
-        write_telemetry_csv(path, [replace(rec, chi=None) for rec in strong_telemetry])
+        write_telemetry_csv(path, [rec._replace(chi=None) for rec in strong_telemetry])
         built = []
 
         class CountedRecord(LogRecord):
-            def __post_init__(self):
-                built.append(self.t)
-                super().__post_init__()
+            def __new__(cls, *args):
+                built.append(args[0])
+                return super().__new__(cls, *args)
 
         monkeypatch.setattr(dataio, "LogRecord", CountedRecord)
         back = read_telemetry_csv(path)

@@ -122,6 +122,42 @@ def test_traction_stalls_without_wind(strong_config):
             simulate_traction(env, cfg.kite, cfg.tether, op, r_start=cfg.operation.r_min)
 
 
+def assert_failure_context(info, kind, prefix):
+    """The error is raised again as its own class, chained from the
+    original, with the phase and state prefixed to the original text."""
+    exc = info.value
+    assert type(exc) is kind and type(exc.__cause__) is kind
+    assert str(exc) == prefix + str(exc.__cause__)
+
+
+def test_retraction_failure_names_phase_and_state(strong_config):
+    cfg = strong_config
+    op = replace(cfg.operation, F_in=1.0e8, F_out=2.0e8)
+    with pytest.raises(SetpointUnreachableError) as info:
+        simulate_retraction(cfg.environment, cfg.kite, cfg.tether, op, t0=3.0)
+    assert_failure_context(info, SetpointUnreachableError,
+                           "retraction at t = 3 s, r = 720 m, beta = 27 deg: ")
+
+
+def test_transition_failure_names_phase_and_state(strong_config):
+    # A start just above the ground is below the roughness length.
+    cfg = strong_config
+    with pytest.raises(DomainError) as info:
+        simulate_transition(cfg.environment, cfg.kite, cfg.tether, cfg.operation,
+                            r_start=390.0, theta_start=0.5 * math.pi - 1e-6, t0=12.5)
+    assert_failure_context(info, DomainError,
+                           "transition at t = 12.5 s, r = 390 m, beta = 5.72958e-05 deg: ")
+
+
+def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
+    monkeypatch.setattr("kitecycle.cycle.reel_factor_for_force_massless", lambda *args: 0.0)
+    cfg = strong_config
+    op = replace(cfg.operation, dT=1.0, gravity=False)
+    with pytest.raises(PhaseError) as info:
+        simulate_traction(cfg.environment, cfg.kite, cfg.tether, op, r_start=390.0)
+    assert_failure_context(info, PhaseError, "traction at t = 333.333 s, r = 390 m, beta = 27 deg: ")
+
+
 def test_stalled_phase_raises_phase_error(strong_config, monkeypatch):
     # A winch that never reels leaves the tether length where it is; the
     # phase gives up after ten characteristic times.

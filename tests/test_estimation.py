@@ -20,6 +20,7 @@ from kitecycle import (
     segment_phases,
     solve_kinematic_ratio,
 )
+from kitecycle.dataio import read_telemetry_csv, write_telemetry_csv
 from kitecycle.errors import EmptyPhaseError, ValidationError
 from kitecycle.estimation import _spherical_velocity_to_cartesian
 
@@ -113,8 +114,8 @@ class TestEstimateCR:
         # No ground force fails the sag radicand, a weak reference wind the
         # kinematics: neither yields C_R, whatever the phase.
         cfg = strong_config
-        bad = [replace(rec, F_tg=0.0) for rec in strong_telemetry[::10]]
-        weak = [replace(rec, v_w_ref=0.5) for rec in strong_telemetry[::10]]
+        bad = [rec._replace(F_tg=0.0) for rec in strong_telemetry[::10]]
+        weak = [rec._replace(v_w_ref=0.5) for rec in strong_telemetry[::10]]
         weak = [rec for rec in weak if not derive_kinematics(rec, cfg.environment).valid]
         assert weak
         for rec in bad + weak:
@@ -263,7 +264,7 @@ def test_round_trip_phase_averages(strong_config, strong_telemetry):
 
 def test_round_trip_without_labels(strong_config, strong_telemetry):
     cfg = strong_config
-    stripped = [replace(rec, phase=None) for rec in strong_telemetry]
+    stripped = [rec._replace(phase=None) for rec in strong_telemetry]
     avg = segment_and_average(stripped, cfg.kite, cfg.tether, cfg.environment)
     assert avg.C_R_o == pytest.approx(0.71, rel=0.03)
     assert avg.LD_k_o == pytest.approx(4.0, rel=0.03)
@@ -278,7 +279,7 @@ def test_noise_degrades_spread_not_mean(strong_config, strong_telemetry):
         if rec.phase != "traction":
             continue
         clean.append(estimate_record(rec, cfg.kite, cfg.tether, cfg.environment).C_R)
-        bumped = replace(rec, F_tg=max(rec.F_tg + rng.normal(0.0, sigma), 0.0))
+        bumped = rec._replace(F_tg=max(rec.F_tg + rng.normal(0.0, sigma), 0.0))
         noisy.append(estimate_record(bumped, cfg.kite, cfg.tether, cfg.environment).C_R)
     clean, noisy = np.array(clean), np.array(noisy)
     assert np.std(noisy) > np.std(clean)
@@ -299,13 +300,22 @@ def test_record_from_speed_matches_vector_form():
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
-def test_log_record_invariants():
-    with pytest.raises(ValidationError):
-        LogRecord(t=0.0, F_tg=-1.0, r=400.0, theta=1.0, phi=0.0, chi=0.0,
-                  vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
-    with pytest.raises(ValidationError):
-        LogRecord(t=0.0, F_tg=1.0, r=0.0, theta=1.0, phi=0.0, chi=0.0,
-                  vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
+def test_log_record_invariants(tmp_path, strong_config, strong_telemetry):
+    # A record checks nothing itself: segment_and_average names the bad
+    # sample's index, the telemetry parser its file line.
+    cfg = strong_config
+    for field, value, message in (("F_tg", -1.0, "ground tether force must be >= 0, got -1.0"),
+                                  ("r", 0.0, "tether length must be > 0, got 0.0")):
+        series = list(strong_telemetry[:20])
+        series[3] = series[3]._replace(**{field: value})
+        with pytest.raises(ValidationError) as info:
+            segment_and_average(series, cfg.kite, cfg.tether, cfg.environment)
+        assert str(info.value) == f"sample 3: {message}"
+        path = tmp_path / f"{field}.csv"
+        write_telemetry_csv(path, series)
+        with pytest.raises(ValidationError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == f"{path}: line 5: {message}"
 
 
 def test_estimate_record_derives_kinematics_once(monkeypatch, strong_config, strong_telemetry):

@@ -6,7 +6,9 @@ inversions round-trip, the joint (kappa, f) inversion, cold or
 warm-started, finds the reeling factor of a tight nested search, the
 tether force falls with the reeling factor, gravity mode without mass is
 the closed form, the kinematic ratio is the root a tight independent
-bisection finds, and every failure is one of a few definite reasons.
+bisection finds, every failure is one of a few definite reasons, and
+each entry point rejects a state, coefficient set or wind outside its
+domain with the message its record constructor used to give.
 The telemetry reader reads every valid log as the ``csv.DictReader``
 reference does, and a simulated cycle's phase energies add up to its
 mean power times its duration.
@@ -21,6 +23,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +47,7 @@ from kitecycle.errors import (
     SetpointUnreachableError,
     SteadyStateError,
     TetherSagError,
+    ValidationError,
 )
 from oracles import bisect_kappa, dictreader_telemetry
 
@@ -118,9 +122,9 @@ def test_gravity_inversion_round_trip(problem, end):
     state, aero, wind, m, m_t = problem
     assume_aero_dominated(state, aero, wind, m, m_t)
     F = force(solve_or_skip(state, m, m_t, aero, wind), end)
-    f, _, _ = reel_factor_for_force_gravity(F, end, replace(state, f=0.0), kite_of(m), m_t, aero,
+    f, _, _ = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
                                             wind)
-    res = solve_kinematic_ratio(replace(state, f=f), kite_of(m), m_t, aero, wind)
+    res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind)
     assert abs(force(res, end) / F - 1.0) <= 1e-6
 
 
@@ -131,7 +135,7 @@ def bisect_reel_factor(F, end, state, m, m_t, aero, wind, f_high_force):
     tol 1e-12; a probe without an equilibrium counts as below F."""
     def above(f):
         try:
-            res = solve_kinematic_ratio(replace(state, f=f), kite_of(m), m_t, aero, wind,
+            res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind,
                                         tol=1e-12)
         except (SteadyStateError, TetherSagError):
             return False
@@ -153,9 +157,9 @@ def test_joint_inversion_matches_tight_nested_reference(problem, end, dr, dtheta
     assume_aero_dominated(state, aero, wind, m, m_t)
     F = force(solve_or_skip(state, m, m_t, aero, wind, tol=1e-12), end)
     f_ref = bisect_reel_factor(F, end, state, m, m_t, aero, wind, state.f - 0.5)
-    at_rest = replace(state, f=0.0)
+    at_rest = state._replace(f=0.0)
     # Warm start: the solution and Jacobian at a neighbouring state.
-    neighbour = replace(at_rest, r=state.r * (1.0 + dr), theta=state.theta + dtheta)
+    neighbour = at_rest._replace(r=state.r * (1.0 + dr), theta=state.theta + dtheta)
     try:
         _, _, warm = reel_factor_for_force_gravity(F, end, neighbour, kite_of(m), m_t, aero, wind)
     except (SteadyStateError, NoTensionError, TetherSagError, SetpointUnreachableError):
@@ -175,8 +179,8 @@ def test_massless_inversion_round_trip(problem):
         F = massless_state(state, aero, wind, S=KITE.S).F_t_kite
     except NoSolutionError:
         assume(False)
-    f = reel_factor_for_force_massless(F, replace(state, f=0.0), aero, wind, KITE.S)
-    res = massless_state(replace(state, f=f), aero, wind, S=KITE.S)
+    f = reel_factor_for_force_massless(F, state._replace(f=0.0), aero, wind, KITE.S)
+    res = massless_state(state._replace(f=f), aero, wind, S=KITE.S)
     assert abs(res.F_t_kite / F - 1.0) <= 1e-6
 
 
@@ -184,7 +188,7 @@ def test_massless_inversion_round_trip(problem):
 @given(problems(), st.floats(1e-3, 0.5), st.sampled_from(["kite", "ground"]))
 def test_tether_force_decreases_with_reeling_factor(problem, df, end):
     state, aero, wind, m, m_t = problem
-    high_f = replace(state, f=state.f + df)
+    high_f = state._replace(f=state.f + df)
     assume(high_f.f < math.sin(state.theta) * math.cos(state.phi))
     assume_aero_dominated(high_f, aero, wind, m, m_t)
     low = solve_or_skip(state, m, m_t, aero, wind)
@@ -241,6 +245,43 @@ def test_failures_are_definite(problem, F_target, end):
                        for kind, start in failures), repr(exc)
 
 
+@st.composite
+def out_of_domain(draw):
+    """A problem with one of theta, C_L, C_D, v_w or rho outside its
+    domain, and the message its record constructor used to give."""
+    state, aero, wind, _, _ = draw(problems(massless=True))
+    which = draw(st.sampled_from(["theta", "C_L", "C_D", "v_w", "rho"]))
+    if which == "theta":
+        theta = draw(st.floats(max_value=-0.5 * math.pi) | st.floats(min_value=math.pi)
+                     | st.just(math.nan))
+        return state._replace(theta=theta), aero, wind, (
+            f"polar angle must be in (-pi/2, pi), got {theta}")
+    if which in ("C_L", "C_D"):
+        aero = aero._replace(**{which: draw(st.floats(max_value=0.0))})
+        return state, aero, wind, f"effective coefficients must be positive, got {aero}"
+    if which == "v_w":
+        wind = wind._replace(v_w=draw(st.floats(max_value=-1e-300)))
+    else:
+        wind = wind._replace(rho=draw(st.floats(max_value=0.0)))
+    return state, aero, wind, (f"wind state requires v_w >= 0 and rho > 0, "
+                               f"got v_w={wind.v_w}, rho={wind.rho}")
+
+
+@PROPERTY
+@given(out_of_domain())
+def test_equilibrium_entry_points_check_their_inputs(problem):
+    state, aero, wind, message = problem
+    for call in (
+        lambda: massless_state(state, aero, wind, S=KITE.S),
+        lambda: reel_factor_for_force_massless(1e3, state, aero, wind, KITE.S),
+        lambda: solve_kinematic_ratio(state, KITE, 0.0, aero, wind),
+        lambda: reel_factor_for_force_gravity(1e3, "kite", state, KITE, 0.0, aero, wind),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+
 SPEED = st.floats(-40.0, 40.0)
 TELEMETRY_ROW = st.fixed_dictionaries({
     "dt": st.floats(1e-3, 1.0), "F_tg": st.floats(0.0, 5e3), "r": st.floats(1.0, 800.0),
@@ -290,7 +331,7 @@ def test_telemetry_reader_matches_the_dictreader_reference(log):
         reference = dictreader_telemetry(path)
     assert repr(records) == repr(reference)
     # The public course-angle rule is the reader's.
-    unfilled = [replace(rec, chi=None) if blank else rec
+    unfilled = [rec._replace(chi=None) if blank else rec
                 for rec, blank in zip(reference, blank_chi)]
     assert repr(derive_course_angles(unfilled)) == repr(reference)
 

@@ -150,7 +150,7 @@ class TestReelFactorMassless:
             F = massless_state(st, aero, WIND, S=10.2).F_t_kite
             f = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
             assert f == pytest.approx(st.f, abs=1e-11)
-            assert massless_state(replace(st, f=f), aero, WIND, S=10.2).F_t_kite == pytest.approx(F, rel=1e-9)
+            assert massless_state(st._replace(f=f), aero, WIND, S=10.2).F_t_kite == pytest.approx(F, rel=1e-9)
 
 
 class TestGroundTetherForce:
@@ -340,7 +340,7 @@ class TestReelFactorGravity:
         st = state(63, 0, 180, f=0.0, r=720.0)
         f, _, _ = reel_factor_for_force_gravity(749.0, end, st, STRONG_KITE, 6.55, self.AERO,
                                                 self.WIND)
-        res = solve_kinematic_ratio(replace(st, f=f), STRONG_KITE, 6.55, self.AERO, self.WIND)
+        res = solve_kinematic_ratio(st._replace(f=f), STRONG_KITE, 6.55, self.AERO, self.WIND)
         force = res.F_t_kite if end == "kite" else res.F_tg
         assert force == pytest.approx(749.0, rel=1e-6)
 
@@ -369,4 +369,4 @@ class TestReelFactorGravity:
         assert f == pytest.approx(-0.5006, abs=1e-4)
         assert eq.F_tg == pytest.approx(7.6, rel=1e-6)
         with pytest.raises(TetherSagError, match="^kite tension"):
-            solve_kinematic_ratio(replace(st, f=0.1), kite, 3.0, aero, wind)
+            solve_kinematic_ratio(st._replace(f=0.1), kite, 3.0, aero, wind)
