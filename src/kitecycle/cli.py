@@ -9,20 +9,12 @@ to stderr.  ``python -m kitecycle.cli`` runs it too.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import dataio
-from .config import (
-    PRESET_NAMES,
-    RunConfig,
-    load_config,
-    load_sweep_spec,
-    preset_path,
-    set_by_path,
-)
+from .config import PRESET_NAMES, RunConfig, load_config, load_sweep_spec, preset_path, set_by_path
 from .cycle import convergence_study, simulate_cycle
 from .errors import KitecycleError, ParseError, ValidationError
 from .estimation import segment_and_average
@@ -30,41 +22,20 @@ from .estimation import segment_and_average
 __all__ = ["run_command", "main"]
 
 
-def _resolve_config(arg: str) -> RunConfig:
-    if arg in PRESET_NAMES:
-        return load_config(preset_path(arg))
-    return load_config(arg)
-
-
-def _apply_gravity_flag(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "no_gravity", False):
-        return replace(cfg, operation=replace(cfg.operation, gravity=False))
-    return cfg
-
-
-def _out_dir(cfg: RunConfig, args: argparse.Namespace) -> Path:
-    out = Path(args.out or cfg.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _apply_gravity_flag(_resolve_config(args.config), args)
-    out = _out_dir(cfg, args)
+def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     cycle = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, cfg.operation)
-    dataio.write_cycle_summary(out / "cycle_summary.json", cycle)
-    dataio.write_timeseries_csv(out / "timeseries.csv", cycle)
+    # The telemetry goes first: its path may fail, and then --out holds no file.
     if args.telemetry_out:
         records = dataio.cycle_to_log_records(cycle, cfg.environment.v_w_ref)
         dataio.write_telemetry_csv(args.telemetry_out, records)
+    dataio.write_cycle_summary(out / "cycle_summary.json", cycle)
+    dataio.write_timeseries_csv(out / "timeseries.csv", cycle)
     print(f"P_m = {cycle.P_m:.1f} W over {cycle.duration:.1f} s "
           f"(zeta_m = {cycle.zeta_m:.4f}); outputs in {out}")
     return 0
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    cfg = _apply_gravity_flag(_resolve_config(args.config), args)
-    out = _out_dir(cfg, args)
+def _cmd_convergence(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     dt_list = sorted(args.dt_list, reverse=True)
     rows = convergence_study(cfg.environment, cfg.kite, cfg.tether, cfg.operation, dt_list)
     dataio.write_convergence_csv(out / "convergence.csv", rows)
@@ -72,9 +43,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_gravity_flag(_resolve_config(args.config), args)
-    out = _out_dir(cfg, args)
+def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     spec = load_sweep_spec(args.spec)
 
     rows = []
@@ -88,19 +57,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append({"value": value, "P_m": cycle.P_m, "zeta_m": cycle.zeta_m})
     dataio.write_sweep_csv(out / "sweep.csv", spec.parameter, rows)
     best = max(rows, key=lambda row: row[spec.objective])
-    (out / "argmax.json").write_text(
-        json.dumps({"parameter": spec.parameter, "objective": spec.objective, **best},
-                   indent=2) + "\n",
-        encoding="utf-8",
-    )
+    dataio.write_json(out / "argmax.json",
+                      {"parameter": spec.parameter, "objective": spec.objective, **best})
     print(f"argmax {spec.objective} at {spec.parameter} = {best['value']}: "
           f"{best[spec.objective]:.4g}")
     return 0
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args.config)
-    out = _out_dir(cfg, args)
+def _cmd_estimate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     records = dataio.read_telemetry_csv(args.log)
     # Average before writing, so a failed run leaves no partial outputs.
     averages = segment_and_average(records, cfg.kite, cfg.tether, cfg.environment)
@@ -159,7 +123,13 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = load_config(preset_path(args.config) if args.config in PRESET_NAMES
+                          else args.config)
+        if getattr(args, "no_gravity", False):
+            cfg = replace(cfg, operation=replace(cfg.operation, gravity=False))
+        out = Path(args.out or cfg.out_dir or "out")
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -191,8 +191,6 @@ class _PhaseEngine:
 
     def local_aero(self, r: float) -> tuple[float, EffectiveAero]:
         m_t, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
-        if not self.op.gravity:
-            m_t = 0.0
         return m_t, EffectiveAero(self.aero_set.C_L, C_D)
 
     def solve_force(

@@ -1,9 +1,12 @@
 """CSV/JSON readers and writers.
 
+Two functions define the output file formats: every CSV goes through
+``_write_csv`` and every JSON run output through :func:`write_json`.
 All floats are written with shortest round-trip precision (``repr``,
 which ``csv.writer`` applies to floats); files are UTF-8, CSV uses comma
-separators and ``.`` decimals, with a header row.  Outputs carry no timestamps so identical runs are
-byte-identical.
+separators and ``.`` decimals, with a header row; JSON is indented by
+two spaces and ends with a newline.  Outputs carry no timestamps so
+identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import math
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cycle import CycleResult, PhaseResult
 from .errors import ParseError, ValidationError
@@ -32,6 +35,7 @@ __all__ = [
     "write_phase_averages",
     "write_convergence_csv",
     "write_sweep_csv",
+    "write_json",
 ]
 
 TIMESERIES_COLUMNS = [
@@ -47,18 +51,25 @@ TELEMETRY_COLUMNS = [
 _REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
 
 
-def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TIMESERIES_COLUMNS)
-        for phase in cycle.phases:
-            for rec in phase.series:
-                writer.writerow([
-                    rec.t, phase.phase, rec.r, math.degrees(rec.theta),
-                    math.degrees(0.5 * math.pi - rec.theta), math.degrees(rec.phi),
-                    math.degrees(rec.chi), rec.f, rec.v_t, rec.v_k, rec.v_a,
-                    rec.F_t_kite, rec.F_tg, rec.P,
-                ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write one JSON run output: cycle summary, phase averages or sweep argmax."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
+    _write_csv(path, TIMESERIES_COLUMNS, (
+        [rec.t, phase.phase, rec.r, math.degrees(rec.theta),
+         math.degrees(0.5 * math.pi - rec.theta), math.degrees(rec.phi),
+         math.degrees(rec.chi), rec.f, rec.v_t, rec.v_k, rec.v_a,
+         rec.F_t_kite, rec.F_tg, rec.P]
+        for phase in cycle.phases for rec in phase.series))
 
 
 def _phase_summary(phase: PhaseResult) -> dict:
@@ -79,7 +90,7 @@ def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
         "steps": cycle.steps,
         "phases": {p.phase: _phase_summary(p) for p in cycle.phases},
     }
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    write_json(path, summary)
 
 
 def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
@@ -101,18 +112,11 @@ def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
 
 
 def write_telemetry_csv(path: str | Path, records: Sequence[LogRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TELEMETRY_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.t, rec.F_tg, rec.r,
-                math.degrees(rec.theta), math.degrees(rec.phi),
-                "" if rec.chi is None else math.degrees(rec.chi),
-                rec.vk[0], rec.vk[1], rec.vk[2],
-                rec.v_t, rec.v_w_ref,
-                rec.phase or "",
-            ])
+    _write_csv(path, TELEMETRY_COLUMNS, (
+        [rec.t, rec.F_tg, rec.r, math.degrees(rec.theta), math.degrees(rec.phi),
+         "" if rec.chi is None else math.degrees(rec.chi),
+         rec.vk[0], rec.vk[1], rec.vk[2], rec.v_t, rec.v_w_ref, rec.phase or ""]
+        for rec in records))
 
 
 def _course_angles(samples: Sequence[tuple[float, float, Optional[float]]]) -> list[float]:
@@ -217,15 +221,10 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
 
 
 def write_estimates_csv(path: str | Path, estimates: Sequence[EstimateRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"])
-        for est in estimates:
-            writer.writerow([
-                est.t, est.phase or "", est.C_R, est.LD_sys,
-                est.LD_k, est.kappa, est.v_a,
-                "1" if est.valid else "0",
-            ])
+    _write_csv(path, ["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"], (
+        [est.t, est.phase or "", est.C_R, est.LD_sys, est.LD_k, est.kappa, est.v_a,
+         "1" if est.valid else "0"]
+        for est in estimates))
 
 
 def write_phase_averages(path: str | Path, averages: PhaseAverages) -> None:
@@ -236,20 +235,14 @@ def write_phase_averages(path: str | Path, averages: PhaseAverages) -> None:
         "LD_k_i": averages.LD_k_i,
         "samples": averages.counts,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def write_convergence_csv(path: str | Path, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dT", "zeta_m", "steps", "ratio_to_ref"])
-        for row in rows:
-            writer.writerow([row["dT"], row["zeta_m"], row["steps"], row["ratio"]])
+    _write_csv(path, ["dT", "zeta_m", "steps", "ratio_to_ref"],
+               ([row["dT"], row["zeta_m"], row["steps"], row["ratio"]] for row in rows))
 
 
 def write_sweep_csv(path: str | Path, parameter: str, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([parameter, "P_m", "zeta_m"])
-        for row in rows:
-            writer.writerow([row["value"], row["P_m"], row["zeta_m"]])
+    _write_csv(path, [parameter, "P_m", "zeta_m"],
+               ([row["value"], row["P_m"], row["zeta_m"]] for row in rows))

@@ -213,15 +213,16 @@ def _gravity_projection_cosine(rec: LogRecord, v_w: float) -> Optional[float]:
     return va_th / va_tau
 
 
-def _estimate_sample(
+def estimate_record(
     rec: LogRecord,
     kite: KiteParams,
     tether: TetherParams,
     env: Environment,
-    phase: Optional[str],
-) -> tuple[KinematicsEstimate, Optional[float], Optional[tuple[float, float]]]:
-    """Kinematics, C_R and (LD_sys, LD_k) of one sample, each derived once;
-    C_R or the pair is None where the sample is invalid for it.
+    phase: Optional[str] = None,
+) -> EstimateRecord:
+    """All estimates for one sample, each derived once.  It is valid when
+    it yields the lift-to-drag pair; each gate returns the record with NaN
+    for what it rejects.
 
     C_R normalises the aerodynamic force at the kite (the measured ground
     force plus the airborne weights) by the apparent-wind dynamic
@@ -235,17 +236,25 @@ def _estimate_sample(
     relative to the reference wind (``CROSSWIND_RATIO``), retraction
     samples near upward in-plane flight; these phase gates never reject C_R.
     """
+    phase = phase if phase is not None else rec.phase
     kin = derive_kinematics(rec, env)
+
+    def rejected(C_R: float = math.nan) -> EstimateRecord:
+        return EstimateRecord(rec.t, C_R, math.nan, math.nan, kin.kappa, kin.v_a, False, phase)
+
     if not kin.valid or kin.v_a <= 0.0:
-        return kin, None, None
+        return rejected()
     # Aerodynamic force at the kite: the measured ground force plus the
     # airborne weights, unless the sag radicand is violated.
     sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
     m_t = tether.mass(rec.r)
     F_t_tau = 0.5 * sin_t * m_t * GRAVITY
-    radicand = rec.F_tg**2 - F_t_tau**2
+    try:
+        radicand = rec.F_tg**2 - F_t_tau**2
+    except OverflowError:  # a force or tether beyond any kite violates it too
+        return rejected()
     if radicand < 0.0:
-        return kin, None, None
+        return rejected()
     F_a_r = math.sqrt(radicand) + cos_t * (m_t + kite.m) * GRAVITY
     F_a = math.hypot(F_a_r, -(0.5 * m_t + kite.m) * GRAVITY * sin_t)
     rho = env.density(rec.r * cos_t)
@@ -255,18 +264,18 @@ def _estimate_sample(
         vk_x, vk_y, vk_z = rec.vk
         v_k = math.sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z)
         if v_k / rec.v_w_ref < CROSSWIND_RATIO:
-            return kin, C_R, None
+            return rejected(C_R)
     elif phase == RETRACTION:
         if rec.chi is None:
-            return kin, C_R, None
+            return rejected(C_R)
         chi_err = abs(math.remainder(rec.chi - math.pi, 2.0 * math.pi))
         if chi_err > 0.35 or abs(rec.phi) > 0.35:
-            return kin, C_R, None
+            return rejected(C_R)
     if F_a <= 0.0:
-        return kin, C_R, None
+        return rejected(C_R)
     cos_proj = _gravity_projection_cosine(rec, kin.v_w)
     if cos_proj is None:
-        return kin, C_R, None
+        return rejected(C_R)
 
     kappa = kin.kappa
     gravity_term = (
@@ -278,36 +287,13 @@ def _estimate_sample(
     for _ in range(LD_GRAVITY_UPDATES):
         G = kappa + gravity_term * math.sqrt(1.0 + G * G)
     if G <= 0.0:
-        return kin, C_R, None
+        return rejected(C_R)
     drag = F_a / math.sqrt(1.0 + G * G)
     drag_tether = 0.125 * rho * tether.d_t * rec.r * tether.C_D_c * kin.v_a**2
     if drag <= drag_tether:
-        return kin, C_R, None
-    return kin, C_R, (G, G * drag / (drag - drag_tether))
-
-
-def estimate_record(
-    rec: LogRecord,
-    kite: KiteParams,
-    tether: TetherParams,
-    env: Environment,
-    phase: Optional[str] = None,
-) -> EstimateRecord:
-    """All estimates for one sample.  It is valid when it yields the
-    lift-to-drag pair, which needs valid kinematics and C_R."""
-    phase = phase if phase is not None else rec.phase
-    kin, C_R, ld = _estimate_sample(rec, kite, tether, env, phase)
-    LD_sys, LD_k = ld if ld is not None else (math.nan, math.nan)
-    return EstimateRecord(
-        t=rec.t,
-        C_R=C_R if C_R is not None else math.nan,
-        LD_sys=LD_sys,
-        LD_k=LD_k,
-        kappa=kin.kappa,
-        v_a=kin.v_a,
-        valid=ld is not None,
-        phase=phase,
-    )
+        return rejected(C_R)
+    return EstimateRecord(rec.t, C_R, G, G * drag / (drag - drag_tether), kappa, kin.v_a, True,
+                          phase)
 
 
 def segment_phases(series: Sequence[LogRecord]) -> list[str]:

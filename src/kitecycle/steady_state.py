@@ -53,7 +53,6 @@ __all__ = [
     "KiteState",
     "EffectiveAero",
     "EquilibriumResult",
-    "TetherProperties",
     "tether_properties",
     "massless_state",
     "reel_factor_for_force_massless",
@@ -104,6 +103,9 @@ class TetherParams:
     def __post_init__(self):
         if self.d_t <= 0.0 or self.rho_t <= 0.0 or self.C_D_c <= 0.0:
             raise ValidationError(f"tether parameters must be positive, got {self}")
+        # A product, so that it gives inf where mass()'s d_t**2 raises OverflowError.
+        if not math.isfinite(self.d_t * self.d_t * self.rho_t):
+            raise ValidationError(f"tether mass per metre must be finite, got {self}")
 
     def mass(self, r: float) -> float:
         """Mass [kg] of ``r`` metres of tether: cylinder volume times density."""
@@ -201,15 +203,11 @@ class EquilibriumResult(NamedTuple):
     iterations: int
 
 
-class TetherProperties(NamedTuple):
-    m_t: float
-    C_D_total: float
-
-
 def tether_properties(
     r: float, tether: TetherParams, kite: KiteParams, aero: AeroSet
-) -> TetherProperties:
-    """Deployed tether mass and total system drag coefficient at length ``r``.
+) -> tuple[float, float]:
+    """Deployed tether mass and total system drag coefficient at length ``r``,
+    as the pair (m_t, C_D_total).
 
     One fourth of the tether drag area ``d_t*r`` is added to the kite drag
     area; the mass is the full cylinder volume times material density.
@@ -218,16 +216,19 @@ def tether_properties(
         raise ValidationError(f"tether length must be > 0, got {r}")
     m_t = tether.mass(r)
     C_D_total = aero.C_D_k + 0.25 * (tether.d_t * r / kite.S) * tether.C_D_c
-    return TetherProperties(m_t=m_t, C_D_total=C_D_total)
+    return m_t, C_D_total
 
 
 def _trig(state: KiteState, aero: EffectiveAero, wind: WindState) -> tuple[float, float]:
     """Trigonometric coefficients (a, b) of the tangential-speed quadratic,
-    once theta is in (-pi/2, pi), C_L, C_D > 0, v_w >= 0 and rho > 0."""
+    once theta is in (-pi/2, pi), C_L, C_D are positive and finite, v_w >= 0
+    and rho > 0."""
     if not -0.5 * math.pi < state.theta < math.pi:
         raise ValidationError(f"polar angle must be in (-pi/2, pi), got {state.theta}")
     if aero.C_L <= 0.0 or aero.C_D <= 0.0:
         raise ValidationError(f"effective coefficients must be positive, got {aero}")
+    if not math.isfinite(aero.C_L + aero.C_D):
+        raise ValidationError(f"effective coefficients must be finite, got {aero}")
     if wind.v_w < 0.0 or wind.rho <= 0.0:
         raise ValidationError(
             f"wind state requires v_w >= 0 and rho > 0, got v_w={wind.v_w}, rho={wind.rho}"

@@ -9,13 +9,19 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kitecycle import cli, load_config, preset_path, save_config, segment_and_average
 from kitecycle.cli import run_command
 from kitecycle.config import config_to_dict
-from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv, write_phase_averages
+from kitecycle.dataio import (
+    TELEMETRY_COLUMNS,
+    read_telemetry_csv,
+    write_phase_averages,
+    write_telemetry_csv,
+)
 
 
 def read(path: Path) -> bytes:
@@ -227,6 +233,45 @@ def test_telemetry_out_in_missing_directory_exit_code(tmp_path, capsys):
                         "--telemetry-out", str(tmp_path / "no_such_dir" / "t.csv")])
     assert code == 2
     assert "FileNotFoundError" in capsys.readouterr().err
+    # The export is written first, so its failure leaves no partial outputs.
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("section,key,value,flags,message", [
+    # d_t**2 used to raise OverflowError in TetherParams.mass.
+    ("tether", "d_t", 1e200, [], "tether mass per metre must be finite"),
+    ("tether", "d_t", 1e200, ["--no-gravity"], "tether mass per metre must be finite"),
+    # C_D overflowed to inf, so log(LD) used to raise ValueError.
+    ("kite", "S", 1e-320, [], "effective coefficients must be finite"),
+])
+def test_finite_config_values_beyond_the_model_exit_2(tmp_path, capsys, strong_config, section,
+                                                       key, value, flags, message):
+    raw = config_to_dict(strong_config)
+    raw[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    assert f"ValidationError: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["F_tg", "r"])
+def test_overflowing_telemetry_sample_is_invalid(tmp_path, strong_telemetry, field):
+    # F_tg**2 or the sag term used to raise OverflowError; the sample now
+    # fails the sag radicand, and the other samples are unchanged.
+    clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+    write_telemetry_csv(clean, strong_telemetry)
+    series = list(strong_telemetry)
+    series[100] = series[100]._replace(**{field: 1e308})
+    write_telemetry_csv(bad, series)
+    for log in (clean, bad):
+        assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                            "--out", str(tmp_path / log.stem)]) == 0
+    rows = {name: (tmp_path / name / "estimates.csv").read_text().splitlines()
+            for name in ("clean", "bad")}
+    t, phase, C_R, LD_sys, LD_k, *_, valid = rows["bad"][101].split(",")
+    assert (C_R, LD_sys, LD_k, valid) == ("nan", "nan", "nan", "0")
+    assert rows["bad"][:101] + rows["bad"][102:] == rows["clean"][:101] + rows["clean"][102:]
 
 
 def test_failed_sweep_point_names_its_value(tmp_path, capsys):

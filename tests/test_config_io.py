@@ -62,6 +62,19 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             load_config(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: raw.update(kite=5.0), "kite: expected an object, got float"),
+        (lambda raw: raw["tether"].pop("rho_t"), "tether: missing key(s) ['rho_t']"),
+        (lambda raw: raw.pop("operation"), "config: missing key(s) ['operation']"),
+    ])
+    def test_section_of_the_wrong_shape(self, tmp_path, strong_config, edit, message):
+        raw = config_to_dict(strong_config)
+        edit(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_config(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -99,6 +112,16 @@ class TestSweepSpec:
                                     "objective": "zeta_m"}))
         spec = load_sweep_spec(path)
         assert spec.values == (1000.0, 1250.0, 1500.0, 1750.0, 2000.0)
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"values": []}, "sweep requires at least one value"),
+        ({"range": {"start": 1000, "stop": 2000, "num": 1}}, "sweep range needs num >= 2"),
+    ])
+    def test_empty_sweep_rejected(self, tmp_path, spec, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"parameter": "operation.F_out", **spec}))
+        with pytest.raises(ValidationError, match=message):
+            load_sweep_spec(path)
 
     def test_values_and_range_exclusive(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -188,6 +211,12 @@ class TestTelemetryCsv:
         path = tmp_path / "telemetry.csv"
         write_telemetry_csv(path, [strong_telemetry[0], strong_telemetry[0]])
         with pytest.raises(ValidationError):
+            read_telemetry_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
             read_telemetry_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):

@@ -35,6 +35,17 @@ def test_operation_settings_invariants():
         OperationSettings(**{**base, "F_in": 3500.0})
     with pytest.raises(ValidationError):
         OperationSettings(**{**base, "force_at": "winch"})
+    for beta_o in (0.0, 0.5 * math.pi):
+        with pytest.raises(ValidationError, match="traction elevation must be in"):
+            OperationSettings(**{**base, "beta_o": beta_o})
+
+
+def test_no_reference_wind_rejected_before_the_first_step(strong_config):
+    cfg = strong_config
+    calm = replace(cfg.environment, v_w_ref=0.0)
+    with pytest.raises(ValidationError,
+                       match="cycle simulation requires a positive reference wind speed"):
+        simulate_cycle(calm, cfg.kite, cfg.tether, cfg.operation)
 
 
 def test_mean_traction_altitude(strong_config, strong_cycle):

@@ -197,6 +197,54 @@ class TestEstimateLD:
         assert not est.valid
         assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
 
+    @staticmethod
+    def unprojected(rec):
+        """``rec`` with no course angle and a purely radial apparent wind:
+        the kinematics hold, but gravity has no tangential direction."""
+        v_w = ENV.log_wind_speed(rec.r * math.cos(rec.theta), rec.v_w_ref)
+        e_r = (math.sin(rec.theta) * math.cos(rec.phi), math.sin(rec.theta) * math.sin(rec.phi),
+               math.cos(rec.theta))
+        v_a = 20.0
+        return rec._replace(chi=None, vk=(v_w - v_a * e_r[0], -v_a * e_r[1], -v_a * e_r[2]),
+                            v_t=v_w * e_r[0] - 0.5 * v_a)
+
+    @pytest.mark.parametrize("gate", [
+        "wind at the kite", "kinematic radicand", "misaligned retraction",
+        "no gravity projection", "G <= 0", "tether drag",
+    ])
+    def test_each_gate_rejects_its_sample(self, gate):
+        # Gates before C_R (the kinematics) leave it NaN; the later ones keep it.
+        traction = synthetic_record(
+            KiteState(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
+                      chi=math.radians(100.9), f=0.4), KITE, TETHER, ENV, gravity=True)
+        retraction = synthetic_record(
+            KiteState(r=550.0, theta=math.radians(40), phi=0.0, chi=math.pi, f=-0.3),
+            KITE, TETHER, ENV, gravity=True, aero_set=KITE.aero_retraction)
+        downward = synthetic_record(
+            KiteState(r=550.0, theta=math.radians(50), phi=0.0, chi=0.0, f=0.2),
+            KITE, TETHER, ENV, gravity=True)
+        for base, label in ((traction, "traction"), (retraction, "retraction"),
+                            (downward, "transition")):
+            assert estimate_record(base, KITE, TETHER, ENV, phase=label).valid
+        v_w = ENV.log_wind_speed(traction.r * math.cos(traction.theta), traction.v_w_ref)
+        rec, kite, tether, phase, has_C_R = {
+            "wind at the kite": (traction._replace(v_w_ref=0.0), KITE, TETHER, "traction", False),
+            # Flying downwind at 0.9 v_w leaves too little apparent wind.
+            "kinematic radicand": (traction._replace(vk=(0.9 * v_w, 0.0, 0.0), v_t=0.0), KITE,
+                                   TETHER, "traction", False),
+            "misaligned retraction": (retraction._replace(phi=0.5), KITE, TETHER, "retraction",
+                                      True),
+            "no gravity projection": (self.unprojected(traction), KITE, TETHER, "transition",
+                                      True),
+            # A 10 t kite flying down: gravity outweighs the kinematic ratio.
+            "G <= 0": (downward, replace(KITE, m=1e4), TETHER, "transition", True),
+            "tether drag": (traction, KITE, replace(TETHER, C_D_c=1e3), "traction", True),
+        }[gate]
+        est =estimate_record(rec, kite, tether, ENV, phase=phase)
+        assert not est.valid
+        assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
+        assert math.isnan(est.C_R) is not has_C_R
+
     def test_consistency_triangle(self, strong_config, strong_telemetry):
         cfg = strong_config
         for rec in strong_telemetry[:: max(1, len(strong_telemetry) // 40)]:

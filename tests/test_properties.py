@@ -248,9 +248,9 @@ def test_failures_are_definite(problem, F_target, end):
 @st.composite
 def out_of_domain(draw):
     """A problem with one of theta, C_L, C_D, v_w or rho outside its
-    domain, and the message its record constructor used to give."""
+    domain, and the message its entry check gives."""
     state, aero, wind, _, _ = draw(problems(massless=True))
-    which = draw(st.sampled_from(["theta", "C_L", "C_D", "v_w", "rho"]))
+    which = draw(st.sampled_from(["theta", "C_L", "C_D", "C_L_or_C_D", "v_w", "rho"]))
     if which == "theta":
         theta = draw(st.floats(max_value=-0.5 * math.pi) | st.floats(min_value=math.pi)
                      | st.just(math.nan))
@@ -259,6 +259,10 @@ def out_of_domain(draw):
     if which in ("C_L", "C_D"):
         aero = aero._replace(**{which: draw(st.floats(max_value=0.0))})
         return state, aero, wind, f"effective coefficients must be positive, got {aero}"
+    if which == "C_L_or_C_D":
+        aero = aero._replace(**{draw(st.sampled_from(["C_L", "C_D"])):
+                                draw(st.sampled_from([math.inf, math.nan]))})
+        return state, aero, wind, f"effective coefficients must be finite, got {aero}"
     if which == "v_w":
         wind = wind._replace(v_w=draw(st.floats(max_value=-1e-300)))
     else:

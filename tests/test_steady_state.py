@@ -67,22 +67,68 @@ def random_tension_state(rng, f_lo=-1.0, aero=None, wind=WIND):
 
 class TestTetherProperties:
     def test_zero_length_limit(self):
-        props = tether_properties(1e-12, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
-        assert props.C_D_total == pytest.approx(0.69 / 4.0, abs=1e-12)
-        assert props.m_t == pytest.approx(0.0, abs=1e-12)
+        m_t, C_D_total = tether_properties(1e-12, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
+        assert C_D_total == pytest.approx(0.69 / 4.0, abs=1e-12)
+        assert m_t == pytest.approx(0.0, abs=1e-12)
 
     def test_total_drag_coefficient(self):
-        props = tether_properties(390.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
-        assert props.C_D_total == pytest.approx(0.1725 + 0.042059, abs=5e-6)
+        _, C_D_total = tether_properties(390.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
+        assert C_D_total == pytest.approx(0.1725 + 0.042059, abs=5e-6)
 
     def test_tether_mass(self):
-        props = tether_properties(600.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
-        assert props.m_t == pytest.approx(724.0 * math.pi * 0.004**2 / 4 * 600.0, rel=1e-12)
-        assert props.m_t == pytest.approx(5.459, abs=1e-3)
+        m_t, _ = tether_properties(600.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
+        assert m_t == pytest.approx(724.0 * math.pi * 0.004**2 / 4 * 600.0, rel=1e-12)
+        assert m_t == pytest.approx(5.459, abs=1e-3)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValidationError):
             tether_properties(0.0, TETHER, STRONG_KITE, STRONG_KITE.aero_traction)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: AeroSet(C_L=0.0, LD_k=4.0), "aero set requires C_L > 0 and LD_k > 0"),
+    (lambda: AeroSet(C_L=0.69, LD_k=-1.0), "aero set requires C_L > 0 and LD_k > 0"),
+    (lambda: TetherParams(d_t=0.0, rho_t=724.0), "tether parameters must be positive"),
+    (lambda: TetherParams(d_t=0.004, rho_t=724.0, C_D_c=0.0),
+     "tether parameters must be positive"),
+    (lambda: TetherParams(d_t=1e200, rho_t=724.0), "tether mass per metre must be finite"),
+    (lambda: TetherParams(d_t=1e100, rho_t=1e300), "tether mass per metre must be finite"),
+    (lambda: replace(STRONG_KITE, S=0.0), "projected wing area must be > 0"),
+    (lambda: replace(STRONG_KITE, m=-1.0), "airborne mass must be >= 0"),
+])
+def test_parameter_invariants(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+class TestEntryChecks:
+    """Checks at the entry of the force inversions and the force geometry."""
+
+    STATE = KiteState(r=400.0, theta=math.radians(63), phi=0.0, chi=math.pi, f=0.0)
+
+    @pytest.mark.parametrize("F_target,v_w,message", [
+        (0.0, 10.0, "force target must be > 0"),
+        (-5.0, 10.0, "force target must be > 0"),
+        (749.0, 0.0, "force inversion requires a positive wind speed"),
+    ])
+    def test_massless_inversion(self, F_target, v_w, message):
+        with pytest.raises(ValidationError, match=message):
+            reel_factor_for_force_massless(F_target, self.STATE, AERO_71,
+                                           WIND._replace(v_w=v_w), S=10.2)
+
+    @pytest.mark.parametrize("F_target,end,v_w,message", [
+        (0.0, "kite", 10.0, "force target must be > 0"),
+        (749.0, "winch", 10.0, "force target end must be 'kite' or 'ground', got 'winch'"),
+        (749.0, "ground", 0.0, "the quasi-steady equilibrium requires a positive wind speed"),
+    ])
+    def test_gravity_inversion(self, F_target, end, v_w, message):
+        with pytest.raises(ValidationError, match=message):
+            reel_factor_for_force_gravity(F_target, end, self.STATE, STRONG_KITE, 6.0, AERO_71,
+                                          WIND._replace(v_w=v_w))
+
+    def test_negative_tether_mass(self):
+        with pytest.raises(ValidationError, match="tether mass must be >= 0, got -1.0"):
+            solve_kinematic_ratio(self.STATE, STRONG_KITE, -1.0, AERO_71, WIND)
 
 
 class TestMasslessState:
