@@ -24,6 +24,7 @@ __all__ = ["run_command", "main"]
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     cycle = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, cfg.operation)
+    out.mkdir(parents=True, exist_ok=True)
     # The telemetry goes first: its path may fail, and then --out holds no file.
     if args.telemetry_out:
         records = dataio.cycle_to_log_records(cycle, cfg.environment.v_w_ref)
@@ -38,6 +39,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 def _cmd_convergence(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     dt_list = sorted(args.dt_list, reverse=True)
     rows = convergence_study(cfg.environment, cfg.kite, cfg.tether, cfg.operation, dt_list)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_convergence_csv(out / "convergence.csv", rows)
     print(f"{len(rows)} rows written to {out / 'convergence.csv'}")
     return 0
@@ -55,6 +57,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
         except KitecycleError as exc:
             raise type(exc)(f"{spec.parameter} = {value}: {exc}") from exc
         rows.append({"value": value, "P_m": cycle.P_m, "zeta_m": cycle.zeta_m})
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_sweep_csv(out / "sweep.csv", spec.parameter, rows)
     best = max(rows, key=lambda row: row[spec.objective])
     dataio.write_json(out / "argmax.json",
@@ -68,6 +71,7 @@ def _cmd_estimate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     records = dataio.read_telemetry_csv(args.log)
     # Average before writing, so a failed run leaves no partial outputs.
     averages = segment_and_average(records, cfg.kite, cfg.tether, cfg.environment)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_estimates_csv(out / "estimates.csv", averages.estimates)
     dataio.write_phase_averages(out / "phase_averages.json", averages)
     print(f"C_R_o = {averages.C_R_o:.3f}, C_R_i = {averages.C_R_i:.3f}, "
@@ -127,9 +131,9 @@ def run_command(argv: list[str]) -> int:
                           else args.config)
         if getattr(args, "no_gravity", False):
             cfg = replace(cfg, operation=replace(cfg.operation, gravity=False))
-        out = Path(args.out or cfg.out_dir or "out")
-        out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg, out)
+        # Each command makes the output directory just before its first
+        # write, so a command that fails earlier leaves none behind.
+        return args.func(args, cfg, Path(args.out or cfg.out_dir or "out"))
     except (ParseError, ValidationError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

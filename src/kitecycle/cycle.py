@@ -183,8 +183,6 @@ class _PhaseEngine:
         self.op = op
         self.aero_set = aero_set
         self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
-        # Where the next force inversion starts: the last one's solution.
-        self.reel_start = None
 
     def wind_at(self, r: float, theta: float) -> WindState:
         return wind_state_at(r * math.cos(theta), self.env)
@@ -204,10 +202,8 @@ class _PhaseEngine:
             f = reel_factor_for_force_massless(F_target, probe, aero, wind, self.kite.S)
             state = KiteState(r, theta, phi, chi, f)
             return state, massless_state(state, aero, wind, self.kite.S)
-        f, eq, self.reel_start = reel_factor_for_force_gravity(
-            F_target, self.op.force_at, probe, self.kite, m_t, aero, wind,
-            start=self.reel_start,
-        )
+        f, eq = reel_factor_for_force_gravity(F_target, self.op.force_at, probe, self.kite, m_t,
+                                              aero, wind)
         return KiteState(r, theta, phi, chi, f), eq
 
     @staticmethod
@@ -364,7 +360,6 @@ def simulate_transition(
             return engine.solve_force(op.F_out, r, theta, phi, chi, wind)
         if force < op.F_in:
             return engine.solve_force(op.F_in, r, theta, phi, chi, wind)
-        engine.reel_start = None
         return coasting, eq0
 
     return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,

@@ -52,8 +52,8 @@ class TetherSagError(SolverError):
 
 
 class SetpointUnreachableError(SolverError):
-    """No reeling factor inside the search bracket produces the
-    requested tether force."""
+    """No admissible reeling factor produces the requested tether force;
+    the message names the condition that failed."""
 
 
 class PhaseError(SolverError):

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 from .atmosphere import Environment
 from .cycle import RETRACTION, TRACTION, TRANSITION
 from .errors import EmptyPhaseError, ValidationError
-from .steady_state import GRAVITY, KiteParams, TetherParams
+from .steady_state import GRAVITY, KiteParams, TetherParams, aero_force_from_ground
 
 __all__ = [
     "LogRecord",
@@ -185,7 +185,7 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     if b_f <= 0.0:
         return KinematicsEstimate(f, v_a, math.nan, False)
     radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
-    if radicand < 0.0:
+    if not radicand >= 0.0:  # NaN too: an infinite wind at the kite
         return KinematicsEstimate(f, v_a, math.nan, False)
     return KinematicsEstimate(f, v_a, math.sqrt(radicand), True, v_w)
 
@@ -248,15 +248,13 @@ def estimate_record(
     # airborne weights, unless the sag radicand is violated.
     sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
     m_t = tether.mass(rec.r)
-    F_t_tau = 0.5 * sin_t * m_t * GRAVITY
     try:
-        radicand = rec.F_tg**2 - F_t_tau**2
+        force = aero_force_from_ground(rec.F_tg, sin_t, cos_t, m_t, kite.m)
     except OverflowError:  # a force or tether beyond any kite violates it too
         return rejected()
-    if radicand < 0.0:
+    if force is None:
         return rejected()
-    F_a_r = math.sqrt(radicand) + cos_t * (m_t + kite.m) * GRAVITY
-    F_a = math.hypot(F_a_r, -(0.5 * m_t + kite.m) * GRAVITY * sin_t)
+    F_a = force[1]
     rho = env.density(rec.r * cos_t)
     C_R = 2.0 * F_a / (rho * kin.v_a**2 * kite.S)
 

@@ -1,24 +1,29 @@
 """Instantaneous force/velocity equilibria of the tethered kite.
 
-Two solution routes are provided.  For a massless system the equilibrium
-has a closed form: the kinematic ratio (tangential over radial apparent
-wind) equals the system lift-to-drag ratio, and tether force, flight
-speed and power follow directly.  With airborne mass the aerodynamic
-force must additionally balance the tangential component of gravity, and
-the kinematic ratio becomes the root at which the lift-to-drag ratio
-implied by the force/velocity geometry matches the target value.
+For a massless system the equilibrium has a closed form: the kinematic
+ratio (tangential over radial apparent wind) equals the system
+lift-to-drag ratio, and tether force, flight speed and power follow
+directly.  With airborne mass the aerodynamic force must additionally
+balance the tangential component of gravity, and the kinematic ratio at
+a given reeling factor f becomes the root at which the lift-to-drag ratio
+G implied by the force/velocity geometry matches the target value G*.
+That root is found by a secant on log kappa from the massless solution,
+with an in-house Illinois bracketing fallback.  A solve that fails names
+why no root exists; it never fails for running out of iterations.
 
-One iteration serves both searches: a Broyden (1965) quasi-Newton
-iteration over (log kappa, f), given the force geometry of a flight state
-by one function.  The kinematic ratio at a given reeling factor is its
-one-dimensional case, a secant on log kappa from the massless solution,
-with an in-house Illinois bracketing fallback.  A force set-point is met
-by solving the kinematic ratio and the reeling factor together,
-warm-started from the previous step's solution and Jacobian, with
-bracketing of the reeling factor over nested kinematic-ratio solves as
-the fallback.  This is a change to the solver, not to the model.  A
-solve that fails names why no root exists; it never fails for running
-out of iterations.
+A force set-point needs no search.  The set-point fixes the tether force
+at the kite (from the ground end through the inverted sag relation), so
+the aerodynamic force vector (F_a_r, F_a_theta) and, through
+F_a = q*S*C_R*|v_a|^2/v_w^2, the apparent wind speed are known.  With
+a = cos(theta)cos(phi)cos(chi) - sin(phi)sin(chi), b = sin(theta)cos(phi)
+and the tangential velocity factor lam, the apparent wind over v_w is
+(b - f, cos(theta)cos(phi) - lam*cos(chi), -sin(phi) - lam*sin(chi)).
+Drag is the projection of the aerodynamic force on it, so
+F_a.v_a/|v_a| = F_a/sqrt(1 + G*^2) is linear in (f, lam), and
+|v_a|^2/v_w^2 = (b - f)^2 + 1 - b^2 - 2*a*lam + lam^2 is quadratic in
+them.  Eliminating b - f gives one quadratic in lam; its larger root is
+the equilibrium where G rises through G* with kappa, and f and kappa
+follow.
 
 Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
@@ -57,6 +62,7 @@ __all__ = [
     "massless_state",
     "reel_factor_for_force_massless",
     "ground_tether_force",
+    "aero_force_from_ground",
     "solve_kinematic_ratio",
     "reel_factor_for_force_gravity",
 ]
@@ -185,9 +191,9 @@ class EquilibriumResult(NamedTuple):
         zeta: Instantaneous power harvesting factor P/(P_w*S).
         P: Mechanical power at the ground [W], negative while reeling in.
         iterations: Number of force-geometry evaluations: of the
-            kinematic-ratio solve, or of a whole reel-factor inversion
-            (0 for closed form).  A solve that cannot meet its tolerance
-            raises instead of returning.
+            kinematic-ratio solve, or the one probe of a reel-factor
+            inversion (0 for the massless closed form).  A solve that
+            cannot meet its tolerance raises instead of returning.
     """
 
     kappa: float
@@ -334,6 +340,21 @@ def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
     return math.hypot(radial_ground, F_t_tau)
 
 
+def aero_force_from_ground(F_tg: float, sin_t: float, cos_t: float, m_t: float,
+                           m: float) -> Optional[tuple[float, float]]:
+    """Radial component and magnitude of the aerodynamic force on a kite
+    of mass ``m`` whose tether, of mass ``m_t``, carries ``F_tg`` at the
+    ground: :func:`ground_tether_force` inverted, plus the airborne
+    weights.  None where F_tg is below the sag reaction; ``F_tg**2`` may
+    raise OverflowError."""
+    F_t_tau = 0.5 * sin_t * m_t * GRAVITY
+    radicand = F_tg**2 - F_t_tau**2
+    if radicand < 0.0:
+        return None
+    F_a_r = math.sqrt(radicand) + cos_t * (m_t + m) * GRAVITY
+    return F_a_r, math.hypot(F_a_r, -(0.5 * m_t + m) * GRAVITY * sin_t)
+
+
 class _Probe(NamedTuple):
     """One root-search evaluation: abscissa, residual (None where the
     equilibrium does not exist) and the solved values."""
@@ -343,28 +364,35 @@ class _Probe(NamedTuple):
     value: object
 
 
-# Failures that mark a probe as outside the solvable region.
-_BRACKET_FAILURES = (SteadyStateError, NoTensionError, TetherSagError)
+# Reeling factors below this are not admitted by a force inversion.
+_F_LO = -3.0
+# Step in log kappa of the probe that checks G rises through G*.
+_RISE_STEP = 1e-6
+
+TargetEnd = Literal["kite", "ground"]
 
 
 def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: EffectiveAero,
                     wind: WindState):
-    """The force geometry of one flight state, as two functions of the
-    reeling factor f, which neither checks against sin(theta)*cos(phi).
+    """The force geometry of one flight state, as three functions.
 
     ``geometry(x, f)`` evaluates the apparent wind and the aerodynamic
     force at kappa = exp(x) and returns a probe with residual log(G/G*),
     where G is the lift-to-drag ratio they imply and G* the system
     lift-to-drag ratio, and values (kappa, lam, v_a, F_a, F_a_r,
     F_t_kite).  It raises SteadyStateError where the geometry has no
-    solution.  ``equilibrium(values, f, iterations)`` completes such
-    values to the ground force and power of an :class:`EquilibriumResult`.
+    solution, and does not check f against sin(theta)*cos(phi).
+    ``equilibrium(values, f, iterations)`` completes such values to the
+    ground force and power of an :class:`EquilibriumResult`.
+    ``setpoint(F_target, target_end)`` is the closed-form force
+    inversion of :func:`reel_factor_for_force_gravity`.
     """
     if m_t < 0.0:
         raise ValidationError(f"tether mass must be >= 0, got {m_t}")
     if wind.v_w <= 0.0:
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
-    log_G_star = math.log(aero.LD)
+    G_star = aero.LD
+    log_G_star = math.log(G_star)
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
     sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
     sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
@@ -419,7 +447,60 @@ def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: Effect
             iterations=iterations,
         )
 
-    return geometry, equilibrium
+    def setpoint(F_target: float, target_end: TargetEnd) -> tuple[float, EquilibriumResult]:
+        def unreachable(reason: str) -> SetpointUnreachableError:
+            return SetpointUnreachableError(f"force {F_target:.1f} N at the {target_end}: "
+                                            f"{reason}")
+
+        # The aerodynamic force (F_a_r, F_a) that carries the set-point.
+        try:
+            if target_end == "ground":
+                force = aero_force_from_ground(F_target, sin_t, cos_t, m_t, kite.m)
+            elif F_target > abs(F_t_theta):
+                F_a_r = math.sqrt(F_target**2 - F_t_theta**2) + W_r
+                force = F_a_r, math.hypot(F_a_r, F_a_theta)
+            else:
+                force = None
+        except OverflowError:
+            raise unreachable("its square overflows") from None
+        if force is None or min(force[0], force[0] - W_r) <= 0.0:
+            raise unreachable(f"no radial tension at the kite (sag reaction "
+                              f"{abs(F_t_theta):.1f} N)")
+        F_a_r, F_a = force
+        A = F_a / force_coefficient  # |v_a|^2/v_w^2
+        # The drag condition solved for b - f = c0 + c1*lam, put into
+        # |v_a|^2/v_w^2 = A: alpha*lam^2 + 2*h*lam + C = 0.
+        c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
+        c1 = F_a_theta * cos_c / F_a_r
+        alpha, h, C = 1.0 + c1 * c1, c0 * c1 - a, c0 * c0 + 1.0 - b * b - A
+        disc = h * h - alpha * C
+        if disc < 0.0:
+            raise unreachable("no real tangential velocity factor")
+        # The larger root, written without cancellation.
+        lam = (math.sqrt(disc) - h) / alpha if h <= 0.0 else -C / (h + math.sqrt(disc))
+        if lam < 0.0:
+            raise unreachable(f"tangential velocity factor lambda = {lam:.3g} < 0")
+        if lam < a:
+            raise unreachable(f"lambda = {lam:.3g} is below a = {a:.3g}, off the "
+                              f"tangential-speed branch")
+        b_f = c0 + c1 * lam
+        f = b - b_f
+        if b_f <= 0.0:
+            raise unreachable(f"no tension at f = {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
+        if f < _F_LO:
+            raise unreachable(f"f = {f:.4f} is below {_F_LO}")
+        kappa2 = A / (b_f * b_f) - 1.0
+        try:
+            rising = kappa2 > 0.0 and geometry(0.5 * math.log(kappa2) + _RISE_STEP, f).r > 0.0
+        except SteadyStateError:
+            rising = False
+        if not rising:
+            raise unreachable(f"G falls through G* with kappa at f = {f:.4f}")
+        F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
+        return f, equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r,
+                               F_t_kite), f, 1)
+
+    return geometry, equilibrium, setpoint
 
 
 def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: float,
@@ -441,7 +522,7 @@ def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: 
             break
         try:
             q = fun(x)
-        except _BRACKET_FAILURES:
+        except SteadyStateError:
             q = _Probe(x, None, None)
         if q.r is not None and q.r >= 0.0:
             p, w_p, w_n = q, q.r, (0.5 * w_n if last > 0 and w_n is not None else w_n)
@@ -454,18 +535,13 @@ def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: 
     return p, n
 
 
-def _nearest(p: _Probe, n: _Probe) -> _Probe:
-    """The end of a final bracket whose residual is nearer zero."""
-    return n if n.r is not None and -n.r < p.r else p
-
-
 # Kinematic ratios lie in [1e-9, 50*G*]; the bracketed search steps down
 # from the top by factors of 2**0.25.
 _LOG_KAPPA_MIN = math.log(1e-9)
 _LOG_KAPPA_STEP = 0.25 * math.log(2.0)
-# Default tolerance on G/G* - 1; the tether force is off by about twice
-# as much, near the force tolerance of a reel-factor inversion.
+# Default tolerance on G/G* - 1.
 _KAPPA_TOL = 1e-7
+_SECANT_STEPS = 10
 
 
 def solve_kinematic_ratio(
@@ -483,10 +559,10 @@ def solve_kinematic_ratio(
     components at kappa imply and G* the system lift-to-drag ratio.  The
     geometry is evaluated at the massless solution kappa = G* first and
     accepted if G matches G* to ``tol`` (relative).  Otherwise a secant
-    on log kappa (:func:`_broyden` with f held) takes the fixed-point
-    step kappa*sqrt(G*/G) first.  If the secant leaves (0, 50*G*], a
-    probe fails, ``_JOINT_STEPS`` steps pass or its slope has G falling
-    with kappa, a bracketed search steps down from 50*G* by factors of
+    on log kappa (:func:`_secant`) takes the fixed-point step
+    kappa*sqrt(G*/G) first.  If the secant leaves (0, 50*G*], a probe
+    fails, ``_SECANT_STEPS`` steps pass or its slope has G falling with
+    kappa, a bracketed search steps down from 50*G* by factors of
     2**0.25 to the first kappa with G < G*, or where the geometry fails,
     and refines that sign change.  Both find the largest root, where G
     rises through G*.  ``iterations`` counts the geometry evaluations.
@@ -503,7 +579,7 @@ def solve_kinematic_ratio(
         raise NoTensionError(
             f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
         )
-    geometry, equilibrium = _force_geometry(state, kite, m_t, aero, wind)
+    geometry, equilibrium, _ = _force_geometry(state, kite, m_t, aero, wind)
     f = state.f
     evaluations = 0
 
@@ -512,24 +588,40 @@ def solve_kinematic_ratio(
         evaluations += 1
         return geometry(x, f)
 
-    def secant(x: float, f_: float) -> tuple[float, float, tuple]:
-        p = probe(x)
-        return p.r, f_ - f, p.value
-
     rtol = math.log1p(tol)
     x_max = math.log(50.0 * aero.LD)
-    # The second residual holds f, so with the Jacobian diag(2, 1) the
-    # first step is the fixed-point step and each update the secant slope.
-    found = _broyden(secant, _ReelStart(math.log(aero.LD), f, (2.0, 0.0, 0.0, 1.0)),
-                     rtol, x_max, f, f)
-    if found is not None:
-        value = found[0]
-    else:
+    value = _secant(probe, math.log(aero.LD), rtol, x_max)
+    if value is None:
         value = _largest_kappa_root(probe, x_max, rtol).value
     if value[1] < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({value[1]:.4f})")
     return equilibrium(value, f, evaluations)
+
+
+def _secant(probe: Callable[[float], _Probe], x: float, rtol: float,
+            x_max: float) -> Optional[tuple]:
+    """Secant iteration on log kappa from ``x``; the first step is the
+    fixed-point step kappa*sqrt(G*/G) (slope 2).  Returns the values of
+    the first probe within ``rtol``, or None once a probe fails, a step
+    leaves [1e-9, exp(x_max)], ``_SECANT_STEPS`` steps pass or the slope
+    has G falling with kappa, where a root is not the model's."""
+    slope = 2.0
+    try:
+        p = probe(x)
+        for _ in range(_SECANT_STEPS):
+            if abs(p.r) <= rtol:
+                break
+            dx = -p.r / slope
+            if not _LOG_KAPPA_MIN <= p.x + dx <= x_max:
+                return None
+            q = probe(p.x + dx)
+            slope, p = (q.r - p.r) / dx, q
+            if slope <= 0.0:
+                return None
+    except SteadyStateError:
+        return None
+    return p.value if abs(p.r) <= rtol else None
 
 
 def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
@@ -571,7 +663,7 @@ def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
         p, n = _bracketed_root(geometry, p, q if q.r < 0.0 else _Probe(q.x, None, None),
                                rtol, 1e-13)
         if n.r is not None or p.r <= rtol:
-            return _nearest(p, n)
+            return n if n.r is not None and -n.r < p.r else p
         reason = f"{q.value} below kappa = {math.exp(p.x):.4g}"
         break
     else:
@@ -600,82 +692,6 @@ def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float,
     return c if c.r < d.r else d
 
 
-TargetEnd = Literal["kite", "ground"]
-
-# A reel-factor inversion stops at a force within this fraction of the
-# target; a joint root also meets the default tolerance of a kinematic solve.
-_FORCE_RTOL = 1e-7
-_JOINT_STEPS = 10
-_FD_STEP = 1e-6
-# The reel-factor bracket is [_F_LO, b - _F_EPS], b = sin(theta)*cos(phi).
-_F_LO = -3.0
-_F_EPS = 1e-6
-
-
-class _ReelStart(NamedTuple):
-    """Start of a joint solve: (log kappa, f) and the row-major Jacobian, if known."""
-
-    x: float
-    f: float
-    J: Optional[tuple[float, float, float, float]]
-
-
-def _broyden(fun: Callable[[float, float], tuple[float, float, tuple]], start: _ReelStart,
-             rtol: float, x_max: float, f_lo: float,
-             f_hi: float) -> Optional[tuple[tuple, _ReelStart]]:
-    """Broyden (1965) iteration on the two residuals of ``fun`` over
-    (log kappa, f), from ``start``; a start without a Jacobian takes
-    finite differences.  The first residual, log(G/G*), is met to
-    ``rtol``, the second to ``_FORCE_RTOL``.
-
-    Returns the geometry values of the first probe within both
-    tolerances and the start for a neighbouring state, or None once a
-    probe fails, a step leaves [1e-9, exp(x_max)] x [f_lo, f_hi],
-    ``_JOINT_STEPS`` steps pass or, with f held (f_lo == f_hi), the
-    updated Jacobian has G falling with kappa.  Where it has G falling
-    with kappa at a joint root, it is taken again by finite differences,
-    since after a long walk the update can be far off.
-    """
-    def differences(x, f, r1, r2):
-        # f steps down: f may sit at the upper end of its range.
-        a1, a2, _ = fun(x + _FD_STEP, f)
-        b1, b2, _ = fun(x, f - _FD_STEP)
-        return ((a1 - r1) / _FD_STEP, (r1 - b1) / _FD_STEP,
-                (a2 - r2) / _FD_STEP, (r2 - b2) / _FD_STEP)
-
-    x, f, J = start
-    try:
-        r1, r2, value = fun(x, f)
-        if J is None:
-            J = differences(x, f, r1, r2)
-        steps = 0
-        while not (abs(r1) <= rtol and abs(r2) <= _FORCE_RTOL):
-            if steps == _JOINT_STEPS:
-                return None
-            steps += 1
-            j11, j12, j21, j22 = J
-            det = j11 * j22 - j12 * j21
-            if det == 0.0:
-                return None
-            dx = (j12 * r2 - j22 * r1) / det
-            df = (j21 * r1 - j11 * r2) / det
-            x, f = x + dx, f + df
-            if not (_LOG_KAPPA_MIN <= x <= x_max and f_lo <= f <= f_hi):
-                return None
-            r1, r2, value = fun(x, f)
-            # Good Broyden update; J*(dx, df) = -(old residuals), so the
-            # secant misfit is the new residual vector.
-            s = dx * dx + df * df
-            J = (j11 + r1 * dx / s, j12 + r1 * df / s, j21 + r2 * dx / s, j22 + r2 * df / s)
-            if J[0] <= 0.0 and f_lo == f_hi:
-                return None  # with f held, a root where G falls is rejected anyway
-        if J[0] <= 0.0:
-            J = differences(x, f, r1, r2)
-    except _BRACKET_FAILURES:
-        return None
-    return value, _ReelStart(x, f, J)
-
-
 def reel_factor_for_force_gravity(
     F_target: float,
     target_end: TargetEnd,
@@ -684,92 +700,32 @@ def reel_factor_for_force_gravity(
     m_t: float,
     aero: EffectiveAero,
     wind: WindState,
-    start: Optional[_ReelStart] = None,
-) -> tuple[float, EquilibriumResult, _ReelStart]:
+) -> tuple[float, EquilibriumResult]:
     """Reeling factor whose gravity-including equilibrium carries
-    ``F_target`` at the requested tether end.
+    ``F_target`` at the requested tether end, in closed form.
 
-    The kinematic ratio and the reeling factor are solved together
-    (:func:`_broyden`), from ``start`` (the start this function returned
-    for a neighbouring state: its solution and Jacobian), or without one
-    from the massless inversion at kappa = G*.  A joint root counts if no
-    probe failed and it is the kind of root a nested solve finds:
-    lam >= 0 and G rising through G* with kappa.  Otherwise the tether
-    force, which falls with f, is bracketed on [-3, b - 1e-6] with
-    b = sin(theta)*cos(phi), each probe a :func:`solve_kinematic_ratio`,
-    and the sign change refined by :func:`_bracketed_root`; a factor
-    without an equilibrium (the aerodynamic force cannot balance the
-    tangential gravity load, or the tether would push on the ground
-    station) counts as the low-force side.  Returns the factor, its
-    equilibrium, whose ``iterations`` counts the geometry evaluations of
-    the joint solve and of the nested solves that returned, and the start
-    for a neighbouring state.
+    The set-point fixes the aerodynamic force at the kite (from the
+    ground end by :func:`aero_force_from_ground`) and the apparent wind
+    speed; the drag condition and the apparent wind speed then give a
+    quadratic in the tangential velocity factor lam (see the module
+    docstring).  Its larger root is admitted if lam >= max(a, 0), the
+    tether carries tension (f < sin(theta)*cos(phi)), f >= -3 and G rises
+    through G* with kappa there, which one geometry probe just above
+    kappa checks.  That is the root :func:`solve_kinematic_ratio` finds
+    at f, except where a weight-dominated kite has a second, larger
+    kappa root.  Returns the factor and its equilibrium, whose
+    ``iterations`` is 1, the probe.
 
     Raises:
-        SetpointUnreachableError: if no sign change exists in the bracket.
-        SteadyStateError: if the equilibrium solver fails where a solution
-            is required.
+        SetpointUnreachableError: if no admissible reeling factor exists;
+            the message names the condition that failed.
+        TetherSagError: if the ground-end force of the root leaves the
+            tether pushing on the ground station.
     """
-    _, b = _trig(state, aero, wind)
+    _trig(state, aero, wind)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
-    f_hi = b - _F_EPS
-    geometry, equilibrium = _force_geometry(state, kite, m_t, aero, wind)
-    evaluations = 0
-
-    def joint(x: float, f: float) -> tuple[float, float, tuple]:
-        nonlocal evaluations
-        evaluations += 1
-        p = geometry(x, f)
-        F_tg = ground_tether_force(p.value[5], state.theta, m_t)
-        return p.r, (p.value[5] if target_end == "kite" else F_tg) / F_target - 1.0, p.value
-
-    if start is None:
-        f = reel_factor_for_force_massless(F_target, state, aero, wind, kite.S)
-        start = _ReelStart(math.log(aero.LD), min(max(f, _F_LO), f_hi), None)
-    found = _broyden(joint, start, math.log1p(_KAPPA_TOL), math.log(50.0 * aero.LD), _F_LO,
-                     f_hi)
-    if found is not None:
-        value, start = found
-        # Accept the root a nested solve would find: lam >= 0, and G
-        # rising through G* with kappa.
-        if value[1] >= 0.0 and start.J[0] > 0.0:
-            return start.f, equilibrium(value, start.f, evaluations), start
-
-    rtol = _FORCE_RTOL * F_target
-
-    def residual(f: float) -> _Probe:
-        nonlocal evaluations
-        eq = solve_kinematic_ratio(state._replace(f=f), kite, m_t, aero, wind)
-        evaluations += eq.iterations
-        return _Probe(f, (eq.F_t_kite if target_end == "kite" else eq.F_tg) - F_target, eq)
-
-    try:
-        p = residual(_F_LO)
-    except _BRACKET_FAILURES as exc:
-        raise SteadyStateError(
-            f"no quasi-steady solution at the lower bracket end f={_F_LO}: {exc}"
-        ) from exc
-    if p.r < 0.0:
-        raise SetpointUnreachableError(
-            f"force {F_target:.1f} N exceeds the maximum achievable "
-            f"{p.r + F_target:.1f} N at f={_F_LO} (over by {-p.r:.3g} N)"
-        )
-    try:
-        n = residual(f_hi)
-    except _BRACKET_FAILURES:
-        n = _Probe(f_hi, None, None)
-    if n.r is None or n.r < 0.0:
-        p, n = _bracketed_root(residual, p, n, rtol, 1e-12)
-    root = _nearest(p, n)
-    if root.r > rtol and (n.r is None or n.r > 0.0):
-        # The bracket closed on the edge of solvability, or the force at
-        # the upper end is still above the set-point.
-        raise SetpointUnreachableError(
-            f"force {F_target:.1f} N is below the minimum achievable "
-            f"{root.r + F_target:.1f} N near f={root.x:.4f} (short by {root.r:.3g} N)"
-        )
-    return root.x, root.value._replace(iterations=evaluations), _ReelStart(
-        math.log(root.value.kappa), root.x, None)
+    _, _, setpoint = _force_geometry(state, kite, m_t, aero, wind)
+    return setpoint(F_target, target_end)

@@ -308,6 +308,20 @@ def test_missing_telemetry_file_exit_code(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--log", "nope.csv"],
+    ["sweep", "--spec", "spec.json"],
+])
+def test_input_that_fails_to_parse_leaves_no_output_directory(tmp_path, capsys, command):
+    (tmp_path / "spec.json").write_text('{"parameter": "operation.F_out", "values": [')
+    command = [str(tmp_path / arg) if arg.endswith((".csv", ".json")) else arg
+               for arg in command]
+    out = tmp_path / "o"
+    assert run_command(command + ["--config", "strong_wind", "--out", str(out)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_header_only_telemetry_exit_code(tmp_path, capsys):
     log = tmp_path / "empty.csv"
     log.write_text(",".join(TELEMETRY_COLUMNS) + "\n")

@@ -94,6 +94,15 @@ class TestDeriveKinematics:
                         vk=(0.0, 0.0, 0.0), v_t=v_w * math.sin(theta), v_w_ref=9.9)
         assert not derive_kinematics(rec, ENV).valid
 
+    def test_infinite_wind_at_the_kite_is_invalid(self):
+        # z/z0 overflows, so the log wind law gives an infinite wind and
+        # the kinematic ratio's radicand is NaN.
+        rec = LogRecord(t=0.0, F_tg=100.0, r=1e308, theta=0.5, phi=0.0, chi=0.0,
+                        vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
+        kin = derive_kinematics(rec, ENV)
+        assert not kin.valid
+        assert math.isnan(kin.kappa)
+
 
 class TestEstimateCR:
     def test_massless_exact_recovery(self):

@@ -1,14 +1,15 @@
 """Property tests for the equilibrium solvers, over drawn states and aero sets,
 and for the telemetry reader and the cycle energies.
 
-They pin the invariants the root finders rely on or promise: the force
-inversions round-trip, the joint (kappa, f) inversion, cold or
-warm-started, finds the reeling factor of a tight nested search, the
-tether force falls with the reeling factor, gravity mode without mass is
-the closed form, the kinematic ratio is the root a tight independent
-bisection finds, every failure is one of a few definite reasons, and
-each entry point rejects a state, coefficient set or wind outside its
-domain with the message its record constructor used to give.
+They pin the invariants the solvers rely on or promise: the force
+inversions round-trip, the closed-form gravity inversion finds the
+reeling factor of a tight nested search and, where weight dominates,
+meets the force exactly or names why it cannot, the tether force falls
+with the reeling factor, gravity mode without mass is the closed form,
+the kinematic ratio is the root a tight independent bisection finds,
+every failure is one of a few definite reasons, and each entry point
+rejects a state, coefficient set or wind outside its domain with the
+message its record constructor used to give.
 The telemetry reader reads every valid log as the ``csv.DictReader``
 reference does, and a simulated cycle's phase energies add up to its
 mean power times its duration.
@@ -24,7 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from kitecycle import (
@@ -45,11 +46,12 @@ from kitecycle.errors import (
     NoSolutionError,
     NoTensionError,
     SetpointUnreachableError,
+    SolverError,
     SteadyStateError,
     TetherSagError,
     ValidationError,
 )
-from oracles import bisect_kappa, dictreader_telemetry
+from oracles import bisect_kappa, dictreader_telemetry, implied_lift_to_drag
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
 # drawn effective coefficients.
@@ -68,7 +70,6 @@ SOLVE_FAILURES = (
 )
 INVERSION_FAILURES = SOLVE_FAILURES + (
     (SetpointUnreachableError, "force"),
-    (SteadyStateError, "no quasi-steady solution at the lower bracket end"),
 )
 
 
@@ -101,9 +102,9 @@ def assume_aero_dominated(state, aero, wind, m, m_t):
     """Keep states where the massless tether force is at least twice the
     airborne weight.  Below that, gravity can make the force rise with f:
     the kite-end force of a weak-wind downward kite at L/D 0.5, and the
-    ground-end force once the tether weight exceeds the kite tension.  The
-    reel-factor search assumes a falling force there and need not find
-    the drawn f."""
+    ground-end force once the tether weight exceeds the kite tension.
+    The force inversion then need not return the drawn f (see
+    test_inversion_meets_the_force_or_names_why)."""
     b = math.sin(state.theta) * math.cos(state.phi)
     F_massless = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * (b - state.f) ** 2
     assume(F_massless >= 2.0 * (m + m_t) * 9.81)
@@ -122,9 +123,11 @@ def test_gravity_inversion_round_trip(problem, end):
     state, aero, wind, m, m_t = problem
     assume_aero_dominated(state, aero, wind, m, m_t)
     F = force(solve_or_skip(state, m, m_t, aero, wind), end)
-    f, _, _ = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
-                                            wind)
-    res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind)
+    f, _ = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
+                                         wind)
+    # The inversion is exact, so the check solves tightly: where G barely
+    # rises with kappa, a solve at the default tol misses the force by more.
+    res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind, tol=1e-12)
     assert abs(force(res, end) / F - 1.0) <= 1e-6
 
 
@@ -150,25 +153,54 @@ def bisect_reel_factor(F, end, state, m, m_t, aero, wind, f_high_force):
 
 
 @PROPERTY
-@given(problems(), st.sampled_from(["kite", "ground"]), st.floats(-0.02, 0.02),
-       st.floats(-0.02, 0.02))
-def test_joint_inversion_matches_tight_nested_reference(problem, end, dr, dtheta):
+@given(problems(), st.sampled_from(["kite", "ground"]))
+def test_joint_inversion_matches_tight_nested_reference(problem, end):
     state, aero, wind, m, m_t = problem
     assume_aero_dominated(state, aero, wind, m, m_t)
     F = force(solve_or_skip(state, m, m_t, aero, wind, tol=1e-12), end)
     f_ref = bisect_reel_factor(F, end, state, m, m_t, aero, wind, state.f - 0.5)
-    at_rest = state._replace(f=0.0)
-    # Warm start: the solution and Jacobian at a neighbouring state.
-    neighbour = at_rest._replace(r=state.r * (1.0 + dr), theta=state.theta + dtheta)
+    f, eq = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
+                                          wind)
+    assert abs(f - f_ref) <= 1e-6
+    assert abs(force(eq, end) / F - 1.0) <= 1e-6
+
+
+def definite(exc, failures):
+    return any(type(exc) is kind and str(exc).startswith(start) for kind, start in failures)
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(["kite", "ground"]), st.just(1.0) | st.floats(0.1, 10.0))
+# The larger root has G falling through G*.
+@example((KiteState(r=50.0, theta=1.0, phi=0.0, chi=3.0, f=0.0), EffectiveAero(1.0, 0.03125),
+          WindState(3.0, 1.0), 21.0, 0.0), "kite", 0.25)
+# The larger root is off the tangential-speed branch: lam < a.
+@example((KiteState(r=230.0, theta=1.451, phi=0.5, chi=3.85, f=-0.51), EffectiveAero(0.24, 0.367),
+          WindState(19.6, 1.2), 30.0, 7.1), "ground", 0.5)
+def test_inversion_meets_the_force_or_names_why(problem, end, scale):
+    # Weight-dominated states too: there the force need not fall with f.
+    # A returned factor is a true equilibrium that carries the target, on
+    # the tangential-speed branch and where G rises through G*; it is
+    # never a wrong root returned silently.
+    state, aero, wind, m, m_t = problem
     try:
-        _, _, warm = reel_factor_for_force_gravity(F, end, neighbour, kite_of(m), m_t, aero, wind)
-    except (SteadyStateError, NoTensionError, TetherSagError, SetpointUnreachableError):
+        F = scale * force(solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind), end)
+    except SolverError:
         assume(False)
-    for start in (None, warm):
-        f, eq, _ = reel_factor_for_force_gravity(F, end, at_rest, kite_of(m), m_t, aero, wind,
-                                                 start=start)
-        assert abs(f - f_ref) <= 1e-6
-        assert abs(force(eq, end) / F - 1.0) <= 1e-6
+    try:
+        f, eq = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t,
+                                              aero, wind)
+    except SolverError as exc:
+        assert definite(exc, INVERSION_FAILURES), repr(exc)
+        return
+    assert -3.0 <= f < math.sin(state.theta) * math.cos(state.phi)
+    assert eq.lam >= 0.0
+    assert abs(force(eq, end) / F - 1.0) <= 1e-9
+    (G, G_above), (lam, _) = implied_lift_to_drag([eq.kappa, eq.kappa * (1.0 + 1e-6)],
+                                                  state._replace(f=f), KITE.S, m, m_t, aero, wind)
+    assert abs(G / aero.LD - 1.0) <= 1e-9
+    assert G_above > G
+    assert abs(lam - eq.lam) <= 1e-9 * max(1.0, eq.lam)
 
 
 @PROPERTY
@@ -241,8 +273,7 @@ def test_failures_are_definite(problem, F_target, end):
             call()
         except (SteadyStateError, NoTensionError, TetherSagError,
                 SetpointUnreachableError) as exc:
-            assert any(type(exc) is kind and str(exc).startswith(start)
-                       for kind, start in failures), repr(exc)
+            assert definite(exc, failures), repr(exc)
 
 
 @st.composite

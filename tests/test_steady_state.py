@@ -304,19 +304,19 @@ class TestKinematicRatioSolver:
 
     def test_secant_stops_where_g_falls(self, monkeypatch):
         # Here the first secant step finds G falling with kappa.  The
-        # secant stops there and the scan finds the largest root; walking
-        # on, it re-probed one (x, f) in a finite-difference refresh.
+        # secant stops there and the scan finds the largest root, probing
+        # no (x, f) twice.
         probes = []
         force_geometry = steady_state._force_geometry
 
         def recording(*args):
-            geometry, equilibrium = force_geometry(*args)
+            geometry, equilibrium, setpoint = force_geometry(*args)
 
             def probe(x, f):
                 probes.append((x, f))
                 return geometry(x, f)
 
-            return probe, equilibrium
+            return probe, equilibrium, setpoint
 
         monkeypatch.setattr(steady_state, "_force_geometry", recording)
         st = KiteState(r=803.2499871506205, theta=0.8608787259522742, phi=0.15429358996645726,
@@ -371,20 +371,20 @@ class TestReelFactorGravity:
             st = random_tension_state(rng, aero=aero)
             F = massless_state(st, aero, WIND, S=10.2).F_t_kite
             f_ml = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
-            f_g, _, _ = reel_factor_for_force_gravity(F, "kite", st, kite0, 0.0, aero, WIND)
-            assert f_g == pytest.approx(f_ml, abs=1e-9)
+            f_g, _ = reel_factor_for_force_gravity(F, "kite", st, kite0, 0.0, aero, WIND)
+            assert f_g == pytest.approx(f_ml, abs=1e-12)
 
     def test_zero_reeling_fixed_point(self):
         st = state(63, 0, 180, f=0.0, r=720.0)
         res0 = solve_kinematic_ratio(st, STRONG_KITE, 6.55, self.AERO, self.WIND)
-        f, _, _ = reel_factor_for_force_gravity(res0.F_t_kite, "kite", st, STRONG_KITE, 6.55,
+        f, _ = reel_factor_for_force_gravity(res0.F_t_kite, "kite", st, STRONG_KITE, 6.55,
                                                 self.AERO, self.WIND)
         assert f == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("end", ["kite", "ground"])
     def test_force_matches_setpoint(self, end):
         st = state(63, 0, 180, f=0.0, r=720.0)
-        f, _, _ = reel_factor_for_force_gravity(749.0, end, st, STRONG_KITE, 6.55, self.AERO,
+        f, _ = reel_factor_for_force_gravity(749.0, end, st, STRONG_KITE, 6.55, self.AERO,
                                                 self.WIND)
         res = solve_kinematic_ratio(st._replace(f=f), STRONG_KITE, 6.55, self.AERO, self.WIND)
         force = res.F_t_kite if end == "kite" else res.F_tg
@@ -394,6 +394,12 @@ class TestReelFactorGravity:
         st = state(63, 0, 180, f=0.0, r=720.0)
         with pytest.raises(SetpointUnreachableError):
             reel_factor_for_force_gravity(1e9, "kite", st, STRONG_KITE, 6.55, self.AERO, self.WIND)
+
+    @pytest.mark.parametrize("end", ["kite", "ground"])
+    def test_force_whose_square_overflows_is_unreachable(self, end):
+        st = state(63, 0, 180, f=0.0, r=720.0)
+        with pytest.raises(SetpointUnreachableError, match=f"at the {end}: its square overflows"):
+            reel_factor_for_force_gravity(1e200, end, st, STRONG_KITE, 6.55, self.AERO, self.WIND)
 
     def test_unreachably_small_force(self):
         # With airborne weight the tether force cannot drop near zero.
@@ -411,7 +417,7 @@ class TestReelFactorGravity:
                           aero_retraction=AeroSet(0.5, 1.0))
         st = KiteState(r=50.0, theta=0.1875, phi=0.0, chi=0.0, f=0.0)
         aero, wind = EffectiveAero(C_L=0.5, C_D=0.5), WindState(v_w=3.0, rho=1.0)
-        f, eq, _ = reel_factor_for_force_gravity(7.6, "ground", st, kite, 3.0, aero, wind)
+        f, eq = reel_factor_for_force_gravity(7.6, "ground", st, kite, 3.0, aero, wind)
         assert f == pytest.approx(-0.5006, abs=1e-4)
         assert eq.F_tg == pytest.approx(7.6, rel=1e-6)
         with pytest.raises(TetherSagError, match="^kite tension"):
