@@ -198,12 +198,11 @@ class _PhaseEngine:
         """Reeling factor and equilibrium for a tether-force set-point."""
         m_t, aero = self.local_aero(r)
         probe = KiteState(r, theta, phi, chi, 0.0)
-        if not self.op.gravity:
-            f = reel_factor_for_force_massless(F_target, probe, aero, wind, self.kite.S)
-            state = KiteState(r, theta, phi, chi, f)
-            return state, massless_state(state, aero, wind, self.kite.S)
-        f, eq = reel_factor_for_force_gravity(F_target, self.op.force_at, probe, self.kite, m_t,
-                                              aero, wind)
+        if self.op.gravity:
+            f, eq = reel_factor_for_force_gravity(F_target, self.op.force_at, probe, self.kite,
+                                                  m_t, aero, wind)
+        else:
+            f, eq = reel_factor_for_force_massless(F_target, probe, aero, wind, self.kite.S)
         return KiteState(r, theta, phi, chi, f), eq
 
     @staticmethod

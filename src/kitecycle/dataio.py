@@ -2,8 +2,9 @@
 
 Two functions define the output file formats: every CSV goes through
 ``_write_csv`` and every JSON run output through :func:`write_json`.
-All floats are written with shortest round-trip precision (``repr``,
-which ``csv.writer`` applies to floats); files are UTF-8, CSV uses comma
+A CSV field is the value's ``str``, so a float has shortest round-trip
+precision (its ``repr``, as ``csv.writer`` writes it); ``csv.writer``
+still writes any row it would quote.  Files are UTF-8, CSV uses comma
 separators and ``.`` decimals, with a header row; JSON is indented by
 two spaces and ends with a newline.  Outputs carry no timestamps so
 identical runs are byte-identical.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain, starmap
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -52,10 +54,18 @@ _REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", 
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as ``csv.writer`` does, a row at a time: a
+    row's ``str`` joined by commas, unless ``csv.writer`` would quote a
+    field (one empty field, or a comma, quote, CR or LF) or meets a None."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writerow, write = csv.writer(fh).writerow, fh.write
+        for row in chain((header,), rows):
+            line = ",".join(map(str, row))
+            if (not line or line.count(",") != len(row) - 1 or '"' in line or "\r" in line
+                    or "\n" in line or "None" in line):
+                writerow(row)
+            else:
+                write(line + "\r\n")
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -186,35 +196,34 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
         columns = [(col, index[col]) for col in [*_REQUIRED_COLUMNS, "chi_deg"] if col in index]
         numbers = itemgetter(*(index[col] for col in _REQUIRED_COLUMNS))
         i_chi, i_phase = index.get("chi_deg"), index.get("phase")
-        rows = []
+        width, radians, isfinite = len(header), math.radians, math.isfinite
+        rows, fault = [], None
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: line {reader.line_num}: expected {len(header)} "
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(f"{path}: line {reader.line_num}: expected {width} "
                                  f"fields, got {len(row)}")
             try:
-                values = list(map(float, numbers(row)))
-                if i_chi is not None and row[i_chi]:
-                    values.append(float(row[i_chi]))
+                t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref = map(float, numbers(row))
+                chi = float(row[i_chi]) if i_chi is not None and row[i_chi] else None
+                finite = isfinite(t + F_tg + r + theta + phi + vk_x + vk_y + vk_z + v_t + v_w_ref
+                                  + (chi or 0.0))
             except ValueError:
-                values = [math.nan]  # named below, as a non-finite value is
-            if not all(map(math.isfinite, values)):
+                finite = False
+            if not finite:  # raises, unless only the sum of finite values overflowed
                 _reject_numbers(f"{path}: line {reader.line_num}", row, columns)
-            t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref, *chi = values
-            rows.append((t, F_tg, r, math.radians(theta), math.radians(phi),
-                         math.radians(chi[0]) if chi else None, (vk_x, vk_y, vk_z), v_t,
-                         v_w_ref, (row[i_phase] or None) if i_phase is not None else None,
-                         reader.line_num))
+            if fault is None and (why := sample_fault(r, F_tg)) is not None:
+                fault = f"{path}: line {reader.line_num}: {why}"
+            rows.append([t, F_tg, r, radians(theta), radians(phi),
+                         None if chi is None else radians(chi), (vk_x, vk_y, vk_z), v_t,
+                         v_w_ref, (row[i_phase] or None) if i_phase is not None else None])
+    if fault is not None:
+        raise ValidationError(fault)
     # Course angles come from the parsed positions, so each record is built once.
-    records: list[LogRecord] = []
-    for (t, F_tg, r, theta, phi, _, vk, v_t, v_w_ref, phase, line), chi in zip(
-            rows, _course_angles([row[3:6] for row in rows])):
-        rec = LogRecord(t, F_tg, r, theta, phi, chi, vk, v_t, v_w_ref, phase)
-        fault = sample_fault(rec)
-        if fault is not None:
-            raise ValidationError(f"{path}: line {line}: {fault}")
-        records.append(rec)
+    for row, chi in zip(rows, _course_angles([row[3:6] for row in rows])):
+        row[5] = chi
+    records = list(starmap(LogRecord, rows))
     if any(b.t <= a.t for a, b in zip(records, records[1:])):
         raise ValidationError(f"{path}: timestamps must be strictly increasing")
     return records

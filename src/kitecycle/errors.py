@@ -9,15 +9,11 @@ class KitecycleError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(KitecycleError):
-    """Problems with configuration files or sweep specifications."""
-
-
-class ParseError(ConfigError):
+class ParseError(KitecycleError):
     """Input file is malformed or contains unknown keys (strict parse)."""
 
 
-class ValidationError(ConfigError):
+class ValidationError(KitecycleError):
     """A value violates an invariant; the message names the invariant."""
 
 

@@ -95,12 +95,12 @@ class LogRecord(NamedTuple):
                    vk=vk, v_t=v_t, v_w_ref=v_w_ref, phase=phase)
 
 
-def sample_fault(rec: LogRecord) -> Optional[str]:
+def sample_fault(r: float, F_tg: float) -> Optional[str]:
     """The invariant a telemetry sample breaks, r > 0 or F_tg >= 0, or None."""
-    if rec.r <= 0.0:
-        return f"tether length must be > 0, got {rec.r}"
-    if rec.F_tg < 0.0:
-        return f"ground tether force must be >= 0, got {rec.F_tg}"
+    if r <= 0.0:
+        return f"tether length must be > 0, got {r}"
+    if F_tg < 0.0:
+        return f"ground tether force must be >= 0, got {F_tg}"
     return None
 
 
@@ -354,7 +354,7 @@ def segment_and_average(
     if not series:
         raise ValidationError("telemetry series is empty")
     for i, rec in enumerate(series):
-        fault = sample_fault(rec)
+        fault = sample_fault(rec.r, rec.F_tg)
         if fault is not None:
             raise ValidationError(f"sample {i}: {fault}")
         if i and rec.t <= series[i - 1].t:

@@ -262,53 +262,49 @@ def massless_state(
             non-negative solution.
     """
     a, b = _trig(state, aero, wind)
-    if state.f >= b:
-        raise NoTensionError(
-            f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
-        )
-    G = aero.LD
-    radicand = a * a + b * b - 1.0 + G * G * (b - state.f) ** 2
+    G, C_R = aero.LD, aero.C_R
+    return _massless(a, b, state.f, G, C_R, wind.q * S * C_R * (1.0 + G * G), wind.v_w)
+
+
+def _massless(a: float, b: float, f: float, G: float, C_R: float, scale: float,
+              v_w: float) -> EquilibriumResult:
+    """:func:`massless_state` at reeling factor ``f``, from its (a, b),
+    G, C_R and ``scale``, the tether force over (b - f)**2."""
+    if f >= b:
+        raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
+    radicand = a * a + b * b - 1.0 + G * G * (b - f) ** 2
     if radicand < 0.0:
         raise NoSolutionError("tangential velocity factor has no real solution")
     lam = a + math.sqrt(radicand)
     if lam < 0.0:
         raise NoSolutionError(f"tangential velocity factor is negative ({lam:.4f})")
-    v_a = (b - state.f) * math.sqrt(1.0 + G * G) * wind.v_w
-    F_t = wind.q * S * aero.C_R * (1.0 + G * G) * (b - state.f) ** 2
-    P = F_t * state.f * wind.v_w
-    zeta = aero.C_R * (1.0 + G * G) * state.f * (b - state.f) ** 2
-    return EquilibriumResult(
-        kappa=G,
-        lam=lam,
-        v_a=v_a,
-        F_a=F_t,
-        F_a_r=F_t,
-        F_a_theta=0.0,
-        F_t_kite=F_t,
-        F_tg=F_t,
-        zeta=zeta,
-        P=P,
-        iterations=0,
-    )
+    v_a = (b - f) * math.sqrt(1.0 + G * G) * v_w
+    F_t = scale * (b - f) ** 2
+    P = F_t * f * v_w
+    zeta = C_R * (1.0 + G * G) * f * (b - f) ** 2
+    return EquilibriumResult(kappa=G, lam=lam, v_a=v_a, F_a=F_t, F_a_r=F_t, F_a_theta=0.0,
+                             F_t_kite=F_t, F_tg=F_t, zeta=zeta, P=P, iterations=0)
 
 
 def reel_factor_for_force_massless(
     F_target: float, state: KiteState, aero: EffectiveAero, wind: WindState, S: float
-) -> float:
-    """Reeling factor that produces tether force ``F_target`` (massless).
+) -> tuple[float, EquilibriumResult]:
+    """Reeling factor that produces tether force ``F_target`` (massless),
+    and its :func:`massless_state` equilibrium.
 
     Inverts the normalised tether-force relation; the smaller quadratic
     root is taken since the larger one corresponds to a compressed
     tether.  Large targets give a negative factor, i.e. reeling in.
     """
-    _, b = _trig(state, aero, wind)
+    a, b = _trig(state, aero, wind)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if wind.v_w <= 0.0:
         raise ValidationError("force inversion requires a positive wind speed")
-    G = aero.LD
-    scale = wind.q * S * aero.C_R * (1.0 + G * G)
-    return b - math.sqrt(F_target / scale)
+    G, C_R = aero.LD, aero.C_R
+    scale = wind.q * S * C_R * (1.0 + G * G)
+    f = b - math.sqrt(F_target / scale)
+    return f, _massless(a, b, f, G, C_R, scale, wind.v_w)
 
 
 def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
@@ -449,7 +445,7 @@ def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: Effect
 
     def setpoint(F_target: float, target_end: TargetEnd) -> tuple[float, EquilibriumResult]:
         def unreachable(reason: str) -> SetpointUnreachableError:
-            return SetpointUnreachableError(f"force {F_target:.1f} N at the {target_end}: "
+            return SetpointUnreachableError(f"force {F_target:.6g} N at the {target_end}: "
                                             f"{reason}")
 
         # The aerodynamic force (F_a_r, F_a) that carries the set-point.

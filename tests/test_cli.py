@@ -208,6 +208,18 @@ def test_solver_error_exit_code(tmp_path, capsys, strong_config):
     assert "Error" in err
 
 
+def test_unreachable_set_point_message_is_short(tmp_path, capsys, strong_config):
+    # A set-point is printed to six significant figures, not spelt out.
+    raw = config_to_dict(strong_config)
+    raw["operation"]["F_out"] = 1e200
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "SetpointUnreachableError: " in err and "force 1e+200 N at the " in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
 def test_unknown_arguments_exit_code(capsys):
     assert run_command(["simulate"]) == 2
     assert run_command(["explode", "--config", "strong_wind"]) == 2

@@ -225,6 +225,20 @@ class TestTelemetryCsv:
         with pytest.raises(ParseError):
             read_telemetry_csv(path)
 
+    def test_parse_error_wins_over_an_earlier_invalid_row(self, tmp_path, strong_telemetry):
+        # r = 0 on line 3 breaks an invariant; "abc" on line 5 does not parse.
+        path = tmp_path / "telemetry.csv"
+        records = list(strong_telemetry[:6])
+        records[1] = records[1]._replace(r=0.0)
+        write_telemetry_csv(path, records)
+        with pytest.raises(ValidationError, match=r": line 3: tether length must be > 0, got 0.0$"):
+            read_telemetry_csv(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[4] = "abc" + lines[4][lines[4].index(","):]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r": line 5: column t: could not convert"):
+            read_telemetry_csv(path)
+
     def test_missing_chi_derived_from_positions(self, tmp_path, strong_config, strong_cycle):
         records = cycle_to_log_records(strong_cycle, strong_config.environment.v_w_ref)
         blanked = [rec._replace(chi=None) for rec in records]

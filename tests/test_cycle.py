@@ -8,6 +8,7 @@ from kitecycle import (
     Environment,
     OperationSettings,
     convergence_study,
+    massless_state,
     simulate_cycle,
     simulate_retraction,
     simulate_traction,
@@ -160,8 +161,13 @@ def test_transition_failure_names_phase_and_state(strong_config):
                            "transition at t = 12.5 s, r = 390 m, beta = 5.72958e-05 deg: ")
 
 
+def never_reel(F_target, state, aero, wind, S):
+    """A massless force inversion whose winch never reels."""
+    return 0.0, massless_state(state._replace(f=0.0), aero, wind, S)
+
+
 def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
-    monkeypatch.setattr("kitecycle.cycle.reel_factor_for_force_massless", lambda *args: 0.0)
+    monkeypatch.setattr(cycle, "reel_factor_for_force_massless", never_reel)
     cfg = strong_config
     op = replace(cfg.operation, dT=1.0, gravity=False)
     with pytest.raises(PhaseError) as info:
@@ -172,7 +178,7 @@ def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
 def test_stalled_phase_raises_phase_error(strong_config, monkeypatch):
     # A winch that never reels leaves the tether length where it is; the
     # phase gives up after ten characteristic times.
-    monkeypatch.setattr("kitecycle.cycle.reel_factor_for_force_massless", lambda *args: 0.0)
+    monkeypatch.setattr(cycle, "reel_factor_for_force_massless", never_reel)
     cfg = strong_config
     op = replace(cfg.operation, dT=0.5, gravity=False)
     with pytest.raises(PhaseError, match="tether length failed to increase for 21 "):
@@ -287,20 +293,20 @@ class TestSteadyRetractionElevation:
                              r"lambda = (\S+) < 0", str(cause))
         assert match, str(cause)
         target, lam = match.groups()
-        assert target == f"{cfg.operation.F_in:.1f}"
+        assert target == f"{cfg.operation.F_in:.6g}"
         assert -1e-5 < float(lam) < 0.0
         assert lam == f"{float(lam):.3g}"
 
     def test_solver_edge_where_the_climb_goes_on_is_raised(self, strong_config, monkeypatch):
         cfg = strong_config
-        massless_state = cycle.massless_state
+        invert = cycle.reel_factor_for_force_massless
 
-        def edge_at_35_deg(state, *args):
+        def edge_at_35_deg(F_target, state, *args):
             if 0.5 * math.pi - state.theta > math.radians(35.0):
                 raise NoSolutionError("synthetic edge at 35 deg")
-            return massless_state(state, *args)
+            return invert(F_target, state, *args)
 
-        monkeypatch.setattr(cycle, "massless_state", edge_at_35_deg)
+        monkeypatch.setattr(cycle, "reel_factor_for_force_massless", edge_at_35_deg)
         with pytest.raises(NoSolutionError, match="synthetic edge"):
             steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
                                         replace(cfg.operation, gravity=False))

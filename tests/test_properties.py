@@ -11,8 +11,9 @@ every failure is one of a few definite reasons, and each entry point
 rejects a state, coefficient set or wind outside its domain with the
 message its record constructor used to give.
 The telemetry reader reads every valid log as the ``csv.DictReader``
-reference does, and a simulated cycle's phase energies add up to its
-mean power times its duration.
+reference does, the CSV writer writes the bytes ``csv.writer`` does,
+and a simulated cycle's phase energies add up to its mean power times
+its duration.
 """
 
 import contextlib
@@ -39,6 +40,7 @@ from kitecycle import (
     reel_factor_for_force_massless,
     solve_kinematic_ratio,
 )
+from kitecycle import dataio
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
 from kitecycle.dataio import TELEMETRY_COLUMNS, derive_course_angles, read_telemetry_csv
@@ -211,8 +213,9 @@ def test_massless_inversion_round_trip(problem):
         F = massless_state(state, aero, wind, S=KITE.S).F_t_kite
     except NoSolutionError:
         assume(False)
-    f = reel_factor_for_force_massless(F, state._replace(f=0.0), aero, wind, KITE.S)
+    f, eq = reel_factor_for_force_massless(F, state._replace(f=0.0), aero, wind, KITE.S)
     res = massless_state(state._replace(f=f), aero, wind, S=KITE.S)
+    assert eq == res
     assert abs(res.F_t_kite / F - 1.0) <= 1e-6
 
 
@@ -369,6 +372,32 @@ def test_telemetry_reader_matches_the_dictreader_reference(log):
     unfilled = [rec._replace(chi=None) if blank else rec
                 for rec, blank in zip(reference, blank_chi)]
     assert repr(derive_course_angles(unfilled)) == repr(reference)
+
+
+# CSV fields: floats with the edge values, ints, bools, None, and strings
+# built from characters csv.writer quotes for and from "None".
+CSV_FIELD = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308]),
+    st.integers(), st.booleans(), st.none(),
+    st.text(st.sampled_from(["a", "0", ".", "-", " ", ",", '"', "\r", "\n", "\u00e9"]),
+            max_size=5),
+    st.sampled_from(["", "None", "retraction"]),
+)
+
+
+@PROPERTY
+@given(st.lists(st.lists(CSV_FIELD, max_size=6), min_size=1, max_size=6))
+@example([[""]])
+@example([["t", "phase"], ['a"b'], ["a\rb"], ["a\nb"], ["a,b", 1.0], [None], [""], [], ["", ""],
+          [-0.0, 5e-324, 1e308, math.nan, -math.inf, True, 3, "None"]])
+def test_csv_writer_matches_the_csv_module(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "fast.csv", Path(tmp) / "reference.csv"
+        dataio._write_csv(path, rows[0], rows[1:])
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

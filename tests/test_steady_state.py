@@ -179,14 +179,16 @@ class TestReelFactorMassless:
         # Simpler: construct directly so that C_R*(1+LD^2) = 12 with LD = 4.
         C_R = 12.0 / 17.0
         aero = EffectiveAero(C_L=C_R * 4 / math.sqrt(17), C_D=C_R / math.sqrt(17))
-        f = reel_factor_for_force_massless(3.0 * WIND.q * 10.2, state(90, 0, 90, f=0.0),
-                                           aero, WIND, S=10.2)
+        f, eq = reel_factor_for_force_massless(3.0 * WIND.q * 10.2, state(90, 0, 90, f=0.0),
+                                               aero, WIND, S=10.2)
         assert f == pytest.approx(0.5, rel=1e-9)
+        assert eq.F_t_kite == pytest.approx(3.0 * WIND.q * 10.2, rel=1e-12)
 
     def test_force_at_zero_reeling_returns_zero(self):
         st = state(63, 10, 100, f=0.0)
         F0 = massless_state(st, AERO_71, WIND, S=10.2).F_t_kite
-        assert reel_factor_for_force_massless(F0, st, AERO_71, WIND, S=10.2) == pytest.approx(0.0, abs=1e-12)
+        f, _ = reel_factor_for_force_massless(F0, st, AERO_71, WIND, S=10.2)
+        assert f == pytest.approx(0.0, abs=1e-12)
 
     def test_round_trip_inverse(self):
         rng = np.random.default_rng(11)
@@ -194,9 +196,10 @@ class TestReelFactorMassless:
             aero = EffectiveAero(C_L=rng.uniform(0.3, 1.2), C_D=rng.uniform(0.05, 0.4))
             st = random_tension_state(rng, aero=aero)
             F = massless_state(st, aero, WIND, S=10.2).F_t_kite
-            f = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
+            f, eq = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
             assert f == pytest.approx(st.f, abs=1e-11)
-            assert massless_state(st._replace(f=f), aero, WIND, S=10.2).F_t_kite == pytest.approx(F, rel=1e-9)
+            assert eq == massless_state(st._replace(f=f), aero, WIND, S=10.2)
+            assert eq.F_t_kite == pytest.approx(F, rel=1e-9)
 
 
 class TestGroundTetherForce:
@@ -370,7 +373,7 @@ class TestReelFactorGravity:
             aero = EffectiveAero(C_L=rng.uniform(0.3, 1.0), C_D=rng.uniform(0.08, 0.3))
             st = random_tension_state(rng, aero=aero)
             F = massless_state(st, aero, WIND, S=10.2).F_t_kite
-            f_ml = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
+            f_ml, _ = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
             f_g, _ = reel_factor_for_force_gravity(F, "kite", st, kite0, 0.0, aero, WIND)
             assert f_g == pytest.approx(f_ml, abs=1e-12)
 
