@@ -2,7 +2,7 @@
 power systems."""
 
 from .atmosphere import Environment, WindState, wind_state_at
-from .config import RunConfig, SweepSpec, load_config, load_sweep_spec, preset_path, save_config
+from .config import RunConfig, SweepSpec, load_config, load_sweep_spec, preset_path
 from .cycle import (
     CycleResult,
     OperationSettings,

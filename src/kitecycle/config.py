@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
@@ -24,8 +24,6 @@ __all__ = [
     "RunConfig",
     "SweepSpec",
     "load_config",
-    "save_config",
-    "config_to_dict",
     "load_sweep_spec",
     "set_by_path",
     "preset_path",
@@ -146,35 +144,6 @@ def load_config(path: str | Path) -> RunConfig:
         ValidationError: on invariant violations, naming the invariant.
     """
     return _config_from_dict(_read_json(Path(path)))
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Inverse of :func:`load_config`; angles back to degrees."""
-    # The file keys of these three sections are their dataclass fields.
-    out: dict[str, Any] = {
-        "environment": asdict(cfg.environment),
-        "kite": asdict(cfg.kite),
-        "tether": asdict(cfg.tether),
-        "operation": {
-            "beta_deg": math.degrees(cfg.operation.beta_o),
-            "phi_deg": math.degrees(cfg.operation.phi_o),
-            "chi_deg": math.degrees(cfg.operation.chi_o),
-            "r_min": cfg.operation.r_min,
-            "r_max": cfg.operation.r_max,
-            "F_out": cfg.operation.F_out,
-            "F_in": cfg.operation.F_in,
-            "dT": cfg.operation.dT,
-        },
-        "gravity": cfg.operation.gravity,
-        "force_at": cfg.operation.force_at,
-    }
-    if cfg.out_dir is not None:
-        out["out_dir"] = cfg.out_dir
-    return out
-
-
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
 
 
 def preset_path(name: str) -> Path:

@@ -62,6 +62,9 @@ RETRACTION = "retraction"
 TRANSITION = "transition"
 TRACTION = "traction"
 _SCAN_STEP = math.radians(1.0)  # upward scan step of steady_retraction_elevation
+# Its bisection width [rad], and the climb factor lambda below which the
+# edge it found counts as the lambda = 0 edge.
+_EDGE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -428,15 +431,14 @@ def steady_retraction_elevation(
     kite: KiteParams,
     tether: TetherParams,
     op: OperationSettings,
-    tol: float = 1e-7,
 ) -> float:
     """Asymptotic elevation angle of force-controlled upward retraction.
 
     Diagnostic: at r = r_max, with the wind speed v_w_ref at every altitude
     and the density following altitude, the elevation climbs at
     lam*v_w/r_max, lam >= 0, up to the first edge above beta_o where lam
-    stops being positive.  A scan in ``_SCAN_STEP`` steps and a bisection
-    to ``tol`` [rad] find that edge; its solvable end is returned, whatever
+    stops being positive.  A scan in 1 deg steps and a bisection to a
+    fixed 1e-7 rad find that edge; its solvable end is returned, whatever
     ``op.dT``.
 
     Raises:
@@ -467,15 +469,14 @@ def steady_retraction_elevation(
         lo, lam_lo = hi, lam
         hi = min(hi + _SCAN_STEP, 0.5 * math.pi)
         lam = climb_rate(hi)
-    # A fixed count: a tol below the float spacing cannot stall the bisection.
-    for _ in range(math.ceil(math.log2(_SCAN_STEP / tol))):
+    for _ in range(math.ceil(math.log2(_SCAN_STEP / _EDGE_TOL))):
         mid = 0.5 * (lo + hi)
         lam = climb_rate(mid)
         if lam > 0.0:
             lo, lam_lo = mid, lam
         else:
             hi = mid
-    if failures and lam_lo >= tol:
+    if failures and lam_lo >= _EDGE_TOL:
         raise failures[-1]
     return lo
 

@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 GRAVITY = 9.81  # m/s^2
+# Reeling factors below this are not admitted by a force inversion.
+_F_LO = -3.0
 
 
 @dataclass(frozen=True)
@@ -225,10 +227,12 @@ def tether_properties(
     return m_t, C_D_total
 
 
-def _trig(state: KiteState, aero: EffectiveAero, wind: WindState) -> tuple[float, float]:
-    """Trigonometric coefficients (a, b) of the tangential-speed quadratic,
-    once theta is in (-pi/2, pi), C_L, C_D are positive and finite, v_w >= 0
-    and rho > 0."""
+def _trig(state: KiteState, aero: EffectiveAero,
+          wind: WindState) -> tuple[float, float, tuple[float, ...]]:
+    """The coefficients (a, b) of the tangential-speed quadratic and the
+    sines and cosines (sin_t, cos_t, sin_p, cos_p, sin_c, cos_c) of theta,
+    phi and chi, once theta is in (-pi/2, pi), C_L, C_D are positive and
+    finite, v_w >= 0 and rho > 0."""
     if not -0.5 * math.pi < state.theta < math.pi:
         raise ValidationError(f"polar angle must be in (-pi/2, pi), got {state.theta}")
     if aero.C_L <= 0.0 or aero.C_D <= 0.0:
@@ -241,9 +245,9 @@ def _trig(state: KiteState, aero: EffectiveAero, wind: WindState) -> tuple[float
         )
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
     sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
-    a = cos_t * cos_p * math.cos(state.chi) - sin_p * math.sin(state.chi)
-    b = sin_t * cos_p
-    return a, b
+    sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
+    return (cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p,
+            (sin_t, cos_t, sin_p, cos_p, sin_c, cos_c))
 
 
 def massless_state(
@@ -261,7 +265,7 @@ def massless_state(
         NoSolutionError: if the tangential velocity factor has no real
             non-negative solution.
     """
-    a, b = _trig(state, aero, wind)
+    a, b, _ = _trig(state, aero, wind)
     G, C_R = aero.LD, aero.C_R
     return _massless(a, b, state.f, G, C_R, wind.q * S * C_R * (1.0 + G * G), wind.v_w)
 
@@ -295,8 +299,12 @@ def reel_factor_for_force_massless(
     Inverts the normalised tether-force relation; the smaller quadratic
     root is taken since the larger one corresponds to a compressed
     tether.  Large targets give a negative factor, i.e. reeling in.
+
+    Raises:
+        SetpointUnreachableError: if the factor is below -3, the bound of
+            :func:`reel_factor_for_force_gravity`.
     """
-    a, b = _trig(state, aero, wind)
+    a, b, _ = _trig(state, aero, wind)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if wind.v_w <= 0.0:
@@ -304,6 +312,8 @@ def reel_factor_for_force_massless(
     G, C_R = aero.LD, aero.C_R
     scale = wind.q * S * C_R * (1.0 + G * G)
     f = b - math.sqrt(F_target / scale)
+    if f < _F_LO:
+        raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
     return f, _massless(a, b, f, G, C_R, scale, wind.v_w)
 
 
@@ -360,17 +370,16 @@ class _Probe(NamedTuple):
     value: object
 
 
-# Reeling factors below this are not admitted by a force inversion.
-_F_LO = -3.0
 # Step in log kappa of the probe that checks G rises through G*.
 _RISE_STEP = 1e-6
 
 TargetEnd = Literal["kite", "ground"]
 
 
-def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: EffectiveAero,
-                    wind: WindState):
-    """The force geometry of one flight state, as three functions.
+def _force_geometry(state: KiteState, trig: tuple, kite: KiteParams, m_t: float,
+                    aero: EffectiveAero, wind: WindState):
+    """The force geometry of one flight state, with its :func:`_trig`
+    values ``trig``, as three functions.
 
     ``geometry(x, f)`` evaluates the apparent wind and the aerodynamic
     force at kappa = exp(x) and returns a probe with residual log(G/G*),
@@ -389,10 +398,7 @@ def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: Effect
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
     G_star = aero.LD
     log_G_star = math.log(G_star)
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
-    sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
-    a, b = cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p  # as in _trig
+    a, b, (sin_t, cos_t, sin_p, cos_p, sin_c, cos_c) = trig
     v_w = wind.v_w
     force_coefficient = wind.q * kite.S * aero.C_R
     F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
@@ -484,7 +490,7 @@ def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: Effect
         if b_f <= 0.0:
             raise unreachable(f"no tension at f = {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
         if f < _F_LO:
-            raise unreachable(f"f = {f:.4f} is below {_F_LO}")
+            raise unreachable(f"f = {f:.6g} is below {_F_LO}")
         kappa2 = A / (b_f * b_f) - 1.0
         try:
             rising = kappa2 > 0.0 and geometry(0.5 * math.log(kappa2) + _RISE_STEP, f).r > 0.0
@@ -499,17 +505,17 @@ def _force_geometry(state: KiteState, kite: KiteParams, m_t: float, aero: Effect
     return geometry, equilibrium, setpoint
 
 
-def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: float,
-                    xtol: float) -> tuple[_Probe, _Probe]:
+def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe) -> tuple[_Probe, _Probe]:
     """Illinois false position (Dowell & Jarratt 1971) on a sign change.
 
     ``p`` has a positive residual and ``n`` a negative one or none: a
     probe that fails counts as the negative side, and the next probe
-    bisects toward it.  Stops at a probe within ``rtol`` or when the
-    bracket is narrower than ``xtol``.  Returns the final (p, n).
+    bisects toward it.  Stops at a probe within ``_LOG_G_TOL`` or when
+    the bracket is narrower than ``_LOG_KAPPA_WIDTH``.  Returns the final
+    (p, n).
     """
     w_p, w_n, last = p.r, n.r, 0  # Illinois halves the weight of an end kept twice
-    while abs(p.x - n.x) > xtol:
+    while abs(p.x - n.x) > _LOG_KAPPA_WIDTH:
         x = 0.5 * (p.x + n.x)
         if w_n is not None:
             x_fp = p.x - w_p * (n.x - p.x) / (w_n - w_p)
@@ -526,7 +532,7 @@ def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: 
         else:
             n, w_n, w_p = q, q.r, (0.5 * w_p if last < 0 else w_p)
             last = -1
-        if q.r is not None and abs(q.r) <= rtol:
+        if q.r is not None and abs(q.r) <= _LOG_G_TOL:
             break
     return p, n
 
@@ -535,8 +541,10 @@ def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe, rtol: 
 # from the top by factors of 2**0.25.
 _LOG_KAPPA_MIN = math.log(1e-9)
 _LOG_KAPPA_STEP = 0.25 * math.log(2.0)
-# Default tolerance on G/G* - 1.
-_KAPPA_TOL = 1e-7
+# The search stops at |log(G/G*)| <= _LOG_G_TOL, or where a bracket or
+# interval in log kappa is narrower than _LOG_KAPPA_WIDTH.
+_LOG_G_TOL = 1e-12
+_LOG_KAPPA_WIDTH = 1e-13
 _SECANT_STEPS = 10
 
 
@@ -546,7 +554,6 @@ def solve_kinematic_ratio(
     m_t: float,
     aero: EffectiveAero,
     wind: WindState,
-    tol: float = _KAPPA_TOL,
 ) -> EquilibriumResult:
     """Quasi-steady equilibrium including gravity on kite and tether.
 
@@ -554,14 +561,20 @@ def solve_kinematic_ratio(
     lift-to-drag ratio that the apparent wind and the aerodynamic force
     components at kappa imply and G* the system lift-to-drag ratio.  The
     geometry is evaluated at the massless solution kappa = G* first and
-    accepted if G matches G* to ``tol`` (relative).  Otherwise a secant
-    on log kappa (:func:`_secant`) takes the fixed-point step
-    kappa*sqrt(G*/G) first.  If the secant leaves (0, 50*G*], a probe
-    fails, ``_SECANT_STEPS`` steps pass or its slope has G falling with
-    kappa, a bracketed search steps down from 50*G* by factors of
-    2**0.25 to the first kappa with G < G*, or where the geometry fails,
-    and refines that sign change.  Both find the largest root, where G
-    rises through G*.  ``iterations`` counts the geometry evaluations.
+    accepted if |log(G/G*)| <= 1e-12.  Otherwise a secant on log kappa
+    (:func:`_secant`) takes the fixed-point step kappa*sqrt(G*/G) first.
+    If the secant leaves (0, 50*G*], a probe fails, ``_SECANT_STEPS``
+    steps pass or its slope has G falling with kappa, a bracketed search
+    steps down from 50*G* by factors of 2**0.25 to the first kappa with
+    G < G*, or where the geometry fails, and refines that sign change.
+    Both find the largest root, where G rises through G*.
+    ``iterations`` counts the geometry evaluations.
+
+    The accuracy is fixed: a returned kappa has |log(G/G*)| <= 1e-12, or
+    lies within 1e-13 in log kappa of the sign change.  With
+    s = d log G / d log kappa > 0 at the root, that puts kappa within
+    about 1e-12/s of the root, relative: 2.7e-11 where G barely rises
+    with kappa (s = 0.037).
 
     Raises:
         NoTensionError: if the reeling factor leaves no radial apparent wind.
@@ -570,12 +583,13 @@ def solve_kinematic_ratio(
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
     """
-    _, b = _trig(state, aero, wind)
+    trig = _trig(state, aero, wind)
+    b = trig[1]
     if state.f >= b:
         raise NoTensionError(
             f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
         )
-    geometry, equilibrium, _ = _force_geometry(state, kite, m_t, aero, wind)
+    geometry, equilibrium, _ = _force_geometry(state, trig, kite, m_t, aero, wind)
     f = state.f
     evaluations = 0
 
@@ -584,29 +598,27 @@ def solve_kinematic_ratio(
         evaluations += 1
         return geometry(x, f)
 
-    rtol = math.log1p(tol)
     x_max = math.log(50.0 * aero.LD)
-    value = _secant(probe, math.log(aero.LD), rtol, x_max)
+    value = _secant(probe, math.log(aero.LD), x_max)
     if value is None:
-        value = _largest_kappa_root(probe, x_max, rtol).value
+        value = _largest_kappa_root(probe, x_max).value
     if value[1] < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({value[1]:.4f})")
     return equilibrium(value, f, evaluations)
 
 
-def _secant(probe: Callable[[float], _Probe], x: float, rtol: float,
-            x_max: float) -> Optional[tuple]:
+def _secant(probe: Callable[[float], _Probe], x: float, x_max: float) -> Optional[tuple]:
     """Secant iteration on log kappa from ``x``; the first step is the
     fixed-point step kappa*sqrt(G*/G) (slope 2).  Returns the values of
-    the first probe within ``rtol``, or None once a probe fails, a step
-    leaves [1e-9, exp(x_max)], ``_SECANT_STEPS`` steps pass or the slope
-    has G falling with kappa, where a root is not the model's."""
+    the first probe within ``_LOG_G_TOL``, or None once a probe fails, a
+    step leaves [1e-9, exp(x_max)], ``_SECANT_STEPS`` steps pass or the
+    slope has G falling with kappa, where a root is not the model's."""
     slope = 2.0
     try:
         p = probe(x)
         for _ in range(_SECANT_STEPS):
-            if abs(p.r) <= rtol:
+            if abs(p.r) <= _LOG_G_TOL:
                 break
             dx = -p.r / slope
             if not _LOG_KAPPA_MIN <= p.x + dx <= x_max:
@@ -617,11 +629,10 @@ def _secant(probe: Callable[[float], _Probe], x: float, rtol: float,
                 return None
     except SteadyStateError:
         return None
-    return p.value if abs(p.r) <= rtol else None
+    return p.value if abs(p.r) <= _LOG_G_TOL else None
 
 
-def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
-                        rtol: float) -> _Probe:
+def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float) -> _Probe:
     """Step down in log kappa from ``x_max`` to the first probe with
     G < G*, or at which the geometry fails, and refine that sign change;
     a failed probe counts as G < G*, which finds a root at the edge of the
@@ -642,10 +653,10 @@ def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
         q = probe(x)
         if p is not None and q.r >= p.r and (pp is None or pp.r > p.r):
             top = pp or p
-            least = _golden_least(probe, q.x, top.x, rtol)
-            if least.r < rtol:
+            least = _golden_least(probe, q.x, top.x)
+            if least.r < _LOG_G_TOL:
                 p, q = top, least
-        if abs(q.r) <= rtol:
+        if abs(q.r) <= _LOG_G_TOL:
             return q
         if 0.0 < q.r < math.inf:
             pp, p, x = p, q, x - _LOG_KAPPA_STEP
@@ -656,9 +667,8 @@ def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
             else:
                 reason = f"{q.value} at kappa = {math.exp(x):.4g}"
             break
-        p, n = _bracketed_root(geometry, p, q if q.r < 0.0 else _Probe(q.x, None, None),
-                               rtol, 1e-13)
-        if n.r is not None or p.r <= rtol:
+        p, n = _bracketed_root(geometry, p, q if q.r < 0.0 else _Probe(q.x, None, None))
+        if n.r is not None or p.r <= _LOG_G_TOL:
             return n if n.r is not None and -n.r < p.r else p
         reason = f"{q.value} below kappa = {math.exp(p.x):.4g}"
         break
@@ -671,14 +681,13 @@ def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float,
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float,
-                  rtol: float) -> _Probe:
+def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float) -> _Probe:
     """Golden-section search of [lo, hi] for the least residual, on the
     premise that G has one minimum there.  Stops at the first probe with
-    a residual below ``rtol``, or when the interval is narrower than
-    1e-13."""
+    a residual below ``_LOG_G_TOL``, or when the interval is narrower
+    than ``_LOG_KAPPA_WIDTH``."""
     c, d = probe(hi - _GOLDEN * (hi - lo)), probe(lo + _GOLDEN * (hi - lo))
-    while hi - lo > 1e-13 and min(c.r, d.r) >= rtol:
+    while hi - lo > _LOG_KAPPA_WIDTH and min(c.r, d.r) >= _LOG_G_TOL:
         if c.r < d.r:
             hi, d = d.x, c
             c = probe(hi - _GOLDEN * (hi - lo))
@@ -718,10 +727,10 @@ def reel_factor_for_force_gravity(
         TetherSagError: if the ground-end force of the root leaves the
             tether pushing on the ground station.
     """
-    _trig(state, aero, wind)
+    trig = _trig(state, aero, wind)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
-    _, _, setpoint = _force_geometry(state, kite, m_t, aero, wind)
+    _, _, setpoint = _force_geometry(state, trig, kite, m_t, aero, wind)
     return setpoint(F_target, target_end)

@@ -194,7 +194,7 @@ def test_criterion_8_kinematic_ratio_ordering():
         for chi_deg, store in ((180.0, kappa_up), (0.0, kappa_down)):
             st = KiteState(r=200.0, theta=theta, phi=0.0, chi=math.radians(chi_deg), f=0.37)
             try:
-                res = solve_kinematic_ratio(st, kite, 0.0, aero, wind, tol=1e-9)
+                res = solve_kinematic_ratio(st, kite, 0.0, aero, wind)
             except SteadyStateError:
                 failures.append(f"m={m:.0f}:chi={chi_deg:.0f}: no quasi-steady solution")
                 continue

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitecycle import cli, load_config, preset_path, save_config, segment_and_average
+from kitecycle import cli, load_config, preset_path, segment_and_average
 from kitecycle.cli import run_command
-from kitecycle.config import config_to_dict
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
     read_telemetry_csv,
@@ -28,6 +27,11 @@ def read(path: Path) -> bytes:
     return Path(path).read_bytes()
 
 
+def strong_raw() -> dict:
+    """The strong_wind preset file, parsed."""
+    return json.loads(preset_path("strong_wind").read_text())
+
+
 def test_simulate_writes_summary_and_timeseries(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_command(["simulate", "--config", "strong_wind", "--out", str(out)])
@@ -38,9 +42,9 @@ def test_simulate_writes_summary_and_timeseries(tmp_path, capsys):
     assert set(summary["phases"]) == {"retraction", "transition", "traction"}
 
 
-def test_simulate_accepts_config_path_and_no_gravity(tmp_path, strong_config):
+def test_simulate_accepts_config_path_and_no_gravity(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    save_config(strong_config, cfg_path)
+    cfg_path.write_text(preset_path("strong_wind").read_text())
     out = tmp_path / "run"
     code = run_command(["simulate", "--config", str(cfg_path), "--no-gravity",
                         "--out", str(out)])
@@ -51,11 +55,11 @@ def test_simulate_accepts_config_path_and_no_gravity(tmp_path, strong_config):
     assert summary["P_m"] < 7590.0
 
 
-def test_validation_error_exit_code(tmp_path, capsys, strong_config):
-    long_r_min = config_to_dict(strong_config)
+def test_validation_error_exit_code(tmp_path, capsys):
+    long_r_min = strong_raw()
     long_r_min["operation"]["r_min"] = 5000.0
     # A string flag would be truthy and silently select the gravity model.
-    string_gravity = {**config_to_dict(strong_config), "gravity": "false"}
+    string_gravity = {**strong_raw(), "gravity": "false"}
     for raw in (long_r_min, string_gravity):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
@@ -64,13 +68,13 @@ def test_validation_error_exit_code(tmp_path, capsys, strong_config):
         assert "ValidationError" in capsys.readouterr().err
 
 
-def test_non_finite_and_boolean_config_numbers_rejected(tmp_path, capsys, strong_config):
+def test_non_finite_and_boolean_config_numbers_rejected(tmp_path, capsys):
     # Each used to load: the first three then failed as solver errors
     # (exit 3), the last silently ran a 1 kg kite.
     cases = (("environment", "v_w_ref", math.nan), ("tether", "C_D_c", math.nan),
              ("operation", "F_out", math.inf), ("kite", "m", True))
     for section, key, value in cases:
-        raw = config_to_dict(strong_config)
+        raw = strong_raw()
         raw[section][key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
@@ -80,11 +84,11 @@ def test_non_finite_and_boolean_config_numbers_rejected(tmp_path, capsys, strong
         assert "ParseError" in err and f"{section}.{key}" in err
 
 
-def test_config_kind_errors_rejected_at_parse(tmp_path, capsys, strong_config):
+def test_config_kind_errors_rejected_at_parse(tmp_path, capsys):
     # A non-string out_dir used to raise TypeError and a non-string sweep
     # parameter AttributeError, both uncaught; num = 2.5 swept two points.
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**config_to_dict(strong_config), "out_dir": 5}))
+    bad.write_text(json.dumps({**strong_raw(), "out_dir": 5}))
     spec = tmp_path / "sweep.json"
     sweep = ["sweep", "--config", "strong_wind", "--spec", str(spec), "--out", str(tmp_path)]
     for argv, text, where in (
@@ -100,11 +104,11 @@ def test_config_kind_errors_rejected_at_parse(tmp_path, capsys, strong_config):
         assert err.startswith("ParseError") and where in err, err
 
 
-def test_oversized_and_undecodable_configs_rejected_at_parse(tmp_path, capsys, strong_config):
+def test_oversized_and_undecodable_configs_rejected_at_parse(tmp_path, capsys):
     # Each used to escape run_command: OverflowError for an integer beyond
     # the float range, ValueError for one beyond Python's digit limit and
     # UnicodeDecodeError for a file that is not UTF-8.
-    huge = config_to_dict(strong_config)
+    huge = strong_raw()
     huge["kite"]["m"] = 10**400
     bad = tmp_path / "bad.json"
     for content, where in ((json.dumps(huge).encode(), "kite.m"),
@@ -143,7 +147,7 @@ def leaves(node, path=()):
         yield path, {bool: "bool", str: "string"}.get(type(node), "number")
 
 
-PRESET = {**json.loads(preset_path("strong_wind").read_text()), "out_dir": "out"}
+PRESET = {**strong_raw(), "out_dir": "out"}
 VALUES_SPEC = {"parameter": "operation.F_out", "values": [2000.0, 3008.0], "objective": "P_m"}
 RANGE_SPEC = {"parameter": "operation.F_out", "range": {"start": 2e3, "stop": 3e3, "num": 3}}
 FUZZED = ([("config", PRESET, path, kind) for path, kind in leaves(PRESET)]
@@ -186,8 +190,8 @@ def test_config_fuzzing_exits_2_before_simulating(tmp_path_factory, leaf, data):
         assert run_command(argv) == 2
 
 
-def test_parse_error_exit_code(tmp_path, capsys, strong_config):
-    raw = config_to_dict(strong_config)
+def test_parse_error_exit_code(tmp_path, capsys):
+    raw = strong_raw()
     raw["unexpected"] = True
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -196,8 +200,8 @@ def test_parse_error_exit_code(tmp_path, capsys, strong_config):
     assert "ParseError" in capsys.readouterr().err
 
 
-def test_solver_error_exit_code(tmp_path, capsys, strong_config):
-    raw = config_to_dict(strong_config)
+def test_solver_error_exit_code(tmp_path, capsys):
+    raw = strong_raw()
     raw["operation"]["F_in"] = 1.0e8
     raw["operation"]["F_out"] = 2.0e8
     bad = tmp_path / "bad.json"
@@ -208,16 +212,25 @@ def test_solver_error_exit_code(tmp_path, capsys, strong_config):
     assert "Error" in err
 
 
-def test_unreachable_set_point_message_is_short(tmp_path, capsys, strong_config):
-    # A set-point is printed to six significant figures, not spelt out.
-    raw = config_to_dict(strong_config)
-    raw["operation"]["F_out"] = 1e200
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    assert run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert "SetpointUnreachableError: " in err and "force 1e+200 N at the " in err
-    assert all(len(line) < 200 for line in err.splitlines())
+def test_unreachable_set_point_message_is_short(tmp_path, capsys):
+    # A set-point and its reeling factor are printed to six significant
+    # figures, not spelt out.  The massless inversion has the gravity
+    # inversion's bound f >= -3; without it the traction phase reeled in
+    # at f = -8e97 and failed later, in the wind law.
+    for F_out, flags, message in (
+            (1e200, [], "force 1e+200 N at the ground: its square overflows"),
+            (1e100, [], "force 1e+100 N at the ground: f = -8.1021e+47 is below -3.0"),
+            (1e200, ["--no-gravity"], "force 1e+200 N: f = -8.1021e+97 is below -3.0")):
+        raw = strong_raw()
+        raw["operation"]["F_out"] = F_out
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o"),
+                            *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("SetpointUnreachableError: traction at t = "), err
+        assert err.endswith(f"deg: {message}\n"), err
+        assert all(len(line) < 200 for line in err.splitlines())
 
 
 def test_unknown_arguments_exit_code(capsys):
@@ -256,9 +269,9 @@ def test_telemetry_out_in_missing_directory_exit_code(tmp_path, capsys):
     # C_D overflowed to inf, so log(LD) used to raise ValueError.
     ("kite", "S", 1e-320, [], "effective coefficients must be finite"),
 ])
-def test_finite_config_values_beyond_the_model_exit_2(tmp_path, capsys, strong_config, section,
-                                                       key, value, flags, message):
-    raw = config_to_dict(strong_config)
+def test_finite_config_values_beyond_the_model_exit_2(tmp_path, capsys, section, key, value,
+                                                       flags, message):
+    raw = strong_raw()
     raw[section][key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))

@@ -112,9 +112,9 @@ def assume_aero_dominated(state, aero, wind, m, m_t):
     assume(F_massless >= 2.0 * (m + m_t) * 9.81)
 
 
-def solve_or_skip(state, m, m_t, aero, wind, **kwargs):
+def solve_or_skip(state, m, m_t, aero, wind):
     try:
-        return solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind, **kwargs)
+        return solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind)
     except (SteadyStateError, TetherSagError):
         assume(False)
 
@@ -127,21 +127,18 @@ def test_gravity_inversion_round_trip(problem, end):
     F = force(solve_or_skip(state, m, m_t, aero, wind), end)
     f, _ = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
                                          wind)
-    # The inversion is exact, so the check solves tightly: where G barely
-    # rises with kappa, a solve at the default tol misses the force by more.
-    res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind, tol=1e-12)
+    res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind)
     assert abs(force(res, end) / F - 1.0) <= 1e-6
 
 
 def bisect_reel_factor(F, end, state, m, m_t, aero, wind, f_high_force):
     """Reeling factor at which the tether force at ``end`` falls through
     ``F``, by bisection from ``f_high_force`` (where the force is above F)
-    to just below sin(theta)*cos(phi), each probe a kinematic solve at
-    tol 1e-12; a probe without an equilibrium counts as below F."""
+    to just below sin(theta)*cos(phi), each probe a kinematic solve; a
+    probe without an equilibrium counts as below F."""
     def above(f):
         try:
-            res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind,
-                                        tol=1e-12)
+            res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind)
         except (SteadyStateError, TetherSagError):
             return False
         return force(res, end) > F
@@ -159,7 +156,7 @@ def bisect_reel_factor(F, end, state, m, m_t, aero, wind, f_high_force):
 def test_joint_inversion_matches_tight_nested_reference(problem, end):
     state, aero, wind, m, m_t = problem
     assume_aero_dominated(state, aero, wind, m, m_t)
-    F = force(solve_or_skip(state, m, m_t, aero, wind, tol=1e-12), end)
+    F = force(solve_or_skip(state, m, m_t, aero, wind), end)
     f_ref = bisect_reel_factor(F, end, state, m, m_t, aero, wind, state.f - 0.5)
     f, eq = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
                                           wind)
@@ -247,11 +244,16 @@ def test_gravity_mode_without_mass_is_the_closed_form(problem):
 
 @PROPERTY
 @given(problems())
+# G barely rises with kappa (d log G / d log kappa = 0.037): a residual
+# bound of 1e-7 on G/G* - 1 left kappa 1.6e-6 off here.
+@example((KiteState(r=50.0, theta=1.115084417259966, phi=-0.3125, chi=2.0, f=0.5397545978330571),
+          EffectiveAero(1.5, 0.3744629565277525), WindState(11.75, 1.1985975364711163), 16.25,
+          0.0))
 def test_kinematic_ratio_matches_tight_bisection(problem):
     state, aero, wind, m, m_t = problem
     reference = bisect_kappa(state, KITE.S, m, m_t, aero, wind)
     try:
-        res = solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind, tol=1e-12)
+        res = solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind)
     except SteadyStateError as exc:
         # The reference finds no root either, or one with a negative
         # tangential speed.

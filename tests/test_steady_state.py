@@ -201,6 +201,17 @@ class TestReelFactorMassless:
             assert eq == massless_state(st._replace(f=f), aero, WIND, S=10.2)
             assert eq.F_t_kite == pytest.approx(F, rel=1e-9)
 
+    def test_factor_below_minus_3_is_unreachable(self):
+        # The bound of the gravity inversion: f >= -3.
+        def force_at(f):
+            return massless_state(state(63, 10, 100, f=f), AERO_71, WIND, S=10.2).F_t_kite
+
+        st = state(63, 10, 100, f=0.0)
+        f, _ = reel_factor_for_force_massless(force_at(-2.999), st, AERO_71, WIND, S=10.2)
+        assert f == pytest.approx(-2.999, abs=1e-12)
+        with pytest.raises(SetpointUnreachableError, match=r"f = -3\.001 is below -3"):
+            reel_factor_for_force_massless(force_at(-3.001), st, AERO_71, WIND, S=10.2)
+
 
 class TestGroundTetherForce:
     def test_horizontal_tether_identity(self):
@@ -279,7 +290,7 @@ class TestKinematicRatioSolver:
     @pytest.mark.parametrize("chi_deg,m", [(0, 10.0), (0, 30.0), (0, 50.0), (180, 10.0)])
     def test_grid_scan_oracle_agreement(self, chi_deg, m):
         st = fig8_state(chi_deg)
-        res = solve_kinematic_ratio(st, fig8_kite(m), 0.0, FIG8_AERO, FIG8_WIND, tol=1e-9)
+        res = solve_kinematic_ratio(st, fig8_kite(m), 0.0, FIG8_AERO, FIG8_WIND)
         kappa_scan, residual = grid_scan_kappa(st, 16.7, m, 0.0, FIG8_AERO, FIG8_WIND)
         assert residual < 1e-4
         assert res.kappa == pytest.approx(kappa_scan, rel=1e-4)
@@ -298,11 +309,11 @@ class TestKinematicRatioSolver:
         # lies near 21.96 kg: just below it the root matches a tight
         # bisection, just above it neither finds one.
         st = fig8_state(180)
-        res = solve_kinematic_ratio(st, fig8_kite(21.9), 0.0, FIG8_AERO, FIG8_WIND, tol=1e-12)
+        res = solve_kinematic_ratio(st, fig8_kite(21.9), 0.0, FIG8_AERO, FIG8_WIND)
         reference = bisect_kappa(st, 16.7, 21.9, 0.0, FIG8_AERO, FIG8_WIND)
         assert abs(res.kappa / reference - 1.0) <= 1e-8
         with pytest.raises(SteadyStateError, match="^no sign change"):
-            solve_kinematic_ratio(st, fig8_kite(22.0), 0.0, FIG8_AERO, FIG8_WIND, tol=1e-12)
+            solve_kinematic_ratio(st, fig8_kite(22.0), 0.0, FIG8_AERO, FIG8_WIND)
         assert bisect_kappa(st, 16.7, 22.0, 0.0, FIG8_AERO, FIG8_WIND) is None
 
     def test_secant_stops_where_g_falls(self, monkeypatch):
