@@ -45,6 +45,8 @@ class Environment:
             raise ValidationError(f"sea-level density must be > 0, got {self.rho0}")
         if self.H_rho <= 0.0:
             raise ValidationError(f"density scale height must be > 0, got {self.H_rho}")
+        # Not a field: out of __eq__, __repr__ and replace(), which recomputes it.
+        object.__setattr__(self, "_log_z_ref", math.log(self.z_ref / self.z0))
 
     def wind_speed(self, z: float) -> float:
         """Wind speed [m/s] at altitude ``z`` by the logarithmic wind law."""
@@ -58,7 +60,7 @@ class Environment:
     def log_wind_speed(self, z: float, v_ref: float) -> float:
         """Log wind law at altitude ``z`` scaled to the wind speed ``v_ref``
         measured at ``z_ref``; the caller keeps ``z`` at or above ``z0``."""
-        return v_ref * math.log(z / self.z0) / math.log(self.z_ref / self.z0)
+        return v_ref * math.log(z / self.z0) / self._log_z_ref
 
     def density(self, z: float) -> float:
         """Air density [kg/m^3] at altitude ``z`` (isothermal barometric decay)."""

@@ -9,6 +9,7 @@ to stderr.  ``python -m kitecycle.cli`` runs it too.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -79,7 +80,9 @@ def _cmd_estimate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first command of a process."""
     parser = argparse.ArgumentParser(
         prog="kitecycle",
         description="Quasi-steady pumping-cycle kite power simulation and "
@@ -121,9 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: list[str]) -> int:
     """Run one CLI command; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

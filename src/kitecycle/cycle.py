@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 from .atmosphere import Environment, WindState, wind_state_at
@@ -38,9 +39,9 @@ from .steady_state import (
     KiteParams,
     KiteState,
     TetherParams,
+    massless_setpoint,
     massless_state,
     reel_factor_for_force_gravity,
-    reel_factor_for_force_massless,
     solve_kinematic_ratio,
     tether_properties,
 )
@@ -168,7 +169,8 @@ class CycleResult:
 
 
 class _PhaseEngine:
-    """Shared machinery: per-step equilibrium solves and series bookkeeping."""
+    """Shared machinery of one phase flown at fixed angles ``phi`` and
+    ``chi``: per-step equilibrium solves and series bookkeeping."""
 
     def __init__(
         self,
@@ -177,6 +179,7 @@ class _PhaseEngine:
         tether: TetherParams,
         op: OperationSettings,
         aero_set: AeroSet,
+        phi: float, chi: float,
     ):
         if env.v_w_ref <= 0.0:
             raise ValidationError("cycle simulation requires a positive reference wind speed")
@@ -185,6 +188,8 @@ class _PhaseEngine:
         self.tether = tether
         self.op = op
         self.aero_set = aero_set
+        self.phi, self.chi = phi, chi
+        self.angles = (math.sin(phi), math.cos(phi), math.sin(chi), math.cos(chi))
         self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
 
     def wind_at(self, r: float, theta: float) -> WindState:
@@ -195,17 +200,19 @@ class _PhaseEngine:
         return m_t, EffectiveAero(self.aero_set.C_L, C_D)
 
     def solve_force(
-        self, F_target: float, r: float, theta: float, phi: float, chi: float,
-        wind: WindState,
+        self, F_target: float, r: float, theta: float, wind: WindState
     ) -> tuple[KiteState, EquilibriumResult]:
         """Reeling factor and equilibrium for a tether-force set-point."""
-        m_t, aero = self.local_aero(r)
-        probe = KiteState(r, theta, phi, chi, 0.0)
+        phi, chi = self.phi, self.chi
         if self.op.gravity:
-            f, eq = reel_factor_for_force_gravity(F_target, self.op.force_at, probe, self.kite,
+            m_t, aero = self.local_aero(r)
+            f, eq = reel_factor_for_force_gravity(F_target, self.op.force_at,
+                                                  KiteState(r, theta, phi, chi, 0.0), self.kite,
                                                   m_t, aero, wind)
         else:
-            f, eq = reel_factor_for_force_massless(F_target, probe, aero, wind, self.kite.S)
+            _, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
+            f, eq = massless_setpoint(F_target, theta, self.angles, self.aero_set.C_L, C_D,
+                                      wind.v_w, wind.rho, self.kite.S)
         return KiteState(r, theta, phi, chi, f), eq
 
     @staticmethod
@@ -317,13 +324,9 @@ def simulate_retraction(
     typically reels out at the start, so the tether length may
     temporarily exceed r_max.
     """
-    engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction)
-
-    def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
-        return engine.solve_force(op.F_in, r, theta, 0.0, math.pi, wind)
-
-    return _integrate(engine, RETRACTION, controller, op.r_max, op.theta_o, t0,
-                      end=op.r_min, increasing=False)
+    engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0, math.pi)
+    return _integrate(engine, RETRACTION, partial(engine.solve_force, op.F_in), op.r_max,
+                      op.theta_o, t0, end=op.r_min, increasing=False)
 
 
 def simulate_transition(
@@ -342,11 +345,10 @@ def simulate_transition(
     leaves [F_in, F_out]: above F_out it reels out, below F_in it reels
     in, regulating to the violated set-point.
     """
-    engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction)
-    phi, chi = 0.0, 0.0
+    engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
 
     def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
-        coasting = KiteState(r, theta, phi, chi, 0.0)
+        coasting = KiteState(r, theta, engine.phi, engine.chi, 0.0)
         m_t, aero = engine.local_aero(r)
         try:
             if op.gravity:
@@ -356,12 +358,12 @@ def simulate_transition(
         except (NoTensionError, TetherSagError):
             # An overflown kite, or one whose tension cannot carry the
             # tether weight, cannot coast; reel in to restore the minimum force.
-            return engine.solve_force(op.F_in, r, theta, phi, chi, wind)
+            return engine.solve_force(op.F_in, r, theta, wind)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:
-            return engine.solve_force(op.F_out, r, theta, phi, chi, wind)
+            return engine.solve_force(op.F_out, r, theta, wind)
         if force < op.F_in:
-            return engine.solve_force(op.F_in, r, theta, phi, chi, wind)
+            return engine.solve_force(op.F_in, r, theta, wind)
         return coasting, eq0
 
     return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,
@@ -378,13 +380,9 @@ def simulate_traction(
 ) -> PhaseResult:
     """Reel out under the high force set-point at the constant
     representative crosswind state until the tether reaches r_max."""
-    engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction)
-
-    def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
-        return engine.solve_force(op.F_out, r, theta, op.phi_o, op.chi_o, wind)
-
-    return _integrate(engine, TRACTION, controller, r_start, op.theta_o, t0,
-                      end=op.r_max, increasing=True, moves_theta=False)
+    engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, op.phi_o, op.chi_o)
+    return _integrate(engine, TRACTION, partial(engine.solve_force, op.F_out), r_start,
+                      op.theta_o, t0, end=op.r_max, increasing=True, moves_theta=False)
 
 
 def simulate_cycle(
@@ -446,13 +444,13 @@ def steady_retraction_elevation(
             still positive at the zenith.
         SolverError: the last failed probe's, where lam has not vanished.
     """
-    engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction)
+    engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0, math.pi)
     failures = []
 
     def climb_rate(beta: float) -> float:
         wind = WindState(v_w=env.v_w_ref, rho=env.density(op.r_max * math.sin(beta)))
         try:
-            _, eq = engine.solve_force(op.F_in, op.r_max, 0.5 * math.pi - beta, 0.0, math.pi, wind)
+            _, eq = engine.solve_force(op.F_in, op.r_max, 0.5 * math.pi - beta, wind)
         except SolverError as exc:
             failures.append(exc)
             return -math.inf

@@ -172,7 +172,13 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     ratio of apparent wind speed to its radial component.  Samples where
     that ratio drops below one (gusts, noise) are flagged invalid.
     """
-    z = rec.r * math.cos(rec.theta)
+    return _kinematics(rec, env, math.sin(rec.theta), math.cos(rec.theta), math.cos(rec.phi))
+
+
+def _kinematics(rec: LogRecord, env: Environment, sin_t: float, cos_t: float,
+                cos_p: float) -> KinematicsEstimate:
+    """:func:`derive_kinematics` from sin(theta), cos(theta) and cos(phi)."""
+    z = rec.r * cos_t
     if z < env.z0:
         return KinematicsEstimate(math.nan, math.nan, math.nan, False)
     v_w = env.log_wind_speed(z, rec.v_w_ref)
@@ -181,7 +187,7 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     f = rec.v_t / v_w
     vk_x, vk_y, vk_z = rec.vk
     v_a = math.sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
-    b_f = math.sin(rec.theta) * math.cos(rec.phi) - f
+    b_f = sin_t * cos_p - f
     if b_f <= 0.0:
         return KinematicsEstimate(f, v_a, math.nan, False)
     radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
@@ -190,14 +196,13 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     return KinematicsEstimate(f, v_a, math.sqrt(radicand), True, v_w)
 
 
-def _gravity_projection_cosine(rec: LogRecord, v_w: float) -> Optional[float]:
+def _gravity_projection_cosine(rec: LogRecord, v_w: float, sin_t: float, cos_t: float,
+                               sin_p: float, cos_p: float) -> Optional[float]:
     """Cosine between the polar-tangential direction (along which gravity
     acts in the tangential plane) and the apparent-wind tangential
-    direction, for the wind ``v_w`` at the kite.  Falls back to
-    -cos(chi), its fast-crosswind limit, when the apparent tangential
-    flow vanishes."""
-    sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
-    sin_p, cos_p = math.sin(rec.phi), math.cos(rec.phi)
+    direction, for the wind ``v_w`` at the kite and the sines and cosines
+    of theta and phi.  Falls back to -cos(chi), its fast-crosswind limit,
+    when the apparent tangential flow vanishes."""
     vk_x, vk_y, vk_z = rec.vk
     # Components along e_theta = (cos_t*cos_p, cos_t*sin_p, -sin_t) and
     # e_phi = (-sin_p, cos_p, 0).
@@ -211,6 +216,12 @@ def _gravity_projection_cosine(rec: LogRecord, v_w: float) -> Optional[float]:
             return None
         return -math.cos(rec.chi)
     return va_th / va_tau
+
+
+def _rejected(rec: LogRecord, kin: KinematicsEstimate, phase: Optional[str],
+              C_R: float = math.nan) -> EstimateRecord:
+    """The invalid record of a sample: NaN for what its gate rejects."""
+    return EstimateRecord(rec.t, C_R, math.nan, math.nan, kin.kappa, kin.v_a, False, phase)
 
 
 def estimate_record(
@@ -237,23 +248,19 @@ def estimate_record(
     samples near upward in-plane flight; these phase gates never reject C_R.
     """
     phase = phase if phase is not None else rec.phase
-    kin = derive_kinematics(rec, env)
-
-    def rejected(C_R: float = math.nan) -> EstimateRecord:
-        return EstimateRecord(rec.t, C_R, math.nan, math.nan, kin.kappa, kin.v_a, False, phase)
-
+    sin_t, cos_t, cos_p = math.sin(rec.theta), math.cos(rec.theta), math.cos(rec.phi)
+    kin = _kinematics(rec, env, sin_t, cos_t, cos_p)
     if not kin.valid or kin.v_a <= 0.0:
-        return rejected()
+        return _rejected(rec, kin, phase)
     # Aerodynamic force at the kite: the measured ground force plus the
     # airborne weights, unless the sag radicand is violated.
-    sin_t, cos_t = math.sin(rec.theta), math.cos(rec.theta)
     m_t = tether.mass(rec.r)
     try:
         force = aero_force_from_ground(rec.F_tg, sin_t, cos_t, m_t, kite.m)
     except OverflowError:  # a force or tether beyond any kite violates it too
-        return rejected()
+        return _rejected(rec, kin, phase)
     if force is None:
-        return rejected()
+        return _rejected(rec, kin, phase)
     F_a = force[1]
     rho = env.density(rec.r * cos_t)
     C_R = 2.0 * F_a / (rho * kin.v_a**2 * kite.S)
@@ -262,18 +269,18 @@ def estimate_record(
         vk_x, vk_y, vk_z = rec.vk
         v_k = math.sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z)
         if v_k / rec.v_w_ref < CROSSWIND_RATIO:
-            return rejected(C_R)
+            return _rejected(rec, kin, phase, C_R)
     elif phase == RETRACTION:
         if rec.chi is None:
-            return rejected(C_R)
+            return _rejected(rec, kin, phase, C_R)
         chi_err = abs(math.remainder(rec.chi - math.pi, 2.0 * math.pi))
         if chi_err > 0.35 or abs(rec.phi) > 0.35:
-            return rejected(C_R)
+            return _rejected(rec, kin, phase, C_R)
     if F_a <= 0.0:
-        return rejected(C_R)
-    cos_proj = _gravity_projection_cosine(rec, kin.v_w)
+        return _rejected(rec, kin, phase, C_R)
+    cos_proj = _gravity_projection_cosine(rec, kin.v_w, sin_t, cos_t, math.sin(rec.phi), cos_p)
     if cos_proj is None:
-        return rejected(C_R)
+        return _rejected(rec, kin, phase, C_R)
 
     kappa = kin.kappa
     gravity_term = (
@@ -285,11 +292,11 @@ def estimate_record(
     for _ in range(LD_GRAVITY_UPDATES):
         G = kappa + gravity_term * math.sqrt(1.0 + G * G)
     if G <= 0.0:
-        return rejected(C_R)
+        return _rejected(rec, kin, phase, C_R)
     drag = F_a / math.sqrt(1.0 + G * G)
     drag_tether = 0.125 * rho * tether.d_t * rec.r * tether.C_D_c * kin.v_a**2
     if drag <= drag_tether:
-        return rejected(C_R)
+        return _rejected(rec, kin, phase, C_R)
     return EstimateRecord(rec.t, C_R, G, G * drag / (drag - drag_tether), kappa, kin.v_a, True,
                           phase)
 

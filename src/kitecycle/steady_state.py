@@ -227,27 +227,27 @@ def tether_properties(
     return m_t, C_D_total
 
 
-def _trig(state: KiteState, aero: EffectiveAero,
-          wind: WindState) -> tuple[float, float, tuple[float, ...]]:
-    """The coefficients (a, b) of the tangential-speed quadratic and the
-    sines and cosines (sin_t, cos_t, sin_p, cos_p, sin_c, cos_c) of theta,
-    phi and chi, once theta is in (-pi/2, pi), C_L, C_D are positive and
-    finite, v_w >= 0 and rho > 0."""
-    if not -0.5 * math.pi < state.theta < math.pi:
-        raise ValidationError(f"polar angle must be in (-pi/2, pi), got {state.theta}")
-    if aero.C_L <= 0.0 or aero.C_D <= 0.0:
-        raise ValidationError(f"effective coefficients must be positive, got {aero}")
-    if not math.isfinite(aero.C_L + aero.C_D):
-        raise ValidationError(f"effective coefficients must be finite, got {aero}")
-    if wind.v_w < 0.0 or wind.rho <= 0.0:
-        raise ValidationError(
-            f"wind state requires v_w >= 0 and rho > 0, got v_w={wind.v_w}, rho={wind.rho}"
-        )
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    sin_p, cos_p = math.sin(state.phi), math.cos(state.phi)
-    sin_c, cos_c = math.sin(state.chi), math.cos(state.chi)
-    return (cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p,
-            (sin_t, cos_t, sin_p, cos_p, sin_c, cos_c))
+def _angles(state: KiteState) -> tuple[float, float, float, float]:
+    """The sines and cosines (sin_p, cos_p, sin_c, cos_c) of phi and chi."""
+    return math.sin(state.phi), math.cos(state.phi), math.sin(state.chi), math.cos(state.chi)
+
+
+def _trig(theta: float, angles: tuple[float, float, float, float], C_L: float, C_D: float,
+          v_w: float, rho: float) -> tuple[float, float, float, float]:
+    """The coefficients (a, b) of the tangential-speed quadratic and (sin_t,
+    cos_t), from theta and the :func:`_angles` of phi and chi, once theta is
+    in (-pi/2, pi), C_L, C_D are positive and finite, v_w >= 0 and rho > 0."""
+    if not -0.5 * math.pi < theta < math.pi:
+        raise ValidationError(f"polar angle must be in (-pi/2, pi), got {theta}")
+    if C_L <= 0.0 or C_D <= 0.0 or not math.isfinite(C_L + C_D):
+        kind = "positive" if C_L <= 0.0 or C_D <= 0.0 else "finite"
+        aero = EffectiveAero(C_L, C_D)
+        raise ValidationError(f"effective coefficients must be {kind}, got {aero}")
+    if v_w < 0.0 or rho <= 0.0:
+        raise ValidationError(f"wind state requires v_w >= 0 and rho > 0, got v_w={v_w}, rho={rho}")
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    sin_p, cos_p, sin_c, cos_c = angles
+    return cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p, sin_t, cos_t
 
 
 def massless_state(
@@ -265,15 +265,21 @@ def massless_state(
         NoSolutionError: if the tangential velocity factor has no real
             non-negative solution.
     """
-    a, b, _ = _trig(state, aero, wind)
-    G, C_R = aero.LD, aero.C_R
-    return _massless(a, b, state.f, G, C_R, wind.q * S * C_R * (1.0 + G * G), wind.v_w)
+    a, b, _, _ = _trig(state.theta, _angles(state), *aero, *wind)
+    return _massless(a, b, state.f, *_massless_scale(*aero, *wind, S), wind.v_w)
+
+
+def _massless_scale(C_L: float, C_D: float, v_w: float, rho: float,
+                    S: float) -> tuple[float, float, float]:
+    """G, C_R and the massless tether force over (b - f)**2."""
+    G, C_R = C_L / C_D, math.hypot(C_D, C_L)
+    return G, C_R, 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)
 
 
 def _massless(a: float, b: float, f: float, G: float, C_R: float, scale: float,
               v_w: float) -> EquilibriumResult:
-    """:func:`massless_state` at reeling factor ``f``, from its (a, b),
-    G, C_R and ``scale``, the tether force over (b - f)**2."""
+    """:func:`massless_state` at reeling factor ``f``, from its (a, b)
+    and :func:`_massless_scale`."""
     if f >= b:
         raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
     radicand = a * a + b * b - 1.0 + G * G * (b - f) ** 2
@@ -286,8 +292,8 @@ def _massless(a: float, b: float, f: float, G: float, C_R: float, scale: float,
     F_t = scale * (b - f) ** 2
     P = F_t * f * v_w
     zeta = C_R * (1.0 + G * G) * f * (b - f) ** 2
-    return EquilibriumResult(kappa=G, lam=lam, v_a=v_a, F_a=F_t, F_a_r=F_t, F_a_theta=0.0,
-                             F_t_kite=F_t, F_tg=F_t, zeta=zeta, P=P, iterations=0)
+    # kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, zeta, P, iterations
+    return EquilibriumResult(G, lam, v_a, F_t, F_t, 0.0, F_t, F_t, zeta, P, 0)
 
 
 def reel_factor_for_force_massless(
@@ -304,17 +310,26 @@ def reel_factor_for_force_massless(
         SetpointUnreachableError: if the factor is below -3, the bound of
             :func:`reel_factor_for_force_gravity`.
     """
-    a, b, _ = _trig(state, aero, wind)
+    return massless_setpoint(F_target, state.theta, _angles(state), *aero, *wind, S)
+
+
+def massless_setpoint(F_target: float, theta: float, angles: tuple[float, float, float, float],
+                      C_L: float, C_D: float, v_w: float, rho: float,
+                      S: float) -> tuple[float, EquilibriumResult]:
+    """The work of :func:`reel_factor_for_force_massless`, on scalars, with
+    ``angles`` = (sin(phi), cos(phi), sin(chi), cos(chi)).  The simulator's
+    massless step calls it with the fixed angles of its phase, and builds
+    no state, aero or wind value to take apart again."""
+    a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
-    if wind.v_w <= 0.0:
+    if v_w <= 0.0:
         raise ValidationError("force inversion requires a positive wind speed")
-    G, C_R = aero.LD, aero.C_R
-    scale = wind.q * S * C_R * (1.0 + G * G)
+    G, C_R, scale = _massless_scale(C_L, C_D, v_w, rho, S)
     f = b - math.sqrt(F_target / scale)
     if f < _F_LO:
         raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
-    return f, _massless(a, b, f, G, C_R, scale, wind.v_w)
+    return f, _massless(a, b, f, G, C_R, scale, v_w)
 
 
 def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
@@ -331,14 +346,19 @@ def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
             radial tension at the kite does not carry the radial tether
             weight, so that the tether would push on the ground station.
     """
-    F_t_tau = 0.5 * math.sin(theta) * m_t * GRAVITY
+    return _ground_tether_force(F_t_kite, math.sin(theta), math.cos(theta), m_t)
+
+
+def _ground_tether_force(F_t_kite: float, sin_t: float, cos_t: float, m_t: float) -> float:
+    """:func:`ground_tether_force` from the sine and cosine of theta."""
+    F_t_tau = 0.5 * sin_t * m_t * GRAVITY
     if F_t_kite <= abs(F_t_tau):
         raise TetherSagError(
             f"kite tension {F_t_kite:.1f} N does not exceed the sag reaction "
             f"{abs(F_t_tau):.1f} N"
         )
     radial_kite = math.sqrt(F_t_kite**2 - F_t_tau**2)
-    radial_ground = radial_kite - math.cos(theta) * m_t * GRAVITY
+    radial_ground = radial_kite - cos_t * m_t * GRAVITY
     if radial_ground < 0.0:
         raise TetherSagError(f"kite tension {F_t_kite:.1f} N leaves the tether pushing on the "
                              f"ground station: it cannot carry the radial tether weight "
@@ -376,10 +396,10 @@ _RISE_STEP = 1e-6
 TargetEnd = Literal["kite", "ground"]
 
 
-def _force_geometry(state: KiteState, trig: tuple, kite: KiteParams, m_t: float,
+def _force_geometry(trig: tuple, angles: tuple, kite: KiteParams, m_t: float,
                     aero: EffectiveAero, wind: WindState):
-    """The force geometry of one flight state, with its :func:`_trig`
-    values ``trig``, as three functions.
+    """The force geometry of one flight state, from its :func:`_trig`
+    values ``trig`` and its :func:`_angles`, as three functions.
 
     ``geometry(x, f)`` evaluates the apparent wind and the aerodynamic
     force at kappa = exp(x) and returns a probe with residual log(G/G*),
@@ -398,7 +418,8 @@ def _force_geometry(state: KiteState, trig: tuple, kite: KiteParams, m_t: float,
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
     G_star = aero.LD
     log_G_star = math.log(G_star)
-    a, b, (sin_t, cos_t, sin_p, cos_p, sin_c, cos_c) = trig
+    a, b, sin_t, cos_t = trig
+    sin_p, cos_p, sin_c, cos_c = angles
     v_w = wind.v_w
     force_coefficient = wind.q * kite.S * aero.C_R
     F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
@@ -441,13 +462,10 @@ def _force_geometry(state: KiteState, trig: tuple, kite: KiteParams, m_t: float,
 
     def equilibrium(value: tuple, f: float, iterations: int) -> EquilibriumResult:
         kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
-        F_tg = ground_tether_force(F_t_kite, state.theta, m_t)
+        F_tg = _ground_tether_force(F_t_kite, sin_t, cos_t, m_t)
         P = F_tg * f * v_w
-        return EquilibriumResult(
-            kappa=kappa, lam=lam, v_a=v_a, F_a=F_a, F_a_r=F_a_r, F_a_theta=F_a_theta,
-            F_t_kite=F_t_kite, F_tg=F_tg, zeta=P / (wind.P_w * kite.S), P=P,
-            iterations=iterations,
-        )
+        return EquilibriumResult(kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg,
+                                 P / (wind.P_w * kite.S), P, iterations)
 
     def setpoint(F_target: float, target_end: TargetEnd) -> tuple[float, EquilibriumResult]:
         def unreachable(reason: str) -> SetpointUnreachableError:
@@ -583,13 +601,14 @@ def solve_kinematic_ratio(
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
     """
-    trig = _trig(state, aero, wind)
+    angles = _angles(state)
+    trig = _trig(state.theta, angles, *aero, *wind)
     b = trig[1]
     if state.f >= b:
         raise NoTensionError(
             f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
         )
-    geometry, equilibrium, _ = _force_geometry(state, trig, kite, m_t, aero, wind)
+    geometry, equilibrium, _ = _force_geometry(trig, angles, kite, m_t, aero, wind)
     f = state.f
     evaluations = 0
 
@@ -727,10 +746,11 @@ def reel_factor_for_force_gravity(
         TetherSagError: if the ground-end force of the root leaves the
             tether pushing on the ground station.
     """
-    trig = _trig(state, aero, wind)
+    angles = _angles(state)
+    trig = _trig(state.theta, angles, *aero, *wind)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
-    _, _, setpoint = _force_geometry(state, trig, kite, m_t, aero, wind)
+    _, _, setpoint = _force_geometry(trig, angles, kite, m_t, aero, wind)
     return setpoint(F_target, target_end)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,23 @@ def test_dynamic_pressure_and_power_density_identities():
     assert ws.q == 0.5 * ws.rho * ws.v_w**2
     assert ws.P_w == 0.5 * ws.rho * ws.v_w**3
     assert ws.P_w / ws.q == pytest.approx(ws.v_w, rel=1e-12)
+
+
+def test_log_law_denominator_follows_replace():
+    # The denominator is cached per instance; a replaced z0 or z_ref
+    # gives the wind of a freshly built environment, and the cache is no
+    # field: it stays out of equality, repr and replace().
+    for changes in ({"z0": 0.3}, {"z_ref": 10.0}, {"v_w_ref": 7.0}):
+        replaced = replace(STRONG, **changes)
+        fresh = Environment(**{"v_w_ref": 9.9, "z_ref": 6.0, "z0": 0.07, **changes})
+        assert replaced == fresh
+        for z in (0.5, 6.0, 252.0):
+            assert replaced.wind_speed(z) == fresh.wind_speed(z)
+    rough = replace(STRONG, z0=0.3)
+    assert rough.wind_speed(252.0) == 9.9 * math.log(252.0 / 0.3) / math.log(6.0 / 0.3)
+    assert [f.name for f in fields(Environment)] == ["v_w_ref", "z_ref", "z0", "rho0", "H_rho"]
+    assert repr(STRONG) == ("Environment(v_w_ref=9.9, z_ref=6.0, z0=0.07, rho0=1.225, "
+                            "H_rho=8550.0)")
 
 
 def test_monotonicity():

@@ -525,3 +525,24 @@ def test_simulate_byte_identical_reruns(tmp_path):
         assert run_command(["simulate", "--config", "moderate_wind", "--out", str(out)]) == 0
     for name in ("cycle_summary.json", "timeseries.csv"):
         assert read(out1 / name) == read(out2 / name)
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
+    # The parser is built once per process; no flag of one command may
+    # carry over into the next, and a rejected argv leaves it usable.
+    runs = {name: tmp_path / name for name in ("gravity", "massless", "gravity_again")}
+    assert run_command(["simulate", "--config", "strong_wind", "--out",
+                        str(runs["gravity"])]) == 0
+    assert run_command(["simulate", "--config", "strong_wind", "--no-gravity", "--out",
+                        str(runs["massless"])]) == 0
+    assert run_command(["simulate", "--config", "strong_wind", "--out",
+                        str(runs["gravity_again"])]) == 0
+    for name in ("cycle_summary.json", "timeseries.csv"):
+        assert read(runs["gravity_again"] / name) == read(runs["gravity"] / name)
+        assert read(runs["massless"] / name) != read(runs["gravity"] / name)
+    assert run_command(["simulate", "--config", "strong_wind", "--no-such-flag"]) == 2
+    assert run_command(["simulate", "--config", "strong_wind", "--out",
+                        str(tmp_path / "after_error")]) == 0
+    assert read(tmp_path / "after_error" / "cycle_summary.json") == read(
+        runs["gravity"] / "cycle_summary.json")
+    assert cli._parser() is cli._parser()

@@ -5,8 +5,11 @@ from dataclasses import replace
 import pytest
 
 from kitecycle import (
+    EffectiveAero,
     Environment,
+    KiteState,
     OperationSettings,
+    WindState,
     convergence_study,
     massless_state,
     simulate_cycle,
@@ -163,13 +166,15 @@ def test_transition_failure_names_phase_and_state(strong_config):
                            "transition at t = 12.5 s, r = 390 m, beta = 5.72958e-05 deg: ")
 
 
-def never_reel(F_target, state, aero, wind, S):
+def never_reel(F_target, theta, angles, C_L, C_D, v_w, rho, S):
     """A massless force inversion whose winch never reels."""
-    return 0.0, massless_state(state._replace(f=0.0), aero, wind, S)
+    sin_p, cos_p, sin_c, cos_c = angles
+    state = KiteState(1.0, theta, math.atan2(sin_p, cos_p), math.atan2(sin_c, cos_c), 0.0)
+    return 0.0, massless_state(state, EffectiveAero(C_L, C_D), WindState(v_w, rho), S)
 
 
 def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
-    monkeypatch.setattr(cycle, "reel_factor_for_force_massless", never_reel)
+    monkeypatch.setattr(cycle, "massless_setpoint", never_reel)
     cfg = strong_config
     op = replace(cfg.operation, dT=1.0, gravity=False)
     with pytest.raises(PhaseError) as info:
@@ -180,7 +185,7 @@ def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
 def test_stalled_phase_raises_phase_error(strong_config, monkeypatch):
     # A winch that never reels leaves the tether length where it is; the
     # phase gives up after ten characteristic times.
-    monkeypatch.setattr(cycle, "reel_factor_for_force_massless", never_reel)
+    monkeypatch.setattr(cycle, "massless_setpoint", never_reel)
     cfg = strong_config
     op = replace(cfg.operation, dT=0.5, gravity=False)
     with pytest.raises(PhaseError, match="tether length failed to increase for 21 "):
@@ -301,14 +306,14 @@ class TestSteadyRetractionElevation:
 
     def test_solver_edge_where_the_climb_goes_on_is_raised(self, strong_config, monkeypatch):
         cfg = strong_config
-        invert = cycle.reel_factor_for_force_massless
+        invert = cycle.massless_setpoint
 
-        def edge_at_35_deg(F_target, state, *args):
-            if 0.5 * math.pi - state.theta > math.radians(35.0):
+        def edge_at_35_deg(F_target, theta, *args):
+            if 0.5 * math.pi - theta > math.radians(35.0):
                 raise NoSolutionError("synthetic edge at 35 deg")
-            return invert(F_target, state, *args)
+            return invert(F_target, theta, *args)
 
-        monkeypatch.setattr(cycle, "reel_factor_for_force_massless", edge_at_35_deg)
+        monkeypatch.setattr(cycle, "massless_setpoint", edge_at_35_deg)
         with pytest.raises(NoSolutionError, match="synthetic edge"):
             steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
                                         replace(cfg.operation, gravity=False))

@@ -20,6 +20,7 @@ from kitecycle import (
     segment_phases,
     solve_kinematic_ratio,
 )
+from kitecycle import estimation
 from kitecycle.dataio import read_telemetry_csv, write_telemetry_csv
 from kitecycle.errors import EmptyPhaseError, ValidationError
 from kitecycle.estimation import _spherical_velocity_to_cartesian
@@ -376,14 +377,17 @@ def test_log_record_invariants(tmp_path, strong_config, strong_telemetry):
 
 
 def test_estimate_record_derives_kinematics_once(monkeypatch, strong_config, strong_telemetry):
+    # estimate_record reaches derive_kinematics' arithmetic through the
+    # helper that takes the sample's sines and cosines.
     cfg = strong_config
     calls = []
+    kinematics = estimation._kinematics
 
-    def counting(rec, env):
+    def counting(rec, env, *trig):
         calls.append(rec)
-        return derive_kinematics(rec, env)
+        return kinematics(rec, env, *trig)
 
-    monkeypatch.setattr("kitecycle.estimation.derive_kinematics", counting)
+    monkeypatch.setattr(estimation, "_kinematics", counting)
     for rec in strong_telemetry:
         estimate_record(rec, cfg.kite, cfg.tether, cfg.environment)
     assert len(calls) == len(strong_telemetry)

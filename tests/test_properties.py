@@ -32,19 +32,25 @@ from hypothesis import strategies as st
 from kitecycle import (
     AeroSet,
     EffectiveAero,
+    Environment,
     KiteParams,
     KiteState,
+    OperationSettings,
+    TetherParams,
     WindState,
     massless_state,
     reel_factor_for_force_gravity,
     reel_factor_for_force_massless,
     solve_kinematic_ratio,
+    tether_properties,
 )
 from kitecycle import dataio
+from kitecycle.cycle import _PhaseEngine
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
 from kitecycle.dataio import TELEMETRY_COLUMNS, derive_course_angles, read_telemetry_csv
 from kitecycle.errors import (
+    KitecycleError,
     NoSolutionError,
     NoTensionError,
     SetpointUnreachableError,
@@ -53,6 +59,7 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
+from kitecycle.steady_state import massless_setpoint
 from oracles import bisect_kappa, dictreader_telemetry, implied_lift_to_drag
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
@@ -214,6 +221,100 @@ def test_massless_inversion_round_trip(problem):
     res = massless_state(state._replace(f=f), aero, wind, S=KITE.S)
     assert eq == res
     assert abs(res.F_t_kite / F - 1.0) <= 1e-6
+
+
+def massless_engine(C_L, LD_k, phi, chi):
+    """The engine of a massless phase flown at (phi, chi), whose tether
+    adds little drag to the aero set (C_L, LD_k)."""
+    kite = replace(KITE, aero_traction=AeroSet(C_L, LD_k))
+    op = OperationSettings(beta_o=0.5, phi_o=phi, chi_o=chi, r_min=100.0, r_max=200.0,
+                           F_out=2.0, F_in=1.0, gravity=False)
+    return _PhaseEngine(Environment(v_w_ref=10.0, z_ref=6.0, z0=0.07), kite,
+                        TetherParams(d_t=1e-4, rho_t=724.0), op, kite.aero_traction, phi, chi)
+
+
+def engine_step(engine, F_target, r, theta, wind):
+    """An engine's massless force step as (f, equilibrium)."""
+    state, eq = engine.solve_force(F_target, r, theta, wind)
+    assert state == KiteState(r, theta, engine.phi, engine.chi, state.f)
+    return state.f, eq
+
+
+def outcome(call):
+    """The repr of what ``call`` returns, which tells every float bit
+    apart, or the class and message of the error it raises."""
+    try:
+        return repr(call())
+    except KitecycleError as exc:
+        return type(exc), str(exc)
+
+
+def public_massless_inversion(engine, F_target, r, theta, wind):
+    """reel_factor_for_force_massless on the engine's state and coefficients."""
+    _, C_D = tether_properties(r, engine.tether, engine.kite, engine.aero_set)
+    return reel_factor_for_force_massless(
+        F_target, KiteState(r, theta, engine.phi, engine.chi, 0.0),
+        EffectiveAero(engine.aero_set.C_L, C_D), wind, engine.kite.S)
+
+
+@PROPERTY
+@given(problems(massless=True), st.floats(-40.0, 3.0))
+def test_massless_step_is_the_public_inversion(problem, log_ratio):
+    # Targets from 1e-40 to 1e3 times the force at b - f = 1 reach every
+    # outcome: an equilibrium, f >= b, no real or a negative tangential
+    # speed, and f below -3.
+    state, aero, wind, _, _ = problem
+    engine = massless_engine(aero.C_L, aero.LD, state.phi, state.chi)
+    F = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * 10.0**log_ratio
+    args = (engine, F, state.r, state.theta, wind)
+    assert outcome(lambda: engine_step(*args)) == outcome(
+        lambda: public_massless_inversion(*args))
+
+
+def massless_failure_cases():
+    """(theta, chi, C_L, LD_k, b - f or None for a target F, F, error, message start) of
+    each way a massless inversion fails, at phi = 0 and r = 150 m."""
+    theta = math.radians(60.0)
+    return [
+        (3.5, 0.0, 0.7, 5.0, None, 1e3, ValidationError, "polar angle must be in"),
+        (theta, 0.0, 0.7, 5.0, 3.5 + math.sin(theta), None, SetpointUnreachableError,
+         "force "),
+        (theta, 0.0, 0.7, 5.0, None, 1e-300, NoTensionError, "reeling factor"),
+        # G = 0.5 and b - f = 0.5: G*(b - f) is below sqrt(1 - a**2 - b**2)
+        # = 0.5 flying sideways, and below -a = 0.5 flying up.
+        (theta, 0.5 * math.pi, 0.1, 0.5, 0.5, None, NoSolutionError, "tangential velocity "
+         "factor has no real solution"),
+        (theta, math.pi, 0.1, 0.5, 0.5, None, NoSolutionError, "tangential velocity factor "
+         "is negative"),
+    ]
+
+
+@pytest.mark.parametrize("case", massless_failure_cases(),
+                         ids=["theta", "f_below_-3", "f_at_b", "radicand", "negative_lam"])
+def test_massless_step_fails_as_the_public_inversion(case):
+    theta, chi, C_L, LD_k, b_f, F, error, message = case
+    engine = massless_engine(C_L, LD_k, 0.0, chi)
+    wind = WindState(10.0, 1.2)
+    if F is None:
+        _, C_D = tether_properties(150.0, engine.tether, engine.kite, engine.aero_set)
+        aero = EffectiveAero(C_L, C_D)
+        F = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * b_f**2
+    args = (engine, F, 150.0, theta, wind)
+    got = outcome(lambda: engine_step(*args))
+    assert got[0] is error and got[1].startswith(message), got
+    assert got == outcome(lambda: public_massless_inversion(*args))
+
+
+def test_massless_kernel_rejects_non_positive_drag_as_the_public_inversion():
+    # No engine yields C_D <= 0, so the kernel it calls is called directly.
+    for C_D in (0.0, -0.2):
+        state = KiteState(150.0, 1.0, 0.0, 0.0, 0.0)
+        kernel = outcome(lambda: massless_setpoint(
+            1e3, state.theta, (0.0, 1.0, 0.0, 1.0), 0.7, C_D, 10.0, 1.2, KITE.S))
+        assert kernel == (ValidationError, f"effective coefficients must be positive, got "
+                                           f"EffectiveAero(C_L=0.7, C_D={C_D})")
+        assert kernel == outcome(lambda: reel_factor_for_force_massless(
+            1e3, state, EffectiveAero(0.7, C_D), WindState(10.0, 1.2), KITE.S))
 
 
 @PROPERTY
