@@ -39,9 +39,10 @@ from .steady_state import (
     KiteParams,
     KiteState,
     TetherParams,
+    angle_trig,
+    gravity_setpoint as _solve_reel_factor,  # the name perfbench's reel-inversion span wraps
     massless_setpoint,
     massless_state,
-    reel_factor_for_force_gravity,
     solve_kinematic_ratio,
     tether_properties,
 )
@@ -189,31 +190,24 @@ class _PhaseEngine:
         self.op = op
         self.aero_set = aero_set
         self.phi, self.chi = phi, chi
-        self.angles = (math.sin(phi), math.cos(phi), math.sin(chi), math.cos(chi))
+        self.angles = angle_trig(phi, chi)
         self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
 
     def wind_at(self, r: float, theta: float) -> WindState:
         return wind_state_at(r * math.cos(theta), self.env)
 
-    def local_aero(self, r: float) -> tuple[float, EffectiveAero]:
-        m_t, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
-        return m_t, EffectiveAero(self.aero_set.C_L, C_D)
-
     def solve_force(
         self, F_target: float, r: float, theta: float, wind: WindState
     ) -> tuple[KiteState, EquilibriumResult]:
         """Reeling factor and equilibrium for a tether-force set-point."""
-        phi, chi = self.phi, self.chi
+        m_t, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
+        C_L, kite = self.aero_set.C_L, self.kite
         if self.op.gravity:
-            m_t, aero = self.local_aero(r)
-            f, eq = reel_factor_for_force_gravity(F_target, self.op.force_at,
-                                                  KiteState(r, theta, phi, chi, 0.0), self.kite,
-                                                  m_t, aero, wind)
+            f, eq = _solve_reel_factor(F_target, self.op.force_at, theta, self.angles, C_L, C_D,
+                                       m_t, kite.m, kite.S, *wind)
         else:
-            _, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
-            f, eq = massless_setpoint(F_target, theta, self.angles, self.aero_set.C_L, C_D,
-                                      wind.v_w, wind.rho, self.kite.S)
-        return KiteState(r, theta, phi, chi, f), eq
+            f, eq = massless_setpoint(F_target, theta, self.angles, C_L, C_D, *wind, kite.S)
+        return KiteState(r, theta, self.phi, self.chi, f), eq
 
     @staticmethod
     def record(t: float, state: KiteState, eq: EquilibriumResult, wind: WindState) -> StepRecord:
@@ -263,6 +257,7 @@ def _integrate(
             raised, chained and prefixed with the phase, t, r and elevation.
     """
     sign = 1.0 if increasing else -1.0
+    cos_c = engine.angles[3]
     stall, stall_limit = 0, max(1, math.ceil(10.0 / engine.op.dT))
     try:
         wind = engine.wind_at(r, theta)
@@ -273,7 +268,7 @@ def _integrate(
 
         while True:
             v_t = state.f * wind.v_w
-            beta_rate = -eq.lam * wind.v_w * math.cos(state.chi) / r if moves_theta else 0.0
+            beta_rate = -eq.lam * wind.v_w * cos_c / r if moves_theta else 0.0
             value, rate = (0.5 * math.pi - theta, beta_rate) if by_elevation else (r, v_t)
             done = sign * (value + rate * engine.dt) >= sign * end and sign * rate > 0.0
             if done:
@@ -349,7 +344,8 @@ def simulate_transition(
 
     def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
         coasting = KiteState(r, theta, engine.phi, engine.chi, 0.0)
-        m_t, aero = engine.local_aero(r)
+        m_t, C_D = tether_properties(r, tether, kite, engine.aero_set)
+        aero = EffectiveAero(engine.aero_set.C_L, C_D)
         try:
             if op.gravity:
                 eq0 = solve_kinematic_ratio(coasting, kite, m_t, aero, wind)

@@ -227,15 +227,19 @@ def tether_properties(
     return m_t, C_D_total
 
 
-def _angles(state: KiteState) -> tuple[float, float, float, float]:
-    """The sines and cosines (sin_p, cos_p, sin_c, cos_c) of phi and chi."""
-    return math.sin(state.phi), math.cos(state.phi), math.sin(state.chi), math.cos(state.chi)
+def angle_trig(phi: float, chi: float) -> tuple[float, float, float, float]:
+    """The sines and cosines (sin_p, cos_p, sin_c, cos_c) of phi and chi,
+    once both are finite.  The simulator takes them once per phase."""
+    for name, angle in (("azimuth phi", phi), ("course angle chi", chi)):
+        if not math.isfinite(angle):
+            raise ValidationError(f"{name} must be finite, got {angle}")
+    return math.sin(phi), math.cos(phi), math.sin(chi), math.cos(chi)
 
 
 def _trig(theta: float, angles: tuple[float, float, float, float], C_L: float, C_D: float,
           v_w: float, rho: float) -> tuple[float, float, float, float]:
     """The coefficients (a, b) of the tangential-speed quadratic and (sin_t,
-    cos_t), from theta and the :func:`_angles` of phi and chi, once theta is
+    cos_t), from theta and the :func:`angle_trig` of phi and chi, once theta is
     in (-pi/2, pi), C_L, C_D are positive and finite, v_w >= 0 and rho > 0."""
     if not -0.5 * math.pi < theta < math.pi:
         raise ValidationError(f"polar angle must be in (-pi/2, pi), got {theta}")
@@ -265,7 +269,7 @@ def massless_state(
         NoSolutionError: if the tangential velocity factor has no real
             non-negative solution.
     """
-    a, b, _, _ = _trig(state.theta, _angles(state), *aero, *wind)
+    a, b, _, _ = _trig(state.theta, angle_trig(state.phi, state.chi), *aero, *wind)
     return _massless(a, b, state.f, *_massless_scale(*aero, *wind, S), wind.v_w)
 
 
@@ -310,7 +314,8 @@ def reel_factor_for_force_massless(
         SetpointUnreachableError: if the factor is below -3, the bound of
             :func:`reel_factor_for_force_gravity`.
     """
-    return massless_setpoint(F_target, state.theta, _angles(state), *aero, *wind, S)
+    return massless_setpoint(F_target, state.theta, angle_trig(state.phi, state.chi), *aero,
+                             *wind, S)
 
 
 def massless_setpoint(F_target: float, theta: float, angles: tuple[float, float, float, float],
@@ -396,131 +401,69 @@ _RISE_STEP = 1e-6
 TargetEnd = Literal["kite", "ground"]
 
 
-def _force_geometry(trig: tuple, angles: tuple, kite: KiteParams, m_t: float,
-                    aero: EffectiveAero, wind: WindState):
-    """The force geometry of one flight state, from its :func:`_trig`
-    values ``trig`` and its :func:`_angles`, as three functions.
-
-    ``geometry(x, f)`` evaluates the apparent wind and the aerodynamic
-    force at kappa = exp(x) and returns a probe with residual log(G/G*),
-    where G is the lift-to-drag ratio they imply and G* the system
-    lift-to-drag ratio, and values (kappa, lam, v_a, F_a, F_a_r,
-    F_t_kite).  It raises SteadyStateError where the geometry has no
-    solution, and does not check f against sin(theta)*cos(phi).
-    ``equilibrium(values, f, iterations)`` completes such values to the
-    ground force and power of an :class:`EquilibriumResult`.
-    ``setpoint(F_target, target_end)`` is the closed-form force
-    inversion of :func:`reel_factor_for_force_gravity`.
-    """
+def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float, m: float,
+                 S: float, v_w: float, rho: float) -> tuple:
+    """The constants (G*, log G*, q*S*C_R, F_a_theta, W_r, F_t_theta) of a
+    flight state's force geometry, once m_t >= 0 and v_w > 0: W_r is the kite
+    weight's radial component, F_t_theta the tether's sag reaction."""
     if m_t < 0.0:
         raise ValidationError(f"tether mass must be >= 0, got {m_t}")
-    if wind.v_w <= 0.0:
+    if v_w <= 0.0:
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
-    G_star = aero.LD
-    log_G_star = math.log(G_star)
-    a, b, sin_t, cos_t = trig
+    G_star = C_L / C_D
+    F_a_theta = -(0.5 * m_t + m) * GRAVITY * sin_t
+    return (G_star, math.log(G_star), 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L), F_a_theta,
+            m * GRAVITY * cos_t, F_a_theta + m * GRAVITY * sin_t)
+
+
+def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms: tuple) -> _Probe:
+    """Probe at kappa = exp(x) from a state's :func:`_trig`, :func:`angle_trig`
+    and :func:`_force_terms`, f < b unchecked: residual log(G/G*), G the lift-to-
+    drag ratio the apparent wind and aerodynamic force imply, and the values
+    (kappa, lam, v_a, F_a, F_a_r, F_t_kite); raises SteadyStateError where they do not exist."""
+    a, b, _, cos_t = trig
     sin_p, cos_p, sin_c, cos_c = angles
-    v_w = wind.v_w
-    force_coefficient = wind.q * kite.S * aero.C_R
-    F_a_theta = -(0.5 * m_t + kite.m) * GRAVITY * sin_t
-    # Tether force at the kite: aerodynamic force plus kite weight, in
-    # spherical components; the theta component reduces to the sag reaction.
-    W_r = kite.m * GRAVITY * cos_t
-    F_t_theta = F_a_theta + kite.m * GRAVITY * sin_t  # = -sin_t*m_t*g/2
+    _, log_G_star, force_coefficient, F_a_theta, W_r, F_t_theta = terms
+    kappa = math.exp(x)
+    b_f = b - f
+    one_k2 = 1.0 + kappa * kappa
+    radicand = a * a + b * b - 1.0 + kappa * kappa * b_f * b_f
+    if radicand < 0.0:
+        raise SteadyStateError("tangential velocity factor has no real solution")
+    lam = a + math.sqrt(radicand)
+    F_a = force_coefficient * b_f * b_f * one_k2
+    fr2 = F_a * F_a - F_a_theta * F_a_theta
+    if fr2 < 0.0:
+        raise SteadyStateError("aerodynamic force below the tangential gravity load")
+    F_a_r = math.sqrt(fr2)
 
-    def geometry(x: float, f: float) -> _Probe:
-        kappa = math.exp(x)
-        b_f = b - f
-        one_k2 = 1.0 + kappa * kappa
-        radicand = a * a + b * b - 1.0 + kappa * kappa * b_f * b_f
-        if radicand < 0.0:
-            raise SteadyStateError("tangential velocity factor has no real solution")
-        lam = a + math.sqrt(radicand)
-        F_a = force_coefficient * b_f * b_f * one_k2
-        fr2 = F_a * F_a - F_a_theta * F_a_theta
-        if fr2 < 0.0:
-            raise SteadyStateError("aerodynamic force below the tangential gravity load")
-        F_a_r = math.sqrt(fr2)
+    # Drag is the projection of the aerodynamic force on the apparent wind.
+    va_r = b_f * v_w
+    va_th = (cos_t * cos_p - lam * cos_c) * v_w
+    va_ph = (-sin_p - lam * sin_c) * v_w
+    v_a_norm = math.sqrt(va_r * va_r + va_th * va_th + va_ph * va_ph)
+    drag = (F_a_r * va_r + F_a_theta * va_th) / v_a_norm
+    if drag <= 0.0:
+        raise SteadyStateError("drag projection is non-positive; gravity "
+                               "dominates the flight direction")
+    ratio2 = (F_a / drag) ** 2 - 1.0
+    if ratio2 <= 0.0:
+        raise SteadyStateError("force geometry implies a non-positive lift-to-drag ratio")
+    v_a = b_f * math.sqrt(one_k2) * v_w
+    F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
+    return _Probe(x, 0.5 * math.log(ratio2) - log_G_star, (kappa, lam, v_a, F_a, F_a_r, F_t_kite))
 
-        # Drag is the projection of the aerodynamic force on the apparent wind.
-        va_r = b_f * v_w
-        va_th = (cos_t * cos_p - lam * cos_c) * v_w
-        va_ph = (-sin_p - lam * sin_c) * v_w
-        v_a_norm = math.sqrt(va_r * va_r + va_th * va_th + va_ph * va_ph)
-        drag = (F_a_r * va_r + F_a_theta * va_th) / v_a_norm
-        if drag <= 0.0:
-            raise SteadyStateError("drag projection is non-positive; gravity "
-                                   "dominates the flight direction")
-        ratio2 = (F_a / drag) ** 2 - 1.0
-        if ratio2 <= 0.0:
-            raise SteadyStateError("force geometry implies a non-positive "
-                                   "lift-to-drag ratio")
-        v_a = b_f * math.sqrt(one_k2) * v_w
-        F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
-        return _Probe(x, 0.5 * math.log(ratio2) - log_G_star,
-                      (kappa, lam, v_a, F_a, F_a_r, F_t_kite))
 
-    def equilibrium(value: tuple, f: float, iterations: int) -> EquilibriumResult:
-        kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
-        F_tg = _ground_tether_force(F_t_kite, sin_t, cos_t, m_t)
-        P = F_tg * f * v_w
-        return EquilibriumResult(kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg,
-                                 P / (wind.P_w * kite.S), P, iterations)
-
-    def setpoint(F_target: float, target_end: TargetEnd) -> tuple[float, EquilibriumResult]:
-        def unreachable(reason: str) -> SetpointUnreachableError:
-            return SetpointUnreachableError(f"force {F_target:.6g} N at the {target_end}: "
-                                            f"{reason}")
-
-        # The aerodynamic force (F_a_r, F_a) that carries the set-point.
-        try:
-            if target_end == "ground":
-                force = aero_force_from_ground(F_target, sin_t, cos_t, m_t, kite.m)
-            elif F_target > abs(F_t_theta):
-                F_a_r = math.sqrt(F_target**2 - F_t_theta**2) + W_r
-                force = F_a_r, math.hypot(F_a_r, F_a_theta)
-            else:
-                force = None
-        except OverflowError:
-            raise unreachable("its square overflows") from None
-        if force is None or min(force[0], force[0] - W_r) <= 0.0:
-            raise unreachable(f"no radial tension at the kite (sag reaction "
-                              f"{abs(F_t_theta):.1f} N)")
-        F_a_r, F_a = force
-        A = F_a / force_coefficient  # |v_a|^2/v_w^2
-        # The drag condition solved for b - f = c0 + c1*lam, put into
-        # |v_a|^2/v_w^2 = A: alpha*lam^2 + 2*h*lam + C = 0.
-        c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
-        c1 = F_a_theta * cos_c / F_a_r
-        alpha, h, C = 1.0 + c1 * c1, c0 * c1 - a, c0 * c0 + 1.0 - b * b - A
-        disc = h * h - alpha * C
-        if disc < 0.0:
-            raise unreachable("no real tangential velocity factor")
-        # The larger root, written without cancellation.
-        lam = (math.sqrt(disc) - h) / alpha if h <= 0.0 else -C / (h + math.sqrt(disc))
-        if lam < 0.0:
-            raise unreachable(f"tangential velocity factor lambda = {lam:.3g} < 0")
-        if lam < a:
-            raise unreachable(f"lambda = {lam:.3g} is below a = {a:.3g}, off the "
-                              f"tangential-speed branch")
-        b_f = c0 + c1 * lam
-        f = b - b_f
-        if b_f <= 0.0:
-            raise unreachable(f"no tension at f = {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
-        if f < _F_LO:
-            raise unreachable(f"f = {f:.6g} is below {_F_LO}")
-        kappa2 = A / (b_f * b_f) - 1.0
-        try:
-            rising = kappa2 > 0.0 and geometry(0.5 * math.log(kappa2) + _RISE_STEP, f).r > 0.0
-        except SteadyStateError:
-            rising = False
-        if not rising:
-            raise unreachable(f"G falls through G* with kappa at f = {f:.4f}")
-        F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
-        return f, equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r,
-                               F_t_kite), f, 1)
-
-    return geometry, equilibrium, setpoint
+def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
+                 m_t: float, v_w: float, rho: float, S: float) -> EquilibriumResult:
+    """:func:`_geometry` values at reeling factor ``f``, completed to an equilibrium."""
+    kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
+    F_a_theta = terms[3]
+    F_tg = _ground_tether_force(F_t_kite, trig[2], trig[3], m_t)
+    P = F_tg * f * v_w
+    # P_w = 0.5*rho*v_w**3 is taken last: v_w**3 may overflow where the checks fail first.
+    return EquilibriumResult(kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg,
+                             P / (0.5 * rho * v_w**3 * S), P, iterations)
 
 
 def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe) -> tuple[_Probe, _Probe]:
@@ -601,21 +544,19 @@ def solve_kinematic_ratio(
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
     """
-    angles = _angles(state)
+    angles = angle_trig(state.phi, state.chi)
     trig = _trig(state.theta, angles, *aero, *wind)
     b = trig[1]
     if state.f >= b:
-        raise NoTensionError(
-            f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}"
-        )
-    geometry, equilibrium, _ = _force_geometry(trig, angles, kite, m_t, aero, wind)
+        raise NoTensionError(f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
+    terms = _force_terms(trig[2], trig[3], *aero, m_t, kite.m, kite.S, *wind)
     f = state.f
     evaluations = 0
 
     def probe(x: float) -> _Probe:
         nonlocal evaluations
         evaluations += 1
-        return geometry(x, f)
+        return _geometry(x, f, trig, angles, wind.v_w, terms)
 
     x_max = math.log(50.0 * aero.LD)
     value = _secant(probe, math.log(aero.LD), x_max)
@@ -624,7 +565,7 @@ def solve_kinematic_ratio(
     if value[1] < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({value[1]:.4f})")
-    return equilibrium(value, f, evaluations)
+    return _equilibrium(value, f, evaluations, trig, terms, m_t, *wind, kite.S)
 
 
 def _secant(probe: Callable[[float], _Probe], x: float, x_max: float) -> Optional[tuple]:
@@ -746,11 +687,75 @@ def reel_factor_for_force_gravity(
         TetherSagError: if the ground-end force of the root leaves the
             tether pushing on the ground station.
     """
-    angles = _angles(state)
-    trig = _trig(state.theta, angles, *aero, *wind)
+    return gravity_setpoint(F_target, target_end, state.theta, angle_trig(state.phi, state.chi),
+                            *aero, m_t, kite.m, kite.S, *wind)
+
+
+def _unreachable(F_target: float, target_end: TargetEnd, reason: str) -> SetpointUnreachableError:
+    return SetpointUnreachableError(f"force {F_target:.6g} N at the {target_end}: {reason}")
+
+
+def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angles: tuple,
+                     C_L: float, C_D: float, m_t: float, m: float, S: float, v_w: float,
+                     rho: float) -> tuple[float, EquilibriumResult]:
+    """The work of :func:`reel_factor_for_force_gravity` on scalars, with
+    ``angles`` the :func:`angle_trig` of phi and chi: the simulator's gravity
+    step calls it with its phase's angles and builds no state, aero or wind."""
+    a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
-    _, _, setpoint = _force_geometry(trig, angles, kite, m_t, aero, wind)
-    return setpoint(F_target, target_end)
+    G_star, _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = _force_terms(
+        sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
+    _, cos_p, _, cos_c = angles
+    # The aerodynamic force (F_a_r, F_a) that carries the set-point.
+    try:
+        if target_end == "ground":
+            force = aero_force_from_ground(F_target, sin_t, cos_t, m_t, m)
+        elif F_target > abs(F_t_theta):
+            F_a_r = math.sqrt(F_target**2 - F_t_theta**2) + W_r
+            force = F_a_r, math.hypot(F_a_r, F_a_theta)
+        else:
+            force = None
+    except OverflowError:
+        raise _unreachable(F_target, target_end, "its square overflows") from None
+    if force is None or min(force[0], force[0] - W_r) <= 0.0:
+        raise _unreachable(F_target, target_end, f"no radial tension at the kite (sag reaction "
+                                                 f"{abs(F_t_theta):.1f} N)")
+    F_a_r, F_a = force
+    A = F_a / force_coefficient  # |v_a|^2/v_w^2
+    # The drag condition solved for b - f = c0 + c1*lam, put into
+    # |v_a|^2/v_w^2 = A: alpha*lam^2 + 2*h*lam + C = 0.
+    c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
+    c1 = F_a_theta * cos_c / F_a_r
+    alpha, h, C = 1.0 + c1 * c1, c0 * c1 - a, c0 * c0 + 1.0 - b * b - A
+    disc = h * h - alpha * C
+    if disc < 0.0:
+        raise _unreachable(F_target, target_end, "no real tangential velocity factor")
+    # The larger root, written without cancellation.
+    lam = (math.sqrt(disc) - h) / alpha if h <= 0.0 else -C / (h + math.sqrt(disc))
+    if lam < 0.0:
+        raise _unreachable(F_target, target_end,
+                           f"tangential velocity factor lambda = {lam:.3g} < 0")
+    if lam < a:
+        raise _unreachable(F_target, target_end, f"lambda = {lam:.3g} is below a = {a:.3g}, off "
+                                                 f"the tangential-speed branch")
+    b_f = c0 + c1 * lam
+    f = b - b_f
+    if b_f <= 0.0:
+        raise _unreachable(F_target, target_end, f"no tension at f = {f:.4f} >= "
+                                                 f"sin(theta)*cos(phi) = {b:.4f}")
+    if f < _F_LO:
+        raise _unreachable(F_target, target_end, f"f = {f:.6g} is below {_F_LO}")
+    kappa2 = A / (b_f * b_f) - 1.0
+    try:
+        rising = kappa2 > 0.0 and _geometry(0.5 * math.log(kappa2) + _RISE_STEP, f, trig, angles,
+                                            v_w, terms).r > 0.0
+    except SteadyStateError:
+        rising = False
+    if not rising:
+        raise _unreachable(F_target, target_end, f"G falls through G* with kappa at f = {f:.4f}")
+    F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
+    return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r, F_t_kite), f,
+                           1, trig, terms, m_t, v_w, rho, S)

@@ -59,7 +59,7 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
-from kitecycle.steady_state import massless_setpoint
+from kitecycle.steady_state import gravity_setpoint, massless_setpoint
 from oracles import bisect_kappa, dictreader_telemetry, implied_lift_to_drag
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
@@ -223,18 +223,23 @@ def test_massless_inversion_round_trip(problem):
     assert abs(res.F_t_kite / F - 1.0) <= 1e-6
 
 
-def massless_engine(C_L, LD_k, phi, chi):
-    """The engine of a massless phase flown at (phi, chi), whose tether
-    adds little drag to the aero set (C_L, LD_k)."""
-    kite = replace(KITE, aero_traction=AeroSet(C_L, LD_k))
+def phase_engine(C_L, LD_k, phi, chi, m=0.0, m_t=None, r=None, force_at=None):
+    """The engine of a phase flown at (phi, chi), whose tether adds little
+    drag to the aero set (C_L, LD_k): massless without ``force_at``, else
+    with gravity, the force set at ``force_at``, airborne mass ``m`` and
+    a tether that weighs ``m_t`` at length ``r``."""
+    kite = replace(KITE, m=m, aero_traction=AeroSet(C_L, LD_k))
     op = OperationSettings(beta_o=0.5, phi_o=phi, chi_o=chi, r_min=100.0, r_max=200.0,
-                           F_out=2.0, F_in=1.0, gravity=False)
+                           F_out=2.0, F_in=1.0, gravity=force_at is not None,
+                           force_at=force_at or "kite")
+    d_t = 1e-4
+    rho_t = 724.0 if m_t is None else max(m_t, 1e-6) / (0.25 * math.pi * d_t**2 * r)
     return _PhaseEngine(Environment(v_w_ref=10.0, z_ref=6.0, z0=0.07), kite,
-                        TetherParams(d_t=1e-4, rho_t=724.0), op, kite.aero_traction, phi, chi)
+                        TetherParams(d_t=d_t, rho_t=rho_t), op, kite.aero_traction, phi, chi)
 
 
 def engine_step(engine, F_target, r, theta, wind):
-    """An engine's massless force step as (f, equilibrium)."""
+    """An engine's force step as (f, equilibrium)."""
     state, eq = engine.solve_force(F_target, r, theta, wind)
     assert state == KiteState(r, theta, engine.phi, engine.chi, state.f)
     return state.f, eq
@@ -249,12 +254,16 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def public_massless_inversion(engine, F_target, r, theta, wind):
-    """reel_factor_for_force_massless on the engine's state and coefficients."""
-    _, C_D = tether_properties(r, engine.tether, engine.kite, engine.aero_set)
-    return reel_factor_for_force_massless(
-        F_target, KiteState(r, theta, engine.phi, engine.chi, 0.0),
-        EffectiveAero(engine.aero_set.C_L, C_D), wind, engine.kite.S)
+def public_inversion(engine, F_target, r, theta, wind):
+    """reel_factor_for_force_massless, or reel_factor_for_force_gravity
+    where the engine has gravity, on the engine's state and coefficients."""
+    m_t, C_D = tether_properties(r, engine.tether, engine.kite, engine.aero_set)
+    state = KiteState(r, theta, engine.phi, engine.chi, 0.0)
+    aero = EffectiveAero(engine.aero_set.C_L, C_D)
+    if engine.op.gravity:
+        return reel_factor_for_force_gravity(F_target, engine.op.force_at, state, engine.kite,
+                                             m_t, aero, wind)
+    return reel_factor_for_force_massless(F_target, state, aero, wind, engine.kite.S)
 
 
 @PROPERTY
@@ -264,11 +273,37 @@ def test_massless_step_is_the_public_inversion(problem, log_ratio):
     # outcome: an equilibrium, f >= b, no real or a negative tangential
     # speed, and f below -3.
     state, aero, wind, _, _ = problem
-    engine = massless_engine(aero.C_L, aero.LD, state.phi, state.chi)
+    engine = phase_engine(aero.C_L, aero.LD, state.phi, state.chi)
     F = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * 10.0**log_ratio
     args = (engine, F, state.r, state.theta, wind)
     assert outcome(lambda: engine_step(*args)) == outcome(
-        lambda: public_massless_inversion(*args))
+        lambda: public_inversion(*args))
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(["kite", "ground"]), st.floats(-40.0, 200.0))
+# G falls through G* with kappa at the root.
+@example((KiteState(103.3, 0.88, 0.086, 2.68, 0.0), EffectiveAero(1.318, 0.298),
+          WindState(7.4, 1.126), 29.1, 2.85), "ground", -1.616)
+# The larger root is off the tangential-speed branch: lam < a.
+@example((KiteState(729.0, 1.28, 0.668, 4.28, 0.0), EffectiveAero(0.386, 0.0614),
+          WindState(15.57, 1.16), 51.3, 6.35), "kite", -2.13)
+# The root has f >= sin(theta)*cos(phi): no tension.
+@example((KiteState(438.5, 1.518, -0.0536, 5.244, 0.0), EffectiveAero(1.1425, 0.4942),
+          WindState(9.717, 1.0426), 37.2, 4.25), "kite", -1.562)
+# The root leaves the tether pushing on the ground station.
+@example((KiteState(782.0, 0.455, 0.367, 0.244, 0.0), EffectiveAero(0.261, 0.347),
+          WindState(4.13, 1.16), 29.9, 3.89), "kite", -0.535)
+def test_gravity_step_is_the_public_inversion(problem, end, log_ratio):
+    # Targets from 1e-40 to 1e200 times the massless force at b - f = 1
+    # reach an equilibrium and the other ways a set-point is unreachable:
+    # no radial tension, no real or a negative tangential speed, f below
+    # -3 and a square that overflows.
+    state, aero, wind, m, m_t = problem
+    engine = phase_engine(aero.C_L, aero.LD, state.phi, state.chi, m, m_t, state.r, end)
+    F = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * 10.0**log_ratio
+    args = (engine, F, state.r, state.theta, wind)
+    assert outcome(lambda: engine_step(*args)) == outcome(lambda: public_inversion(*args))
 
 
 def massless_failure_cases():
@@ -293,7 +328,7 @@ def massless_failure_cases():
                          ids=["theta", "f_below_-3", "f_at_b", "radicand", "negative_lam"])
 def test_massless_step_fails_as_the_public_inversion(case):
     theta, chi, C_L, LD_k, b_f, F, error, message = case
-    engine = massless_engine(C_L, LD_k, 0.0, chi)
+    engine = phase_engine(C_L, LD_k, 0.0, chi)
     wind = WindState(10.0, 1.2)
     if F is None:
         _, C_D = tether_properties(150.0, engine.tether, engine.kite, engine.aero_set)
@@ -302,7 +337,7 @@ def test_massless_step_fails_as_the_public_inversion(case):
     args = (engine, F, 150.0, theta, wind)
     got = outcome(lambda: engine_step(*args))
     assert got[0] is error and got[1].startswith(message), got
-    assert got == outcome(lambda: public_massless_inversion(*args))
+    assert got == outcome(lambda: public_inversion(*args))
 
 
 def test_massless_kernel_rejects_non_positive_drag_as_the_public_inversion():
@@ -315,6 +350,19 @@ def test_massless_kernel_rejects_non_positive_drag_as_the_public_inversion():
                                            f"EffectiveAero(C_L=0.7, C_D={C_D})")
         assert kernel == outcome(lambda: reel_factor_for_force_massless(
             1e3, state, EffectiveAero(0.7, C_D), WindState(10.0, 1.2), KITE.S))
+
+
+def test_gravity_kernel_rejects_non_positive_drag_as_the_public_inversion():
+    # No engine yields C_D <= 0, so the kernel it calls is called directly.
+    for C_D in (0.0, -0.2):
+        state = KiteState(150.0, 1.0, 0.0, 0.0, 0.0)
+        kernel = outcome(lambda: gravity_setpoint(
+            1e3, "kite", state.theta, (0.0, 1.0, 0.0, 1.0), 0.7, C_D, 1.0, 10.0, KITE.S, 10.0,
+            1.2))
+        assert kernel == (ValidationError, f"effective coefficients must be positive, got "
+                                           f"EffectiveAero(C_L=0.7, C_D={C_D})")
+        assert kernel == outcome(lambda: reel_factor_for_force_gravity(
+            1e3, "kite", state, kite_of(10.0), 1.0, EffectiveAero(0.7, C_D), WindState(10.0, 1.2)))
 
 
 @PROPERTY

@@ -130,6 +130,24 @@ class TestEntryChecks:
         with pytest.raises(ValidationError, match="tether mass must be >= 0, got -1.0"):
             solve_kinematic_ratio(self.STATE, STRONG_KITE, -1.0, AERO_71, WIND)
 
+    def test_massless_state_rejects_an_infinite_azimuth(self):
+        with pytest.raises(ValidationError, match=r"^azimuth phi must be finite, got inf$"):
+            massless_state(self.STATE._replace(phi=math.inf), AERO_71, WIND, S=10.2)
+
+    def test_gravity_inversion_rejects_a_nan_course_angle(self):
+        # Not a set-point that G falls through: the angle is named.
+        with pytest.raises(ValidationError, match=r"^course angle chi must be finite, got nan$"):
+            reel_factor_for_force_gravity(1e3, "kite", self.STATE._replace(chi=math.nan),
+                                          STRONG_KITE, 6.0, AERO_71, WIND)
+
+    def test_kinematic_solve_rejects_non_finite_angles(self):
+        for phi, chi, message in ((math.nan, 0.0, "azimuth phi must be finite, got nan"),
+                                  (0.0, -math.inf, "course angle chi must be finite, got -inf")):
+            with pytest.raises(ValidationError) as info:
+                solve_kinematic_ratio(self.STATE._replace(phi=phi, chi=chi), STRONG_KITE, 6.0,
+                                      AERO_71, WIND)
+            assert str(info.value) == message
+
 
 class TestMasslessState:
     def test_tangential_factor_at_zenith_symmetry(self):
@@ -321,18 +339,13 @@ class TestKinematicRatioSolver:
         # secant stops there and the scan finds the largest root, probing
         # no (x, f) twice.
         probes = []
-        force_geometry = steady_state._force_geometry
+        geometry = steady_state._geometry
 
-        def recording(*args):
-            geometry, equilibrium, setpoint = force_geometry(*args)
+        def recording(x, f, *args):
+            probes.append((x, f))
+            return geometry(x, f, *args)
 
-            def probe(x, f):
-                probes.append((x, f))
-                return geometry(x, f)
-
-            return probe, equilibrium, setpoint
-
-        monkeypatch.setattr(steady_state, "_force_geometry", recording)
+        monkeypatch.setattr(steady_state, "_geometry", recording)
         st = KiteState(r=803.2499871506205, theta=0.8608787259522742, phi=0.15429358996645726,
                        chi=0.3522322305466722, f=-0.1618490063589043)
         kite = replace(STRONG_KITE, m=17.864662009290797)

@@ -3,8 +3,8 @@
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --parent REV --pr N --claim WORKLOAD.METRIC
-        [--predicted TEXT] [--seeds 1-10] [--seconds 20] [--host TEXT]
-        [--work DIR] [--out FILE]
+        [--predicted TEXT] [--min-gain 0.15] [--seeds 1-10] [--seconds 20]
+        [--host TEXT] [--work DIR] [--out FILE]
 
 The parent side runs from a ``git archive`` of REV, the change side from a
 copy of the working tree's files (tracked and untracked, not ignored),
@@ -21,8 +21,10 @@ summary per end-to-end metric and workload of ``BENCHMARK.json``
 medians, the bound and whether it holds), failed, attempted and correct
 ops per side, and the last JSON line of every run.  At the end it prints
 the verdict of the claim: met when the change wins at least nine tenths
-of the pairs, ties counting for neither, and the medians differ in the
-better direction by more than the parent's interquartile range.  Every
+of the pairs, ties counting for neither, the medians differ in the
+better direction by more than the parent's interquartile range and the
+median gain, relative to the parent's median, is at least ``--min-gain``
+(default 0, no minimum).  Every
 other pairing is printed as better, within its bound, worse beyond its
 bound, or unresolved where the parent's own spread is wider than the
 bound and not every change run beats every parent run.  Standard
@@ -119,7 +121,8 @@ def summarize(runs: list[dict], spec: dict) -> dict:
     return summary
 
 
-def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str) -> dict:
+def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str,
+             min_gain: float = 0.0) -> dict:
     entry = summary[metric]
     p, c = entry["parent"], entry["change"]
     won = int(entry["change_wins"].split("/")[0])
@@ -128,17 +131,19 @@ def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str) -> di
         gain = -gain
     iqr = p["q3"] - p["q1"]
     return {
-        "metric": metric, "predicted": predicted, "median_parent": p["median"],
-        "median_change": c["median"], "median_gain": round(gain / p["median"], 4),
-        "parent_iqr": iqr, "change_wins": entry["change_wins"],
-        "met": 10 * won >= 9 * len(runs) and gain > iqr,
+        "metric": metric, "predicted": predicted, "min_gain": min_gain,
+        "median_parent": p["median"], "median_change": c["median"],
+        "median_gain": round(gain / p["median"], 4), "parent_iqr": iqr,
+        "change_wins": entry["change_wins"],
+        "met": 10 * won >= 9 * len(runs) and gain > iqr and gain >= min_gain * p["median"],
     }
 
 
 def verdict(runs: list[dict], summary: dict, claim: dict) -> str:
     lines = [f"claim {claim['metric']}: parent {claim['median_parent']:.4g}, change "
              f"{claim['median_change']:.4g} ({claim['median_gain']:+.1%}), parent IQR "
-             f"{claim['parent_iqr']:.3g}, change wins {claim['change_wins']}: "
+             f"{claim['parent_iqr']:.3g}, change wins {claim['change_wins']}, minimum gain "
+             f"{claim['min_gain']:.1%}: "
              f"{'MET' if claim['met'] else 'NOT MET'}"]
     for name, entry in summary.items():
         if name == claim["metric"]:
@@ -175,7 +180,7 @@ def report(args, rev: str, runs: list[dict], spec: dict) -> dict:
                   f"ran from a fresh `git archive` of its commit, the change from a fresh copy "
                   f"of the working tree's files; each entry holds the last JSON line of each "
                   f"run"),
-        "claim": claim_of(runs, summary, args.claim, args.predicted),
+        "claim": claim_of(runs, summary, args.claim, args.predicted, args.min_gain),
         "summary": summary,
         "failed_ops": {side: sum(run[side]["failed"] for run in runs)
                        for side in ("parent", "change")},
@@ -193,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--claim", required=True, help="claimed WORKLOAD.METRIC")
     parser.add_argument("--predicted", default="", help="the claim as stated in advance")
+    parser.add_argument("--min-gain", type=float, default=0.0,
+                        help="least relative median gain the claim needs, e.g. 0.15")
     parser.add_argument("--seeds", default="1-10", help="'1-10' or '3,5,7'")
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--host", default="", help="hardware and Python of this machine")
