@@ -35,16 +35,17 @@ class Environment:
     H_rho: float = 8550.0
 
     def __post_init__(self):
-        if not self.z_ref > self.z0 > 0.0:
+        if not math.inf > self.z_ref > self.z0 > 0.0:
             raise ValidationError(
-                f"requires z_ref > z0 > 0, got z_ref={self.z_ref}, z0={self.z0}"
+                f"requires z_ref > z0 > 0, both finite, got z_ref={self.z_ref}, z0={self.z0}"
             )
-        if self.v_w_ref < 0.0:
-            raise ValidationError(f"reference wind speed must be >= 0, got {self.v_w_ref}")
-        if self.rho0 <= 0.0:
-            raise ValidationError(f"sea-level density must be > 0, got {self.rho0}")
-        if self.H_rho <= 0.0:
-            raise ValidationError(f"density scale height must be > 0, got {self.H_rho}")
+        if not 0.0 <= self.v_w_ref < math.inf:
+            raise ValidationError(
+                f"reference wind speed must be >= 0 and finite, got {self.v_w_ref}")
+        if not 0.0 < self.rho0 < math.inf:
+            raise ValidationError(f"sea-level density must be > 0 and finite, got {self.rho0}")
+        if not 0.0 < self.H_rho < math.inf:
+            raise ValidationError(f"density scale height must be > 0 and finite, got {self.H_rho}")
         # Not a field: out of __eq__, __repr__ and replace(), which recomputes it.
         object.__setattr__(self, "_log_z_ref", math.log(self.z_ref / self.z0))
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import dataio
-from .config import PRESET_NAMES, RunConfig, load_config, load_sweep_spec, preset_path, set_by_path
+from .config import PRESET_NAMES, RunConfig, load_config, load_sweep_spec, preset_path
 from .cycle import convergence_study, simulate_cycle
 from .errors import KitecycleError, ParseError, ValidationError
 from .estimation import segment_and_average
@@ -52,7 +51,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     rows = []
     for value in spec.values:
         try:
-            varied = set_by_path(cfg, spec.parameter, value)
+            varied = _config(args, {spec.parameter: value})
             cycle = simulate_cycle(varied.environment, varied.kite, varied.tether,
                                    varied.operation)
         except KitecycleError as exc:
@@ -78,6 +77,15 @@ def _cmd_estimate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     print(f"C_R_o = {averages.C_R_o:.3f}, C_R_i = {averages.C_R_i:.3f}, "
           f"LD_k_o = {averages.LD_k_o:.2f}, LD_k_i = {averages.LD_k_i:.2f}")
     return 0
+
+
+def _config(args: argparse.Namespace, overrides: dict) -> RunConfig:
+    """The ``--config`` file or preset, with ``overrides`` and
+    ``--no-gravity`` written into its JSON before it is parsed."""
+    if getattr(args, "no_gravity", False):
+        overrides = {"gravity": False, **overrides}
+    return load_config(preset_path(args.config) if args.config in PRESET_NAMES
+                       else args.config, overrides)
 
 
 @functools.cache
@@ -129,10 +137,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = load_config(preset_path(args.config) if args.config in PRESET_NAMES
-                          else args.config)
-        if getattr(args, "no_gravity", False):
-            cfg = replace(cfg, operation=replace(cfg.operation, gravity=False))
+        cfg = _config(args, {})
         # Each command makes the output directory just before its first
         # write, so a command that fails earlier leaves none behind.
         return args.func(args, cfg, Path(args.out or cfg.out_dir or "out"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
@@ -25,7 +25,6 @@ __all__ = [
     "SweepSpec",
     "load_config",
     "load_sweep_spec",
-    "set_by_path",
     "preset_path",
     "PRESET_NAMES",
 ]
@@ -135,15 +134,27 @@ def _read_json(path: Path) -> Any:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: Optional[dict] = None) -> RunConfig:
     """Parse and validate a run configuration file.
+
+    ``overrides`` maps dotted keys of the file, such as ``operation.F_out``
+    or ``gravity``, to values written into it before it is parsed.
 
     Raises:
         ParseError: on malformed JSON, unknown or missing keys, or a value
             of the wrong kind, naming its key path.
-        ValidationError: on invariant violations, naming the invariant.
+        ValidationError: on invariant violations, naming the invariant,
+            or on an override key through a value that is not an object.
     """
-    return _config_from_dict(_read_json(Path(path)))
+    raw = _read_json(Path(path))
+    for key, value in (overrides or {}).items():
+        node, (*parents, leaf) = raw, key.split(".")
+        for name in parents:
+            node = node.setdefault(name, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ValidationError(f"cannot set {key!r}: a part of it is not an object")
+        node[leaf] = value
+    return _config_from_dict(raw)
 
 
 def preset_path(name: str) -> Path:
@@ -189,35 +200,15 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         if num < 2:
             raise ValidationError("sweep range needs num >= 2")
         start, stop = rng["start"], rng["stop"]
-        step = (stop - start) / (num - 1)
+        try:
+            step = (stop - start) / (num - 1)
+        except OverflowError:  # whole numbers whose span exceeds the float range
+            step = math.inf
         values = tuple(start + i * step for i in range(num))
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"sweep.range: {num} values from {start} to {stop} include "
+                             "one that is not finite")
     return SweepSpec(parameter=_string(spec["parameter"], "sweep.parameter"),
                      values=values,
                      objective=spec.get("objective", "P_m"))
 
-
-# The RunConfig sections whose scalar fields a sweep may vary.
-_SWEEPABLE = ("environment", "kite", "tether", "operation")
-
-
-def set_by_path(cfg: RunConfig, path: str, value: float) -> RunConfig:
-    """Return a copy of ``cfg`` with one scalar replaced.
-
-    ``path`` is dotted, e.g. ``operation.F_out`` or
-    ``kite.aero_traction.C_L``.
-    """
-    parts = path.split(".")
-    if len(parts) < 2 or parts[0] not in _SWEEPABLE:
-        raise ValidationError(f"cannot resolve sweep parameter path {path!r}")
-
-    def rebuild(obj, names: list[str]):
-        if not hasattr(obj, names[0]):
-            raise ValidationError(f"cannot resolve sweep parameter path {path!r}")
-        if len(names) == 1:
-            current = getattr(obj, names[0])
-            if not isinstance(current, (int, float)) or isinstance(current, bool):
-                raise ValidationError(f"sweep parameter {path!r} is not a scalar")
-            return replace(obj, **{names[0]: value})
-        return replace(obj, **{names[0]: rebuild(getattr(obj, names[0]), names[1:])})
-
-    return replace(cfg, **{parts[0]: rebuild(getattr(cfg, parts[0]), parts[1:])})

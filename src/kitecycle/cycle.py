@@ -89,16 +89,15 @@ class OperationSettings:
     force_at: str = "kite"
 
     def __post_init__(self):
-        if not 0.0 < self.r_min < self.r_max:
-            raise ValidationError(
-                f"requires 0 < r_min < r_max, got r_min={self.r_min}, r_max={self.r_max}"
-            )
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise ValidationError(f"requires 0 < r_min < r_max, both finite, "
+                                  f"got r_min={self.r_min}, r_max={self.r_max}")
         if not 0.0 < self.dT <= 1.0:
             raise ValidationError(f"nondimensional time step must be in (0, 1], got {self.dT}")
-        if not 0.0 < self.F_in < self.F_out:
-            raise ValidationError(
-                f"requires 0 < F_in < F_out, got F_in={self.F_in}, F_out={self.F_out}"
-            )
+        if not 0.0 < self.F_in < self.F_out < math.inf:
+            raise ValidationError(f"requires 0 < F_in < F_out, both finite, "
+                                  f"got F_in={self.F_in}, F_out={self.F_out}")
+        angle_trig(self.phi_o, self.chi_o)  # both finite, by the check each phase makes
         if not 0.0 < self.beta_o < 0.5 * math.pi:
             raise ValidationError(f"traction elevation must be in (0, pi/2), got {self.beta_o}")
         if not isinstance(self.gravity, bool):

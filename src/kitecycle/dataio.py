@@ -174,10 +174,10 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     Columns are found by their header names, in any order.  Blank lines
     are skipped.  A row whose field count differs from the header's, or
     a numeric value that is not finite, is a ``ParseError`` naming the
-    file line.  Once every row parses, a row with r <= 0 or F_tg < 0 is a
-    ``ValidationError`` naming the file line; so are timestamps that do
-    not strictly increase, naming the file.  Missing course angles are
-    derived from consecutive positions.
+    file line.  Once every row parses, a row with r <= 0, F_tg < 0 or
+    v_w_ref < 0 is a ``ValidationError`` naming the file line; so are
+    timestamps that do not strictly increase, naming the file.  Missing
+    course angles are derived from consecutive positions.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -213,7 +213,7 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
                 finite = False
             if not finite:  # raises, unless only the sum of finite values overflowed
                 _reject_numbers(f"{path}: line {reader.line_num}", row, columns)
-            if fault is None and (why := sample_fault(r, F_tg)) is not None:
+            if fault is None and (why := sample_fault(r, F_tg, v_w_ref)) is not None:
                 fault = f"{path}: line {reader.line_num}: {why}"
             rows.append([t, F_tg, r, radians(theta), radians(phi),
                          None if chi is None else radians(chi), (vk_x, vk_y, vk_z), v_t,

@@ -95,12 +95,14 @@ class LogRecord(NamedTuple):
                    vk=vk, v_t=v_t, v_w_ref=v_w_ref, phase=phase)
 
 
-def sample_fault(r: float, F_tg: float) -> Optional[str]:
-    """The invariant a telemetry sample breaks, r > 0 or F_tg >= 0, or None."""
+def sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
+    """The invariant a sample breaks, r > 0, F_tg >= 0 or v_w_ref >= 0, or None."""
     if r <= 0.0:
         return f"tether length must be > 0, got {r}"
     if F_tg < 0.0:
         return f"ground tether force must be >= 0, got {F_tg}"
+    if v_w_ref < 0.0:
+        return f"reference wind speed must be >= 0, got {v_w_ref}"
     return None
 
 
@@ -353,15 +355,15 @@ def segment_and_average(
     traction values characterise the kite itself.
 
     Raises:
-        ValidationError: if the series is empty, a sample has r <= 0 or
-            F_tg < 0 (naming its index), or the series is not strictly
-            increasing in time.
+        ValidationError: if the series is empty, a sample has r <= 0,
+            F_tg < 0 or v_w_ref < 0 (naming its index), or the series is
+            not strictly increasing in time.
         EmptyPhaseError: if retraction or traction has no valid samples.
     """
     if not series:
         raise ValidationError("telemetry series is empty")
     for i, rec in enumerate(series):
-        fault = sample_fault(rec.r, rec.F_tg)
+        fault = sample_fault(rec.r, rec.F_tg, rec.v_w_ref)
         if fault is not None:
             raise ValidationError(f"sample {i}: {fault}")
         if i and rec.t <= series[i - 1].t:

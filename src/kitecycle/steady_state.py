@@ -85,8 +85,8 @@ class AeroSet:
     LD_k: float
 
     def __post_init__(self):
-        if self.C_L <= 0.0 or self.LD_k <= 0.0:
-            raise ValidationError(f"aero set requires C_L > 0 and LD_k > 0, got {self}")
+        if not all(0.0 < x < math.inf for x in (self.C_L, self.LD_k)):
+            raise ValidationError(f"aero set requires C_L > 0 and LD_k > 0 (finite), got {self}")
 
     @property
     def C_D_k(self) -> float:
@@ -109,8 +109,8 @@ class TetherParams:
     C_D_c: float = 1.1
 
     def __post_init__(self):
-        if self.d_t <= 0.0 or self.rho_t <= 0.0 or self.C_D_c <= 0.0:
-            raise ValidationError(f"tether parameters must be positive, got {self}")
+        if not all(0.0 < x < math.inf for x in (self.d_t, self.rho_t, self.C_D_c)):
+            raise ValidationError(f"tether parameters must be positive and finite, got {self}")
         # A product, so that it gives inf where mass()'s d_t**2 raises OverflowError.
         if not math.isfinite(self.d_t * self.d_t * self.rho_t):
             raise ValidationError(f"tether mass per metre must be finite, got {self}")
@@ -133,10 +133,10 @@ class KiteParams:
     aero_retraction: AeroSet
 
     def __post_init__(self):
-        if self.S <= 0.0:
-            raise ValidationError(f"projected wing area must be > 0, got {self.S}")
-        if self.m < 0.0:
-            raise ValidationError(f"airborne mass must be >= 0, got {self.m}")
+        if not 0.0 < self.S < math.inf:
+            raise ValidationError(f"projected wing area must be > 0 and finite, got {self.S}")
+        if not 0.0 <= self.m < math.inf:
+            raise ValidationError(f"airborne mass must be >= 0 and finite, got {self.m}")
 
 
 class KiteState(NamedTuple):

@@ -313,6 +313,49 @@ def test_failed_sweep_point_names_its_value(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(prefix)
 
 
+@pytest.mark.parametrize("spec,message", [
+    # Each of the first five used to raise a TypeError or resolve a field
+    # of the parsed objects; the range used to sweep NaN masses (exit 3).
+    ({"parameter": "kite.m.real", "values": [1.0]},
+     "ValidationError: kite.m.real = 1.0: cannot set 'kite.m.real'"),
+    ({"parameter": "operation.theta_o", "values": [1.0]},
+     "ParseError: operation.theta_o = 1.0: operation: unknown key(s) ['theta_o']"),
+    ({"parameter": "kite.aero_traction.C_D_k", "values": [0.2]},
+     "ParseError: kite.aero_traction.C_D_k = 0.2: kite.aero_traction: unknown key(s)"),
+    ({"parameter": "environment._log_z_ref", "values": [1.0]},
+     "ParseError: environment._log_z_ref = 1.0: environment: unknown key(s)"),
+    ({"parameter": "operation.beta_o", "values": [0.5]},
+     "ParseError: operation.beta_o = 0.5: operation: unknown key(s) ['beta_o']"),
+    ({"parameter": "kite.m", "range": {"start": 1e308, "stop": -1e308, "num": 2}},
+     "ParseError: sweep.range: "),
+])
+def test_bad_sweep_parameter_exits_2_before_simulating(tmp_path, capsys, spec, message):
+    path, out = tmp_path / "sweep.json", tmp_path / "o"
+    path.write_text(json.dumps(spec))
+    with mock.patch.object(cli, "simulate_cycle", no_simulation):
+        assert run_command(["sweep", "--config", "strong_wind", "--spec", str(path),
+                            "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_sweep_parameter_is_a_file_key_in_file_units(tmp_path):
+    # A sweep point runs the cycle of the file with its value written in:
+    # operation.beta_deg in degrees, with --no-gravity applied as well.
+    raw = strong_raw()
+    raw["operation"]["beta_deg"] = 30.0
+    config, spec = tmp_path / "cfg.json", tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    spec.write_text(json.dumps({"parameter": "operation.beta_deg", "values": [30.0]}))
+    assert run_command(["simulate", "--config", str(config), "--no-gravity",
+                        "--out", str(tmp_path / "sim")]) == 0
+    assert run_command(["sweep", "--config", "strong_wind", "--spec", str(spec),
+                        "--no-gravity", "--out", str(tmp_path / "sweep")]) == 0
+    summary = json.loads((tmp_path / "sim" / "cycle_summary.json").read_text())
+    row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert [float(x) for x in row] == [30.0, summary["P_m"], summary["zeta_m"]]
+
+
 def test_cli_module_runs_from_a_checkout(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

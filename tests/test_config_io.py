@@ -6,7 +6,7 @@ import re
 import pytest
 
 from kitecycle import dataio, load_config, load_sweep_spec, preset_path
-from kitecycle.config import set_by_path
+from kitecycle.config import PRESET_NAMES
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
     TIMESERIES_COLUMNS,
@@ -94,6 +94,69 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             preset_path("gale")
 
+    def test_overrides_set_file_values(self, strong_config):
+        path = preset_path("strong_wind")
+        varied = load_config(path, {"operation.F_out": 2500.0, "kite.aero_traction.C_L": 0.75,
+                                    "operation.beta_deg": 30.0, "gravity": False})
+        assert varied.operation.F_out == 2500.0
+        assert varied.kite.aero_traction.C_L == 0.75
+        assert varied.operation.beta_o == math.radians(30.0)
+        assert varied.operation.gravity is False
+        assert load_config(path) == strong_config
+
+    BAD_OVERRIDES = [
+        ("operation.nope", 1.0, ParseError, "operation: unknown key(s) ['nope']"),
+        # Names of the parsed objects are not keys of the file.
+        ("operation.beta_o", 0.5, ParseError, "operation: unknown key(s) ['beta_o']"),
+        ("operation.theta_o", 1.0, ParseError, "operation: unknown key(s) ['theta_o']"),
+        ("kite.aero_traction.C_D_k", 0.2, ParseError,
+         "kite.aero_traction: unknown key(s) ['C_D_k']"),
+        ("environment._log_z_ref", 1.0, ParseError,
+         "environment: unknown key(s) ['_log_z_ref']"),
+        ("F_out", 1.0, ParseError, "config: unknown key(s) ['F_out']"),
+        ("kite.aero_traction", 1.0, ParseError,
+         "kite.aero_traction: expected an object, got float"),
+        ("kite.m", math.nan, ParseError, "kite.m: expected a finite number, got nan"),
+        ("operation.r_min", 900.0, ValidationError, "requires 0 < r_min < r_max"),
+        ("kite.m.real", 1.0, ValidationError, "cannot set 'kite.m.real'"),
+    ]
+
+    @pytest.mark.parametrize("key,value,error,message", BAD_OVERRIDES,
+                             ids=[case[0] for case in BAD_OVERRIDES])
+    def test_overrides_reject_bad_keys(self, key, value, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            load_config(preset_path("strong_wind"), {key: value})
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_every_key_of_the_file_overrides(self, tmp_path, preset):
+        # Each leaf set to its own file value parses to the plain load, and
+        # an optional key the file omits takes its default the same way.
+        raw = json.loads(preset_path(preset).read_text())
+
+        def leaves(node, path=()):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, path + (key,))
+                else:
+                    yield ".".join(path + (key,)), value
+
+        plain = load_config(preset_path(preset))
+        keys = dict(leaves(raw))
+        assert len(keys) == 22
+        for key, value in keys.items():
+            assert load_config(preset_path(preset), {key: value}) == plain, key
+        defaults = {"operation.dT": 0.01, "environment.rho0": 1.225,
+                    "environment.H_rho": 8550.0, "tether.C_D_c": 1.1}
+        for key in defaults:
+            section, name = key.split(".")
+            raw[section].pop(name, None)
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(raw))
+        plain = load_config(bare)
+        for key, value in defaults.items():
+            assert load_config(bare, {key: value}) == plain, key
+            assert load_config(bare, {key: 2.0 * value}) != plain, key
+
 
 class TestSweepSpec:
     def test_values_list(self, tmp_path):
@@ -140,27 +203,23 @@ class TestSweepSpec:
             with pytest.raises(ParseError, match=re.escape(where)):
                 load_sweep_spec(path)
 
+    @pytest.mark.parametrize("start,stop,num", [
+        (1e308, -1e308, 2), (-1e308, 1e308, 3), (-10**308, 10**308, 2)],
+        ids=["down", "up", "whole_numbers"])
+    def test_overflowing_range_rejected(self, tmp_path, start, stop, num):
+        # Its span is not a float, so the range used to sweep NaN points.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"parameter": "kite.m",
+                                    "range": {"start": start, "stop": stop, "num": num}}))
+        with pytest.raises(ParseError, match=r"^sweep\.range: "):
+            load_sweep_spec(path)
+
     def test_bad_objective(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"parameter": "operation.F_out",
                                     "values": [1.0], "objective": "profit"}))
         with pytest.raises(ValidationError):
             load_sweep_spec(path)
-
-    def test_set_by_path(self, strong_config):
-        varied = set_by_path(strong_config, "operation.F_out", 2500.0)
-        assert varied.operation.F_out == 2500.0
-        assert strong_config.operation.F_out == 3008.0
-        nested = set_by_path(strong_config, "kite.aero_traction.C_L", 0.75)
-        assert nested.kite.aero_traction.C_L == 0.75
-
-    def test_set_by_path_rejects_unknown(self, strong_config):
-        with pytest.raises(ValidationError):
-            set_by_path(strong_config, "operation.nope", 1.0)
-        with pytest.raises(ValidationError):
-            set_by_path(strong_config, "kite.aero_traction", 1.0)
-        with pytest.raises(ValidationError):
-            set_by_path(strong_config, "F_out", 1.0)
 
 
 class TestTimeseriesCsv:
@@ -248,6 +307,17 @@ class TestTelemetryCsv:
         # Retraction flies upward: derived course angle near 180 deg.
         mid = len(strong_cycle.retraction.series) // 2
         assert abs(math.remainder(back[mid].chi - math.pi, 2 * math.pi)) < math.radians(15)
+
+    def test_finite_values_whose_sum_overflows_parse(self, tmp_path, strong_telemetry):
+        # The row's check sum overflows to inf, so each column is checked
+        # alone, the blank chi_deg among them: the row parses.
+        path = tmp_path / "telemetry.csv"
+        records = [rec._replace(chi=None) for rec in strong_telemetry[:3]]
+        records[1] = records[1]._replace(F_tg=1e308, r=1e308)
+        write_telemetry_csv(path, records)
+        back = read_telemetry_csv(path)
+        assert (back[1].F_tg, back[1].r) == (1e308, 1e308)
+        assert all(rec.chi is not None for rec in back)
 
     def test_each_record_is_built_once(self, tmp_path, monkeypatch, strong_telemetry):
         # Course angles are derived before the records are built, so a

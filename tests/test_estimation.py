@@ -220,7 +220,7 @@ class TestEstimateLD:
 
     @pytest.mark.parametrize("gate", [
         "wind at the kite", "kinematic radicand", "misaligned retraction",
-        "no gravity projection", "G <= 0", "tether drag",
+        "retraction without course angle", "no gravity projection", "G <= 0", "tether drag",
     ])
     def test_each_gate_rejects_its_sample(self, gate):
         # Gates before C_R (the kinematics) leave it NaN; the later ones keep it.
@@ -244,6 +244,8 @@ class TestEstimateLD:
                                    TETHER, "traction", False),
             "misaligned retraction": (retraction._replace(phi=0.5), KITE, TETHER, "retraction",
                                       True),
+            "retraction without course angle": (retraction._replace(chi=None), KITE, TETHER,
+                                                "retraction", True),
             "no gravity projection": (self.unprojected(traction), KITE, TETHER, "transition",
                                       True),
             # A 10 t kite flying down: gravity outweighs the kinematic ratio.
@@ -363,7 +365,9 @@ def test_log_record_invariants(tmp_path, strong_config, strong_telemetry):
     # sample's index, the telemetry parser its file line.
     cfg = strong_config
     for field, value, message in (("F_tg", -1.0, "ground tether force must be >= 0, got -1.0"),
-                                  ("r", 0.0, "tether length must be > 0, got 0.0")):
+                                  ("r", 0.0, "tether length must be > 0, got 0.0"),
+                                  ("v_w_ref", -1.0,
+                                   "reference wind speed must be >= 0, got -1.0")):
         series = list(strong_telemetry[:20])
         series[3] = series[3]._replace(**{field: value})
         with pytest.raises(ValidationError) as info:

@@ -8,8 +8,10 @@ from kitecycle import steady_state
 from kitecycle import (
     AeroSet,
     EffectiveAero,
+    Environment,
     KiteParams,
     KiteState,
+    OperationSettings,
     TetherParams,
     WindState,
     ground_tether_force,
@@ -99,6 +101,47 @@ class TestTetherProperties:
 def test_parameter_invariants(make, message):
     with pytest.raises(ValidationError, match=message):
         make()
+
+
+ENVIRONMENT = Environment(v_w_ref=9.9, z_ref=6.0, z0=0.07)
+OPERATION = OperationSettings(beta_o=0.47, phi_o=0.18, chi_o=1.76, r_min=390.0, r_max=720.0,
+                              F_out=3008.0, F_in=749.0)
+NON_FINITE_CHECKS = [
+    (STRONG_KITE.aero_traction, "C_L", "aero set requires C_L > 0 and LD_k > 0"),
+    (STRONG_KITE.aero_traction, "LD_k", "aero set requires C_L > 0 and LD_k > 0"),
+    (STRONG_KITE, "S", "projected wing area must be > 0"),
+    (STRONG_KITE, "m", "airborne mass must be >= 0"),
+    (TETHER, "d_t", "tether parameters must be positive"),
+    (TETHER, "rho_t", "tether parameters must be positive"),
+    (TETHER, "C_D_c", "tether parameters must be positive"),
+    (ENVIRONMENT, "z_ref", "requires z_ref > z0 > 0"),
+    (ENVIRONMENT, "v_w_ref", "reference wind speed must be >= 0"),
+    (ENVIRONMENT, "rho0", "sea-level density must be > 0"),
+    (ENVIRONMENT, "H_rho", "density scale height must be > 0"),
+    (OPERATION, "r_max", "requires 0 < r_min < r_max"),
+    (OPERATION, "F_out", "requires 0 < F_in < F_out"),
+    (OPERATION, "phi_o", "azimuth phi must be finite"),
+    (OPERATION, "chi_o", "course angle chi must be finite"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("params,field,message", NON_FINITE_CHECKS,
+                         ids=[f"{type(p).__name__}.{f}" for p, f, _ in NON_FINITE_CHECKS])
+def test_non_finite_parameters_rejected(params, field, message, value):
+    # Each check used to be a comparison that NaN (and inf) passes.
+    with pytest.raises(ValidationError, match=message):
+        replace(params, **{field: value})
+
+
+def test_kinematic_ratio_needs_a_radial_apparent_wind():
+    # At f >= sin(theta) cos(phi) the kite reels out at least as fast as
+    # the wind blows along the tether: no tension.
+    st = state(theta_deg=60.0, phi_deg=10.0)
+    b = math.sin(st.theta) * math.cos(st.phi)
+    for f in (b, b + 0.1):
+        with pytest.raises(NoTensionError, match=r"^reeling factor .* >= sin\(theta\)\*cos"):
+            solve_kinematic_ratio(st._replace(f=f), STRONG_KITE, 5.0, AERO_71, WIND)
 
 
 class TestEntryChecks:

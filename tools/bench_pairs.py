@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_pairs.py --parent REV --pr N --claim WORKLOAD.METRIC
+    python3 tools/bench_pairs.py --parent REV --pr N [--claim WORKLOAD.METRIC]
         [--predicted TEXT] [--min-gain 0.15] [--seeds 1-10] [--seconds 20]
         [--host TEXT] [--work DIR] [--out FILE]
 
@@ -15,17 +15,18 @@ same ``--seconds``.
 
 After every pair the script rewrites ``--out`` (default
 ``BENCH_<pr>.json``) with the keys of the earlier BENCH files: the
-command, the parent rev, the host, how the pairs ran, the claim, a
-summary per end-to-end metric and workload of ``BENCHMARK.json``
+command, the parent rev, the host, how the pairs ran, the claim (null
+without ``--claim``), a summary per end-to-end metric and workload of ``BENCHMARK.json``
 (quartiles of each side, pairs the change won, relative change of the
 medians, the bound and whether it holds), failed, attempted and correct
-ops per side, and the last JSON line of every run.  At the end it prints
-the verdict of the claim: met when the change wins at least nine tenths
+ops per side, and the last JSON line of every run.  After each run it
+prints the claimed metric's value, if there is a claim.  At the end it
+prints the verdict of the claim, if any: met when the change wins at least nine tenths
 of the pairs, ties counting for neither, the medians differ in the
 better direction by more than the parent's interquartile range and the
 median gain, relative to the parent's median, is at least ``--min-gain``
 (default 0, no minimum).  Every
-other pairing is printed as better, within its bound, worse beyond its
+other pairing of workload and end-to-end metric is printed as better, within its bound, worse beyond its
 bound, or unresolved where the parent's own spread is wider than the
 bound and not every change run beats every parent run.  Standard
 library only.
@@ -139,14 +140,16 @@ def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str,
     }
 
 
-def verdict(runs: list[dict], summary: dict, claim: dict) -> str:
-    lines = [f"claim {claim['metric']}: parent {claim['median_parent']:.4g}, change "
-             f"{claim['median_change']:.4g} ({claim['median_gain']:+.1%}), parent IQR "
-             f"{claim['parent_iqr']:.3g}, change wins {claim['change_wins']}, minimum gain "
-             f"{claim['min_gain']:.1%}: "
-             f"{'MET' if claim['met'] else 'NOT MET'}"]
+def verdict(runs: list[dict], summary: dict, claim: dict | None) -> str:
+    if claim is None:
+        lines = ["no claim; every end-to-end metric:"]
+    else:
+        lines = [f"claim {claim['metric']}: parent {claim['median_parent']:.4g}, change "
+                 f"{claim['median_change']:.4g} ({claim['median_gain']:+.1%}), parent IQR "
+                 f"{claim['parent_iqr']:.3g}, change wins {claim['change_wins']}, minimum "
+                 f"gain {claim['min_gain']:.1%}: {'MET' if claim['met'] else 'NOT MET'}"]
     for name, entry in summary.items():
-        if name == claim["metric"]:
+        if claim is not None and name == claim["metric"]:
             continue
         p = entry["parent"]
         parent = [run["parent"]["metrics"][name]["value"] for run in runs]
@@ -180,7 +183,8 @@ def report(args, rev: str, runs: list[dict], spec: dict) -> dict:
                   f"ran from a fresh `git archive` of its commit, the change from a fresh copy "
                   f"of the working tree's files; each entry holds the last JSON line of each "
                   f"run"),
-        "claim": claim_of(runs, summary, args.claim, args.predicted, args.min_gain),
+        "claim": (claim_of(runs, summary, args.claim, args.predicted, args.min_gain)
+                  if args.claim else None),
         "summary": summary,
         "failed_ops": {side: sum(run[side]["failed"] for run in runs)
                        for side in ("parent", "change")},
@@ -196,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git rev of the parent side")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--claim", required=True, help="claimed WORKLOAD.METRIC")
+    parser.add_argument("--claim", default=None,
+                        help="claimed WORKLOAD.METRIC; without it, nothing is claimed")
     parser.add_argument("--predicted", default="", help="the claim as stated in advance")
     parser.add_argument("--min-gain", type=float, default=0.0,
                         help="least relative median gain the claim needs, e.g. 0.15")
@@ -210,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = {f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["end_to_end"]}
-    if args.claim not in names:
+    if args.claim is not None and args.claim not in names:
         parser.error(f"--claim must be one of {sorted(names)}")
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -221,8 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         run = {"seed": seed, "first": order[0]}
         for side in order:
             run[side] = run_side(side, rev, args.work, seed, args.seconds)
-            print(f"seed {seed} {side}: "
-                  f"{run[side]['metrics'][args.claim]['value']:.4g}", flush=True)
+            claimed = (f": {run[side]['metrics'][args.claim]['value']:.4g}"
+                       if args.claim else "")
+            print(f"seed {seed} {side}{claimed}", flush=True)
         runs.append(run)
         result = report(args, rev, runs, spec)
         out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
