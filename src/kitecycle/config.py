@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("strong_wind", "moderate_wind")
+_SWEEP_POINTS_MAX = 10_000  # each point simulates a whole cycle
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,8 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     if "values" in spec:
         if not isinstance(spec["values"], list):
             raise ParseError(f"{path}: sweep.values must be a list")
+        if len(spec["values"]) > _SWEEP_POINTS_MAX:
+            raise ParseError(f"sweep.values: more than the limit of {_SWEEP_POINTS_MAX} points")
         values = tuple(_number(v, f"sweep.values[{i}]") for i, v in enumerate(spec["values"]))
     else:
         rng = _take(spec["range"], "sweep.range", ("start", "stop", "num"))
@@ -199,6 +202,8 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
             raise ParseError(f"sweep.range.num: expected a whole number, got {rng['num']}")
         if num < 2:
             raise ValidationError("sweep range needs num >= 2")
+        if num > _SWEEP_POINTS_MAX:
+            raise ParseError(f"sweep.range.num: {num:.6g} exceeds the limit of {_SWEEP_POINTS_MAX}")
         start, stop = rng["start"], rng["stop"]
         try:
             step = (stop - start) / (num - 1)

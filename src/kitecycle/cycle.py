@@ -13,12 +13,14 @@ the trajectory, the state (r_max, beta_o):
   and reel out under the high force set-point until the tether reaches
   its maximum length.
 
-Each phase is a spec - its force controller, the quantity that ends it
-(tether length, or elevation in transition) with its end value and
-direction, and whether the polar angle moves - run by one explicit Euler
-integrator, ``_integrate``.  The step is scaled by the characteristic time
-(r_max - r_min)/v_w_ref; the final step of each phase is truncated at the
-terminating crossing so durations are not quantised to the step size.
+Each phase is a spec - its force controller, which returns the reeling
+factor and equilibrium ``(f, eq)``, the quantity that ends it (tether
+length, or elevation in transition) with its end value and direction, and
+its climb factor - run by ``_integrate``: one rates function per phase
+maps (t, r, theta) to the step record and dr/dt, dtheta/dt, and one
+explicit Euler rule steps them.  The step is scaled by the characteristic
+time (r_max - r_min)/v_w_ref; the final step of each phase is truncated at
+the terminating crossing so durations are not quantised to the step size.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ _SCAN_STEP = math.radians(1.0)  # upward scan step of steady_retraction_elevatio
 # Its bisection width [rad], and the climb factor lambda below which the
 # edge it found counts as the lambda = 0 edge.
 _EDGE_TOL = 1e-7
+_DT_MIN = 1e-5  # smallest dT: up to ≈ 0.5 M steps and 230 MB a preset cycle
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,9 @@ class OperationSettings:
         if not 0.0 < self.r_min < self.r_max < math.inf:
             raise ValidationError(f"requires 0 < r_min < r_max, both finite, "
                                   f"got r_min={self.r_min}, r_max={self.r_max}")
-        if not 0.0 < self.dT <= 1.0:
-            raise ValidationError(f"nondimensional time step must be in (0, 1], got {self.dT}")
+        if not _DT_MIN <= self.dT <= 1.0:
+            raise ValidationError(f"nondimensional time step must be in [{_DT_MIN:g}, 1], "
+                                  f"got {self.dT}")
         if not 0.0 < self.F_in < self.F_out < math.inf:
             raise ValidationError(f"requires 0 < F_in < F_out, both finite, "
                                   f"got F_in={self.F_in}, F_out={self.F_out}")
@@ -192,29 +196,16 @@ class _PhaseEngine:
         self.angles = angle_trig(phi, chi)
         self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
 
-    def wind_at(self, r: float, theta: float) -> WindState:
-        return wind_state_at(r * math.cos(theta), self.env)
-
     def solve_force(
         self, F_target: float, r: float, theta: float, wind: WindState
-    ) -> tuple[KiteState, EquilibriumResult]:
+    ) -> tuple[float, EquilibriumResult]:
         """Reeling factor and equilibrium for a tether-force set-point."""
         m_t, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
         C_L, kite = self.aero_set.C_L, self.kite
         if self.op.gravity:
-            f, eq = _solve_reel_factor(F_target, self.op.force_at, theta, self.angles, C_L, C_D,
-                                       m_t, kite.m, kite.S, *wind)
-        else:
-            f, eq = massless_setpoint(F_target, theta, self.angles, C_L, C_D, *wind, kite.S)
-        return KiteState(r, theta, self.phi, self.chi, f), eq
-
-    @staticmethod
-    def record(t: float, state: KiteState, eq: EquilibriumResult, wind: WindState) -> StepRecord:
-        v_t = state.f * wind.v_w
-        v_tau = eq.lam * wind.v_w
-        # KiteState's fields are StepRecord's r to f.
-        return StepRecord(t, *state, v_t, math.hypot(v_t, v_tau), eq.v_a, eq.F_t_kite, eq.F_tg,
-                          eq.P)
+            return _solve_reel_factor(F_target, self.op.force_at, theta, self.angles, C_L, C_D,
+                                      m_t, kite.m, kite.S, *wind)
+        return massless_setpoint(F_target, theta, self.angles, C_L, C_D, *wind, kite.S)
 
     @staticmethod
     def finish(phase: str, series: list[StepRecord]) -> PhaseResult:
@@ -232,60 +223,63 @@ class _PhaseEngine:
 def _integrate(
     engine: _PhaseEngine,
     phase: str,
-    controller: Callable[[float, float, WindState], tuple[KiteState, EquilibriumResult]],
+    controller: Callable[[float, float, WindState], tuple[float, EquilibriumResult]],
     r: float,
     theta: float,
     t: float,
     *,
     end: float,
     increasing: bool,
+    climb: float,
     by_elevation: bool = False,
-    moves_theta: bool = True,
 ) -> PhaseResult:
     """Explicit Euler integration of one phase until its end condition.
 
-    ``controller`` maps (r, theta, wind) to the controlled state and its
-    equilibrium.  The phase ends when the tether length, or the elevation
-    if ``by_elevation``, reaches ``end`` moving up if ``increasing``, else
-    down; a start already there gives a one-record phase.  theta stays
-    fixed unless ``moves_theta``.
+    ``rates`` looks up the wind at (r, theta) and calls ``controller``, which
+    maps (r, theta, wind) to (f, equilibrium); it returns the step record,
+    dr/dt = f*v_w and dtheta/dt = lam*v_w*climb/r, where ``climb`` is
+    cos(chi), or 0 to hold theta.  The phase ends when the tether length, or
+    the elevation if ``by_elevation``, reaches ``end`` moving up if
+    ``increasing``, else down; a start already there gives a one-record phase.
 
     Raises:
         SolverError: a PhaseError if the end quantity stalls for ten
             characteristic times, or what the wind law or ``controller``
             raised, chained and prefixed with the phase, t, r and elevation.
     """
+    def rates(t: float, r: float, theta: float) -> tuple[StepRecord, float, float]:
+        wind = wind_state_at(r * math.cos(theta), engine.env)
+        f, eq = controller(r, theta, wind)
+        v_t, v_tau = f * wind.v_w, eq.lam * wind.v_w
+        record = StepRecord(t, r, theta, engine.phi, engine.chi, f, v_t, math.hypot(v_t, v_tau),
+                            eq.v_a, eq.F_t_kite, eq.F_tg, eq.P)
+        return record, v_t, v_tau * climb / r
+
     sign = 1.0 if increasing else -1.0
-    cos_c = engine.angles[3]
     stall, stall_limit = 0, max(1, math.ceil(10.0 / engine.op.dT))
     try:
-        wind = engine.wind_at(r, theta)
-        state, eq = controller(r, theta, wind)
-        series = [engine.record(t, state, eq, wind)]
+        record, dr, dtheta = rates(t, r, theta)
+        series = [record]
         if sign * (0.5 * math.pi - theta if by_elevation else r) >= sign * end:
             return engine.finish(phase, series)
 
         while True:
-            v_t = state.f * wind.v_w
-            beta_rate = -eq.lam * wind.v_w * cos_c / r if moves_theta else 0.0
-            value, rate = (0.5 * math.pi - theta, beta_rate) if by_elevation else (r, v_t)
+            # theta = pi/2 - beta
+            value, rate = (0.5 * math.pi - theta, -dtheta) if by_elevation else (r, dr)
             done = sign * (value + rate * engine.dt) >= sign * end and sign * rate > 0.0
             if done:
                 dt = (end - value) / rate
             else:
-                if sign * rate <= 0.0:
-                    stall += 1
-                    if stall > stall_limit:
-                        quantity = "elevation" if by_elevation else "tether length"
-                        direction = "increase" if increasing else "decrease"
-                        raise PhaseError(
-                            f"{quantity} failed to {direction} for {stall} consecutive steps"
-                        )
-                else:
-                    stall = 0
+                stall = stall + 1 if sign * rate <= 0.0 else 0
+                if stall > stall_limit:
+                    quantity = "elevation" if by_elevation else "tether length"
+                    direction = "increase" if increasing else "decrease"
+                    raise PhaseError(
+                        f"{quantity} failed to {direction} for {stall} consecutive steps"
+                    )
                 dt = engine.dt
-            r += v_t * dt
-            theta -= beta_rate * dt  # theta = pi/2 - beta
+            r += dr * dt
+            theta += dtheta * dt
             t += dt
             if done:
                 # Land exactly on the end condition.
@@ -293,9 +287,8 @@ def _integrate(
                     theta = 0.5 * math.pi - end
                 else:
                     r = end
-            wind = engine.wind_at(r, theta)
-            state, eq = controller(r, theta, wind)
-            series.append(engine.record(t, state, eq, wind))
+            record, dr, dtheta = rates(t, r, theta)
+            series.append(record)
             if done:
                 return engine.finish(phase, series)
     except SolverError as exc:
@@ -320,7 +313,7 @@ def simulate_retraction(
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0, math.pi)
     return _integrate(engine, RETRACTION, partial(engine.solve_force, op.F_in), op.r_max,
-                      op.theta_o, t0, end=op.r_min, increasing=False)
+                      op.theta_o, t0, end=op.r_min, increasing=False, climb=engine.angles[3])
 
 
 def simulate_transition(
@@ -341,7 +334,7 @@ def simulate_transition(
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
 
-    def controller(r: float, theta: float, wind: WindState) -> tuple[KiteState, EquilibriumResult]:
+    def controller(r: float, theta: float, wind: WindState) -> tuple[float, EquilibriumResult]:
         coasting = KiteState(r, theta, engine.phi, engine.chi, 0.0)
         m_t, C_D = tether_properties(r, tether, kite, engine.aero_set)
         aero = EffectiveAero(engine.aero_set.C_L, C_D)
@@ -359,10 +352,10 @@ def simulate_transition(
             return engine.solve_force(op.F_out, r, theta, wind)
         if force < op.F_in:
             return engine.solve_force(op.F_in, r, theta, wind)
-        return coasting, eq0
+        return 0.0, eq0
 
     return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,
-                      end=op.beta_o, increasing=False, by_elevation=True)
+                      end=op.beta_o, increasing=False, by_elevation=True, climb=engine.angles[3])
 
 
 def simulate_traction(
@@ -377,7 +370,7 @@ def simulate_traction(
     representative crosswind state until the tether reaches r_max."""
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, op.phi_o, op.chi_o)
     return _integrate(engine, TRACTION, partial(engine.solve_force, op.F_out), r_start,
-                      op.theta_o, t0, end=op.r_max, increasing=True, moves_theta=False)
+                      op.theta_o, t0, end=op.r_max, increasing=True, climb=0.0)
 
 
 def simulate_cycle(
@@ -491,7 +484,8 @@ def convergence_study(
         raise ValidationError("dT_list must contain at least one entry")
     if any(b > a for a, b in zip(dT_list, dT_list[1:])):
         raise ValidationError("dT_list must be sorted in descending order")
-    results = [simulate_cycle(env, kite, tether, replace(op, dT=dT)) for dT in dT_list]
+    ops = [replace(op, dT=dT) for dT in dT_list]  # checks every dT before the first run
+    results = [simulate_cycle(env, kite, tether, op_dT) for op_dT in ops]
     zeta_ref = results[-1].zeta_m
     return [
         {"dT": dT, "zeta_m": res.zeta_m, "steps": res.steps, "ratio": res.zeta_m / zeta_ref}

@@ -246,6 +246,20 @@ def test_malformed_dt_list_exit_code(tmp_path, capsys):
     assert "invalid float value: 'abc'" in capsys.readouterr().err
 
 
+def test_time_step_below_the_floor_exits_2_before_simulating(tmp_path, capsys):
+    raw = strong_raw()
+    raw["operation"]["dT"] = 1e-300
+    config, out = tmp_path / "cfg.json", tmp_path / "o"
+    config.write_text(json.dumps(raw))
+    message = "ValidationError: nondimensional time step must be in [1e-05, 1], got 1e-300"
+    with mock.patch("kitecycle.cycle.simulate_cycle", no_simulation):
+        for argv in (["simulate", "--config", str(config)],
+                     ["convergence", "--config", "strong_wind", "--dt-list", "0.01", "1e-300"]):
+            assert run_command([*argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_output_directory_that_is_a_file_exit_code(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -328,6 +342,14 @@ def test_failed_sweep_point_names_its_value(tmp_path, capsys):
      "ParseError: operation.beta_o = 0.5: operation: unknown key(s) ['beta_o']"),
     ({"parameter": "kite.m", "range": {"start": 1e308, "stop": -1e308, "num": 2}},
      "ParseError: sweep.range: "),
+    # More points than the limit; 1e300 used to build values until memory ran out.
+    ({"parameter": "kite.m", "range": {"start": 1, "stop": 2, "num": 1e300}},
+     "ParseError: sweep.range.num: 1e+300 exceeds the limit of 10000"),
+    ({"parameter": "kite.m", "values": [1.0] * 10_001},
+     "ParseError: sweep.values: more than the limit of 10000 points"),
+    # A step this small used to integrate until memory ran out.
+    ({"parameter": "operation.dT", "values": [1e-300]},
+     "ValidationError: operation.dT = 1e-300: nondimensional time step must be in [1e-05, 1]"),
 ])
 def test_bad_sweep_parameter_exits_2_before_simulating(tmp_path, capsys, spec, message):
     path, out = tmp_path / "sweep.json", tmp_path / "o"

@@ -214,6 +214,16 @@ class TestSweepSpec:
         with pytest.raises(ParseError, match=r"^sweep\.range: "):
             load_sweep_spec(path)
 
+    def test_sweep_size_limit(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"parameter": "kite.m", "values": [1.0] * 10_000}))
+        assert len(load_sweep_spec(path).values) == 10_000
+        # One over the limit; test_cli covers 1e300 and a long values list.
+        path.write_text(json.dumps({"parameter": "kite.m",
+                                    "range": {"start": 0, "stop": 1, "num": 10_001}}))
+        with pytest.raises(ParseError, match=r"^sweep\.range\.num: 10001 exceeds the limit"):
+            load_sweep_spec(path)
+
     def test_bad_objective(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"parameter": "operation.F_out",

@@ -35,6 +35,10 @@ def test_operation_settings_invariants():
         OperationSettings(**{**base, "dT": 0.0})
     with pytest.raises(ValidationError):
         OperationSettings(**{**base, "dT": 1.5})
+    OperationSettings(**{**base, "dT": 1e-5})
+    for dT in (9.99e-6, 1e-300):
+        with pytest.raises(ValidationError, match=r"time step must be in \[1e-05, 1\]"):
+            OperationSettings(**{**base, "dT": dT})
     with pytest.raises(ValidationError):
         OperationSettings(**{**base, "F_in": 3500.0})
     with pytest.raises(ValidationError):
@@ -105,6 +109,39 @@ def test_determinism(strong_config):
     assert c1.P_m == c2.P_m and c1.zeta_m == c2.zeta_m
     for p1, p2 in zip(c1.phases, c2.phases):
         assert p1.series == p2.series
+
+
+@pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
+@pytest.mark.parametrize("preset", ["strong_config", "moderate_config"])
+def test_euler_rule_of_every_phase(request, monkeypatch, preset, gravity):
+    cfg = request.getfixturevalue(preset)
+    op = replace(cfg.operation, dT=0.01, gravity=gravity)
+    lookups = []
+    wind_state_at = cycle.wind_state_at
+
+    def counted(z, env):
+        lookups.append(z)
+        return wind_state_at(z, env)
+
+    monkeypatch.setattr(cycle, "wind_state_at", counted)
+    res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
+    # One wind lookup per record, and one for the mean traction altitude.
+    assert len(lookups) == sum(len(phase.series) for phase in res.phases) + 1
+    for phase in res.phases:
+        assert phase.steps > 1
+        # Every step but the last, which is truncated onto the end condition.
+        for cur, nxt in zip(phase.series[:-2], phase.series[1:-1]):
+            dt = nxt.t - cur.t
+            assert nxt.r - cur.r == pytest.approx(cur.v_t * dt, rel=1e-9)
+            if phase is res.traction:
+                continue
+            v_tau = math.sqrt(cur.v_k**2 - cur.v_t**2)
+            assert nxt.theta - cur.theta == pytest.approx(
+                v_tau * math.cos(cur.chi) / cur.r * dt, rel=1e-9)
+    assert all(rec.theta == op.theta_o for rec in res.traction.series)
+    assert res.retraction.end.r == op.r_min
+    assert res.transition.end.theta == 0.5 * math.pi - op.beta_o
+    assert res.traction.end.r == op.r_max
 
 
 def test_transition_degenerate_start(strong_config):

@@ -240,9 +240,7 @@ def phase_engine(C_L, LD_k, phi, chi, m=0.0, m_t=None, r=None, force_at=None):
 
 def engine_step(engine, F_target, r, theta, wind):
     """An engine's force step as (f, equilibrium)."""
-    state, eq = engine.solve_force(F_target, r, theta, wind)
-    assert state == KiteState(r, theta, engine.phi, engine.chi, state.f)
-    return state.f, eq
+    return engine.solve_force(F_target, r, theta, wind)
 
 
 def outcome(call):
