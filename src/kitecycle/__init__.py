@@ -27,15 +27,14 @@ from .estimation import (
 from .steady_state import (
     GRAVITY,
     AeroSet,
-    EffectiveAero,
     EquilibriumResult,
     KiteParams,
-    KiteState,
     TetherParams,
+    angle_trig,
+    gravity_setpoint,
     ground_tether_force,
+    massless_setpoint,
     massless_state,
-    reel_factor_for_force_gravity,
-    reel_factor_for_force_massless,
     solve_kinematic_ratio,
     tether_properties,
 )

@@ -18,9 +18,10 @@ factor and equilibrium ``(f, eq)``, the quantity that ends it (tether
 length, or elevation in transition) with its end value and direction, and
 its climb factor - run by ``_integrate``: one rates function per phase
 maps (t, r, theta) to the step record and dr/dt, dtheta/dt, and one
-explicit Euler rule steps them.  The step is scaled by the characteristic
-time (r_max - r_min)/v_w_ref; the final step of each phase is truncated at
-the terminating crossing so durations are not quantised to the step size.
+explicit Euler rule steps them.  A controller calls the scalar steady_state
+functions with its phase's ``angle_trig``, taken once.  The step is scaled
+by the characteristic time (r_max - r_min)/v_w_ref; the final step of each
+phase is truncated at the crossing, so durations are not quantised.
 """
 
 from __future__ import annotations
@@ -34,20 +35,10 @@ from typing import NamedTuple
 from .atmosphere import Environment, WindState, wind_state_at
 from .errors import (ConvergenceError, NoTensionError, PhaseError, SolverError, TetherSagError,
                      ValidationError)
-from .steady_state import (
-    AeroSet,
-    EffectiveAero,
-    EquilibriumResult,
-    KiteParams,
-    KiteState,
-    TetherParams,
-    angle_trig,
-    gravity_setpoint as _solve_reel_factor,  # the name perfbench's reel-inversion span wraps
-    massless_setpoint,
-    massless_state,
-    solve_kinematic_ratio,
-    tether_properties,
-)
+from .steady_state import (AeroSet, EquilibriumResult, KiteParams, TetherParams, angle_trig,
+                           massless_setpoint, massless_state, solve_kinematic_ratio,
+                           tether_properties)
+from .steady_state import gravity_setpoint as _solve_reel_factor  # perfbench's span wraps this name
 
 __all__ = [
     "OperationSettings",
@@ -205,7 +196,7 @@ class _PhaseEngine:
         if self.op.gravity:
             return _solve_reel_factor(F_target, self.op.force_at, theta, self.angles, C_L, C_D,
                                       m_t, kite.m, kite.S, *wind)
-        return massless_setpoint(F_target, theta, self.angles, C_L, C_D, *wind, kite.S)
+        return massless_setpoint(F_target, theta, self.angles, C_L, C_D, kite.S, *wind)
 
     @staticmethod
     def finish(phase: str, series: list[StepRecord]) -> PhaseResult:
@@ -335,14 +326,13 @@ def simulate_transition(
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
 
     def controller(r: float, theta: float, wind: WindState) -> tuple[float, EquilibriumResult]:
-        coasting = KiteState(r, theta, engine.phi, engine.chi, 0.0)
         m_t, C_D = tether_properties(r, tether, kite, engine.aero_set)
-        aero = EffectiveAero(engine.aero_set.C_L, C_D)
+        coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)  # f = 0
         try:
             if op.gravity:
-                eq0 = solve_kinematic_ratio(coasting, kite, m_t, aero, wind)
+                eq0 = solve_kinematic_ratio(*coasting, m_t, kite.m, kite.S, *wind)
             else:
-                eq0 = massless_state(coasting, aero, wind, kite.S)
+                eq0 = massless_state(*coasting, kite.S, *wind)
         except (NoTensionError, TetherSagError):
             # An overflown kite, or one whose tension cannot carry the
             # tether weight, cannot coast; reel in to restore the minimum force.

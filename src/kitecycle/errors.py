@@ -32,14 +32,10 @@ class NoTensionError(SolverError):
     (f >= sin(theta)*cos(phi)); the tether cannot push."""
 
 
-class NoSolutionError(SolverError):
-    """The massless closed-form equations have no real solution for the
-    given state (negative discriminant or negative tangential speed)."""
-
-
 class SteadyStateError(SolverError):
-    """No quasi-steady equilibrium: G(kappa) - G* has no admissible
-    root, or gravity leaves the force geometry without a real solution."""
+    """No quasi-steady equilibrium: the tangential velocity factor has no
+    real non-negative solution, G(kappa) - G* has no admissible root, or
+    gravity leaves the force geometry without a real solution."""
 
 
 class TetherSagError(SolverError):

@@ -306,15 +306,17 @@ def estimate_record(
 def segment_phases(series: Sequence[LogRecord]) -> list[str]:
     """Phase label per record.
 
-    Explicit labels win.  Otherwise the reeling speed decides: runs of
-    v_t beyond the dead band sustained for the minimum dwell are
-    retraction (reeling in) or traction (reeling out); everything else is
-    transition.
+    Explicit labels win where every record has one.  Otherwise the
+    reeling speed decides: runs of v_t beyond the dead band sustained for
+    the minimum dwell are retraction (reeling in) or traction (reeling
+    out); everything else is transition.  A label other than the three
+    phases is rejected, whether or not every record has one.
     """
-    if all(rec.phase is not None for rec in series):
-        bad = {rec.phase for rec in series} - {RETRACTION, TRANSITION, TRACTION}
-        if bad:
-            raise ValidationError(f"unknown phase labels: {sorted(bad)}")
+    given = {rec.phase for rec in series}
+    bad = given - {None, RETRACTION, TRANSITION, TRACTION}
+    if bad:
+        raise ValidationError(f"unknown phase labels: {sorted(bad)}")
+    if None not in given:
         return [rec.phase for rec in series]
 
     def raw(rec: LogRecord) -> str:

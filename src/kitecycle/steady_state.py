@@ -30,8 +30,11 @@ tether drag area), and the tether weight is split between a radial term
 lumped with the kite weight and a sag-induced tangential reaction at the
 suspension points.
 
-The per-step values are NamedTuples that check nothing; each public
-equilibrium function checks its inputs first, in :func:`_trig`.
+Each of the four equilibria has one public function on scalars: its
+inputs (the reeling factor f, or the force set-point), then ``theta,
+angles, C_L, C_D, [m_t, m,] S, v_w, rho``, where ``angles`` is the
+:func:`angle_trig` of phi and chi, taken once per phase, and the massless
+pair takes no masses.  Each checks its inputs first, in :func:`_trig`.
 """
 
 from __future__ import annotations
@@ -40,31 +43,23 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Optional
 
-from .atmosphere import WindState
-from .errors import (
-    NoSolutionError,
-    NoTensionError,
-    SetpointUnreachableError,
-    SteadyStateError,
-    TetherSagError,
-    ValidationError,
-)
+from .errors import (NoTensionError, SetpointUnreachableError, SteadyStateError, TetherSagError,
+                     ValidationError)
 
 __all__ = [
     "GRAVITY",
     "AeroSet",
     "TetherParams",
     "KiteParams",
-    "KiteState",
-    "EffectiveAero",
     "EquilibriumResult",
     "tether_properties",
+    "angle_trig",
     "massless_state",
-    "reel_factor_for_force_massless",
+    "massless_setpoint",
     "ground_tether_force",
     "aero_force_from_ground",
     "solve_kinematic_ratio",
-    "reel_factor_for_force_gravity",
+    "gravity_setpoint",
 ]
 
 GRAVITY = 9.81  # m/s^2
@@ -139,45 +134,6 @@ class KiteParams:
             raise ValidationError(f"airborne mass must be >= 0 and finite, got {self.m}")
 
 
-class KiteState(NamedTuple):
-    """Kinematic state of the kite at one instant.
-
-    Attributes:
-        r: Tether length [m].
-        theta: Polar angle [rad], measured from zenith.  A negative value
-            represents a kite that has overflown the ground station in
-            the phi-plane (elevation beyond 90 deg); the spherical force
-            and velocity relations remain valid there.
-        phi: Azimuth [rad] relative to the downwind direction.
-        chi: Course angle [rad] in the tangential plane; 0 points toward
-            increasing polar angle (downward), pi points upward.
-        f: Reeling factor, tether speed over wind speed at the kite.
-    """
-
-    r: float
-    theta: float
-    phi: float
-    chi: float
-    f: float
-
-
-class EffectiveAero(NamedTuple):
-    """Aerodynamic coefficients of the airborne system: kite plus lumped
-    tether drag."""
-
-    C_L: float
-    C_D: float
-
-    @property
-    def LD(self) -> float:
-        return self.C_L / self.C_D
-
-    @property
-    def C_R(self) -> float:
-        """Resultant force coefficient."""
-        return math.hypot(self.C_D, self.C_L)
-
-
 class EquilibriumResult(NamedTuple):
     """Solved quasi-steady state.
 
@@ -193,8 +149,8 @@ class EquilibriumResult(NamedTuple):
         zeta: Instantaneous power harvesting factor P/(P_w*S).
         P: Mechanical power at the ground [W], negative while reeling in.
         iterations: Number of force-geometry evaluations: of the
-            kinematic-ratio solve, or the one probe of a reel-factor
-            inversion (0 for the massless closed form).  A solve that
+            kinematic-ratio solve, or the one probe of a gravity
+            set-point (0 for the massless closed form).  A solve that
             cannot meet its tolerance raises instead of returning.
     """
 
@@ -245,8 +201,7 @@ def _trig(theta: float, angles: tuple[float, float, float, float], C_L: float, C
         raise ValidationError(f"polar angle must be in (-pi/2, pi), got {theta}")
     if C_L <= 0.0 or C_D <= 0.0 or not math.isfinite(C_L + C_D):
         kind = "positive" if C_L <= 0.0 or C_D <= 0.0 else "finite"
-        aero = EffectiveAero(C_L, C_D)
-        raise ValidationError(f"effective coefficients must be {kind}, got {aero}")
+        raise ValidationError(f"effective coefficients must be {kind}, got C_L={C_L}, C_D={C_D}")
     if v_w < 0.0 or rho <= 0.0:
         raise ValidationError(f"wind state requires v_w >= 0 and rho > 0, got v_w={v_w}, rho={rho}")
     sin_t, cos_t = math.sin(theta), math.cos(theta)
@@ -254,10 +209,10 @@ def _trig(theta: float, angles: tuple[float, float, float, float], C_L: float, C
     return cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p, sin_t, cos_t
 
 
-def massless_state(
-    state: KiteState, aero: EffectiveAero, wind: WindState, S: float
-) -> EquilibriumResult:
-    """Closed-form equilibrium for a massless kite and tether.
+def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float, S: float,
+                   v_w: float, rho: float) -> EquilibriumResult:
+    """Closed-form equilibrium for a massless kite and tether at reeling
+    factor ``f``, with ``angles`` the :func:`angle_trig` of phi and chi.
 
     The kinematic ratio equals the system lift-to-drag ratio, the
     aerodynamic force is purely radial and equal to the tether force at
@@ -266,15 +221,15 @@ def massless_state(
     Raises:
         NoTensionError: if the reeling factor reaches sin(theta)*cos(phi),
             where the tether would have to push.
-        NoSolutionError: if the tangential velocity factor has no real
+        SteadyStateError: if the tangential velocity factor has no real
             non-negative solution.
     """
-    a, b, _, _ = _trig(state.theta, angle_trig(state.phi, state.chi), *aero, *wind)
-    return _massless(a, b, state.f, *_massless_scale(*aero, *wind, S), wind.v_w)
+    a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
+    return _massless(a, b, f, *_massless_scale(C_L, C_D, S, v_w, rho), v_w)
 
 
-def _massless_scale(C_L: float, C_D: float, v_w: float, rho: float,
-                    S: float) -> tuple[float, float, float]:
+def _massless_scale(C_L: float, C_D: float, S: float, v_w: float,
+                    rho: float) -> tuple[float, float, float]:
     """G, C_R and the massless tether force over (b - f)**2."""
     G, C_R = C_L / C_D, math.hypot(C_D, C_L)
     return G, C_R, 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)
@@ -282,16 +237,15 @@ def _massless_scale(C_L: float, C_D: float, v_w: float, rho: float,
 
 def _massless(a: float, b: float, f: float, G: float, C_R: float, scale: float,
               v_w: float) -> EquilibriumResult:
-    """:func:`massless_state` at reeling factor ``f``, from its (a, b)
-    and :func:`_massless_scale`."""
+    """:func:`massless_state` at ``f``, from its (a, b) and :func:`_massless_scale`."""
     if f >= b:
         raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
     radicand = a * a + b * b - 1.0 + G * G * (b - f) ** 2
     if radicand < 0.0:
-        raise NoSolutionError("tangential velocity factor has no real solution")
+        raise SteadyStateError("tangential velocity factor has no real solution")
     lam = a + math.sqrt(radicand)
     if lam < 0.0:
-        raise NoSolutionError(f"tangential velocity factor is negative ({lam:.4f})")
+        raise SteadyStateError(f"tangential velocity factor is negative ({lam:.4f})")
     v_a = (b - f) * math.sqrt(1.0 + G * G) * v_w
     F_t = scale * (b - f) ** 2
     P = F_t * f * v_w
@@ -300,9 +254,8 @@ def _massless(a: float, b: float, f: float, G: float, C_R: float, scale: float,
     return EquilibriumResult(G, lam, v_a, F_t, F_t, 0.0, F_t, F_t, zeta, P, 0)
 
 
-def reel_factor_for_force_massless(
-    F_target: float, state: KiteState, aero: EffectiveAero, wind: WindState, S: float
-) -> tuple[float, EquilibriumResult]:
+def massless_setpoint(F_target: float, theta: float, angles: tuple, C_L: float, C_D: float,
+                      S: float, v_w: float, rho: float) -> tuple[float, EquilibriumResult]:
     """Reeling factor that produces tether force ``F_target`` (massless),
     and its :func:`massless_state` equilibrium.
 
@@ -312,25 +265,16 @@ def reel_factor_for_force_massless(
 
     Raises:
         SetpointUnreachableError: if the factor is below -3, the bound of
-            :func:`reel_factor_for_force_gravity`.
+            :func:`gravity_setpoint`.
+        NoTensionError, SteadyStateError: as :func:`massless_state` at
+            that factor.
     """
-    return massless_setpoint(F_target, state.theta, angle_trig(state.phi, state.chi), *aero,
-                             *wind, S)
-
-
-def massless_setpoint(F_target: float, theta: float, angles: tuple[float, float, float, float],
-                      C_L: float, C_D: float, v_w: float, rho: float,
-                      S: float) -> tuple[float, EquilibriumResult]:
-    """The work of :func:`reel_factor_for_force_massless`, on scalars, with
-    ``angles`` = (sin(phi), cos(phi), sin(chi), cos(chi)).  The simulator's
-    massless step calls it with the fixed angles of its phase, and builds
-    no state, aero or wind value to take apart again."""
     a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
     if v_w <= 0.0:
         raise ValidationError("force inversion requires a positive wind speed")
-    G, C_R, scale = _massless_scale(C_L, C_D, v_w, rho, S)
+    G, C_R, scale = _massless_scale(C_L, C_D, S, v_w, rho)
     f = b - math.sqrt(F_target / scale)
     if f < _F_LO:
         raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
@@ -455,7 +399,7 @@ def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms:
 
 
 def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
-                 m_t: float, v_w: float, rho: float, S: float) -> EquilibriumResult:
+                 m_t: float, S: float, v_w: float, rho: float) -> EquilibriumResult:
     """:func:`_geometry` values at reeling factor ``f``, completed to an equilibrium."""
     kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
     F_a_theta = terms[3]
@@ -509,14 +453,12 @@ _LOG_KAPPA_WIDTH = 1e-13
 _SECANT_STEPS = 10
 
 
-def solve_kinematic_ratio(
-    state: KiteState,
-    kite: KiteParams,
-    m_t: float,
-    aero: EffectiveAero,
-    wind: WindState,
-) -> EquilibriumResult:
-    """Quasi-steady equilibrium including gravity on kite and tether.
+def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D: float,
+                          m_t: float, m: float, S: float, v_w: float,
+                          rho: float) -> EquilibriumResult:
+    """Quasi-steady equilibrium including gravity on kite and tether, at
+    reeling factor ``f``, with ``angles`` the :func:`angle_trig` of phi and
+    chi.
 
     The kinematic ratio kappa is the root of log(G/G*), where G is the
     lift-to-drag ratio that the apparent wind and the aerodynamic force
@@ -543,29 +485,29 @@ def solve_kinematic_ratio(
             the geometry fails (the aerodynamic force falls below the
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
+        TetherSagError: as :func:`ground_tether_force`, for the root's
+            tension at the kite.
     """
-    angles = angle_trig(state.phi, state.chi)
-    trig = _trig(state.theta, angles, *aero, *wind)
+    trig = _trig(theta, angles, C_L, C_D, v_w, rho)
     b = trig[1]
-    if state.f >= b:
-        raise NoTensionError(f"reeling factor {state.f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
-    terms = _force_terms(trig[2], trig[3], *aero, m_t, kite.m, kite.S, *wind)
-    f = state.f
+    if f >= b:
+        raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
+    terms = _force_terms(trig[2], trig[3], C_L, C_D, m_t, m, S, v_w, rho)
     evaluations = 0
 
     def probe(x: float) -> _Probe:
         nonlocal evaluations
         evaluations += 1
-        return _geometry(x, f, trig, angles, wind.v_w, terms)
+        return _geometry(x, f, trig, angles, v_w, terms)
 
-    x_max = math.log(50.0 * aero.LD)
-    value = _secant(probe, math.log(aero.LD), x_max)
+    x_max = math.log(50.0 * terms[0])
+    value = _secant(probe, terms[1], x_max)
     if value is None:
         value = _largest_kappa_root(probe, x_max).value
     if value[1] < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({value[1]:.4f})")
-    return _equilibrium(value, f, evaluations, trig, terms, m_t, *wind, kite.S)
+    return _equilibrium(value, f, evaluations, trig, terms, m_t, S, v_w, rho)
 
 
 def _secant(probe: Callable[[float], _Probe], x: float, x_max: float) -> Optional[tuple]:
@@ -657,17 +599,16 @@ def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float) -> _Pr
     return c if c.r < d.r else d
 
 
-def reel_factor_for_force_gravity(
-    F_target: float,
-    target_end: TargetEnd,
-    state: KiteState,
-    kite: KiteParams,
-    m_t: float,
-    aero: EffectiveAero,
-    wind: WindState,
-) -> tuple[float, EquilibriumResult]:
+def _unreachable(F_target: float, target_end: TargetEnd, reason: str) -> SetpointUnreachableError:
+    return SetpointUnreachableError(f"force {F_target:.6g} N at the {target_end}: {reason}")
+
+
+def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angles: tuple,
+                     C_L: float, C_D: float, m_t: float, m: float, S: float, v_w: float,
+                     rho: float) -> tuple[float, EquilibriumResult]:
     """Reeling factor whose gravity-including equilibrium carries
-    ``F_target`` at the requested tether end, in closed form.
+    ``F_target`` at the tether end ``target_end``, in closed form, with
+    ``angles`` the :func:`angle_trig` of phi and chi.
 
     The set-point fixes the aerodynamic force at the kite (from the
     ground end by :func:`aero_force_from_ground`) and the apparent wind
@@ -687,20 +628,6 @@ def reel_factor_for_force_gravity(
         TetherSagError: if the ground-end force of the root leaves the
             tether pushing on the ground station.
     """
-    return gravity_setpoint(F_target, target_end, state.theta, angle_trig(state.phi, state.chi),
-                            *aero, m_t, kite.m, kite.S, *wind)
-
-
-def _unreachable(F_target: float, target_end: TargetEnd, reason: str) -> SetpointUnreachableError:
-    return SetpointUnreachableError(f"force {F_target:.6g} N at the {target_end}: {reason}")
-
-
-def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angles: tuple,
-                     C_L: float, C_D: float, m_t: float, m: float, S: float, v_w: float,
-                     rho: float) -> tuple[float, EquilibriumResult]:
-    """The work of :func:`reel_factor_for_force_gravity` on scalars, with
-    ``angles`` the :func:`angle_trig` of phi and chi: the simulator's gravity
-    step calls it with its phase's angles and builds no state, aero or wind."""
     a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
     if F_target <= 0.0:
         raise ValidationError(f"force target must be > 0, got {F_target}")
@@ -758,4 +685,4 @@ def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angle
         raise _unreachable(F_target, target_end, f"G falls through G* with kappa at f = {f:.4f}")
     F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
     return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r, F_t_kite), f,
-                           1, trig, terms, m_t, v_w, rho, S)
+                           1, trig, terms, m_t, S, v_w, rho)

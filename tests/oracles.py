@@ -18,60 +18,66 @@ from kitecycle.errors import ParseError, ValidationError
 from kitecycle.estimation import LogRecord
 
 
-def implied_lift_to_drag(kappa, state, S, m, m_t, aero, wind):
+def implied_lift_to_drag(kappa, f, theta, angles, C_L, C_D, m_t, m, S, v_w, rho):
     """Lift-to-drag ratio G(kappa) implied by the force/velocity geometry,
-    evaluated vectorised over a kappa grid.
+    evaluated vectorised over a kappa grid, at the arguments that follow
+    kappa in ``solve_kinematic_ratio``'s order.
 
     Invalid entries (no real tangential speed, force too small, or
     non-positive drag projection) come back as NaN.
     """
     kappa = np.asarray(kappa, dtype=float)
-    a = math.cos(state.theta) * math.cos(state.phi) * math.cos(state.chi) \
-        - math.sin(state.phi) * math.sin(state.chi)
-    b = math.sin(state.theta) * math.cos(state.phi)
-    b_f = b - state.f
-    C_R = aero.C_R
+    sin_p, cos_p, sin_c, cos_c = angles
+    a = math.cos(theta) * cos_p * cos_c - sin_p * sin_c
+    b = math.sin(theta) * cos_p
+    b_f = b - f
+    C_R = math.hypot(C_D, C_L)
     one_k2 = 1.0 + kappa**2
 
     lam_rad = a * a + b * b - 1.0 + kappa**2 * b_f**2
-    F_a = wind.q * S * C_R * one_k2 * b_f**2
-    F_a_theta = -(0.5 * m_t + m) * 9.81 * math.sin(state.theta)
+    F_a = 0.5 * rho * v_w**2 * S * C_R * one_k2 * b_f**2
+    F_a_theta = -(0.5 * m_t + m) * 9.81 * math.sin(theta)
     fr2 = F_a**2 - F_a_theta**2
 
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = a + np.sqrt(np.where(lam_rad >= 0.0, lam_rad, np.nan))
         F_a_r = np.sqrt(np.where(fr2 >= 0.0, fr2, np.nan))
-        va_r = b_f * wind.v_w
-        va_th = (math.cos(state.theta) * math.cos(state.phi) - lam * math.cos(state.chi)) * wind.v_w
-        va_ph = (-math.sin(state.phi) - lam * math.sin(state.chi)) * wind.v_w
+        va_r = b_f * v_w
+        va_th = (math.cos(theta) * cos_p - lam * cos_c) * v_w
+        va_ph = (-sin_p - lam * sin_c) * v_w
         v_norm = np.sqrt(va_r**2 + va_th**2 + va_ph**2)
         drag = (F_a_r * va_r + F_a_theta * va_th) / v_norm
         ratio2 = (F_a / drag) ** 2 - 1.0
         return np.sqrt(np.where((drag > 0.0) & (ratio2 > 0.0), ratio2, np.nan)), lam
 
 
-def lift_to_drag_residual(kappa, state, S, m, m_t, aero, wind):
+def lift_to_drag_residual(kappa, *problem):
     """|G(kappa) - G*| over a kappa grid; invalid entries and negative
     tangential speeds come back as +inf."""
-    G, lam = implied_lift_to_drag(kappa, state, S, m, m_t, aero, wind)
-    residual = np.abs(G - aero.LD)
+    G, lam = implied_lift_to_drag(kappa, *problem)
+    C_L, C_D = problem[3:5]
+    residual = np.abs(G - C_L / C_D)
     return np.where(np.isfinite(residual) & (lam >= 0.0), residual, np.inf)
 
 
-def bisect_kappa(state, S, m, m_t, aero, wind, points=20_000):
-    """Largest kappa in (0, 50*G*] at which G(kappa) rises through G*.
+def bisect_kappa(*problem, points=20_000):
+    """Largest kappa in (0, 50*G*] at which G(kappa) rises through G*, for
+    ``solve_kinematic_ratio``'s arguments.
 
     A log-spaced grid from 50*G* downward finds the first entry where G
     is not above G* or is invalid, and bisection on log kappa, counting
     invalid as below, refines the change to the last float.  Returns None
     when there is no such change, or it is the edge of validity.
     """
+    C_L, C_D = problem[3:5]
+    LD = C_L / C_D
+
     def log_ratio(log_kappa):
         with np.errstate(invalid="ignore", divide="ignore"):
-            G, _ = implied_lift_to_drag(np.exp(log_kappa), state, S, m, m_t, aero, wind)
-            return np.log(G / aero.LD)
+            G, _ = implied_lift_to_drag(np.exp(log_kappa), *problem)
+            return np.log(G / LD)
 
-    grid = np.linspace(math.log(50.0 * aero.LD), math.log(1e-9), points)
+    grid = np.linspace(math.log(50.0 * LD), math.log(1e-9), points)
     above = log_ratio(grid) > 0.0
     if above.all() or not above[0]:
         return None
@@ -89,19 +95,19 @@ def bisect_kappa(state, S, m, m_t, aero, wind, points=20_000):
     return math.exp(hi) if r_hi < 1e-9 else None
 
 
-def grid_scan_kappa(state, S, m, m_t, aero, wind, kappa_max=None):
-    """Kinematic ratio minimising |G(kappa) - G*| by two-stage dense scan."""
-    if kappa_max is None:
-        kappa_max = 3.0 * aero.LD
-    coarse = np.linspace(1e-6, kappa_max, 60_000)
-    res = lift_to_drag_residual(coarse, state, S, m, m_t, aero, wind)
+def grid_scan_kappa(*problem):
+    """Kinematic ratio minimising |G(kappa) - G*| on (0, 3*G*] by
+    two-stage dense scan, for ``solve_kinematic_ratio``'s arguments."""
+    C_L, C_D = problem[3:5]
+    coarse = np.linspace(1e-6, 3.0 * (C_L / C_D), 60_000)
+    res = lift_to_drag_residual(coarse, *problem)
     i = int(np.argmin(res))
     if not np.isfinite(res[i]):
         return None, np.inf
     lo = coarse[max(i - 2, 0)]
     hi = coarse[min(i + 2, len(coarse) - 1)]
     fine = np.linspace(lo, hi, 40_000)
-    res = lift_to_drag_residual(fine, state, S, m, m_t, aero, wind)
+    res = lift_to_drag_residual(fine, *problem)
     j = int(np.argmin(res))
     return float(fine[j]), float(res[j])
 

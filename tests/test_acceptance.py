@@ -16,12 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from kitecycle import (
-    AeroSet,
-    EffectiveAero,
     Environment,
-    KiteParams,
-    KiteState,
     WindState,
+    angle_trig,
     convergence_study,
     load_config,
     massless_state,
@@ -144,15 +141,14 @@ def test_criterion_6_massless_limit_equivalence():
         chi = rng.uniform(0.0, 2 * math.pi)
         b = math.sin(theta) * math.cos(phi)
         f = rng.uniform(-1.0, 0.9 * b)
-        aero = EffectiveAero(C_L=rng.uniform(0.3, 1.2), C_D=rng.uniform(0.05, 0.4))
-        st = KiteState(r=rng.uniform(100.0, 800.0), theta=theta, phi=phi, chi=chi, f=f)
+        aero = (rng.uniform(0.3, 1.2), rng.uniform(0.05, 0.4))  # C_L, C_D
+        rng.uniform(100.0, 800.0)  # a tether length, which no equilibrium reads
+        st = (f, theta, angle_trig(phi, chi))
         try:
-            ml = massless_state(st, aero, wind, S=10.2)
+            ml = massless_state(*st, *aero, 10.2, *wind)
         except Exception:
             continue
-        kite = KiteParams(S=10.2, m=0.0, aero_traction=AeroSet(0.69, 4.0),
-                          aero_retraction=AeroSet(0.17, 3.1))
-        res = solve_kinematic_ratio(st, kite, 0.0, aero, wind)
+        res = solve_kinematic_ratio(*st, *aero, 0.0, 0.0, 10.2, *wind)  # no tether or kite mass
         for field in ("kappa", "lam", "v_a", "F_a", "F_t_kite", "F_tg", "zeta", "P"):
             a, b_ = getattr(res, field), getattr(ml, field)
             scale = max(abs(b_), 1e-9)
@@ -183,23 +179,22 @@ def test_criterion_7_harvesting_factor_argmax():
 
 
 def test_criterion_8_kinematic_ratio_ordering():
-    aero = EffectiveAero(C_L=1.0, C_D=0.2)
     wind = WindState(v_w=7.0, rho=1.225)
     theta = math.radians(65.0)
     failures = []
     kappa_up, kappa_down = {}, {}
     for m in (10.0, 30.0, 50.0):
-        kite = KiteParams(S=16.7, m=m, aero_traction=AeroSet(1.0, 5.0),
-                          aero_retraction=AeroSet(1.0, 5.0))
         for chi_deg, store in ((180.0, kappa_up), (0.0, kappa_down)):
-            st = KiteState(r=200.0, theta=theta, phi=0.0, chi=math.radians(chi_deg), f=0.37)
+            # f = 0.37, C_L = 1, C_D = 0.2, no tether, S = 16.7 m2
+            problem = (0.37, theta, angle_trig(0.0, math.radians(chi_deg)), 1.0, 0.2, 0.0, m,
+                       16.7, *wind)
             try:
-                res = solve_kinematic_ratio(st, kite, 0.0, aero, wind)
+                res = solve_kinematic_ratio(*problem)
             except SteadyStateError:
                 failures.append(f"m={m:.0f}:chi={chi_deg:.0f}: no quasi-steady solution")
                 continue
             store[m] = res.kappa
-            scan, residual = grid_scan_kappa(st, 16.7, m, 0.0, aero, wind)
+            scan, residual = grid_scan_kappa(*problem)
             if residual > 1e-3 or abs(res.kappa / scan - 1.0) > 1e-4:
                 failures.append(f"m={m:.0f}:chi={chi_deg:.0f}: grid-scan mismatch")
             if chi_deg == 180.0 and not res.kappa < 5.0:

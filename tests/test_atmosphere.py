@@ -4,8 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from kitecycle import (Environment, EffectiveAero, KiteState, WindState, massless_state,
-                       wind_state_at)
+from kitecycle import Environment, WindState, angle_trig, massless_state, wind_state_at
 from kitecycle.errors import DomainError, ValidationError
 
 
@@ -91,10 +90,8 @@ def test_environment_invariants(kwargs):
 
 def test_wind_state_rejects_nonphysical_inputs():
     # A wind state checks nothing itself; the equilibrium it enters does.
-    state = KiteState(r=300.0, theta=0.6, phi=0.0, chi=0.0, f=0.2)
-    aero = EffectiveAero(C_L=0.7, C_D=0.2)
     for wind in (WindState(v_w=-1.0, rho=1.2), WindState(v_w=5.0, rho=0.0)):
         with pytest.raises(ValidationError) as info:
-            massless_state(state, aero, wind, S=10.2)
+            massless_state(0.2, 0.6, angle_trig(0.0, 0.0), 0.7, 0.2, 10.2, *wind)
         assert str(info.value) == (f"wind state requires v_w >= 0 and rho > 0, "
                                    f"got v_w={wind.v_w}, rho={wind.rho}")

@@ -5,11 +5,8 @@ from dataclasses import replace
 import pytest
 
 from kitecycle import (
-    EffectiveAero,
     Environment,
-    KiteState,
     OperationSettings,
-    WindState,
     convergence_study,
     massless_state,
     simulate_cycle,
@@ -20,8 +17,8 @@ from kitecycle import (
 )
 from kitecycle import cycle
 from kitecycle.errors import (
-    ConvergenceError, DomainError, NoSolutionError, PhaseError, SetpointUnreachableError,
-    SolverError, ValidationError,
+    ConvergenceError, DomainError, PhaseError, SetpointUnreachableError, SolverError,
+    SteadyStateError, ValidationError,
 )
 
 
@@ -203,11 +200,9 @@ def test_transition_failure_names_phase_and_state(strong_config):
                            "transition at t = 12.5 s, r = 390 m, beta = 5.72958e-05 deg: ")
 
 
-def never_reel(F_target, theta, angles, C_L, C_D, v_w, rho, S):
+def never_reel(F_target, *tail):
     """A massless force inversion whose winch never reels."""
-    sin_p, cos_p, sin_c, cos_c = angles
-    state = KiteState(1.0, theta, math.atan2(sin_p, cos_p), math.atan2(sin_c, cos_c), 0.0)
-    return 0.0, massless_state(state, EffectiveAero(C_L, C_D), WindState(v_w, rho), S)
+    return 0.0, massless_state(0.0, *tail)
 
 
 def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
@@ -358,11 +353,11 @@ class TestSteadyRetractionElevation:
 
         def edge_at_35_deg(F_target, theta, *args):
             if 0.5 * math.pi - theta > math.radians(35.0):
-                raise NoSolutionError("synthetic edge at 35 deg")
+                raise SteadyStateError("synthetic edge at 35 deg")
             return invert(F_target, theta, *args)
 
         monkeypatch.setattr(cycle, "massless_setpoint", edge_at_35_deg)
-        with pytest.raises(NoSolutionError, match="synthetic edge"):
+        with pytest.raises(SteadyStateError, match="synthetic edge"):
             steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
                                         replace(cfg.operation, gravity=False))
 

@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -6,10 +7,25 @@ import kitecycle
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_entry_points_are_importable():
+def library_section():
     text = README.read_text(encoding="utf-8")
-    paragraph = text.split("Lower-level entry points:", 1)[1].split("\n\n", 1)[0]
+    return text.split("## Library", 1)[1].split("### Conventions", 1)[0]
+
+
+def test_readme_entry_points_are_importable():
+    paragraph = library_section().split("Lower-level entry points:", 1)[1].split("\n\n", 1)[0]
     names = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
     assert len(names) >= 10
     missing = [name for name in names if not hasattr(kitecycle, name)]
     assert not missing, f"README names entry points kitecycle does not export: {missing}"
+
+
+def test_every_exported_function_is_in_the_readme():
+    # The other direction: an entry point added to the package cannot be
+    # left out of README's Library section.
+    named = set(re.findall(r"[A-Za-z_]\w*", library_section()))
+    exported = [name for name, obj in vars(kitecycle).items()
+                if inspect.isfunction(obj) and not name.startswith("_")]
+    assert len(exported) >= 20
+    missing = [name for name in exported if name not in named]
+    assert not missing, f"README's Library section does not name: {missing}"

@@ -1,18 +1,17 @@
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from kitecycle import (
     AeroSet,
-    EffectiveAero,
     Environment,
     KiteParams,
-    KiteState,
     LogRecord,
     TetherParams,
-    WindState,
+    angle_trig,
     derive_kinematics,
     estimate_record,
     massless_state,
@@ -32,23 +31,33 @@ KITE = KiteParams(S=10.2, m=15.0,
                   aero_retraction=AeroSet(C_L=0.17, LD_k=3.1))
 
 
-def synthetic_record(st: KiteState, kite: KiteParams, tether: TetherParams,
+class Flight(NamedTuple):
+    """Tether length, angles and reeling factor of one synthetic sample."""
+
+    r: float
+    theta: float
+    phi: float
+    chi: float
+    f: float
+
+
+def synthetic_record(st: Flight, kite: KiteParams, tether: TetherParams,
                      env: Environment, gravity: bool, phase=None, t=0.0,
                      aero_set=None) -> LogRecord:
     """Build a telemetry record from a solved equilibrium, the same way the
     simulator exports one."""
     aero_set = aero_set or kite.aero_traction
     z = st.r * math.cos(st.theta)
-    wind = WindState(v_w=env.wind_speed(z), rho=env.density(z))
+    v_w, rho = env.wind_speed(z), env.density(z)
     m_t = tether.rho_t * 0.25 * math.pi * tether.d_t**2 * st.r
     C_D = aero_set.C_D_k + 0.25 * tether.d_t * st.r / kite.S * tether.C_D_c
-    aero = EffectiveAero(C_L=aero_set.C_L, C_D=C_D)
+    head = (st.f, st.theta, angle_trig(st.phi, st.chi), aero_set.C_L, C_D)
     if gravity:
-        eq = solve_kinematic_ratio(st, kite, m_t, aero, wind)
+        eq = solve_kinematic_ratio(*head, m_t, kite.m, kite.S, v_w, rho)
     else:
-        eq = massless_state(st, aero, wind, kite.S)
-    v_t = st.f * wind.v_w
-    vk = _spherical_velocity_to_cartesian(st.theta, st.phi, st.chi, v_t, eq.lam * wind.v_w)
+        eq = massless_state(*head, kite.S, v_w, rho)
+    v_t = st.f * v_w
+    vk = _spherical_velocity_to_cartesian(st.theta, st.phi, st.chi, v_t, eq.lam * v_w)
     return LogRecord(t=t, F_tg=eq.F_tg, r=st.r, theta=st.theta, phi=st.phi, chi=st.chi,
                      vk=vk, v_t=v_t, v_w_ref=env.v_w_ref, phase=phase)
 
@@ -79,7 +88,7 @@ class TestDeriveKinematics:
         assert not derive_kinematics(rec, ENV).valid
 
     def test_massless_round_trip(self):
-        st = KiteState(r=450.0, theta=math.radians(63), phi=math.radians(10),
+        st = Flight(r=450.0, theta=math.radians(63), phi=math.radians(10),
                        chi=math.radians(100), f=0.3)
         rec = synthetic_record(st, replace(KITE, m=0.0), TETHER, ENV, gravity=False)
         kin = derive_kinematics(rec, ENV)
@@ -107,14 +116,14 @@ class TestDeriveKinematics:
 
 class TestEstimateCR:
     def test_massless_exact_recovery(self):
-        st = KiteState(r=390.0, theta=math.radians(63), phi=0.0, chi=math.radians(100), f=0.3)
+        st = Flight(r=390.0, theta=math.radians(63), phi=0.0, chi=math.radians(100), f=0.3)
         rec = synthetic_record(st, replace(KITE, m=0.0), TETHER,
                                ENV, gravity=False)
         C_R = estimate_record(rec, replace(KITE, m=0.0), replace(TETHER, rho_t=1e-12), ENV).C_R
         assert C_R == pytest.approx(system_C_R(390.0, KITE.aero_traction), rel=1e-6)
 
     def test_gravity_recovery_within_two_percent(self):
-        st = KiteState(r=500.0, theta=math.radians(63), phi=math.radians(10.5),
+        st = Flight(r=500.0, theta=math.radians(63), phi=math.radians(10.5),
                        chi=math.radians(100.9), f=0.35)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True)
         C_R = estimate_record(rec, KITE, TETHER, ENV).C_R
@@ -153,7 +162,7 @@ class TestEstimateCR:
 
 class TestEstimateLD:
     def test_massless_equals_kinematic_ratio(self):
-        st = KiteState(r=390.0, theta=math.radians(63), phi=0.0,
+        st = Flight(r=390.0, theta=math.radians(63), phi=0.0,
                        chi=math.radians(100), f=0.3)
         kite0 = replace(KITE, m=0.0)
         rec = synthetic_record(st, kite0, TETHER, ENV, gravity=False)
@@ -162,7 +171,7 @@ class TestEstimateLD:
         assert est.LD_sys == pytest.approx(kin.kappa, rel=1e-9)
 
     def test_zero_diameter_tether_skips_drag_correction(self):
-        st = KiteState(r=390.0, theta=math.radians(63), phi=0.0,
+        st = Flight(r=390.0, theta=math.radians(63), phi=0.0,
                        chi=math.radians(100), f=0.3)
         kite0 = replace(KITE, m=0.0)
         thin = TetherParams(d_t=1e-9, rho_t=724.0)
@@ -171,14 +180,14 @@ class TestEstimateLD:
         assert est.LD_k == pytest.approx(est.LD_sys, rel=1e-6)
 
     def test_gravity_traction_recovery(self):
-        st = KiteState(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
+        st = Flight(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
                        chi=math.radians(100.9), f=0.4)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True)
         est = estimate_record(rec, KITE, TETHER, ENV, phase="traction")
         assert est.LD_k == pytest.approx(4.0, rel=0.02)
 
     def test_gravity_retraction_recovery(self):
-        st = KiteState(r=550.0, theta=math.radians(40), phi=0.0, chi=math.pi, f=-0.3)
+        st = Flight(r=550.0, theta=math.radians(40), phi=0.0, chi=math.pi, f=-0.3)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=KITE.aero_retraction)
         est = estimate_record(rec, KITE, TETHER, ENV, phase="retraction")
@@ -187,7 +196,7 @@ class TestEstimateLD:
     def test_slow_traction_sample_flagged(self):
         # A low lift-to-drag kite flies slower than 1.5 times the reference
         # wind; only the traction gate rejects it.
-        st = KiteState(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
+        st = Flight(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
                        chi=math.radians(100.9), f=0.4)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=AeroSet(C_L=0.69, LD_k=2.5))
@@ -199,7 +208,7 @@ class TestEstimateLD:
         assert estimate_record(rec, KITE, TETHER, ENV, phase="transition").valid
 
     def test_misaligned_retraction_sample_flagged(self):
-        st = KiteState(r=550.0, theta=math.radians(40), phi=0.0,
+        st = Flight(r=550.0, theta=math.radians(40), phi=0.0,
                        chi=math.radians(100), f=-0.3)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=KITE.aero_retraction)
@@ -225,13 +234,13 @@ class TestEstimateLD:
     def test_each_gate_rejects_its_sample(self, gate):
         # Gates before C_R (the kinematics) leave it NaN; the later ones keep it.
         traction = synthetic_record(
-            KiteState(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
+            Flight(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
                       chi=math.radians(100.9), f=0.4), KITE, TETHER, ENV, gravity=True)
         retraction = synthetic_record(
-            KiteState(r=550.0, theta=math.radians(40), phi=0.0, chi=math.pi, f=-0.3),
+            Flight(r=550.0, theta=math.radians(40), phi=0.0, chi=math.pi, f=-0.3),
             KITE, TETHER, ENV, gravity=True, aero_set=KITE.aero_retraction)
         downward = synthetic_record(
-            KiteState(r=550.0, theta=math.radians(50), phi=0.0, chi=0.0, f=0.2),
+            Flight(r=550.0, theta=math.radians(50), phi=0.0, chi=0.0, f=0.2),
             KITE, TETHER, ENV, gravity=True)
         for base, label in ((traction, "traction"), (retraction, "retraction"),
                             (downward, "transition")):
@@ -300,6 +309,19 @@ class TestSegmentation:
         with pytest.raises(ValidationError):
             segment_phases(series)
 
+    @pytest.mark.parametrize("others", ["traction", None], ids=["labelled", "blank"])
+    def test_misspelt_label_rejected_whatever_the_other_rows_hold(self, others):
+        # A typo in one row is not ignored where the other rows are blank.
+        series = self.series_with_speeds([3.0] * 5, phase=others)
+        series[2] = series[2]._replace(phase="tractoin")
+        with pytest.raises(ValidationError, match=r"^unknown phase labels: \['tractoin'\]$"):
+            segment_phases(series)
+
+    def test_partly_labelled_log_is_segmented_by_reeling_speed(self):
+        series = self.series_with_speeds([-2.0] * 5 + [3.0] * 5)
+        series[0] = series[0]._replace(phase="traction")
+        assert segment_phases(series) == ["retraction"] * 5 + ["traction"] * 5
+
     def test_single_idle_sample_has_empty_phases(self):
         series = self.series_with_speeds([0.0])
         with pytest.raises(EmptyPhaseError):
@@ -349,7 +371,7 @@ def test_noise_degrades_spread_not_mean(strong_config, strong_telemetry):
 
 
 def test_record_from_speed_matches_vector_form():
-    st = KiteState(r=450.0, theta=math.radians(63), phi=math.radians(10),
+    st = Flight(r=450.0, theta=math.radians(63), phi=math.radians(10),
                    chi=math.radians(100), f=0.3)
     rec = synthetic_record(st, replace(KITE, m=0.0), TETHER, ENV, gravity=False)
     v_k = math.sqrt(sum(c * c for c in rec.vk))

@@ -24,6 +24,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -31,16 +32,15 @@ from hypothesis import strategies as st
 
 from kitecycle import (
     AeroSet,
-    EffectiveAero,
     Environment,
     KiteParams,
-    KiteState,
     OperationSettings,
     TetherParams,
     WindState,
+    angle_trig,
+    gravity_setpoint,
+    massless_setpoint,
     massless_state,
-    reel_factor_for_force_gravity,
-    reel_factor_for_force_massless,
     solve_kinematic_ratio,
     tether_properties,
 )
@@ -51,7 +51,6 @@ from kitecycle.config import preset_path
 from kitecycle.dataio import TELEMETRY_COLUMNS, derive_course_angles, read_telemetry_csv
 from kitecycle.errors import (
     KitecycleError,
-    NoSolutionError,
     NoTensionError,
     SetpointUnreachableError,
     SolverError,
@@ -59,7 +58,6 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
-from kitecycle.steady_state import gravity_setpoint, massless_setpoint
 from oracles import bisect_kappa, dictreader_telemetry, implied_lift_to_drag
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
@@ -82,75 +80,104 @@ INVERSION_FAILURES = SOLVE_FAILURES + (
 )
 
 
+class Problem(NamedTuple):
+    """A flight state (tether length, angles and reeling factor), effective
+    coefficients, a wind, and the airborne masses (kite, tether)."""
+
+    r: float
+    theta: float
+    phi: float
+    chi: float
+    f: float
+    C_L: float
+    C_D: float
+    v_w: float
+    rho: float
+    m: float = 0.0
+    m_t: float = 0.0
+
+    def tail(self, massless=False):
+        """The equilibrium functions' arguments after their inputs: theta,
+        angles, C_L, C_D, [m_t, m,] S, v_w, rho."""
+        masses = () if massless else (self.m_t, self.m)
+        return (self.theta, angle_trig(self.phi, self.chi), self.C_L, self.C_D, *masses, KITE.S,
+                self.v_w, self.rho)
+
+    def solve(self):
+        return solve_kinematic_ratio(self.f, *self.tail())
+
+    def closed_form(self):
+        return massless_state(self.f, *self.tail(massless=True))
+
+
+def force_scale(C_L, C_D, v_w, rho):
+    """The massless tether force over (b - f)**2: q*S*C_R*(1 + G*^2)."""
+    return 0.5 * rho * v_w**2 * KITE.S * math.hypot(C_D, C_L) * (1.0 + (C_L / C_D) ** 2)
+
+
 @st.composite
 def problems(draw, massless=False):
-    """A flight state with a tensioned tether, an aero set, a wind, and
-    the airborne masses (kite, tether)."""
+    """A problem with a tensioned tether; without airborne masses if
+    ``massless``."""
     theta = draw(st.floats(math.radians(10.0), math.radians(88.0)))
     phi = draw(st.floats(-math.radians(40.0), math.radians(40.0)))
     b = math.sin(theta) * math.cos(phi)
-    state = KiteState(r=draw(st.floats(50.0, 1000.0)), theta=theta, phi=phi,
-                      chi=draw(st.floats(0.0, 2.0 * math.pi)),
-                      f=draw(st.floats(-1.0, 0.9 * b)))
-    aero = EffectiveAero(C_L=draw(st.floats(0.1, 1.5)), C_D=draw(st.floats(0.03, 0.5)))
-    wind = WindState(v_w=draw(st.floats(3.0, 25.0)), rho=draw(st.floats(1.0, 1.25)))
+    r, chi = draw(st.floats(50.0, 1000.0)), draw(st.floats(0.0, 2.0 * math.pi))
+    f = draw(st.floats(-1.0, 0.9 * b))
+    C_L, C_D = draw(st.floats(0.1, 1.5)), draw(st.floats(0.03, 0.5))
+    v_w, rho = draw(st.floats(3.0, 25.0)), draw(st.floats(1.0, 1.25))
     if massless:
-        return state, aero, wind, 0.0, 0.0
-    return state, aero, wind, draw(st.floats(0.0, 60.0)), draw(st.floats(0.0, 8.0))
-
-
-def kite_of(m):
-    return replace(KITE, m=m)
+        return Problem(r, theta, phi, chi, f, C_L, C_D, v_w, rho)
+    return Problem(r, theta, phi, chi, f, C_L, C_D, v_w, rho, draw(st.floats(0.0, 60.0)),
+                   draw(st.floats(0.0, 8.0)))
 
 
 def force(res, end):
     return res.F_t_kite if end == "kite" else res.F_tg
 
 
-def assume_aero_dominated(state, aero, wind, m, m_t):
+def assume_aero_dominated(p):
     """Keep states where the massless tether force is at least twice the
     airborne weight.  Below that, gravity can make the force rise with f:
     the kite-end force of a weak-wind downward kite at L/D 0.5, and the
     ground-end force once the tether weight exceeds the kite tension.
     The force inversion then need not return the drawn f (see
     test_inversion_meets_the_force_or_names_why)."""
-    b = math.sin(state.theta) * math.cos(state.phi)
-    F_massless = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * (b - state.f) ** 2
-    assume(F_massless >= 2.0 * (m + m_t) * 9.81)
+    b = math.sin(p.theta) * math.cos(p.phi)
+    F_massless = force_scale(p.C_L, p.C_D, p.v_w, p.rho) * (b - p.f) ** 2
+    assume(F_massless >= 2.0 * (p.m + p.m_t) * 9.81)
 
 
-def solve_or_skip(state, m, m_t, aero, wind):
+def solve_or_skip(p):
     try:
-        return solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind)
+        return p.solve()
     except (SteadyStateError, TetherSagError):
         assume(False)
 
 
 @PROPERTY
 @given(problems(), st.sampled_from(["kite", "ground"]))
-def test_gravity_inversion_round_trip(problem, end):
-    state, aero, wind, m, m_t = problem
-    assume_aero_dominated(state, aero, wind, m, m_t)
-    F = force(solve_or_skip(state, m, m_t, aero, wind), end)
-    f, _ = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
-                                         wind)
-    res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind)
+def test_gravity_inversion_round_trip(p, end):
+    assume_aero_dominated(p)
+    F = force(solve_or_skip(p), end)
+    f, _ = gravity_setpoint(F, end, *p.tail())
+    res = p._replace(f=f).solve()
     assert abs(force(res, end) / F - 1.0) <= 1e-6
 
 
-def bisect_reel_factor(F, end, state, m, m_t, aero, wind, f_high_force):
+def bisect_reel_factor(F, end, p, f_high_force):
     """Reeling factor at which the tether force at ``end`` falls through
     ``F``, by bisection from ``f_high_force`` (where the force is above F)
     to just below sin(theta)*cos(phi), each probe a kinematic solve; a
     probe without an equilibrium counts as below F."""
     def above(f):
         try:
-            res = solve_kinematic_ratio(state._replace(f=f), kite_of(m), m_t, aero, wind)
+            res = p._replace(f=f).solve()
         except (SteadyStateError, TetherSagError):
             return False
         return force(res, end) > F
 
-    lo, hi = f_high_force, math.sin(state.theta) * math.cos(state.phi) - 1e-9
+    lo, hi = f_high_force, math.sin(p.theta) * math.cos(p.phi) - 1e-9
     assume(above(lo))
     while 0.5 * (lo + hi) not in (lo, hi):
         mid = 0.5 * (lo + hi)
@@ -160,13 +187,11 @@ def bisect_reel_factor(F, end, state, m, m_t, aero, wind, f_high_force):
 
 @PROPERTY
 @given(problems(), st.sampled_from(["kite", "ground"]))
-def test_joint_inversion_matches_tight_nested_reference(problem, end):
-    state, aero, wind, m, m_t = problem
-    assume_aero_dominated(state, aero, wind, m, m_t)
-    F = force(solve_or_skip(state, m, m_t, aero, wind), end)
-    f_ref = bisect_reel_factor(F, end, state, m, m_t, aero, wind, state.f - 0.5)
-    f, eq = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t, aero,
-                                          wind)
+def test_joint_inversion_matches_tight_nested_reference(p, end):
+    assume_aero_dominated(p)
+    F = force(solve_or_skip(p), end)
+    f_ref = bisect_reel_factor(F, end, p, p.f - 0.5)
+    f, eq = gravity_setpoint(F, end, *p.tail())
     assert abs(f - f_ref) <= 1e-6
     assert abs(force(eq, end) / F - 1.0) <= 1e-6
 
@@ -178,47 +203,43 @@ def definite(exc, failures):
 @PROPERTY
 @given(problems(), st.sampled_from(["kite", "ground"]), st.just(1.0) | st.floats(0.1, 10.0))
 # The larger root has G falling through G*.
-@example((KiteState(r=50.0, theta=1.0, phi=0.0, chi=3.0, f=0.0), EffectiveAero(1.0, 0.03125),
-          WindState(3.0, 1.0), 21.0, 0.0), "kite", 0.25)
+@example(Problem(50.0, 1.0, 0.0, 3.0, 0.0, 1.0, 0.03125, 3.0, 1.0, 21.0, 0.0), "kite", 0.25)
 # The larger root is off the tangential-speed branch: lam < a.
-@example((KiteState(r=230.0, theta=1.451, phi=0.5, chi=3.85, f=-0.51), EffectiveAero(0.24, 0.367),
-          WindState(19.6, 1.2), 30.0, 7.1), "ground", 0.5)
-def test_inversion_meets_the_force_or_names_why(problem, end, scale):
+@example(Problem(230.0, 1.451, 0.5, 3.85, -0.51, 0.24, 0.367, 19.6, 1.2, 30.0, 7.1), "ground",
+         0.5)
+def test_inversion_meets_the_force_or_names_why(p, end, scale):
     # Weight-dominated states too: there the force need not fall with f.
     # A returned factor is a true equilibrium that carries the target, on
     # the tangential-speed branch and where G rises through G*; it is
     # never a wrong root returned silently.
-    state, aero, wind, m, m_t = problem
     try:
-        F = scale * force(solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind), end)
+        F = scale * force(p.solve(), end)
     except SolverError:
         assume(False)
     try:
-        f, eq = reel_factor_for_force_gravity(F, end, state._replace(f=0.0), kite_of(m), m_t,
-                                              aero, wind)
+        f, eq = gravity_setpoint(F, end, *p.tail())
     except SolverError as exc:
         assert definite(exc, INVERSION_FAILURES), repr(exc)
         return
-    assert -3.0 <= f < math.sin(state.theta) * math.cos(state.phi)
+    assert -3.0 <= f < math.sin(p.theta) * math.cos(p.phi)
     assert eq.lam >= 0.0
     assert abs(force(eq, end) / F - 1.0) <= 1e-9
-    (G, G_above), (lam, _) = implied_lift_to_drag([eq.kappa, eq.kappa * (1.0 + 1e-6)],
-                                                  state._replace(f=f), KITE.S, m, m_t, aero, wind)
-    assert abs(G / aero.LD - 1.0) <= 1e-9
+    (G, G_above), (lam, _) = implied_lift_to_drag([eq.kappa, eq.kappa * (1.0 + 1e-6)], f,
+                                                  *p.tail())
+    assert abs(G / (p.C_L / p.C_D) - 1.0) <= 1e-9
     assert G_above > G
     assert abs(lam - eq.lam) <= 1e-9 * max(1.0, eq.lam)
 
 
 @PROPERTY
 @given(problems(massless=True))
-def test_massless_inversion_round_trip(problem):
-    state, aero, wind, _, _ = problem
+def test_massless_inversion_round_trip(p):
     try:
-        F = massless_state(state, aero, wind, S=KITE.S).F_t_kite
-    except NoSolutionError:
+        F = p.closed_form().F_t_kite
+    except SteadyStateError:
         assume(False)
-    f, eq = reel_factor_for_force_massless(F, state._replace(f=0.0), aero, wind, KITE.S)
-    res = massless_state(state._replace(f=f), aero, wind, S=KITE.S)
+    f, eq = massless_setpoint(F, *p.tail(massless=True))
+    res = p._replace(f=f).closed_form()
     assert eq == res
     assert abs(res.F_t_kite / F - 1.0) <= 1e-6
 
@@ -253,27 +274,25 @@ def outcome(call):
 
 
 def public_inversion(engine, F_target, r, theta, wind):
-    """reel_factor_for_force_massless, or reel_factor_for_force_gravity
-    where the engine has gravity, on the engine's state and coefficients."""
+    """massless_setpoint, or gravity_setpoint where the engine has
+    gravity, called with the engine's angles and coefficients at ``r``."""
     m_t, C_D = tether_properties(r, engine.tether, engine.kite, engine.aero_set)
-    state = KiteState(r, theta, engine.phi, engine.chi, 0.0)
-    aero = EffectiveAero(engine.aero_set.C_L, C_D)
+    head = (theta, angle_trig(engine.phi, engine.chi), engine.aero_set.C_L, C_D)
     if engine.op.gravity:
-        return reel_factor_for_force_gravity(F_target, engine.op.force_at, state, engine.kite,
-                                             m_t, aero, wind)
-    return reel_factor_for_force_massless(F_target, state, aero, wind, engine.kite.S)
+        return gravity_setpoint(F_target, engine.op.force_at, *head, m_t, engine.kite.m,
+                                engine.kite.S, *wind)
+    return massless_setpoint(F_target, *head, engine.kite.S, *wind)
 
 
 @PROPERTY
 @given(problems(massless=True), st.floats(-40.0, 3.0))
-def test_massless_step_is_the_public_inversion(problem, log_ratio):
+def test_massless_step_is_the_public_inversion(p, log_ratio):
     # Targets from 1e-40 to 1e3 times the force at b - f = 1 reach every
     # outcome: an equilibrium, f >= b, no real or a negative tangential
     # speed, and f below -3.
-    state, aero, wind, _, _ = problem
-    engine = phase_engine(aero.C_L, aero.LD, state.phi, state.chi)
-    F = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * 10.0**log_ratio
-    args = (engine, F, state.r, state.theta, wind)
+    engine = phase_engine(p.C_L, p.C_L / p.C_D, p.phi, p.chi)
+    F = force_scale(p.C_L, p.C_D, p.v_w, p.rho) * 10.0**log_ratio
+    args = (engine, F, p.r, p.theta, WindState(p.v_w, p.rho))
     assert outcome(lambda: engine_step(*args)) == outcome(
         lambda: public_inversion(*args))
 
@@ -281,26 +300,25 @@ def test_massless_step_is_the_public_inversion(problem, log_ratio):
 @PROPERTY
 @given(problems(), st.sampled_from(["kite", "ground"]), st.floats(-40.0, 200.0))
 # G falls through G* with kappa at the root.
-@example((KiteState(103.3, 0.88, 0.086, 2.68, 0.0), EffectiveAero(1.318, 0.298),
-          WindState(7.4, 1.126), 29.1, 2.85), "ground", -1.616)
+@example(Problem(103.3, 0.88, 0.086, 2.68, 0.0, 1.318, 0.298, 7.4, 1.126, 29.1, 2.85), "ground",
+         -1.616)
 # The larger root is off the tangential-speed branch: lam < a.
-@example((KiteState(729.0, 1.28, 0.668, 4.28, 0.0), EffectiveAero(0.386, 0.0614),
-          WindState(15.57, 1.16), 51.3, 6.35), "kite", -2.13)
+@example(Problem(729.0, 1.28, 0.668, 4.28, 0.0, 0.386, 0.0614, 15.57, 1.16, 51.3, 6.35), "kite",
+         -2.13)
 # The root has f >= sin(theta)*cos(phi): no tension.
-@example((KiteState(438.5, 1.518, -0.0536, 5.244, 0.0), EffectiveAero(1.1425, 0.4942),
-          WindState(9.717, 1.0426), 37.2, 4.25), "kite", -1.562)
+@example(Problem(438.5, 1.518, -0.0536, 5.244, 0.0, 1.1425, 0.4942, 9.717, 1.0426, 37.2, 4.25),
+         "kite", -1.562)
 # The root leaves the tether pushing on the ground station.
-@example((KiteState(782.0, 0.455, 0.367, 0.244, 0.0), EffectiveAero(0.261, 0.347),
-          WindState(4.13, 1.16), 29.9, 3.89), "kite", -0.535)
-def test_gravity_step_is_the_public_inversion(problem, end, log_ratio):
+@example(Problem(782.0, 0.455, 0.367, 0.244, 0.0, 0.261, 0.347, 4.13, 1.16, 29.9, 3.89), "kite",
+         -0.535)
+def test_gravity_step_is_the_public_inversion(p, end, log_ratio):
     # Targets from 1e-40 to 1e200 times the massless force at b - f = 1
     # reach an equilibrium and the other ways a set-point is unreachable:
     # no radial tension, no real or a negative tangential speed, f below
     # -3 and a square that overflows.
-    state, aero, wind, m, m_t = problem
-    engine = phase_engine(aero.C_L, aero.LD, state.phi, state.chi, m, m_t, state.r, end)
-    F = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * 10.0**log_ratio
-    args = (engine, F, state.r, state.theta, wind)
+    engine = phase_engine(p.C_L, p.C_L / p.C_D, p.phi, p.chi, p.m, p.m_t, p.r, end)
+    F = force_scale(p.C_L, p.C_D, p.v_w, p.rho) * 10.0**log_ratio
+    args = (engine, F, p.r, p.theta, WindState(p.v_w, p.rho))
     assert outcome(lambda: engine_step(*args)) == outcome(lambda: public_inversion(*args))
 
 
@@ -315,9 +333,9 @@ def massless_failure_cases():
         (theta, 0.0, 0.7, 5.0, None, 1e-300, NoTensionError, "reeling factor"),
         # G = 0.5 and b - f = 0.5: G*(b - f) is below sqrt(1 - a**2 - b**2)
         # = 0.5 flying sideways, and below -a = 0.5 flying up.
-        (theta, 0.5 * math.pi, 0.1, 0.5, 0.5, None, NoSolutionError, "tangential velocity "
+        (theta, 0.5 * math.pi, 0.1, 0.5, 0.5, None, SteadyStateError, "tangential velocity "
          "factor has no real solution"),
-        (theta, math.pi, 0.1, 0.5, 0.5, None, NoSolutionError, "tangential velocity factor "
+        (theta, math.pi, 0.1, 0.5, 0.5, None, SteadyStateError, "tangential velocity factor "
          "is negative"),
     ]
 
@@ -330,8 +348,7 @@ def test_massless_step_fails_as_the_public_inversion(case):
     wind = WindState(10.0, 1.2)
     if F is None:
         _, C_D = tether_properties(150.0, engine.tether, engine.kite, engine.aero_set)
-        aero = EffectiveAero(C_L, C_D)
-        F = wind.q * KITE.S * aero.C_R * (1.0 + aero.LD**2) * b_f**2
+        F = force_scale(C_L, C_D, *wind) * b_f**2
     args = (engine, F, 150.0, theta, wind)
     got = outcome(lambda: engine_step(*args))
     assert got[0] is error and got[1].startswith(message), got
@@ -339,51 +356,46 @@ def test_massless_step_fails_as_the_public_inversion(case):
 
 
 def test_massless_kernel_rejects_non_positive_drag_as_the_public_inversion():
-    # No engine yields C_D <= 0, so the kernel it calls is called directly.
+    # No engine yields C_D <= 0, so the set-point is called directly; the
+    # equilibrium at a reeling factor rejects the coefficients alike.
     for C_D in (0.0, -0.2):
-        state = KiteState(150.0, 1.0, 0.0, 0.0, 0.0)
-        kernel = outcome(lambda: massless_setpoint(
-            1e3, state.theta, (0.0, 1.0, 0.0, 1.0), 0.7, C_D, 10.0, 1.2, KITE.S))
+        tail = (1.0, (0.0, 1.0, 0.0, 1.0), 0.7, C_D, KITE.S, 10.0, 1.2)
+        kernel = outcome(lambda: massless_setpoint(1e3, *tail))
         assert kernel == (ValidationError, f"effective coefficients must be positive, got "
-                                           f"EffectiveAero(C_L=0.7, C_D={C_D})")
-        assert kernel == outcome(lambda: reel_factor_for_force_massless(
-            1e3, state, EffectiveAero(0.7, C_D), WindState(10.0, 1.2), KITE.S))
+                                           f"C_L=0.7, C_D={C_D}")
+        assert kernel == outcome(lambda: massless_state(0.0, *tail))
 
 
 def test_gravity_kernel_rejects_non_positive_drag_as_the_public_inversion():
-    # No engine yields C_D <= 0, so the kernel it calls is called directly.
+    # No engine yields C_D <= 0, so the set-point is called directly; the
+    # kinematic solve rejects the coefficients alike.
     for C_D in (0.0, -0.2):
-        state = KiteState(150.0, 1.0, 0.0, 0.0, 0.0)
-        kernel = outcome(lambda: gravity_setpoint(
-            1e3, "kite", state.theta, (0.0, 1.0, 0.0, 1.0), 0.7, C_D, 1.0, 10.0, KITE.S, 10.0,
-            1.2))
+        tail = (1.0, (0.0, 1.0, 0.0, 1.0), 0.7, C_D, 1.0, 10.0, KITE.S, 10.0, 1.2)
+        kernel = outcome(lambda: gravity_setpoint(1e3, "kite", *tail))
         assert kernel == (ValidationError, f"effective coefficients must be positive, got "
-                                           f"EffectiveAero(C_L=0.7, C_D={C_D})")
-        assert kernel == outcome(lambda: reel_factor_for_force_gravity(
-            1e3, "kite", state, kite_of(10.0), 1.0, EffectiveAero(0.7, C_D), WindState(10.0, 1.2)))
+                                           f"C_L=0.7, C_D={C_D}")
+        assert kernel == outcome(lambda: solve_kinematic_ratio(0.0, *tail))
 
 
 @PROPERTY
 @given(problems(), st.floats(1e-3, 0.5), st.sampled_from(["kite", "ground"]))
-def test_tether_force_decreases_with_reeling_factor(problem, df, end):
-    state, aero, wind, m, m_t = problem
-    high_f = state._replace(f=state.f + df)
-    assume(high_f.f < math.sin(state.theta) * math.cos(state.phi))
-    assume_aero_dominated(high_f, aero, wind, m, m_t)
-    low = solve_or_skip(state, m, m_t, aero, wind)
-    high = solve_or_skip(high_f, m, m_t, aero, wind)
+def test_tether_force_decreases_with_reeling_factor(p, df, end):
+    high_f = p._replace(f=p.f + df)
+    assume(high_f.f < math.sin(p.theta) * math.cos(p.phi))
+    assume_aero_dominated(high_f)
+    low = solve_or_skip(p)
+    high = solve_or_skip(high_f)
     assert force(high, end) < force(low, end)
 
 
 @PROPERTY
 @given(problems(massless=True))
-def test_gravity_mode_without_mass_is_the_closed_form(problem):
-    state, aero, wind, _, _ = problem
+def test_gravity_mode_without_mass_is_the_closed_form(p):
     try:
-        ml = massless_state(state, aero, wind, S=KITE.S)
-    except NoSolutionError:
+        ml = p.closed_form()
+    except SteadyStateError:
         assume(False)
-    res = solve_kinematic_ratio(state, kite_of(0.0), 0.0, aero, wind)
+    res = p.solve()
     assert res.iterations == 1
     for field in ("kappa", "lam", "v_a", "F_a", "F_t_kite", "F_tg", "zeta", "P"):
         assert math.isclose(getattr(res, field), getattr(ml, field), rel_tol=1e-9, abs_tol=1e-9)
@@ -393,14 +405,12 @@ def test_gravity_mode_without_mass_is_the_closed_form(problem):
 @given(problems())
 # G barely rises with kappa (d log G / d log kappa = 0.037): a residual
 # bound of 1e-7 on G/G* - 1 left kappa 1.6e-6 off here.
-@example((KiteState(r=50.0, theta=1.115084417259966, phi=-0.3125, chi=2.0, f=0.5397545978330571),
-          EffectiveAero(1.5, 0.3744629565277525), WindState(11.75, 1.1985975364711163), 16.25,
-          0.0))
-def test_kinematic_ratio_matches_tight_bisection(problem):
-    state, aero, wind, m, m_t = problem
-    reference = bisect_kappa(state, KITE.S, m, m_t, aero, wind)
+@example(Problem(50.0, 1.115084417259966, -0.3125, 2.0, 0.5397545978330571, 1.5,
+                 0.3744629565277525, 11.75, 1.1985975364711163, 16.25, 0.0))
+def test_kinematic_ratio_matches_tight_bisection(p):
+    reference = bisect_kappa(p.f, *p.tail())
     try:
-        res = solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind)
+        res = p.solve()
     except SteadyStateError as exc:
         # The reference finds no root either, or one with a negative
         # tangential speed.
@@ -414,12 +424,10 @@ def test_kinematic_ratio_matches_tight_bisection(problem):
 
 @PROPERTY
 @given(problems(), st.floats(10.0, 1e5), st.sampled_from(["kite", "ground"]))
-def test_failures_are_definite(problem, F_target, end):
-    state, aero, wind, m, m_t = problem
+def test_failures_are_definite(p, F_target, end):
     for call, failures in (
-        (lambda: solve_kinematic_ratio(state, kite_of(m), m_t, aero, wind), SOLVE_FAILURES),
-        (lambda: reel_factor_for_force_gravity(F_target, end, state, kite_of(m), m_t, aero,
-                                               wind), INVERSION_FAILURES),
+        (p.solve, SOLVE_FAILURES),
+        (lambda: gravity_setpoint(F_target, end, *p.tail()), INVERSION_FAILURES),
     ):
         try:
             call()
@@ -432,37 +440,35 @@ def test_failures_are_definite(problem, F_target, end):
 def out_of_domain(draw):
     """A problem with one of theta, C_L, C_D, v_w or rho outside its
     domain, and the message its entry check gives."""
-    state, aero, wind, _, _ = draw(problems(massless=True))
+    p = draw(problems(massless=True))
     which = draw(st.sampled_from(["theta", "C_L", "C_D", "C_L_or_C_D", "v_w", "rho"]))
     if which == "theta":
         theta = draw(st.floats(max_value=-0.5 * math.pi) | st.floats(min_value=math.pi)
                      | st.just(math.nan))
-        return state._replace(theta=theta), aero, wind, (
-            f"polar angle must be in (-pi/2, pi), got {theta}")
+        return p._replace(theta=theta), f"polar angle must be in (-pi/2, pi), got {theta}"
     if which in ("C_L", "C_D"):
-        aero = aero._replace(**{which: draw(st.floats(max_value=0.0))})
-        return state, aero, wind, f"effective coefficients must be positive, got {aero}"
+        p = p._replace(**{which: draw(st.floats(max_value=0.0))})
+        return p, f"effective coefficients must be positive, got C_L={p.C_L}, C_D={p.C_D}"
     if which == "C_L_or_C_D":
-        aero = aero._replace(**{draw(st.sampled_from(["C_L", "C_D"])):
-                                draw(st.sampled_from([math.inf, math.nan]))})
-        return state, aero, wind, f"effective coefficients must be finite, got {aero}"
+        p = p._replace(**{draw(st.sampled_from(["C_L", "C_D"])):
+                          draw(st.sampled_from([math.inf, math.nan]))})
+        return p, f"effective coefficients must be finite, got C_L={p.C_L}, C_D={p.C_D}"
     if which == "v_w":
-        wind = wind._replace(v_w=draw(st.floats(max_value=-1e-300)))
+        p = p._replace(v_w=draw(st.floats(max_value=-1e-300)))
     else:
-        wind = wind._replace(rho=draw(st.floats(max_value=0.0)))
-    return state, aero, wind, (f"wind state requires v_w >= 0 and rho > 0, "
-                               f"got v_w={wind.v_w}, rho={wind.rho}")
+        p = p._replace(rho=draw(st.floats(max_value=0.0)))
+    return p, f"wind state requires v_w >= 0 and rho > 0, got v_w={p.v_w}, rho={p.rho}"
 
 
 @PROPERTY
 @given(out_of_domain())
 def test_equilibrium_entry_points_check_their_inputs(problem):
-    state, aero, wind, message = problem
+    p, message = problem
     for call in (
-        lambda: massless_state(state, aero, wind, S=KITE.S),
-        lambda: reel_factor_for_force_massless(1e3, state, aero, wind, KITE.S),
-        lambda: solve_kinematic_ratio(state, KITE, 0.0, aero, wind),
-        lambda: reel_factor_for_force_gravity(1e3, "kite", state, KITE, 0.0, aero, wind),
+        p.closed_form,
+        lambda: massless_setpoint(1e3, *p.tail(massless=True)),
+        p.solve,
+        lambda: gravity_setpoint(1e3, "kite", *p.tail()),
     ):
         with pytest.raises(ValidationError) as info:
             call()

@@ -7,22 +7,20 @@ import pytest
 from kitecycle import steady_state
 from kitecycle import (
     AeroSet,
-    EffectiveAero,
     Environment,
     KiteParams,
-    KiteState,
     OperationSettings,
     TetherParams,
     WindState,
+    angle_trig,
+    gravity_setpoint,
     ground_tether_force,
+    massless_setpoint,
     massless_state,
-    reel_factor_for_force_gravity,
-    reel_factor_for_force_massless,
     solve_kinematic_ratio,
     tether_properties,
 )
 from kitecycle.errors import (
-    NoSolutionError,
     NoTensionError,
     SetpointUnreachableError,
     SteadyStateError,
@@ -37,32 +35,36 @@ STRONG_KITE = KiteParams(
     aero_traction=AeroSet(C_L=0.69, LD_k=4.0),
     aero_retraction=AeroSet(C_L=0.17, LD_k=3.1),
 )
+# The (m, S) of the equilibrium functions' tail, for the strong-wind kite.
+STRONG = (STRONG_KITE.m, STRONG_KITE.S)
 WIND = WindState(v_w=10.0, rho=1.225)
 
 # Resultant coefficient 0.71 split into (C_L, C_D) at L/D = 4.
-AERO_71 = EffectiveAero(C_L=0.71 * 4 / math.sqrt(17), C_D=0.71 / math.sqrt(17))
+AERO_71 = (0.71 * 4 / math.sqrt(17), 0.71 / math.sqrt(17))
 
 
-def state(theta_deg=90.0, phi_deg=0.0, chi_deg=90.0, f=0.25, r=400.0):
-    return KiteState(r=r, theta=math.radians(theta_deg), phi=math.radians(phi_deg),
-                     chi=math.radians(chi_deg), f=f)
+def flight(theta_deg=90.0, phi_deg=0.0, chi_deg=90.0):
+    """(theta, angles) of a flight state given in degrees."""
+    return math.radians(theta_deg), angle_trig(math.radians(phi_deg), math.radians(chi_deg))
 
 
 def random_tension_state(rng, f_lo=-1.0, aero=None, wind=WIND):
-    """Random state carrying tension; when ``aero`` is given, resample
-    until the massless closed form has a valid solution there."""
+    """Random (f, theta, angles) carrying tension; when ``aero`` = (C_L,
+    C_D) is given, resample until the massless closed form has a valid
+    solution there."""
     while True:
         theta = rng.uniform(math.radians(20), math.radians(85))
         phi = rng.uniform(-math.radians(30), math.radians(30))
         chi = rng.uniform(0.0, 2 * math.pi)
         b = math.sin(theta) * math.cos(phi)
         f = rng.uniform(f_lo, 0.9 * b)
-        st = KiteState(r=rng.uniform(100.0, 800.0), theta=theta, phi=phi, chi=chi, f=f)
+        rng.uniform(100.0, 800.0)  # a tether length, which no equilibrium reads
+        st = (f, theta, angle_trig(phi, chi))
         if aero is None:
             return st
         try:
-            massless_state(st, aero, wind, S=10.2)
-        except NoSolutionError:
+            massless_state(*st, *aero, 10.2, *wind)
+        except SteadyStateError:
             continue
         return st
 
@@ -137,17 +139,17 @@ def test_non_finite_parameters_rejected(params, field, message, value):
 def test_kinematic_ratio_needs_a_radial_apparent_wind():
     # At f >= sin(theta) cos(phi) the kite reels out at least as fast as
     # the wind blows along the tether: no tension.
-    st = state(theta_deg=60.0, phi_deg=10.0)
-    b = math.sin(st.theta) * math.cos(st.phi)
+    theta, angles = flight(theta_deg=60.0, phi_deg=10.0)
+    b = math.sin(theta) * angles[1]
     for f in (b, b + 0.1):
         with pytest.raises(NoTensionError, match=r"^reeling factor .* >= sin\(theta\)\*cos"):
-            solve_kinematic_ratio(st._replace(f=f), STRONG_KITE, 5.0, AERO_71, WIND)
+            solve_kinematic_ratio(f, theta, angles, *AERO_71, 5.0, *STRONG, *WIND)
 
 
 class TestEntryChecks:
     """Checks at the entry of the force inversions and the force geometry."""
 
-    STATE = KiteState(r=400.0, theta=math.radians(63), phi=0.0, chi=math.pi, f=0.0)
+    THETA, ANGLES = math.radians(63), angle_trig(0.0, math.pi)
 
     @pytest.mark.parametrize("F_target,v_w,message", [
         (0.0, 10.0, "force target must be > 0"),
@@ -156,8 +158,7 @@ class TestEntryChecks:
     ])
     def test_massless_inversion(self, F_target, v_w, message):
         with pytest.raises(ValidationError, match=message):
-            reel_factor_for_force_massless(F_target, self.STATE, AERO_71,
-                                           WIND._replace(v_w=v_w), S=10.2)
+            massless_setpoint(F_target, self.THETA, self.ANGLES, *AERO_71, 10.2, v_w, WIND.rho)
 
     @pytest.mark.parametrize("F_target,end,v_w,message", [
         (0.0, "kite", 10.0, "force target must be > 0"),
@@ -166,44 +167,44 @@ class TestEntryChecks:
     ])
     def test_gravity_inversion(self, F_target, end, v_w, message):
         with pytest.raises(ValidationError, match=message):
-            reel_factor_for_force_gravity(F_target, end, self.STATE, STRONG_KITE, 6.0, AERO_71,
-                                          WIND._replace(v_w=v_w))
+            gravity_setpoint(F_target, end, self.THETA, self.ANGLES, *AERO_71, 6.0, *STRONG, v_w,
+                             WIND.rho)
 
     def test_negative_tether_mass(self):
         with pytest.raises(ValidationError, match="tether mass must be >= 0, got -1.0"):
-            solve_kinematic_ratio(self.STATE, STRONG_KITE, -1.0, AERO_71, WIND)
+            solve_kinematic_ratio(0.0, self.THETA, self.ANGLES, *AERO_71, -1.0, *STRONG, *WIND)
 
     def test_massless_state_rejects_an_infinite_azimuth(self):
+        # The angles an equilibrium takes cannot be built from it.
         with pytest.raises(ValidationError, match=r"^azimuth phi must be finite, got inf$"):
-            massless_state(self.STATE._replace(phi=math.inf), AERO_71, WIND, S=10.2)
+            massless_state(0.0, self.THETA, angle_trig(math.inf, math.pi), *AERO_71, 10.2, *WIND)
 
     def test_gravity_inversion_rejects_a_nan_course_angle(self):
         # Not a set-point that G falls through: the angle is named.
         with pytest.raises(ValidationError, match=r"^course angle chi must be finite, got nan$"):
-            reel_factor_for_force_gravity(1e3, "kite", self.STATE._replace(chi=math.nan),
-                                          STRONG_KITE, 6.0, AERO_71, WIND)
+            gravity_setpoint(1e3, "kite", self.THETA, angle_trig(0.0, math.nan), *AERO_71, 6.0,
+                             *STRONG, *WIND)
 
     def test_kinematic_solve_rejects_non_finite_angles(self):
         for phi, chi, message in ((math.nan, 0.0, "azimuth phi must be finite, got nan"),
                                   (0.0, -math.inf, "course angle chi must be finite, got -inf")):
             with pytest.raises(ValidationError) as info:
-                solve_kinematic_ratio(self.STATE._replace(phi=phi, chi=chi), STRONG_KITE, 6.0,
-                                      AERO_71, WIND)
+                solve_kinematic_ratio(0.0, self.THETA, angle_trig(phi, chi), *AERO_71, 6.0,
+                                      *STRONG, *WIND)
             assert str(info.value) == message
 
 
 class TestMasslessState:
     def test_tangential_factor_at_zenith_symmetry(self):
-        aero = EffectiveAero(C_L=0.8, C_D=0.2)  # L/D = 4
-        res = massless_state(state(90, 0, 90, f=0.25), aero, WIND, S=10.2)
+        res = massless_state(0.25, *flight(90, 0, 90), 0.8, 0.2, 10.2, *WIND)  # L/D = 4
         assert res.lam == pytest.approx(4.0 * 0.75, rel=1e-12)
 
     def test_normalised_tether_force(self):
-        res = massless_state(state(90, 0, 90, f=1 / 3), AERO_71, WIND, S=10.2)
+        res = massless_state(1 / 3, *flight(90, 0, 90), *AERO_71, 10.2, *WIND)
         assert res.F_t_kite / (WIND.q * 10.2) == pytest.approx(0.71 * 17 * (2 / 3) ** 2, rel=1e-9)
 
     def test_harvesting_factor_and_its_maximiser(self):
-        res = massless_state(state(90, 0, 90, f=1 / 3), AERO_71, WIND, S=10.2)
+        res = massless_state(1 / 3, *flight(90, 0, 90), *AERO_71, 10.2, *WIND)
         assert res.zeta == pytest.approx(0.71 * 17 * (1 / 3) * (2 / 3) ** 2, rel=1e-9)
         f_best = scan_harvesting_factor(0.71, 4.0, b=1.0, resolution=1e-5)
         assert f_best == pytest.approx(1 / 3, abs=2e-5)
@@ -213,65 +214,63 @@ class TestMasslessState:
         # solved components must return the lift-to-drag ratio.
         rng = np.random.default_rng(7)
         for _ in range(100):
-            aero = EffectiveAero(C_L=rng.uniform(0.3, 1.2), C_D=rng.uniform(0.05, 0.4))
-            st = random_tension_state(rng, aero=aero)
-            res = massless_state(st, aero, WIND, S=10.2)
-            b = math.sin(st.theta) * math.cos(st.phi)
-            va_r = (b - st.f) * WIND.v_w
-            va_th = (math.cos(st.theta) * math.cos(st.phi) - res.lam * math.cos(st.chi)) * WIND.v_w
-            va_ph = (-math.sin(st.phi) - res.lam * math.sin(st.chi)) * WIND.v_w
-            assert math.hypot(va_th, va_ph) / va_r == pytest.approx(aero.LD, rel=1e-9)
+            C_L, C_D = aero = (rng.uniform(0.3, 1.2), rng.uniform(0.05, 0.4))
+            f, theta, (sin_p, cos_p, sin_c, cos_c) = st = random_tension_state(rng, aero=aero)
+            res = massless_state(*st, *aero, 10.2, *WIND)
+            b = math.sin(theta) * cos_p
+            va_r = (b - f) * WIND.v_w
+            va_th = (math.cos(theta) * cos_p - res.lam * cos_c) * WIND.v_w
+            va_ph = (-sin_p - res.lam * sin_c) * WIND.v_w
+            assert math.hypot(va_th, va_ph) / va_r == pytest.approx(C_L / C_D, rel=1e-9)
 
     def test_no_tension_error(self):
         with pytest.raises(NoTensionError):
-            massless_state(state(90, 0, 90, f=1.0), AERO_71, WIND, S=10.2)
+            massless_state(1.0, *flight(90, 0, 90), *AERO_71, 10.2, *WIND)
 
     def test_power_sign_follows_reeling_factor(self):
         for f, sign in ((0.2, 1), (-0.2, -1), (0.0, 0)):
-            res = massless_state(state(60, 5, 120, f=f), AERO_71, WIND, S=10.2)
+            res = massless_state(f, *flight(60, 5, 120), *AERO_71, 10.2, *WIND)
             assert np.sign(res.P) == sign
 
 
 class TestReelFactorMassless:
     def test_hand_value(self):
-        # b = 1, F/(qS) = 3 and C_R(1+(L/D)^2) = 12 gives f = 1 - 1/2.
-        aero = EffectiveAero(C_L=12 / math.sqrt(17) * 4 / math.sqrt(17),
-                             C_D=12 / math.sqrt(17) / math.sqrt(17) / 4)
-        # Simpler: construct directly so that C_R*(1+LD^2) = 12 with LD = 4.
+        # b = 1, F/(qS) = 3 and C_R(1+(L/D)^2) = 12 gives f = 1 - 1/2:
+        # C_R = 12/17 split at L/D = 4.
         C_R = 12.0 / 17.0
-        aero = EffectiveAero(C_L=C_R * 4 / math.sqrt(17), C_D=C_R / math.sqrt(17))
-        f, eq = reel_factor_for_force_massless(3.0 * WIND.q * 10.2, state(90, 0, 90, f=0.0),
-                                               aero, WIND, S=10.2)
+        aero = (C_R * 4 / math.sqrt(17), C_R / math.sqrt(17))
+        f, eq = massless_setpoint(3.0 * WIND.q * 10.2, *flight(90, 0, 90), *aero, 10.2, *WIND)
         assert f == pytest.approx(0.5, rel=1e-9)
         assert eq.F_t_kite == pytest.approx(3.0 * WIND.q * 10.2, rel=1e-12)
 
     def test_force_at_zero_reeling_returns_zero(self):
-        st = state(63, 10, 100, f=0.0)
-        F0 = massless_state(st, AERO_71, WIND, S=10.2).F_t_kite
-        f, _ = reel_factor_for_force_massless(F0, st, AERO_71, WIND, S=10.2)
+        st = flight(63, 10, 100)
+        F0 = massless_state(0.0, *st, *AERO_71, 10.2, *WIND).F_t_kite
+        f, _ = massless_setpoint(F0, *st, *AERO_71, 10.2, *WIND)
         assert f == pytest.approx(0.0, abs=1e-12)
 
     def test_round_trip_inverse(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            aero = EffectiveAero(C_L=rng.uniform(0.3, 1.2), C_D=rng.uniform(0.05, 0.4))
-            st = random_tension_state(rng, aero=aero)
-            F = massless_state(st, aero, WIND, S=10.2).F_t_kite
-            f, eq = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
-            assert f == pytest.approx(st.f, abs=1e-11)
-            assert eq == massless_state(st._replace(f=f), aero, WIND, S=10.2)
+            aero = (rng.uniform(0.3, 1.2), rng.uniform(0.05, 0.4))
+            f0, theta, angles = random_tension_state(rng, aero=aero)
+            F = massless_state(f0, theta, angles, *aero, 10.2, *WIND).F_t_kite
+            f, eq = massless_setpoint(F, theta, angles, *aero, 10.2, *WIND)
+            assert f == pytest.approx(f0, abs=1e-11)
+            assert eq == massless_state(f, theta, angles, *aero, 10.2, *WIND)
             assert eq.F_t_kite == pytest.approx(F, rel=1e-9)
 
     def test_factor_below_minus_3_is_unreachable(self):
         # The bound of the gravity inversion: f >= -3.
-        def force_at(f):
-            return massless_state(state(63, 10, 100, f=f), AERO_71, WIND, S=10.2).F_t_kite
+        st = flight(63, 10, 100)
 
-        st = state(63, 10, 100, f=0.0)
-        f, _ = reel_factor_for_force_massless(force_at(-2.999), st, AERO_71, WIND, S=10.2)
+        def force_at(f):
+            return massless_state(f, *st, *AERO_71, 10.2, *WIND).F_t_kite
+
+        f, _ = massless_setpoint(force_at(-2.999), *st, *AERO_71, 10.2, *WIND)
         assert f == pytest.approx(-2.999, abs=1e-12)
         with pytest.raises(SetpointUnreachableError, match=r"f = -3\.001 is below -3"):
-            reel_factor_for_force_massless(force_at(-3.001), st, AERO_71, WIND, S=10.2)
+            massless_setpoint(force_at(-3.001), *st, *AERO_71, 10.2, *WIND)
 
 
 class TestGroundTetherForce:
@@ -305,54 +304,49 @@ class TestGroundTetherForce:
 
 # Flight state of the mass-isoline study: 25 deg elevation, f = 0.37,
 # L/D = 5 with C_L = 1, S = 16.7 m2, v_w = 7 m/s at sea-level density.
-FIG8_AERO = EffectiveAero(C_L=1.0, C_D=0.2)
+FIG8_AERO = (1.0, 0.2)
 FIG8_WIND = WindState(v_w=7.0, rho=1.225)
 FIG8_THETA = math.radians(65.0)
 
 
-def fig8_kite(m):
-    return KiteParams(S=16.7, m=m, aero_traction=AeroSet(1.0, 5.0),
-                      aero_retraction=AeroSet(1.0, 5.0))
-
-
-def fig8_state(chi_deg):
-    return KiteState(r=200.0, theta=FIG8_THETA, phi=0.0, chi=math.radians(chi_deg), f=0.37)
+def fig8_problem(chi_deg, m):
+    """``solve_kinematic_ratio``'s arguments at the study's state, flying
+    at course angle ``chi_deg`` with airborne mass ``m`` and no tether."""
+    return (0.37, FIG8_THETA, angle_trig(0.0, math.radians(chi_deg)), *FIG8_AERO, 0.0, m, 16.7,
+            *FIG8_WIND)
 
 
 class TestKinematicRatioSolver:
     def test_massless_limit_single_iteration(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            aero = EffectiveAero(C_L=rng.uniform(0.3, 1.2), C_D=rng.uniform(0.05, 0.4))
+            C_L, C_D = aero = (rng.uniform(0.3, 1.2), rng.uniform(0.05, 0.4))
             st = random_tension_state(rng, aero=aero)
-            res = solve_kinematic_ratio(st, replace(STRONG_KITE, m=0.0), 0.0, aero, WIND)
-            ml = massless_state(st, aero, WIND, S=10.2)
+            res = solve_kinematic_ratio(*st, *aero, 0.0, 0.0, 10.2, *WIND)
+            ml = massless_state(*st, *aero, 10.2, *WIND)
             assert res.iterations == 1
-            assert res.kappa == pytest.approx(aero.LD, rel=1e-12)
+            assert res.kappa == pytest.approx(C_L / C_D, rel=1e-12)
             for field in ("lam", "v_a", "F_a", "F_t_kite", "F_tg", "zeta", "P"):
                 assert getattr(res, field) == pytest.approx(getattr(ml, field), rel=1e-9, abs=1e-12)
 
     def test_upward_flight_reduces_kinematic_ratio(self):
-        res = solve_kinematic_ratio(fig8_state(180), fig8_kite(10.0), 0.0, FIG8_AERO, FIG8_WIND)
+        res = solve_kinematic_ratio(*fig8_problem(180, 10.0))
         assert res.iterations > 1
         assert res.kappa < 5.0
 
     def test_downward_flight_raises_kinematic_ratio(self):
-        res = solve_kinematic_ratio(fig8_state(0), fig8_kite(10.0), 0.0, FIG8_AERO, FIG8_WIND)
+        res = solve_kinematic_ratio(*fig8_problem(0, 10.0))
         assert res.kappa > 5.0
 
     def test_downward_monotone_in_mass(self):
-        kappas = [
-            solve_kinematic_ratio(fig8_state(0), fig8_kite(m), 0.0, FIG8_AERO, FIG8_WIND).kappa
-            for m in (10.0, 30.0, 50.0)
-        ]
+        kappas = [solve_kinematic_ratio(*fig8_problem(0, m)).kappa for m in (10.0, 30.0, 50.0)]
         assert kappas[0] < kappas[1] < kappas[2]
 
     @pytest.mark.parametrize("chi_deg,m", [(0, 10.0), (0, 30.0), (0, 50.0), (180, 10.0)])
     def test_grid_scan_oracle_agreement(self, chi_deg, m):
-        st = fig8_state(chi_deg)
-        res = solve_kinematic_ratio(st, fig8_kite(m), 0.0, FIG8_AERO, FIG8_WIND)
-        kappa_scan, residual = grid_scan_kappa(st, 16.7, m, 0.0, FIG8_AERO, FIG8_WIND)
+        problem = fig8_problem(chi_deg, m)
+        res = solve_kinematic_ratio(*problem)
+        kappa_scan, residual = grid_scan_kappa(*problem)
         assert residual < 1e-4
         assert res.kappa == pytest.approx(kappa_scan, rel=1e-4)
 
@@ -361,21 +355,20 @@ class TestKinematicRatioSolver:
         # aerodynamic force can balance in upward flight at this state.
         for m in (30.0, 50.0):
             with pytest.raises(SteadyStateError):
-                solve_kinematic_ratio(fig8_state(180), fig8_kite(m), 0.0, FIG8_AERO, FIG8_WIND)
-            kappa_scan, residual = grid_scan_kappa(fig8_state(180), 16.7, m, 0.0, FIG8_AERO, FIG8_WIND)
+                solve_kinematic_ratio(*fig8_problem(180, m))
+            kappa_scan, residual = grid_scan_kappa(*fig8_problem(180, m))
             assert residual > 1e-2  # the scan confirms: no kappa satisfies the geometry
 
     def test_upward_mass_boundary(self):
         # The largest upward-flight mass with an equilibrium at this state
         # lies near 21.96 kg: just below it the root matches a tight
         # bisection, just above it neither finds one.
-        st = fig8_state(180)
-        res = solve_kinematic_ratio(st, fig8_kite(21.9), 0.0, FIG8_AERO, FIG8_WIND)
-        reference = bisect_kappa(st, 16.7, 21.9, 0.0, FIG8_AERO, FIG8_WIND)
+        res = solve_kinematic_ratio(*fig8_problem(180, 21.9))
+        reference = bisect_kappa(*fig8_problem(180, 21.9))
         assert abs(res.kappa / reference - 1.0) <= 1e-8
         with pytest.raises(SteadyStateError, match="^no sign change"):
-            solve_kinematic_ratio(st, fig8_kite(22.0), 0.0, FIG8_AERO, FIG8_WIND)
-        assert bisect_kappa(st, 16.7, 22.0, 0.0, FIG8_AERO, FIG8_WIND) is None
+            solve_kinematic_ratio(*fig8_problem(180, 22.0))
+        assert bisect_kappa(*fig8_problem(180, 22.0)) is None
 
     def test_secant_stops_where_g_falls(self, monkeypatch):
         # Here the first secant step finds G falling with kappa.  The
@@ -389,15 +382,13 @@ class TestKinematicRatioSolver:
             return geometry(x, f, *args)
 
         monkeypatch.setattr(steady_state, "_geometry", recording)
-        st = KiteState(r=803.2499871506205, theta=0.8608787259522742, phi=0.15429358996645726,
-                       chi=0.3522322305466722, f=-0.1618490063589043)
-        kite = replace(STRONG_KITE, m=17.864662009290797)
-        m_t = 3.6001891554916767
-        aero = EffectiveAero(0.15360667682549214, 0.2111796168650575)
-        wind = WindState(10.606576271976806, 1.005349495555756)
-        res = solve_kinematic_ratio(st, kite, m_t, aero, wind)
+        problem = (-0.1618490063589043, 0.8608787259522742,
+                   angle_trig(0.15429358996645726, 0.3522322305466722),
+                   0.15360667682549214, 0.2111796168650575, 3.6001891554916767,
+                   17.864662009290797, STRONG_KITE.S, 10.606576271976806, 1.005349495555756)
+        res = solve_kinematic_ratio(*problem)
         assert len(set(probes)) == len(probes) == res.iterations
-        reference = bisect_kappa(st, kite.S, kite.m, m_t, aero, wind)
+        reference = bisect_kappa(*problem)
         assert abs(res.kappa / reference - 1.0) <= 1e-8
 
     def test_force_component_identity(self):
@@ -406,9 +397,7 @@ class TestKinematicRatioSolver:
         while checked < 50:
             st = random_tension_state(rng, f_lo=-0.5)
             try:
-                res = solve_kinematic_ratio(st, STRONG_KITE, 3.0,
-                                            EffectiveAero(C_L=0.69, C_D=0.2146),
-                                            WindState(v_w=15.0, rho=1.2))
+                res = solve_kinematic_ratio(*st, 0.69, 0.2146, 3.0, *STRONG, 15.0, 1.2)
             except (SteadyStateError, TetherSagError):
                 continue
             assert res.F_a**2 == pytest.approx(res.F_a_r**2 + res.F_a_theta**2, rel=1e-9)
@@ -417,65 +406,64 @@ class TestKinematicRatioSolver:
             checked += 1
 
     def test_gravity_to_massless_continuity(self):
-        st = state(63, 10, 100, f=0.2)
-        aero = EffectiveAero(C_L=0.69, C_D=0.2146)
-        wind = WindState(v_w=15.0, rho=1.2)
-        ml = massless_state(st, aero, wind, S=10.2)
+        st = (0.2, *flight(63, 10, 100))
+        aero, wind = (0.69, 0.2146), WindState(v_w=15.0, rho=1.2)
+        ml = massless_state(*st, *aero, 10.2, *wind)
         deviations = []
         for eps in (1.0, 1e-3, 1e-6):
-            res = solve_kinematic_ratio(st, replace(STRONG_KITE, m=15.0 * eps), 6.0 * eps, aero, wind)
+            res = solve_kinematic_ratio(*st, *aero, 6.0 * eps, 15.0 * eps, 10.2, *wind)
             deviations.append(abs(res.kappa - ml.kappa) + abs(res.F_t_kite - ml.F_t_kite) / ml.F_t_kite)
         assert deviations[0] > deviations[1] > deviations[2]
         assert deviations[2] < 1e-5
 
 
 class TestReelFactorGravity:
-    AERO = EffectiveAero(C_L=0.17, C_D=0.1325)
+    AERO = (0.17, 0.1325)
     WIND = WindState(v_w=18.79, rho=1.179)
+    # (theta, angles) at the start of strong-wind retraction.
+    RETRACTION = flight(63, 0, 180)
 
     def test_massless_agreement(self):
+        # Without airborne mass the gravity set-point is the massless one:
+        # the same reeling factor and the same equilibrium.
         rng = np.random.default_rng(23)
-        kite0 = replace(STRONG_KITE, m=0.0)
         for _ in range(25):
-            aero = EffectiveAero(C_L=rng.uniform(0.3, 1.0), C_D=rng.uniform(0.08, 0.3))
-            st = random_tension_state(rng, aero=aero)
-            F = massless_state(st, aero, WIND, S=10.2).F_t_kite
-            f_ml, _ = reel_factor_for_force_massless(F, st, aero, WIND, S=10.2)
-            f_g, _ = reel_factor_for_force_gravity(F, "kite", st, kite0, 0.0, aero, WIND)
+            aero = (rng.uniform(0.3, 1.0), rng.uniform(0.08, 0.3))
+            f0, theta, angles = random_tension_state(rng, aero=aero)
+            F = massless_state(f0, theta, angles, *aero, 10.2, *WIND).F_t_kite
+            f_ml, ml = massless_setpoint(F, theta, angles, *aero, 10.2, *WIND)
+            f_g, g = gravity_setpoint(F, "kite", theta, angles, *aero, 0.0, 0.0, 10.2, *WIND)
             assert f_g == pytest.approx(f_ml, abs=1e-12)
+            for field in ("kappa", "lam", "v_a", "F_t_kite", "F_tg", "P"):
+                assert getattr(g, field) == pytest.approx(getattr(ml, field), rel=1e-12), field
 
     def test_zero_reeling_fixed_point(self):
-        st = state(63, 0, 180, f=0.0, r=720.0)
-        res0 = solve_kinematic_ratio(st, STRONG_KITE, 6.55, self.AERO, self.WIND)
-        f, _ = reel_factor_for_force_gravity(res0.F_t_kite, "kite", st, STRONG_KITE, 6.55,
-                                                self.AERO, self.WIND)
+        res0 = solve_kinematic_ratio(0.0, *self.RETRACTION, *self.AERO, 6.55, *STRONG, *self.WIND)
+        f, _ = gravity_setpoint(res0.F_t_kite, "kite", *self.RETRACTION, *self.AERO, 6.55, *STRONG,
+                                *self.WIND)
         assert f == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("end", ["kite", "ground"])
     def test_force_matches_setpoint(self, end):
-        st = state(63, 0, 180, f=0.0, r=720.0)
-        f, _ = reel_factor_for_force_gravity(749.0, end, st, STRONG_KITE, 6.55, self.AERO,
-                                                self.WIND)
-        res = solve_kinematic_ratio(st._replace(f=f), STRONG_KITE, 6.55, self.AERO, self.WIND)
+        f, _ = gravity_setpoint(749.0, end, *self.RETRACTION, *self.AERO, 6.55, *STRONG,
+                                *self.WIND)
+        res = solve_kinematic_ratio(f, *self.RETRACTION, *self.AERO, 6.55, *STRONG, *self.WIND)
         force = res.F_t_kite if end == "kite" else res.F_tg
         assert force == pytest.approx(749.0, rel=1e-6)
 
     def test_unreachably_large_force(self):
-        st = state(63, 0, 180, f=0.0, r=720.0)
         with pytest.raises(SetpointUnreachableError):
-            reel_factor_for_force_gravity(1e9, "kite", st, STRONG_KITE, 6.55, self.AERO, self.WIND)
+            gravity_setpoint(1e9, "kite", *self.RETRACTION, *self.AERO, 6.55, *STRONG, *self.WIND)
 
     @pytest.mark.parametrize("end", ["kite", "ground"])
     def test_force_whose_square_overflows_is_unreachable(self, end):
-        st = state(63, 0, 180, f=0.0, r=720.0)
         with pytest.raises(SetpointUnreachableError, match=f"at the {end}: its square overflows"):
-            reel_factor_for_force_gravity(1e200, end, st, STRONG_KITE, 6.55, self.AERO, self.WIND)
+            gravity_setpoint(1e200, end, *self.RETRACTION, *self.AERO, 6.55, *STRONG, *self.WIND)
 
     def test_unreachably_small_force(self):
         # With airborne weight the tether force cannot drop near zero.
-        st = state(63, 0, 180, f=0.0, r=720.0)
         with pytest.raises(SetpointUnreachableError):
-            reel_factor_for_force_gravity(1.0, "kite", st, STRONG_KITE, 6.55, self.AERO, self.WIND)
+            gravity_setpoint(1.0, "kite", *self.RETRACTION, *self.AERO, 6.55, *STRONG, *self.WIND)
 
     def test_ground_target_below_the_pushing_tether_limit(self):
         # 3 kg of tether near the zenith and no kite mass: as f grows the
@@ -483,12 +471,9 @@ class TestReelFactorGravity:
         # tether would push on the ground station.  Those states have no
         # equilibrium, so the ground-end force falls through 7.6 N once,
         # near f = -0.5, instead of rising again toward 26 N.
-        kite = KiteParams(S=10.2, m=0.0, aero_traction=AeroSet(0.5, 1.0),
-                          aero_retraction=AeroSet(0.5, 1.0))
-        st = KiteState(r=50.0, theta=0.1875, phi=0.0, chi=0.0, f=0.0)
-        aero, wind = EffectiveAero(C_L=0.5, C_D=0.5), WindState(v_w=3.0, rho=1.0)
-        f, eq = reel_factor_for_force_gravity(7.6, "ground", st, kite, 3.0, aero, wind)
+        tail = (0.1875, angle_trig(0.0, 0.0), 0.5, 0.5, 3.0, 0.0, 10.2, 3.0, 1.0)
+        f, eq = gravity_setpoint(7.6, "ground", *tail)
         assert f == pytest.approx(-0.5006, abs=1e-4)
         assert eq.F_tg == pytest.approx(7.6, rel=1e-6)
         with pytest.raises(TetherSagError, match="^kite tension"):
-            solve_kinematic_ratio(st._replace(f=0.1), kite, 3.0, aero, wind)
+            solve_kinematic_ratio(0.1, *tail)
