@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
 from .atmosphere import Environment
@@ -326,19 +327,11 @@ def segment_phases(series: Sequence[LogRecord]) -> list[str]:
             return TRACTION
         return TRANSITION
 
-    labels = [raw(rec) for rec in series]
-    out = list(labels)
-    i = 0
-    while i < len(labels):
-        j = i
-        while j < len(labels) and labels[j] == labels[i]:
-            j += 1
-        if labels[i] != TRANSITION:
-            sustained = series[j - 1].t - series[i].t >= SEGMENT_MIN_DWELL
-            if not sustained:
-                for k in range(i, j):
-                    out[k] = TRANSITION
-        i = j
+    out = []
+    for label, run in groupby(series, raw):
+        run = list(run)
+        sustained = label == TRANSITION or run[-1].t - run[0].t >= SEGMENT_MIN_DWELL
+        out += [label if sustained else TRANSITION] * len(run)
     return out
 
 
@@ -374,11 +367,7 @@ def segment_and_average(
     estimates = [estimate_record(rec, kite, tether, env, phase=label)
                  for rec, label in zip(series, segment_phases(series))]
     sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0, 0], TRACTION: [0.0, 0.0, 0]}
-    counts = {
-        RETRACTION: {"valid": 0, "invalid": 0},
-        TRANSITION: {"valid": 0, "invalid": 0},
-        TRACTION: {"valid": 0, "invalid": 0},
-    }
+    counts = {phase: {"valid": 0, "invalid": 0} for phase in (RETRACTION, TRANSITION, TRACTION)}
     for est in estimates:
         counts[est.phase]["valid" if est.valid else "invalid"] += 1
         if est.phase == TRANSITION or not est.valid:

@@ -34,7 +34,9 @@ Each of the four equilibria has one public function on scalars: its
 inputs (the reeling factor f, or the force set-point), then ``theta,
 angles, C_L, C_D, [m_t, m,] S, v_w, rho``, where ``angles`` is the
 :func:`angle_trig` of phi and chi, taken once per phase, and the massless
-pair takes no masses.  Each checks its inputs first, in :func:`_trig`.
+pair takes no masses.  Each checks every input first and raises
+ValidationError for the first out of its domain: :func:`_trig` checks the
+shared ones, angles included, and :func:`_force_terms` the masses.
 """
 
 from __future__ import annotations
@@ -193,20 +195,27 @@ def angle_trig(phi: float, chi: float) -> tuple[float, float, float, float]:
 
 
 def _trig(theta: float, angles: tuple[float, float, float, float], C_L: float, C_D: float,
-          v_w: float, rho: float) -> tuple[float, float, float, float]:
+          S: float, v_w: float, rho: float) -> tuple[float, float, float, float]:
     """The coefficients (a, b) of the tangential-speed quadratic and (sin_t,
     cos_t), from theta and the :func:`angle_trig` of phi and chi, once theta is
-    in (-pi/2, pi), C_L, C_D are positive and finite, v_w >= 0 and rho > 0."""
+    in (-pi/2, pi), C_L, C_D are positive and finite, S is positive and finite,
+    v_w >= 0, rho > 0 and the angles are finite."""
     if not -0.5 * math.pi < theta < math.pi:
         raise ValidationError(f"polar angle must be in (-pi/2, pi), got {theta}")
     if C_L <= 0.0 or C_D <= 0.0 or not math.isfinite(C_L + C_D):
         kind = "positive" if C_L <= 0.0 or C_D <= 0.0 else "finite"
         raise ValidationError(f"effective coefficients must be {kind}, got C_L={C_L}, C_D={C_D}")
+    if not 0.0 < S < math.inf:
+        raise ValidationError(f"projected wing area must be > 0 and finite, got {S}")
     if v_w < 0.0 or rho <= 0.0:
         raise ValidationError(f"wind state requires v_w >= 0 and rho > 0, got v_w={v_w}, rho={rho}")
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     sin_p, cos_p, sin_c, cos_c = angles
-    return cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p, sin_t, cos_t
+    a, b = cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p
+    # A non-finite sine or cosine leaves a or b non-finite.
+    if not math.isfinite(a + b):
+        raise ValidationError(f"angles must be finite sines and cosines, got {angles}")
+    return a, b, sin_t, cos_t
 
 
 def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float, S: float,
@@ -224,7 +233,9 @@ def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float
         SteadyStateError: if the tangential velocity factor has no real
             non-negative solution.
     """
-    a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
+    a, b, _, _ = _trig(theta, angles, C_L, C_D, S, v_w, rho)
+    if not math.isfinite(f):
+        raise ValidationError(f"reeling factor must be finite, got {f}")
     return _massless(a, b, f, *_massless_scale(C_L, C_D, S, v_w, rho), v_w)
 
 
@@ -269,9 +280,9 @@ def massless_setpoint(F_target: float, theta: float, angles: tuple, C_L: float, 
         NoTensionError, SteadyStateError: as :func:`massless_state` at
             that factor.
     """
-    a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
-    if F_target <= 0.0:
-        raise ValidationError(f"force target must be > 0, got {F_target}")
+    a, b, _, _ = _trig(theta, angles, C_L, C_D, S, v_w, rho)
+    if not 0.0 < F_target < math.inf:
+        raise ValidationError(f"force target must be > 0 and finite, got {F_target}")
     if v_w <= 0.0:
         raise ValidationError("force inversion requires a positive wind speed")
     G, C_R, scale = _massless_scale(C_L, C_D, S, v_w, rho)
@@ -348,10 +359,13 @@ TargetEnd = Literal["kite", "ground"]
 def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float, m: float,
                  S: float, v_w: float, rho: float) -> tuple:
     """The constants (G*, log G*, q*S*C_R, F_a_theta, W_r, F_t_theta) of a
-    flight state's force geometry, once m_t >= 0 and v_w > 0: W_r is the kite
-    weight's radial component, F_t_theta the tether's sag reaction."""
+    flight state's force geometry, once m_t >= 0, m is non-negative and finite
+    and v_w > 0: W_r is the kite weight's radial component, F_t_theta the
+    tether's sag reaction."""
     if m_t < 0.0:
         raise ValidationError(f"tether mass must be >= 0, got {m_t}")
+    if not 0.0 <= m < math.inf:
+        raise ValidationError(f"airborne mass must be >= 0 and finite, got {m}")
     if v_w <= 0.0:
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
     G_star = C_L / C_D
@@ -488,8 +502,10 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
         TetherSagError: as :func:`ground_tether_force`, for the root's
             tension at the kite.
     """
-    trig = _trig(theta, angles, C_L, C_D, v_w, rho)
+    trig = _trig(theta, angles, C_L, C_D, S, v_w, rho)
     b = trig[1]
+    if not math.isfinite(f):
+        raise ValidationError(f"reeling factor must be finite, got {f}")
     if f >= b:
         raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
     terms = _force_terms(trig[2], trig[3], C_L, C_D, m_t, m, S, v_w, rho)
@@ -628,9 +644,9 @@ def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angle
         TetherSagError: if the ground-end force of the root leaves the
             tether pushing on the ground station.
     """
-    a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
-    if F_target <= 0.0:
-        raise ValidationError(f"force target must be > 0, got {F_target}")
+    a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, S, v_w, rho)
+    if not 0.0 < F_target < math.inf:
+        raise ValidationError(f"force target must be > 0 and finite, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
     G_star, _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = _force_terms(

@@ -95,12 +95,13 @@ class Problem(NamedTuple):
     rho: float
     m: float = 0.0
     m_t: float = 0.0
+    S: float = KITE.S
 
     def tail(self, massless=False):
         """The equilibrium functions' arguments after their inputs: theta,
         angles, C_L, C_D, [m_t, m,] S, v_w, rho."""
         masses = () if massless else (self.m_t, self.m)
-        return (self.theta, angle_trig(self.phi, self.chi), self.C_L, self.C_D, *masses, KITE.S,
+        return (self.theta, angle_trig(self.phi, self.chi), self.C_L, self.C_D, *masses, self.S,
                 self.v_w, self.rho)
 
     def solve(self):
@@ -438,38 +439,46 @@ def test_failures_are_definite(p, F_target, end):
 
 @st.composite
 def out_of_domain(draw):
-    """A problem with one of theta, C_L, C_D, v_w or rho outside its
-    domain, and the message its entry check gives."""
+    """A problem with one of theta, C_L, C_D, S, m, v_w or rho outside its
+    domain, the message its entry check gives, and whether the massless
+    pair, which takes no m, checks it too."""
     p = draw(problems(massless=True))
-    which = draw(st.sampled_from(["theta", "C_L", "C_D", "C_L_or_C_D", "v_w", "rho"]))
+    which = draw(st.sampled_from(["theta", "C_L", "C_D", "C_L_or_C_D", "S", "m", "v_w", "rho"]))
+    non_finite = st.sampled_from([math.inf, math.nan])
     if which == "theta":
         theta = draw(st.floats(max_value=-0.5 * math.pi) | st.floats(min_value=math.pi)
                      | st.just(math.nan))
-        return p._replace(theta=theta), f"polar angle must be in (-pi/2, pi), got {theta}"
+        return p._replace(theta=theta), f"polar angle must be in (-pi/2, pi), got {theta}", True
     if which in ("C_L", "C_D"):
         p = p._replace(**{which: draw(st.floats(max_value=0.0))})
-        return p, f"effective coefficients must be positive, got C_L={p.C_L}, C_D={p.C_D}"
+        return p, f"effective coefficients must be positive, got C_L={p.C_L}, C_D={p.C_D}", True
     if which == "C_L_or_C_D":
-        p = p._replace(**{draw(st.sampled_from(["C_L", "C_D"])):
-                          draw(st.sampled_from([math.inf, math.nan]))})
-        return p, f"effective coefficients must be finite, got C_L={p.C_L}, C_D={p.C_D}"
+        p = p._replace(**{draw(st.sampled_from(["C_L", "C_D"])): draw(non_finite)})
+        return p, f"effective coefficients must be finite, got C_L={p.C_L}, C_D={p.C_D}", True
+    if which == "S":
+        p = p._replace(S=draw(st.floats(max_value=0.0) | non_finite))
+        return p, f"projected wing area must be > 0 and finite, got {p.S}", True
+    if which == "m":
+        p = p._replace(m=draw(st.floats(max_value=-1e-300) | non_finite))
+        return p, f"airborne mass must be >= 0 and finite, got {p.m}", False
     if which == "v_w":
         p = p._replace(v_w=draw(st.floats(max_value=-1e-300)))
     else:
         p = p._replace(rho=draw(st.floats(max_value=0.0)))
-    return p, f"wind state requires v_w >= 0 and rho > 0, got v_w={p.v_w}, rho={p.rho}"
+    return p, f"wind state requires v_w >= 0 and rho > 0, got v_w={p.v_w}, rho={p.rho}", True
 
 
 @PROPERTY
 @given(out_of_domain())
 def test_equilibrium_entry_points_check_their_inputs(problem):
-    p, message = problem
-    for call in (
+    p, message, massless_too = problem
+    calls = (
         p.closed_form,
         lambda: massless_setpoint(1e3, *p.tail(massless=True)),
         p.solve,
         lambda: gravity_setpoint(1e3, "kite", *p.tail()),
-    ):
+    )
+    for call in calls if massless_too else calls[2:]:
         with pytest.raises(ValidationError) as info:
             call()
         assert str(info.value) == message

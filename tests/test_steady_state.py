@@ -175,22 +175,54 @@ class TestEntryChecks:
             solve_kinematic_ratio(0.0, self.THETA, self.ANGLES, *AERO_71, -1.0, *STRONG, *WIND)
 
     def test_massless_state_rejects_an_infinite_azimuth(self):
-        # The angles an equilibrium takes cannot be built from it.
-        with pytest.raises(ValidationError, match=r"^azimuth phi must be finite, got inf$"):
-            massless_state(0.0, self.THETA, angle_trig(math.inf, math.pi), *AERO_71, 10.2, *WIND)
+        # The sine and cosine of phi = inf are NaN, as numpy gives them.
+        angles = (math.nan, math.nan, *self.ANGLES[2:])
+        for call in (lambda: massless_state(0.0, self.THETA, angles, *AERO_71, 10.2, *WIND),
+                     lambda: massless_setpoint(1e3, self.THETA, angles, *AERO_71, 10.2, *WIND)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == f"angles must be finite sines and cosines, got {angles}"
 
     def test_gravity_inversion_rejects_a_nan_course_angle(self):
-        # Not a set-point that G falls through: the angle is named.
-        with pytest.raises(ValidationError, match=r"^course angle chi must be finite, got nan$"):
-            gravity_setpoint(1e3, "kite", self.THETA, angle_trig(0.0, math.nan), *AERO_71, 6.0,
-                             *STRONG, *WIND)
+        # Not a set-point that G falls through: the angles are named.
+        angles = (*self.ANGLES[:2], math.nan, math.nan)
+        with pytest.raises(ValidationError) as info:
+            gravity_setpoint(1e3, "kite", self.THETA, angles, *AERO_71, 6.0, *STRONG, *WIND)
+        assert str(info.value) == f"angles must be finite sines and cosines, got {angles}"
 
     def test_kinematic_solve_rejects_non_finite_angles(self):
-        for phi, chi, message in ((math.nan, 0.0, "azimuth phi must be finite, got nan"),
+        for angles in ((0.0, 1.0, math.nan, 1.0), (math.nan, 1.0, 0.0, 1.0),
+                       (0.0, 1.0, 0.0, -math.inf), (0.0, math.inf, 0.0, 1.0)):
+            with pytest.raises(ValidationError) as info:
+                solve_kinematic_ratio(0.0, self.THETA, angles, *AERO_71, 6.0, *STRONG, *WIND)
+            assert str(info.value) == f"angles must be finite sines and cosines, got {angles}"
+
+    def test_non_finite_reeling_factor_or_force_target(self):
+        # Each used to pass the comparisons after it and return NaN, or fail
+        # for a wrong reason.
+        for f in (math.nan, math.inf, -math.inf):
+            for call in (lambda: massless_state(f, self.THETA, self.ANGLES, *AERO_71, 10.2, *WIND),
+                         lambda: solve_kinematic_ratio(f, self.THETA, self.ANGLES, *AERO_71, 6.0,
+                                                       *STRONG, *WIND)):
+                with pytest.raises(ValidationError) as info:
+                    call()
+                assert str(info.value) == f"reeling factor must be finite, got {f}"
+        for F in (math.nan, math.inf):
+            for call in (lambda: massless_setpoint(F, self.THETA, self.ANGLES, *AERO_71, 10.2,
+                                                   *WIND),
+                         lambda: gravity_setpoint(F, "ground", self.THETA, self.ANGLES, *AERO_71,
+                                                  6.0, *STRONG, *WIND)):
+                with pytest.raises(ValidationError) as info:
+                    call()
+                assert str(info.value) == f"force target must be > 0 and finite, got {F}"
+
+    def test_angle_trig_names_a_non_finite_angle(self):
+        for phi, chi, message in ((math.inf, math.pi, "azimuth phi must be finite, got inf"),
+                                  (math.nan, 0.0, "azimuth phi must be finite, got nan"),
+                                  (0.0, math.nan, "course angle chi must be finite, got nan"),
                                   (0.0, -math.inf, "course angle chi must be finite, got -inf")):
             with pytest.raises(ValidationError) as info:
-                solve_kinematic_ratio(0.0, self.THETA, angle_trig(phi, chi), *AERO_71, 6.0,
-                                      *STRONG, *WIND)
+                angle_trig(phi, chi)
             assert str(info.value) == message
 
 
