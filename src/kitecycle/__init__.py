@@ -24,6 +24,7 @@ from .estimation import (
     segment_and_average,
     segment_phases,
 )
+from .frozen import replace
 from .steady_state import (
     GRAVITY,
     AeroSet,

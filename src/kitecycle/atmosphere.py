@@ -8,16 +8,15 @@ Both are steady: profiles vary with altitude but not with time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
+from .frozen import Frozen
 
 __all__ = ["Environment", "WindState", "wind_state_at"]
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Frozen):
     """Site parameters of the wind and density profiles.
 
     Attributes:
@@ -28,26 +27,26 @@ class Environment:
         H_rho: Scale height [m] of the density decay.
     """
 
-    v_w_ref: float
-    z_ref: float
-    z0: float
-    rho0: float = 1.225
-    H_rho: float = 8550.0
+    _fields = ("v_w_ref", "z_ref", "z0", "rho0", "H_rho")
+    # _log_z_ref is derived, not a field: out of ==, repr and replace(),
+    # which recomputes it through __init__.
+    __slots__ = _fields + ("_log_z_ref",)
 
-    def __post_init__(self):
-        if not math.inf > self.z_ref > self.z0 > 0.0:
+    def __init__(self, v_w_ref: float, z_ref: float, z0: float, rho0: float = 1.225,
+                 H_rho: float = 8550.0):
+        super().__init__(v_w_ref, z_ref, z0, rho0, H_rho)
+        if not math.inf > z_ref > z0 > 0.0:
             raise ValidationError(
-                f"requires z_ref > z0 > 0, both finite, got z_ref={self.z_ref}, z0={self.z0}"
+                f"requires z_ref > z0 > 0, both finite, got z_ref={z_ref}, z0={z0}"
             )
-        if not 0.0 <= self.v_w_ref < math.inf:
+        if not 0.0 <= v_w_ref < math.inf:
             raise ValidationError(
-                f"reference wind speed must be >= 0 and finite, got {self.v_w_ref}")
-        if not 0.0 < self.rho0 < math.inf:
-            raise ValidationError(f"sea-level density must be > 0 and finite, got {self.rho0}")
-        if not 0.0 < self.H_rho < math.inf:
-            raise ValidationError(f"density scale height must be > 0 and finite, got {self.H_rho}")
-        # Not a field: out of __eq__, __repr__ and replace(), which recomputes it.
-        object.__setattr__(self, "_log_z_ref", math.log(self.z_ref / self.z0))
+                f"reference wind speed must be >= 0 and finite, got {v_w_ref}")
+        if not 0.0 < rho0 < math.inf:
+            raise ValidationError(f"sea-level density must be > 0 and finite, got {rho0}")
+        if not 0.0 < H_rho < math.inf:
+            raise ValidationError(f"density scale height must be > 0 and finite, got {H_rho}")
+        object.__setattr__(self, "_log_z_ref", math.log(z_ref / z0))
 
     def wind_speed(self, z: float) -> float:
         """Wind speed [m/s] at altitude ``z`` by the logarithmic wind law."""

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .atmosphere import Environment
 from .cycle import OperationSettings
 from .errors import ParseError, ValidationError
+from .frozen import Frozen
 from .steady_state import AeroSet, KiteParams, TetherParams
 
 __all__ = [
@@ -33,8 +33,7 @@ PRESET_NAMES = ("strong_wind", "moderate_wind")
 _SWEEP_POINTS_MAX = 10_000  # each point simulates a whole cycle
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated bundle of everything a simulation run needs."""
 
     environment: Environment
@@ -165,22 +164,18 @@ def preset_path(name: str) -> Path:
     return Path(str(resources.files("kitecycle") / "presets" / f"{name}.json"))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """A one-parameter sweep: which scalar to vary, over which values,
     judged by which cycle objective."""
 
-    parameter: str
-    values: tuple[float, ...]
-    objective: str = "P_m"
+    __slots__ = _fields = ("parameter", "values", "objective")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, parameter: str, values: tuple[float, ...], objective: str = "P_m"):
+        super().__init__(parameter, values, objective)
+        if not values:
             raise ValidationError("sweep requires at least one value")
-        if self.objective not in ("P_m", "zeta_m"):
-            raise ValidationError(
-                f"objective must be 'P_m' or 'zeta_m', got {self.objective!r}"
-            )
+        if objective not in ("P_m", "zeta_m"):
+            raise ValidationError(f"objective must be 'P_m' or 'zeta_m', got {objective!r}")
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
 from .atmosphere import Environment, WindState, wind_state_at
 from .errors import (ConvergenceError, NoTensionError, PhaseError, SolverError, TetherSagError,
                      ValidationError)
+from .frozen import Frozen, replace
 from .steady_state import (AeroSet, EquilibriumResult, KiteParams, TetherParams, angle_trig,
                            massless_setpoint, massless_state, solve_kinematic_ratio,
                            tether_properties)
@@ -63,42 +63,36 @@ _EDGE_TOL = 1e-7
 _DT_MIN = 1e-5  # smallest dT: up to ≈ 0.5 M steps and 230 MB a preset cycle
 
 
-@dataclass(frozen=True)
-class OperationSettings:
+class OperationSettings(Frozen):
     """Operational set-points and simulation controls.
 
     Angles are radians.  ``force_at`` selects which tether end the force
     set-points regulate; reported power is ground-side either way.
     """
 
-    beta_o: float
-    phi_o: float
-    chi_o: float
-    r_min: float
-    r_max: float
-    F_out: float
-    F_in: float
-    dT: float = 0.01
-    gravity: bool = True
-    force_at: str = "kite"
+    __slots__ = _fields = ("beta_o", "phi_o", "chi_o", "r_min", "r_max", "F_out", "F_in", "dT",
+                           "gravity", "force_at")
 
-    def __post_init__(self):
-        if not 0.0 < self.r_min < self.r_max < math.inf:
+    def __init__(self, beta_o: float, phi_o: float, chi_o: float, r_min: float, r_max: float,
+                 F_out: float, F_in: float, dT: float = 0.01, gravity: bool = True,
+                 force_at: str = "kite"):
+        super().__init__(beta_o, phi_o, chi_o, r_min, r_max, F_out, F_in, dT, gravity, force_at)
+        if not 0.0 < r_min < r_max < math.inf:
             raise ValidationError(f"requires 0 < r_min < r_max, both finite, "
-                                  f"got r_min={self.r_min}, r_max={self.r_max}")
-        if not _DT_MIN <= self.dT <= 1.0:
+                                  f"got r_min={r_min}, r_max={r_max}")
+        if not _DT_MIN <= dT <= 1.0:
             raise ValidationError(f"nondimensional time step must be in [{_DT_MIN:g}, 1], "
-                                  f"got {self.dT}")
-        if not 0.0 < self.F_in < self.F_out < math.inf:
+                                  f"got {dT}")
+        if not 0.0 < F_in < F_out < math.inf:
             raise ValidationError(f"requires 0 < F_in < F_out, both finite, "
-                                  f"got F_in={self.F_in}, F_out={self.F_out}")
-        angle_trig(self.phi_o, self.chi_o)  # both finite, by the check each phase makes
-        if not 0.0 < self.beta_o < 0.5 * math.pi:
-            raise ValidationError(f"traction elevation must be in (0, pi/2), got {self.beta_o}")
-        if not isinstance(self.gravity, bool):
-            raise ValidationError(f"gravity must be true or false, got {self.gravity!r}")
-        if self.force_at not in ("kite", "ground"):
-            raise ValidationError(f"force_at must be 'kite' or 'ground', got {self.force_at!r}")
+                                  f"got F_in={F_in}, F_out={F_out}")
+        angle_trig(phi_o, chi_o)  # both finite, by the check each phase makes
+        if not 0.0 < beta_o < 0.5 * math.pi:
+            raise ValidationError(f"traction elevation must be in (0, pi/2), got {beta_o}")
+        if not isinstance(gravity, bool):
+            raise ValidationError(f"gravity must be true or false, got {gravity!r}")
+        if force_at not in ("kite", "ground"):
+            raise ValidationError(f"force_at must be 'kite' or 'ground', got {force_at!r}")
 
     @property
     def theta_o(self) -> float:
@@ -122,8 +116,7 @@ class StepRecord(NamedTuple):
     P: float
 
 
-@dataclass
-class PhaseResult:
+class PhaseResult(NamedTuple):
     """Time series and aggregate quantities of one phase."""
 
     phase: str
@@ -131,7 +124,11 @@ class PhaseResult:
     mean_power: float
     energy: float
     steps: int
-    series: list[StepRecord] = field(repr=False)
+    series: list[StepRecord]
+
+    def __repr__(self) -> str:  # without the series: one record per step
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"PhaseResult({fields})"
 
     @property
     def start(self) -> StepRecord:
@@ -142,8 +139,7 @@ class PhaseResult:
         return self.series[-1]
 
 
-@dataclass
-class CycleResult:
+class CycleResult(NamedTuple):
     """Aggregated pumping-cycle output."""
 
     retraction: PhaseResult
@@ -188,10 +184,12 @@ class _PhaseEngine:
         self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
 
     def solve_force(
-        self, F_target: float, r: float, theta: float, wind: WindState
+        self, F_target: float, r: float, theta: float, wind: WindState,
+        props: tuple[float, float] | None = None,
     ) -> tuple[float, EquilibriumResult]:
-        """Reeling factor and equilibrium for a tether-force set-point."""
-        m_t, C_D = tether_properties(r, self.tether, self.kite, self.aero_set)
+        """Reeling factor and equilibrium for a tether-force set-point;
+        ``props`` is the ``tether_properties`` at ``r`` if the caller has it."""
+        m_t, C_D = props or tether_properties(r, self.tether, self.kite, self.aero_set)
         C_L, kite = self.aero_set.C_L, self.kite
         if self.op.gravity:
             return _solve_reel_factor(F_target, self.op.force_at, theta, self.angles, C_L, C_D,
@@ -326,7 +324,7 @@ def simulate_transition(
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
 
     def controller(r: float, theta: float, wind: WindState) -> tuple[float, EquilibriumResult]:
-        m_t, C_D = tether_properties(r, tether, kite, engine.aero_set)
+        props = m_t, C_D = tether_properties(r, tether, kite, engine.aero_set)
         coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)  # f = 0
         try:
             if op.gravity:
@@ -336,12 +334,12 @@ def simulate_transition(
         except (NoTensionError, TetherSagError):
             # An overflown kite, or one whose tension cannot carry the
             # tether weight, cannot coast; reel in to restore the minimum force.
-            return engine.solve_force(op.F_in, r, theta, wind)
+            return engine.solve_force(op.F_in, r, theta, wind, props)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:
-            return engine.solve_force(op.F_out, r, theta, wind)
+            return engine.solve_force(op.F_out, r, theta, wind, props)
         if force < op.F_in:
-            return engine.solve_force(op.F_in, r, theta, wind)
+            return engine.solve_force(op.F_in, r, theta, wind, props)
         return 0.0, eq0
 
     return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,

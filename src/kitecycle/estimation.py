@@ -20,7 +20,6 @@ and by :func:`segment_and_average`, not by :func:`estimate_record`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
@@ -150,8 +149,7 @@ class KinematicsEstimate(NamedTuple):
     v_w: float = math.nan
 
 
-@dataclass
-class PhaseAverages:
+class PhaseAverages(NamedTuple):
     """Per-phase time averages of the estimates.
 
     The C_R means are tether-drag-corrected (kite-only) so they are
@@ -163,8 +161,12 @@ class PhaseAverages:
     C_R_o: float
     LD_k_i: float
     LD_k_o: float
-    counts: dict = field(default_factory=dict)
-    estimates: list = field(default_factory=list, repr=False)
+    counts: dict
+    estimates: list
+
+    def __repr__(self) -> str:  # without the estimates: one per sample
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"PhaseAverages({fields})"
 
 
 def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:

@@ -42,11 +42,11 @@ shared ones, angles included, and :func:`_force_terms` the masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Optional
 
 from .errors import (NoTensionError, SetpointUnreachableError, SteadyStateError, TetherSagError,
                      ValidationError)
+from .frozen import Frozen
 
 __all__ = [
     "GRAVITY",
@@ -69,8 +69,7 @@ GRAVITY = 9.81  # m/s^2
 _F_LO = -3.0
 
 
-@dataclass(frozen=True)
-class AeroSet:
+class AeroSet(Frozen):
     """Constant aerodynamic coefficients of the wing for one phase.
 
     Attributes:
@@ -78,11 +77,11 @@ class AeroSet:
         LD_k: Lift-to-drag ratio of the kite alone (tether excluded).
     """
 
-    C_L: float
-    LD_k: float
+    __slots__ = _fields = ("C_L", "LD_k")
 
-    def __post_init__(self):
-        if not all(0.0 < x < math.inf for x in (self.C_L, self.LD_k)):
+    def __init__(self, C_L: float, LD_k: float):
+        super().__init__(C_L, LD_k)
+        if not all(0.0 < x < math.inf for x in (C_L, LD_k)):
             raise ValidationError(f"aero set requires C_L > 0 and LD_k > 0 (finite), got {self}")
 
     @property
@@ -91,8 +90,7 @@ class AeroSet:
         return self.C_L / self.LD_k
 
 
-@dataclass(frozen=True)
-class TetherParams:
+class TetherParams(Frozen):
     """Tether geometry and material.
 
     Attributes:
@@ -101,15 +99,14 @@ class TetherParams:
         C_D_c: Drag coefficient of a cylinder in cross flow.
     """
 
-    d_t: float
-    rho_t: float
-    C_D_c: float = 1.1
+    __slots__ = _fields = ("d_t", "rho_t", "C_D_c")
 
-    def __post_init__(self):
-        if not all(0.0 < x < math.inf for x in (self.d_t, self.rho_t, self.C_D_c)):
+    def __init__(self, d_t: float, rho_t: float, C_D_c: float = 1.1):
+        super().__init__(d_t, rho_t, C_D_c)
+        if not all(0.0 < x < math.inf for x in (d_t, rho_t, C_D_c)):
             raise ValidationError(f"tether parameters must be positive and finite, got {self}")
         # A product, so that it gives inf where mass()'s d_t**2 raises OverflowError.
-        if not math.isfinite(self.d_t * self.d_t * self.rho_t):
+        if not math.isfinite(d_t * d_t * rho_t):
             raise ValidationError(f"tether mass per metre must be finite, got {self}")
 
     def mass(self, r: float) -> float:
@@ -117,23 +114,20 @@ class TetherParams:
         return self.rho_t * 0.25 * math.pi * self.d_t**2 * r
 
 
-@dataclass(frozen=True)
-class KiteParams:
+class KiteParams(Frozen):
     """Wing geometry, airborne mass, and the per-phase aerodynamic sets.
 
     ``m`` is the total airborne point mass: wing plus control unit.
     """
 
-    S: float
-    m: float
-    aero_traction: AeroSet
-    aero_retraction: AeroSet
+    __slots__ = _fields = ("S", "m", "aero_traction", "aero_retraction")
 
-    def __post_init__(self):
-        if not 0.0 < self.S < math.inf:
-            raise ValidationError(f"projected wing area must be > 0 and finite, got {self.S}")
-        if not 0.0 <= self.m < math.inf:
-            raise ValidationError(f"airborne mass must be >= 0 and finite, got {self.m}")
+    def __init__(self, S: float, m: float, aero_traction: AeroSet, aero_retraction: AeroSet):
+        super().__init__(S, m, aero_traction, aero_retraction)
+        if not 0.0 < S < math.inf:
+            raise ValidationError(f"projected wing area must be > 0 and finite, got {S}")
+        if not 0.0 <= m < math.inf:
+            raise ValidationError(f"airborne mass must be >= 0 and finite, got {m}")
 
 
 class EquilibriumResult(NamedTuple):

@@ -10,7 +10,6 @@ offending sub-checks.
 import json
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from kitecycle import (
     load_config,
     massless_state,
     preset_path,
+    replace,
     segment_and_average,
     simulate_cycle,
     solve_kinematic_ratio,

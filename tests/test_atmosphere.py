@@ -1,10 +1,9 @@
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from kitecycle import Environment, WindState, angle_trig, massless_state, wind_state_at
+from kitecycle import Environment, WindState, angle_trig, massless_state, replace, wind_state_at
 from kitecycle.errors import DomainError, ValidationError
 
 
@@ -47,7 +46,7 @@ def test_log_law_denominator_follows_replace():
             assert replaced.wind_speed(z) == fresh.wind_speed(z)
     rough = replace(STRONG, z0=0.3)
     assert rough.wind_speed(252.0) == 9.9 * math.log(252.0 / 0.3) / math.log(6.0 / 0.3)
-    assert [f.name for f in fields(Environment)] == ["v_w_ref", "z_ref", "z0", "rho0", "H_rho"]
+    assert Environment._fields == ("v_w_ref", "z_ref", "z0", "rho0", "H_rho")
     assert repr(STRONG) == ("Environment(v_w_ref=9.9, z_ref=6.0, z0=0.07, rho0=1.225, "
                             "H_rho=8550.0)")
 

@@ -497,6 +497,20 @@ def test_import_does_not_load_scipy():
                    env=env, check=True)
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # Importing both costs more start-up time than simulating a preset.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys\n"
+            "import kitecycle.cli\n"
+            "from kitecycle.config import load_config, preset_path\n"
+            "load_config(preset_path('strong_wind'))\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == "[]\n"
+
+
 def test_no_private_names_imported_across_modules():
     # Each module reaches another only through its public names.
     package = Path(__file__).resolve().parents[1] / "src" / "kitecycle"

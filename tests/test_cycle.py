@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -9,6 +8,7 @@ from kitecycle import (
     OperationSettings,
     convergence_study,
     massless_state,
+    replace,
     simulate_cycle,
     simulate_retraction,
     simulate_traction,
@@ -260,6 +260,28 @@ def test_gravity_step_work_count(strong_config, monkeypatch):
     # cannot pass by counting nothing.
     assert len(inversions) >= res.retraction.steps + res.traction.steps
     assert (sum(solves) + sum(inversions)) / res.steps <= 1.5
+
+
+@pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
+@pytest.mark.parametrize("preset", ["strong_config", "moderate_config"])
+def test_transition_step_takes_tether_properties_once(request, monkeypatch, preset, gravity):
+    # A step that leaves coasting for a set-point reuses the coasting
+    # solve's tether properties.
+    cfg = request.getfixturevalue(preset)
+    op = replace(cfg.operation, gravity=gravity)
+    start = simulate_retraction(cfg.environment, cfg.kite, cfg.tether, op).end
+    calls = []
+    tether_properties = cycle.tether_properties
+
+    def counted(*args):
+        calls.append(args[0])
+        return tether_properties(*args)
+
+    monkeypatch.setattr(cycle, "tether_properties", counted)
+    res = simulate_transition(cfg.environment, cfg.kite, cfg.tether, op, start.r, start.theta,
+                              start.t)
+    assert any(rec.f != 0.0 for rec in res.series)  # some steps reel at a set-point
+    assert calls == [rec.r for rec in res.series]
 
 
 class TestSteadyRetractionElevation:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +14,7 @@ from kitecycle import (
     derive_kinematics,
     estimate_record,
     massless_state,
+    replace,
     segment_and_average,
     segment_phases,
     solve_kinematic_ratio,

@@ -22,7 +22,6 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,6 +40,7 @@ from kitecycle import (
     gravity_setpoint,
     massless_setpoint,
     massless_state,
+    replace,
     solve_kinematic_ratio,
     tether_properties,
 )

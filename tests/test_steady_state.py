@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from kitecycle import (
     ground_tether_force,
     massless_setpoint,
     massless_state,
+    replace,
     solve_kinematic_ratio,
     tether_properties,
 )

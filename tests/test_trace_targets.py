@@ -7,12 +7,11 @@ nothing; both fail here instead.
 """
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from kitecycle import cycle, load_config, preset_path
+from kitecycle import cycle, load_config, preset_path, replace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
