@@ -14,31 +14,30 @@ the trajectory, the state (r_max, beta_o):
   its maximum length.
 
 Each phase is a spec - its force controller, which returns the reeling
-factor and equilibrium ``(f, eq)``, the quantity that ends it (tether
-length, or elevation in transition) with its end value and direction, and
-its climb factor - run by ``_integrate``: one rates function per phase
-maps (t, r, theta) to the step record and dr/dt, dtheta/dt, and one
-explicit Euler rule steps them.  A controller calls the scalar steady_state
-functions with its phase's ``angle_trig``, taken once.  The step is scaled
-by the characteristic time (r_max - r_min)/v_w_ref; the final step of each
-phase is truncated at the crossing, so durations are not quantised.
+factor and the equilibrium's fields ``(f, values)``, the quantity that ends
+it (tether length, or elevation in transition) with its end value and
+direction, and its climb factor - run by ``_integrate``: one rates function
+per phase maps (t, r, theta) to the step record and dr/dt, dtheta/dt, and
+one explicit Euler rule steps them.  A phase binds its set-points once.
+The step is scaled by the characteristic time (r_max - r_min)/v_w_ref; the
+final step of each phase is truncated at the crossing, so durations are
+not quantised.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import partial
 from typing import NamedTuple
 
 from .atmosphere import Environment, WindState, wind_state_at
 from .errors import (ConvergenceError, NoTensionError, PhaseError, SolverError, TetherSagError,
                      ValidationError)
 from .frozen import Frozen, replace
-from .steady_state import (AeroSet, EquilibriumResult, KiteParams, TetherParams, angle_trig,
-                           massless_setpoint, massless_state, solve_kinematic_ratio,
+from .steady_state import (AeroSet, KiteParams, TetherParams, angle_trig, bind_setpoint,
+                           massless_setpoint_step, massless_state, solve_kinematic_ratio,
                            tether_properties)
-from .steady_state import gravity_setpoint as _solve_reel_factor  # perfbench's span wraps this name
+from .steady_state import gravity_setpoint_step as _solve_reel_factor  # perfbench wraps this name
 
 __all__ = [
     "OperationSettings",
@@ -161,7 +160,7 @@ class CycleResult(NamedTuple):
 
 class _PhaseEngine:
     """Shared machinery of one phase flown at fixed angles ``phi`` and
-    ``chi``: per-step equilibrium solves and series bookkeeping."""
+    ``chi``: force set-points bound once, and series bookkeeping."""
 
     def __init__(
         self,
@@ -183,18 +182,19 @@ class _PhaseEngine:
         self.angles = angle_trig(phi, chi)
         self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
 
-    def solve_force(
-        self, F_target: float, r: float, theta: float, wind: WindState,
-        props: tuple[float, float] | None = None,
-    ) -> tuple[float, EquilibriumResult]:
-        """Reeling factor and equilibrium for a tether-force set-point;
-        ``props`` is the ``tether_properties`` at ``r`` if the caller has it."""
-        m_t, C_D = props or tether_properties(r, self.tether, self.kite, self.aero_set)
-        C_L, kite = self.aero_set.C_L, self.kite
-        if self.op.gravity:
-            return _solve_reel_factor(F_target, self.op.force_at, theta, self.angles, C_L, C_D,
-                                      m_t, kite.m, kite.S, *wind)
-        return massless_setpoint(F_target, theta, self.angles, C_L, C_D, kite.S, *wind)
+    def setpoint(self, F_target: float) -> Callable[..., tuple]:
+        """The controller ``(r, theta, wind, props=None) -> (f, values)`` of a
+        tether-force set-point, bound once; ``props`` is the
+        ``tether_properties`` at ``r`` if the caller has it."""
+        tether, kite, aero, gravity = self.tether, self.kite, self.aero_set, self.op.gravity
+        bound = bind_setpoint(F_target, self.op.force_at, self.angles, aero.C_L, kite.m, kite.S)
+
+        def step(r: float, theta: float, wind: WindState, props=None) -> tuple:
+            m_t, C_D = props or tether_properties(r, tether, kite, aero)
+            if gravity:
+                return _solve_reel_factor(bound, theta, C_D, m_t, *wind)
+            return massless_setpoint_step(bound, theta, C_D, *wind)
+        return step
 
     @staticmethod
     def finish(phase: str, series: list[StepRecord]) -> PhaseResult:
@@ -212,7 +212,7 @@ class _PhaseEngine:
 def _integrate(
     engine: _PhaseEngine,
     phase: str,
-    controller: Callable[[float, float, WindState], tuple[float, EquilibriumResult]],
+    controller: Callable[[float, float, WindState], tuple],
     r: float,
     theta: float,
     t: float,
@@ -225,7 +225,7 @@ def _integrate(
     """Explicit Euler integration of one phase until its end condition.
 
     ``rates`` looks up the wind at (r, theta) and calls ``controller``, which
-    maps (r, theta, wind) to (f, equilibrium); it returns the step record,
+    maps (r, theta, wind) to (f, equilibrium fields); it returns the step record,
     dr/dt = f*v_w and dtheta/dt = lam*v_w*climb/r, where ``climb`` is
     cos(chi), or 0 to hold theta.  The phase ends when the tether length, or
     the elevation if ``by_elevation``, reaches ``end`` moving up if
@@ -236,12 +236,14 @@ def _integrate(
             characteristic times, or what the wind law or ``controller``
             raised, chained and prefixed with the phase, t, r and elevation.
     """
+    env, phi, chi = engine.env, engine.phi, engine.chi
+
     def rates(t: float, r: float, theta: float) -> tuple[StepRecord, float, float]:
-        wind = wind_state_at(r * math.cos(theta), engine.env)
-        f, eq = controller(r, theta, wind)
-        v_t, v_tau = f * wind.v_w, eq.lam * wind.v_w
-        record = StepRecord(t, r, theta, engine.phi, engine.chi, f, v_t, math.hypot(v_t, v_tau),
-                            eq.v_a, eq.F_t_kite, eq.F_tg, eq.P)
+        wind = wind_state_at(r * math.cos(theta), env)
+        f, (_, lam, v_a, _, _, _, F_t_kite, F_tg, _, P, _) = controller(r, theta, wind)
+        v_t, v_tau = f * wind.v_w, lam * wind.v_w
+        record = StepRecord(t, r, theta, phi, chi, f, v_t, math.hypot(v_t, v_tau), v_a, F_t_kite,
+                            F_tg, P)
         return record, v_t, v_tau * climb / r
 
     sign = 1.0 if increasing else -1.0
@@ -301,8 +303,8 @@ def simulate_retraction(
     temporarily exceed r_max.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0, math.pi)
-    return _integrate(engine, RETRACTION, partial(engine.solve_force, op.F_in), op.r_max,
-                      op.theta_o, t0, end=op.r_min, increasing=False, climb=engine.angles[3])
+    return _integrate(engine, RETRACTION, engine.setpoint(op.F_in), op.r_max, op.theta_o, t0,
+                      end=op.r_min, increasing=False, climb=engine.angles[3])
 
 
 def simulate_transition(
@@ -322,8 +324,9 @@ def simulate_transition(
     in, regulating to the violated set-point.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
+    reel_in, reel_out = engine.setpoint(op.F_in), engine.setpoint(op.F_out)
 
-    def controller(r: float, theta: float, wind: WindState) -> tuple[float, EquilibriumResult]:
+    def controller(r: float, theta: float, wind: WindState) -> tuple:
         props = m_t, C_D = tether_properties(r, tether, kite, engine.aero_set)
         coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)  # f = 0
         try:
@@ -334,12 +337,12 @@ def simulate_transition(
         except (NoTensionError, TetherSagError):
             # An overflown kite, or one whose tension cannot carry the
             # tether weight, cannot coast; reel in to restore the minimum force.
-            return engine.solve_force(op.F_in, r, theta, wind, props)
+            return reel_in(r, theta, wind, props)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:
-            return engine.solve_force(op.F_out, r, theta, wind, props)
+            return reel_out(r, theta, wind, props)
         if force < op.F_in:
-            return engine.solve_force(op.F_in, r, theta, wind, props)
+            return reel_in(r, theta, wind, props)
         return 0.0, eq0
 
     return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,
@@ -357,8 +360,8 @@ def simulate_traction(
     """Reel out under the high force set-point at the constant
     representative crosswind state until the tether reaches r_max."""
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, op.phi_o, op.chi_o)
-    return _integrate(engine, TRACTION, partial(engine.solve_force, op.F_out), r_start,
-                      op.theta_o, t0, end=op.r_max, increasing=True, climb=0.0)
+    return _integrate(engine, TRACTION, engine.setpoint(op.F_out), r_start, op.theta_o, t0,
+                      end=op.r_max, increasing=True, climb=0.0)
 
 
 def simulate_cycle(
@@ -420,17 +423,18 @@ def steady_retraction_elevation(
             still positive at the zenith.
         SolverError: the last failed probe's, where lam has not vanished.
     """
-    engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0, math.pi)
+    setpoint = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0,
+                            math.pi).setpoint(op.F_in)
     failures = []
 
     def climb_rate(beta: float) -> float:
         wind = WindState(v_w=env.v_w_ref, rho=env.density(op.r_max * math.sin(beta)))
         try:
-            _, eq = engine.solve_force(op.F_in, op.r_max, 0.5 * math.pi - beta, wind)
+            _, (_, lam, *_) = setpoint(op.r_max, 0.5 * math.pi - beta, wind)
         except SolverError as exc:
             failures.append(exc)
             return -math.inf
-        return eq.lam
+        return lam
 
     lo = hi = op.beta_o
     lam_lo = lam = climb_rate(lo)

@@ -1,24 +1,28 @@
 """CSV/JSON readers and writers.
 
-Two functions define the output file formats: every CSV goes through
-``_write_csv`` and every JSON run output through :func:`write_json`.
-A CSV field is the value's ``str``, so a float has shortest round-trip
-precision (its ``repr``, as ``csv.writer`` writes it); ``csv.writer``
-still writes any row it would quote.  Files are UTF-8, CSV uses comma
-separators and ``.`` decimals, with a header row; JSON is indented by
-two spaces and ends with a newline.  Outputs carry no timestamps so
-identical runs are byte-identical.
+Every CSV goes through ``_write_csv`` and every JSON run output through
+:func:`write_json`.  A CSV file holds the bytes ``csv.writer`` writes for
+the same values, by the row contract each writer keeps as it formats its
+lines: a number is its ``str`` (a float's shortest round-trip ``repr``),
+a phase label is quoted by the csv rules (:func:`_label`), a missing value
+is blank and every line ends in CRLF; the header goes through
+``csv.writer``.  Files are UTF-8, CSV uses comma separators and ``.``
+decimals, with a header row; JSON is indented by two spaces and ends with
+a newline.  Outputs carry no timestamps so identical runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from itertools import chain, starmap
+from functools import lru_cache
+from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cycle import CycleResult, PhaseResult
 from .errors import ParseError, ValidationError
@@ -53,19 +57,20 @@ TELEMETRY_COLUMNS = [
 _REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows as ``csv.writer`` does, a row at a time: a
-    row's ``str`` joined by commas, unless ``csv.writer`` would quote a
-    field (one empty field, or a comma, quote, CR or LF) or meets a None."""
+def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write ``header`` through ``csv.writer``, then each of ``lines``, a
+    row's fields joined by commas and ended in CRLF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writerow, write = csv.writer(fh).writerow, fh.write
-        for row in chain((header,), rows):
-            line = ",".join(map(str, row))
-            if (not line or line.count(",") != len(row) - 1 or '"' in line or "\r" in line
-                    or "\n" in line or "None" in line):
-                writerow(row)
-            else:
-                write(line + "\r\n")
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
+
+
+@lru_cache(maxsize=64)
+def _label(value: Optional[str]) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of several fields."""
+    text = io.StringIO()
+    csv.writer(text).writerow([value, ""])
+    return text.getvalue()[:-3]  # without the empty field and the CRLF
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -74,12 +79,17 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
-    _write_csv(path, TIMESERIES_COLUMNS, (
-        [rec.t, phase.phase, rec.r, math.degrees(rec.theta),
-         math.degrees(0.5 * math.pi - rec.theta), math.degrees(rec.phi),
-         math.degrees(rec.chi), rec.f, rec.v_t, rec.v_k, rec.v_a,
-         rec.F_t_kite, rec.F_tg, rec.P]
-        for phase in cycle.phases for rec in phase.series))
+    def lines() -> Iterator[str]:
+        degrees = math.degrees
+        for phase in cycle.phases:
+            label, phi, chi = _label(phase.phase), None, None
+            for t, r, theta, rec_phi, rec_chi, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.series:
+                if rec_phi is not phi or rec_chi is not chi:  # a phase's records share them
+                    phi, chi = rec_phi, rec_chi
+                    angles = f"{degrees(phi)},{degrees(chi)}"
+                yield (f"{t},{label},{r},{degrees(theta)},{degrees(0.5 * math.pi - theta)},"
+                       f"{angles},{f},{v_t},{v_k},{v_a},{F_t_kite},{F_tg},{P}\r\n")
+    _write_csv(path, TIMESERIES_COLUMNS, lines())
 
 
 def _phase_summary(phase: PhaseResult) -> dict:
@@ -122,11 +132,15 @@ def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
 
 
 def write_telemetry_csv(path: str | Path, records: Sequence[LogRecord]) -> None:
-    _write_csv(path, TELEMETRY_COLUMNS, (
-        [rec.t, rec.F_tg, rec.r, math.degrees(rec.theta), math.degrees(rec.phi),
-         "" if rec.chi is None else math.degrees(rec.chi),
-         rec.vk[0], rec.vk[1], rec.vk[2], rec.v_t, rec.v_w_ref, rec.phase or ""]
-        for rec in records))
+    def lines() -> Iterator[str]:
+        degrees, phi, chi = math.degrees, None, None
+        for t, F_tg, r, theta, rec_phi, rec_chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, phase in records:
+            if rec_phi is not phi or rec_chi is not chi:  # runs of records share them
+                phi, chi = rec_phi, rec_chi
+                angles = f"{degrees(phi)},{'' if chi is None else degrees(chi)}"
+            yield (f"{t},{F_tg},{r},{degrees(theta)},{angles},{vk_x},{vk_y},{vk_z},{v_t},"
+                   f"{v_w_ref},{_label(phase or '')}\r\n")
+    _write_csv(path, TELEMETRY_COLUMNS, lines())
 
 
 def _course_angles(samples: Sequence[tuple[float, float, Optional[float]]]) -> list[float]:
@@ -172,12 +186,13 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     """Parse a telemetry CSV and validate the series invariants.
 
     Columns are found by their header names, in any order.  Blank lines
-    are skipped.  A row whose field count differs from the header's, or
-    a numeric value that is not finite, is a ``ParseError`` naming the
-    file line.  Once every row parses, a row with r <= 0, F_tg < 0 or
-    v_w_ref < 0 is a ``ValidationError`` naming the file line; so are
-    timestamps that do not strictly increase, naming the file.  Missing
-    course angles are derived from consecutive positions.
+    are skipped.  A row whose field count differs from the header's, a
+    numeric value that is not finite, text that is not UTF-8 or a field
+    longer than ``csv``'s limit is a ``ParseError`` naming the file line.
+    Once every row parses, a row with r <= 0, F_tg < 0 or v_w_ref < 0 is
+    a ``ValidationError`` naming the file line; so are timestamps that do
+    not strictly increase, naming the file.  Missing course angles are
+    derived from consecutive positions.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -185,39 +200,18 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
         raise ParseError(f"{path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        # A repeated name reads its last column, as csv.DictReader does.
-        index = {name: i for i, name in enumerate(header)}
-        missing = set(_REQUIRED_COLUMNS) - set(index)
-        if missing:
-            raise ParseError(f"{path}: missing column(s) {sorted(missing)}")
-        columns = [(col, index[col]) for col in [*_REQUIRED_COLUMNS, "chi_deg"] if col in index]
-        numbers = itemgetter(*(index[col] for col in _REQUIRED_COLUMNS))
-        i_chi, i_phase = index.get("chi_deg"), index.get("phase")
-        width, radians, isfinite = len(header), math.radians, math.isfinite
-        rows, fault = [], None
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ParseError(f"{path}: line {reader.line_num}: expected {width} "
-                                 f"fields, got {len(row)}")
+        try:
+            rows, fault = _parse_rows(path, reader)
+        except csv.Error as exc:  # a field over the size limit, as an unclosed quote makes
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # raised for a chunk: the file's own offset names the line
+            data = Path(path).read_bytes()
             try:
-                t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref = map(float, numbers(row))
-                chi = float(row[i_chi]) if i_chi is not None and row[i_chi] else None
-                finite = isfinite(t + F_tg + r + theta + phi + vk_x + vk_y + vk_z + v_t + v_w_ref
-                                  + (chi or 0.0))
-            except ValueError:
-                finite = False
-            if not finite:  # raises, unless only the sum of finite values overflowed
-                _reject_numbers(f"{path}: line {reader.line_num}", row, columns)
-            if fault is None and (why := sample_fault(r, F_tg, v_w_ref)) is not None:
-                fault = f"{path}: line {reader.line_num}: {why}"
-            rows.append([t, F_tg, r, radians(theta), radians(phi),
-                         None if chi is None else radians(chi), (vk_x, vk_y, vk_z), v_t,
-                         v_w_ref, (row[i_phase] or None) if i_phase is not None else None])
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ParseError(f"{path}: line {line}: {exc}") from None
+            raise
     if fault is not None:
         raise ValidationError(fault)
     # Course angles come from the parsed positions, so each record is built once.
@@ -229,11 +223,49 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     return records
 
 
+def _parse_rows(path: str | Path, reader) -> tuple[list[list], Optional[str]]:
+    """The rows of a telemetry ``csv.reader`` as LogRecord fields, angles in
+    radians, and the first sample fault, if any, naming its line."""
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    # A repeated name reads its last column, as csv.DictReader does.
+    index = {name: i for i, name in enumerate(header)}
+    missing = set(_REQUIRED_COLUMNS) - set(index)
+    if missing:
+        raise ParseError(f"{path}: missing column(s) {sorted(missing)}")
+    columns = [(col, index[col]) for col in [*_REQUIRED_COLUMNS, "chi_deg"] if col in index]
+    numbers = itemgetter(*(index[col] for col in _REQUIRED_COLUMNS))
+    i_chi, i_phase = index.get("chi_deg"), index.get("phase")
+    width, radians, isfinite = len(header), math.radians, math.isfinite
+    rows, fault = [], None
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            raise ParseError(f"{path}: line {reader.line_num}: expected {width} "
+                             f"fields, got {len(row)}")
+        try:
+            t, F_tg, r, theta, phi, vk_x, vk_y, vk_z, v_t, v_w_ref = map(float, numbers(row))
+            chi = float(row[i_chi]) if i_chi is not None and row[i_chi] else None
+            finite = isfinite(t + F_tg + r + theta + phi + vk_x + vk_y + vk_z + v_t + v_w_ref
+                              + (chi or 0.0))
+        except ValueError:
+            finite = False
+        if not finite:  # raises, unless only the sum of finite values overflowed
+            _reject_numbers(f"{path}: line {reader.line_num}", row, columns)
+        if fault is None and (why := sample_fault(r, F_tg, v_w_ref)) is not None:
+            fault = f"{path}: line {reader.line_num}: {why}"
+        rows.append([t, F_tg, r, radians(theta), radians(phi),
+                     None if chi is None else radians(chi), (vk_x, vk_y, vk_z), v_t,
+                     v_w_ref, (row[i_phase] or None) if i_phase is not None else None])
+    return rows, fault
+
+
 def write_estimates_csv(path: str | Path, estimates: Sequence[EstimateRecord]) -> None:
     _write_csv(path, ["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"], (
-        [est.t, est.phase or "", est.C_R, est.LD_sys, est.LD_k, est.kappa, est.v_a,
-         "1" if est.valid else "0"]
-        for est in estimates))
+        f"{t},{_label(phase or '')},{C_R},{LD_sys},{LD_k},{kappa},{v_a},{1 if valid else 0}\r\n"
+        for t, C_R, LD_sys, LD_k, kappa, v_a, valid, phase in estimates))
 
 
 def write_phase_averages(path: str | Path, averages: PhaseAverages) -> None:
@@ -249,9 +281,9 @@ def write_phase_averages(path: str | Path, averages: PhaseAverages) -> None:
 
 def write_convergence_csv(path: str | Path, rows: Sequence[dict]) -> None:
     _write_csv(path, ["dT", "zeta_m", "steps", "ratio_to_ref"],
-               ([row["dT"], row["zeta_m"], row["steps"], row["ratio"]] for row in rows))
+               (f"{row['dT']},{row['zeta_m']},{row['steps']},{row['ratio']}\r\n" for row in rows))
 
 
 def write_sweep_csv(path: str | Path, parameter: str, rows: Sequence[dict]) -> None:
     _write_csv(path, [parameter, "P_m", "zeta_m"],
-               ([row["value"], row["P_m"], row["zeta_m"]] for row in rows))
+               (f"{row['value']},{row['P_m']},{row['zeta_m']}\r\n" for row in rows))

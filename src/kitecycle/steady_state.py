@@ -35,8 +35,11 @@ inputs (the reeling factor f, or the force set-point), then ``theta,
 angles, C_L, C_D, [m_t, m,] S, v_w, rho``, where ``angles`` is the
 :func:`angle_trig` of phi and chi, taken once per phase, and the massless
 pair takes no masses.  Each checks every input first and raises
-ValidationError for the first out of its domain: :func:`_trig` checks the
-shared ones, angles included, and :func:`_force_terms` the masses.
+ValidationError for the first out of its domain.  A set-point is its
+step kernel applied to :func:`bind_setpoint`: the binder checks the
+constants of a phase (F_target, target_end, angles, C_L, m, S) once, the
+kernel (:func:`gravity_setpoint_step`, :func:`massless_setpoint_step`) the
+per-step inputs, and returns (f, the EquilibriumResult fields as a tuple).
 """
 
 from __future__ import annotations
@@ -58,10 +61,13 @@ __all__ = [
     "angle_trig",
     "massless_state",
     "massless_setpoint",
+    "bind_setpoint",
+    "massless_setpoint_step",
     "ground_tether_force",
     "aero_force_from_ground",
     "solve_kinematic_ratio",
     "gravity_setpoint",
+    "gravity_setpoint_step",
 ]
 
 GRAVITY = 9.81  # m/s^2
@@ -188,28 +194,32 @@ def angle_trig(phi: float, chi: float) -> tuple[float, float, float, float]:
     return math.sin(phi), math.cos(phi), math.sin(chi), math.cos(chi)
 
 
+def _check_phase(angles: tuple, S: float, m: float = 0.0) -> None:
+    """Raise ValidationError unless the :func:`angle_trig` values are finite,
+    S is positive and finite and m is non-negative and finite."""
+    if not 0.0 < S < math.inf:
+        raise ValidationError(f"projected wing area must be > 0 and finite, got {S}")
+    if not 0.0 <= m < math.inf:
+        raise ValidationError(f"airborne mass must be >= 0 and finite, got {m}")
+    if not all(map(math.isfinite, angles)):
+        raise ValidationError(f"angles must be finite sines and cosines, got {angles}")
+
+
 def _trig(theta: float, angles: tuple[float, float, float, float], C_L: float, C_D: float,
-          S: float, v_w: float, rho: float) -> tuple[float, float, float, float]:
+          v_w: float, rho: float) -> tuple[float, float, float, float]:
     """The coefficients (a, b) of the tangential-speed quadratic and (sin_t,
     cos_t), from theta and the :func:`angle_trig` of phi and chi, once theta is
-    in (-pi/2, pi), C_L, C_D are positive and finite, S is positive and finite,
-    v_w >= 0, rho > 0 and the angles are finite."""
+    in (-pi/2, pi), C_L, C_D are positive and finite, v_w >= 0 and rho > 0."""
     if not -0.5 * math.pi < theta < math.pi:
         raise ValidationError(f"polar angle must be in (-pi/2, pi), got {theta}")
     if C_L <= 0.0 or C_D <= 0.0 or not math.isfinite(C_L + C_D):
         kind = "positive" if C_L <= 0.0 or C_D <= 0.0 else "finite"
         raise ValidationError(f"effective coefficients must be {kind}, got C_L={C_L}, C_D={C_D}")
-    if not 0.0 < S < math.inf:
-        raise ValidationError(f"projected wing area must be > 0 and finite, got {S}")
     if v_w < 0.0 or rho <= 0.0:
         raise ValidationError(f"wind state requires v_w >= 0 and rho > 0, got v_w={v_w}, rho={rho}")
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     sin_p, cos_p, sin_c, cos_c = angles
-    a, b = cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p
-    # A non-finite sine or cosine leaves a or b non-finite.
-    if not math.isfinite(a + b):
-        raise ValidationError(f"angles must be finite sines and cosines, got {angles}")
-    return a, b, sin_t, cos_t
+    return cos_t * cos_p * cos_c - sin_p * sin_c, sin_t * cos_p, sin_t, cos_t
 
 
 def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float, S: float,
@@ -227,22 +237,24 @@ def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float
         SteadyStateError: if the tangential velocity factor has no real
             non-negative solution.
     """
-    a, b, _, _ = _trig(theta, angles, C_L, C_D, S, v_w, rho)
+    _check_phase(angles, S)
+    a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
     if not math.isfinite(f):
         raise ValidationError(f"reeling factor must be finite, got {f}")
-    return _massless(a, b, f, *_massless_scale(C_L, C_D, S, v_w, rho), v_w)
+    return EquilibriumResult(*_massless(a, b, f, C_L, C_D, S, v_w, rho)[1])
 
 
-def _massless_scale(C_L: float, C_D: float, S: float, v_w: float,
-                    rho: float) -> tuple[float, float, float]:
-    """G, C_R and the massless tether force over (b - f)**2."""
+def _massless(a: float, b: float, f: Optional[float], C_L: float, C_D: float, S: float,
+              v_w: float, rho: float, F_target: Optional[float] = None) -> tuple[float, tuple]:
+    """:func:`massless_state` at ``f`` from its (a, b), or, given ``F_target``,
+    at the factor :func:`massless_setpoint` finds; as (f, the equilibrium's
+    fields)."""
     G, C_R = C_L / C_D, math.hypot(C_D, C_L)
-    return G, C_R, 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)
-
-
-def _massless(a: float, b: float, f: float, G: float, C_R: float, scale: float,
-              v_w: float) -> EquilibriumResult:
-    """:func:`massless_state` at ``f``, from its (a, b) and :func:`_massless_scale`."""
+    scale = 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)  # tether force over (b - f)**2
+    if F_target is not None:
+        f = b - math.sqrt(F_target / scale)
+        if f < _F_LO:
+            raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
     if f >= b:
         raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
     radicand = a * a + b * b - 1.0 + G * G * (b - f) ** 2
@@ -256,7 +268,7 @@ def _massless(a: float, b: float, f: float, G: float, C_R: float, scale: float,
     P = F_t * f * v_w
     zeta = C_R * (1.0 + G * G) * f * (b - f) ** 2
     # kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, zeta, P, iterations
-    return EquilibriumResult(G, lam, v_a, F_t, F_t, 0.0, F_t, F_t, zeta, P, 0)
+    return f, (G, lam, v_a, F_t, F_t, 0.0, F_t, F_t, zeta, P, 0)
 
 
 def massless_setpoint(F_target: float, theta: float, angles: tuple, C_L: float, C_D: float,
@@ -274,16 +286,20 @@ def massless_setpoint(F_target: float, theta: float, angles: tuple, C_L: float, 
         NoTensionError, SteadyStateError: as :func:`massless_state` at
             that factor.
     """
-    a, b, _, _ = _trig(theta, angles, C_L, C_D, S, v_w, rho)
-    if not 0.0 < F_target < math.inf:
-        raise ValidationError(f"force target must be > 0 and finite, got {F_target}")
+    f, values = massless_setpoint_step(bind_setpoint(F_target, "kite", angles, C_L, 0.0, S),
+                                       theta, C_D, v_w, rho)
+    return f, EquilibriumResult(*values)
+
+
+def massless_setpoint_step(bound: tuple, theta: float, C_D: float, v_w: float,
+                           rho: float) -> tuple[float, tuple]:
+    """:func:`massless_setpoint` for the :func:`bind_setpoint` constants
+    ``bound``, whose target end and mass it ignores."""
+    F_target, _, angles, C_L, _, S = bound
+    a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
     if v_w <= 0.0:
         raise ValidationError("force inversion requires a positive wind speed")
-    G, C_R, scale = _massless_scale(C_L, C_D, S, v_w, rho)
-    f = b - math.sqrt(F_target / scale)
-    if f < _F_LO:
-        raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
-    return f, _massless(a, b, f, G, C_R, scale, v_w)
+    return _massless(a, b, None, C_L, C_D, S, v_w, rho, F_target)
 
 
 def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
@@ -353,13 +369,10 @@ TargetEnd = Literal["kite", "ground"]
 def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float, m: float,
                  S: float, v_w: float, rho: float) -> tuple:
     """The constants (G*, log G*, q*S*C_R, F_a_theta, W_r, F_t_theta) of a
-    flight state's force geometry, once m_t >= 0, m is non-negative and finite
-    and v_w > 0: W_r is the kite weight's radial component, F_t_theta the
-    tether's sag reaction."""
+    flight state's force geometry, once m_t >= 0 and v_w > 0: W_r is the kite
+    weight's radial component, F_t_theta the tether's sag reaction."""
     if m_t < 0.0:
         raise ValidationError(f"tether mass must be >= 0, got {m_t}")
-    if not 0.0 <= m < math.inf:
-        raise ValidationError(f"airborne mass must be >= 0 and finite, got {m}")
     if v_w <= 0.0:
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
     G_star = C_L / C_D
@@ -407,15 +420,16 @@ def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms:
 
 
 def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
-                 m_t: float, S: float, v_w: float, rho: float) -> EquilibriumResult:
-    """:func:`_geometry` values at reeling factor ``f``, completed to an equilibrium."""
+                 m_t: float, S: float, v_w: float, rho: float) -> tuple:
+    """:func:`_geometry` values at reeling factor ``f``, completed to the
+    fields of an equilibrium."""
     kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
     F_a_theta = terms[3]
     F_tg = _ground_tether_force(F_t_kite, trig[2], trig[3], m_t)
     P = F_tg * f * v_w
     # P_w = 0.5*rho*v_w**3 is taken last: v_w**3 may overflow where the checks fail first.
-    return EquilibriumResult(kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg,
-                             P / (0.5 * rho * v_w**3 * S), P, iterations)
+    return (kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, P / (0.5 * rho * v_w**3 * S),
+            P, iterations)
 
 
 def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe) -> tuple[_Probe, _Probe]:
@@ -496,7 +510,8 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
         TetherSagError: as :func:`ground_tether_force`, for the root's
             tension at the kite.
     """
-    trig = _trig(theta, angles, C_L, C_D, S, v_w, rho)
+    _check_phase(angles, S, m)
+    trig = _trig(theta, angles, C_L, C_D, v_w, rho)
     b = trig[1]
     if not math.isfinite(f):
         raise ValidationError(f"reeling factor must be finite, got {f}")
@@ -517,7 +532,7 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
     if value[1] < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({value[1]:.4f})")
-    return _equilibrium(value, f, evaluations, trig, terms, m_t, S, v_w, rho)
+    return EquilibriumResult(*_equilibrium(value, f, evaluations, trig, terms, m_t, S, v_w, rho))
 
 
 def _secant(probe: Callable[[float], _Probe], x: float, x_max: float) -> Optional[tuple]:
@@ -638,11 +653,27 @@ def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angle
         TetherSagError: if the ground-end force of the root leaves the
             tether pushing on the ground station.
     """
-    a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, S, v_w, rho)
+    f, values = gravity_setpoint_step(bind_setpoint(F_target, target_end, angles, C_L, m, S),
+                                      theta, C_D, m_t, v_w, rho)
+    return f, EquilibriumResult(*values)
+
+
+def bind_setpoint(F_target: float, target_end: TargetEnd, angles: tuple, C_L: float, m: float,
+                  S: float) -> tuple:
+    """The phase constants of a set-point's step kernel, checked once."""
+    _check_phase(angles, S, m)
     if not 0.0 < F_target < math.inf:
         raise ValidationError(f"force target must be > 0 and finite, got {F_target}")
     if target_end not in ("kite", "ground"):
         raise ValidationError(f"force target end must be 'kite' or 'ground', got {target_end!r}")
+    return F_target, target_end, angles, C_L, m, S
+
+
+def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_w: float,
+                          rho: float) -> tuple[float, tuple]:
+    """:func:`gravity_setpoint` for the :func:`bind_setpoint` constants ``bound``."""
+    F_target, target_end, angles, C_L, m, S = bound
+    a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
     G_star, _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = _force_terms(
         sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
     _, cos_p, _, cos_c = angles

@@ -475,6 +475,40 @@ def test_telemetry_errors_name_the_file_line(tmp_path, capsys):
         assert error.format(log=log) in err, err
 
 
+def telemetry_lines(rows):
+    """The header and ``rows`` valid rows, 0.1 s apart, of a telemetry log."""
+    return [",".join(TELEMETRY_COLUMNS)] + [",".join({**TELEMETRY_ROW, "t": f"{0.1 * i:.1f}"}
+                                                     .values()) for i in range(rows)]
+
+
+def test_telemetry_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # The bytes sit beyond the first chunk the reader decodes, so the line
+    # is counted in the file, not in the chunk.
+    lines = [line.encode() for line in telemetry_lines(400)]
+    lines[350] += b"\xff\xfe"
+    log = tmp_path / "bad.csv"
+    log.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "o"
+    assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                        "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"ParseError: {log}: line 351: 'utf-8' codec can't decode byte 0xff" in err, err
+    assert not out.exists()
+
+
+def test_telemetry_field_over_the_csv_limit_exits_2(tmp_path, capsys):
+    lines = telemetry_lines(3)
+    lines[2] = lines[2].replace("traction", "x" * 131073)
+    log = tmp_path / "bad.csv"
+    log.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                        "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"ParseError: {log}: line 3: field larger than field limit (131072)" in err, err
+    assert not out.exists()
+
+
 def test_telemetry_rows_must_match_the_header_width(tmp_path, capsys):
     header, row = ",".join(TELEMETRY_COLUMNS), list(TELEMETRY_ROW.values())
     for fields in (row[:-1], row[:3], row + ["7.0"]):

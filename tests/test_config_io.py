@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from kitecycle import dataio, load_config, load_sweep_spec, preset_path
+from kitecycle import dataio, load_config, load_sweep_spec, preset_path, segment_and_average
 from kitecycle.config import PRESET_NAMES
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
@@ -241,17 +241,42 @@ class TestTimeseriesCsv:
         assert header == TIMESERIES_COLUMNS
 
     def test_full_precision_round_trip(self, tmp_path, strong_cycle):
+        # Every row and column reads back its record's value exactly; the
+        # degree columns are math.degrees of the record's angles.
         path = tmp_path / "timeseries.csv"
         write_timeseries_csv(path, strong_cycle)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        rec = strong_cycle.retraction.series[3]
-        row = rows[3]
-        assert float(row["t"]) == rec.t
-        assert float(row["r"]) == rec.r
-        assert float(row["F_tg"]) == rec.F_tg
-        assert float(row["P"]) == rec.P
-        assert row["phase"] == "retraction"
+        records = [(phase.phase, rec) for phase in strong_cycle.phases for rec in phase.series]
+        assert len(rows) == len(records)
+        for row, (phase, rec) in zip(rows, records):
+            expected = {**rec._asdict(), "phase": phase, "theta_deg": math.degrees(rec.theta),
+                        "beta_deg": math.degrees(0.5 * math.pi - rec.theta),
+                        "phi_deg": math.degrees(rec.phi), "chi_deg": math.degrees(rec.chi)}
+            assert list(row) == TIMESERIES_COLUMNS
+            for column, text in row.items():
+                value = text if column == "phase" else float(text)
+                assert value == expected[column], (column, row)
+
+
+class TestEstimatesCsv:
+    def test_full_precision_round_trip(self, tmp_path, strong_config, strong_telemetry):
+        # Every row and column reads back its estimate exactly, NaN as NaN.
+        cfg = strong_config
+        estimates = segment_and_average(strong_telemetry, cfg.kite, cfg.tether,
+                                        cfg.environment).estimates
+        path = tmp_path / "estimates.csv"
+        dataio.write_estimates_csv(path, estimates)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(estimates)
+        for row, est in zip(rows, estimates):
+            assert list(row) == ["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"]
+            assert row.pop("phase") == (est.phase or "")
+            assert row.pop("valid") == ("1" if est.valid else "0")
+            for column, text in row.items():
+                value, expected = float(text), getattr(est, column)
+                assert value == expected or (math.isnan(value) and math.isnan(expected)), column
 
 
 class TestTelemetryCsv:

@@ -15,7 +15,7 @@ from kitecycle import (
     simulate_transition,
     steady_retraction_elevation,
 )
-from kitecycle import cycle
+from kitecycle import cycle, steady_state
 from kitecycle.errors import (
     ConvergenceError, DomainError, PhaseError, SetpointUnreachableError, SolverError,
     SteadyStateError, ValidationError,
@@ -200,13 +200,14 @@ def test_transition_failure_names_phase_and_state(strong_config):
                            "transition at t = 12.5 s, r = 390 m, beta = 5.72958e-05 deg: ")
 
 
-def never_reel(F_target, *tail):
-    """A massless force inversion whose winch never reels."""
-    return 0.0, massless_state(0.0, *tail)
+def never_reel(bound, theta, C_D, v_w, rho):
+    """A massless force-inversion step whose winch never reels."""
+    _, _, angles, C_L, _, S = bound
+    return 0.0, massless_state(0.0, theta, angles, C_L, C_D, S, v_w, rho)
 
 
 def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
-    monkeypatch.setattr(cycle, "massless_setpoint", never_reel)
+    monkeypatch.setattr(cycle, "massless_setpoint_step", never_reel)
     cfg = strong_config
     op = replace(cfg.operation, dT=1.0, gravity=False)
     with pytest.raises(PhaseError) as info:
@@ -217,7 +218,7 @@ def test_traction_failure_names_phase_and_state(strong_config, monkeypatch):
 def test_stalled_phase_raises_phase_error(strong_config, monkeypatch):
     # A winch that never reels leaves the tether length where it is; the
     # phase gives up after ten characteristic times.
-    monkeypatch.setattr(cycle, "massless_setpoint", never_reel)
+    monkeypatch.setattr(cycle, "massless_setpoint_step", never_reel)
     cfg = strong_config
     op = replace(cfg.operation, dT=0.5, gravity=False)
     with pytest.raises(PhaseError, match="tether length failed to increase for 21 "):
@@ -234,32 +235,29 @@ def test_phase_with_a_non_finite_course_angle_is_rejected(strong_config):
 
 
 def test_gravity_step_work_count(strong_config, monkeypatch):
-    # Geometry evaluations per step, from the solvers' own iterations
-    # counts: a closed-form force inversion takes one, the probe that G
-    # rises; a coasting transition step's kinematic solve takes a few.
-    # Measured: 1.34 per step (349 inversions).
-    solves, inversions = [], []
-    solve, invert = cycle.solve_kinematic_ratio, cycle._solve_reel_factor
+    # Geometry evaluations per step: a closed-form force inversion takes
+    # one, the probe that G rises; a coasting transition step's kinematic
+    # solve takes a few.  Measured: 1.34 per step (349 inversions).
+    inversions, probes = [], []
+    invert, geometry = cycle._solve_reel_factor, steady_state._geometry
 
-    def counted_solve(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        solves.append(res.iterations)
-        return res
+    def counted_invert(*args):
+        inversions.append(1)
+        return invert(*args)
 
-    def counted_invert(*args, **kwargs):
-        f, eq = invert(*args, **kwargs)
-        inversions.append(eq.iterations)
-        return f, eq
+    def counted_geometry(*args):
+        probes.append(1)
+        return geometry(*args)
 
-    monkeypatch.setattr(cycle, "solve_kinematic_ratio", counted_solve)
     monkeypatch.setattr(cycle, "_solve_reel_factor", counted_invert)
+    monkeypatch.setattr(steady_state, "_geometry", counted_geometry)
     cfg = strong_config
     op = replace(cfg.operation, dT=0.01, gravity=True)
     res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
     # Every retraction and traction step is a set-point step: the count
     # cannot pass by counting nothing.
     assert len(inversions) >= res.retraction.steps + res.traction.steps
-    assert (sum(solves) + sum(inversions)) / res.steps <= 1.5
+    assert len(probes) / res.steps <= 1.5
 
 
 @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
@@ -313,13 +311,14 @@ class TestSteadyRetractionElevation:
     def test_asymptote_does_not_depend_on_time_step(self, strong_config, monkeypatch, gravity):
         cfg = strong_config
         solves = []
-        solve_force = cycle._PhaseEngine.solve_force
+        kernel = "_solve_reel_factor" if gravity else "massless_setpoint_step"
+        step = getattr(cycle, kernel)
 
-        def counted(self, *args):
+        def counted(*args):
             solves.append(1)
-            return solve_force(self, *args)
+            return step(*args)
 
-        monkeypatch.setattr(cycle._PhaseEngine, "solve_force", counted)
+        monkeypatch.setattr(cycle, kernel, counted)
         op = replace(cfg.operation, gravity=gravity)
         coarse = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, replace(op, dT=0.1))
         assert len(solves) <= 50
@@ -371,14 +370,14 @@ class TestSteadyRetractionElevation:
 
     def test_solver_edge_where_the_climb_goes_on_is_raised(self, strong_config, monkeypatch):
         cfg = strong_config
-        invert = cycle.massless_setpoint
+        invert = cycle.massless_setpoint_step
 
-        def edge_at_35_deg(F_target, theta, *args):
+        def edge_at_35_deg(bound, theta, *args):
             if 0.5 * math.pi - theta > math.radians(35.0):
                 raise SteadyStateError("synthetic edge at 35 deg")
-            return invert(F_target, theta, *args)
+            return invert(bound, theta, *args)
 
-        monkeypatch.setattr(cycle, "massless_setpoint", edge_at_35_deg)
+        monkeypatch.setattr(cycle, "massless_setpoint_step", edge_at_35_deg)
         with pytest.raises(SteadyStateError, match="synthetic edge"):
             steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
                                         replace(cfg.operation, gravity=False))

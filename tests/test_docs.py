@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import kitecycle
+from kitecycle.dataio import TELEMETRY_COLUMNS, TIMESERIES_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +30,12 @@ def test_every_exported_function_is_in_the_readme():
     assert len(exported) >= 20
     missing = [name for name in exported if name not in named]
     assert not missing, f"README's Library section does not name: {missing}"
+
+
+def test_readme_column_lists_are_the_written_columns():
+    text = README.read_text(encoding="utf-8")
+    lists = {}
+    for name in ("`timeseries.csv` columns:", "Telemetry CSV columns:"):
+        lists[name] = re.search(re.escape(name) + r"\s*`([^`]*)`", text).group(1).split(",")
+    assert lists["`timeseries.csv` columns:"] == TIMESERIES_COLUMNS
+    assert lists["Telemetry CSV columns:"] == TELEMETRY_COLUMNS

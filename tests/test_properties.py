@@ -11,7 +11,8 @@ every failure is one of a few definite reasons, and each entry point
 rejects a state, coefficient set or wind outside its domain with the
 message its record constructor used to give.
 The telemetry reader reads every valid log as the ``csv.DictReader``
-reference does, the CSV writer writes the bytes ``csv.writer`` does,
+reference does, each CSV writer writes the bytes ``csv.writer`` writes
+for the same values,
 and a simulated cycle's phase energies add up to its mean power times
 its duration.
 """
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 from kitecycle import (
     AeroSet,
     Environment,
+    EquilibriumResult,
     KiteParams,
     OperationSettings,
     TetherParams,
@@ -45,10 +47,11 @@ from kitecycle import (
     tether_properties,
 )
 from kitecycle import dataio
-from kitecycle.cycle import _PhaseEngine
+from kitecycle.cycle import CycleResult, PhaseResult, StepRecord, _PhaseEngine
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
 from kitecycle.dataio import TELEMETRY_COLUMNS, derive_course_angles, read_telemetry_csv
+from kitecycle.estimation import EstimateRecord, LogRecord
 from kitecycle.errors import (
     KitecycleError,
     NoTensionError,
@@ -262,7 +265,8 @@ def phase_engine(C_L, LD_k, phi, chi, m=0.0, m_t=None, r=None, force_at=None):
 
 def engine_step(engine, F_target, r, theta, wind):
     """An engine's force step as (f, equilibrium)."""
-    return engine.solve_force(F_target, r, theta, wind)
+    f, values = engine.setpoint(F_target)(r, theta, wind)
+    return f, EquilibriumResult(*values)
 
 
 def outcome(call):
@@ -538,30 +542,106 @@ def test_telemetry_reader_matches_the_dictreader_reference(log):
     assert repr(derive_course_angles(unfilled)) == repr(reference)
 
 
-# CSV fields: floats with the edge values, ints, bools, None, and strings
-# built from characters csv.writer quotes for and from "None".
-CSV_FIELD = st.one_of(
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308]),
-    st.integers(), st.booleans(), st.none(),
-    st.text(st.sampled_from(["a", "0", ".", "-", " ", ",", '"', "\r", "\n", "\u00e9"]),
-            max_size=5),
-    st.sampled_from(["", "None", "retraction"]),
-)
+# CSV values: floats with the edge values, and labels that are None, blank
+# or built from characters csv.writer quotes for.
+FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                                       -1e308])
+LABEL = st.none() | st.sampled_from(["", "retraction", "transition", "traction"]) | st.text(
+    st.sampled_from(["a", "0", " ", ",", '"', "\r", "\n", "\u00e9"]), max_size=5)
+
+
+def written_bytes(write, *args):
+    """The bytes ``write(path, *args)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(path, *args)
+        return path.read_bytes()
+
+
+def csv_module_bytes(header, rows):
+    """The bytes ``csv.writer`` writes for the header and rows."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue().encode("utf-8")
+
+
+def pool(draw, values):
+    """A strategy that draws from a small drawn pool of ``values``, so that
+    runs of draws share one object, as a phase's records share its angles."""
+    return st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+
+
+@st.composite
+def cycles(draw):
+    angle = pool(draw, FLOAT)
+    phases = []
+    for _ in range(3):
+        series = [StepRecord(*draw(st.tuples(FLOAT, FLOAT, FLOAT, angle, angle, *[FLOAT] * 7)))
+                  for _ in range(draw(st.integers(0, 4)))]
+        phases.append(PhaseResult(draw(LABEL), 0.0, 0.0, 0.0, len(series), series))
+    return CycleResult(*phases, 0.0, 0.0, 0.0, 0)
 
 
 @PROPERTY
-@given(st.lists(st.lists(CSV_FIELD, max_size=6), min_size=1, max_size=6))
-@example([[""]])
-@example([["t", "phase"], ['a"b'], ["a\rb"], ["a\nb"], ["a,b", 1.0], [None], [""], [], ["", ""],
-          [-0.0, 5e-324, 1e308, math.nan, -math.inf, True, 3, "None"]])
-def test_csv_writer_matches_the_csv_module(rows):
-    with tempfile.TemporaryDirectory() as tmp:
-        path, reference = Path(tmp) / "fast.csv", Path(tmp) / "reference.csv"
-        dataio._write_csv(path, rows[0], rows[1:])
-        with open(reference, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-        assert path.read_bytes() == reference.read_bytes()
+@given(cycles())
+# Equal angles that print differently: the writer reuses an angle's text
+# only for the same object.
+@example(CycleResult(PhaseResult("traction", 0.0, 0.0, 0.0, 1, [StepRecord(*[0.0] * 12),
+                                                                StepRecord(*[-0.0] * 12)]),
+                     *[PhaseResult("", 0.0, 0.0, 0.0, 0, [])] * 2, 0.0, 0.0, 0.0, 0))
+def test_timeseries_writer_matches_the_csv_module(cycle):
+    rows = [[rec.t, phase.phase, rec.r, math.degrees(rec.theta),
+             math.degrees(0.5 * math.pi - rec.theta), math.degrees(rec.phi),
+             math.degrees(rec.chi), *rec[5:]] for phase in cycle.phases for rec in phase.series]
+    assert written_bytes(dataio.write_timeseries_csv, cycle) == csv_module_bytes(
+        dataio.TIMESERIES_COLUMNS, rows)
+
+
+@st.composite
+def log_records(draw):
+    phi, chi = pool(draw, FLOAT), pool(draw, st.none() | FLOAT)
+    return [LogRecord(*draw(st.tuples(FLOAT, FLOAT, FLOAT, FLOAT, phi, chi,
+                                      st.tuples(FLOAT, FLOAT, FLOAT), FLOAT, FLOAT, LABEL)))
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@PROPERTY
+@given(log_records())
+def test_telemetry_writer_matches_the_csv_module(records):
+    rows = [[rec.t, rec.F_tg, rec.r, math.degrees(rec.theta), math.degrees(rec.phi),
+             "" if rec.chi is None else math.degrees(rec.chi), *rec.vk, rec.v_t, rec.v_w_ref,
+             rec.phase or ""] for rec in records]
+    assert written_bytes(dataio.write_telemetry_csv, records) == csv_module_bytes(
+        TELEMETRY_COLUMNS, rows)
+
+
+@PROPERTY
+@given(st.lists(st.builds(EstimateRecord, FLOAT, FLOAT, FLOAT, FLOAT, FLOAT, FLOAT,
+                          st.booleans(), LABEL), max_size=6))
+def test_estimates_writer_matches_the_csv_module(estimates):
+    rows = [[est.t, est.phase or "", est.C_R, est.LD_sys, est.LD_k, est.kappa, est.v_a,
+             "1" if est.valid else "0"] for est in estimates]
+    assert written_bytes(dataio.write_estimates_csv, estimates) == csv_module_bytes(
+        ["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"], rows)
+
+
+@PROPERTY
+@given(st.lists(st.fixed_dictionaries({"dT": FLOAT, "zeta_m": FLOAT, "steps": st.integers(),
+                                       "ratio": FLOAT}), max_size=6))
+def test_convergence_writer_matches_the_csv_module(rows):
+    assert written_bytes(dataio.write_convergence_csv, rows) == csv_module_bytes(
+        ["dT", "zeta_m", "steps", "ratio_to_ref"],
+        [[row["dT"], row["zeta_m"], row["steps"], row["ratio"]] for row in rows])
+
+
+@PROPERTY
+@given(LABEL.filter(lambda label: label is not None),
+       st.lists(st.fixed_dictionaries({"value": FLOAT | st.integers(), "P_m": FLOAT,
+                                       "zeta_m": FLOAT}), max_size=6))
+@example('kite.m "S",\r\n', [{"value": 3, "P_m": -0.0, "zeta_m": math.nan}])
+def test_sweep_writer_matches_the_csv_module(parameter, rows):
+    assert written_bytes(dataio.write_sweep_csv, parameter, rows) == csv_module_bytes(
+        [parameter, "P_m", "zeta_m"], [[row["value"], row["P_m"], row["zeta_m"]] for row in rows])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
