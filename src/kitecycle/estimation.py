@@ -13,8 +13,9 @@ show up as outliers; such samples are flagged invalid and skipped, never
 interpolated.
 
 The records are NamedTuples that check nothing.  Samples are checked
-where they enter (:func:`sample_fault`): by ``dataio.read_telemetry_csv``
-and by :func:`segment_and_average`, not by :func:`estimate_record`.
+where they enter, for finite numbers and :func:`sample_fault`: by
+``dataio.read_telemetry_csv`` and by :func:`segment_and_average`, not by
+:func:`estimate_record`.
 """
 
 from __future__ import annotations
@@ -106,6 +107,19 @@ def sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
     return None
 
 
+_NUMBERS = ("t", "F_tg", "r", "theta", "phi", "chi", "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref")
+
+
+def _non_finite(rec: LogRecord) -> Optional[str]:
+    """The first number of ``rec`` that is NaN or infinite, with its value, or None."""
+    t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
+    for name, value in zip(_NUMBERS, (t, F_tg, r, theta, phi, 0.0 if chi is None else chi,
+                                      vk_x, vk_y, vk_z, v_t, v_w_ref)):
+        if not math.isfinite(value):
+            return f"{name} is not finite: {value}"
+    return None
+
+
 def _spherical_velocity_to_cartesian(
     theta: float, phi: float, chi: float, v_r: float, v_tau: float
 ) -> tuple[float, float, float]:
@@ -177,65 +191,33 @@ def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
     ratio of apparent wind speed to its radial component.  Samples where
     that ratio drops below one (gusts, noise) are flagged invalid.
     """
-    return _kinematics(rec, env, math.sin(rec.theta), math.cos(rec.theta), math.cos(rec.phi))
+    return KinematicsEstimate(
+        *_kinematics(rec, env, math.sin(rec.theta), math.cos(rec.theta), math.cos(rec.phi)))
 
 
 def _kinematics(rec: LogRecord, env: Environment, sin_t: float, cos_t: float,
-                cos_p: float) -> KinematicsEstimate:
-    """:func:`derive_kinematics` from sin(theta), cos(theta) and cos(phi)."""
-    z = rec.r * cos_t
+                cos_p: float) -> tuple[float, float, float, bool, float]:
+    """:func:`derive_kinematics`' fields from sin(theta), cos(theta) and cos(phi)."""
+    _, _, r, _, _, _, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
+    z = r * cos_t
     if z < env.z0:
-        return KinematicsEstimate(math.nan, math.nan, math.nan, False)
-    v_w = env.log_wind_speed(z, rec.v_w_ref)
+        return math.nan, math.nan, math.nan, False, math.nan
+    v_w = env.log_wind_speed(z, v_w_ref)
     if v_w <= 0.0:
-        return KinematicsEstimate(math.nan, math.nan, math.nan, False)
-    f = rec.v_t / v_w
-    vk_x, vk_y, vk_z = rec.vk
+        return math.nan, math.nan, math.nan, False, math.nan
+    f = v_t / v_w
     v_a = math.sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
     b_f = sin_t * cos_p - f
     if b_f <= 0.0:
-        return KinematicsEstimate(f, v_a, math.nan, False)
+        return f, v_a, math.nan, False, math.nan
     radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
     if not radicand >= 0.0:  # NaN too: an infinite wind at the kite
-        return KinematicsEstimate(f, v_a, math.nan, False)
-    return KinematicsEstimate(f, v_a, math.sqrt(radicand), True, v_w)
+        return f, v_a, math.nan, False, math.nan
+    return f, v_a, math.sqrt(radicand), True, v_w
 
 
-def _gravity_projection_cosine(rec: LogRecord, v_w: float, sin_t: float, cos_t: float,
-                               sin_p: float, cos_p: float) -> Optional[float]:
-    """Cosine between the polar-tangential direction (along which gravity
-    acts in the tangential plane) and the apparent-wind tangential
-    direction, for the wind ``v_w`` at the kite and the sines and cosines
-    of theta and phi.  Falls back to -cos(chi), its fast-crosswind limit,
-    when the apparent tangential flow vanishes."""
-    vk_x, vk_y, vk_z = rec.vk
-    # Components along e_theta = (cos_t*cos_p, cos_t*sin_p, -sin_t) and
-    # e_phi = (-sin_p, cos_p, 0).
-    vk_th = vk_x * (cos_t * cos_p) + vk_y * (cos_t * sin_p) - vk_z * sin_t
-    vk_ph = -vk_x * sin_p + vk_y * cos_p
-    va_th = v_w * cos_t * cos_p - vk_th
-    va_ph = -v_w * sin_p - vk_ph
-    va_tau = math.hypot(va_th, va_ph)
-    if va_tau < 1e-9:
-        if rec.chi is None:
-            return None
-        return -math.cos(rec.chi)
-    return va_th / va_tau
-
-
-def _rejected(rec: LogRecord, kin: KinematicsEstimate, phase: Optional[str],
-              C_R: float = math.nan) -> EstimateRecord:
-    """The invalid record of a sample: NaN for what its gate rejects."""
-    return EstimateRecord(rec.t, C_R, math.nan, math.nan, kin.kappa, kin.v_a, False, phase)
-
-
-def estimate_record(
-    rec: LogRecord,
-    kite: KiteParams,
-    tether: TetherParams,
-    env: Environment,
-    phase: Optional[str] = None,
-) -> EstimateRecord:
+def estimate_record(rec: LogRecord, kite: KiteParams, tether: TetherParams, env: Environment,
+                    phase: Optional[str] = None) -> EstimateRecord:
     """All estimates for one sample, each derived once.  It is valid when
     it yields the lift-to-drag pair; each gate returns the record with NaN
     for what it rejects.
@@ -246,64 +228,69 @@ def estimate_record(
     kinematic ratio and applies the gravity term of the tangential force
     balance iteratively.  Gravity is projected onto the measured
     apparent-wind tangential direction, which coincides with the course
-    direction in the fast-crosswind limit but deviates from it noticeably
+    direction in the fast-crosswind limit (its fallback, -cos(chi), where
+    the apparent tangential flow vanishes) but deviates from it noticeably
     when the kite flies barely faster than the wind.  LD_k removes the
     tether drag share of the total drag.  Traction samples must fly fast
     relative to the reference wind (``CROSSWIND_RATIO``), retraction
     samples near upward in-plane flight; these phase gates never reject C_R.
     """
-    phase = phase if phase is not None else rec.phase
-    sin_t, cos_t, cos_p = math.sin(rec.theta), math.cos(rec.theta), math.cos(rec.phi)
-    kin = _kinematics(rec, env, sin_t, cos_t, cos_p)
-    if not kin.valid or kin.v_a <= 0.0:
-        return _rejected(rec, kin, phase)
+    t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), _, v_w_ref, rec_phase = rec
+    phase = phase if phase is not None else rec_phase
+    sin_t, cos_t, cos_p = math.sin(theta), math.cos(theta), math.cos(phi)
+    _, v_a, kappa, valid, v_w = _kinematics(rec, env, sin_t, cos_t, cos_p)
+    nan = math.nan
+    if not valid or v_a <= 0.0:
+        return EstimateRecord(t, nan, nan, nan, kappa, v_a, False, phase)
     # Aerodynamic force at the kite: the measured ground force plus the
     # airborne weights, unless the sag radicand is violated.
-    m_t = tether.mass(rec.r)
+    m_t = tether.mass(r)
     try:
-        force = aero_force_from_ground(rec.F_tg, sin_t, cos_t, m_t, kite.m)
+        force = aero_force_from_ground(F_tg, sin_t, cos_t, m_t, kite.m)
     except OverflowError:  # a force or tether beyond any kite violates it too
-        return _rejected(rec, kin, phase)
+        force = None
     if force is None:
-        return _rejected(rec, kin, phase)
+        return EstimateRecord(t, nan, nan, nan, kappa, v_a, False, phase)
     F_a = force[1]
-    rho = env.density(rec.r * cos_t)
-    C_R = 2.0 * F_a / (rho * kin.v_a**2 * kite.S)
+    rho = env.density(r * cos_t)
+    C_R = 2.0 * F_a / (rho * v_a**2 * kite.S)
 
     if phase == TRACTION:
-        vk_x, vk_y, vk_z = rec.vk
-        v_k = math.sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z)
-        if v_k / rec.v_w_ref < CROSSWIND_RATIO:
-            return _rejected(rec, kin, phase, C_R)
+        gated = math.sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z) / v_w_ref < CROSSWIND_RATIO
     elif phase == RETRACTION:
-        if rec.chi is None:
-            return _rejected(rec, kin, phase, C_R)
-        chi_err = abs(math.remainder(rec.chi - math.pi, 2.0 * math.pi))
-        if chi_err > 0.35 or abs(rec.phi) > 0.35:
-            return _rejected(rec, kin, phase, C_R)
-    if F_a <= 0.0:
-        return _rejected(rec, kin, phase, C_R)
-    cos_proj = _gravity_projection_cosine(rec, kin.v_w, sin_t, cos_t, math.sin(rec.phi), cos_p)
-    if cos_proj is None:
-        return _rejected(rec, kin, phase, C_R)
+        gated = (chi is None or abs(math.remainder(chi - math.pi, 2.0 * math.pi)) > 0.35
+                 or abs(phi) > 0.35)
+    else:
+        gated = False
+    if gated or F_a <= 0.0:
+        return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
+    # Gravity acts along e_theta = (cos_t*cos_p, cos_t*sin_p, -sin_t); the
+    # apparent wind's tangential flow has components along it and e_phi =
+    # (-sin_p, cos_p, 0).
+    sin_p = math.sin(phi)
+    vk_th = vk_x * (cos_t * cos_p) + vk_y * (cos_t * sin_p) - vk_z * sin_t
+    vk_ph = -vk_x * sin_p + vk_y * cos_p
+    va_th = v_w * cos_t * cos_p - vk_th
+    va_tau = math.hypot(va_th, -v_w * sin_p - vk_ph)
+    if va_tau < 1e-9:
+        if chi is None:
+            return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
+        cos_proj = -math.cos(chi)
+    else:
+        cos_proj = va_th / va_tau
 
-    kappa = kin.kappa
-    gravity_term = (
-        math.sqrt(1.0 + kappa * kappa)
-        * GRAVITY * (0.5 * m_t + kite.m) * sin_t * cos_proj
-        / F_a
-    )
+    gravity_term = (math.sqrt(1.0 + kappa * kappa) * GRAVITY * (0.5 * m_t + kite.m) * sin_t
+                    * cos_proj / F_a)
     G = kappa
     for _ in range(LD_GRAVITY_UPDATES):
         G = kappa + gravity_term * math.sqrt(1.0 + G * G)
     if G <= 0.0:
-        return _rejected(rec, kin, phase, C_R)
+        return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
     drag = F_a / math.sqrt(1.0 + G * G)
-    drag_tether = 0.125 * rho * tether.d_t * rec.r * tether.C_D_c * kin.v_a**2
+    drag_tether = 0.125 * rho * tether.d_t * r * tether.C_D_c * v_a**2
     if drag <= drag_tether:
-        return _rejected(rec, kin, phase, C_R)
-    return EstimateRecord(rec.t, C_R, G, G * drag / (drag - drag_tether), kappa, kin.v_a, True,
-                          phase)
+        return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
+    return EstimateRecord(t, C_R, G, G * drag / (drag - drag_tether), kappa, v_a, True, phase)
 
 
 def segment_phases(series: Sequence[LogRecord]) -> list[str]:
@@ -337,12 +324,8 @@ def segment_phases(series: Sequence[LogRecord]) -> list[str]:
     return out
 
 
-def segment_and_average(
-    series: Sequence[LogRecord],
-    kite: KiteParams,
-    tether: TetherParams,
-    env: Environment,
-) -> PhaseAverages:
+def segment_and_average(series: Sequence[LogRecord], kite: KiteParams, tether: TetherParams,
+                        env: Environment) -> PhaseAverages:
     """Segment a telemetry series, estimate each sample and average the
     estimates per phase.
 
@@ -352,19 +335,24 @@ def segment_and_average(
     traction values characterise the kite itself.
 
     Raises:
-        ValidationError: if the series is empty, a sample has r <= 0,
-            F_tg < 0 or v_w_ref < 0 (naming its index), or the series is
-            not strictly increasing in time.
+        ValidationError: if the series is empty, a sample has a NaN or
+            infinite number, r <= 0, F_tg < 0 or v_w_ref < 0 (naming its
+            index), or the series is not strictly increasing in time.
         EmptyPhaseError: if retraction or traction has no valid samples.
     """
     if not series:
         raise ValidationError("telemetry series is empty")
+    last_t = -math.inf
     for i, rec in enumerate(series):
-        fault = sample_fault(rec.r, rec.F_tg, rec.v_w_ref)
+        t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
+        finite = math.isfinite(t + F_tg + r + theta + phi + (chi or 0.0) + vk_x + vk_y + vk_z
+                               + v_t + v_w_ref)
+        fault = (None if finite else _non_finite(rec)) or sample_fault(r, F_tg, v_w_ref)
         if fault is not None:
             raise ValidationError(f"sample {i}: {fault}")
-        if i and rec.t <= series[i - 1].t:
+        if t <= last_t:
             raise ValidationError("telemetry timestamps must be strictly increasing")
+        last_t = t
 
     estimates = [estimate_record(rec, kite, tether, env, phase=label)
                  for rec, label in zip(series, segment_phases(series))]

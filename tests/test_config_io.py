@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from kitecycle import dataio, load_config, load_sweep_spec, preset_path, segment_and_average
@@ -355,8 +356,9 @@ class TestTelemetryCsv:
         assert all(rec.chi is not None for rec in back)
 
     def test_each_record_is_built_once(self, tmp_path, monkeypatch, strong_telemetry):
-        # Course angles are derived before the records are built, so a
-        # log with no course angles builds each record once.
+        # The parse loop constructs each record once; derive_course_angles
+        # then fills the blank course angles through _make, which this
+        # count does not see.
         path = tmp_path / "telemetry.csv"
         write_telemetry_csv(path, [rec._replace(chi=None) for rec in strong_telemetry])
         built = []
@@ -370,6 +372,65 @@ class TestTelemetryCsv:
         back = read_telemetry_csv(path)
         assert all(rec.chi is not None for rec in back)
         assert len(built) == len(back) == len(strong_telemetry)
+
+    def test_one_record_per_row_when_every_course_angle_is_given(self, tmp_path, monkeypatch,
+                                                                  strong_telemetry):
+        path = tmp_path / "telemetry.csv"
+        write_telemetry_csv(path, strong_telemetry)
+        built, filled = [], []
+
+        def counted(*fields):
+            built.append(fields[0])
+            return LogRecord(*fields)
+
+        def derive(records):
+            filled.append(records)
+            return derive_course_angles(records)
+
+        monkeypatch.setattr(dataio, "LogRecord", counted)
+        monkeypatch.setattr(dataio, "derive_course_angles", derive)
+        back = read_telemetry_csv(path)
+        assert len(built) == len(back) == len(strong_telemetry)
+        assert built == [rec.t for rec in back]
+        assert filled == []
+
+
+def numpy_floats(value):
+    """``value`` with every float in it, at any depth, a ``numpy.float64``."""
+    if type(value) is float:
+        return np.float64(value)
+    if isinstance(value, list):
+        return [numpy_floats(item) for item in value]
+    if isinstance(value, dict):
+        return {key: numpy_floats(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        items = [numpy_floats(item) for item in value]
+        return type(value)(*items) if hasattr(value, "_fields") else tuple(items)
+    return value
+
+
+def test_writers_write_numpy_floats_as_their_str(tmp_path, strong_config, strong_cycle,
+                                                 strong_telemetry):
+    # numpy 2 spells the repr of a float64 "np.float64(1.5)", its str "1.5":
+    # a number is written as its str, so the bytes match those of Python floats.
+    cfg = strong_config
+    estimates = segment_and_average(strong_telemetry, cfg.kite, cfg.tether,
+                                    cfg.environment).estimates
+    rows = [{"dT": 0.01, "zeta_m": 0.1234567891234, "steps": 347, "ratio": 1.0000000000002,
+             "value": 1e-05, "P_m": 5376.123456789},
+            {"dT": 1e16, "zeta_m": math.nan, "steps": 0, "ratio": math.inf, "value": -0.0,
+             "P_m": -math.inf}]
+    writers = [
+        (dataio.write_timeseries_csv, strong_cycle),
+        (dataio.write_telemetry_csv, strong_telemetry),
+        (dataio.write_estimates_csv, estimates),
+        (dataio.write_convergence_csv, rows),
+        (lambda path, rows: dataio.write_sweep_csv(path, "operation.F_out", rows), rows),
+    ]
+    for write, value in writers:
+        write(tmp_path / "python.csv", value)
+        write(tmp_path / "numpy.csv", numpy_floats(value))
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 
 def test_derive_course_angles_direction():
