@@ -25,7 +25,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cycle import CycleResult
+from .cycle import CycleResult, PhaseResult
 from .errors import ParseError, ValidationError
 from .estimation import EstimateRecord, LogRecord, PhaseAverages, sample_fault
 
@@ -93,6 +93,15 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
     _write_csv(path, TIMESERIES_COLUMNS, lines())
 
 
+def _phase_summary(phase: PhaseResult) -> dict:
+    return {
+        "duration": phase.duration,
+        "mean_power": phase.mean_power,
+        "energy": phase.energy,
+        "steps": phase.steps,
+    }
+
+
 def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
     summary = {
         "P_m": cycle.P_m,
@@ -100,8 +109,7 @@ def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
         "z_mt": cycle.z_mt,
         "duration": cycle.duration,
         "steps": cycle.steps,
-        "phases": {p.phase: {"duration": p.duration, "mean_power": p.mean_power,
-                             "energy": p.energy, "steps": p.steps} for p in cycle.phases},
+        "phases": {p.phase: _phase_summary(p) for p in cycle.phases},
     }
     write_json(path, summary)
 
@@ -145,16 +153,24 @@ def derive_course_angles(records: list[LogRecord]) -> list[LogRecord]:
     """
     filled, last = [], 0.0
     for rec, nxt in zip(records, [*records[1:], None]):
-        t, F_tg, r, theta, phi, chi, vk, v_t, v_w_ref, phase = rec
-        if chi is None:
-            if nxt is not None and (nxt.theta != theta or nxt.phi != phi):
-                last = math.atan2(math.sin(theta) * (nxt.phi - phi), nxt.theta - theta)
-            # _make, not _replace, which takes twice as long per record.
-            rec = rec._make((t, F_tg, r, theta, phi, last, vk, v_t, v_w_ref, phase))
+        if rec.chi is None:
+            if nxt is not None:
+                last = _course_angle(last, rec.theta, rec.phi, nxt.theta, nxt.phi)
+            rec = rec._replace(chi=last)
         else:
-            last = chi
+            last = rec.chi
         filled.append(rec)
     return filled
+
+
+def _course_angle(last: float, theta: float, phi: float, nxt_theta: float,
+                  nxt_phi: float) -> float:
+    """The course angle of a sample at (theta, phi) with no chi of its own,
+    the next sample being at (nxt_theta, nxt_phi); ``last``, the course
+    angle of the sample before, if the position does not change."""
+    if nxt_theta != theta or nxt_phi != phi:
+        return math.atan2(math.sin(theta) * (nxt_phi - phi), nxt_theta - theta)
+    return last
 
 
 def _reject_numbers(where: str, row: list[str], columns: list[tuple[str, int]]) -> None:
@@ -181,7 +197,7 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     Once every row parses, a row with r <= 0, F_tg < 0 or v_w_ref < 0 is
     a ``ValidationError`` naming the file line; so are timestamps that do
     not strictly increase, naming the file.  Missing course angles are
-    derived from consecutive positions.
+    derived from consecutive positions, by :func:`derive_course_angles`' rule.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -218,7 +234,10 @@ def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
     numbers = itemgetter(*(index[col] for col in _REQUIRED_COLUMNS))
     i_chi, i_phase = index.get("chi_deg"), index.get("phase")
     width, radians, isfinite = len(header), math.radians, math.isfinite
-    records, fault, ordered, last_t, blank_chi = [], None, True, -math.inf, False
+    records, fault, ordered, last_t = [], None, True, -math.inf
+    # The fields of a sample with a blank chi_deg, built once the next
+    # position gives its course angle; the course angle before it.
+    held, last_chi = None, 0.0
     for row in reader:
         if len(row) != width:
             if not row:
@@ -237,16 +256,26 @@ def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
         if fault is None and (why := sample_fault(r, F_tg, v_w_ref)) is not None:
             fault = f"{path}: line {reader.line_num}: {why}"
         ordered, last_t = ordered and t > last_t, t
-        blank_chi = blank_chi or chi is None
+        theta, phi = radians(theta), radians(phi)
+        if held is not None:
+            held[5] = last_chi = _course_angle(last_chi, held[3], held[4], theta, phi)
+            records.append(LogRecord(*held))
+            held = None
         phase = (row[i_phase] or None) if i_phase is not None else None
-        records.append(LogRecord(t, F_tg, r, radians(theta), radians(phi),
-                                 None if chi is None else radians(chi), (vk_x, vk_y, vk_z),
-                                 v_t, v_w_ref, phase))
+        if chi is None:
+            held = [t, F_tg, r, theta, phi, None, (vk_x, vk_y, vk_z), v_t, v_w_ref, phase]
+        else:
+            last_chi = radians(chi)
+            records.append(LogRecord(t, F_tg, r, theta, phi, last_chi, (vk_x, vk_y, vk_z), v_t,
+                                     v_w_ref, phase))
+    if held is not None:  # the last sample inherits the course angle before it
+        held[5] = last_chi
+        records.append(LogRecord(*held))
     if fault is not None:
         raise ValidationError(fault)
     if not ordered:
         raise ValidationError(f"{path}: timestamps must be strictly increasing")
-    return derive_course_angles(records) if blank_chi else records
+    return records
 
 
 def write_estimates_csv(path: str | Path, estimates: Sequence[EstimateRecord]) -> None:
@@ -257,8 +286,14 @@ def write_estimates_csv(path: str | Path, estimates: Sequence[EstimateRecord]) -
 
 
 def write_phase_averages(path: str | Path, averages: PhaseAverages) -> None:
-    write_json(path, {"C_R_o": averages.C_R_o, "C_R_i": averages.C_R_i, "LD_k_o": averages.LD_k_o,
-                      "LD_k_i": averages.LD_k_i, "samples": averages.counts})
+    payload = {
+        "C_R_o": averages.C_R_o,
+        "C_R_i": averages.C_R_i,
+        "LD_k_o": averages.LD_k_o,
+        "LD_k_i": averages.LD_k_i,
+        "samples": averages.counts,
+    }
+    write_json(path, payload)
 
 
 def write_convergence_csv(path: str | Path, rows: Sequence[dict]) -> None:

@@ -216,8 +216,13 @@ def _kinematics(rec: LogRecord, env: Environment, sin_t: float, cos_t: float,
     return f, v_a, math.sqrt(radicand), True, v_w
 
 
-def estimate_record(rec: LogRecord, kite: KiteParams, tether: TetherParams, env: Environment,
-                    phase: Optional[str] = None) -> EstimateRecord:
+def estimate_record(
+    rec: LogRecord,
+    kite: KiteParams,
+    tether: TetherParams,
+    env: Environment,
+    phase: Optional[str] = None,
+) -> EstimateRecord:
     """All estimates for one sample, each derived once.  It is valid when
     it yields the lift-to-drag pair; each gate returns the record with NaN
     for what it rejects.
@@ -279,8 +284,11 @@ def estimate_record(rec: LogRecord, kite: KiteParams, tether: TetherParams, env:
     else:
         cos_proj = va_th / va_tau
 
-    gravity_term = (math.sqrt(1.0 + kappa * kappa) * GRAVITY * (0.5 * m_t + kite.m) * sin_t
-                    * cos_proj / F_a)
+    gravity_term = (
+        math.sqrt(1.0 + kappa * kappa)
+        * GRAVITY * (0.5 * m_t + kite.m) * sin_t * cos_proj
+        / F_a
+    )
     G = kappa
     for _ in range(LD_GRAVITY_UPDATES):
         G = kappa + gravity_term * math.sqrt(1.0 + G * G)
@@ -324,8 +332,12 @@ def segment_phases(series: Sequence[LogRecord]) -> list[str]:
     return out
 
 
-def segment_and_average(series: Sequence[LogRecord], kite: KiteParams, tether: TetherParams,
-                        env: Environment) -> PhaseAverages:
+def segment_and_average(
+    series: Sequence[LogRecord],
+    kite: KiteParams,
+    tether: TetherParams,
+    env: Environment,
+) -> PhaseAverages:
     """Segment a telemetry series, estimate each sample and average the
     estimates per phase.
 
@@ -345,6 +357,8 @@ def segment_and_average(series: Sequence[LogRecord], kite: KiteParams, tether: T
     last_t = -math.inf
     for i, rec in enumerate(series):
         t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
+        # A finite sum means finite numbers, at a third of the cost of the
+        # check per number, which a sum that is not finite or overflows gets.
         finite = math.isfinite(t + F_tg + r + theta + phi + (chi or 0.0) + vk_x + vk_y + vk_z
                                + v_t + v_w_ref)
         fault = (None if finite else _non_finite(rec)) or sample_fault(r, F_tg, v_w_ref)

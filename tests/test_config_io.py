@@ -356,11 +356,10 @@ class TestTelemetryCsv:
         assert all(rec.chi is not None for rec in back)
 
     def test_each_record_is_built_once(self, tmp_path, monkeypatch, strong_telemetry):
-        # The parse loop constructs each record once; derive_course_angles
-        # then fills the blank course angles through _make, which this
-        # count does not see.
-        path = tmp_path / "telemetry.csv"
-        write_telemetry_csv(path, [rec._replace(chi=None) for rec in strong_telemetry])
+        # Course angles are derived before the records are built, so a
+        # log with no course angles builds each record once, as does a log
+        # with all of them.  _make (which _replace calls) skips __new__, so
+        # it is counted too.
         built = []
 
         class CountedRecord(LogRecord):
@@ -368,32 +367,21 @@ class TestTelemetryCsv:
                 built.append(args[0])
                 return super().__new__(cls, *args)
 
+            @classmethod
+            def _make(cls, iterable):
+                fields = tuple(iterable)
+                built.append(fields[0])
+                return super()._make(fields)
+
         monkeypatch.setattr(dataio, "LogRecord", CountedRecord)
-        back = read_telemetry_csv(path)
-        assert all(rec.chi is not None for rec in back)
-        assert len(built) == len(back) == len(strong_telemetry)
-
-    def test_one_record_per_row_when_every_course_angle_is_given(self, tmp_path, monkeypatch,
-                                                                  strong_telemetry):
-        path = tmp_path / "telemetry.csv"
-        write_telemetry_csv(path, strong_telemetry)
-        built, filled = [], []
-
-        def counted(*fields):
-            built.append(fields[0])
-            return LogRecord(*fields)
-
-        def derive(records):
-            filled.append(records)
-            return derive_course_angles(records)
-
-        monkeypatch.setattr(dataio, "LogRecord", counted)
-        monkeypatch.setattr(dataio, "derive_course_angles", derive)
-        back = read_telemetry_csv(path)
-        assert len(built) == len(back) == len(strong_telemetry)
-        assert built == [rec.t for rec in back]
-        assert filled == []
-
+        for records in ([rec._replace(chi=None) for rec in strong_telemetry], strong_telemetry):
+            path = tmp_path / "telemetry.csv"
+            write_telemetry_csv(path, records)
+            built.clear()
+            back = read_telemetry_csv(path)
+            assert all(rec.chi is not None for rec in back)
+            assert built == [rec.t for rec in back]
+            assert len(back) == len(strong_telemetry)
 
 def numpy_floats(value):
     """``value`` with every float in it, at any depth, a ``numpy.float64``."""

@@ -411,30 +411,23 @@ def with_number(rec: LogRecord, field: str, value: float) -> LogRecord:
     return rec._replace(**{field: value})
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["t", "F_tg", "r", "theta", "phi", "chi", "vk_x", "vk_y",
-                                   "vk_z", "v_t", "v_w_ref"])
-def test_non_finite_sample_rejected(strong_config, strong_telemetry, field, value):
-    # NaN passes r > 0, F_tg >= 0, v_w_ref >= 0 and the time order alike,
-    # so segment_and_average checks each number, as the telemetry reader does.
-    cfg = strong_config
-    series = list(strong_telemetry)
-    series[100] = with_number(series[100], field, value)
-    with pytest.raises(ValidationError) as info:
-        segment_and_average(series, cfg.kite, cfg.tether, cfg.environment)
-    assert str(info.value) == f"sample 100: {field} is not finite: {value}"
+NON_FINITE = [("middle", field, value)
+              for field in ("t", "F_tg", "r", "theta", "phi", "chi", "vk_x", "vk_y", "vk_z",
+                            "v_t", "v_w_ref")
+              for value in (math.nan, math.inf, -math.inf)]
 
 
-@pytest.mark.parametrize("where, field, value", [("first", "t", math.nan),
+@pytest.mark.parametrize("where, field, value", [*NON_FINITE, ("first", "t", math.nan),
                                                  ("last", "t", math.inf),
                                                  ("retraction", "chi", math.nan)])
-def test_non_finite_sample_rejected_where_no_other_check_sees_it(
-        strong_config, strong_telemetry, where, field, value):
-    # A NaN first time and an infinite last one keep the time order; a NaN
-    # course angle passes the retraction gate.
+def test_non_finite_sample_rejected(strong_config, strong_telemetry, where, field, value):
+    # NaN passes r > 0, F_tg >= 0, v_w_ref >= 0 and the time order alike,
+    # so segment_and_average checks each number, as the telemetry reader
+    # does.  A NaN first time and an infinite last one keep the time order;
+    # a NaN course angle passes the retraction gate.
     cfg = strong_config
     series = list(strong_telemetry)
-    i = {"first": 0, "last": len(series) - 1,
+    i = {"middle": 100, "first": 0, "last": len(series) - 1,
          "retraction": segment_phases(series).index("retraction") + 10}[where]
     series[i] = with_number(series[i], field, value)
     with pytest.raises(ValidationError) as info:
