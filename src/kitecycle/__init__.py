@@ -33,7 +33,6 @@ from .steady_state import (
     TetherParams,
     angle_trig,
     gravity_setpoint,
-    ground_tether_force,
     massless_setpoint,
     massless_state,
     solve_kinematic_ratio,

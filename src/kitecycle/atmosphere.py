@@ -8,12 +8,13 @@ Both are steady: profiles vary with altitude but not with time.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 from .frozen import Frozen
 
-__all__ = ["Environment", "WindState", "wind_state_at"]
+__all__ = ["Environment", "WindState", "wind_state_at", "bind_wind"]
 
 
 class Environment(Frozen):
@@ -92,3 +93,14 @@ def wind_state_at(z: float, env: Environment) -> WindState:
         DomainError: if ``z`` lies below the roughness length.
     """
     return WindState(env.wind_speed(z), env.density(z))
+
+
+def bind_wind(env: Environment) -> Callable[[float], tuple[float, float]]:
+    """:func:`wind_state_at` as ``z -> (v_w, rho)``, a plain tuple, bound once per phase."""
+    z0, v_w_ref, log_wind_speed, density = env.z0, env.v_w_ref, env.log_wind_speed, env.density
+
+    def wind(z: float) -> tuple[float, float]:
+        if z < z0:
+            env.wind_speed(z)  # raises its DomainError
+        return log_wind_speed(z, v_w_ref), density(z)
+    return wind

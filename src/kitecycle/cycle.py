@@ -18,7 +18,8 @@ factor and the equilibrium's fields ``(f, values)``, the quantity that ends
 it (tether length, or elevation in transition) with its end value and
 direction, and its climb factor - run by ``_integrate``: one rates function
 per phase maps (t, r, theta) to the step record and dr/dt, dtheta/dt, and
-one explicit Euler rule steps them.  A phase binds its set-points once.
+one explicit Euler rule steps them.  A phase binds its set-point constants, wind
+law and tether properties once; a step computes wind, tether mass, drag and equilibrium.
 The step is scaled by the characteristic time (r_max - r_min)/v_w_ref; the
 final step of each phase is truncated at the crossing, so durations are
 not quantised.
@@ -30,13 +31,13 @@ import math
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .atmosphere import Environment, WindState, wind_state_at
+from .atmosphere import Environment, WindState, bind_wind, wind_state_at
 from .errors import (ConvergenceError, NoTensionError, PhaseError, SolverError, TetherSagError,
                      ValidationError)
 from .frozen import Frozen, replace
 from .steady_state import (AeroSet, KiteParams, TetherParams, angle_trig, bind_setpoint,
-                           massless_setpoint_step, massless_state, solve_kinematic_ratio,
-                           tether_properties)
+                           bind_tether, massless_setpoint_step, massless_state,
+                           solve_kinematic_ratio)
 from .steady_state import gravity_setpoint_step as _solve_reel_factor  # perfbench wraps this name
 
 __all__ = [
@@ -160,7 +161,8 @@ class CycleResult(NamedTuple):
 
 class _PhaseEngine:
     """Shared machinery of one phase flown at fixed angles ``phi`` and
-    ``chi``: force set-points bound once, and series bookkeeping."""
+    ``chi``: ``wind_at(z) -> (v_w, rho)``, ``tether_at(r) -> (m_t, C_D)`` and
+    force set-points, each bound once, and series bookkeeping."""
 
     def __init__(
         self,
@@ -173,24 +175,25 @@ class _PhaseEngine:
     ):
         if env.v_w_ref <= 0.0:
             raise ValidationError("cycle simulation requires a positive reference wind speed")
-        self.env = env
         self.kite = kite
         self.tether = tether
         self.op = op
         self.aero_set = aero_set
         self.phi, self.chi = phi, chi
         self.angles = angle_trig(phi, chi)
+        self.wind_at = bind_wind(env)
+        self.tether_at = bind_tether(tether, kite, aero_set)
         self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
 
     def setpoint(self, F_target: float) -> Callable[..., tuple]:
         """The controller ``(r, theta, wind, props=None) -> (f, values)`` of a
-        tether-force set-point, bound once; ``props`` is the
-        ``tether_properties`` at ``r`` if the caller has it."""
-        tether, kite, aero, gravity = self.tether, self.kite, self.aero_set, self.op.gravity
+        tether-force set-point, bound once; ``wind`` is (v_w, rho) and
+        ``props`` the ``tether_at(r)`` pair if the caller has it."""
+        tether_at, kite, aero, gravity = self.tether_at, self.kite, self.aero_set, self.op.gravity
         bound = bind_setpoint(F_target, self.op.force_at, self.angles, aero.C_L, kite.m, kite.S)
 
-        def step(r: float, theta: float, wind: WindState, props=None) -> tuple:
-            m_t, C_D = props or tether_properties(r, tether, kite, aero)
+        def step(r: float, theta: float, wind: tuple[float, float], props=None) -> tuple:
+            m_t, C_D = props or tether_at(r)
             if gravity:
                 return _solve_reel_factor(bound, theta, C_D, m_t, *wind)
             return massless_setpoint_step(bound, theta, C_D, *wind)
@@ -212,7 +215,7 @@ class _PhaseEngine:
 def _integrate(
     engine: _PhaseEngine,
     phase: str,
-    controller: Callable[[float, float, WindState], tuple],
+    controller: Callable[[float, float, tuple[float, float]], tuple],
     r: float,
     theta: float,
     t: float,
@@ -224,8 +227,8 @@ def _integrate(
 ) -> PhaseResult:
     """Explicit Euler integration of one phase until its end condition.
 
-    ``rates`` looks up the wind at (r, theta) and calls ``controller``, which
-    maps (r, theta, wind) to (f, equilibrium fields); it returns the step record,
+    ``rates`` evaluates ``engine.wind_at`` at (r, theta) and calls ``controller``, which
+    maps (r, theta, (v_w, rho)) to (f, equilibrium fields); it returns the step record,
     dr/dt = f*v_w and dtheta/dt = lam*v_w*climb/r, where ``climb`` is
     cos(chi), or 0 to hold theta.  The phase ends when the tether length, or
     the elevation if ``by_elevation``, reaches ``end`` moving up if
@@ -236,12 +239,12 @@ def _integrate(
             characteristic times, or what the wind law or ``controller``
             raised, chained and prefixed with the phase, t, r and elevation.
     """
-    env, phi, chi = engine.env, engine.phi, engine.chi
+    wind_at, phi, chi = engine.wind_at, engine.phi, engine.chi
 
     def rates(t: float, r: float, theta: float) -> tuple[StepRecord, float, float]:
-        wind = wind_state_at(r * math.cos(theta), env)
+        wind = wind_at(r * math.cos(theta))
         f, (_, lam, v_a, _, _, _, F_t_kite, F_tg, _, P, _) = controller(r, theta, wind)
-        v_t, v_tau = f * wind.v_w, lam * wind.v_w
+        v_t, v_tau = f * wind[0], lam * wind[0]
         record = StepRecord(t, r, theta, phi, chi, f, v_t, math.hypot(v_t, v_tau), v_a, F_t_kite,
                             F_tg, P)
         return record, v_t, v_tau * climb / r
@@ -326,8 +329,8 @@ def simulate_transition(
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
     reel_in, reel_out = engine.setpoint(op.F_in), engine.setpoint(op.F_out)
 
-    def controller(r: float, theta: float, wind: WindState) -> tuple:
-        props = m_t, C_D = tether_properties(r, tether, kite, engine.aero_set)
+    def controller(r: float, theta: float, wind: tuple[float, float]) -> tuple:
+        props = m_t, C_D = engine.tether_at(r)
         coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)  # f = 0
         try:
             if op.gravity:

@@ -37,7 +37,6 @@ __all__ = [
     "cycle_to_log_records",
     "write_telemetry_csv",
     "read_telemetry_csv",
-    "derive_course_angles",
     "write_estimates_csv",
     "write_phase_averages",
     "write_convergence_csv",
@@ -144,30 +143,11 @@ def write_telemetry_csv(path: str | Path, records: Sequence[LogRecord]) -> None:
     _write_csv(path, TELEMETRY_COLUMNS, lines())
 
 
-def derive_course_angles(records: list[LogRecord]) -> list[LogRecord]:
-    """Fill missing course angles by finite differences of position.
-
-    The course angle is the direction of the tangential displacement
-    (d_theta, sin(theta)*d_phi) between consecutive samples; the last
-    sample inherits its predecessor's value.
-    """
-    filled, last = [], 0.0
-    for rec, nxt in zip(records, [*records[1:], None]):
-        if rec.chi is None:
-            if nxt is not None:
-                last = _course_angle(last, rec.theta, rec.phi, nxt.theta, nxt.phi)
-            rec = rec._replace(chi=last)
-        else:
-            last = rec.chi
-        filled.append(rec)
-    return filled
-
-
 def _course_angle(last: float, theta: float, phi: float, nxt_theta: float,
                   nxt_phi: float) -> float:
-    """The course angle of a sample at (theta, phi) with no chi of its own,
-    the next sample being at (nxt_theta, nxt_phi); ``last``, the course
-    angle of the sample before, if the position does not change."""
+    """The course angle of a sample at (theta, phi) with no chi of its own: the direction
+    (d_theta, sin(theta)*d_phi) of its move to the next sample, at (nxt_theta, nxt_phi), or
+    ``last``, the course angle of the sample before, if the position does not change."""
     if nxt_theta != theta or nxt_phi != phi:
         return math.atan2(math.sin(theta) * (nxt_phi - phi), nxt_theta - theta)
     return last
@@ -197,7 +177,7 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     Once every row parses, a row with r <= 0, F_tg < 0 or v_w_ref < 0 is
     a ``ValidationError`` naming the file line; so are timestamps that do
     not strictly increase, naming the file.  Missing course angles are
-    derived from consecutive positions, by :func:`derive_course_angles`' rule.
+    derived from consecutive positions, by :func:`_course_angle`.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")

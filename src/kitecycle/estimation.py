@@ -53,7 +53,7 @@ class LogRecord(NamedTuple):
 
     ``vk`` is the kite velocity vector in the wind reference frame
     (x downwind, z up).  ``chi`` may be None when the logger did not
-    record a course angle; see :func:`derive_course_angles`.
+    record a course angle; ``read_telemetry_csv`` derives it from positions.
     """
 
     t: float

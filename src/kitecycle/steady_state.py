@@ -58,12 +58,12 @@ __all__ = [
     "KiteParams",
     "EquilibriumResult",
     "tether_properties",
+    "bind_tether",
     "angle_trig",
     "massless_state",
     "massless_setpoint",
     "bind_setpoint",
     "massless_setpoint_step",
-    "ground_tether_force",
     "aero_force_from_ground",
     "solve_kinematic_ratio",
     "gravity_setpoint",
@@ -178,11 +178,20 @@ def tether_properties(
     One fourth of the tether drag area ``d_t*r`` is added to the kite drag
     area; the mass is the full cylinder volume times material density.
     """
-    if r <= 0.0:
-        raise ValidationError(f"tether length must be > 0, got {r}")
-    m_t = tether.mass(r)
-    C_D_total = aero.C_D_k + 0.25 * (tether.d_t * r / kite.S) * tether.C_D_c
-    return m_t, C_D_total
+    return bind_tether(tether, kite, aero)(r)
+
+
+def bind_tether(tether: TetherParams, kite: KiteParams,
+                aero: AeroSet) -> Callable[[float], tuple[float, float]]:
+    """:func:`tether_properties` as ``r -> (m_t, C_D_total)``, bound once per phase."""
+    # mass(r) is its product up to d_t**2 times r: mass(1.0)*r, float for float.
+    per_metre, d_t, C_D_c, S, C_D_k = tether.mass(1.0), tether.d_t, tether.C_D_c, kite.S, aero.C_D_k
+
+    def properties(r: float) -> tuple[float, float]:
+        if r <= 0.0:
+            raise ValidationError(f"tether length must be > 0, got {r}")
+        return per_metre * r, C_D_k + 0.25 * (d_t * r / S) * C_D_c
+    return properties
 
 
 def angle_trig(phi: float, chi: float) -> tuple[float, float, float, float]:
@@ -302,7 +311,7 @@ def massless_setpoint_step(bound: tuple, theta: float, C_D: float, v_w: float,
     return _massless(a, b, None, C_L, C_D, S, v_w, rho, F_target)
 
 
-def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
+def _ground_tether_force(F_t_kite: float, sin_t: float, cos_t: float, m_t: float) -> float:
     """Tether force at the ground station given the force at the kite.
 
     The sag-induced tangential reaction at each suspension point is half
@@ -316,11 +325,6 @@ def ground_tether_force(F_t_kite: float, theta: float, m_t: float) -> float:
             radial tension at the kite does not carry the radial tether
             weight, so that the tether would push on the ground station.
     """
-    return _ground_tether_force(F_t_kite, math.sin(theta), math.cos(theta), m_t)
-
-
-def _ground_tether_force(F_t_kite: float, sin_t: float, cos_t: float, m_t: float) -> float:
-    """:func:`ground_tether_force` from the sine and cosine of theta."""
     F_t_tau = 0.5 * sin_t * m_t * GRAVITY
     if F_t_kite <= abs(F_t_tau):
         raise TetherSagError(
@@ -340,7 +344,7 @@ def aero_force_from_ground(F_tg: float, sin_t: float, cos_t: float, m_t: float,
                            m: float) -> Optional[tuple[float, float]]:
     """Radial component and magnitude of the aerodynamic force on a kite
     of mass ``m`` whose tether, of mass ``m_t``, carries ``F_tg`` at the
-    ground: :func:`ground_tether_force` inverted, plus the airborne
+    ground: :func:`_ground_tether_force` inverted, plus the airborne
     weights.  None where F_tg is below the sag reaction; ``F_tg**2`` may
     raise OverflowError."""
     F_t_tau = 0.5 * sin_t * m_t * GRAVITY
@@ -353,7 +357,7 @@ def aero_force_from_ground(F_tg: float, sin_t: float, cos_t: float, m_t: float,
 
 class _Probe(NamedTuple):
     """One root-search evaluation: abscissa, residual (None where the
-    equilibrium does not exist) and the solved values."""
+    equilibrium does not exist) and the :func:`_geometry` tuple."""
 
     x: float
     r: Optional[float]
@@ -381,14 +385,14 @@ def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float,
             m * GRAVITY * cos_t, F_a_theta + m * GRAVITY * sin_t)
 
 
-def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms: tuple) -> _Probe:
-    """Probe at kappa = exp(x) from a state's :func:`_trig`, :func:`angle_trig`
-    and :func:`_force_terms`, f < b unchecked: residual log(G/G*), G the lift-to-
-    drag ratio the apparent wind and aerodynamic force imply, and the values
-    (kappa, lam, v_a, F_a, F_a_r, F_t_kite); raises SteadyStateError where they do not exist."""
+def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms: tuple) -> tuple:
+    """(log(G/G*), kappa, lam, F_a, F_a_r) at kappa = exp(x), from a state's :func:`_trig`,
+    :func:`angle_trig` and :func:`_force_terms`, f < b unchecked; G is the lift-to-drag ratio
+    the apparent wind and aerodynamic force imply.  Raises SteadyStateError where they do not
+    exist.  The solver's probes wrap it; a set-point's rising check reads only the sign."""
     a, b, _, cos_t = trig
     sin_p, cos_p, sin_c, cos_c = angles
-    _, log_G_star, force_coefficient, F_a_theta, W_r, F_t_theta = terms
+    _, log_G_star, force_coefficient, F_a_theta, _, _ = terms
     kappa = math.exp(x)
     b_f = b - f
     one_k2 = 1.0 + kappa * kappa
@@ -414,17 +418,16 @@ def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms:
     ratio2 = (F_a / drag) ** 2 - 1.0
     if ratio2 <= 0.0:
         raise SteadyStateError("force geometry implies a non-positive lift-to-drag ratio")
-    v_a = b_f * math.sqrt(one_k2) * v_w
-    F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
-    return _Probe(x, 0.5 * math.log(ratio2) - log_G_star, (kappa, lam, v_a, F_a, F_a_r, F_t_kite))
+    return 0.5 * math.log(ratio2) - log_G_star, kappa, lam, F_a, F_a_r
 
 
 def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
                  m_t: float, S: float, v_w: float, rho: float) -> tuple:
-    """:func:`_geometry` values at reeling factor ``f``, completed to the
-    fields of an equilibrium."""
-    kappa, lam, v_a, F_a, F_a_r, F_t_kite = value
-    F_a_theta = terms[3]
+    """The solved (kappa, lam, v_a, F_a, F_a_r) at reeling factor ``f``,
+    completed to the fields of an equilibrium."""
+    kappa, lam, v_a, F_a, F_a_r = value
+    _, _, _, F_a_theta, W_r, F_t_theta = terms
+    F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
     F_tg = _ground_tether_force(F_t_kite, trig[2], trig[3], m_t)
     P = F_tg * f * v_w
     # P_w = 0.5*rho*v_w**3 is taken last: v_w**3 may overflow where the checks fail first.
@@ -507,7 +510,7 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
             the geometry fails (the aerodynamic force falls below the
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
-        TetherSagError: as :func:`ground_tether_force`, for the root's
+        TetherSagError: as :func:`_ground_tether_force`, for the root's
             tension at the kite.
     """
     _check_phase(angles, S, m)
@@ -523,21 +526,25 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
     def probe(x: float) -> _Probe:
         nonlocal evaluations
         evaluations += 1
-        return _geometry(x, f, trig, angles, v_w, terms)
+        geometry = _geometry(x, f, trig, angles, v_w, terms)
+        return _Probe(x, geometry[0], geometry)
 
     x_max = math.log(50.0 * terms[0])
     value = _secant(probe, terms[1], x_max)
     if value is None:
         value = _largest_kappa_root(probe, x_max).value
-    if value[1] < 0.0:
+    _, kappa, lam, F_a, F_a_r = value
+    if lam < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
-                               f"factor ({value[1]:.4f})")
-    return EquilibriumResult(*_equilibrium(value, f, evaluations, trig, terms, m_t, S, v_w, rho))
+                               f"factor ({lam:.4f})")
+    v_a = (b - f) * math.sqrt(1.0 + kappa * kappa) * v_w
+    return EquilibriumResult(*_equilibrium((kappa, lam, v_a, F_a, F_a_r), f, evaluations, trig,
+                                           terms, m_t, S, v_w, rho))
 
 
 def _secant(probe: Callable[[float], _Probe], x: float, x_max: float) -> Optional[tuple]:
     """Secant iteration on log kappa from ``x``; the first step is the
-    fixed-point step kappa*sqrt(G*/G) (slope 2).  Returns the values of
+    fixed-point step kappa*sqrt(G*/G) (slope 2).  Returns the value of
     the first probe within ``_LOG_G_TOL``, or None once a probe fails, a
     step leaves [1e-9, exp(x_max)], ``_SECANT_STEPS`` steps pass or the
     slope has G falling with kappa, where a root is not the model's."""
@@ -719,11 +726,10 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
     kappa2 = A / (b_f * b_f) - 1.0
     try:
         rising = kappa2 > 0.0 and _geometry(0.5 * math.log(kappa2) + _RISE_STEP, f, trig, angles,
-                                            v_w, terms).r > 0.0
+                                            v_w, terms)[0] > 0.0
     except SteadyStateError:
         rising = False
     if not rising:
         raise _unreachable(F_target, target_end, f"G falls through G* with kappa at f = {f:.4f}")
-    F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
-    return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r, F_t_kite), f,
-                           1, trig, terms, m_t, S, v_w, rho)
+    return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 1, trig,
+                           terms, m_t, S, v_w, rho)

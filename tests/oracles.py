@@ -129,9 +129,12 @@ def _finite(row, column, where):
     return value
 
 
-def _dictreader_course_angles(records):
+def course_angles(records):
     """Missing course angles by finite differences of position, each
-    filled record rebuilt with ``_replace``."""
+    filled record rebuilt with ``_replace``: the course angle is the
+    direction of the tangential displacement (d_theta, sin(theta)*d_phi)
+    to the next sample, or the one before where the position does not
+    change; the last sample inherits its predecessor's value."""
     out = list(records)
     last_chi = 0.0
     for i, rec in enumerate(out):
@@ -175,5 +178,5 @@ def dictreader_telemetry(path):
     if any(b.t <= a.t for a, b in zip(records, records[1:])):
         raise ValidationError(f"{path}: timestamps must be strictly increasing")
     if any(rec.chi is None for rec in records):
-        records = _dictreader_course_angles(records)
+        records = course_angles(records)
     return records

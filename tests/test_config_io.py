@@ -12,7 +12,6 @@ from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
     TIMESERIES_COLUMNS,
     cycle_to_log_records,
-    derive_course_angles,
     read_telemetry_csv,
     write_telemetry_csv,
     write_timeseries_csv,
@@ -421,7 +420,7 @@ def test_writers_write_numpy_floats_as_their_str(tmp_path, strong_config, strong
         assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 
-def test_derive_course_angles_direction():
+def test_read_telemetry_derives_course_angle_direction(tmp_path):
     # Two samples descending in elevation (theta increasing): chi ~ 0.
     base = dict(F_tg=100.0, r=400.0, phi=0.0, chi=None, vk=(0.0, 0.0, 0.0),
                 v_t=0.0, v_w_ref=9.9)
@@ -429,6 +428,8 @@ def test_derive_course_angles_direction():
         LogRecord(t=0.0, theta=math.radians(30), **base),
         LogRecord(t=1.0, theta=math.radians(35), **base),
     ]
-    out = derive_course_angles(recs)
+    path = tmp_path / "telemetry.csv"
+    write_telemetry_csv(path, recs)
+    out = read_telemetry_csv(path)
     assert out[0].chi == pytest.approx(0.0, abs=1e-9)
     assert out[1].chi == out[0].chi

@@ -113,17 +113,28 @@ def test_determinism(strong_config):
 def test_euler_rule_of_every_phase(request, monkeypatch, preset, gravity):
     cfg = request.getfixturevalue(preset)
     op = replace(cfg.operation, dT=0.01, gravity=gravity)
-    lookups = []
-    wind_state_at = cycle.wind_state_at
+    lookups, mean_lookups = [], []
+    bind_wind, wind_state_at = cycle.bind_wind, cycle.wind_state_at
 
-    def counted(z, env):
-        lookups.append(z)
+    def counted_binder(env):
+        wind_at = bind_wind(env)
+
+        def counted(z):
+            lookups.append(z)
+            return wind_at(z)
+        return counted
+
+    def counted_mean(z, env):
+        mean_lookups.append(z)
         return wind_state_at(z, env)
 
-    monkeypatch.setattr(cycle, "wind_state_at", counted)
+    monkeypatch.setattr(cycle, "bind_wind", counted_binder)
+    monkeypatch.setattr(cycle, "wind_state_at", counted_mean)
     res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
-    # One wind lookup per record, and one for the mean traction altitude.
-    assert len(lookups) == sum(len(phase.series) for phase in res.phases) + 1
+    # One wind lookup per record, through its phase's bound wind law, and
+    # one for the mean traction altitude.
+    assert len(lookups) == sum(len(phase.series) for phase in res.phases)
+    assert mean_lookups == [res.z_mt]
     for phase in res.phases:
         assert phase.steps > 1
         # Every step but the last, which is truncated onto the end condition.
@@ -269,13 +280,17 @@ def test_transition_step_takes_tether_properties_once(request, monkeypatch, pres
     op = replace(cfg.operation, gravity=gravity)
     start = simulate_retraction(cfg.environment, cfg.kite, cfg.tether, op).end
     calls = []
-    tether_properties = cycle.tether_properties
+    bind_tether = cycle.bind_tether
 
-    def counted(*args):
-        calls.append(args[0])
-        return tether_properties(*args)
+    def counted_binder(*args):
+        tether_at = bind_tether(*args)
 
-    monkeypatch.setattr(cycle, "tether_properties", counted)
+        def counted(r):
+            calls.append(r)
+            return tether_at(r)
+        return counted
+
+    monkeypatch.setattr(cycle, "bind_tether", counted_binder)
     res = simulate_transition(cfg.environment, cfg.kite, cfg.tether, op, start.r, start.theta,
                               start.t)
     assert any(rec.f != 0.0 for rec in res.series)  # some steps reel at a set-point

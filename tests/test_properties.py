@@ -2,9 +2,10 @@
 and for the telemetry reader and the cycle energies.
 
 They pin the invariants the solvers rely on or promise: the force
-inversions round-trip, the closed-form gravity inversion finds the
-reeling factor of a tight nested search and, where weight dominates,
-meets the force exactly or names why it cannot, the tether force falls
+inversions round-trip, a simulator phase's bound step is the public
+set-point at the public wind and tether values, the closed-form gravity
+inversion finds the reeling factor of a tight nested search and, where
+weight dominates, meets the force exactly or names why it cannot, the tether force falls
 with the reeling factor, gravity mode without mass is the closed form,
 the kinematic ratio is the root a tight independent bisection finds,
 every failure is one of a few definite reasons, and each entry point
@@ -40,17 +41,19 @@ from kitecycle import (
     WindState,
     angle_trig,
     gravity_setpoint,
+    load_config,
     massless_setpoint,
     massless_state,
     replace,
     solve_kinematic_ratio,
     tether_properties,
+    wind_state_at,
 )
 from kitecycle import dataio
 from kitecycle.cycle import CycleResult, PhaseResult, StepRecord, _PhaseEngine
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
-from kitecycle.dataio import TELEMETRY_COLUMNS, derive_course_angles, read_telemetry_csv
+from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv
 from kitecycle.estimation import EstimateRecord, LogRecord
 from kitecycle.errors import (
     KitecycleError,
@@ -61,7 +64,7 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
-from oracles import bisect_kappa, dictreader_telemetry, implied_lift_to_drag
+from oracles import bisect_kappa, course_angles, dictreader_telemetry, implied_lift_to_drag
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
 # drawn effective coefficients.
@@ -327,6 +330,47 @@ def test_gravity_step_is_the_public_inversion(p, end, log_ratio):
     assert outcome(lambda: engine_step(*args)) == outcome(lambda: public_inversion(*args))
 
 
+PRESET_CONFIGS = {name: load_config(preset_path(name)) for name in ("strong_wind", "moderate_wind")}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(PRESET_CONFIGS)), st.booleans(),
+       st.sampled_from(["retraction", "transition", "traction"]), st.sampled_from(["F_in", "F_out"]),
+       st.floats(-1000.0, 1000.0), st.floats(-1.6, 3.2))
+@example("strong_wind", True, "traction", "F_out", 692.3948368566255, 0.8253623387820821)
+# Below the roughness length, at r <= 0 above it, and unreachable set-points.
+@example("strong_wind", True, "traction", "F_out", -171.3720013984514, -0.7695644724205555)
+@example("strong_wind", False, "retraction", "F_out", -764.1625926578779, 2.0526197355803633)
+@example("strong_wind", True, "traction", "F_in", 72.27612016480907, -0.0815309884075004)
+@example("strong_wind", False, "retraction", "F_out", 325.5710621998014, -1.5688469673004177)
+def test_bound_phase_step_is_the_public_path(preset, gravity, phase, setpoint, r, theta):
+    # A phase's step through its bound wind law, tether properties and
+    # set-point gives the public set-point's result at wind_state_at and
+    # tether_properties bit for bit, or raises its error with its message.
+    cfg = PRESET_CONFIGS[preset]
+    op = replace(cfg.operation, gravity=gravity)
+    aero, phi, chi = {"retraction": (cfg.kite.aero_retraction, 0.0, math.pi),
+                      "transition": (cfg.kite.aero_traction, 0.0, 0.0),
+                      "traction": (cfg.kite.aero_traction, op.phi_o, op.chi_o)}[phase]
+    engine = _PhaseEngine(cfg.environment, cfg.kite, cfg.tether, op, aero, phi, chi)
+    F_target = getattr(op, setpoint)
+
+    def bound():
+        f, values = engine.setpoint(F_target)(r, theta, engine.wind_at(r * math.cos(theta)))
+        return f, EquilibriumResult(*values)
+
+    def public():
+        wind = wind_state_at(r * math.cos(theta), cfg.environment)
+        m_t, C_D = tether_properties(r, cfg.tether, cfg.kite, aero)
+        head = (theta, angle_trig(phi, chi), aero.C_L, C_D)
+        if gravity:
+            return gravity_setpoint(F_target, op.force_at, *head, m_t, cfg.kite.m, cfg.kite.S,
+                                    *wind)
+        return massless_setpoint(F_target, *head, cfg.kite.S, *wind)
+
+    assert outcome(bound) == outcome(public)
+
+
 def massless_failure_cases():
     """(theta, chi, C_L, LD_k, b - f or None for a target F, F, error, message start) of
     each way a massless inversion fails, at phi = 0 and r = 150 m."""
@@ -536,10 +580,10 @@ def test_telemetry_reader_matches_the_dictreader_reference(log):
         records = read_telemetry_csv(path)
         reference = dictreader_telemetry(path)
     assert repr(records) == repr(reference)
-    # The public course-angle rule is the reader's.
+    # The reader fills each blank course angle by the reference rule.
     unfilled = [rec._replace(chi=None) if blank else rec
-                for rec, blank in zip(reference, blank_chi)]
-    assert repr(derive_course_angles(unfilled)) == repr(reference)
+                for rec, blank in zip(records, blank_chi)]
+    assert repr(course_angles(unfilled)) == repr(records)
 
 
 # CSV values: floats with the edge values, and labels that are None, blank

@@ -13,7 +13,6 @@ from kitecycle import (
     WindState,
     angle_trig,
     gravity_setpoint,
-    ground_tether_force,
     massless_setpoint,
     massless_state,
     replace,
@@ -27,6 +26,7 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
+from kitecycle.steady_state import aero_force_from_ground
 from oracles import bisect_kappa, grid_scan_kappa, scan_harvesting_factor
 
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)
@@ -306,32 +306,55 @@ class TestReelFactorMassless:
 
 
 class TestGroundTetherForce:
+    """The sag balance between the tether's ends, through set-points of a
+    massless kite flying down (chi = 0) with a tether of mass m_t."""
+
+    @staticmethod
+    def setpoint(F_target, target_end, theta, m_t):
+        return gravity_setpoint(F_target, target_end, theta, angle_trig(0.0, 0.0), *AERO_71, m_t,
+                                0.0, 10.2, *WIND)
+
+    def kite_tension(self, F_tg, theta, m_t):
+        """The kite-end tension that carries ``F_tg`` at the ground.  The
+        equilibrium's ground force, taken from that tension, is ``F_tg``
+        again, and its aerodynamic force is aero_force_from_ground's."""
+        _, eq = self.setpoint(F_tg, "ground", theta, m_t)
+        assert eq.F_tg == pytest.approx(F_tg, rel=1e-12)
+        assert (eq.F_a_r, eq.F_a) == aero_force_from_ground(F_tg, math.sin(theta),
+                                                            math.cos(theta), m_t, 0.0)
+        return eq.F_t_kite
+
     def test_horizontal_tether_identity(self):
-        F_tg = ground_tether_force(750.0, math.pi / 2, 5.0)
-        assert isinstance(F_tg, float)
-        assert F_tg == pytest.approx(750.0, rel=1e-12)
+        F_t_kite = self.kite_tension(750.0, math.pi / 2, 5.0)
+        assert isinstance(F_t_kite, float)
+        assert F_t_kite == pytest.approx(750.0, rel=1e-12)
 
     def test_zenith_value(self):
-        F_tg = ground_tether_force(750.0, 0.0, 5.459)
-        assert F_tg == pytest.approx(750.0 - 5.459 * 9.81, rel=1e-9)
+        F_t_kite = self.kite_tension(750.0 - 5.459 * 9.81, 0.0, 5.459)
+        assert F_t_kite == pytest.approx(750.0, rel=1e-9)
 
     def test_massless_tether_identity(self):
-        assert ground_tether_force(321.0, 1.0, 0.0) == pytest.approx(321.0, rel=1e-12)
+        assert self.kite_tension(321.0, 1.0, 0.0) == pytest.approx(321.0, rel=1e-12)
 
     def test_ground_force_below_kite_force_for_small_sag(self):
         for theta_deg in (20, 45, 80):
-            F_tg = ground_tether_force(3000.0, math.radians(theta_deg), 6.0)
-            assert 3000.0 - 6.0 * 9.81 < F_tg < 3000.0
+            F_t_kite = self.kite_tension(3000.0, math.radians(theta_deg), 6.0)
+            assert 3000.0 < F_t_kite < 3000.0 + 6.0 * 9.81
 
     def test_sag_too_large(self):
-        with pytest.raises(TetherSagError):
-            ground_tether_force(10.0, math.pi / 2, 5.0)
+        # Half the weight of 5 kg of tether, 24.5 N tangential at the
+        # ground, exceeds 10 N there.
+        assert aero_force_from_ground(10.0, 1.0, 0.0, 5.0, 0.0) is None
+        with pytest.raises(SetpointUnreachableError,
+                           match=r"^force 10 N at the ground: no radial tension at the kite "
+                                 r"\(sag reaction 24\.5 N\)$"):
+            self.setpoint(10.0, "ground", math.pi / 2, 5.0)
 
     def test_tether_cannot_push_on_the_ground_station(self):
         # Near the zenith 5 kg of tether weighs 49 N radially; 40 N at the
         # kite cannot carry it.
         with pytest.raises(TetherSagError, match="^kite tension 40.0 N leaves the tether pushing"):
-            ground_tether_force(40.0, 0.1, 5.0)
+            self.setpoint(40.0, "kite", 0.1, 5.0)
 
 
 # Flight state of the mass-isoline study: 25 deg elevation, f = 0.37,

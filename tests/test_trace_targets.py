@@ -39,8 +39,9 @@ def test_cycle_spans_count_their_calls(spans, gravity):
     finally:
         tracer.uninstall()
     calls = {name: acc[0] for name, acc in tracer.per_op()[-1].items()}
-    records = sum(len(phase.series) for phase in res.phases)
-    assert calls["atmosphere.wind_state_at"] == records + 1
+    # A step evaluates its phase's bound wind law, which no span wraps; the
+    # one call left is the mean traction altitude's, for zeta_m.
+    assert calls["atmosphere.wind_state_at"] == 1
     for name in ("cycle.simulate_cycle", "cycle.retraction", "cycle.transition",
                  "cycle.traction"):
         assert calls[name] == 1, name

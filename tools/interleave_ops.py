@@ -1,0 +1,136 @@
+"""Alternating in-process timings of the benchmark's seed-1 op pools, parent
+against the working tree.
+
+Usage, from the repository root:
+
+    python3 tools/interleave_ops.py --parent REV [--rounds 10] [--best-of 5]
+        [--workloads cycle-gravity,cycle-massless,estimate] [--work DIR]
+
+The parent side runs from a ``git archive`` of REV, the change side from a
+copy of the working tree's files (tracked and untracked, not ignored),
+each extracted once into its own directory under ``--work``.  The seed-1
+pool of each workload is generated once by ``perfbench/workloads.py``
+of the working tree, so both sides run the same inputs.
+
+Each round starts, per workload, one fresh Python process per side, the
+parent first in the 1st, 3rd, ... round and the change first in the
+others.  A process imports its side's ``kitecycle`` and runs the whole
+pool through ``kitecycle.cli.run_command`` ``--best-of`` times, keeping
+each op's least wall time; the round's figure is the sum of those least
+times over the pool, in ms.  Start-up and import are not timed.
+
+At the end the script prints, per workload, each side's median figure,
+the relative change of the medians and the rounds the change was faster
+in.  An op that exits non-zero on either side is an error.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, copy_working_tree, extract_parent  # noqa: E402
+
+WORKLOADS = ("cycle-gravity", "cycle-massless", "estimate")
+
+# Run in a fresh process with its side's src first on sys.path: argv is
+# the pool file and the number of passes; prints the least time per op.
+CHILD = r"""
+import contextlib, io, json, sys, time
+import kitecycle.cli
+ops = json.loads(open(sys.argv[1], encoding="utf-8").read())
+best, codes = [float("inf")] * len(ops), set()
+for _ in range(int(sys.argv[2])):
+    for i, op in enumerate(ops):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            start = time.perf_counter()
+            codes.add(kitecycle.cli.run_command(op["argv"]))
+            best[i] = min(best[i], time.perf_counter() - start)
+print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__}))
+"""
+
+
+def generate_pool(workload: str, work: Path) -> Path:
+    """The seed-1 op pool of ``workload``, its inputs written under ``work``."""
+    import workloads  # perfbench's, on sys.path from main
+    pool = work / f"{workload}.json"
+    pool.write_text(json.dumps(workloads.generate(workload, 1, work)), encoding="utf-8")
+    return pool
+
+
+def time_pool(tree: Path, pool: Path, best_of: int) -> float:
+    """Sum over the pool of each op's least time, in ms, from a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of)], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"interleave_ops: {tree.name} on {pool.stem} exited {proc.returncode}:\n"
+                 f"{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not Path(result["module"]).resolve().is_relative_to(tree.resolve()):
+        sys.exit(f"interleave_ops: {tree.name} imported kitecycle from {result['module']}")
+    if result["codes"] != [0]:
+        sys.exit(f"interleave_ops: {tree.name} on {pool.stem}: exit codes {result['codes']}")
+    return 1e3 * sum(result["best"])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git rev of the parent side")
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--best-of", type=int, default=5, help="passes over the pool per round")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma-separated subset of " + ", ".join(WORKLOADS))
+    parser.add_argument("--work", type=Path, default=None,
+                        help="directory for the copies and inputs (default: a temporary one)")
+    args = parser.parse_args(argv)
+    names = args.workloads.split(",")
+    if not set(names) <= set(WORKLOADS) or args.rounds < 1 or args.best_of < 1:
+        parser.error(f"--workloads must name some of {WORKLOADS}; --rounds and --best-of >= 1")
+
+    work = args.work or Path(tempfile.mkdtemp(prefix="interleave_ops-"))
+    trees = {"parent": work / "parent", "change": work / "change"}
+    for side, tree in trees.items():
+        shutil.rmtree(tree, ignore_errors=True)
+        tree.mkdir(parents=True)
+        if side == "parent":
+            extract_parent(args.parent, tree)
+        else:
+            copy_working_tree(tree)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    pools = {name: generate_pool(name, work / "pools") for name in names}
+
+    times: dict[str, dict[str, list[float]]] = {name: {"parent": [], "change": []}
+                                                for name in names}
+    for i in range(args.rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in names:
+            for side in order:
+                times[name][side].append(time_pool(trees[side], pools[name], args.best_of))
+            print(f"round {i + 1} {name}: parent {times[name]['parent'][-1]:.1f} ms, "
+                  f"change {times[name]['change'][-1]:.1f} ms", flush=True)
+
+    print(f"{args.rounds} alternating rounds, best of {args.best_of} per op, parent "
+          f"{args.parent}:")
+    for name in names:
+        parent, change = times[name]["parent"], times[name]["change"]
+        p, c = statistics.median(parent), statistics.median(change)
+        won = sum(b < a for a, b in zip(parent, change))
+        print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}), "
+              f"change faster in {won}/{args.rounds} rounds")
+    if args.work is None:
+        shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
