@@ -19,7 +19,6 @@ from .estimation import (
     EstimateRecord,
     LogRecord,
     PhaseAverages,
-    derive_kinematics,
     estimate_record,
     segment_and_average,
     segment_phases,

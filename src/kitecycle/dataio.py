@@ -9,6 +9,10 @@ is blank and every line ends in CRLF; the header goes through
 ``csv.writer``.  Rows format a number as ``{x!s}``: ``{x}`` gives the same
 text through ``format(x, '')``, a ``__format__`` lookup and a spec parse
 more per field, and ``{x!r}`` writes a numpy 2 float64 as ``np.float64(1.5)``.
+Within a phase, :func:`write_timeseries_csv` reuses the text of a number
+that repeats (the elevation traction holds, a set-point force), keyed on its
+value; a zero is formatted each time, as 0.0 and -0.0 are one key, and a NaN
+matches only itself as an object: the bytes stay ``csv.writer``'s.
 Files are UTF-8, CSV uses comma separators and ``.`` decimals, with a
 header row; JSON is indented by two spaces and ends with a newline.
 Outputs carry no timestamps so identical runs are byte-identical.
@@ -78,17 +82,38 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+_FORCE_TEXTS = 16  # force texts a phase keeps per column
+
+
+def _force_text(texts: dict, force: float) -> str:
+    """The text of ``force``, kept in ``texts`` while it has room: a set-point
+    force takes a few values, F_target give or take some ulps, and the cap
+    bounds a force that never repeats.  A zero is never kept, as 0.0 and
+    -0.0 are one key but print differently."""
+    text = f"{force!s}"
+    if force and len(texts) < _FORCE_TEXTS:
+        texts[force] = text
+    return text
+
+
 def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
     def lines() -> Iterator[str]:
         degrees = math.degrees
         for phase in cycle.phases:
-            label, phi, chi = _label(phase.phase), None, None
+            label, phi, chi, held = _label(phase.phase), None, None, None
+            kite_texts, ground_texts = {}, {}
             for t, r, theta, rec_phi, rec_chi, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.series:
                 if rec_phi is not phi or rec_chi is not chi:  # a phase's records share them
                     phi, chi = rec_phi, rec_chi
                     angles = f"{degrees(phi)!s},{degrees(chi)!s}"
-                yield (f"{t!s},{label},{r!s},{degrees(theta)!s},{degrees(0.5 * math.pi - theta)!s},"
-                       f"{angles},{f!s},{v_t!s},{v_k!s},{v_a!s},{F_t_kite!s},{F_tg!s},{P!s}\r\n")
+                if theta != held or not theta:  # traction holds theta; ±0.0 and NaN anew
+                    held = theta
+                    elevation = f"{degrees(theta)!s},{degrees(0.5 * math.pi - theta)!s}"
+                kite = kite_texts.get(F_t_kite) or _force_text(kite_texts, F_t_kite)
+                ground = kite if F_tg is F_t_kite else (
+                    ground_texts.get(F_tg) or _force_text(ground_texts, F_tg))
+                yield (f"{t!s},{label},{r!s},{elevation},{angles},{f!s},{v_t!s},{v_k!s},"
+                       f"{v_a!s},{kite},{ground},{P!s}\r\n")
     _write_csv(path, TIMESERIES_COLUMNS, lines())
 
 

@@ -32,9 +32,7 @@ from .steady_state import GRAVITY, KiteParams, TetherParams, aero_force_from_gro
 __all__ = [
     "LogRecord",
     "EstimateRecord",
-    "KinematicsEstimate",
     "PhaseAverages",
-    "derive_kinematics",
     "estimate_record",
     "segment_phases",
     "segment_and_average",
@@ -153,16 +151,6 @@ class EstimateRecord(NamedTuple):
     phase: Optional[str] = None
 
 
-class KinematicsEstimate(NamedTuple):
-    """``v_w`` is the wind at the kite, NaN where the kinematics are invalid."""
-
-    f: float
-    v_a: float
-    kappa: float
-    valid: bool
-    v_w: float = math.nan
-
-
 class PhaseAverages(NamedTuple):
     """Per-phase time averages of the estimates.
 
@@ -183,37 +171,25 @@ class PhaseAverages(NamedTuple):
         return f"PhaseAverages({fields})"
 
 
-def derive_kinematics(rec: LogRecord, env: Environment) -> KinematicsEstimate:
-    """Reeling factor, apparent wind speed and kinematic ratio of a sample.
-
-    The apparent wind is the vector difference of the extrapolated wind
-    and the measured kite velocity; the kinematic ratio follows from the
-    ratio of apparent wind speed to its radial component.  Samples where
-    that ratio drops below one (gusts, noise) are flagged invalid.
-    """
-    return KinematicsEstimate(
-        *_kinematics(rec, env, math.sin(rec.theta), math.cos(rec.theta), math.cos(rec.phi)))
-
-
 def _kinematics(rec: LogRecord, env: Environment, sin_t: float, cos_t: float,
-                cos_p: float) -> tuple[float, float, float, bool, float]:
-    """:func:`derive_kinematics`' fields from sin(theta), cos(theta) and cos(phi)."""
+                cos_p: float) -> tuple[float, float, bool, float]:
+    """Apparent wind speed (extrapolated wind less kite velocity), kinematic
+    ratio (from the apparent wind over its radial part), validity and wind at
+    the kite of a sample, from sin(theta), cos(theta) and cos(phi); invalid,
+    with NaN for what cannot be derived, where that ratio drops below one."""
     _, _, r, _, _, _, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
     z = r * cos_t
-    if z < env.z0:
-        return math.nan, math.nan, math.nan, False, math.nan
-    v_w = env.log_wind_speed(z, v_w_ref)
-    if v_w <= 0.0:
-        return math.nan, math.nan, math.nan, False, math.nan
-    f = v_t / v_w
+    v_w = 0.0 if z < env.z0 else env.log_wind_speed(z, v_w_ref)
+    if v_w <= 0.0:  # below the roughness length too
+        return math.nan, math.nan, False, math.nan
     v_a = math.sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
-    b_f = sin_t * cos_p - f
+    b_f = sin_t * cos_p - v_t / v_w
     if b_f <= 0.0:
-        return f, v_a, math.nan, False, math.nan
+        return v_a, math.nan, False, math.nan
     radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
     if not radicand >= 0.0:  # NaN too: an infinite wind at the kite
-        return f, v_a, math.nan, False, math.nan
-    return f, v_a, math.sqrt(radicand), True, v_w
+        return v_a, math.nan, False, math.nan
+    return v_a, math.sqrt(radicand), True, v_w
 
 
 def estimate_record(
@@ -243,7 +219,7 @@ def estimate_record(
     t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), _, v_w_ref, rec_phase = rec
     phase = phase if phase is not None else rec_phase
     sin_t, cos_t, cos_p = math.sin(theta), math.cos(theta), math.cos(phi)
-    _, v_a, kappa, valid, v_w = _kinematics(rec, env, sin_t, cos_t, cos_p)
+    v_a, kappa, valid, v_w = _kinematics(rec, env, sin_t, cos_t, cos_p)
     nan = math.nan
     if not valid or v_a <= 0.0:
         return EstimateRecord(t, nan, nan, nan, kappa, v_a, False, phase)

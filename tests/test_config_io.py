@@ -6,7 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from kitecycle import dataio, load_config, load_sweep_spec, preset_path, segment_and_average
+from kitecycle import (
+    dataio,
+    load_config,
+    load_sweep_spec,
+    preset_path,
+    replace,
+    segment_and_average,
+    simulate_cycle,
+)
 from kitecycle.config import PRESET_NAMES
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
@@ -240,14 +248,19 @@ class TestTimeseriesCsv:
             header = next(csv.reader(fh))
         assert header == TIMESERIES_COLUMNS
 
-    def test_full_precision_round_trip(self, tmp_path, strong_cycle):
+    @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
+    def test_full_precision_round_trip(self, tmp_path, strong_config, strong_cycle, gravity):
         # Every row and column reads back its record's value exactly; the
-        # degree columns are math.degrees of the record's angles.
+        # degree columns are math.degrees of the record's angles.  Without
+        # gravity every record's F_tg is its F_t_kite object.
+        cfg = strong_config
+        cycle = strong_cycle if gravity else simulate_cycle(
+            cfg.environment, cfg.kite, cfg.tether, replace(cfg.operation, gravity=False))
         path = tmp_path / "timeseries.csv"
-        write_timeseries_csv(path, strong_cycle)
+        write_timeseries_csv(path, cycle)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        records = [(phase.phase, rec) for phase in strong_cycle.phases for rec in phase.series]
+        records = [(phase.phase, rec) for phase in cycle.phases for rec in phase.series]
         assert len(rows) == len(records)
         for row, (phase, rec) in zip(rows, records):
             expected = {**rec._asdict(), "phase": phase, "theta_deg": math.degrees(rec.theta),

@@ -11,7 +11,6 @@ from kitecycle import (
     LogRecord,
     TetherParams,
     angle_trig,
-    derive_kinematics,
     estimate_record,
     massless_state,
     replace,
@@ -68,6 +67,9 @@ def system_C_R(r, aero_set, kite=KITE, tether=TETHER):
 
 
 class TestDeriveKinematics:
+    # The kinematics estimate_record derives: kappa and v_a are carried
+    # even where the rest of the estimate is rejected, NaN where they
+    # cannot be derived.
     def test_static_kite_near_horizon(self):
         # Hovering kite: apparent wind equals the wind at its altitude and
         # the kinematic ratio collapses to zero.  (Exactly at the horizon
@@ -75,26 +77,26 @@ class TestDeriveKinematics:
         # just above it at long tether length.)
         rec = LogRecord(t=0.0, F_tg=100.0, r=10000.0, theta=math.radians(89.99),
                         phi=0.0, chi=0.0, vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
-        kin = derive_kinematics(rec, ENV)
+        est = estimate_record(rec, KITE, TETHER, ENV)
         v_w = ENV.wind_speed(10000.0 * math.cos(math.radians(89.99)))
-        assert kin.valid
-        assert kin.f == 0.0
-        assert kin.v_a == pytest.approx(v_w, rel=1e-12)
-        assert kin.kappa == pytest.approx(0.0, abs=1e-3)
+        assert est.v_a == pytest.approx(v_w, rel=1e-12)
+        assert est.kappa == pytest.approx(0.0, abs=1e-3)
 
     def test_below_roughness_length_is_flagged_not_raised(self):
         rec = LogRecord(t=0.0, F_tg=100.0, r=300.0, theta=math.pi / 2, phi=0.0,
                         chi=0.0, vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
-        assert not derive_kinematics(rec, ENV).valid
+        est = estimate_record(rec, KITE, TETHER, ENV)
+        assert not est.valid
+        assert math.isnan(est.v_a) and math.isnan(est.kappa)
 
     def test_massless_round_trip(self):
         st = Flight(r=450.0, theta=math.radians(63), phi=math.radians(10),
                        chi=math.radians(100), f=0.3)
-        rec = synthetic_record(st, replace(KITE, m=0.0), TETHER, ENV, gravity=False)
-        kin = derive_kinematics(rec, ENV)
+        kite0 = replace(KITE, m=0.0)
+        rec = synthetic_record(st, kite0, TETHER, ENV, gravity=False)
+        est = estimate_record(rec, kite0, TETHER, ENV)
         C_D = KITE.aero_traction.C_D_k + 0.25 * TETHER.d_t * st.r / KITE.S * 1.1
-        assert kin.kappa == pytest.approx(0.69 / C_D, rel=1e-6)
-        assert kin.f == pytest.approx(0.3, rel=1e-9)
+        assert est.kappa == pytest.approx(0.69 / C_D, rel=1e-6)
 
     def test_reeling_at_wind_speed_is_invalid(self):
         theta = math.radians(63)
@@ -102,16 +104,19 @@ class TestDeriveKinematics:
         v_w = ENV.wind_speed(z)
         rec = LogRecord(t=0.0, F_tg=100.0, r=300.0, theta=theta, phi=0.0, chi=0.0,
                         vk=(0.0, 0.0, 0.0), v_t=v_w * math.sin(theta), v_w_ref=9.9)
-        assert not derive_kinematics(rec, ENV).valid
+        est = estimate_record(rec, KITE, TETHER, ENV)
+        assert not est.valid
+        assert est.v_a == pytest.approx(v_w, rel=1e-12)
+        assert math.isnan(est.kappa)
 
     def test_infinite_wind_at_the_kite_is_invalid(self):
         # z/z0 overflows, so the log wind law gives an infinite wind and
         # the kinematic ratio's radicand is NaN.
         rec = LogRecord(t=0.0, F_tg=100.0, r=1e308, theta=0.5, phi=0.0, chi=0.0,
                         vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
-        kin = derive_kinematics(rec, ENV)
-        assert not kin.valid
-        assert math.isnan(kin.kappa)
+        est = estimate_record(rec, KITE, TETHER, ENV)
+        assert not est.valid
+        assert math.isnan(est.kappa)
 
 
 class TestEstimateCR:
@@ -135,7 +140,8 @@ class TestEstimateCR:
         cfg = strong_config
         bad = [rec._replace(F_tg=0.0) for rec in strong_telemetry[::10]]
         weak = [rec._replace(v_w_ref=0.5) for rec in strong_telemetry[::10]]
-        weak = [rec for rec in weak if not derive_kinematics(rec, cfg.environment).valid]
+        weak = [rec for rec in weak if math.isnan(
+            estimate_record(rec, cfg.kite, cfg.tether, cfg.environment).kappa)]
         assert weak
         for rec in bad + weak:
             for label in ("retraction", "transition", "traction"):
@@ -166,9 +172,8 @@ class TestEstimateLD:
                        chi=math.radians(100), f=0.3)
         kite0 = replace(KITE, m=0.0)
         rec = synthetic_record(st, kite0, TETHER, ENV, gravity=False)
-        kin = derive_kinematics(rec, ENV)
         est = estimate_record(rec, kite0, replace(TETHER, rho_t=1e-12), ENV, phase="traction")
-        assert est.LD_sys == pytest.approx(kin.kappa, rel=1e-9)
+        assert est.LD_sys == pytest.approx(est.kappa, rel=1e-9)
 
     def test_zero_diameter_tether_skips_drag_correction(self):
         st = Flight(r=390.0, theta=math.radians(63), phi=0.0,
@@ -436,8 +441,8 @@ def test_non_finite_sample_rejected(strong_config, strong_telemetry, where, fiel
 
 
 def test_estimate_record_derives_kinematics_once(monkeypatch, strong_config, strong_telemetry):
-    # estimate_record reaches derive_kinematics' arithmetic through the
-    # helper that takes the sample's sines and cosines.
+    # estimate_record derives a sample's kinematics in one call, from the
+    # sample's sines and cosines.
     cfg = strong_config
     calls = []
     kinematics = estimation._kinematics

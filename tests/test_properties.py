@@ -617,22 +617,38 @@ def pool(draw, values):
 
 @st.composite
 def cycles(draw):
-    angle = pool(draw, FLOAT)
+    angle, kept = pool(draw, FLOAT), dataio._FORCE_TEXTS
     phases = []
     for _ in range(3):
-        series = [StepRecord(*draw(st.tuples(FLOAT, FLOAT, FLOAT, angle, angle, *[FLOAT] * 7)))
-                  for _ in range(draw(st.integers(0, 4)))]
+        # theta and the forces repeat within a phase, as traction's held theta
+        # and a set-point force do.  A long phase first writes each of more
+        # force values than the writer keeps texts of, then draws from them;
+        # its other numbers come from a pool, to fit hypothesis's buffer.
+        long = draw(st.booleans())
+        forces = draw(st.lists(FLOAT, min_size=kept + 1, max_size=kept + 4, unique=True)
+                      if long else st.lists(FLOAT, min_size=1, max_size=3))
+        theta, number = pool(draw, FLOAT), pool(draw, FLOAT) if long else FLOAT
+        series = []
+        for i in range(draw(st.integers(len(forces), len(forces) + kept) if long
+                            else st.integers(0, 4))):
+            t, r, f, v_t, v_k, v_a, P = draw(st.tuples(*[number] * 7))
+            F_t_kite = forces[i] if long and i < len(forces) else draw(st.sampled_from(forces))
+            F_tg = F_t_kite if draw(st.booleans()) else draw(st.sampled_from(forces))
+            series.append(StepRecord(t, r, draw(theta), draw(angle), draw(angle), f, v_t, v_k,
+                                     v_a, F_t_kite, F_tg, P))
         phases.append(PhaseResult(draw(LABEL), 0.0, 0.0, 0.0, len(series), series))
     return CycleResult(*phases, 0.0, 0.0, 0.0, 0)
 
 
 @PROPERTY
 @given(cycles())
-# Equal angles that print differently: the writer reuses an angle's text
-# only for the same object.
-@example(CycleResult(PhaseResult("traction", 0.0, 0.0, 0.0, 1, [StepRecord(*[0.0] * 12),
-                                                                StepRecord(*[-0.0] * 12)]),
-                     *[PhaseResult("", 0.0, 0.0, 0.0, 0, [])] * 2, 0.0, 0.0, 0.0, 0))
+# Equal numbers that print differently: the writer reuses the text of an
+# angle only for the same object, of theta and a force never for a zero, and
+# of F_t_kite for F_tg only for the same object.
+@example(CycleResult(
+    PhaseResult("traction", 0.0, 0.0, 0.0, 2, [StepRecord(*[0.0] * 12), StepRecord(*[-0.0] * 12),
+                                               StepRecord(*[0.0] * 10, -0.0, 0.0)]),
+    *[PhaseResult("", 0.0, 0.0, 0.0, 0, [])] * 2, 0.0, 0.0, 0.0, 0))
 def test_timeseries_writer_matches_the_csv_module(cycle):
     rows = [[rec.t, phase.phase, rec.r, math.degrees(rec.theta),
              math.degrees(0.5 * math.pi - rec.theta), math.degrees(rec.phi),

@@ -25,7 +25,10 @@ prints the verdict of the claim, if any: met when the change wins at least nine 
 of the pairs, ties counting for neither, the medians differ in the
 better direction by more than the parent's interquartile range and the
 median gain, relative to the parent's median, is at least ``--min-gain``
-(default 0, no minimum).  Every
+(default 0, no minimum).  The claim also reports, but is not judged by,
+``pair_gain_median``: the median over pairs of the change's signed gain
+relative to its pair's parent run, which host drift over a run shifts less
+than it shifts the medians of the sides.  Every
 other pairing of workload and end-to-end metric is printed as better, within its bound, worse beyond its
 bound, or unresolved where the parent's own spread is wider than the
 bound and not every change run beats every parent run.  Standard
@@ -127,14 +130,17 @@ def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str,
     entry = summary[metric]
     p, c = entry["parent"], entry["change"]
     won = int(entry["change_wins"].split("/")[0])
-    gain = c["median"] - p["median"]
-    if entry["better"] == "lower":
-        gain = -gain
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    gain = sign * (c["median"] - p["median"])
     iqr = p["q3"] - p["q1"]
+    parent = [run["parent"]["metrics"][metric]["value"] for run in runs]
+    change = [run["change"]["metrics"][metric]["value"] for run in runs]
+    pair_gains = [sign * (after - before) / before for before, after in zip(parent, change)]
     return {
         "metric": metric, "predicted": predicted, "min_gain": min_gain,
         "median_parent": p["median"], "median_change": c["median"],
-        "median_gain": round(gain / p["median"], 4), "parent_iqr": iqr,
+        "median_gain": round(gain / p["median"], 4),
+        "pair_gain_median": round(statistics.median(pair_gains), 4), "parent_iqr": iqr,
         "change_wins": entry["change_wins"],
         "met": 10 * won >= 9 * len(runs) and gain > iqr and gain >= min_gain * p["median"],
     }
@@ -145,7 +151,8 @@ def verdict(runs: list[dict], summary: dict, claim: dict | None) -> str:
         lines = ["no claim; every end-to-end metric:"]
     else:
         lines = [f"claim {claim['metric']}: parent {claim['median_parent']:.4g}, change "
-                 f"{claim['median_change']:.4g} ({claim['median_gain']:+.1%}), parent IQR "
+                 f"{claim['median_change']:.4g} ({claim['median_gain']:+.1%}; median of the "
+                 f"per-pair gains {claim['pair_gain_median']:+.1%}), parent IQR "
                  f"{claim['parent_iqr']:.3g}, change wins {claim['change_wins']}, minimum "
                  f"gain {claim['min_gain']:.1%}: {'MET' if claim['met'] else 'NOT MET'}"]
     for name, entry in summary.items():
