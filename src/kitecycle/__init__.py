@@ -13,7 +13,6 @@ from .cycle import (
     simulate_retraction,
     simulate_traction,
     simulate_transition,
-    steady_retraction_elevation,
 )
 from .estimation import (
     EstimateRecord,

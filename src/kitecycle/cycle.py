@@ -31,9 +31,8 @@ import math
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .atmosphere import Environment, WindState, bind_wind, wind_state_at
-from .errors import (ConvergenceError, NoTensionError, PhaseError, SolverError, TetherSagError,
-                     ValidationError)
+from .atmosphere import Environment, bind_wind, wind_state_at
+from .errors import NoTensionError, PhaseError, SolverError, TetherSagError, ValidationError
 from .frozen import Frozen, replace
 from .steady_state import (AeroSet, KiteParams, TetherParams, angle_trig, bind_setpoint,
                            bind_tether, massless_setpoint_step, massless_state,
@@ -49,17 +48,12 @@ __all__ = [
     "simulate_transition",
     "simulate_traction",
     "simulate_cycle",
-    "steady_retraction_elevation",
     "convergence_study",
 ]
 
 RETRACTION = "retraction"
 TRANSITION = "transition"
 TRACTION = "traction"
-_SCAN_STEP = math.radians(1.0)  # upward scan step of steady_retraction_elevation
-# Its bisection width [rad], and the climb factor lambda below which the
-# edge it found counts as the lambda = 0 edge.
-_EDGE_TOL = 1e-7
 _DT_MIN = 1e-5  # smallest dT: up to ≈ 0.5 M steps and 230 MB a preset cycle
 
 
@@ -404,62 +398,6 @@ def simulate_cycle(
         z_mt=z_mt,
         steps=retraction.steps + transition.steps + traction.steps,
     )
-
-
-def steady_retraction_elevation(
-    env: Environment,
-    kite: KiteParams,
-    tether: TetherParams,
-    op: OperationSettings,
-) -> float:
-    """Asymptotic elevation angle of force-controlled upward retraction.
-
-    Diagnostic: at r = r_max, with the wind speed v_w_ref at every altitude
-    and the density following altitude, the elevation climbs at
-    lam*v_w/r_max, lam >= 0, up to the first edge above beta_o where lam
-    stops being positive.  A scan in 1 deg steps and a bisection to a
-    fixed 1e-7 rad find that edge; its solvable end is returned, whatever
-    ``op.dT``.
-
-    Raises:
-        ConvergenceError: if beta_o has no upward equilibrium, or lam is
-            still positive at the zenith.
-        SolverError: the last failed probe's, where lam has not vanished.
-    """
-    setpoint = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0,
-                            math.pi).setpoint(op.F_in)
-    failures = []
-
-    def climb_rate(beta: float) -> float:
-        wind = WindState(v_w=env.v_w_ref, rho=env.density(op.r_max * math.sin(beta)))
-        try:
-            _, (_, lam, *_) = setpoint(op.r_max, 0.5 * math.pi - beta, wind)
-        except SolverError as exc:
-            failures.append(exc)
-            return -math.inf
-        return lam
-
-    lo = hi = op.beta_o
-    lam_lo = lam = climb_rate(lo)
-    if failures:
-        raise ConvergenceError(f"no upward equilibrium at the start elevation beta_o = "
-                               f"{math.degrees(lo):.4f} deg: {failures[0]}") from failures[0]
-    while lam > 0.0:
-        if hi >= 0.5 * math.pi:
-            raise ConvergenceError("no steady retraction elevation below the zenith")
-        lo, lam_lo = hi, lam
-        hi = min(hi + _SCAN_STEP, 0.5 * math.pi)
-        lam = climb_rate(hi)
-    for _ in range(math.ceil(math.log2(_SCAN_STEP / _EDGE_TOL))):
-        mid = 0.5 * (lo + hi)
-        lam = climb_rate(mid)
-        if lam > 0.0:
-            lo, lam_lo = mid, lam
-        else:
-            hi = mid
-    if failures and lam_lo >= _EDGE_TOL:
-        raise failures[-1]
-    return lo
 
 
 def convergence_study(

@@ -53,9 +53,5 @@ class PhaseError(SolverError):
     stopped approaching the phase end condition)."""
 
 
-class ConvergenceError(SolverError):
-    """No steady retraction elevation below the zenith, or none to start from."""
-
-
 class EmptyPhaseError(KitecycleError):
     """A telemetry phase contains no valid samples to average."""

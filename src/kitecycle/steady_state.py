@@ -271,7 +271,7 @@ def _massless(a: float, b: float, f: Optional[float], C_L: float, C_D: float, S:
         raise SteadyStateError("tangential velocity factor has no real solution")
     lam = a + math.sqrt(radicand)
     if lam < 0.0:
-        raise SteadyStateError(f"tangential velocity factor is negative ({lam:.4f})")
+        raise SteadyStateError(f"tangential velocity factor is negative ({lam:.3g})")
     v_a = (b - f) * math.sqrt(1.0 + G * G) * v_w
     F_t = scale * (b - f) ** 2
     P = F_t * f * v_w
@@ -536,7 +536,7 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
     _, kappa, lam, F_a, F_a_r = value
     if lam < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
-                               f"factor ({lam:.4f})")
+                               f"factor ({lam:.3g})")
     v_a = (b - f) * math.sqrt(1.0 + kappa * kappa) * v_w
     return EquilibriumResult(*_equilibrium((kappa, lam, v_a, F_a, F_a_r), f, evaluations, trig,
                                            terms, m_t, S, v_w, rho))

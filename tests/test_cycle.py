@@ -1,5 +1,4 @@
 import math
-import re
 
 import pytest
 
@@ -13,13 +12,9 @@ from kitecycle import (
     simulate_retraction,
     simulate_traction,
     simulate_transition,
-    steady_retraction_elevation,
 )
 from kitecycle import cycle, steady_state
-from kitecycle.errors import (
-    ConvergenceError, DomainError, PhaseError, SetpointUnreachableError, SolverError,
-    SteadyStateError, ValidationError,
-)
+from kitecycle.errors import DomainError, PhaseError, SetpointUnreachableError, ValidationError
 
 
 def test_operation_settings_invariants():
@@ -295,107 +290,6 @@ def test_transition_step_takes_tether_properties_once(request, monkeypatch, pres
                               start.t)
     assert any(rec.f != 0.0 for rec in res.series)  # some steps reel at a set-point
     assert calls == [rec.r for rec in res.series]
-
-
-class TestSteadyRetractionElevation:
-    ENV28 = Environment(v_w_ref=28.0, z_ref=6.0, z0=0.07)
-
-    def test_massless_asymptote_is_stationary(self, strong_config):
-        cfg = strong_config
-        op = replace(cfg.operation, gravity=False)
-        b1 = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, op)
-        b2 = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
-                                         replace(op, beta_o=b1))
-        assert abs(b2 - b1) < 1e-6
-
-    def test_gravity_lowers_asymptote(self, strong_config):
-        cfg = strong_config
-        b_off = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
-                                            replace(cfg.operation, gravity=False))
-        b_on = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
-                                           replace(cfg.operation, gravity=True))
-        assert b_on < b_off
-
-    def test_weak_uniform_wind_has_no_asymptote(self, strong_config):
-        cfg = strong_config
-        with pytest.raises(ConvergenceError):
-            steady_retraction_elevation(cfg.environment, cfg.kite, cfg.tether,
-                                        replace(cfg.operation, gravity=False))
-
-    @pytest.mark.parametrize("gravity", [False, True])
-    def test_asymptote_does_not_depend_on_time_step(self, strong_config, monkeypatch, gravity):
-        cfg = strong_config
-        solves = []
-        kernel = "_solve_reel_factor" if gravity else "massless_setpoint_step"
-        step = getattr(cycle, kernel)
-
-        def counted(*args):
-            solves.append(1)
-            return step(*args)
-
-        monkeypatch.setattr(cycle, kernel, counted)
-        op = replace(cfg.operation, gravity=gravity)
-        coarse = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, replace(op, dT=0.1))
-        assert len(solves) <= 50
-        fine = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, replace(op, dT=0.001))
-        assert abs(coarse - fine) < 1e-7
-        expected = 40.52708 if gravity else 43.14091
-        assert math.degrees(fine) == pytest.approx(expected, abs=1e-5)
-
-    @pytest.mark.parametrize("gravity", [False, True])
-    def test_start_above_the_asymptote_is_named(self, strong_config, gravity):
-        cfg = strong_config
-        op = replace(cfg.operation, gravity=gravity, beta_o=math.radians(45.0))
-        with pytest.raises(ConvergenceError, match="no upward equilibrium at the start "
-                                                   "elevation beta_o = 45.0000 deg: ") as err:
-            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, op)
-        assert isinstance(err.value.__cause__, SolverError)
-
-    @pytest.mark.parametrize("gravity", [False, True])
-    def test_asymptote_is_the_edge_of_upward_equilibrium(self, strong_config, gravity):
-        cfg = strong_config
-        op = replace(cfg.operation, gravity=gravity)
-        beta = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, op)
-        with pytest.raises(ConvergenceError, match="no upward equilibrium"):
-            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
-                                        replace(op, beta_o=beta + 1e-6))
-        below = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
-                                            replace(op, beta_o=beta - 1e-6))
-        assert abs(below - beta) < 1e-7
-
-    def test_unreachable_force_states_its_shortfall(self, strong_config):
-        # Just above the gravity asymptote F_in needs a slightly negative
-        # tangential velocity factor; three significant figures keep it
-        # from printing as zero.
-        cfg = strong_config
-        op = replace(cfg.operation, gravity=True)
-        beta = steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether, op)
-        with pytest.raises(ConvergenceError) as err:
-            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
-                                        replace(op, beta_o=beta + 1e-6))
-        cause = err.value.__cause__
-        assert isinstance(cause, SetpointUnreachableError)
-        match = re.fullmatch(r"force (\S+) N at the \S+: tangential velocity factor "
-                             r"lambda = (\S+) < 0", str(cause))
-        assert match, str(cause)
-        target, lam = match.groups()
-        assert target == f"{cfg.operation.F_in:.6g}"
-        assert -1e-5 < float(lam) < 0.0
-        assert lam == f"{float(lam):.3g}"
-
-    def test_solver_edge_where_the_climb_goes_on_is_raised(self, strong_config, monkeypatch):
-        cfg = strong_config
-        invert = cycle.massless_setpoint_step
-
-        def edge_at_35_deg(bound, theta, *args):
-            if 0.5 * math.pi - theta > math.radians(35.0):
-                raise SteadyStateError("synthetic edge at 35 deg")
-            return invert(bound, theta, *args)
-
-        monkeypatch.setattr(cycle, "massless_setpoint_step", edge_at_35_deg)
-        with pytest.raises(SteadyStateError, match="synthetic edge"):
-            steady_retraction_elevation(self.ENV28, cfg.kite, cfg.tether,
-                                        replace(cfg.operation, gravity=False))
 
 
 class TestConvergenceStudy:

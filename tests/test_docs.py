@@ -27,7 +27,7 @@ def test_every_exported_function_is_in_the_readme():
     named = set(re.findall(r"[A-Za-z_]\w*", library_section()))
     exported = [name for name, obj in vars(kitecycle).items()
                 if inspect.isfunction(obj) and not name.startswith("_")]
-    assert len(exported) >= 20
+    assert len(exported) >= 19
     missing = [name for name in exported if name not in named]
     assert not missing, f"README's Library section does not name: {missing}"
 

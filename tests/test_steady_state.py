@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -532,3 +533,62 @@ class TestReelFactorGravity:
         assert eq.F_tg == pytest.approx(7.6, rel=1e-6)
         with pytest.raises(TetherSagError, match="^kite tension"):
             solve_kinematic_ratio(0.1, *tail)
+
+
+@pytest.mark.parametrize("mode", ["gravity", "massless"])
+class TestEdgeOfUpwardEquilibrium:
+    """Strong-wind retraction at r_max in a 28 m/s wind, 1e-6 rad either side
+    of the elevation beta where F_in at the ground needs lambda = 0: below it
+    the set-point holds a small positive lambda; above it the set-point, and
+    the solve at the factor found below, name their small negative lambda to
+    3 significant figures, so it never prints as zero."""
+
+    EDGE = {"gravity": 0.7073308584141111, "massless": 0.7529510076242502}
+    NEGATIVE = {  # (set-point message, fixed-factor message)
+        "gravity": (r"force 749 N at the ground: tangential velocity factor lambda = (\S+) < 0",
+                    r"converged to a negative tangential velocity factor \((\S+)\)"),
+        "massless": (r"tangential velocity factor is negative \((\S+)\)",) * 2,
+    }
+
+    @staticmethod
+    def state(cfg, beta):
+        """(theta, angles, C_L, C_D), m_t and (v_w, rho) at elevation beta."""
+        op, kite = cfg.operation, cfg.kite
+        m_t, C_D = tether_properties(op.r_max, cfg.tether, kite, kite.aero_retraction)
+        flight = (0.5 * math.pi - beta, angle_trig(0.0, math.pi), kite.aero_retraction.C_L, C_D)
+        return flight, m_t, (28.0, cfg.environment.density(op.r_max * math.sin(beta)))
+
+    def setpoint(self, cfg, mode, beta):
+        flight, m_t, wind = self.state(cfg, beta)
+        F_in, kite = cfg.operation.F_in, cfg.kite
+        if mode == "gravity":
+            return gravity_setpoint(F_in, cfg.operation.force_at, *flight, m_t, kite.m, kite.S,
+                                    *wind)
+        return massless_setpoint(F_in, *flight, kite.S, *wind)
+
+    @staticmethod
+    def assert_small_negative(exc, pattern):
+        match = re.fullmatch(pattern, str(exc))
+        assert match, str(exc)
+        lam = match.group(1)
+        assert -1e-5 < float(lam) < 0.0
+        assert lam == f"{float(lam):.3g}"
+
+    def test_setpoint_lambda_changes_sign(self, strong_config, mode):
+        _, eq = self.setpoint(strong_config, mode, self.EDGE[mode] - 1e-6)
+        assert 0.0 < eq.lam < 1e-5
+        error = SetpointUnreachableError if mode == "gravity" else SteadyStateError
+        with pytest.raises(error) as err:
+            self.setpoint(strong_config, mode, self.EDGE[mode] + 1e-6)
+        self.assert_small_negative(err.value, self.NEGATIVE[mode][0])
+
+    def test_fixed_factor_above_the_edge(self, strong_config, mode):
+        cfg = strong_config
+        f, _ = self.setpoint(cfg, mode, self.EDGE[mode] - 1e-6)
+        flight, m_t, wind = self.state(cfg, self.EDGE[mode] + 1e-6)
+        with pytest.raises(SteadyStateError) as err:
+            if mode == "gravity":
+                solve_kinematic_ratio(f, *flight, m_t, cfg.kite.m, cfg.kite.S, *wind)
+            else:
+                massless_state(f, *flight, cfg.kite.S, *wind)
+        self.assert_small_negative(err.value, self.NEGATIVE[mode][1])
