@@ -233,14 +233,14 @@ def _integrate(
             characteristic times, or what the wind law or ``controller``
             raised, chained and prefixed with the phase, t, r and elevation.
     """
-    wind_at, phi, chi = engine.wind_at, engine.phi, engine.chi
+    wind_at, phi, chi, make = engine.wind_at, engine.phi, engine.chi, StepRecord._make
 
     def rates(t: float, r: float, theta: float) -> tuple[StepRecord, float, float]:
         wind = wind_at(r * math.cos(theta))
         f, (_, lam, v_a, _, _, _, F_t_kite, F_tg, _, P, _) = controller(r, theta, wind)
         v_t, v_tau = f * wind[0], lam * wind[0]
-        record = StepRecord(t, r, theta, phi, chi, f, v_t, math.hypot(v_t, v_tau), v_a, F_t_kite,
-                            F_tg, P)
+        record = make((t, r, theta, phi, chi, f, v_t, math.hypot(v_t, v_tau), v_a, F_t_kite,
+                       F_tg, P))
         return record, v_t, v_tau * climb / r
 
     sign = 1.0 if increasing else -1.0

@@ -238,7 +238,7 @@ def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
     columns = [(col, index[col]) for col in [*_REQUIRED_COLUMNS, "chi_deg"] if col in index]
     numbers = itemgetter(*(index[col] for col in _REQUIRED_COLUMNS))
     i_chi, i_phase = index.get("chi_deg"), index.get("phase")
-    width, radians, isfinite = len(header), math.radians, math.isfinite
+    width, radians, isfinite, make = len(header), math.radians, math.isfinite, LogRecord._make
     records, fault, ordered, last_t = [], None, True, -math.inf
     # The fields of a sample with a blank chi_deg, built once the next
     # position gives its course angle; the course angle before it.
@@ -264,18 +264,18 @@ def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
         theta, phi = radians(theta), radians(phi)
         if held is not None:
             held[5] = last_chi = _course_angle(last_chi, held[3], held[4], theta, phi)
-            records.append(LogRecord(*held))
+            records.append(make(held))
             held = None
         phase = (row[i_phase] or None) if i_phase is not None else None
         if chi is None:
             held = [t, F_tg, r, theta, phi, None, (vk_x, vk_y, vk_z), v_t, v_w_ref, phase]
         else:
             last_chi = radians(chi)
-            records.append(LogRecord(t, F_tg, r, theta, phi, last_chi, (vk_x, vk_y, vk_z), v_t,
-                                     v_w_ref, phase))
+            records.append(make((t, F_tg, r, theta, phi, last_chi, (vk_x, vk_y, vk_z), v_t,
+                                 v_w_ref, phase)))
     if held is not None:  # the last sample inherits the course angle before it
         held[5] = last_chi
-        records.append(LogRecord(*held))
+        records.append(make(held))
     if fault is not None:
         raise ValidationError(fault)
     if not ordered:

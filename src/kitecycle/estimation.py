@@ -5,8 +5,12 @@ speed, each sample is derived in one pass: its kinematics and the wind
 at the kite; the tether mass, aerodynamic force at the kite and density;
 the resultant aerodynamic force coefficient; and, via a short fixed-point
 correction for gravity, the system and kite-only lift-to-drag ratios.
-:func:`estimate_record` returns that pass; :func:`segment_and_average`
-labels a series, runs the pass per sample and averages it per phase.
+The pass is :func:`bind_estimator`'s closure over what a series never
+changes: the wind law, density and roughness length, the tether's mass per
+metre, diameter and drag coefficient, and the kite's mass and wing area.
+:func:`segment_and_average` labels a series, binds the pass once, maps it
+over the samples and averages per phase; :func:`estimate_record` is the
+pass bound for one sample.
 Wind at the kite is always extrapolated from the reference measurement
 with the logarithmic profile, so gusts the ground measurement cannot see
 show up as outliers; such samples are flagged invalid and skipped, never
@@ -15,12 +19,13 @@ interpolated.
 The records are NamedTuples that check nothing.  Samples are checked
 where they enter, for finite numbers and :func:`sample_fault`: by
 ``dataio.read_telemetry_csv`` and by :func:`segment_and_average`, not by
-:func:`estimate_record`.
+the pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
@@ -33,6 +38,7 @@ __all__ = [
     "LogRecord",
     "EstimateRecord",
     "PhaseAverages",
+    "bind_estimator",
     "estimate_record",
     "segment_phases",
     "segment_and_average",
@@ -171,25 +177,89 @@ class PhaseAverages(NamedTuple):
         return f"PhaseAverages({fields})"
 
 
-def _kinematics(rec: LogRecord, env: Environment, sin_t: float, cos_t: float,
-                cos_p: float) -> tuple[float, float, bool, float]:
-    """Apparent wind speed (extrapolated wind less kite velocity), kinematic
-    ratio (from the apparent wind over its radial part), validity and wind at
-    the kite of a sample, from sin(theta), cos(theta) and cos(phi); invalid,
-    with NaN for what cannot be derived, where that ratio drops below one."""
-    _, _, r, _, _, _, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
-    z = r * cos_t
-    v_w = 0.0 if z < env.z0 else env.log_wind_speed(z, v_w_ref)
-    if v_w <= 0.0:  # below the roughness length too
-        return math.nan, math.nan, False, math.nan
-    v_a = math.sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
-    b_f = sin_t * cos_p - v_t / v_w
-    if b_f <= 0.0:
-        return v_a, math.nan, False, math.nan
-    radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
-    if not radicand >= 0.0:  # NaN too: an infinite wind at the kite
-        return v_a, math.nan, False, math.nan
-    return v_a, math.sqrt(radicand), True, v_w
+def bind_estimator(kite: KiteParams, tether: TetherParams,
+                   env: Environment) -> Callable[[LogRecord, Optional[str]], EstimateRecord]:
+    """:func:`estimate_record` as ``(rec, phase) -> EstimateRecord``, with the
+    constants of a series bound once; ``phase``, not the record's own label,
+    selects the phase gate."""
+    z0, log_wind_speed, density = env.z0, env.log_wind_speed, env.density
+    # mass(r) is its product up to d_t**2 times r: mass(1.0)*r, float for float.
+    per_metre, d_t, C_D_c, m, S = tether.mass(1.0), tether.d_t, tether.C_D_c, kite.m, kite.S
+    make, nan, inf = EstimateRecord._make, math.nan, math.inf
+    sqrt, sin, cos, hypot = math.sqrt, math.sin, math.cos, math.hypot
+
+    def estimate(rec: LogRecord, phase: Optional[str]) -> EstimateRecord:
+        t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
+        sin_t, cos_t, cos_p = sin(theta), cos(theta), cos(phi)
+        # Kinematics: the apparent wind speed (the extrapolated wind less the
+        # kite velocity) and the kinematic ratio, from the apparent wind over
+        # its radial part, with NaN for what cannot be derived.
+        z = r * cos_t
+        v_w = 0.0 if z < z0 else log_wind_speed(z, v_w_ref)
+        if v_w <= 0.0:  # below the roughness length too
+            return make((t, nan, nan, nan, nan, nan, False, phase))
+        v_a = sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
+        b_f = sin_t * cos_p - v_t / v_w
+        if b_f <= 0.0:
+            return make((t, nan, nan, nan, nan, v_a, False, phase))
+        try:
+            radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
+        except OverflowError:  # a kite velocity, over v_w*b_f, too large to square
+            radicand = inf
+        # NaN for an infinite wind at the kite, inf for an infinite v_a or ratio.
+        if not 0.0 <= radicand < inf:
+            return make((t, nan, nan, nan, nan, v_a, False, phase))
+        kappa = sqrt(radicand)  # v_a > 0 here: v_a = 0 gives radicand -1
+        # Aerodynamic force at the kite: the measured ground force plus the
+        # airborne weights, unless the sag radicand is violated.
+        m_t = per_metre * r
+        try:
+            force = aero_force_from_ground(F_tg, sin_t, cos_t, m_t, m)
+        except OverflowError:  # a force or tether beyond any kite violates it too
+            force = None
+        if force is None:
+            return make((t, nan, nan, nan, kappa, v_a, False, phase))
+        F_a = force[1]
+        rho = density(z)
+        C_R = 2.0 * F_a / (rho * v_a**2 * S)
+
+        if phase == TRACTION:
+            gated = sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z) / v_w_ref < CROSSWIND_RATIO
+        elif phase == RETRACTION:
+            gated = (chi is None or abs(math.remainder(chi - math.pi, 2.0 * math.pi)) > 0.35
+                     or abs(phi) > 0.35)
+        else:
+            gated = False
+        if gated or F_a <= 0.0:
+            return make((t, C_R, nan, nan, kappa, v_a, False, phase))
+        # Gravity acts along e_theta = (cos_t*cos_p, cos_t*sin_p, -sin_t); the
+        # apparent wind's tangential flow has components along it and e_phi =
+        # (-sin_p, cos_p, 0).
+        sin_p = sin(phi)
+        vk_th = vk_x * (cos_t * cos_p) + vk_y * (cos_t * sin_p) - vk_z * sin_t
+        vk_ph = -vk_x * sin_p + vk_y * cos_p
+        va_th = v_w * cos_t * cos_p - vk_th
+        va_tau = hypot(va_th, -v_w * sin_p - vk_ph)
+        if va_tau < 1e-9:
+            if chi is None:
+                return make((t, C_R, nan, nan, kappa, v_a, False, phase))
+            cos_proj = -cos(chi)
+        else:
+            cos_proj = va_th / va_tau
+
+        gravity_term = (sqrt(1.0 + kappa * kappa) * GRAVITY * (0.5 * m_t + m) * sin_t * cos_proj
+                        / F_a)
+        G = kappa
+        for _ in range(LD_GRAVITY_UPDATES):
+            G = kappa + gravity_term * sqrt(1.0 + G * G)
+        if G <= 0.0:
+            return make((t, C_R, nan, nan, kappa, v_a, False, phase))
+        drag = F_a / sqrt(1.0 + G * G)
+        drag_tether = 0.125 * rho * d_t * r * C_D_c * v_a**2
+        if drag <= drag_tether:
+            return make((t, C_R, nan, nan, kappa, v_a, False, phase))
+        return make((t, C_R, G, G * drag / (drag - drag_tether), kappa, v_a, True, phase))
+    return estimate
 
 
 def estimate_record(
@@ -199,9 +269,10 @@ def estimate_record(
     env: Environment,
     phase: Optional[str] = None,
 ) -> EstimateRecord:
-    """All estimates for one sample, each derived once.  It is valid when
-    it yields the lift-to-drag pair; each gate returns the record with NaN
-    for what it rejects.
+    """All estimates for one sample, each derived once: :func:`bind_estimator`
+    applied to ``rec`` under ``phase``, or its own label if None.  It is
+    valid when it yields the lift-to-drag pair; each gate returns the
+    record with NaN for what it rejects.
 
     C_R normalises the aerodynamic force at the kite (the measured ground
     force plus the airborne weights) by the apparent-wind dynamic
@@ -216,65 +287,7 @@ def estimate_record(
     relative to the reference wind (``CROSSWIND_RATIO``), retraction
     samples near upward in-plane flight; these phase gates never reject C_R.
     """
-    t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), _, v_w_ref, rec_phase = rec
-    phase = phase if phase is not None else rec_phase
-    sin_t, cos_t, cos_p = math.sin(theta), math.cos(theta), math.cos(phi)
-    v_a, kappa, valid, v_w = _kinematics(rec, env, sin_t, cos_t, cos_p)
-    nan = math.nan
-    if not valid or v_a <= 0.0:
-        return EstimateRecord(t, nan, nan, nan, kappa, v_a, False, phase)
-    # Aerodynamic force at the kite: the measured ground force plus the
-    # airborne weights, unless the sag radicand is violated.
-    m_t = tether.mass(r)
-    try:
-        force = aero_force_from_ground(F_tg, sin_t, cos_t, m_t, kite.m)
-    except OverflowError:  # a force or tether beyond any kite violates it too
-        force = None
-    if force is None:
-        return EstimateRecord(t, nan, nan, nan, kappa, v_a, False, phase)
-    F_a = force[1]
-    rho = env.density(r * cos_t)
-    C_R = 2.0 * F_a / (rho * v_a**2 * kite.S)
-
-    if phase == TRACTION:
-        gated = math.sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z) / v_w_ref < CROSSWIND_RATIO
-    elif phase == RETRACTION:
-        gated = (chi is None or abs(math.remainder(chi - math.pi, 2.0 * math.pi)) > 0.35
-                 or abs(phi) > 0.35)
-    else:
-        gated = False
-    if gated or F_a <= 0.0:
-        return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
-    # Gravity acts along e_theta = (cos_t*cos_p, cos_t*sin_p, -sin_t); the
-    # apparent wind's tangential flow has components along it and e_phi =
-    # (-sin_p, cos_p, 0).
-    sin_p = math.sin(phi)
-    vk_th = vk_x * (cos_t * cos_p) + vk_y * (cos_t * sin_p) - vk_z * sin_t
-    vk_ph = -vk_x * sin_p + vk_y * cos_p
-    va_th = v_w * cos_t * cos_p - vk_th
-    va_tau = math.hypot(va_th, -v_w * sin_p - vk_ph)
-    if va_tau < 1e-9:
-        if chi is None:
-            return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
-        cos_proj = -math.cos(chi)
-    else:
-        cos_proj = va_th / va_tau
-
-    gravity_term = (
-        math.sqrt(1.0 + kappa * kappa)
-        * GRAVITY * (0.5 * m_t + kite.m) * sin_t * cos_proj
-        / F_a
-    )
-    G = kappa
-    for _ in range(LD_GRAVITY_UPDATES):
-        G = kappa + gravity_term * math.sqrt(1.0 + G * G)
-    if G <= 0.0:
-        return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
-    drag = F_a / math.sqrt(1.0 + G * G)
-    drag_tether = 0.125 * rho * tether.d_t * r * tether.C_D_c * v_a**2
-    if drag <= drag_tether:
-        return EstimateRecord(t, C_R, nan, nan, kappa, v_a, False, phase)
-    return EstimateRecord(t, C_R, G, G * drag / (drag - drag_tether), kappa, v_a, True, phase)
+    return bind_estimator(kite, tether, env)(rec, rec.phase if phase is None else phase)
 
 
 def segment_phases(series: Sequence[LogRecord]) -> list[str]:
@@ -344,22 +357,21 @@ def segment_and_average(
             raise ValidationError("telemetry timestamps must be strictly increasing")
         last_t = t
 
-    estimates = [estimate_record(rec, kite, tether, env, phase=label)
-                 for rec, label in zip(series, segment_phases(series))]
+    estimates = list(map(bind_estimator(kite, tether, env), series, segment_phases(series)))
     sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0, 0], TRACTION: [0.0, 0.0, 0]}
     counts = {phase: {"valid": 0, "invalid": 0} for phase in (RETRACTION, TRANSITION, TRACTION)}
-    for est in estimates:
-        counts[est.phase]["valid" if est.valid else "invalid"] += 1
-        if est.phase == TRANSITION or not est.valid:
+    for _, C_R, LD_sys, LD_k, _, _, valid, phase in estimates:
+        counts[phase]["valid" if valid else "invalid"] += 1
+        if phase == TRANSITION or not valid:
             continue
         # Decompose the measured C_R into lift and drag, strip the tether
         # share of the drag, and recompose.
-        norm = math.sqrt(1.0 + est.LD_sys**2)
-        C_L = est.C_R * est.LD_sys / norm
-        C_D_kite = C_L / est.LD_k
-        acc = sums[est.phase]
+        norm = math.sqrt(1.0 + LD_sys**2)
+        C_L = C_R * LD_sys / norm
+        C_D_kite = C_L / LD_k
+        acc = sums[phase]
         acc[0] += math.hypot(C_L, C_D_kite)
-        acc[1] += est.LD_k
+        acc[1] += LD_k
         acc[2] += 1
 
     for phase in (RETRACTION, TRACTION):

@@ -313,6 +313,45 @@ def test_overflowing_telemetry_sample_is_invalid(tmp_path, strong_telemetry, fie
     assert rows["bad"][:101] + rows["bad"][102:] == rows["clean"][:101] + rows["clean"][102:]
 
 
+def not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("case", ["infinite_apparent_wind", "ratio_too_large_to_square"])
+def test_kite_velocity_too_large_to_square_is_invalid(tmp_path, strong_config, strong_telemetry,
+                                                      case):
+    # A kite velocity whose apparent wind overflows to inf used to pass as a
+    # valid sample with NaN ratios, and NaN averages in phase_averages.json;
+    # one whose apparent wind over the wind's radial share cannot be squared
+    # used to raise OverflowError.  Both are invalid samples.
+    cfg, series = strong_config, list(strong_telemetry)
+    if case == "infinite_apparent_wind":
+        rows = [i for i, rec in enumerate(series) if rec.phase == "retraction"][10:20]
+        for i in rows:
+            series[i] = series[i]._replace(vk=(1e200, *series[i].vk[1:]))
+    else:
+        rows = [next(i for i, rec in enumerate(series) if rec.phase == "traction")]
+        rec = series[rows[0]]
+        # The angles as the reader gives them back, where b_f is 1e-9.
+        theta, phi = (math.radians(float(f"{math.degrees(a)!s}")) for a in (rec.theta, rec.phi))
+        v_w = cfg.environment.log_wind_speed(rec.r * math.cos(theta), rec.v_w_ref)
+        series[rows[0]] = rec._replace(vk=(1e150, 0.0, 0.0),
+                                       v_t=v_w * (math.sin(theta) * math.cos(phi) - 1e-9))
+    log, out = tmp_path / "telemetry.csv", tmp_path / "out"
+    write_telemetry_csv(log, series)
+    assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                        "--out", str(out)]) == 0
+    averages = json.loads((out / "phase_averages.json").read_text(), parse_constant=not_json)
+    assert all(math.isfinite(averages[name]) for name in ("C_R_o", "C_R_i", "LD_k_o", "LD_k_i"))
+    estimates = (out / "estimates.csv").read_text().splitlines()
+    for i in rows:
+        *_, kappa, _, valid = estimates[i + 1].split(",")
+        assert (kappa, valid) == ("nan", "0")
+    phase = series[rows[0]].phase
+    clean = segment_and_average(strong_telemetry, cfg.kite, cfg.tether, cfg.environment).counts
+    assert averages["samples"][phase]["invalid"] == clean[phase]["invalid"] + len(rows)
+
+
 def test_failed_sweep_point_names_its_value(tmp_path, capsys):
     # An invalid point is a ValidationError (exit 2), a failed solve
     # keeps its solver class (exit 3); both name the parameter value.

@@ -119,6 +119,53 @@ class TestDeriveKinematics:
         assert math.isnan(est.kappa)
 
 
+def overflowing_ratio(vk_x=1e150, b_f=1e-13, theta=1.0, phi=0.1, r=300.0, v_w_ref=10.0,
+                      phase="traction"):
+    """A sample whose kite velocity makes the apparent wind over its radial
+    share, b_f times the wind at the kite, too large to square."""
+    v_w = ENV.log_wind_speed(r * math.cos(theta), v_w_ref)
+    v_t = v_w * (math.sin(theta) * math.cos(phi) - b_f)
+    return LogRecord(1.0, 3000.0, r, theta, phi, 1.0, (vk_x, 0.0, 0.0), v_t, v_w_ref, phase)
+
+
+class TestKiteVelocityTooLargeToSquare:
+    # A finite kite velocity whose apparent wind, or whose ratio to the
+    # wind's radial share, cannot be squared rejects its sample at the
+    # kinematics, whatever its phase.
+    @pytest.mark.parametrize("phase", ["retraction", "transition", "traction"])
+    def test_infinite_apparent_wind_is_invalid(self, phase):
+        rec = LogRecord(1.0, 3000.0, 300.0, 1.0, 0.1, 1.0, (1e160, 0.0, 0.0), 1.0, 10.0, phase)
+        est = estimate_record(rec, KITE, TETHER, ENV)
+        assert not est.valid
+        assert math.isinf(est.v_a)
+        assert all(map(math.isnan, (est.C_R, est.LD_sys, est.LD_k, est.kappa)))
+
+    @pytest.mark.parametrize("phase", ["retraction", "transition", "traction"])
+    def test_ratio_too_large_to_square_is_invalid(self, phase):
+        est = estimate_record(overflowing_ratio(phase=phase), KITE, TETHER, ENV)
+        assert not est.valid
+        assert 1e150 <= est.v_a < math.inf
+        assert all(map(math.isnan, (est.C_R, est.LD_sys, est.LD_k, est.kappa)))
+
+    def test_counted_invalid_among_valid_samples(self, strong_config, strong_telemetry):
+        cfg = strong_config
+        args = (cfg.kite, cfg.tether, cfg.environment)
+        series = list(strong_telemetry)
+        before = segment_and_average(series, *args).counts
+        retraction = [i for i, rec in enumerate(series) if rec.phase == "retraction"][10:20]
+        for i in retraction:
+            series[i] = series[i]._replace(vk=(1e200, *series[i].vk[1:]))
+        i = next(i for i, rec in enumerate(series) if rec.phase == "traction")
+        rec = series[i]
+        series[i] = overflowing_ratio(theta=rec.theta, phi=rec.phi, r=rec.r,
+                                      v_w_ref=rec.v_w_ref)._replace(t=rec.t)
+        avg = segment_and_average(series, *args)
+        assert avg.counts["retraction"] == {"valid": before["retraction"]["valid"] - 10,
+                                            "invalid": before["retraction"]["invalid"] + 10}
+        assert avg.counts["traction"]["invalid"] == before["traction"]["invalid"] + 1
+        assert all(map(math.isfinite, (avg.C_R_i, avg.C_R_o, avg.LD_k_i, avg.LD_k_o)))
+
+
 class TestEstimateCR:
     def test_massless_exact_recovery(self):
         st = Flight(r=390.0, theta=math.radians(63), phi=0.0, chi=math.radians(100), f=0.3)
@@ -440,21 +487,31 @@ def test_non_finite_sample_rejected(strong_config, strong_telemetry, where, fiel
     assert str(info.value) == f"sample {i}: {field} is not finite: {value}"
 
 
-def test_estimate_record_derives_kinematics_once(monkeypatch, strong_config, strong_telemetry):
-    # estimate_record derives a sample's kinematics in one call, from the
-    # sample's sines and cosines.
+def test_segment_and_average_binds_the_estimator_once(monkeypatch, strong_config,
+                                                     strong_telemetry):
+    # A series binds its constants once and runs the bound pass once per
+    # sample; estimate_record binds them for its one sample.
     cfg = strong_config
-    calls = []
-    kinematics = estimation._kinematics
+    args = (cfg.kite, cfg.tether, cfg.environment)
+    bound, passes = [], []
+    bind_estimator = estimation.bind_estimator
 
-    def counting(rec, env, *trig):
-        calls.append(rec)
-        return kinematics(rec, env, *trig)
+    def counting(*bind_args):
+        bound.append(bind_args)
+        estimate = bind_estimator(*bind_args)
 
-    monkeypatch.setattr(estimation, "_kinematics", counting)
-    for rec in strong_telemetry:
-        estimate_record(rec, cfg.kite, cfg.tether, cfg.environment)
-    assert len(calls) == len(strong_telemetry)
+        def counted(rec, phase):
+            passes.append(rec)
+            return estimate(rec, phase)
+        return counted
+
+    monkeypatch.setattr(estimation, "bind_estimator", counting)
+    segment_and_average(strong_telemetry, *args)
+    assert bound == [args] and passes == list(strong_telemetry)
+    bound.clear()
+    passes.clear()
+    estimate_record(strong_telemetry[0], *args)
+    assert bound == [args] and passes == [strong_telemetry[0]]
 
 
 def test_wind_at_the_kite_is_computed_once_per_sample(monkeypatch, strong_config,

@@ -3,7 +3,8 @@ and for the telemetry reader and the cycle energies.
 
 They pin the invariants the solvers rely on or promise: the force
 inversions round-trip, a simulator phase's bound step is the public
-set-point at the public wind and tether values, the closed-form gravity
+set-point at the public wind and tether values, the estimator bound once
+per series gives each sample's public estimate, the closed-form gravity
 inversion finds the reeling factor of a tight nested search and, where
 weight dominates, meets the force exactly or names why it cannot, the tether force falls
 with the reeling factor, gravity mode without mass is the closed form,
@@ -32,6 +33,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from kitecycle import (
+    GRAVITY,
     AeroSet,
     Environment,
     EquilibriumResult,
@@ -40,11 +42,14 @@ from kitecycle import (
     TetherParams,
     WindState,
     angle_trig,
+    estimate_record,
     gravity_setpoint,
     load_config,
     massless_setpoint,
     massless_state,
     replace,
+    segment_and_average,
+    segment_phases,
     solve_kinematic_ratio,
     tether_properties,
     wind_state_at,
@@ -533,6 +538,88 @@ def test_equilibrium_entry_points_check_their_inputs(problem):
 
 
 SPEED = st.floats(-40.0, 40.0)
+ESTIMATE_CONFIG = PRESET_CONFIGS["strong_wind"]
+# What a drawn sample aims at: one of the estimator's gates, or none.
+ESTIMATE_GATES = ("none", "below_z0", "b_f", "radicand", "sag", "traction", "retraction",
+                  "va_tau", "va_tau_no_chi", "G", "tether_drag")
+
+
+def overflowing_ratio_sample():
+    """A sample whose apparent wind over the wind's radial share, b_f*v_w
+    with b_f = 1e-13, is too large to square."""
+    theta, phi, r, v_w_ref = 1.0, 0.1, 300.0, 10.0
+    v_w = ESTIMATE_CONFIG.environment.log_wind_speed(r * math.cos(theta), v_w_ref)
+    v_t = v_w * (math.sin(theta) * math.cos(phi) - 1e-13)
+    return LogRecord(0.0, 3000.0, r, theta, phi, 1.0, (1e150, 0.0, 0.0), v_t, v_w_ref, "traction")
+
+
+@st.composite
+def estimate_samples(draw, gate):
+    """A labelled telemetry sample at t = 0, drawn to reach ``gate``, one of
+    ESTIMATE_GATES; an earlier gate may still reject it."""
+    env, tether = ESTIMATE_CONFIG.environment, ESTIMATE_CONFIG.tether
+    r = draw({"below_z0": st.floats(1e-3, env.z0), "tether_drag": st.floats(1000.0, 1500.0)}
+             .get(gate, st.floats(50.0, 1500.0)))
+    theta, phi = draw(st.floats(0.2, 1.5)), draw(st.floats(-0.6, 0.6))
+    chi = draw(st.none() | st.floats(0.0, 2.0 * math.pi))
+    vk, v_t = (draw(SPEED), draw(SPEED), draw(SPEED)), draw(st.floats(-10.0, 10.0))
+    F_tg, v_w_ref = draw(st.floats(0.0, 2e4)), draw(st.floats(3.0, 15.0))
+    phase = draw(st.sampled_from(["retraction", "transition", "traction"]))
+    v_w = env.log_wind_speed(max(r * math.cos(theta), env.z0), v_w_ref)
+    radial = math.sin(theta) * math.cos(phi)  # the wind's radial share
+    sag = 0.5 * math.sin(theta) * tether.mass(r) * GRAVITY
+    if gate == "b_f":  # reeling out at least as fast as the radial wind
+        v_t = v_w * radial * draw(st.floats(1.0, 3.0))
+    elif gate == "radicand":  # drifting with the wind
+        vk, v_t = (v_w * draw(st.floats(0.9, 1.1)), draw(st.floats(-1.0, 1.0)), 0.0), 0.0
+    elif gate == "sag":
+        F_tg = draw(st.floats(0.0, sag))
+    elif gate == "traction":  # slower than CROSSWIND_RATIO reference winds
+        phase, vk = "traction", tuple(v_w_ref * draw(st.floats(-0.8, 0.8)) for _ in range(3))
+    elif gate == "retraction":  # off the upward in-plane course
+        phase, chi = "retraction", draw(st.none() | st.floats(0.0, 2.0))
+    elif gate in ("va_tau", "va_tau_no_chi", "G"):
+        # No tangential apparent wind: the kite flies with the wind, less
+        # a radial apparent flow c along e_r.
+        v_t = v_w * radial * draw(st.floats(-1.0, 0.9))
+        c = (v_w * radial - v_t) * draw(st.floats(1.05, 2.0))
+        e_r = (radial, math.sin(theta) * math.sin(phi), math.cos(theta))
+        vk = (v_w - c * e_r[0], -c * e_r[1], -c * e_r[2])
+        phase = "transition"
+        if gate == "va_tau_no_chi":
+            chi = None
+        elif gate == "G":  # gravity against a weak force: chi near 0, cos_proj near -1
+            chi, F_tg = draw(st.floats(-0.3, 0.3)), sag + draw(st.floats(0.0, 300.0))
+    elif gate == "tether_drag":  # a fast apparent wind on a long tether
+        vk, phase = (-draw(st.floats(60.0, 150.0)), draw(SPEED), draw(SPEED)), "transition"
+    return LogRecord(0.0, F_tg, r, theta, phi, chi, vk, v_t, v_w_ref, phase)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.tuples(*map(estimate_samples, ESTIMATE_GATES)))
+# Kite velocities too large to square: an infinite apparent wind, and a
+# finite one over a tiny radial share; and a ground force too large to square.
+@example([LogRecord(0.0, 3000.0, 300.0, 1.0, 0.1, 1.0, (1e160, 0.0, 0.0), 1.0, 10.0,
+                    "traction")])
+@example([overflowing_ratio_sample()])
+@example([LogRecord(0.0, 1e308, 300.0, 1.0, 0.1, 1.0, (-20.0, 5.0, 1.0), 1.0, 10.0, "traction")])
+def test_bound_estimator_is_the_per_sample_path(strong_telemetry, samples):
+    # segment_and_average binds the estimator once per series; each of its
+    # estimates is estimate_record's for that sample and label, bit for bit
+    # (repr tells every float apart, and NaN only from non-NaN).  The
+    # series ends in one drawn sample per gate, after valid ones of each phase.
+    cfg = ESTIMATE_CONFIG
+    args = (cfg.kite, cfg.tether, cfg.environment)
+    base = list(strong_telemetry[::14])
+    series = base + [rec._replace(t=base[-1].t + 1.0 + i) for i, rec in enumerate(samples)]
+    estimates = segment_and_average(series, *args).estimates
+    labels = segment_phases(series)
+    assert len(estimates) == len(series)
+    for rec, label, est in zip(series, labels, estimates):
+        assert repr(est) == repr(estimate_record(rec, *args, phase=label))
+        assert repr(est) == repr(estimate_record(rec._replace(phase=label), *args))
+
+
 TELEMETRY_ROW = st.fixed_dictionaries({
     "dt": st.floats(1e-3, 1.0), "F_tg": st.floats(0.0, 5e3), "r": st.floats(1.0, 800.0),
     "theta_deg": st.floats(0.0, 89.0), "phi_deg": st.floats(-60.0, 60.0),

@@ -19,10 +19,16 @@ pool through ``kitecycle.cli.run_command`` ``--best-of`` times, keeping
 each op's least wall time; the round's figure is the sum of those least
 times over the pool, in ms.  Start-up and import are not timed.
 
+A process empties each op's ``--out`` directory before its timed passes
+and hashes every file in it after them, before the other side's process
+writes there again.
 At the end the script prints, per workload, each side's median figure,
 the relative change of the medians and the rounds the change was faster
-in.  An op that exits non-zero on either side is an error.  Standard
-library only.
+in, then whether every output file was byte-identical between the sides
+in each round, or how many differed and the first that did.  Outputs
+that differ are reported, not an error: a change may alter them on
+purpose.  An op that exits non-zero on either side is an error.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -43,11 +49,16 @@ from bench_pairs import ROOT, copy_working_tree, extract_parent  # noqa: E402
 WORKLOADS = ("cycle-gravity", "cycle-massless", "estimate")
 
 # Run in a fresh process with its side's src first on sys.path: argv is
-# the pool file and the number of passes; prints the least time per op.
+# the pool file and the number of passes; prints the least time per op and
+# the sha256 of each output file, keyed by its op's --out name and path.
 CHILD = r"""
-import contextlib, io, json, sys, time
+import contextlib, hashlib, io, json, shutil, sys, time
+from pathlib import Path
 import kitecycle.cli
 ops = json.loads(open(sys.argv[1], encoding="utf-8").read())
+outs = [Path(op["argv"][op["argv"].index("--out") + 1]) for op in ops]
+for out in outs:
+    shutil.rmtree(out, ignore_errors=True)
 best, codes = [float("inf")] * len(ops), set()
 for _ in range(int(sys.argv[2])):
     for i, op in enumerate(ops):
@@ -55,7 +66,13 @@ for _ in range(int(sys.argv[2])):
             start = time.perf_counter()
             codes.add(kitecycle.cli.run_command(op["argv"]))
             best[i] = min(best[i], time.perf_counter() - start)
-print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__}))
+digests = {}
+for out in outs:
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        key = f"{out.name}/{path.relative_to(out).as_posix()}"
+        digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__,
+                  "digests": digests}))
 """
 
 
@@ -67,8 +84,9 @@ def generate_pool(workload: str, work: Path) -> Path:
     return pool
 
 
-def time_pool(tree: Path, pool: Path, best_of: int) -> float:
-    """Sum over the pool of each op's least time, in ms, from a fresh process."""
+def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, str]]:
+    """Sum over the pool of each op's least time, in ms, from a fresh process,
+    and the digest of each output file."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of)], cwd=tree,
                           env=env, capture_output=True, text=True)
@@ -80,7 +98,7 @@ def time_pool(tree: Path, pool: Path, best_of: int) -> float:
         sys.exit(f"interleave_ops: {tree.name} imported kitecycle from {result['module']}")
     if result["codes"] != [0]:
         sys.exit(f"interleave_ops: {tree.name} on {pool.stem}: exit codes {result['codes']}")
-    return 1e3 * sum(result["best"])
+    return 1e3 * sum(result["best"]), result["digests"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,11 +129,20 @@ def main(argv: list[str] | None = None) -> int:
 
     times: dict[str, dict[str, list[float]]] = {name: {"parent": [], "change": []}
                                                 for name in names}
+    # Output files that differed between the sides in some round, per workload.
+    differ: dict[str, set[str]] = {name: set() for name in names}
+    files: dict[str, set[str]] = {name: set() for name in names}
     for i in range(args.rounds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in names:
+            digests = {}
             for side in order:
-                times[name][side].append(time_pool(trees[side], pools[name], args.best_of))
+                ms, digests[side] = time_pool(trees[side], pools[name], args.best_of)
+                times[name][side].append(ms)
+            parent, change = digests["parent"], digests["change"]
+            files[name] |= parent.keys() | change.keys()
+            differ[name] |= {key for key in parent.keys() | change.keys()
+                             if parent.get(key) != change.get(key)}
             print(f"round {i + 1} {name}: parent {times[name]['parent'][-1]:.1f} ms, "
                   f"change {times[name]['change'][-1]:.1f} ms", flush=True)
 
@@ -127,6 +154,13 @@ def main(argv: list[str] | None = None) -> int:
         won = sum(b < a for a, b in zip(parent, change))
         print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}), "
               f"change faster in {won}/{args.rounds} rounds")
+    print("Outputs, parent against change:")
+    for name in names:
+        if differ[name]:
+            print(f"  {name}: {len(differ[name])} of {len(files[name])} output files differ, "
+                  f"first {min(differ[name])}")
+        else:
+            print(f"  {name}: all {len(files[name])} output files byte-identical")
     if args.work is None:
         shutil.rmtree(work, ignore_errors=True)
     return 0
