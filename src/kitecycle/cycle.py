@@ -332,8 +332,9 @@ def simulate_transition(
             else:
                 eq0 = massless_state(*coasting, kite.S, *wind)
         except (NoTensionError, TetherSagError):
-            # An overflown kite, or one whose tension cannot carry the
-            # tether weight, cannot coast; reel in to restore the minimum force.
+            # An overflown kite, or one whose tether would push on the kite
+            # or the ground station, cannot coast; reel in to restore the
+            # minimum force.
             return reel_in(r, theta, wind, props)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:

@@ -39,8 +39,10 @@ class SteadyStateError(SolverError):
 
 
 class TetherSagError(SolverError):
-    """Half the tether weight exceeds the tension at the kite; the
-    moderate-sagging force balance is outside its validity range."""
+    """The tether force balance leaves the tether pushing: on the kite,
+    where the aerodynamic force does not carry the kite weight radially,
+    or on the ground station, where the tension does not carry the radial
+    tether weight.  The moderate-sagging model is outside its range."""
 
 
 class SetpointUnreachableError(SolverError):

@@ -204,7 +204,8 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
             return make((t, nan, nan, nan, nan, v_a, False, phase))
         try:
             radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
-        except OverflowError:  # a kite velocity, over v_w*b_f, too large to square
+        except (OverflowError, ZeroDivisionError):
+            # A kite velocity, over v_w*b_f, too large to square, or a v_w*b_f that underflows.
             radicand = inf
         # NaN for an infinite wind at the kite, inf for an infinite v_a or ratio.
         if not 0.0 <= radicand < inf:
@@ -221,7 +222,10 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
             return make((t, nan, nan, nan, kappa, v_a, False, phase))
         F_a = force[1]
         rho = density(z)
-        C_R = 2.0 * F_a / (rho * v_a**2 * S)
+        try:
+            C_R = 2.0 * F_a / (rho * v_a**2 * S)
+        except ZeroDivisionError:  # the density underflows to 0 far above any kite
+            return make((t, nan, nan, nan, kappa, v_a, False, phase))
 
         if phase == TRACTION:
             gated = sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z) / v_w_ref < CROSSWIND_RATIO

@@ -28,7 +28,12 @@ follow.
 Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
 lumped with the kite weight and a sag-induced tangential reaction at the
-suspension points.
+suspension points.  The tether force balance is kept in components: the
+radial tension is F_a_r less the radial kite weight at the kite, and less
+the radial tether weight too at the ground; each end's force is its hypot
+with the sag reaction, -sin(theta)*m_t*g/2.  Where the radial tension is
+not positive at the kite, or negative at the ground, the tether would
+push: TetherSagError.
 
 Each of the four equilibria has one public function on scalars: its
 inputs (the reeling factor f, or the force set-point), then ``theta,
@@ -311,42 +316,13 @@ def massless_setpoint_step(bound: tuple, theta: float, C_D: float, v_w: float,
     return _massless(a, b, None, C_L, C_D, S, v_w, rho, F_target)
 
 
-def _ground_tether_force(F_t_kite: float, sin_t: float, cos_t: float, m_t: float) -> float:
-    """Tether force at the ground station given the force at the kite.
-
-    The sag-induced tangential reaction at each suspension point is half
-    the tether weight projected on the tangential direction; the ground
-    radial component additionally carries the vertical projection of the
-    tether weight.
-
-    Raises:
-        TetherSagError: if half the tether weight exceeds the kite-end
-            tension, outside the moderate-sagging validity range, or the
-            radial tension at the kite does not carry the radial tether
-            weight, so that the tether would push on the ground station.
-    """
-    F_t_tau = 0.5 * sin_t * m_t * GRAVITY
-    if F_t_kite <= abs(F_t_tau):
-        raise TetherSagError(
-            f"kite tension {F_t_kite:.1f} N does not exceed the sag reaction "
-            f"{abs(F_t_tau):.1f} N"
-        )
-    radial_kite = math.sqrt(F_t_kite**2 - F_t_tau**2)
-    radial_ground = radial_kite - cos_t * m_t * GRAVITY
-    if radial_ground < 0.0:
-        raise TetherSagError(f"kite tension {F_t_kite:.1f} N leaves the tether pushing on the "
-                             f"ground station: it cannot carry the radial tether weight "
-                             f"{radial_kite - radial_ground:.1f} N")
-    return math.hypot(radial_ground, F_t_tau)
-
-
 def aero_force_from_ground(F_tg: float, sin_t: float, cos_t: float, m_t: float,
                            m: float) -> Optional[tuple[float, float]]:
     """Radial component and magnitude of the aerodynamic force on a kite
     of mass ``m`` whose tether, of mass ``m_t``, carries ``F_tg`` at the
-    ground: :func:`_ground_tether_force` inverted, plus the airborne
-    weights.  None where F_tg is below the sag reaction; ``F_tg**2`` may
-    raise OverflowError."""
+    ground: the ground end of the tether force balance (see the module
+    docstring) inverted, plus the airborne weights.  None where F_tg is
+    below the sag reaction; ``F_tg**2`` may raise OverflowError."""
     F_t_tau = 0.5 * sin_t * m_t * GRAVITY
     radicand = F_tg**2 - F_t_tau**2
     if radicand < 0.0:
@@ -382,7 +358,7 @@ def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float,
     G_star = C_L / C_D
     F_a_theta = -(0.5 * m_t + m) * GRAVITY * sin_t
     return (G_star, math.log(G_star), 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L), F_a_theta,
-            m * GRAVITY * cos_t, F_a_theta + m * GRAVITY * sin_t)
+            m * GRAVITY * cos_t, -0.5 * sin_t * m_t * GRAVITY)
 
 
 def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms: tuple) -> tuple:
@@ -424,11 +400,23 @@ def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms:
 def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
                  m_t: float, S: float, v_w: float, rho: float) -> tuple:
     """The solved (kappa, lam, v_a, F_a, F_a_r) at reeling factor ``f``,
-    completed to the fields of an equilibrium."""
+    completed to the fields of an equilibrium by the tether force balance
+    in components.  Raises TetherSagError where the tether would push on
+    the kite or on the ground station."""
     kappa, lam, v_a, F_a, F_a_r = value
     _, _, _, F_a_theta, W_r, F_t_theta = terms
-    F_t_kite = math.hypot(F_a_r - W_r, F_t_theta)
-    F_tg = _ground_tether_force(F_t_kite, trig[2], trig[3], m_t)
+    radial_kite = F_a_r - W_r
+    if radial_kite <= 0.0:
+        raise TetherSagError(f"kite tension {radial_kite:.1f} N (radial) leaves the tether pushing "
+                             f"on the kite: F_a_r {F_a_r:.1f} N cannot carry the radial kite "
+                             f"weight {W_r:.1f} N")
+    F_t_kite = math.hypot(radial_kite, F_t_theta)
+    radial_ground = radial_kite - trig[3] * m_t * GRAVITY
+    if radial_ground < 0.0:
+        raise TetherSagError(f"kite tension {F_t_kite:.1f} N leaves the tether pushing on the "
+                             f"ground station: it cannot carry the radial tether weight "
+                             f"{radial_kite - radial_ground:.1f} N")
+    F_tg = math.hypot(radial_ground, F_t_theta)
     P = F_tg * f * v_w
     # P_w = 0.5*rho*v_w**3 is taken last: v_w**3 may overflow where the checks fail first.
     return (kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, P / (0.5 * rho * v_w**3 * S),
@@ -510,8 +498,9 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
             the geometry fails (the aerodynamic force falls below the
             tangential gravity load, or gravity turns the drag projection
             non-positive), or the root has a negative tangential speed.
-        TetherSagError: as :func:`_ground_tether_force`, for the root's
-            tension at the kite.
+        TetherSagError: if the root's radial tension at the kite is not
+            positive, or at the ground negative: the tether would push on
+            the kite or on the ground station.
     """
     _check_phase(angles, S, m)
     trig = _trig(theta, angles, C_L, C_D, v_w, rho)

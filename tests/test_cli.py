@@ -352,6 +352,33 @@ def test_kite_velocity_too_large_to_square_is_invalid(tmp_path, strong_config, s
     assert averages["samples"][phase]["invalid"] == clean[phase]["invalid"] + len(rows)
 
 
+@pytest.mark.parametrize("case", ["density_underflow", "ratio_underflow"])
+def test_underflowing_divisor_is_an_invalid_sample(tmp_path, strong_config, strong_telemetry,
+                                                   case):
+    # A sample 10^4 km up, where the air density underflows to 0, or one
+    # whose wind's radial share underflows to 0 used to raise
+    # ZeroDivisionError out of the command.  Both are invalid samples.
+    series = list(strong_telemetry)
+    i = next(i for i, rec in enumerate(series) if rec.phase == "traction")
+    if case == "density_underflow":
+        series[i] = series[i]._replace(F_tg=3000.0, r=1e7, theta=0.0, phi=0.0, chi=1.0,
+                                       vk=(-20.0, 0.0, 0.0), v_t=-5.0, v_w_ref=10.0)
+    else:
+        series[i] = series[i]._replace(F_tg=3000.0, r=0.0700000001, theta=1e-300, phi=0.0,
+                                       chi=1.0, vk=(-20.0, 0.0, 0.0), v_t=0.0, v_w_ref=1e-20)
+    log, out = tmp_path / "telemetry.csv", tmp_path / "out"
+    write_telemetry_csv(log, series)
+    assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                        "--out", str(out)]) == 0
+    averages = json.loads((out / "phase_averages.json").read_text(), parse_constant=not_json)
+    assert all(math.isfinite(averages[name]) for name in ("C_R_o", "C_R_i", "LD_k_o", "LD_k_i"))
+    t, phase, C_R, *_, valid = (out / "estimates.csv").read_text().splitlines()[i + 1].split(",")
+    assert (C_R, valid) == ("nan", "0")
+    cfg = strong_config
+    clean = segment_and_average(strong_telemetry, cfg.kite, cfg.tether, cfg.environment).counts
+    assert averages["samples"]["traction"]["invalid"] == clean["traction"]["invalid"] + 1
+
+
 def test_failed_sweep_point_names_its_value(tmp_path, capsys):
     # An invalid point is a ValidationError (exit 2), a failed solve
     # keeps its solver class (exit 3); both name the parameter value.

@@ -166,6 +166,29 @@ class TestKiteVelocityTooLargeToSquare:
         assert all(map(math.isfinite, (avg.C_R_i, avg.C_R_o, avg.LD_k_i, avg.LD_k_o)))
 
 
+# Finite samples where a divisor underflows to 0: the air density 10^4 km
+# up, and the wind's radial share b_f*v_w of a 1e-20 m/s wind just above
+# the roughness length at theta = 1e-300.
+UNDERFLOWING = {
+    "density": LogRecord(1.0, 3000.0, 1e7, 0.0, 0.0, 1.0, (-20.0, 0.0, 0.0), -5.0, 10.0),
+    "ratio": LogRecord(1.0, 3000.0, 0.0700000001, 1e-300, 0.0, 1.0, (-20.0, 0.0, 0.0), 0.0, 1e-20),
+}
+
+
+@pytest.mark.parametrize("phase", ["retraction", "transition", "traction"])
+def test_underflowing_divisor_is_invalid(strong_config, phase):
+    # Both used to raise ZeroDivisionError.  An underflowing density
+    # leaves C_R undefined; an underflowing radial share is a ratio too
+    # large to square, so the kinematic ratio is undefined too.
+    args = (strong_config.kite, strong_config.tether, strong_config.environment, phase)
+    density = estimate_record(UNDERFLOWING["density"], *args)
+    assert not density.valid
+    assert math.isnan(density.C_R) and math.isfinite(density.kappa)
+    ratio = estimate_record(UNDERFLOWING["ratio"], *args)
+    assert not ratio.valid
+    assert all(map(math.isnan, (ratio.C_R, ratio.LD_sys, ratio.LD_k, ratio.kappa)))
+
+
 class TestEstimateCR:
     def test_massless_exact_recovery(self):
         st = Flight(r=390.0, theta=math.radians(63), phi=0.0, chi=math.radians(100), f=0.3)
@@ -432,6 +455,13 @@ def test_record_from_speed_matches_vector_form():
                                    v_w_ref=rec.v_w_ref)
     for a, b in zip(rebuilt.vk, rec.vk):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+def test_record_from_speed_rejects_a_radial_speed_above_the_kite_speed():
+    with pytest.raises(ValidationError, match=r"^radial speed -5\.0 exceeds kite speed "
+                                              r"magnitude 4\.0$"):
+        LogRecord.from_speed(t=0.0, F_tg=1000.0, r=300.0, theta=1.0, phi=0.0, chi=1.0, v_k=4.0,
+                             v_t=-5.0, v_w_ref=10.0)
 
 
 def test_log_record_invariants(tmp_path, strong_config, strong_telemetry):

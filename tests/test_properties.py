@@ -8,7 +8,8 @@ per series gives each sample's public estimate, the closed-form gravity
 inversion finds the reeling factor of a tight nested search and, where
 weight dominates, meets the force exactly or names why it cannot, the tether force falls
 with the reeling factor, gravity mode without mass is the closed form,
-the kinematic ratio is the root a tight independent bisection finds,
+the kinematic ratio is the root a tight independent bisection finds, with
+the tether pulling on the kite,
 every failure is one of a few definite reasons, and each entry point
 rejects a state, coefficient set or wind outside its domain with the
 message its record constructor used to give.
@@ -461,6 +462,11 @@ def test_gravity_mode_without_mass_is_the_closed_form(p):
 # bound of 1e-7 on G/G* - 1 left kappa 1.6e-6 off here.
 @example(Problem(50.0, 1.115084417259966, -0.3125, 2.0, 0.5397545978330571, 1.5,
                  0.3744629565277525, 11.75, 1.1985975364711163, 16.25, 0.0))
+# The root's radial aerodynamic force does not carry the radial kite
+# weight: the tether would push on the kite.
+@example(Problem(100.0, 0.32370480643234667, -0.6204325970340215, 0.09095910556995095, 0.0,
+                 0.2488217073758491, 0.2453056262277199, 11.522279840502655, 1.2,
+                 48.17458546284782, 3.8129599266705387))
 def test_kinematic_ratio_matches_tight_bisection(p):
     reference = bisect_kappa(p.f, *p.tail())
     try:
@@ -474,6 +480,8 @@ def test_kinematic_ratio_matches_tight_bisection(p):
         return
     assert reference is not None
     assert abs(res.kappa / reference - 1.0) <= 1e-8
+    # The tether pulls on the kite.
+    assert res.F_a_r - p.m * 9.81 * math.cos(p.theta) > 0.0
 
 
 @PROPERTY

@@ -426,6 +426,17 @@ class TestKinematicRatioSolver:
             solve_kinematic_ratio(*fig8_problem(180, 22.0))
         assert bisect_kappa(*fig8_problem(180, 22.0)) is None
 
+    def test_no_root_where_g_is_below_g_star_at_the_upper_end(self):
+        # A weak wind and a heavy kite: G < G* already at kappa = 50*G*,
+        # so the scan down from there finds no sign change.
+        problem = (0.7407847147778921, 1.115530330916906,
+                   angle_trig(0.3538403454566623, 5.9832697815155145), 0.28666691795325383,
+                   0.4501480664642038, 2.94808935970313, 25.609560353468996, 10.2,
+                   3.000865347898754, 1.039578950540014)
+        with pytest.raises(SteadyStateError, match=r"^no sign change of G\(kappa\) - G\* on "
+                                                   r"\(0, 31\.8\]: G < G\* at the upper end$"):
+            solve_kinematic_ratio(*problem)
+
     def test_secant_stops_where_g_falls(self, monkeypatch):
         # Here the first secant step finds G falling with kappa.  The
         # secant stops there and the scan finds the largest root, probing
@@ -471,6 +482,20 @@ class TestKinematicRatioSolver:
             deviations.append(abs(res.kappa - ml.kappa) + abs(res.F_t_kite - ml.F_t_kite) / ml.F_t_kite)
         assert deviations[0] > deviations[1] > deviations[2]
         assert deviations[2] < 1e-5
+
+    def test_tether_cannot_push_on_the_kite(self):
+        # The root's radial aerodynamic force, 228.0 N, does not carry the
+        # kite weight's radial component, 448.0 N.  Taking the kite-end
+        # force as a magnitude used to lose that sign and report a tether
+        # pulling with 220.2 N.
+        problem = (0.0, 0.32370480643234667,
+                   angle_trig(-0.6204325970340215, 0.09095910556995095), 0.2488217073758491,
+                   0.2453056262277199, 3.8129599266705387, 48.17458546284782, 10.2,
+                   11.522279840502655, 1.2)
+        with pytest.raises(TetherSagError, match=r"^kite tension -220\.1 N \(radial\) leaves the "
+                                                 r"tether pushing on the kite: F_a_r 228\.0 N "
+                                                 r"cannot carry the radial kite weight 448\.0 N$"):
+            solve_kinematic_ratio(*problem)
 
 
 class TestReelFactorGravity:
