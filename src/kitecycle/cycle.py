@@ -158,15 +158,8 @@ class _PhaseEngine:
     ``chi``: ``wind_at(z) -> (v_w, rho)``, ``tether_at(r) -> (m_t, C_D)`` and
     force set-points, each bound once, and series bookkeeping."""
 
-    def __init__(
-        self,
-        env: Environment,
-        kite: KiteParams,
-        tether: TetherParams,
-        op: OperationSettings,
-        aero_set: AeroSet,
-        phi: float, chi: float,
-    ):
+    def __init__(self, env: Environment, kite: KiteParams, tether: TetherParams,
+                 op: OperationSettings, aero_set: AeroSet, phi: float, chi: float):
         if env.v_w_ref <= 0.0:
             raise ValidationError("cycle simulation requires a positive reference wind speed")
         self.kite = kite
@@ -177,7 +170,8 @@ class _PhaseEngine:
         self.angles = angle_trig(phi, chi)
         self.wind_at = bind_wind(env)
         self.tether_at = bind_tether(tether, kite, aero_set)
-        self.dt = (op.r_max - op.r_min) / env.v_w_ref * op.dT
+        self.t_char = (op.r_max - op.r_min) / env.v_w_ref  # the characteristic time
+        self.dt = self.t_char * op.dT
 
     def setpoint(self, F_target: float) -> Callable[..., tuple]:
         """The controller ``(r, theta, wind, props=None) -> (f, values)`` of a
@@ -229,9 +223,11 @@ def _integrate(
     ``increasing``, else down; a start already there gives a one-record phase.
 
     Raises:
-        SolverError: a PhaseError if the end quantity stalls for ten
-            characteristic times, or what the wind law or ``controller``
-            raised, chained and prefixed with the phase, t, r and elevation.
+        SolverError: a PhaseError if, for ten characteristic times, each
+            step's rate leaves the end over ten characteristic times away (a
+            rate <= 0 never reaches it), or what the wind law or
+            ``controller`` raised, chained and prefixed with the phase, t, r
+            and elevation.
     """
     wind_at, phi, chi, make = engine.wind_at, engine.phi, engine.chi, StepRecord._make
 
@@ -244,7 +240,7 @@ def _integrate(
         return record, v_t, v_tau * climb / r
 
     sign = 1.0 if increasing else -1.0
-    stall, stall_limit = 0, max(1, math.ceil(10.0 / engine.op.dT))
+    stall, stall_limit, horizon = 0, max(1, math.ceil(10.0 / engine.op.dT)), 10.0 * engine.t_char
     try:
         record, dr, dtheta = rates(t, r, theta)
         series = [record]
@@ -258,13 +254,15 @@ def _integrate(
             if done:
                 dt = (end - value) / rate
             else:
-                stall = stall + 1 if sign * rate <= 0.0 else 0
+                # Stalled: at this rate the end is over `horizon` away (never, at rate <= 0 or NaN).
+                stall = 0 if sign * (end - value) <= horizon * sign * rate else stall + 1
                 if stall > stall_limit:
                     quantity = "elevation" if by_elevation else "tether length"
+                    unit = "rad" if by_elevation else "m"
                     direction = "increase" if increasing else "decrease"
-                    raise PhaseError(
-                        f"{quantity} failed to {direction} for {stall} consecutive steps"
-                    )
+                    raise PhaseError(f"{quantity} failed to {direction} for {stall} consecutive "
+                                     f"steps: at {value:.6g} {unit} and {rate:.3g} {unit}/s, the "
+                                     f"end {end:.6g} {unit} is more than {horizon:.6g} s away")
                 dt = engine.dt
             r += dr * dt
             theta += dtheta * dt
@@ -285,13 +283,8 @@ def _integrate(
                         f"{exc}") from exc
 
 
-def simulate_retraction(
-    env: Environment,
-    kite: KiteParams,
-    tether: TetherParams,
-    op: OperationSettings,
-    t0: float = 0.0,
-) -> PhaseResult:
+def simulate_retraction(env: Environment, kite: KiteParams, tether: TetherParams,
+                        op: OperationSettings, t0: float = 0.0) -> PhaseResult:
     """Reel in from (r_max, beta_o) under the low force set-point.
 
     Course angle is 180 deg (upward) in the phi = 0 plane; the phase ends
@@ -304,27 +297,38 @@ def simulate_retraction(
                       end=op.r_min, increasing=False, climb=engine.angles[3])
 
 
-def simulate_transition(
-    env: Environment,
-    kite: KiteParams,
-    tether: TetherParams,
-    op: OperationSettings,
-    r_start: float,
-    theta_start: float,
-    t0: float = 0.0,
-) -> PhaseResult:
+def simulate_transition(env: Environment, kite: KiteParams, tether: TetherParams,
+                        op: OperationSettings, r_start: float, theta_start: float,
+                        t0: float = 0.0) -> PhaseResult:
     """Fly down (course angle 0, phi = 0) at the traction coefficients
     until the traction elevation is reached.
 
     The winch holds the tether length unless the free-flight tension
     leaves [F_in, F_out]: above F_out it reels out, below F_in it reels
-    in, regulating to the violated set-point.
+    in, regulating to the violated set-point.  A positive F_out factor
+    means a tension above F_out, so a step tries that set-point first and
+    solves the free flight only where it fails or gives f <= 0.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
+    return _integrate(engine, TRANSITION, _transition_controller(engine), r_start, theta_start,
+                      t0, end=op.beta_o, increasing=False, by_elevation=True,
+                      climb=engine.angles[3])
+
+
+def _transition_controller(engine: _PhaseEngine) -> Callable[..., tuple]:
+    """Transition's controller ``(r, theta, wind) -> (f, values)``, as
+    :func:`simulate_transition` describes it."""
+    op, kite = engine.op, engine.kite
     reel_in, reel_out = engine.setpoint(op.F_in), engine.setpoint(op.F_out)
 
     def controller(r: float, theta: float, wind: tuple[float, float]) -> tuple:
         props = m_t, C_D = engine.tether_at(r)
+        try:
+            f, values = reel_out(r, theta, wind, props)
+        except SolverError:
+            f = 0.0
+        if f > 0.0:
+            return f, values
         coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)  # f = 0
         try:
             if op.gravity:
@@ -332,9 +336,8 @@ def simulate_transition(
             else:
                 eq0 = massless_state(*coasting, kite.S, *wind)
         except (NoTensionError, TetherSagError):
-            # An overflown kite, or one whose tether would push on the kite
-            # or the ground station, cannot coast; reel in to restore the
-            # minimum force.
+            # An overflown kite, or one whose tether would push on the kite or the
+            # ground station, cannot coast; reel in to restore the minimum force.
             return reel_in(r, theta, wind, props)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:
@@ -342,19 +345,11 @@ def simulate_transition(
         if force < op.F_in:
             return reel_in(r, theta, wind, props)
         return 0.0, eq0
-
-    return _integrate(engine, TRANSITION, controller, r_start, theta_start, t0,
-                      end=op.beta_o, increasing=False, by_elevation=True, climb=engine.angles[3])
+    return controller
 
 
-def simulate_traction(
-    env: Environment,
-    kite: KiteParams,
-    tether: TetherParams,
-    op: OperationSettings,
-    r_start: float,
-    t0: float = 0.0,
-) -> PhaseResult:
+def simulate_traction(env: Environment, kite: KiteParams, tether: TetherParams,
+                      op: OperationSettings, r_start: float, t0: float = 0.0) -> PhaseResult:
     """Reel out under the high force set-point at the constant
     representative crosswind state until the tether reaches r_max."""
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, op.phi_o, op.chi_o)
@@ -362,12 +357,8 @@ def simulate_traction(
                       end=op.r_max, increasing=True, climb=0.0)
 
 
-def simulate_cycle(
-    env: Environment,
-    kite: KiteParams,
-    tether: TetherParams,
-    op: OperationSettings,
-) -> CycleResult:
+def simulate_cycle(env: Environment, kite: KiteParams, tether: TetherParams,
+                   op: OperationSettings) -> CycleResult:
     """Run retraction, transition and traction in sequence and aggregate.
 
     Mean cycle power is the time-weighted mean of the phase powers; the
@@ -375,15 +366,10 @@ def simulate_cycle(
     the average traction altitude times the wing area.
     """
     retraction = simulate_retraction(env, kite, tether, op, t0=0.0)
-    transition = simulate_transition(
-        env, kite, tether, op,
-        r_start=retraction.end.r,
-        theta_start=retraction.end.theta,
-        t0=retraction.end.t,
-    )
-    traction = simulate_traction(
-        env, kite, tether, op, r_start=transition.end.r, t0=transition.end.t
-    )
+    transition = simulate_transition(env, kite, tether, op, r_start=retraction.end.r,
+                                     theta_start=retraction.end.theta, t0=retraction.end.t)
+    traction = simulate_traction(env, kite, tether, op, r_start=transition.end.r,
+                                 t0=transition.end.t)
     energy = retraction.energy + transition.energy + traction.energy
     duration = retraction.duration + transition.duration + traction.duration
     P_m = energy / duration
@@ -401,13 +387,8 @@ def simulate_cycle(
     )
 
 
-def convergence_study(
-    env: Environment,
-    kite: KiteParams,
-    tether: TetherParams,
-    op: OperationSettings,
-    dT_list: list[float],
-) -> list[dict]:
+def convergence_study(env: Environment, kite: KiteParams, tether: TetherParams,
+                      op: OperationSettings, dT_list: list[float]) -> list[dict]:
     """Cycle power harvesting factor for a list of time steps.
 
     ``dT_list`` must be sorted descending; the smallest entry serves as

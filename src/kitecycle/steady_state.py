@@ -21,9 +21,13 @@ and the tangential velocity factor lam, the apparent wind over v_w is
 Drag is the projection of the aerodynamic force on it, so
 F_a.v_a/|v_a| = F_a/sqrt(1 + G*^2) is linear in (f, lam), and
 |v_a|^2/v_w^2 = (b - f)^2 + 1 - b^2 - 2*a*lam + lam^2 is quadratic in
-them.  Eliminating b - f gives one quadratic in lam; its larger root is
-the equilibrium where G rises through G* with kappa, and f and kappa
-follow.
+them.  Eliminating b - f gives one quadratic in lam; its larger root gives
+f and kappa.  It is the model's equilibrium only if G rises through G* with
+kappa at fixed f there, which it need not.  With K = kappa^2, F_a grows as
+1 + K, |v_a| = (b - f)*sqrt(1 + K)*v_w, D = N*v_w/|v_a| with N = F_a_r*(b - f)
++ F_a_theta*(cos(theta)cos(phi) - lam*cos(chi)), and s = lam - a has ds/dK =
+(b - f)^2/(2s); so G, rising with F_a/D, rises where K > 0 and
+3N > 2*F_a^2*(b - f)/F_a_r - (1 + K)*F_a_theta*cos(chi)*(b - f)^2/s.
 
 Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
@@ -155,10 +159,10 @@ class EquilibriumResult(NamedTuple):
         F_tg: Tether force at the ground station [N].
         zeta: Instantaneous power harvesting factor P/(P_w*S).
         P: Mechanical power at the ground [W], negative while reeling in.
-        iterations: Number of force-geometry evaluations: of the
-            kinematic-ratio solve, or the one probe of a gravity
-            set-point (0 for the massless closed form).  A solve that
-            cannot meet its tolerance raises instead of returning.
+        iterations: Number of force-geometry evaluations of the
+            kinematic-ratio solve; 0 for the closed forms (the set-points
+            and the massless state).  A solve that cannot meet its
+            tolerance raises instead of returning.
     """
 
     kappa: float
@@ -264,11 +268,14 @@ def _massless(a: float, b: float, f: Optional[float], C_L: float, C_D: float, S:
     at the factor :func:`massless_setpoint` finds; as (f, the equilibrium's
     fields)."""
     G, C_R = C_L / C_D, math.hypot(C_D, C_L)
-    scale = 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)  # tether force over (b - f)**2
-    if F_target is not None:
-        f = b - math.sqrt(F_target / scale)
-        if f < _F_LO:
-            raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
+    try:
+        scale = 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)  # tether force over (b - f)**2
+        if F_target is not None:
+            f = b - math.sqrt(F_target / scale)
+    except (OverflowError, ZeroDivisionError):
+        raise _beyond_floats(v_w) from None
+    if F_target is not None and f < _F_LO:
+        raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
     if f >= b:
         raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
     radicand = a * a + b * b - 1.0 + G * G * (b - f) ** 2
@@ -340,32 +347,41 @@ class _Probe(NamedTuple):
     value: object
 
 
-# Step in log kappa of the probe that checks G rises through G*.
-_RISE_STEP = 1e-6
-
 TargetEnd = Literal["kite", "ground"]
 
 
 def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float, m: float,
                  S: float, v_w: float, rho: float) -> tuple:
     """The constants (G*, log G*, q*S*C_R, F_a_theta, W_r, F_t_theta) of a
-    flight state's force geometry, once m_t >= 0 and v_w > 0: W_r is the kite
-    weight's radial component, F_t_theta the tether's sag reaction."""
+    flight state's force geometry, once m_t >= 0, v_w > 0 and G* is positive and finite: W_r
+    is the kite weight's radial component, F_t_theta the tether's sag reaction."""
     if m_t < 0.0:
         raise ValidationError(f"tether mass must be >= 0, got {m_t}")
     if v_w <= 0.0:
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
     G_star = C_L / C_D
+    if not 0.0 < G_star < math.inf:
+        raise ValidationError(f"effective lift-to-drag ratio must be finite and > 0, got {G_star}")
     F_a_theta = -(0.5 * m_t + m) * GRAVITY * sin_t
-    return (G_star, math.log(G_star), 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L), F_a_theta,
-            m * GRAVITY * cos_t, -0.5 * sin_t * m_t * GRAVITY)
+    try:
+        force_coefficient = 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L)
+    except OverflowError:
+        raise _beyond_floats(v_w) from None
+    return (G_star, math.log(G_star), force_coefficient, F_a_theta, m * GRAVITY * cos_t,
+            -0.5 * sin_t * m_t * GRAVITY)
+
+
+def _beyond_floats(v_w: float) -> SteadyStateError:
+    """The error of a wind speed whose square overflows or whose q*S*C_R underflows to 0."""
+    return SteadyStateError(f"wind speed {v_w:.3g} m/s is beyond float arithmetic: v_w**2 "
+                            f"overflows or q*S*C_R underflows to 0")
 
 
 def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms: tuple) -> tuple:
     """(log(G/G*), kappa, lam, F_a, F_a_r) at kappa = exp(x), from a state's :func:`_trig`,
     :func:`angle_trig` and :func:`_force_terms`, f < b unchecked; G is the lift-to-drag ratio
     the apparent wind and aerodynamic force imply.  Raises SteadyStateError where they do not
-    exist.  The solver's probes wrap it; a set-point's rising check reads only the sign."""
+    exist.  Only the kinematic-ratio solve's probes call it."""
     a, b, _, cos_t = trig
     sin_p, cos_p, sin_c, cos_c = angles
     _, log_G_star, force_coefficient, F_a_theta, _, _ = terms
@@ -620,6 +636,15 @@ def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float) -> _Pr
     return c if c.r < d.r else d
 
 
+def _rises(K: float, s: float, N: float, F_a: float, F_a_r: float, b_f: float,
+           sag: float) -> bool:
+    """Whether G rises through G* with kappa at fixed f, by the module docstring's test with
+    K = kappa^2, s = lam - a and sag = (1 + K)*F_a_theta*cos(chi)*(b - f)^2.  At s = 0 its
+    lam term sag/s is infinite, of sag's sign, or 0 where sag is; NaN is not rising."""
+    lam_term = sag / s if s > 0.0 else math.copysign(math.inf, sag) if sag else 0.0
+    return K > 0.0 and 3.0 * N > 2.0 * F_a * F_a * b_f / F_a_r - lam_term
+
+
 def _unreachable(F_target: float, target_end: TargetEnd, reason: str) -> SetpointUnreachableError:
     return SetpointUnreachableError(f"force {F_target:.6g} N at the {target_end}: {reason}")
 
@@ -637,11 +662,11 @@ def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angle
     quadratic in the tangential velocity factor lam (see the module
     docstring).  Its larger root is admitted if lam >= max(a, 0), the
     tether carries tension (f < sin(theta)*cos(phi)), f >= -3 and G rises
-    through G* with kappa there, which one geometry probe just above
-    kappa checks.  That is the root :func:`solve_kinematic_ratio` finds
-    at f, except where a weight-dominated kite has a second, larger
+    through G* with kappa there, by the sign of d log G / d log kappa at
+    fixed f in closed form.  That is the root :func:`solve_kinematic_ratio`
+    finds at f, except where a weight-dominated kite has a second, larger
     kappa root.  Returns the factor and its equilibrium, whose
-    ``iterations`` is 1, the probe.
+    ``iterations`` is 0.
 
     Raises:
         SetpointUnreachableError: if no admissible reeling factor exists;
@@ -688,7 +713,10 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
         raise _unreachable(F_target, target_end, f"no radial tension at the kite (sag reaction "
                                                  f"{abs(F_t_theta):.1f} N)")
     F_a_r, F_a = force
-    A = F_a / force_coefficient  # |v_a|^2/v_w^2
+    try:
+        A = F_a / force_coefficient  # |v_a|^2/v_w^2
+    except ZeroDivisionError:
+        raise _beyond_floats(v_w) from None
     # The drag condition solved for b - f = c0 + c1*lam, put into
     # |v_a|^2/v_w^2 = A: alpha*lam^2 + 2*h*lam + C = 0.
     c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
@@ -713,12 +741,9 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
     if f < _F_LO:
         raise _unreachable(F_target, target_end, f"f = {f:.6g} is below {_F_LO}")
     kappa2 = A / (b_f * b_f) - 1.0
-    try:
-        rising = kappa2 > 0.0 and _geometry(0.5 * math.log(kappa2) + _RISE_STEP, f, trig, angles,
-                                            v_w, terms)[0] > 0.0
-    except SteadyStateError:
-        rising = False
-    if not rising:
+    N = F_a_r * b_f + F_a_theta * (cos_t * cos_p - lam * cos_c)  # drag times |v_a|/v_w
+    if not _rises(kappa2, lam - a, N, F_a, F_a_r, b_f,
+                  (1.0 + kappa2) * F_a_theta * cos_c * b_f * b_f):
         raise _unreachable(F_target, target_end, f"G falls through G* with kappa at f = {f:.4f}")
-    return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 1, trig,
+    return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 0, trig,
                            terms, m_t, S, v_w, rho)

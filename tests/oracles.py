@@ -6,6 +6,12 @@ geometry, or by a dense scan and bisection on log(G/G*), and the optimal
 reeling factor by direct evaluation of the harvesting factor on a fine
 grid.  The telemetry reader's reference reads each row through
 ``csv.DictReader`` and checks each value on its own.
+
+Two oracles are the package's earlier code, kept as the reference for the
+cheaper code that replaced it: the gravity set-point step whose check that
+G rises through G* is a finite-difference probe of the force geometry just
+above the root, and transition's controller that makes the coasting solve
+at f = 0 before it reels.
 """
 
 import csv
@@ -13,9 +19,12 @@ import math
 
 import numpy as np
 
+from kitecycle import steady_state
 from kitecycle.dataio import TELEMETRY_COLUMNS
-from kitecycle.errors import ParseError, ValidationError
+from kitecycle.errors import (NoTensionError, ParseError, SteadyStateError, TetherSagError,
+                              ValidationError)
 from kitecycle.estimation import LogRecord
+from kitecycle.steady_state import massless_state, solve_kinematic_ratio
 
 
 def implied_lift_to_drag(kappa, f, theta, angles, C_L, C_D, m_t, m, S, v_w, rho):
@@ -180,3 +189,92 @@ def dictreader_telemetry(path):
     if any(rec.chi is None for rec in records):
         records = course_angles(records)
     return records
+
+
+# Step in log kappa of the probe that checks G rises through G*.
+RISE_STEP = 1e-6
+
+
+def probe_setpoint_step(bound, theta, C_D, m_t, v_w, rho):
+    """``steady_state.gravity_setpoint_step`` as it was with the rising check
+    made by one ``_geometry`` probe at log kappa + ``RISE_STEP``: a probe
+    residual above 0 is rising, one that fails is not.  Its ``iterations``
+    is 1, the probe."""
+    ss = steady_state
+    F_target, target_end, angles, C_L, m, S = bound
+    a, b, sin_t, cos_t = trig = ss._trig(theta, angles, C_L, C_D, v_w, rho)
+    G_star, _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = ss._force_terms(
+        sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
+    _, cos_p, _, cos_c = angles
+    try:
+        if target_end == "ground":
+            force = ss.aero_force_from_ground(F_target, sin_t, cos_t, m_t, m)
+        elif F_target > abs(F_t_theta):
+            F_a_r = math.sqrt(F_target**2 - F_t_theta**2) + W_r
+            force = F_a_r, math.hypot(F_a_r, F_a_theta)
+        else:
+            force = None
+    except OverflowError:
+        raise ss._unreachable(F_target, target_end, "its square overflows") from None
+    if force is None or min(force[0], force[0] - W_r) <= 0.0:
+        raise ss._unreachable(F_target, target_end, f"no radial tension at the kite (sag "
+                                                    f"reaction {abs(F_t_theta):.1f} N)")
+    F_a_r, F_a = force
+    A = F_a / force_coefficient
+    c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
+    c1 = F_a_theta * cos_c / F_a_r
+    alpha, h, C = 1.0 + c1 * c1, c0 * c1 - a, c0 * c0 + 1.0 - b * b - A
+    disc = h * h - alpha * C
+    if disc < 0.0:
+        raise ss._unreachable(F_target, target_end, "no real tangential velocity factor")
+    lam = (math.sqrt(disc) - h) / alpha if h <= 0.0 else -C / (h + math.sqrt(disc))
+    if lam < 0.0:
+        raise ss._unreachable(F_target, target_end,
+                              f"tangential velocity factor lambda = {lam:.3g} < 0")
+    if lam < a:
+        raise ss._unreachable(F_target, target_end, f"lambda = {lam:.3g} is below a = {a:.3g}, "
+                                                    f"off the tangential-speed branch")
+    b_f = c0 + c1 * lam
+    f = b - b_f
+    if b_f <= 0.0:
+        raise ss._unreachable(F_target, target_end, f"no tension at f = {f:.4f} >= "
+                                                    f"sin(theta)*cos(phi) = {b:.4f}")
+    if f < -3.0:
+        raise ss._unreachable(F_target, target_end, f"f = {f:.6g} is below -3.0")
+    kappa2 = A / (b_f * b_f) - 1.0
+    try:
+        rising = kappa2 > 0.0 and ss._geometry(0.5 * math.log(kappa2) + RISE_STEP, f, trig,
+                                               angles, v_w, terms)[0] > 0.0
+    except SteadyStateError:
+        rising = False
+    if not rising:
+        raise ss._unreachable(F_target, target_end, f"G falls through G* with kappa at "
+                                                    f"f = {f:.4f}")
+    return f, ss._equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 1,
+                              trig, terms, m_t, S, v_w, rho)
+
+
+def coasting_first_controller(engine):
+    """Transition's controller as it was for the phase engine ``engine``:
+    the coasting solve at f = 0 first, then a reel to the set-point its
+    force leaves, or to F_in where the kite cannot coast."""
+    op, kite = engine.op, engine.kite
+    reel_in, reel_out = engine.setpoint(op.F_in), engine.setpoint(op.F_out)
+
+    def controller(r, theta, wind):
+        props = m_t, C_D = engine.tether_at(r)
+        coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)
+        try:
+            if op.gravity:
+                eq0 = solve_kinematic_ratio(*coasting, m_t, kite.m, kite.S, *wind)
+            else:
+                eq0 = massless_state(*coasting, kite.S, *wind)
+        except (NoTensionError, TetherSagError):
+            return reel_in(r, theta, wind, props)
+        force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
+        if force > op.F_out:
+            return reel_out(r, theta, wind, props)
+        if force < op.F_in:
+            return reel_in(r, theta, wind, props)
+        return 0.0, eq0
+    return controller

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitecycle import cli, load_config, preset_path, segment_and_average
+from kitecycle import cli, cycle, load_config, preset_path, segment_and_average
 from kitecycle.cli import run_command
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
@@ -292,6 +292,95 @@ def test_finite_config_values_beyond_the_model_exit_2(tmp_path, capsys, section,
     code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o"), *flags])
     assert code == 2
     assert f"ValidationError: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-gravity"]], ids=["gravity", "massless"])
+@pytest.mark.parametrize("v_w_ref", [1e-300, 5e-324, 1e300])
+def test_reference_wind_beyond_the_float_range_exits_3(tmp_path, capsys, v_w_ref, flags):
+    # q*S*C_R underflows to 0, or v_w**2 overflows: the first step used to
+    # raise ZeroDivisionError or OverflowError, a traceback and exit 1.
+    raw = strong_raw()
+    raw["environment"]["v_w_ref"] = v_w_ref
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o"), *flags])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("SteadyStateError: retraction at t = 0 s, r = 720 m"), err
+    assert " m/s is beyond float arithmetic: " in err, err
+
+
+def test_lift_to_drag_ratio_that_underflows_exits_2(tmp_path, capsys):
+    # A tiny C_L over a tether drag of 1e300 gives C_L/C_D = 0, whose log
+    # raised ValueError, a traceback and exit 1, with gravity.
+    raw = strong_raw()
+    raw["kite"]["aero_retraction"]["C_L"] = 5e-324
+    raw["tether"]["C_D_c"] = 1e300
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("ValidationError: effective lift-to-drag ratio must be "
+                                       "finite and > 0, got 0.0\n")
+
+
+# Steps a stalled strong_wind cycle takes before it ends; measured 1072-1126.
+STALLED_STEPS = 1_500
+
+
+@pytest.mark.parametrize("key,value", [("v_w_ref", 5.5), ("v_w_ref", 5.7), ("z_ref", 180.0),
+                                       ("z0", 1e-300)])
+def test_run_that_never_ends_exits_3(tmp_path, capsys, monkeypatch, key, value):
+    # Traction nears a tether length short of r_max at which F_out holds
+    # with f falling to 0 but staying positive: the tether length kept
+    # increasing, ever more slowly, and the run never ended.  Each step
+    # looks up the wind once; a run past the bound fails instead of hanging.
+    steps = []
+    bind_wind = cycle.bind_wind
+
+    def counted_binder(env):
+        wind_at = bind_wind(env)
+
+        def counted(z):
+            steps.append(z)
+            assert len(steps) <= STALLED_STEPS, "the run did not end"
+            return wind_at(z)
+        return counted
+
+    monkeypatch.setattr(cycle, "bind_wind", counted_binder)
+    raw = strong_raw()
+    raw["environment"][key] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    assert run_command(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("PhaseError: traction at t = "), err
+    assert "tether length failed to increase for 1001 consecutive steps: at " in err, err
+    assert " the end 720 m is more than " in err, err
+
+
+# Finite config numbers at the edges of the float range.
+EXTREMES = (1e-300, 5e-324, 1e300)
+NUMBER_LEAVES = [path for path, kind in leaves(strong_raw()) if kind == "number"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(preset=st.sampled_from(["strong_wind", "moderate_wind"]), gravity=st.booleans(),
+       changes=st.dictionaries(st.sampled_from(NUMBER_LEAVES), st.sampled_from(EXTREMES),
+                               max_size=3))
+def test_simulate_ends_with_a_definite_exit_code(tmp_path_factory, preset, gravity, changes):
+    # Each config number is its preset value or a float-range extreme: a run
+    # exits 0, 2 or 3 and raises nothing.
+    raw = {**json.loads(preset_path(preset).read_text()), "gravity": gravity}
+    for (section, *rest), value in changes.items():
+        node = raw[section]
+        for key in rest[:-1]:
+            node = node[key]
+        node[rest[-1]] = value
+    work = tmp_path_factory.getbasetemp() / "extremes"
+    work.mkdir(exist_ok=True)
+    config = work / "config.json"
+    config.write_text(json.dumps(raw))
+    assert run_command(["simulate", "--config", str(config), "--out", str(work / "o")]) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("field", ["F_tg", "r"])

@@ -241,29 +241,42 @@ def test_phase_with_a_non_finite_course_angle_is_rejected(strong_config):
 
 
 def test_gravity_step_work_count(strong_config, monkeypatch):
-    # Geometry evaluations per step: a closed-form force inversion takes
-    # one, the probe that G rises; a coasting transition step's kinematic
-    # solve takes a few.  Measured: 1.34 per step (349 inversions).
-    inversions, probes = [], []
-    invert, geometry = cycle._solve_reel_factor, steady_state._geometry
+    # A set-point step is closed form: it evaluates no force geometry.  Only
+    # a transition step whose F_out factor is not positive makes the
+    # kinematic solve at f = 0, and only that solve evaluates the geometry.
+    # Measured: 1 solve of 5 evaluations in 23 transition records, where a
+    # solve on every record and a probe per set-point step made 464.
+    inversions, probes, solves = [], [], []
+    invert, geometry, solve = (cycle._solve_reel_factor, steady_state._geometry,
+                               cycle.solve_kinematic_ratio)
 
     def counted_invert(*args):
-        inversions.append(1)
-        return invert(*args)
+        before = len(probes)
+        try:
+            return invert(*args)
+        finally:
+            inversions.append(len(probes) - before)
 
     def counted_geometry(*args):
         probes.append(1)
         return geometry(*args)
 
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
     monkeypatch.setattr(cycle, "_solve_reel_factor", counted_invert)
     monkeypatch.setattr(steady_state, "_geometry", counted_geometry)
+    monkeypatch.setattr(cycle, "solve_kinematic_ratio", counted_solve)
     cfg = strong_config
     op = replace(cfg.operation, dT=0.01, gravity=True)
     res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
     # Every retraction and traction step is a set-point step: the count
     # cannot pass by counting nothing.
     assert len(inversions) >= res.retraction.steps + res.traction.steps
-    assert len(probes) / res.steps <= 1.5
+    assert set(inversions) == {0}
+    assert 0 < len(solves) < len(res.transition.series)
+    assert len(probes) <= 15 * len(solves)
 
 
 @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])

@@ -6,7 +6,10 @@ inversions round-trip, a simulator phase's bound step is the public
 set-point at the public wind and tether values, the estimator bound once
 per series gives each sample's public estimate, the closed-form gravity
 inversion finds the reeling factor of a tight nested search and, where
-weight dominates, meets the force exactly or names why it cannot, the tether force falls
+weight dominates, meets the force exactly or names why it cannot, its
+closed-form check that G rises gives the verdict of the finite-difference
+probe it replaced, transition's set-point-first controller acts as the
+coasting-first one did, the tether force falls
 with the reeling factor, gravity mode without mass is the closed form,
 the kinematic ratio is the root a tight independent bisection finds, with
 the tether pulling on the kite,
@@ -20,11 +23,13 @@ and a simulated cycle's phase energies add up to its mean power times
 its duration.
 """
 
+import collections
 import contextlib
 import csv
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -56,7 +61,8 @@ from kitecycle import (
     wind_state_at,
 )
 from kitecycle import dataio
-from kitecycle.cycle import CycleResult, PhaseResult, StepRecord, _PhaseEngine
+from kitecycle.cycle import (CycleResult, PhaseResult, StepRecord, _PhaseEngine,
+                             _transition_controller)
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
 from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv
@@ -70,7 +76,9 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
-from oracles import bisect_kappa, course_angles, dictreader_telemetry, implied_lift_to_drag
+from kitecycle.steady_state import _rises, bind_setpoint, gravity_setpoint_step
+from oracles import (bisect_kappa, coasting_first_controller, course_angles, dictreader_telemetry,
+                     implied_lift_to_drag, probe_setpoint_step)
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
 # drawn effective coefficients.
@@ -128,21 +136,26 @@ def force_scale(C_L, C_D, v_w, rho):
     return 0.5 * rho * v_w**2 * KITE.S * math.hypot(C_D, C_L) * (1.0 + (C_L / C_D) ** 2)
 
 
-@st.composite
-def problems(draw, massless=False):
-    """A problem with a tensioned tether; without airborne masses if
-    ``massless``."""
-    theta = draw(st.floats(math.radians(10.0), math.radians(88.0)))
-    phi = draw(st.floats(-math.radians(40.0), math.radians(40.0)))
+def draw_problem(uniform, massless=False):
+    """A problem with a tensioned tether, each number ``uniform(lo, hi)``;
+    without airborne masses if ``massless``."""
+    theta = uniform(math.radians(10.0), math.radians(88.0))
+    phi = uniform(-math.radians(40.0), math.radians(40.0))
     b = math.sin(theta) * math.cos(phi)
-    r, chi = draw(st.floats(50.0, 1000.0)), draw(st.floats(0.0, 2.0 * math.pi))
-    f = draw(st.floats(-1.0, 0.9 * b))
-    C_L, C_D = draw(st.floats(0.1, 1.5)), draw(st.floats(0.03, 0.5))
-    v_w, rho = draw(st.floats(3.0, 25.0)), draw(st.floats(1.0, 1.25))
+    r, chi = uniform(50.0, 1000.0), uniform(0.0, 2.0 * math.pi)
+    f = uniform(-1.0, 0.9 * b)
+    C_L, C_D = uniform(0.1, 1.5), uniform(0.03, 0.5)
+    v_w, rho = uniform(3.0, 25.0), uniform(1.0, 1.25)
     if massless:
         return Problem(r, theta, phi, chi, f, C_L, C_D, v_w, rho)
-    return Problem(r, theta, phi, chi, f, C_L, C_D, v_w, rho, draw(st.floats(0.0, 60.0)),
-                   draw(st.floats(0.0, 8.0)))
+    return Problem(r, theta, phi, chi, f, C_L, C_D, v_w, rho, uniform(0.0, 60.0),
+                   uniform(0.0, 8.0))
+
+
+@st.composite
+def problems(draw, massless=False):
+    """:func:`draw_problem` with hypothesis drawing each number."""
+    return draw_problem(lambda lo, hi: draw(st.floats(lo, hi)), massless)
 
 
 def force(res, end):
@@ -334,6 +347,84 @@ def test_gravity_step_is_the_public_inversion(p, end, log_ratio):
     F = force_scale(p.C_L, p.C_D, p.v_w, p.rho) * 10.0**log_ratio
     args = (engine, F, p.r, p.theta, WindState(p.v_w, p.rho))
     assert outcome(lambda: engine_step(*args)) == outcome(lambda: public_inversion(*args))
+
+
+def setpoint_target(p, log_ratio):
+    """The massless tether force at the drawn reeling factor, times 10**log_ratio."""
+    b = math.sin(p.theta) * math.cos(p.phi)
+    return force_scale(p.C_L, p.C_D, p.v_w, p.rho) * (b - p.f) ** 2 * 10.0**log_ratio
+
+
+def setpoint_outcomes(p, end, F_target):
+    """What the gravity set-point step and the probe oracle give for ``p``:
+    the factor and the equilibrium's fields but ``iterations`` (0 and 1),
+    or the class and message of the error."""
+    bound = bind_setpoint(F_target, end, angle_trig(p.phi, p.chi), p.C_L, p.m, p.S)
+
+    def fields(step):
+        f, values = step(bound, p.theta, p.C_D, p.m_t, p.v_w, p.rho)
+        return f, values[:-1]
+    return outcome(lambda: fields(gravity_setpoint_step)), outcome(
+        lambda: fields(probe_setpoint_step))
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(["kite", "ground"]), st.floats(-1.5, 1.0))
+# G falls through G* with kappa at the root.
+@example(Problem(103.3, 0.88, 0.086, 2.68, 0.0, 1.318, 0.298, 7.4, 1.126, 29.1, 2.85), "ground",
+         -0.2)
+def test_closed_form_rising_test_is_the_probe(p, end, log_ratio):
+    # The sign of d log G / d log kappa in closed form gives the verdict of
+    # the geometry probe just above the root, and so the same result or error.
+    new, probe = setpoint_outcomes(p, end, setpoint_target(p, log_ratio))
+    assert new == probe
+
+
+def test_closed_form_rising_test_takes_both_branches():
+    # Seeded draws from problems()' domain at both ends: the closed form and
+    # the probe agree on each, and both rising and falling roots occur.
+    rng, verdicts = random.Random(1), collections.Counter()
+    falls = "G falls through G* with kappa"
+    for _ in range(3000):
+        p, end = draw_problem(rng.uniform), rng.choice(["kite", "ground"])
+        new, probe = setpoint_outcomes(p, end, setpoint_target(p, rng.uniform(-1.5, 1.0)))
+        assert new == probe, p
+        kind = "rises" if isinstance(new, str) else "falls" if falls in new[1] else "other"
+        verdicts[kind] += 1
+    assert verdicts["rises"] > 0 and verdicts["falls"] > 0, verdicts
+
+
+def test_rising_test_where_lam_is_a():
+    # At s = lam - a = 0 the lam term sag/s of the test is infinite, so the
+    # sign of sag decides; where sag is 0 too the term drops out.  K = 1,
+    # N = 1, F_a = F_a_r = b - f = 1: 3N = 3 against 2 - sag/s.
+    assert _rises(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
+    assert not _rises(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, -0.5)
+    assert _rises(1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+    assert not _rises(1.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0)
+    # The limit s -> 0+ agrees, and no root without kappa > 0 rises.
+    assert not _rises(1.0, 1e-300, 1.0, 1.0, 1.0, 1.0, -1e-290)
+    assert _rises(1.0, 1e-300, 1.0, 1.0, 1.0, 1.0, 1e-290)
+    assert not _rises(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
+    assert not _rises(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5)
+
+
+@PROPERTY
+@given(problems(), st.booleans(), st.sampled_from([None, "kite", "ground"]), st.floats(-1.5, 1.0),
+       st.floats(0.05, 0.95))
+def test_set_point_first_transition_is_the_coasting_first_controller(p, level, force_at,
+                                                                     log_ratio, ratio):
+    # Transition flies at phi = chi = 0; drawn angles test the controller
+    # beyond that.  Massless (force_at None) or with gravity, it reels out,
+    # coasts or reels in with the same values, or raises the same error, as
+    # the controller that made the coasting solve first.
+    phi, chi = (0.0, 0.0) if level else (p.phi, p.chi)
+    engine = phase_engine(p.C_L, p.C_L / p.C_D, phi, chi, p.m, p.m_t, p.r, force_at)
+    F_out = setpoint_target(p, log_ratio)
+    engine.op = replace(engine.op, F_out=F_out, F_in=ratio * F_out)
+    wind = (p.v_w, p.rho)
+    assert outcome(lambda: _transition_controller(engine)(p.r, p.theta, wind)) == outcome(
+        lambda: coasting_first_controller(engine)(p.r, p.theta, wind))
 
 
 PRESET_CONFIGS = {name: load_config(preset_path(name)) for name in ("strong_wind", "moderate_wind")}

@@ -21,10 +21,14 @@ times over the pool, in ms.  Start-up and import are not timed.
 
 A process empties each op's ``--out`` directory before its timed passes
 and hashes every file in it after them, before the other side's process
-writes there again.
+writes there again.  Between the two it runs the pool once more, untimed,
+with a counter on every module binding of
+``steady_state.solve_kinematic_ratio``, ``gravity_setpoint_step`` and
+``_geometry``, the solver work that timings alone do not tell apart.
 At the end the script prints, per workload, each side's median figure,
 the relative change of the medians and the rounds the change was faster
-in, then whether every output file was byte-identical between the sides
+in, then each side's calls of the counted functions in one pass over
+each pool, then whether every output file was byte-identical between the sides
 in each round, or how many differed and the first that did.  Outputs
 that differ are reported, not an error: a change may alter them on
 purpose.  An op that exits non-zero on either side is an error.
@@ -48,13 +52,17 @@ from bench_pairs import ROOT, copy_working_tree, extract_parent  # noqa: E402
 
 WORKLOADS = ("cycle-gravity", "cycle-massless", "estimate")
 
+# The steady_state functions whose calls a side's untimed pass counts.
+COUNTED = ("solve_kinematic_ratio", "gravity_setpoint_step", "_geometry")
+
 # Run in a fresh process with its side's src first on sys.path: argv is
-# the pool file and the number of passes; prints the least time per op and
-# the sha256 of each output file, keyed by its op's --out name and path.
+# the pool file and the number of passes; prints the least time per op,
+# the calls of each COUNTED function in one more, untimed pass, and the
+# sha256 of each output file, keyed by its op's --out name and path.
 CHILD = r"""
 import contextlib, hashlib, io, json, shutil, sys, time
 from pathlib import Path
-import kitecycle.cli
+import kitecycle.cli, kitecycle.cycle, kitecycle.steady_state as ss
 ops = json.loads(open(sys.argv[1], encoding="utf-8").read())
 outs = [Path(op["argv"][op["argv"].index("--out") + 1]) for op in ops]
 for out in outs:
@@ -66,13 +74,30 @@ for _ in range(int(sys.argv[2])):
             start = time.perf_counter()
             codes.add(kitecycle.cli.run_command(op["argv"]))
             best[i] = min(best[i], time.perf_counter() - start)
+calls = dict.fromkeys(sys.argv[3].split(","), 0)
+
+def counting(name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+# Every module-level binding of a counted function, under an alias too.
+targets = {id(getattr(ss, name)): name for name in calls if hasattr(ss, name)}
+for module in (kitecycle.cycle, ss):
+    for attr, value in list(vars(module).items()):
+        if id(value) in targets:
+            setattr(module, attr, counting(targets[id(value)], value))
+for op in ops:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.add(kitecycle.cli.run_command(op["argv"]))
 digests = {}
 for out in outs:
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         key = f"{out.name}/{path.relative_to(out).as_posix()}"
         digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
 print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__,
-                  "digests": digests}))
+                  "calls": calls, "digests": digests}))
 """
 
 
@@ -84,12 +109,14 @@ def generate_pool(workload: str, work: Path) -> Path:
     return pool
 
 
-def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, str]]:
+def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, int],
+                                                           dict[str, str]]:
     """Sum over the pool of each op's least time, in ms, from a fresh process,
-    and the digest of each output file."""
+    the calls of each COUNTED function in one pass, and the digest of each
+    output file."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of)], cwd=tree,
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of),
+                           ",".join(COUNTED)], cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"interleave_ops: {tree.name} on {pool.stem} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
@@ -98,7 +125,7 @@ def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, st
         sys.exit(f"interleave_ops: {tree.name} imported kitecycle from {result['module']}")
     if result["codes"] != [0]:
         sys.exit(f"interleave_ops: {tree.name} on {pool.stem}: exit codes {result['codes']}")
-    return 1e3 * sum(result["best"]), result["digests"]
+    return 1e3 * sum(result["best"]), result["calls"], result["digests"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,13 +159,19 @@ def main(argv: list[str] | None = None) -> int:
     # Output files that differed between the sides in some round, per workload.
     differ: dict[str, set[str]] = {name: set() for name in names}
     files: dict[str, set[str]] = {name: set() for name in names}
+    # Calls per pass of each counted function, per workload and side; a pass
+    # is deterministic, so each round must give the same counts.
+    calls: dict[str, dict[str, dict[str, int]]] = {name: {} for name in names}
     for i in range(args.rounds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in names:
             digests = {}
             for side in order:
-                ms, digests[side] = time_pool(trees[side], pools[name], args.best_of)
+                ms, counts, digests[side] = time_pool(trees[side], pools[name], args.best_of)
                 times[name][side].append(ms)
+                if calls[name].setdefault(side, counts) != counts:
+                    sys.exit(f"interleave_ops: {side} on {name}: calls {counts} in round "
+                             f"{i + 1}, {calls[name][side]} before")
             parent, change = digests["parent"], digests["change"]
             files[name] |= parent.keys() | change.keys()
             differ[name] |= {key for key in parent.keys() | change.keys()
@@ -154,6 +187,11 @@ def main(argv: list[str] | None = None) -> int:
         won = sum(b < a for a, b in zip(parent, change))
         print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}), "
               f"change faster in {won}/{args.rounds} rounds")
+    print("Calls in one pass over the pool:")
+    for name in names:
+        for side in ("parent", "change"):
+            counted = ", ".join(f"{fn} {n}" for fn, n in calls[name][side].items())
+            print(f"  {name} {side}: {counted}")
     print("Outputs, parent against change:")
     for name in names:
         if differ[name]:
