@@ -47,7 +47,11 @@ class Environment(Frozen):
             raise ValidationError(f"sea-level density must be > 0 and finite, got {rho0}")
         if not 0.0 < H_rho < math.inf:
             raise ValidationError(f"density scale height must be > 0 and finite, got {H_rho}")
-        object.__setattr__(self, "_log_z_ref", math.log(z_ref / z0))
+        log_z_ref = math.log(z_ref / z0)  # inf where z_ref/z0 overflows, 0 where it rounds to 1
+        if not 0.0 < log_z_ref < math.inf:
+            raise ValidationError(f"log(z_ref/z0) must be finite and > 0, got z_ref={z_ref}, "
+                                  f"z0={z0}")
+        object.__setattr__(self, "_log_z_ref", log_z_ref)
 
     def wind_speed(self, z: float) -> float:
         """Wind speed [m/s] at altitude ``z`` by the logarithmic wind law."""

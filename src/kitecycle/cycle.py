@@ -228,6 +228,8 @@ def _integrate(
             rate <= 0 never reaches it), or what the wind law or
             ``controller`` raised, chained and prefixed with the phase, t, r
             and elevation.
+        ValidationError: a step input out of a kernel's domain, chained and
+            prefixed the same way.
     """
     wind_at, phi, chi, make = engine.wind_at, engine.phi, engine.chi, StepRecord._make
 
@@ -277,7 +279,7 @@ def _integrate(
             series.append(record)
             if done:
                 return engine.finish(phase, series)
-    except SolverError as exc:
+    except (SolverError, ValidationError) as exc:
         beta = math.degrees(0.5 * math.pi - theta)
         raise type(exc)(f"{phase} at t = {t:.6g} s, r = {r:.6g} m, beta = {beta:.6g} deg: "
                         f"{exc}") from exc

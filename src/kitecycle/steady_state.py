@@ -7,8 +7,10 @@ directly.  With airborne mass the aerodynamic force must additionally
 balance the tangential component of gravity, and the kinematic ratio at
 a given reeling factor f becomes the root at which the lift-to-drag ratio
 G implied by the force/velocity geometry matches the target value G*.
-That root is found by a secant on log kappa from the massless solution,
-with an in-house Illinois bracketing fallback.  A solve that fails names
+It is solved as the set-point's inverse (below): the root is the largest
+trial aerodynamic force, which rises with kappa at fixed f, whose
+drag-condition kernel gives f, found by a secant from the massless force
+with a scan and an Illinois bracket as fallback.  A solve that fails names
 why no root exists; it never fails for running out of iterations.
 
 A force set-point needs no search.  The set-point fixes the tether force
@@ -159,7 +161,7 @@ class EquilibriumResult(NamedTuple):
         F_tg: Tether force at the ground station [N].
         zeta: Instantaneous power harvesting factor P/(P_w*S).
         P: Mechanical power at the ground [W], negative while reeling in.
-        iterations: Number of force-geometry evaluations of the
+        iterations: Number of drag-condition kernel evaluations of the
             kinematic-ratio solve; 0 for the closed forms (the set-points
             and the massless state).  A solve that cannot meet its
             tolerance raises instead of returning.
@@ -338,21 +340,12 @@ def aero_force_from_ground(F_tg: float, sin_t: float, cos_t: float, m_t: float,
     return F_a_r, math.hypot(F_a_r, -(0.5 * m_t + m) * GRAVITY * sin_t)
 
 
-class _Probe(NamedTuple):
-    """One root-search evaluation: abscissa, residual (None where the
-    equilibrium does not exist) and the :func:`_geometry` tuple."""
-
-    x: float
-    r: Optional[float]
-    value: object
-
-
 TargetEnd = Literal["kite", "ground"]
 
 
 def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float, m: float,
                  S: float, v_w: float, rho: float) -> tuple:
-    """The constants (G*, log G*, q*S*C_R, F_a_theta, W_r, F_t_theta) of a
+    """The constants (G*, q*S*C_R, F_a_theta, W_r, F_t_theta) of a
     flight state's force geometry, once m_t >= 0, v_w > 0 and G* is positive and finite: W_r
     is the kite weight's radial component, F_t_theta the tether's sag reaction."""
     if m_t < 0.0:
@@ -367,7 +360,7 @@ def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float,
         force_coefficient = 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L)
     except OverflowError:
         raise _beyond_floats(v_w) from None
-    return (G_star, math.log(G_star), force_coefficient, F_a_theta, m * GRAVITY * cos_t,
+    return (G_star, force_coefficient, F_a_theta, m * GRAVITY * cos_t,
             -0.5 * sin_t * m_t * GRAVITY)
 
 
@@ -377,42 +370,6 @@ def _beyond_floats(v_w: float) -> SteadyStateError:
                             f"overflows or q*S*C_R underflows to 0")
 
 
-def _geometry(x: float, f: float, trig: tuple, angles: tuple, v_w: float, terms: tuple) -> tuple:
-    """(log(G/G*), kappa, lam, F_a, F_a_r) at kappa = exp(x), from a state's :func:`_trig`,
-    :func:`angle_trig` and :func:`_force_terms`, f < b unchecked; G is the lift-to-drag ratio
-    the apparent wind and aerodynamic force imply.  Raises SteadyStateError where they do not
-    exist.  Only the kinematic-ratio solve's probes call it."""
-    a, b, _, cos_t = trig
-    sin_p, cos_p, sin_c, cos_c = angles
-    _, log_G_star, force_coefficient, F_a_theta, _, _ = terms
-    kappa = math.exp(x)
-    b_f = b - f
-    one_k2 = 1.0 + kappa * kappa
-    radicand = a * a + b * b - 1.0 + kappa * kappa * b_f * b_f
-    if radicand < 0.0:
-        raise SteadyStateError("tangential velocity factor has no real solution")
-    lam = a + math.sqrt(radicand)
-    F_a = force_coefficient * b_f * b_f * one_k2
-    fr2 = F_a * F_a - F_a_theta * F_a_theta
-    if fr2 < 0.0:
-        raise SteadyStateError("aerodynamic force below the tangential gravity load")
-    F_a_r = math.sqrt(fr2)
-
-    # Drag is the projection of the aerodynamic force on the apparent wind.
-    va_r = b_f * v_w
-    va_th = (cos_t * cos_p - lam * cos_c) * v_w
-    va_ph = (-sin_p - lam * sin_c) * v_w
-    v_a_norm = math.sqrt(va_r * va_r + va_th * va_th + va_ph * va_ph)
-    drag = (F_a_r * va_r + F_a_theta * va_th) / v_a_norm
-    if drag <= 0.0:
-        raise SteadyStateError("drag projection is non-positive; gravity "
-                               "dominates the flight direction")
-    ratio2 = (F_a / drag) ** 2 - 1.0
-    if ratio2 <= 0.0:
-        raise SteadyStateError("force geometry implies a non-positive lift-to-drag ratio")
-    return 0.5 * math.log(ratio2) - log_G_star, kappa, lam, F_a, F_a_r
-
-
 def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
                  m_t: float, S: float, v_w: float, rho: float) -> tuple:
     """The solved (kappa, lam, v_a, F_a, F_a_r) at reeling factor ``f``,
@@ -420,7 +377,7 @@ def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tu
     in components.  Raises TetherSagError where the tether would push on
     the kite or on the ground station."""
     kappa, lam, v_a, F_a, F_a_r = value
-    _, _, _, F_a_theta, W_r, F_t_theta = terms
+    _, _, F_a_theta, W_r, F_t_theta = terms
     radial_kite = F_a_r - W_r
     if radial_kite <= 0.0:
         raise TetherSagError(f"kite tension {radial_kite:.1f} N (radial) leaves the tether pushing "
@@ -439,47 +396,12 @@ def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tu
             P, iterations)
 
 
-def _bracketed_root(fun: Callable[[float], _Probe], p: _Probe, n: _Probe) -> tuple[_Probe, _Probe]:
-    """Illinois false position (Dowell & Jarratt 1971) on a sign change.
-
-    ``p`` has a positive residual and ``n`` a negative one or none: a
-    probe that fails counts as the negative side, and the next probe
-    bisects toward it.  Stops at a probe within ``_LOG_G_TOL`` or when
-    the bracket is narrower than ``_LOG_KAPPA_WIDTH``.  Returns the final
-    (p, n).
-    """
-    w_p, w_n, last = p.r, n.r, 0  # Illinois halves the weight of an end kept twice
-    while abs(p.x - n.x) > _LOG_KAPPA_WIDTH:
-        x = 0.5 * (p.x + n.x)
-        if w_n is not None:
-            x_fp = p.x - w_p * (n.x - p.x) / (w_n - w_p)
-            x = x_fp if min(p.x, n.x) < x_fp < max(p.x, n.x) else x
-        if x in (p.x, n.x):
-            break
-        try:
-            q = fun(x)
-        except SteadyStateError:
-            q = _Probe(x, None, None)
-        if q.r is not None and q.r >= 0.0:
-            p, w_p, w_n = q, q.r, (0.5 * w_n if last > 0 and w_n is not None else w_n)
-            last = 1
-        else:
-            n, w_n, w_p = q, q.r, (0.5 * w_p if last < 0 else w_p)
-            last = -1
-        if q.r is not None and abs(q.r) <= _LOG_G_TOL:
-            break
-    return p, n
-
-
-# Kinematic ratios lie in [1e-9, 50*G*]; the bracketed search steps down
-# from the top by factors of 2**0.25.
+# The fixed-factor search's steps, bounds and accuracy (solve_kinematic_ratio).
+_SECANT_STEPS = 15
 _LOG_KAPPA_MIN = math.log(1e-9)
 _LOG_KAPPA_STEP = 0.25 * math.log(2.0)
-# The search stops at |log(G/G*)| <= _LOG_G_TOL, or where a bracket or
-# interval in log kappa is narrower than _LOG_KAPPA_WIDTH.
-_LOG_G_TOL = 1e-12
+_RESIDUAL_TOL = 1e-12
 _LOG_KAPPA_WIDTH = 1e-13
-_SECANT_STEPS = 10
 
 
 def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D: float,
@@ -489,151 +411,154 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
     reeling factor ``f``, with ``angles`` the :func:`angle_trig` of phi and
     chi.
 
-    The kinematic ratio kappa is the root of log(G/G*), where G is the
-    lift-to-drag ratio that the apparent wind and the aerodynamic force
-    components at kappa imply and G* the system lift-to-drag ratio.  The
-    geometry is evaluated at the massless solution kappa = G* first and
-    accepted if |log(G/G*)| <= 1e-12.  Otherwise a secant on log kappa
-    (:func:`_secant`) takes the fixed-point step kappa*sqrt(G*/G) first.
-    If the secant leaves (0, 50*G*], a probe fails, ``_SECANT_STEPS``
-    steps pass or its slope has G falling with kappa, a bracketed search
-    steps down from 50*G* by factors of 2**0.25 to the first kappa with
-    G < G*, or where the geometry fails, and refines that sign change.
-    Both find the largest root, where G rises through G*.
-    ``iterations`` counts the geometry evaluations.
-
-    The accuracy is fixed: a returned kappa has |log(G/G*)| <= 1e-12, or
-    lies within 1e-13 in log kappa of the sign change.  With
-    s = d log G / d log kappa > 0 at the root, that puts kappa within
-    about 1e-12/s of the root, relative: 2.7e-11 where G barely rises
-    with kappa (s = 0.037).
+    The search runs on trial aerodynamic forces F_a = q*S*C_R*(b - f)^2*
+    (1 + kappa^2), which rise with kappa.  At each, the set-point's
+    drag-condition kernel (:func:`_drag_condition`) gives the factor f_k
+    whose equilibrium carries that force; the residual (b - f_k)/(b - f) - 1
+    takes the sign of G - G* near a root, and the root is where f_k = f.
+    A secant on y = sqrt(1 + kappa^2), in which the massless residual is
+    linear, starts at the massless force plus |F_a_theta| with the massless
+    slope.  If it leaves (0, 50*G*], a probe finds no state, 15 steps pass
+    or its slope has G falling with kappa, :func:`_largest_root` scans.
+    Both find the largest root, where G rises through G*, to a fixed
+    accuracy: a residual within 1e-12, or within 1e-13 in log kappa of the
+    sign change.  ``iterations`` counts the kernel evaluations.
 
     Raises:
         NoTensionError: if the reeling factor leaves no radial apparent wind.
         SteadyStateError: if G - G* has no sign change on (0, 50*G*] before
-            the geometry fails (the aerodynamic force falls below the
-            tangential gravity load, or gravity turns the drag projection
-            non-positive), or the root has a negative tangential speed.
+            the kernel finds no state (the aerodynamic force falls below the
+            tangential gravity load, or no lam >= a meets the drag
+            condition), or the root has a negative tangential speed.
         TetherSagError: if the root's radial tension at the kite is not
             positive, or at the ground negative: the tether would push on
             the kite or on the ground station.
     """
     _check_phase(angles, S, m)
-    trig = _trig(theta, angles, C_L, C_D, v_w, rho)
-    b = trig[1]
+    a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
     if not math.isfinite(f):
         raise ValidationError(f"reeling factor must be finite, got {f}")
     if f >= b:
         raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
-    terms = _force_terms(trig[2], trig[3], C_L, C_D, m_t, m, S, v_w, rho)
+    terms = _force_terms(sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
+    G_star, force_coefficient, F_a_theta, _, _ = terms
+    b_f = b - f
     evaluations = 0
 
-    def probe(x: float) -> _Probe:
+    def probe(x: float) -> tuple:
+        # (log kappa, residual, rises, (A, F_a, F_a_r**2, lam)); where the kernel
+        # finds no state the residual is NaN, rises False and the reason last.
         nonlocal evaluations
+        kappa = math.exp(x)
+        A = b_f * b_f * (1.0 + kappa * kappa)
+        F_a = force_coefficient * A
+        fr2 = F_a * F_a - F_a_theta * F_a_theta
+        if fr2 <= 0.0:
+            return x, math.nan, False, "aerodynamic force below the tangential gravity load"
         evaluations += 1
-        geometry = _geometry(x, f, trig, angles, v_w, terms)
-        return _Probe(x, geometry[0], geometry)
+        state = _drag_condition(A, F_a, math.sqrt(fr2), trig, angles, terms)
+        if state is None or not state[0] >= a:
+            return x, math.nan, False, "no lam >= a meets the drag condition"
+        return x, state[1] / b_f - 1.0, state[3], (A, F_a, fr2, state[0])
 
-    x_max = math.log(50.0 * terms[0])
-    value = _secant(probe, terms[1], x_max)
-    if value is None:
-        value = _largest_kappa_root(probe, x_max).value
-    _, kappa, lam, F_a, F_a_r = value
+    if force_coefficient * b_f * b_f == 0.0:
+        raise _beyond_floats(v_w)
+    kappa = min(math.hypot(G_star, math.sqrt(abs(F_a_theta) / (force_coefficient * b_f * b_f))),
+                50.0 * G_star)
+    y, y_max = math.hypot(1.0, kappa), math.hypot(1.0, 50.0 * G_star)
+    slope, p = 1.0 / math.hypot(1.0, G_star), probe(math.log(kappa))
+    for _ in range(_SECANT_STEPS):
+        dy = -p[1] / slope
+        if not (abs(p[1]) > _RESIDUAL_TOL and 1.0 < y + dy <= y_max):  # converged, failed or out
+            break
+        q = probe(0.5 * math.log((y + dy) * (y + dy) - 1.0))
+        if not (q[1] - p[1]) / dy > 0.0:  # a failed probe, or G falling with kappa
+            break
+        slope, p, y = (q[1] - p[1]) / dy, q, y + dy
+    if not abs(p[1]) <= _RESIDUAL_TOL:
+        p = _largest_root(probe, math.log(50.0 * G_star))
+    x, _, _, (A, F_a, fr2, lam) = p
     if lam < 0.0:
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({lam:.3g})")
-    v_a = (b - f) * math.sqrt(1.0 + kappa * kappa) * v_w
-    return EquilibriumResult(*_equilibrium((kappa, lam, v_a, F_a, F_a_r), f, evaluations, trig,
-                                           terms, m_t, S, v_w, rho))
+    value = (math.exp(x), lam, math.sqrt(A) * v_w, F_a, math.sqrt(fr2))
+    return EquilibriumResult(*_equilibrium(value, f, evaluations, trig, terms, m_t, S, v_w, rho))
 
 
-def _secant(probe: Callable[[float], _Probe], x: float, x_max: float) -> Optional[tuple]:
-    """Secant iteration on log kappa from ``x``; the first step is the
-    fixed-point step kappa*sqrt(G*/G) (slope 2).  Returns the value of
-    the first probe within ``_LOG_G_TOL``, or None once a probe fails, a
-    step leaves [1e-9, exp(x_max)], ``_SECANT_STEPS`` steps pass or the
-    slope has G falling with kappa, where a root is not the model's."""
-    slope = 2.0
-    try:
-        p = probe(x)
-        for _ in range(_SECANT_STEPS):
-            if abs(p.r) <= _LOG_G_TOL:
-                break
-            dx = -p.r / slope
-            if not _LOG_KAPPA_MIN <= p.x + dx <= x_max:
-                return None
-            q = probe(p.x + dx)
-            slope, p = (q.r - p.r) / dx, q
-            if slope <= 0.0:
-                return None
-    except SteadyStateError:
-        return None
-    return p.value if abs(p.r) <= _LOG_G_TOL else None
-
-
-def _largest_kappa_root(geometry: Callable[[float], _Probe], x_max: float) -> _Probe:
-    """Step down in log kappa from ``x_max`` to the first probe with
-    G < G*, or at which the geometry fails, and refine that sign change;
-    a failed probe counts as G < G*, which finds a root at the edge of the
-    geometry.  Where G stops falling from one step to the next, the last
-    two steps are first searched for the least G (:func:`_golden_least`),
-    so that a dip of G below G* between steps is found too.  Raises
-    SteadyStateError when G stays above G* down to the edge of the
-    geometry or to kappa = 1e-9."""
-    def probe(x: float) -> _Probe:
-        try:
-            return geometry(x)
-        except SteadyStateError as exc:
-            return _Probe(x, math.inf, str(exc))  # a failure ranks above every G
-
-    pp = p = None
-    x = x_max
-    while x > _LOG_KAPPA_MIN:
+def _largest_root(probe: Callable[[float], tuple], x_max: float) -> tuple:
+    """The probe at the largest root on log kappa <= ``x_max``, for the probe
+    of :func:`solve_kinematic_ratio`.  The scan steps down to the first probe
+    with G < G* or with no state, or, below one where G rises, to one where G
+    falls, and refines that step by Illinois false position (Dowell & Jarratt
+    1971), or by bisection while it has no negative residual.  A dip of G
+    that stays above G* is passed and the scan goes on.  Raises
+    SteadyStateError where there is no root."""
+    x, p, reason = x_max, None, None
+    while reason is None and x > _LOG_KAPPA_MIN:
         q = probe(x)
-        if p is not None and q.r >= p.r and (pp is None or pp.r > p.r):
-            top = pp or p
-            least = _golden_least(probe, q.x, top.x)
-            if least.r < _LOG_G_TOL:
-                p, q = top, least
-        if abs(q.r) <= _LOG_G_TOL:
+        x -= _LOG_KAPPA_STEP
+        if abs(q[1]) <= _RESIDUAL_TOL:
             return q
-        if 0.0 < q.r < math.inf:
-            pp, p, x = p, q, x - _LOG_KAPPA_STEP
-            continue
-        if p is None:
-            if q.r < 0.0:
-                reason = "G < G* at the upper end"
+        if p is None and not q[1] > 0.0:
+            reason = ("G < G* at the upper end" if q[1] < 0.0 else
+                      f"{q[3]} at kappa = {math.exp(q[0]):.4g}")
+        while reason is None and p is not None and not (q[1] > 0.0 and (q[2] or not p[2])):
+            n, rising, w_p, last = q, p[2], p[1], 0
+            w_n = n[1] if n[1] < 0.0 else None
+            while abs(p[0] - n[0]) > _LOG_KAPPA_WIDTH:
+                xm = 0.5 * (p[0] + n[0])
+                if w_n is not None:
+                    x_fp = p[0] - w_p * (n[0] - p[0]) / (w_n - w_p)
+                    xm = x_fp if min(p[0], n[0]) < x_fp < max(p[0], n[0]) else xm
+                if xm in (p[0], n[0]):
+                    break
+                m = probe(xm)
+                if abs(m[1]) <= _RESIDUAL_TOL:
+                    return m
+                if m[1] > 0.0 and (m[2] or not rising):
+                    p, w_p = m, m[1]
+                    w_n, last = (0.5 * w_n if last > 0 and w_n is not None else w_n), 1
+                else:  # Illinois halves the weight of an end kept twice
+                    n, w_p = m, (0.5 * w_p if last < 0 else w_p)
+                    w_n, last = (m[1] if m[1] < 0.0 else None), -1
+            if n[1] < 0.0:
+                return n if -n[1] < p[1] else p
+            if n[1] > 0.0:
+                p = n  # a dip of G that stays above G*
             else:
-                reason = f"{q.value} at kappa = {math.exp(x):.4g}"
-            break
-        p, n = _bracketed_root(geometry, p, q if q.r < 0.0 else _Probe(q.x, None, None))
-        if n.r is not None or p.r <= _LOG_G_TOL:
-            return n if n.r is not None and -n.r < p.r else p
-        reason = f"{q.value} below kappa = {math.exp(p.x):.4g}"
-        break
-    else:
-        reason = f"G > G* down to kappa = {math.exp(x):.4g}"
-    raise SteadyStateError(f"no sign change of G(kappa) - G* on "
-                           f"(0, {math.exp(x_max):.1f}]: {reason}")
+                reason = f"{n[3]} below kappa = {math.exp(p[0]):.4g}"
+        p = q
+    raise SteadyStateError(f"no sign change of G(kappa) - G* on (0, {math.exp(x_max):.1f}]: "
+                           f"{reason or f'G > G* down to kappa = {math.exp(x):.4g}'}")
 
 
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
-def _golden_least(probe: Callable[[float], _Probe], lo: float, hi: float) -> _Probe:
-    """Golden-section search of [lo, hi] for the least residual, on the
-    premise that G has one minimum there.  Stops at the first probe with
-    a residual below ``_LOG_G_TOL``, or when the interval is narrower
-    than ``_LOG_KAPPA_WIDTH``."""
-    c, d = probe(hi - _GOLDEN * (hi - lo)), probe(lo + _GOLDEN * (hi - lo))
-    while hi - lo > _LOG_KAPPA_WIDTH and min(c.r, d.r) >= _LOG_G_TOL:
-        if c.r < d.r:
-            hi, d = d.x, c
-            c = probe(hi - _GOLDEN * (hi - lo))
-        else:
-            lo, c = c.x, d
-            d = probe(lo + _GOLDEN * (hi - lo))
-    return c if c.r < d.r else d
+def _drag_condition(A: float, F_a: float, F_a_r: float, trig: tuple, angles: tuple,
+                    terms: tuple) -> Optional[tuple]:
+    """The state (lam, b - f, kappa^2, rises) at which the aerodynamic force
+    (F_a_r, F_a), with |v_a|^2/v_w^2 = A, meets the drag condition, on the
+    larger root lam of the module docstring's quadratic; rises is the verdict
+    of :func:`_rises`.  None where lam is not real; kappa^2 NaN and rises
+    False off the branch (lam < a) or without tension (b - f <= 0)."""
+    a, b, _, cos_t = trig
+    _, cos_p, _, cos_c = angles
+    G_star, _, F_a_theta, _, _ = terms
+    # The drag condition solved for b - f = c0 + c1*lam, put into
+    # |v_a|^2/v_w^2 = A: alpha*lam^2 + 2*h*lam + C = 0.
+    c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
+    c1 = F_a_theta * cos_c / F_a_r
+    alpha, h, C = 1.0 + c1 * c1, c0 * c1 - a, c0 * c0 + 1.0 - b * b - A
+    disc = h * h - alpha * C
+    if disc < 0.0:
+        return None
+    # The larger root, written without cancellation.
+    lam = (math.sqrt(disc) - h) / alpha if h <= 0.0 else -C / (h + math.sqrt(disc))
+    b_f = c0 + c1 * lam
+    if lam < a or b_f <= 0.0:
+        return lam, b_f, math.nan, False
+    kappa2 = A / (b_f * b_f) - 1.0
+    N = F_a_r * b_f + F_a_theta * (cos_t * cos_p - lam * cos_c)  # drag times |v_a|/v_w
+    return lam, b_f, kappa2, _rises(kappa2, lam - a, N, F_a, F_a_r, b_f,
+                                    (1.0 + kappa2) * F_a_theta * cos_c * b_f * b_f)
 
 
 def _rises(K: float, s: float, N: float, F_a: float, F_a_r: float, b_f: float,
@@ -695,9 +620,8 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
     """:func:`gravity_setpoint` for the :func:`bind_setpoint` constants ``bound``."""
     F_target, target_end, angles, C_L, m, S = bound
     a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
-    G_star, _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = _force_terms(
+    _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = _force_terms(
         sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
-    _, cos_p, _, cos_c = angles
     # The aerodynamic force (F_a_r, F_a) that carries the set-point.
     try:
         if target_end == "ground":
@@ -717,33 +641,23 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
         A = F_a / force_coefficient  # |v_a|^2/v_w^2
     except ZeroDivisionError:
         raise _beyond_floats(v_w) from None
-    # The drag condition solved for b - f = c0 + c1*lam, put into
-    # |v_a|^2/v_w^2 = A: alpha*lam^2 + 2*h*lam + C = 0.
-    c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
-    c1 = F_a_theta * cos_c / F_a_r
-    alpha, h, C = 1.0 + c1 * c1, c0 * c1 - a, c0 * c0 + 1.0 - b * b - A
-    disc = h * h - alpha * C
-    if disc < 0.0:
+    state = _drag_condition(A, F_a, F_a_r, trig, angles, terms)
+    if state is None:
         raise _unreachable(F_target, target_end, "no real tangential velocity factor")
-    # The larger root, written without cancellation.
-    lam = (math.sqrt(disc) - h) / alpha if h <= 0.0 else -C / (h + math.sqrt(disc))
+    lam, b_f, kappa2, rises = state
     if lam < 0.0:
         raise _unreachable(F_target, target_end,
                            f"tangential velocity factor lambda = {lam:.3g} < 0")
     if lam < a:
         raise _unreachable(F_target, target_end, f"lambda = {lam:.3g} is below a = {a:.3g}, off "
                                                  f"the tangential-speed branch")
-    b_f = c0 + c1 * lam
     f = b - b_f
     if b_f <= 0.0:
         raise _unreachable(F_target, target_end, f"no tension at f = {f:.4f} >= "
                                                  f"sin(theta)*cos(phi) = {b:.4f}")
     if f < _F_LO:
         raise _unreachable(F_target, target_end, f"f = {f:.6g} is below {_F_LO}")
-    kappa2 = A / (b_f * b_f) - 1.0
-    N = F_a_r * b_f + F_a_theta * (cos_t * cos_p - lam * cos_c)  # drag times |v_a|/v_w
-    if not _rises(kappa2, lam - a, N, F_a, F_a_r, b_f,
-                  (1.0 + kappa2) * F_a_theta * cos_c * b_f * b_f):
+    if not rises:
         raise _unreachable(F_target, target_end, f"G falls through G* with kappa at f = {f:.4f}")
     return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 0, trig,
                            terms, m_t, S, v_w, rho)

@@ -21,8 +21,7 @@ import numpy as np
 
 from kitecycle import steady_state
 from kitecycle.dataio import TELEMETRY_COLUMNS
-from kitecycle.errors import (NoTensionError, ParseError, SteadyStateError, TetherSagError,
-                              ValidationError)
+from kitecycle.errors import NoTensionError, ParseError, TetherSagError, ValidationError
 from kitecycle.estimation import LogRecord
 from kitecycle.steady_state import massless_state, solve_kinematic_ratio
 
@@ -197,13 +196,13 @@ RISE_STEP = 1e-6
 
 def probe_setpoint_step(bound, theta, C_D, m_t, v_w, rho):
     """``steady_state.gravity_setpoint_step`` as it was with the rising check
-    made by one ``_geometry`` probe at log kappa + ``RISE_STEP``: a probe
-    residual above 0 is rising, one that fails is not.  Its ``iterations``
-    is 1, the probe."""
+    made by one probe of the force geometry at kappa*exp(``RISE_STEP``), by
+    :func:`implied_lift_to_drag`: G above G* there is rising, an invalid G
+    is not.  Its ``iterations`` is 1, the probe."""
     ss = steady_state
     F_target, target_end, angles, C_L, m, S = bound
     a, b, sin_t, cos_t = trig = ss._trig(theta, angles, C_L, C_D, v_w, rho)
-    G_star, _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = ss._force_terms(
+    G_star, force_coefficient, F_a_theta, W_r, F_t_theta = terms = ss._force_terms(
         sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
     _, cos_p, _, cos_c = angles
     try:
@@ -242,11 +241,9 @@ def probe_setpoint_step(bound, theta, C_D, m_t, v_w, rho):
     if f < -3.0:
         raise ss._unreachable(F_target, target_end, f"f = {f:.6g} is below -3.0")
     kappa2 = A / (b_f * b_f) - 1.0
-    try:
-        rising = kappa2 > 0.0 and ss._geometry(0.5 * math.log(kappa2) + RISE_STEP, f, trig,
-                                               angles, v_w, terms)[0] > 0.0
-    except SteadyStateError:
-        rising = False
+    rising = kappa2 > 0.0 and implied_lift_to_drag(
+        [math.sqrt(kappa2) * math.exp(RISE_STEP)], f, theta, angles, C_L, C_D, m_t, m, S, v_w,
+        rho)[0][0] > G_star
     if not rising:
         raise ss._unreachable(F_target, target_end, f"G falls through G* with kappa at "
                                                     f"f = {f:.4f}")

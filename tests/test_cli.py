@@ -282,6 +282,11 @@ def test_telemetry_out_in_missing_directory_exit_code(tmp_path, capsys):
     ("tether", "d_t", 1e200, ["--no-gravity"], "tether mass per metre must be finite"),
     # C_D overflowed to inf, so log(LD) used to raise ValueError.
     ("kite", "S", 1e-320, [], "effective coefficients must be finite"),
+    # z_ref/z0 overflowed to inf, so every wind speed was NaN.
+    ("environment", "z0", 5e-324, [], "log(z_ref/z0) must be finite and > 0, got z_ref=6.0, "
+                                      "z0=5e-324"),
+    ("environment", "z0", 5e-324, ["--no-gravity"], "log(z_ref/z0) must be finite and > 0, "
+                                                    "got z_ref=6.0, z0=5e-324"),
 ])
 def test_finite_config_values_beyond_the_model_exit_2(tmp_path, capsys, section, key, value,
                                                        flags, message):
@@ -291,7 +296,9 @@ def test_finite_config_values_beyond_the_model_exit_2(tmp_path, capsys, section,
     bad.write_text(json.dumps(raw))
     code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o"), *flags])
     assert code == 2
-    assert f"ValidationError: {message}" in capsys.readouterr().err
+    # A step kernel's error names the phase and state; the others fail at load.
+    where = "retraction at t = 0 s, r = 720 m, beta = 27 deg: " if section == "kite" else ""
+    assert f"ValidationError: {where}{message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-gravity"]], ids=["gravity", "massless"])
@@ -312,14 +319,16 @@ def test_reference_wind_beyond_the_float_range_exits_3(tmp_path, capsys, v_w_ref
 
 def test_lift_to_drag_ratio_that_underflows_exits_2(tmp_path, capsys):
     # A tiny C_L over a tether drag of 1e300 gives C_L/C_D = 0, whose log
-    # raised ValueError, a traceback and exit 1, with gravity.
+    # raised ValueError, a traceback and exit 1, with gravity.  The error
+    # names the phase and state, as a solver error does.
     raw = strong_raw()
     raw["kite"]["aero_retraction"]["C_L"] = 5e-324
     raw["tether"]["C_D_c"] = 1e300
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == ("ValidationError: effective lift-to-drag ratio must be "
+    assert capsys.readouterr().err == ("ValidationError: retraction at t = 0 s, r = 720 m, "
+                                       "beta = 27 deg: effective lift-to-drag ratio must be "
                                        "finite and > 0, got 0.0\n")
 
 

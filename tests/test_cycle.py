@@ -240,43 +240,63 @@ def test_phase_with_a_non_finite_course_angle_is_rejected(strong_config):
         replace(cfg.operation, chi_o=math.nan)
 
 
+def test_validation_error_mid_phase_names_the_phase(strong_config):
+    # A step input out of a kernel's domain, on a later step, keeps its
+    # class and is prefixed with the phase, t, r and elevation.
+    cfg = strong_config
+    op = cfg.operation
+    engine = cycle._PhaseEngine(cfg.environment, cfg.kite, cfg.tether, op,
+                                cfg.kite.aero_retraction, 0.0, math.pi)
+    reel_in, calls = engine.setpoint(op.F_in), []
+
+    def controller(r, theta, wind):
+        calls.append(r)
+        if len(calls) == 3:
+            raise ValidationError("outside its domain")
+        return reel_in(r, theta, wind)
+
+    with pytest.raises(ValidationError, match=r"^retraction at t = (?!0 s)\S+ s, r = \S+ m, "
+                                              r"beta = \S+ deg: outside its domain$"):
+        cycle._integrate(engine, "retraction", controller, op.r_max, op.theta_o, 0.0,
+                         end=op.r_min, increasing=False, climb=engine.angles[3])
+
+
 def test_gravity_step_work_count(strong_config, monkeypatch):
-    # A set-point step is closed form: it evaluates no force geometry.  Only
-    # a transition step whose F_out factor is not positive makes the
-    # kinematic solve at f = 0, and only that solve evaluates the geometry.
-    # Measured: 1 solve of 5 evaluations in 23 transition records, where a
-    # solve on every record and a probe per set-point step made 464.
+    # A set-point step is closed form: it evaluates the drag-condition kernel
+    # at most once.  Only a transition step whose F_out factor is not
+    # positive makes the kinematic solve at f = 0, which searches with the
+    # kernel.  Measured: 1 solve of 5 evaluations in 23 transition records,
+    # where a solve on every record and a probe per set-point step made 464.
     inversions, probes, solves = [], [], []
-    invert, geometry, solve = (cycle._solve_reel_factor, steady_state._geometry,
-                               cycle.solve_kinematic_ratio)
+    invert, kernel, solve = (cycle._solve_reel_factor, steady_state._drag_condition,
+                             cycle.solve_kinematic_ratio)
 
-    def counted_invert(*args):
-        before = len(probes)
-        try:
-            return invert(*args)
-        finally:
-            inversions.append(len(probes) - before)
+    def counted(calls, function):
+        def wrapper(*args):
+            before = len(probes)
+            try:
+                return function(*args)
+            finally:
+                calls.append(len(probes) - before)
+        return wrapper
 
-    def counted_geometry(*args):
+    def counted_kernel(*args):
         probes.append(1)
-        return geometry(*args)
+        return kernel(*args)
 
-    def counted_solve(*args):
-        solves.append(1)
-        return solve(*args)
-
-    monkeypatch.setattr(cycle, "_solve_reel_factor", counted_invert)
-    monkeypatch.setattr(steady_state, "_geometry", counted_geometry)
-    monkeypatch.setattr(cycle, "solve_kinematic_ratio", counted_solve)
+    monkeypatch.setattr(cycle, "_solve_reel_factor", counted(inversions, invert))
+    monkeypatch.setattr(steady_state, "_drag_condition", counted_kernel)
+    monkeypatch.setattr(cycle, "solve_kinematic_ratio", counted(solves, solve))
     cfg = strong_config
     op = replace(cfg.operation, dT=0.01, gravity=True)
     res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
-    # Every retraction and traction step is a set-point step: the count
-    # cannot pass by counting nothing.
-    assert len(inversions) >= res.retraction.steps + res.traction.steps
-    assert set(inversions) == {0}
+    # Every retraction and traction step is a set-point step that reaches
+    # the kernel: the count cannot pass by counting nothing.
+    assert sum(inversions) >= res.retraction.steps + res.traction.steps
+    assert set(inversions) <= {0, 1}
     assert 0 < len(solves) < len(res.transition.series)
-    assert len(probes) <= 15 * len(solves)
+    assert sum(inversions) + sum(solves) == len(probes)
+    assert sum(solves) <= 15 * len(solves)
 
 
 @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])

@@ -558,6 +558,16 @@ def test_gravity_mode_without_mass_is_the_closed_form(p):
 @example(Problem(100.0, 0.32370480643234667, -0.6204325970340215, 0.09095910556995095, 0.0,
                  0.2488217073758491, 0.2453056262277199, 11.522279840502655, 1.2,
                  48.17458546284782, 3.8129599266705387))
+# A narrow dip of G below G* (kappa = 2.2646): between two scan steps G
+# falls below G* and rises again, where the kernel finds G falling.
+@example(Problem(761.7745565267228, 0.25415418897939895, 0.445315570121967, 4.460473970061984,
+                 -0.1982112494583399, 0.8587953126107178, 0.18905026059727922, 8.325785404190965,
+                 1.0644129109904037, 25.651984671847092, 7.825958717209095, 10.2))
+# A root near the scan's lower end (kappa = 0.244), where the force barely
+# changes with kappa: a scan stepping in log force jumps past it.
+@example(Problem(504.48837868617846, 1.3714302691468425, -0.29890053923715054, 2.322501014386784,
+                 -0.5880617296803311, 0.7095010981118385, 0.4072578903859426, 6.157813771440836,
+                 1.1857906834866572, 32.20025616863127, 5.939108452610998, 10.2))
 def test_kinematic_ratio_matches_tight_bisection(p):
     reference = bisect_kappa(p.f, *p.tail())
     try:

@@ -438,21 +438,21 @@ class TestKinematicRatioSolver:
             solve_kinematic_ratio(*problem)
 
     def test_secant_stops_where_g_falls(self, monkeypatch):
-        # Here the first secant step finds G falling with kappa.  The
-        # secant stops there and the scan finds the largest root, probing
-        # no (x, f) twice.
+        # Here a secant step finds G falling with kappa: its slope is not
+        # positive.  The secant stops there and the scan finds the largest
+        # root, making no kernel evaluation at the same force twice.
         probes = []
-        geometry = steady_state._geometry
+        kernel = steady_state._drag_condition
 
-        def recording(x, f, *args):
-            probes.append((x, f))
-            return geometry(x, f, *args)
+        def recording(A, F_a, *args):
+            probes.append((A, F_a))
+            return kernel(A, F_a, *args)
 
-        monkeypatch.setattr(steady_state, "_geometry", recording)
-        problem = (-0.1618490063589043, 0.8608787259522742,
-                   angle_trig(0.15429358996645726, 0.3522322305466722),
-                   0.15360667682549214, 0.2111796168650575, 3.6001891554916767,
-                   17.864662009290797, STRONG_KITE.S, 10.606576271976806, 1.005349495555756)
+        monkeypatch.setattr(steady_state, "_drag_condition", recording)
+        problem = (0.342979169429545, 0.4422137177172054,
+                   angle_trig(-0.14410103486915815, 5.719932410903936),
+                   0.9809529761938419, 0.1173416843719893, 4.053861481657151,
+                   56.870560723736304, STRONG_KITE.S, 18.418159576752092, 1.037443360852761)
         res = solve_kinematic_ratio(*problem)
         assert len(set(probes)) == len(probes) == res.iterations
         reference = bisect_kappa(*problem)

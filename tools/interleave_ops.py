@@ -24,7 +24,9 @@ and hashes every file in it after them, before the other side's process
 writes there again.  Between the two it runs the pool once more, untimed,
 with a counter on every module binding of
 ``steady_state.solve_kinematic_ratio``, ``gravity_setpoint_step`` and
-``_geometry``, the solver work that timings alone do not tell apart.
+``_drag_condition`` (the drag-condition kernel both call), the solver
+work that timings alone do not tell apart; a name that a side lacks
+counts 0 there, so a side from before the kernel still runs.
 At the end the script prints, per workload, each side's median figure,
 the relative change of the medians and the rounds the change was faster
 in, then each side's calls of the counted functions in one pass over
@@ -53,11 +55,12 @@ from bench_pairs import ROOT, copy_working_tree, extract_parent  # noqa: E402
 WORKLOADS = ("cycle-gravity", "cycle-massless", "estimate")
 
 # The steady_state functions whose calls a side's untimed pass counts.
-COUNTED = ("solve_kinematic_ratio", "gravity_setpoint_step", "_geometry")
+COUNTED = ("solve_kinematic_ratio", "gravity_setpoint_step", "_drag_condition")
 
 # Run in a fresh process with its side's src first on sys.path: argv is
 # the pool file and the number of passes; prints the least time per op,
-# the calls of each COUNTED function in one more, untimed pass, and the
+# the calls of each COUNTED function in one more, untimed pass (0 for one
+# its side lacks), and the
 # sha256 of each output file, keyed by its op's --out name and path.
 CHILD = r"""
 import contextlib, hashlib, io, json, shutil, sys, time
