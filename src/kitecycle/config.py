@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple, Optional
 
@@ -161,7 +160,7 @@ def preset_path(name: str) -> Path:
     """Filesystem path of a bundled preset configuration."""
     if name not in PRESET_NAMES:
         raise ValidationError(f"unknown preset {name!r}; available: {PRESET_NAMES}")
-    return Path(str(resources.files("kitecycle") / "presets" / f"{name}.json"))
+    return Path(__file__).parent / "presets" / f"{name}.json"
 
 
 class SweepSpec(Frozen):

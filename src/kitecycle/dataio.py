@@ -1,4 +1,6 @@
-"""CSV/JSON readers and writers.
+"""CSV/JSON readers and writers, and the telemetry record they read and
+write (:class:`LogRecord`, checked by :func:`sample_fault`), so that a
+command that only simulates never imports the estimator.
 
 Every CSV goes through ``_write_csv`` and every JSON run output through
 :func:`write_json`.  A CSV file holds the bytes ``csv.writer`` writes for
@@ -27,15 +29,19 @@ import math
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cycle import CycleResult, PhaseResult
 from .errors import ParseError, ValidationError
-from .estimation import EstimateRecord, LogRecord, PhaseAverages, sample_fault
+
+if TYPE_CHECKING:  # the estimator is imported only by the command that runs it
+    from .estimation import EstimateRecord, PhaseAverages
 
 __all__ = [
     "TIMESERIES_COLUMNS",
     "TELEMETRY_COLUMNS",
+    "LogRecord",
+    "sample_fault",
     "write_timeseries_csv",
     "write_cycle_summary",
     "cycle_to_log_records",
@@ -59,6 +65,79 @@ TELEMETRY_COLUMNS = [
 ]
 # Telemetry columns every log must fill; chi_deg and phase may be blank.
 _REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
+
+
+class LogRecord(NamedTuple):
+    """One telemetry sample.
+
+    ``vk`` is the kite velocity vector in the wind reference frame
+    (x downwind, z up).  ``chi`` may be None when the logger did not
+    record a course angle; ``read_telemetry_csv`` derives it from positions.
+    """
+
+    t: float
+    F_tg: float
+    r: float
+    theta: float
+    phi: float
+    chi: Optional[float]
+    vk: tuple[float, float, float]
+    v_t: float
+    v_w_ref: float
+    phase: Optional[str] = None
+
+    @classmethod
+    def from_speed(
+        cls,
+        t: float,
+        F_tg: float,
+        r: float,
+        theta: float,
+        phi: float,
+        chi: float,
+        v_k: float,
+        v_t: float,
+        v_w_ref: float,
+        phase: Optional[str] = None,
+    ) -> "LogRecord":
+        """Build a record from kite speed magnitude and radial component.
+
+        The tangential speed sqrt(v_k^2 - v_t^2) is pointed along the
+        course angle to reconstruct the velocity vector.
+        """
+        if abs(v_t) > abs(v_k):
+            raise ValidationError(
+                f"radial speed {v_t} exceeds kite speed magnitude {v_k}"
+            )
+        v_tau = math.sqrt(max(v_k**2 - v_t**2, 0.0))
+        vk = _spherical_velocity_to_cartesian(theta, phi, chi, v_t, v_tau)
+        return cls(t=t, F_tg=F_tg, r=r, theta=theta, phi=phi, chi=chi,
+                   vk=vk, v_t=v_t, v_w_ref=v_w_ref, phase=phase)
+
+
+def _spherical_velocity_to_cartesian(
+    theta: float, phi: float, chi: float, v_r: float, v_tau: float
+) -> tuple[float, float, float]:
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    sin_p, cos_p = math.sin(phi), math.cos(phi)
+    v_th = v_tau * math.cos(chi)
+    v_ph = v_tau * math.sin(chi)
+    return (
+        v_r * sin_t * cos_p + v_th * cos_t * cos_p - v_ph * sin_p,
+        v_r * sin_t * sin_p + v_th * cos_t * sin_p + v_ph * cos_p,
+        v_r * cos_t - v_th * sin_t,
+    )
+
+
+def sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
+    """The invariant a sample breaks, r > 0, F_tg >= 0 or v_w_ref >= 0, or None."""
+    if r <= 0.0:
+        return f"tether length must be > 0, got {r}"
+    if F_tg < 0.0:
+        return f"ground tether force must be >= 0, got {F_tg}"
+    if v_w_ref < 0.0:
+        return f"reference wind speed must be >= 0, got {v_w_ref}"
+    return None
 
 
 def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:

@@ -16,10 +16,11 @@ with the logarithmic profile, so gusts the ground measurement cannot see
 show up as outliers; such samples are flagged invalid and skipped, never
 interpolated.
 
-The records are NamedTuples that check nothing.  Samples are checked
-where they enter, for finite numbers and :func:`sample_fault`: by
-``dataio.read_telemetry_csv`` and by :func:`segment_and_average`, not by
-the pass.
+The records are NamedTuples that check nothing; the telemetry record,
+``dataio.LogRecord``, belongs to the reader and writer.  Samples are
+checked where they enter, for finite numbers and ``dataio.sample_fault``:
+by ``dataio.read_telemetry_csv`` and by :func:`segment_and_average`, not
+by the pass.
 """
 
 from __future__ import annotations
@@ -31,18 +32,17 @@ from typing import NamedTuple, Optional, Sequence
 
 from .atmosphere import Environment
 from .cycle import RETRACTION, TRACTION, TRANSITION
+from .dataio import LogRecord, sample_fault
 from .errors import EmptyPhaseError, ValidationError
 from .steady_state import GRAVITY, KiteParams, TetherParams, aero_force_from_ground
 
 __all__ = [
-    "LogRecord",
     "EstimateRecord",
     "PhaseAverages",
     "bind_estimator",
     "estimate_record",
     "segment_phases",
     "segment_and_average",
-    "sample_fault",
 ]
 
 # Dead band and dwell of the reeling-speed segmentation heuristic.
@@ -50,66 +50,6 @@ SEGMENT_SPEED_BAND = 0.1  # m/s
 SEGMENT_MIN_DWELL = 2.0  # s
 CROSSWIND_RATIO = 1.5  # least traction kite speed over the reference wind
 LD_GRAVITY_UPDATES = 2  # the lift-to-drag ratio settles after two
-
-
-class LogRecord(NamedTuple):
-    """One telemetry sample.
-
-    ``vk`` is the kite velocity vector in the wind reference frame
-    (x downwind, z up).  ``chi`` may be None when the logger did not
-    record a course angle; ``read_telemetry_csv`` derives it from positions.
-    """
-
-    t: float
-    F_tg: float
-    r: float
-    theta: float
-    phi: float
-    chi: Optional[float]
-    vk: tuple[float, float, float]
-    v_t: float
-    v_w_ref: float
-    phase: Optional[str] = None
-
-    @classmethod
-    def from_speed(
-        cls,
-        t: float,
-        F_tg: float,
-        r: float,
-        theta: float,
-        phi: float,
-        chi: float,
-        v_k: float,
-        v_t: float,
-        v_w_ref: float,
-        phase: Optional[str] = None,
-    ) -> "LogRecord":
-        """Build a record from kite speed magnitude and radial component.
-
-        The tangential speed sqrt(v_k^2 - v_t^2) is pointed along the
-        course angle to reconstruct the velocity vector.
-        """
-        if abs(v_t) > abs(v_k):
-            raise ValidationError(
-                f"radial speed {v_t} exceeds kite speed magnitude {v_k}"
-            )
-        v_tau = math.sqrt(max(v_k**2 - v_t**2, 0.0))
-        vk = _spherical_velocity_to_cartesian(theta, phi, chi, v_t, v_tau)
-        return cls(t=t, F_tg=F_tg, r=r, theta=theta, phi=phi, chi=chi,
-                   vk=vk, v_t=v_t, v_w_ref=v_w_ref, phase=phase)
-
-
-def sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
-    """The invariant a sample breaks, r > 0, F_tg >= 0 or v_w_ref >= 0, or None."""
-    if r <= 0.0:
-        return f"tether length must be > 0, got {r}"
-    if F_tg < 0.0:
-        return f"ground tether force must be >= 0, got {F_tg}"
-    if v_w_ref < 0.0:
-        return f"reference wind speed must be >= 0, got {v_w_ref}"
-    return None
-
 
 _NUMBERS = ("t", "F_tg", "r", "theta", "phi", "chi", "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref")
 
@@ -122,20 +62,6 @@ def _non_finite(rec: LogRecord) -> Optional[str]:
         if not math.isfinite(value):
             return f"{name} is not finite: {value}"
     return None
-
-
-def _spherical_velocity_to_cartesian(
-    theta: float, phi: float, chi: float, v_r: float, v_tau: float
-) -> tuple[float, float, float]:
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    sin_p, cos_p = math.sin(phi), math.cos(phi)
-    v_th = v_tau * math.cos(chi)
-    v_ph = v_tau * math.sin(chi)
-    return (
-        v_r * sin_t * cos_p + v_th * cos_t * cos_p - v_ph * sin_p,
-        v_r * sin_t * sin_p + v_th * cos_t * sin_p + v_ph * cos_p,
-        v_r * cos_t - v_th * sin_t,
-    )
 
 
 class EstimateRecord(NamedTuple):

@@ -255,12 +255,14 @@ def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float
         NoTensionError: if the reeling factor reaches sin(theta)*cos(phi),
             where the tether would have to push.
         SteadyStateError: if the tangential velocity factor has no real
-            non-negative solution.
+            non-negative solution, or the state overflows.
     """
     _check_phase(angles, S)
     a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
     if not math.isfinite(f):
         raise ValidationError(f"reeling factor must be finite, got {f}")
+    if f >= b:
+        raise _no_tension(f, b)
     return EquilibriumResult(*_massless(a, b, f, C_L, C_D, S, v_w, rho)[1])
 
 
@@ -268,8 +270,11 @@ def _massless(a: float, b: float, f: Optional[float], C_L: float, C_D: float, S:
               v_w: float, rho: float, F_target: Optional[float] = None) -> tuple[float, tuple]:
     """:func:`massless_state` at ``f`` from its (a, b), or, given ``F_target``,
     at the factor :func:`massless_setpoint` finds; as (f, the equilibrium's
-    fields)."""
+    fields).  It checks G* after the state's tension check and after the
+    set-point's wind check, where the gravity pair checks it."""
     G, C_R = C_L / C_D, math.hypot(C_D, C_L)
+    if not 0.0 < G < math.inf:
+        raise _lift_to_drag_error(G)
     try:
         scale = 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)  # tether force over (b - f)**2
         if F_target is not None:
@@ -279,17 +284,27 @@ def _massless(a: float, b: float, f: Optional[float], C_L: float, C_D: float, S:
     if F_target is not None and f < _F_LO:
         raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
     if f >= b:
-        raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
-    radicand = a * a + b * b - 1.0 + G * G * (b - f) ** 2
+        raise _no_tension(f, b)
+    try:
+        b_f2 = (b - f) ** 2
+    except OverflowError:
+        b_f2 = math.inf
+    radicand = a * a + b * b - 1.0 + G * G * b_f2
     if radicand < 0.0:
         raise SteadyStateError("tangential velocity factor has no real solution")
     lam = a + math.sqrt(radicand)
     if lam < 0.0:
         raise SteadyStateError(f"tangential velocity factor is negative ({lam:.3g})")
     v_a = (b - f) * math.sqrt(1.0 + G * G) * v_w
-    F_t = scale * (b - f) ** 2
+    F_t = scale * b_f2
     P = F_t * f * v_w
-    zeta = C_R * (1.0 + G * G) * f * (b - f) ** 2
+    zeta = C_R * (1.0 + G * G) * f * b_f2
+    # A finite sum means finite fields (P is not, where F_t is not); one that overflows is
+    # checked field by field.
+    if not math.isfinite(lam + v_a + P + zeta) and not all(map(math.isfinite,
+                                                            (lam, v_a, P, zeta))):
+        raise SteadyStateError(f"reeling factor {f:.6g} is beyond float arithmetic: its tether "
+                               f"force {F_t:.6g} N, power or speeds overflow")
     # kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, zeta, P, iterations
     return f, (G, lam, v_a, F_t, F_t, 0.0, F_t, F_t, zeta, P, 0)
 
@@ -354,7 +369,7 @@ def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float,
         raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
     G_star = C_L / C_D
     if not 0.0 < G_star < math.inf:
-        raise ValidationError(f"effective lift-to-drag ratio must be finite and > 0, got {G_star}")
+        raise _lift_to_drag_error(G_star)
     F_a_theta = -(0.5 * m_t + m) * GRAVITY * sin_t
     try:
         force_coefficient = 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L)
@@ -364,10 +379,20 @@ def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float,
             -0.5 * sin_t * m_t * GRAVITY)
 
 
+def _lift_to_drag_error(G: float) -> ValidationError:
+    return ValidationError(f"effective lift-to-drag ratio must be finite and > 0, got {G}")
+
+
+def _no_tension(f: float, b: float) -> NoTensionError:
+    return NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
+
+
 def _beyond_floats(v_w: float) -> SteadyStateError:
-    """The error of a wind speed whose square overflows or whose q*S*C_R underflows to 0."""
-    return SteadyStateError(f"wind speed {v_w:.3g} m/s is beyond float arithmetic: v_w**2 "
-                            f"overflows or q*S*C_R underflows to 0")
+    """The error of a wind speed whose powers overflow, or whose q*S*C_R or wind power
+    density underflows to 0."""
+    return SteadyStateError(f"wind speed {v_w:.3g} m/s is beyond float arithmetic: v_w**2 or "
+                            f"v_w**3 overflows, or q*S*C_R or the wind power density "
+                            f"underflows to 0")
 
 
 def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
@@ -392,8 +417,11 @@ def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tu
     F_tg = math.hypot(radial_ground, F_t_theta)
     P = F_tg * f * v_w
     # P_w = 0.5*rho*v_w**3 is taken last: v_w**3 may overflow where the checks fail first.
-    return (kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, P / (0.5 * rho * v_w**3 * S),
-            P, iterations)
+    try:
+        zeta = P / (0.5 * rho * v_w**3 * S)
+    except (OverflowError, ZeroDivisionError):
+        raise _beyond_floats(v_w) from None
+    return kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, zeta, P, iterations
 
 
 # The fixed-factor search's steps, bounds and accuracy (solve_kinematic_ratio).
@@ -429,7 +457,8 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
         SteadyStateError: if G - G* has no sign change on (0, 50*G*] before
             the kernel finds no state (the aerodynamic force falls below the
             tangential gravity load, or no lam >= a meets the drag
-            condition), or the root has a negative tangential speed.
+            condition), the root has a negative tangential speed, or its
+            wind power density overflows or underflows to 0.
         TetherSagError: if the root's radial tension at the kite is not
             positive, or at the ground negative: the tether would push on
             the kite or on the ground station.
@@ -439,7 +468,7 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
     if not math.isfinite(f):
         raise ValidationError(f"reeling factor must be finite, got {f}")
     if f >= b:
-        raise NoTensionError(f"reeling factor {f:.4f} >= sin(theta)*cos(phi) = {b:.4f}")
+        raise _no_tension(f, b)
     terms = _force_terms(sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
     G_star, force_coefficient, F_a_theta, _, _ = terms
     b_f = b - f

@@ -20,9 +20,8 @@ import math
 import numpy as np
 
 from kitecycle import steady_state
-from kitecycle.dataio import TELEMETRY_COLUMNS
+from kitecycle.dataio import TELEMETRY_COLUMNS, LogRecord
 from kitecycle.errors import NoTensionError, ParseError, TetherSagError, ValidationError
-from kitecycle.estimation import LogRecord
 from kitecycle.steady_state import massless_state, solve_kinematic_ratio
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kitecycle
 from kitecycle import cli, cycle, load_config, preset_path, segment_and_average
 from kitecycle.cli import run_command
 from kitecycle.dataio import (
@@ -552,6 +553,17 @@ def test_cli_module_runs_from_a_checkout(tmp_path):
     assert (tmp_path / "o" / "timeseries.csv").exists()
     done = subprocess.run(argv + ["--config", "no_such_preset"], env=env, capture_output=True)
     assert done.returncode == 2
+    # A process that has not loaded the estimator exports a log, and another
+    # estimates from it: each command imports what it runs.
+    log = tmp_path / "telemetry.csv"
+    done = subprocess.run(argv + ["--config", "strong_wind", "--telemetry-out", str(log)],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    done = subprocess.run([sys.executable, "-m", "kitecycle.cli", "estimate", "--config",
+                           "strong_wind", "--log", str(log), "--out", str(tmp_path / "e")],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "e" / "estimates.csv").exists()
 
 
 def test_missing_telemetry_file_exit_code(tmp_path, capsys):
@@ -696,15 +708,18 @@ def test_import_does_not_load_scipy():
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
-    # Importing both costs more start-up time than simulating a preset.
+    # Importing them costs more start-up time than simulating a preset, and
+    # only `estimate` uses the estimator.  -S keeps a site .pth file from
+    # importing any of them before kitecycle does.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys\n"
             "import kitecycle.cli\n"
             "from kitecycle.config import load_config, preset_path\n"
             "load_config(preset_path('strong_wind'))\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+            "print(sorted({'dataclasses', 'inspect', 'kitecycle.estimation',\n"
+            "              'importlib.resources'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout == "[]\n"
 
@@ -734,14 +749,13 @@ def test_exports_exist_and_package_imports_only_exports():
         module = importlib.import_module(f"kitecycle.{path.stem}")
         stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
                   if not hasattr(module, name)]
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    for node in ast.walk(init):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            exported = importlib.import_module(f"kitecycle.{node.module}").__all__
-            unexported += [f"{node.module}.{alias.name}" for alias in node.names
-                           if alias.name not in exported]
+    # The package's name -> module table, which its __getattr__ resolves.
+    for module, names in kitecycle._EXPORTS.items():
+        exported = importlib.import_module(f"kitecycle.{module}").__all__
+        unexported += [f"{module}.{name}" for name in names if name not in exported]
     assert stale == []
     assert unexported == []
+    assert all(hasattr(kitecycle, name) for name in kitecycle.__all__)
 
 
 def test_convergence_command(tmp_path):

@@ -19,13 +19,13 @@ from kitecycle.config import PRESET_NAMES
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
     TIMESERIES_COLUMNS,
+    LogRecord,
     cycle_to_log_records,
     read_telemetry_csv,
     write_telemetry_csv,
     write_timeseries_csv,
 )
 from kitecycle.errors import ParseError, ValidationError
-from kitecycle.estimation import LogRecord
 
 
 def strong_raw() -> dict:

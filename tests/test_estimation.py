@@ -19,9 +19,9 @@ from kitecycle import (
     solve_kinematic_ratio,
 )
 from kitecycle import estimation
-from kitecycle.dataio import read_telemetry_csv, write_telemetry_csv
+from kitecycle.dataio import (_spherical_velocity_to_cartesian, read_telemetry_csv,
+                              write_telemetry_csv)
 from kitecycle.errors import EmptyPhaseError, ValidationError
-from kitecycle.estimation import _spherical_velocity_to_cartesian
 
 ENV = Environment(v_w_ref=9.9, z_ref=6.0, z0=0.07)
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)

@@ -65,8 +65,8 @@ from kitecycle.cycle import (CycleResult, PhaseResult, StepRecord, _PhaseEngine,
                              _transition_controller)
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
-from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv
-from kitecycle.estimation import EstimateRecord, LogRecord
+from kitecycle.dataio import TELEMETRY_COLUMNS, LogRecord, read_telemetry_csv
+from kitecycle.estimation import EstimateRecord
 from kitecycle.errors import (
     KitecycleError,
     NoTensionError,

@@ -227,6 +227,75 @@ class TestEntryChecks:
             assert str(info.value) == message
 
 
+class TestBeyondFloats:
+    """States whose numbers leave the float range end in a named model
+    error, never in an arithmetic exception or a non-finite result."""
+
+    # A root is found, then the wind power density 0.5*rho*v_w**3*S of zeta
+    # overflows (v_w**3) or underflows to 0.  The last three came from a
+    # log-uniform fuzz of both functions' inputs, seeded with 1.
+    @pytest.mark.parametrize("solve,args,v_w", [
+        (solve_kinematic_ratio, (
+            -2.0698815447778696, 0.5974543099420773,
+            (0.7062644630913804, 0.7079480970906301, 0.9992948925056643, -0.037546209024253006),
+            1.776838269398876e+135, 1.8316201684916834e+131, 2.759781914535723e-182, 0.0,
+            1.2738019176379864e-206, 2.1987452113830736e+150, 1.2901745201855478e-182), "2.2e+150"),
+        (solve_kinematic_ratio, (
+            -0.12769078565660985, -1.4281294609852524,
+            (-0.8798171573123351, -0.47531228650103485, -0.03206744600255294, 0.9994857072048972),
+            0.01340420874571719, 2.4396335806594876e-139, 8.673126866955177e-259,
+            2.0905117785578404e-181, 3.179661305771606e-44, 4.1715699539010236e-55,
+            4.8301260469723295e-146), "4.17e-55"),
+        (gravity_setpoint, (
+            4.117945897390441e+152, "ground", 1.8563164798054683,
+            (0.9914416976827856, -0.13055022058915156, -0.6770615053311138, 0.7359264351813748),
+            1.9486958591686484e+269, 1.5573385273121617e+224, 1.7266516216394077e-115,
+            3.1959828000078725e-253, 2.390752150647813e-218, 3.168120767404353e-110,
+            1.9299566012569116e+278), "3.17e-110"),
+        (gravity_setpoint, (
+            1.3365522341170996e+148, "kite", -0.785512290073467,
+            (0.9999998154090592, 0.0006076033635650397, -0.8203723254215435, 0.5718297366196071),
+            6.96325811709686e+128, 2.4265204409046656e+61, 2.3616130055868022e-269,
+            4.776253041331276e-124, 3.969506068631448e-164, 6.656959321051297e+140,
+            2.1415357110878365e-100), "6.66e+140"),
+    ], ids=["fixed-factor-overflow", "fixed-factor-underflow", "setpoint-underflow",
+            "setpoint-overflow"])
+    def test_wind_power_density_beyond_floats(self, solve, args, v_w):
+        with pytest.raises(SteadyStateError,
+                           match=rf"^wind speed {re.escape(v_w)} m/s is beyond float arithmetic"):
+            solve(*args)
+
+    @pytest.mark.parametrize("C_L,C_D,G", [(1e300, 1e-300, "inf"), (1e-300, 1e300, "0.0")])
+    def test_massless_pair_checks_the_lift_to_drag_ratio(self, C_L, C_D, G):
+        # The ratio overflows or underflows; the state used to come back with
+        # infinite forces, or with kappa 0.
+        message = f"effective lift-to-drag ratio must be finite and > 0, got {G}"
+        angles = angle_trig(0.0, 0.0)
+        for call in (lambda: massless_state(0.1, 1.0, angles, C_L, C_D, 10.0, 10.0, 1.2),
+                     lambda: solve_kinematic_ratio(0.1, 1.0, angles, C_L, C_D, 1.0, 10.0, 10.0,
+                                                   10.0, 1.2),
+                     lambda: massless_setpoint(1e3, 1.0, angles, C_L, C_D, 10.0, 10.0, 1.2),
+                     lambda: gravity_setpoint(1e3, "kite", 1.0, angles, C_L, C_D, 1.0, 10.0,
+                                              10.0, 10.0, 1.2)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
+        # As in the fixed-factor solve, a state without tension says so first.
+        for call in (lambda: massless_state(1.0, 1.0, angles, C_L, C_D, 10.0, 10.0, 1.2),
+                     lambda: solve_kinematic_ratio(1.0, 1.0, angles, C_L, C_D, 1.0, 10.0, 10.0,
+                                                   10.0, 1.2)):
+            with pytest.raises(NoTensionError):
+                call()
+
+    @pytest.mark.parametrize("f", [-1e150, -1e200])
+    def test_massless_tether_force_or_power_overflow(self, f):
+        # -1e150 used to return P = zeta = -inf; -1e200 raised OverflowError
+        # from (b - f)**2.
+        with pytest.raises(SteadyStateError) as info:
+            massless_state(f, 1.0, angle_trig(0.0, 0.0), 1.0, 0.2, 10.0, 10.0, 1.2)
+        assert str(info.value).startswith(f"reeling factor {f:.6g} is beyond float arithmetic")
+
+
 class TestMasslessState:
     def test_tangential_factor_at_zenith_symmetry(self):
         res = massless_state(0.25, *flight(90, 0, 90), 0.8, 0.2, 10.2, *WIND)  # L/D = 4
