@@ -2,7 +2,11 @@
 
 Wind speed follows the logarithmic wind law of the neutral atmospheric
 boundary layer; air density follows the isothermal barometric formula.
-Both are steady: profiles vary with altitude but not with time.
+Both are steady: profiles vary with altitude but not with time.  Both are
+written once, in the closure :func:`bind_wind` binds to an environment,
+which maps an altitude to ``(v_w, rho)`` in one call; the simulator and the
+estimator bind it once per phase or series, and the other entry points
+bind it per call.
 """
 
 from __future__ import annotations
@@ -55,21 +59,7 @@ class Environment(Frozen):
 
     def wind_speed(self, z: float) -> float:
         """Wind speed [m/s] at altitude ``z`` by the logarithmic wind law."""
-        if z < self.z0:
-            raise DomainError(
-                f"altitude {z} m is below the roughness length {self.z0} m; "
-                "the log wind law is undefined there"
-            )
-        return self.log_wind_speed(z, self.v_w_ref)
-
-    def log_wind_speed(self, z: float, v_ref: float) -> float:
-        """Log wind law at altitude ``z`` scaled to the wind speed ``v_ref``
-        measured at ``z_ref``; the caller keeps ``z`` at or above ``z0``."""
-        return v_ref * math.log(z / self.z0) / self._log_z_ref
-
-    def density(self, z: float) -> float:
-        """Air density [kg/m^3] at altitude ``z`` (isothermal barometric decay)."""
-        return self.rho0 * math.exp(-z / self.H_rho)
+        return bind_wind(self)(z)[0]
 
 
 class WindState(NamedTuple):
@@ -96,15 +86,18 @@ def wind_state_at(z: float, env: Environment) -> WindState:
     Raises:
         DomainError: if ``z`` lies below the roughness length.
     """
-    return WindState(env.wind_speed(z), env.density(z))
+    return WindState(*bind_wind(env)(z))
 
 
-def bind_wind(env: Environment) -> Callable[[float], tuple[float, float]]:
-    """:func:`wind_state_at` as ``z -> (v_w, rho)``, a plain tuple, bound once per phase."""
-    z0, v_w_ref, log_wind_speed, density = env.z0, env.v_w_ref, env.log_wind_speed, env.density
+def bind_wind(env: Environment) -> Callable[..., tuple[float, float]]:
+    """:func:`wind_state_at` as ``(z, v_ref=v_w_ref) -> (v_w, rho)``, a plain
+    tuple, with the wind law scaled to the wind speed ``v_ref`` measured at
+    ``z_ref``; it raises the DomainError of an altitude below ``z0``."""
+    z0, v_w_ref, log_z_ref, rho0, H_rho = env.z0, env.v_w_ref, env._log_z_ref, env.rho0, env.H_rho
 
-    def wind(z: float) -> tuple[float, float]:
+    def wind(z: float, v_ref: float = v_w_ref) -> tuple[float, float]:
         if z < z0:
-            env.wind_speed(z)  # raises its DomainError
-        return log_wind_speed(z, v_w_ref), density(z)
+            raise DomainError(f"altitude {z} m is below the roughness length {z0} m; "
+                              "the log wind law is undefined there")
+        return v_ref * math.log(z / z0) / log_z_ref, rho0 * math.exp(-z / H_rho)
     return wind

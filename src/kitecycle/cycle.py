@@ -13,16 +13,19 @@ the trajectory, the state (r_max, beta_o):
   and reel out under the high force set-point until the tether reaches
   its maximum length.
 
-Each phase is a spec - its force controller, which returns the reeling
-factor and the equilibrium's fields ``(f, values)``, the quantity that ends
-it (tether length, or elevation in transition) with its end value and
-direction, and its climb factor - run by ``_integrate``: one rates function
-per phase maps (t, r, theta) to the step record and dr/dt, dtheta/dt, and
-one explicit Euler rule steps them.  A phase binds its set-point constants, wind
-law and tether properties once; a step computes wind, tether mass, drag and equilibrium.
-The step is scaled by the characteristic time (r_max - r_min)/v_w_ref; the
-final step of each phase is truncated at the crossing, so durations are
-not quantised.
+Each phase is a spec - its step, which returns the reeling factor and the
+equilibrium's fields ``(f, values)``, the quantity that ends it (tether
+length, or elevation in transition) with its end value and direction, and
+its climb factor - run by ``_integrate``: one rates function per phase maps
+(t, r, theta) to the step record and dr/dt, dtheta/dt, and one explicit
+Euler rule steps them and sums the phase energy.  A phase binds its wind
+law, tether properties, set-point kernel and set-point constants once; a
+step makes one call each for the wind, the tether mass and drag and the
+equilibrium.  Retraction's and traction's step is their set-point's kernel
+itself, transition's a controller that composes the kernels of both
+set-points with the coasting solve.  The step is scaled by the
+characteristic time (r_max - r_min)/v_w_ref; the final step of each phase
+is truncated at the crossing, so durations are not quantised.
 """
 
 from __future__ import annotations
@@ -155,8 +158,9 @@ class CycleResult(NamedTuple):
 
 class _PhaseEngine:
     """Shared machinery of one phase flown at fixed angles ``phi`` and
-    ``chi``: ``wind_at(z) -> (v_w, rho)``, ``tether_at(r) -> (m_t, C_D)`` and
-    force set-points, each bound once, and series bookkeeping."""
+    ``chi``, bound once: ``wind_at(z) -> (v_w, rho)``, ``tether_at(r) -> (m_t,
+    C_D)``, the set-point step ``kernel`` of its gravity mode and the
+    constants ``bind`` gives it per force target."""
 
     def __init__(self, env: Environment, kite: KiteParams, tether: TetherParams,
                  op: OperationSettings, aero_set: AeroSet, phi: float, chi: float):
@@ -170,40 +174,28 @@ class _PhaseEngine:
         self.angles = angle_trig(phi, chi)
         self.wind_at = bind_wind(env)
         self.tether_at = bind_tether(tether, kite, aero_set)
+        self.kernel = _solve_reel_factor if op.gravity else massless_setpoint_step
         self.t_char = (op.r_max - op.r_min) / env.v_w_ref  # the characteristic time
         self.dt = self.t_char * op.dT
 
-    def setpoint(self, F_target: float) -> Callable[..., tuple]:
-        """The controller ``(r, theta, wind, props=None) -> (f, values)`` of a
-        tether-force set-point, bound once; ``wind`` is (v_w, rho) and
-        ``props`` the ``tether_at(r)`` pair if the caller has it."""
-        tether_at, kite, aero, gravity = self.tether_at, self.kite, self.aero_set, self.op.gravity
-        bound = bind_setpoint(F_target, self.op.force_at, self.angles, aero.C_L, kite.m, kite.S)
-
-        def step(r: float, theta: float, wind: tuple[float, float], props=None) -> tuple:
-            m_t, C_D = props or tether_at(r)
-            if gravity:
-                return _solve_reel_factor(bound, theta, C_D, m_t, *wind)
-            return massless_setpoint_step(bound, theta, C_D, *wind)
-        return step
+    def bind(self, F_target: float) -> tuple:
+        """The checked constants of ``kernel`` for the force set-point ``F_target``."""
+        return bind_setpoint(F_target, self.op.force_at, self.angles, self.aero_set.C_L,
+                             self.kite.m, self.kite.S)
 
     @staticmethod
-    def finish(phase: str, series: list[StepRecord]) -> PhaseResult:
+    def finish(phase: str, series: list[StepRecord], energy: float) -> PhaseResult:
         duration = series[-1].t - series[0].t
-        energy = 0.0
-        for prev, cur in zip(series, series[1:]):
-            energy += 0.5 * (prev.P + cur.P) * (cur.t - prev.t)
         mean_power = energy / duration if duration > 0.0 else 0.0
-        return PhaseResult(
-            phase=phase, duration=duration, mean_power=mean_power,
-            energy=energy, steps=len(series) - 1, series=series,
-        )
+        return PhaseResult(phase=phase, duration=duration, mean_power=mean_power, energy=energy,
+                           steps=len(series) - 1, series=series)
 
 
 def _integrate(
     engine: _PhaseEngine,
     phase: str,
-    controller: Callable[[float, float, tuple[float, float]], tuple],
+    step: Callable[..., tuple],
+    bound: tuple,
     r: float,
     theta: float,
     t: float,
@@ -215,44 +207,50 @@ def _integrate(
 ) -> PhaseResult:
     """Explicit Euler integration of one phase until its end condition.
 
-    ``rates`` evaluates ``engine.wind_at`` at (r, theta) and calls ``controller``, which
-    maps (r, theta, (v_w, rho)) to (f, equilibrium fields); it returns the step record,
-    dr/dt = f*v_w and dtheta/dt = lam*v_w*climb/r, where ``climb`` is
-    cos(chi), or 0 to hold theta.  The phase ends when the tether length, or
-    the elevation if ``by_elevation``, reaches ``end`` moving up if
-    ``increasing``, else down; a start already there gives a one-record phase.
+    ``rates`` maps (t, r, theta) to the step record, dr/dt = f*v_w and
+    dtheta/dt = lam*v_w*climb/r, where ``climb`` is cos(chi), or 0 to hold
+    theta: it takes (v_w, rho) = ``engine.wind_at(r*cos(theta))`` and (m_t,
+    C_D) = ``engine.tether_at(r)``, and ``step(bound, theta, C_D, m_t, v_w,
+    rho) -> (f, equilibrium fields)``, a set-point kernel or a controller that
+    composes kernels.  The trapezoid energy is summed as the records come, in
+    series order.  The phase ends when the tether length, or the elevation if
+    ``by_elevation``, reaches ``end`` moving up if ``increasing``, else down;
+    a start already there gives a one-record phase.
 
     Raises:
         SolverError: a PhaseError if, for ten characteristic times, each
             step's rate leaves the end over ten characteristic times away (a
-            rate <= 0 never reaches it), or what the wind law or
-            ``controller`` raised, chained and prefixed with the phase, t, r
-            and elevation.
+            rate <= 0 never reaches it), or what the wind law or ``step``
+            raised, chained and prefixed with the phase, t, r and elevation.
         ValidationError: a step input out of a kernel's domain, chained and
             prefixed the same way.
     """
-    wind_at, phi, chi, make = engine.wind_at, engine.phi, engine.chi, StepRecord._make
+    wind_at, tether_at, phi, chi = engine.wind_at, engine.tether_at, engine.phi, engine.chi
+    cos, hypot, new = math.cos, math.hypot, tuple.__new__
 
     def rates(t: float, r: float, theta: float) -> tuple[StepRecord, float, float]:
-        wind = wind_at(r * math.cos(theta))
-        f, (_, lam, v_a, _, _, _, F_t_kite, F_tg, _, P, _) = controller(r, theta, wind)
-        v_t, v_tau = f * wind[0], lam * wind[0]
-        record = make((t, r, theta, phi, chi, f, v_t, math.hypot(v_t, v_tau), v_a, F_t_kite,
-                       F_tg, P))
+        v_w, rho = wind_at(r * cos(theta))
+        m_t, C_D = tether_at(r)
+        f, (_, lam, v_a, _, _, _, F_t_kite, F_tg, _, P, _) = step(bound, theta, C_D, m_t, v_w,
+                                                                   rho)
+        v_t, v_tau = f * v_w, lam * v_w
+        record = new(StepRecord, (t, r, theta, phi, chi, f, v_t, hypot(v_t, v_tau), v_a,
+                                  F_t_kite, F_tg, P))
         return record, v_t, v_tau * climb / r
 
-    sign = 1.0 if increasing else -1.0
+    sign, h, energy = (1.0 if increasing else -1.0), engine.dt, 0.0
+    signed_end = sign * end
     stall, stall_limit, horizon = 0, max(1, math.ceil(10.0 / engine.op.dT)), 10.0 * engine.t_char
     try:
         record, dr, dtheta = rates(t, r, theta)
         series = [record]
-        if sign * (0.5 * math.pi - theta if by_elevation else r) >= sign * end:
-            return engine.finish(phase, series)
+        if sign * (0.5 * math.pi - theta if by_elevation else r) >= signed_end:
+            return engine.finish(phase, series, energy)
 
         while True:
             # theta = pi/2 - beta
             value, rate = (0.5 * math.pi - theta, -dtheta) if by_elevation else (r, dr)
-            done = sign * (value + rate * engine.dt) >= sign * end and sign * rate > 0.0
+            done = sign * (value + rate * h) >= signed_end and sign * rate > 0.0
             if done:
                 dt = (end - value) / rate
             else:
@@ -265,7 +263,7 @@ def _integrate(
                     raise PhaseError(f"{quantity} failed to {direction} for {stall} consecutive "
                                      f"steps: at {value:.6g} {unit} and {rate:.3g} {unit}/s, the "
                                      f"end {end:.6g} {unit} is more than {horizon:.6g} s away")
-                dt = engine.dt
+                dt = h
             r += dr * dt
             theta += dtheta * dt
             t += dt
@@ -275,10 +273,11 @@ def _integrate(
                     theta = 0.5 * math.pi - end
                 else:
                     r = end
-            record, dr, dtheta = rates(t, r, theta)
+            prev, (record, dr, dtheta) = record, rates(t, r, theta)
             series.append(record)
+            energy += 0.5 * (prev[11] + record[11]) * (t - prev[0])  # P and t
             if done:
-                return engine.finish(phase, series)
+                return engine.finish(phase, series, energy)
     except (SolverError, ValidationError) as exc:
         beta = math.degrees(0.5 * math.pi - theta)
         raise type(exc)(f"{phase} at t = {t:.6g} s, r = {r:.6g} m, beta = {beta:.6g} deg: "
@@ -295,8 +294,8 @@ def simulate_retraction(env: Environment, kite: KiteParams, tether: TetherParams
     temporarily exceed r_max.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_retraction, 0.0, math.pi)
-    return _integrate(engine, RETRACTION, engine.setpoint(op.F_in), op.r_max, op.theta_o, t0,
-                      end=op.r_min, increasing=False, climb=engine.angles[3])
+    return _integrate(engine, RETRACTION, engine.kernel, engine.bind(op.F_in), op.r_max,
+                      op.theta_o, t0, end=op.r_min, increasing=False, climb=engine.angles[3])
 
 
 def simulate_transition(env: Environment, kite: KiteParams, tether: TetherParams,
@@ -312,21 +311,23 @@ def simulate_transition(env: Environment, kite: KiteParams, tether: TetherParams
     solves the free flight only where it fails or gives f <= 0.
     """
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, 0.0, 0.0)
-    return _integrate(engine, TRANSITION, _transition_controller(engine), r_start, theta_start,
-                      t0, end=op.beta_o, increasing=False, by_elevation=True,
+    bounds = engine.bind(op.F_in), engine.bind(op.F_out)
+    return _integrate(engine, TRANSITION, _transition_controller(engine), bounds, r_start,
+                      theta_start, t0, end=op.beta_o, increasing=False, by_elevation=True,
                       climb=engine.angles[3])
 
 
 def _transition_controller(engine: _PhaseEngine) -> Callable[..., tuple]:
-    """Transition's controller ``(r, theta, wind) -> (f, values)``, as
+    """Transition's step ``((reel_in, reel_out), theta, C_D, m_t, v_w, rho) ->
+    (f, values)`` for the ``engine.bind`` constants of F_in and F_out, as
     :func:`simulate_transition` describes it."""
-    op, kite = engine.op, engine.kite
-    reel_in, reel_out = engine.setpoint(op.F_in), engine.setpoint(op.F_out)
+    op, kite, kernel = engine.op, engine.kite, engine.kernel
 
-    def controller(r: float, theta: float, wind: tuple[float, float]) -> tuple:
-        props = m_t, C_D = engine.tether_at(r)
+    def controller(bounds: tuple, theta: float, C_D: float, m_t: float, v_w: float,
+                   rho: float) -> tuple:
+        reel_in, reel_out = bounds
         try:
-            f, values = reel_out(r, theta, wind, props)
+            f, values = kernel(reel_out, theta, C_D, m_t, v_w, rho)
         except SolverError:
             f = 0.0
         if f > 0.0:
@@ -334,18 +335,18 @@ def _transition_controller(engine: _PhaseEngine) -> Callable[..., tuple]:
         coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)  # f = 0
         try:
             if op.gravity:
-                eq0 = solve_kinematic_ratio(*coasting, m_t, kite.m, kite.S, *wind)
+                eq0 = solve_kinematic_ratio(*coasting, m_t, kite.m, kite.S, v_w, rho)
             else:
-                eq0 = massless_state(*coasting, kite.S, *wind)
+                eq0 = massless_state(*coasting, kite.S, v_w, rho)
         except (NoTensionError, TetherSagError):
             # An overflown kite, or one whose tether would push on the kite or the
             # ground station, cannot coast; reel in to restore the minimum force.
-            return reel_in(r, theta, wind, props)
+            return kernel(reel_in, theta, C_D, m_t, v_w, rho)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:
-            return reel_out(r, theta, wind, props)
+            return kernel(reel_out, theta, C_D, m_t, v_w, rho)
         if force < op.F_in:
-            return reel_in(r, theta, wind, props)
+            return kernel(reel_in, theta, C_D, m_t, v_w, rho)
         return 0.0, eq0
     return controller
 
@@ -355,8 +356,8 @@ def simulate_traction(env: Environment, kite: KiteParams, tether: TetherParams,
     """Reel out under the high force set-point at the constant
     representative crosswind state until the tether reaches r_max."""
     engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, op.phi_o, op.chi_o)
-    return _integrate(engine, TRACTION, engine.setpoint(op.F_out), r_start, op.theta_o, t0,
-                      end=op.r_max, increasing=True, climb=0.0)
+    return _integrate(engine, TRACTION, engine.kernel, engine.bind(op.F_out), r_start,
+                      op.theta_o, t0, end=op.r_max, increasing=True, climb=0.0)
 
 
 def simulate_cycle(env: Environment, kite: KiteParams, tether: TetherParams,

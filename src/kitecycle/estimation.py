@@ -2,12 +2,12 @@
 
 Given ground tether force, kite position/velocity and a reference wind
 speed, each sample is derived in one pass: its kinematics and the wind
-at the kite; the tether mass, aerodynamic force at the kite and density;
+and density at the kite; the tether mass and aerodynamic force at the kite;
 the resultant aerodynamic force coefficient; and, via a short fixed-point
 correction for gravity, the system and kite-only lift-to-drag ratios.
 The pass is :func:`bind_estimator`'s closure over what a series never
-changes: the wind law, density and roughness length, the tether's mass per
-metre, diameter and drag coefficient, and the kite's mass and wing area.
+changes: the wind law and density (``atmosphere.bind_wind``), the tether's
+mass per metre, diameter and drag coefficient, and the kite's mass and wing area.
 :func:`segment_and_average` labels a series, binds the pass once, maps it
 over the samples and averages per phase; :func:`estimate_record` is the
 pass bound for one sample.
@@ -30,7 +30,7 @@ from collections.abc import Callable
 from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
-from .atmosphere import Environment
+from .atmosphere import Environment, bind_wind
 from .cycle import RETRACTION, TRACTION, TRANSITION
 from .dataio import LogRecord, sample_fault
 from .errors import EmptyPhaseError, ValidationError
@@ -108,7 +108,7 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
     """:func:`estimate_record` as ``(rec, phase) -> EstimateRecord``, with the
     constants of a series bound once; ``phase``, not the record's own label,
     selects the phase gate."""
-    z0, log_wind_speed, density = env.z0, env.log_wind_speed, env.density
+    z0, wind = env.z0, bind_wind(env)
     # mass(r) is its product up to d_t**2 times r: mass(1.0)*r, float for float.
     per_metre, d_t, C_D_c, m, S = tether.mass(1.0), tether.d_t, tether.C_D_c, kite.m, kite.S
     make, nan, inf = EstimateRecord._make, math.nan, math.inf
@@ -121,7 +121,7 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
         # kite velocity) and the kinematic ratio, from the apparent wind over
         # its radial part, with NaN for what cannot be derived.
         z = r * cos_t
-        v_w = 0.0 if z < z0 else log_wind_speed(z, v_w_ref)
+        v_w, rho = (0.0, 0.0) if z < z0 else wind(z, v_w_ref)
         if v_w <= 0.0:  # below the roughness length too
             return make((t, nan, nan, nan, nan, nan, False, phase))
         v_a = sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
@@ -147,7 +147,6 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
         if force is None:
             return make((t, nan, nan, nan, kappa, v_a, False, phase))
         F_a = force[1]
-        rho = density(z)
         try:
             C_R = 2.0 * F_a / (rho * v_a**2 * S)
         except ZeroDivisionError:  # the density underflows to 0 far above any kite

@@ -49,8 +49,11 @@ pair takes no masses.  Each checks every input first and raises
 ValidationError for the first out of its domain.  A set-point is its
 step kernel applied to :func:`bind_setpoint`: the binder checks the
 constants of a phase (F_target, target_end, angles, C_L, m, S) once, the
-kernel (:func:`gravity_setpoint_step`, :func:`massless_setpoint_step`) the
-per-step inputs, and returns (f, the EquilibriumResult fields as a tuple).
+kernel (:func:`gravity_setpoint_step`, :func:`massless_setpoint_step`)
+the per-step inputs ``theta, C_D, m_t, v_w, rho``, and returns (f, the
+EquilibriumResult fields as a tuple).  The simulator calls a kernel once
+per step; the massless kernel is the whole massless closed form, the fixed
+factor of :func:`massless_state` included, so it calls only :func:`_trig`.
 """
 
 from __future__ import annotations
@@ -258,30 +261,58 @@ def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float
             non-negative solution, or the state overflows.
     """
     _check_phase(angles, S)
+    return EquilibriumResult(*massless_setpoint_step((None, None, angles, C_L, None, S), theta,
+                                                     C_D, 0.0, v_w, rho, f)[1])
+
+
+def massless_setpoint(F_target: float, theta: float, angles: tuple, C_L: float, C_D: float,
+                      S: float, v_w: float, rho: float) -> tuple[float, EquilibriumResult]:
+    """Reeling factor that produces tether force ``F_target`` (massless),
+    and its :func:`massless_state` equilibrium.
+
+    Inverts the normalised tether-force relation; the smaller quadratic
+    root is taken since the larger one corresponds to a compressed
+    tether.  Large targets give a negative factor, i.e. reeling in.
+
+    Raises:
+        SetpointUnreachableError: if the factor is below -3, the bound of
+            :func:`gravity_setpoint`.
+        NoTensionError, SteadyStateError: as :func:`massless_state` at
+            that factor.
+    """
+    f, values = massless_setpoint_step(bind_setpoint(F_target, "kite", angles, C_L, 0.0, S),
+                                       theta, C_D, 0.0, v_w, rho)
+    return f, EquilibriumResult(*values)
+
+
+def massless_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_w: float,
+                           rho: float, f: Optional[float] = None) -> tuple[float, tuple]:
+    """:func:`massless_setpoint` for the :func:`bind_setpoint` constants
+    ``bound``, whose target end and masses it ignores, as (f, the
+    equilibrium's fields); given ``f``, :func:`massless_state` at ``f``
+    instead, which ignores the target too.  It checks G* after the state's
+    tension check and after the set-point's wind check, where the gravity
+    pair checks it."""
+    F_target, _, angles, C_L, _, S = bound
     a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
-    if not math.isfinite(f):
+    setpoint = f is None
+    if setpoint:
+        if v_w <= 0.0:
+            raise ValidationError("force inversion requires a positive wind speed")
+    elif not math.isfinite(f):
         raise ValidationError(f"reeling factor must be finite, got {f}")
-    if f >= b:
+    elif f >= b:
         raise _no_tension(f, b)
-    return EquilibriumResult(*_massless(a, b, f, C_L, C_D, S, v_w, rho)[1])
-
-
-def _massless(a: float, b: float, f: Optional[float], C_L: float, C_D: float, S: float,
-              v_w: float, rho: float, F_target: Optional[float] = None) -> tuple[float, tuple]:
-    """:func:`massless_state` at ``f`` from its (a, b), or, given ``F_target``,
-    at the factor :func:`massless_setpoint` finds; as (f, the equilibrium's
-    fields).  It checks G* after the state's tension check and after the
-    set-point's wind check, where the gravity pair checks it."""
     G, C_R = C_L / C_D, math.hypot(C_D, C_L)
     if not 0.0 < G < math.inf:
         raise _lift_to_drag_error(G)
     try:
         scale = 0.5 * rho * v_w**2 * S * C_R * (1.0 + G * G)  # tether force over (b - f)**2
-        if F_target is not None:
+        if setpoint:
             f = b - math.sqrt(F_target / scale)
     except (OverflowError, ZeroDivisionError):
         raise _beyond_floats(v_w) from None
-    if F_target is not None and f < _F_LO:
+    if setpoint and f < _F_LO:
         raise SetpointUnreachableError(f"force {F_target:.6g} N: f = {f:.6g} is below {_F_LO}")
     if f >= b:
         raise _no_tension(f, b)
@@ -307,37 +338,6 @@ def _massless(a: float, b: float, f: Optional[float], C_L: float, C_D: float, S:
                                f"force {F_t:.6g} N, power or speeds overflow")
     # kappa, lam, v_a, F_a, F_a_r, F_a_theta, F_t_kite, F_tg, zeta, P, iterations
     return f, (G, lam, v_a, F_t, F_t, 0.0, F_t, F_t, zeta, P, 0)
-
-
-def massless_setpoint(F_target: float, theta: float, angles: tuple, C_L: float, C_D: float,
-                      S: float, v_w: float, rho: float) -> tuple[float, EquilibriumResult]:
-    """Reeling factor that produces tether force ``F_target`` (massless),
-    and its :func:`massless_state` equilibrium.
-
-    Inverts the normalised tether-force relation; the smaller quadratic
-    root is taken since the larger one corresponds to a compressed
-    tether.  Large targets give a negative factor, i.e. reeling in.
-
-    Raises:
-        SetpointUnreachableError: if the factor is below -3, the bound of
-            :func:`gravity_setpoint`.
-        NoTensionError, SteadyStateError: as :func:`massless_state` at
-            that factor.
-    """
-    f, values = massless_setpoint_step(bind_setpoint(F_target, "kite", angles, C_L, 0.0, S),
-                                       theta, C_D, v_w, rho)
-    return f, EquilibriumResult(*values)
-
-
-def massless_setpoint_step(bound: tuple, theta: float, C_D: float, v_w: float,
-                           rho: float) -> tuple[float, tuple]:
-    """:func:`massless_setpoint` for the :func:`bind_setpoint` constants
-    ``bound``, whose target end and mass it ignores."""
-    F_target, _, angles, C_L, _, S = bound
-    a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
-    if v_w <= 0.0:
-        raise ValidationError("force inversion requires a positive wind speed")
-    return _massless(a, b, None, C_L, C_D, S, v_w, rho, F_target)
 
 
 def aero_force_from_ground(F_tg: float, sin_t: float, cos_t: float, m_t: float,
@@ -567,7 +567,8 @@ def _drag_condition(A: float, F_a: float, F_a_r: float, trig: tuple, angles: tup
     (F_a_r, F_a), with |v_a|^2/v_w^2 = A, meets the drag condition, on the
     larger root lam of the module docstring's quadratic; rises is the verdict
     of :func:`_rises`.  None where lam is not real; kappa^2 NaN and rises
-    False off the branch (lam < a) or without tension (b - f <= 0)."""
+    False off the branch (lam < a) or without tension (b - f <= 0).  Raises
+    SteadyStateError where b - f > 0 squares to 0."""
     a, b, _, cos_t = trig
     _, cos_p, _, cos_c = angles
     G_star, _, F_a_theta, _, _ = terms
@@ -584,7 +585,11 @@ def _drag_condition(A: float, F_a: float, F_a_r: float, trig: tuple, angles: tup
     b_f = c0 + c1 * lam
     if lam < a or b_f <= 0.0:
         return lam, b_f, math.nan, False
-    kappa2 = A / (b_f * b_f) - 1.0
+    try:
+        kappa2 = A / (b_f * b_f) - 1.0
+    except ZeroDivisionError:
+        raise SteadyStateError(f"radial apparent wind factor b - f = {b_f:.3g} is beyond float "
+                               f"arithmetic: its square underflows to 0") from None
     N = F_a_r * b_f + F_a_theta * (cos_t * cos_p - lam * cos_c)  # drag times |v_a|/v_w
     return lam, b_f, kappa2, _rises(kappa2, lam - a, N, F_a, F_a_r, b_f,
                                     (1.0 + kappa2) * F_a_theta * cos_c * b_f * b_f)

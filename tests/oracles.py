@@ -254,23 +254,22 @@ def coasting_first_controller(engine):
     """Transition's controller as it was for the phase engine ``engine``:
     the coasting solve at f = 0 first, then a reel to the set-point its
     force leaves, or to F_in where the kite cannot coast."""
-    op, kite = engine.op, engine.kite
-    reel_in, reel_out = engine.setpoint(op.F_in), engine.setpoint(op.F_out)
+    op, kite, kernel = engine.op, engine.kite, engine.kernel
 
-    def controller(r, theta, wind):
-        props = m_t, C_D = engine.tether_at(r)
+    def controller(bounds, theta, C_D, m_t, v_w, rho):
+        reel_in, reel_out = bounds
         coasting = (0.0, theta, engine.angles, engine.aero_set.C_L, C_D)
         try:
             if op.gravity:
-                eq0 = solve_kinematic_ratio(*coasting, m_t, kite.m, kite.S, *wind)
+                eq0 = solve_kinematic_ratio(*coasting, m_t, kite.m, kite.S, v_w, rho)
             else:
-                eq0 = massless_state(*coasting, kite.S, *wind)
+                eq0 = massless_state(*coasting, kite.S, v_w, rho)
         except (NoTensionError, TetherSagError):
-            return reel_in(r, theta, wind, props)
+            return kernel(reel_in, theta, C_D, m_t, v_w, rho)
         force = eq0.F_t_kite if op.force_at == "kite" else eq0.F_tg
         if force > op.F_out:
-            return reel_out(r, theta, wind, props)
+            return kernel(reel_out, theta, C_D, m_t, v_w, rho)
         if force < op.F_in:
-            return reel_in(r, theta, wind, props)
+            return kernel(reel_in, theta, C_D, m_t, v_w, rho)
         return 0.0, eq0
     return controller

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import kitecycle
 from kitecycle import cli, cycle, load_config, preset_path, segment_and_average
+from kitecycle.atmosphere import bind_wind
 from kitecycle.cli import run_command
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
@@ -433,7 +434,7 @@ def test_kite_velocity_too_large_to_square_is_invalid(tmp_path, strong_config, s
         rec = series[rows[0]]
         # The angles as the reader gives them back, where b_f is 1e-9.
         theta, phi = (math.radians(float(f"{math.degrees(a)!s}")) for a in (rec.theta, rec.phi))
-        v_w = cfg.environment.log_wind_speed(rec.r * math.cos(theta), rec.v_w_ref)
+        v_w = bind_wind(cfg.environment)(rec.r * math.cos(theta), rec.v_w_ref)[0]
         series[rows[0]] = rec._replace(vk=(1e150, 0.0, 0.0),
                                        v_t=v_w * (math.sin(theta) * math.cos(phi) - 1e-9))
     log, out = tmp_path / "telemetry.csv", tmp_path / "out"

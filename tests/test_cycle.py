@@ -132,6 +132,12 @@ def test_euler_rule_of_every_phase(request, monkeypatch, preset, gravity):
     assert mean_lookups == [res.z_mt]
     for phase in res.phases:
         assert phase.steps > 1
+        # The phase energy is the trapezoid sum over its series, taken in
+        # series order, bit for bit.
+        energy = 0.0
+        for prev, cur in zip(phase.series, phase.series[1:]):
+            energy += 0.5 * (prev.P + cur.P) * (cur.t - prev.t)
+        assert phase.energy == energy
         # Every step but the last, which is truncated onto the end condition.
         for cur, nxt in zip(phase.series[:-2], phase.series[1:-1]):
             dt = nxt.t - cur.t
@@ -206,7 +212,7 @@ def test_transition_failure_names_phase_and_state(strong_config):
                            "transition at t = 12.5 s, r = 390 m, beta = 5.72958e-05 deg: ")
 
 
-def never_reel(bound, theta, C_D, v_w, rho):
+def never_reel(bound, theta, C_D, m_t, v_w, rho):
     """A massless force-inversion step whose winch never reels."""
     _, _, angles, C_L, _, S = bound
     return 0.0, massless_state(0.0, theta, angles, C_L, C_D, S, v_w, rho)
@@ -247,18 +253,18 @@ def test_validation_error_mid_phase_names_the_phase(strong_config):
     op = cfg.operation
     engine = cycle._PhaseEngine(cfg.environment, cfg.kite, cfg.tether, op,
                                 cfg.kite.aero_retraction, 0.0, math.pi)
-    reel_in, calls = engine.setpoint(op.F_in), []
+    calls = []
 
-    def controller(r, theta, wind):
-        calls.append(r)
+    def step(bound, theta, C_D, m_t, v_w, rho):
+        calls.append(theta)
         if len(calls) == 3:
             raise ValidationError("outside its domain")
-        return reel_in(r, theta, wind)
+        return engine.kernel(bound, theta, C_D, m_t, v_w, rho)
 
     with pytest.raises(ValidationError, match=r"^retraction at t = (?!0 s)\S+ s, r = \S+ m, "
                                               r"beta = \S+ deg: outside its domain$"):
-        cycle._integrate(engine, "retraction", controller, op.r_max, op.theta_o, 0.0,
-                         end=op.r_min, increasing=False, climb=engine.angles[3])
+        cycle._integrate(engine, "retraction", step, engine.bind(op.F_in), op.r_max, op.theta_o,
+                         0.0, end=op.r_min, increasing=False, climb=engine.angles[3])
 
 
 def test_gravity_step_work_count(strong_config, monkeypatch):

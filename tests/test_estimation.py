@@ -17,8 +17,10 @@ from kitecycle import (
     segment_and_average,
     segment_phases,
     solve_kinematic_ratio,
+    wind_state_at,
 )
 from kitecycle import estimation
+from kitecycle.atmosphere import bind_wind
 from kitecycle.dataio import (_spherical_velocity_to_cartesian, read_telemetry_csv,
                               write_telemetry_csv)
 from kitecycle.errors import EmptyPhaseError, ValidationError
@@ -47,7 +49,7 @@ def synthetic_record(st: Flight, kite: KiteParams, tether: TetherParams,
     simulator exports one."""
     aero_set = aero_set or kite.aero_traction
     z = st.r * math.cos(st.theta)
-    v_w, rho = env.wind_speed(z), env.density(z)
+    v_w, rho = wind_state_at(z, env)
     m_t = tether.rho_t * 0.25 * math.pi * tether.d_t**2 * st.r
     C_D = aero_set.C_D_k + 0.25 * tether.d_t * st.r / kite.S * tether.C_D_c
     head = (st.f, st.theta, angle_trig(st.phi, st.chi), aero_set.C_L, C_D)
@@ -123,7 +125,7 @@ def overflowing_ratio(vk_x=1e150, b_f=1e-13, theta=1.0, phi=0.1, r=300.0, v_w_re
                       phase="traction"):
     """A sample whose kite velocity makes the apparent wind over its radial
     share, b_f times the wind at the kite, too large to square."""
-    v_w = ENV.log_wind_speed(r * math.cos(theta), v_w_ref)
+    v_w = bind_wind(ENV)(r * math.cos(theta), v_w_ref)[0]
     v_t = v_w * (math.sin(theta) * math.cos(phi) - b_f)
     return LogRecord(1.0, 3000.0, r, theta, phi, 1.0, (vk_x, 0.0, 0.0), v_t, v_w_ref, phase)
 
@@ -295,7 +297,7 @@ class TestEstimateLD:
     def unprojected(rec):
         """``rec`` with no course angle and a purely radial apparent wind:
         the kinematics hold, but gravity has no tangential direction."""
-        v_w = ENV.log_wind_speed(rec.r * math.cos(rec.theta), rec.v_w_ref)
+        v_w = bind_wind(ENV)(rec.r * math.cos(rec.theta), rec.v_w_ref)[0]
         e_r = (math.sin(rec.theta) * math.cos(rec.phi), math.sin(rec.theta) * math.sin(rec.phi),
                math.cos(rec.theta))
         v_a = 20.0
@@ -320,7 +322,7 @@ class TestEstimateLD:
         for base, label in ((traction, "traction"), (retraction, "retraction"),
                             (downward, "transition")):
             assert estimate_record(base, KITE, TETHER, ENV, phase=label).valid
-        v_w = ENV.log_wind_speed(traction.r * math.cos(traction.theta), traction.v_w_ref)
+        v_w = bind_wind(ENV)(traction.r * math.cos(traction.theta), traction.v_w_ref)[0]
         rec, kite, tether, phase, has_C_R = {
             "wind at the kite": (traction._replace(v_w_ref=0.0), KITE, TETHER, "traction", False),
             # Flying downwind at 0.9 v_w leaves too little apparent wind.
@@ -548,13 +550,16 @@ def test_wind_at_the_kite_is_computed_once_per_sample(monkeypatch, strong_config
                                                       strong_telemetry):
     cfg = strong_config
     calls = []
-    log_wind_speed = Environment.log_wind_speed
 
-    def counting(self, z, v_ref):
-        calls.append(z)
-        return log_wind_speed(self, z, v_ref)
+    def counted_binder(env):
+        wind = bind_wind(env)
 
-    monkeypatch.setattr(Environment, "log_wind_speed", counting)
+        def counting(z, v_ref):
+            calls.append(z)
+            return wind(z, v_ref)
+        return counting
+
+    monkeypatch.setattr(estimation, "bind_wind", counted_binder)
     segment_and_average(strong_telemetry, cfg.kite, cfg.tether, cfg.environment)
     assert len(calls) == len(strong_telemetry)
 

@@ -61,6 +61,7 @@ from kitecycle import (
     wind_state_at,
 )
 from kitecycle import dataio
+from kitecycle.atmosphere import bind_wind
 from kitecycle.cycle import (CycleResult, PhaseResult, StepRecord, _PhaseEngine,
                              _transition_controller)
 from kitecycle.cli import run_command
@@ -286,8 +287,11 @@ def phase_engine(C_L, LD_k, phi, chi, m=0.0, m_t=None, r=None, force_at=None):
 
 
 def engine_step(engine, F_target, r, theta, wind):
-    """An engine's force step as (f, equilibrium)."""
-    f, values = engine.setpoint(F_target)(r, theta, wind)
+    """An engine's force step as (f, equilibrium): its kernel at its bound
+    constants of ``F_target`` and its tether properties at ``r``."""
+    bound = engine.bind(F_target)
+    m_t, C_D = engine.tether_at(r)
+    f, values = engine.kernel(bound, theta, C_D, m_t, *wind)
     return f, EquilibriumResult(*values)
 
 
@@ -422,9 +426,14 @@ def test_set_point_first_transition_is_the_coasting_first_controller(p, level, f
     engine = phase_engine(p.C_L, p.C_L / p.C_D, phi, chi, p.m, p.m_t, p.r, force_at)
     F_out = setpoint_target(p, log_ratio)
     engine.op = replace(engine.op, F_out=F_out, F_in=ratio * F_out)
-    wind = (p.v_w, p.rho)
-    assert outcome(lambda: _transition_controller(engine)(p.r, p.theta, wind)) == outcome(
-        lambda: coasting_first_controller(engine)(p.r, p.theta, wind))
+
+    def step(controller):
+        bounds = engine.bind(engine.op.F_in), engine.bind(engine.op.F_out)
+        m_t, C_D = engine.tether_at(p.r)
+        return controller(bounds, p.theta, C_D, m_t, p.v_w, p.rho)
+
+    assert outcome(lambda: step(_transition_controller(engine))) == outcome(
+        lambda: step(coasting_first_controller(engine)))
 
 
 PRESET_CONFIGS = {name: load_config(preset_path(name)) for name in ("strong_wind", "moderate_wind")}
@@ -453,7 +462,10 @@ def test_bound_phase_step_is_the_public_path(preset, gravity, phase, setpoint, r
     F_target = getattr(op, setpoint)
 
     def bound():
-        f, values = engine.setpoint(F_target)(r, theta, engine.wind_at(r * math.cos(theta)))
+        bound = engine.bind(F_target)
+        v_w, rho = engine.wind_at(r * math.cos(theta))
+        m_t, C_D = engine.tether_at(r)
+        f, values = engine.kernel(bound, theta, C_D, m_t, v_w, rho)
         return f, EquilibriumResult(*values)
 
     def public():
@@ -657,7 +669,7 @@ def overflowing_ratio_sample():
     """A sample whose apparent wind over the wind's radial share, b_f*v_w
     with b_f = 1e-13, is too large to square."""
     theta, phi, r, v_w_ref = 1.0, 0.1, 300.0, 10.0
-    v_w = ESTIMATE_CONFIG.environment.log_wind_speed(r * math.cos(theta), v_w_ref)
+    v_w = bind_wind(ESTIMATE_CONFIG.environment)(r * math.cos(theta), v_w_ref)[0]
     v_t = v_w * (math.sin(theta) * math.cos(phi) - 1e-13)
     return LogRecord(0.0, 3000.0, r, theta, phi, 1.0, (1e150, 0.0, 0.0), v_t, v_w_ref, "traction")
 
@@ -674,7 +686,7 @@ def estimate_samples(draw, gate):
     vk, v_t = (draw(SPEED), draw(SPEED), draw(SPEED)), draw(st.floats(-10.0, 10.0))
     F_tg, v_w_ref = draw(st.floats(0.0, 2e4)), draw(st.floats(3.0, 15.0))
     phase = draw(st.sampled_from(["retraction", "transition", "traction"]))
-    v_w = env.log_wind_speed(max(r * math.cos(theta), env.z0), v_w_ref)
+    v_w = bind_wind(env)(max(r * math.cos(theta), env.z0), v_w_ref)[0]
     radial = math.sin(theta) * math.cos(phi)  # the wind's radial share
     sag = 0.5 * math.sin(theta) * tether.mass(r) * GRAVITY
     if gate == "b_f":  # reeling out at least as fast as the radial wind

@@ -19,6 +19,7 @@ from kitecycle import (
     replace,
     solve_kinematic_ratio,
     tether_properties,
+    wind_state_at,
 )
 from kitecycle.errors import (
     NoTensionError,
@@ -286,6 +287,20 @@ class TestBeyondFloats:
                                                    10.0, 1.2)):
             with pytest.raises(NoTensionError):
                 call()
+
+    def test_drag_condition_square_underflow(self):
+        # The set-point's b - f is positive, but its square underflows to 0 in
+        # the drag-condition kernel's kappa^2; it used to raise ZeroDivisionError.
+        # From a log-uniform fuzz of gravity_setpoint.
+        with pytest.raises(SteadyStateError, match=r"^radial apparent wind factor b - f = "
+                                                   r"9\.61e-201 is beyond float arithmetic: its "
+                                                   r"square underflows to 0$"):
+            gravity_setpoint(
+                1.4319386694795793e+136, "kite", 2.265761396388485,
+                (-0.40821070908486295, 0.9128877351506227, 0.9028682774190493,
+                 -0.42991728696385145), 4.169692000765427e+200, 6.832520465712433e-100, 0.0,
+                3.7938621952278094e-133, 8.127538614462914e+111, 6.917645135103565e-108,
+                1.4093518510824863e-98)
 
     @pytest.mark.parametrize("f", [-1e150, -1e200])
     def test_massless_tether_force_or_power_overflow(self, f):
@@ -650,7 +665,7 @@ class TestEdgeOfUpwardEquilibrium:
         op, kite = cfg.operation, cfg.kite
         m_t, C_D = tether_properties(op.r_max, cfg.tether, kite, kite.aero_retraction)
         flight = (0.5 * math.pi - beta, angle_trig(0.0, math.pi), kite.aero_retraction.C_L, C_D)
-        return flight, m_t, (28.0, cfg.environment.density(op.r_max * math.sin(beta)))
+        return flight, m_t, (28.0, wind_state_at(op.r_max * math.sin(beta), cfg.environment).rho)
 
     def setpoint(self, cfg, mode, beta):
         flight, m_t, wind = self.state(cfg, beta)

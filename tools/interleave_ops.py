@@ -26,12 +26,16 @@ with a counter on every module binding of
 ``steady_state.solve_kinematic_ratio``, ``gravity_setpoint_step`` and
 ``_drag_condition`` (the drag-condition kernel both call), the solver
 work that timings alone do not tell apart; a name that a side lacks
-counts 0 there, so a side from before the kernel still runs.
+counts 0 there, so a side from before the kernel still runs.  The same
+pass counts the Python-level calls inside each ``simulate_cycle`` (the
+``sys.setprofile`` "call" events, less those of the counters above) and
+the integration steps it returns.
 At the end the script prints, per workload, each side's median figure,
 the relative change of the medians and the rounds the change was faster
 in, then each side's calls of the counted functions in one pass over
-each pool, then whether every output file was byte-identical between the sides
-in each round, or how many differed and the first that did.  Outputs
+each pool and its Python-level calls per integration step, then whether
+every output file was byte-identical between the sides in each round, or
+how many differed and the first that did.  Outputs
 that differ are reported, not an error: a change may alter them on
 purpose.  An op that exits non-zero on either side is an error.
 Standard library only.
@@ -60,8 +64,8 @@ COUNTED = ("solve_kinematic_ratio", "gravity_setpoint_step", "_drag_condition")
 # Run in a fresh process with its side's src first on sys.path: argv is
 # the pool file and the number of passes; prints the least time per op,
 # the calls of each COUNTED function in one more, untimed pass (0 for one
-# its side lacks), and the
-# sha256 of each output file, keyed by its op's --out name and path.
+# its side lacks), the Python-level calls and steps of simulate_cycle in that
+# pass, and the sha256 of each output file, keyed by its op's --out name and path.
 CHILD = r"""
 import contextlib, hashlib, io, json, shutil, sys, time
 from pathlib import Path
@@ -91,6 +95,24 @@ for module in (kitecycle.cycle, ss):
     for attr, value in list(vars(module).items()):
         if id(value) in targets:
             setattr(module, attr, counting(targets[id(value)], value))
+profiled, counter_code = {"python_calls": 0, "steps": 0}, counting("", None).__code__
+
+def count_call(frame, event, arg):
+    if event == "call" and frame.f_code is not counter_code:
+        profiled["python_calls"] += 1
+
+def profiling(fn):
+    def simulate(*args, **kwargs):
+        sys.setprofile(count_call)
+        try:
+            result = fn(*args, **kwargs)
+        finally:
+            sys.setprofile(None)
+        profiled["steps"] += result.steps
+        return result
+    return simulate
+
+kitecycle.cli.simulate_cycle = profiling(kitecycle.cli.simulate_cycle)
 for op in ops:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.add(kitecycle.cli.run_command(op["argv"]))
@@ -100,7 +122,7 @@ for out in outs:
         key = f"{out.name}/{path.relative_to(out).as_posix()}"
         digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
 print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__,
-                  "calls": calls, "digests": digests}))
+                  "calls": calls, "profiled": profiled, "digests": digests}))
 """
 
 
@@ -115,8 +137,8 @@ def generate_pool(workload: str, work: Path) -> Path:
 def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, int],
                                                            dict[str, str]]:
     """Sum over the pool of each op's least time, in ms, from a fresh process,
-    the calls of each COUNTED function in one pass, and the digest of each
-    output file."""
+    the calls of each COUNTED function and the Python-level calls and steps of
+    ``simulate_cycle`` in one pass, and the digest of each output file."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of),
                            ",".join(COUNTED)], cwd=tree, env=env, capture_output=True, text=True)
@@ -128,7 +150,8 @@ def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, in
         sys.exit(f"interleave_ops: {tree.name} imported kitecycle from {result['module']}")
     if result["codes"] != [0]:
         sys.exit(f"interleave_ops: {tree.name} on {pool.stem}: exit codes {result['codes']}")
-    return 1e3 * sum(result["best"]), result["calls"], result["digests"]
+    return 1e3 * sum(result["best"]), {**result["calls"], **result["profiled"]}, \
+        result["digests"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,8 +216,12 @@ def main(argv: list[str] | None = None) -> int:
     print("Calls in one pass over the pool:")
     for name in names:
         for side in ("parent", "change"):
-            counted = ", ".join(f"{fn} {n}" for fn, n in calls[name][side].items())
-            print(f"  {name} {side}: {counted}")
+            counts = dict(calls[name][side])
+            python_calls, steps = counts.pop("python_calls"), counts.pop("steps")
+            counted = ", ".join(f"{fn} {n}" for fn, n in counts.items())
+            per_step = f"{python_calls / steps:.2f}" if steps else "n/a"
+            print(f"  {name} {side}: {counted}; Python calls per step {per_step} "
+                  f"({python_calls} in {steps} steps)")
     print("Outputs, parent against change:")
     for name in names:
         if differ[name]:
