@@ -12,13 +12,13 @@ _EXPORTS = {
     "cycle": ("CycleResult", "OperationSettings", "PhaseResult", "StepRecord",
               "convergence_study", "simulate_cycle", "simulate_retraction",
               "simulate_traction", "simulate_transition"),
-    "dataio": ("LogRecord",),
     "estimation": ("EstimateRecord", "PhaseAverages", "estimate_record",
                    "segment_and_average", "segment_phases"),
     "frozen": ("replace",),
     "steady_state": ("GRAVITY", "AeroSet", "EquilibriumResult", "KiteParams", "TetherParams",
                      "angle_trig", "gravity_setpoint", "massless_setpoint", "massless_state",
                      "solve_kinematic_ratio", "tether_properties"),
+    "telemetry": ("LogRecord",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

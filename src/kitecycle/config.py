@@ -126,7 +126,7 @@ def _config_from_dict(raw: dict) -> RunConfig:
 
 def _read_json(path: Path) -> Any:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))  # a BOM is skipped
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or too many digits

@@ -17,9 +17,10 @@ show up as outliers; such samples are flagged invalid and skipped, never
 interpolated.
 
 The records are NamedTuples that check nothing; the telemetry record,
-``dataio.LogRecord``, belongs to the reader and writer.  Samples are
-checked where they enter, for finite numbers and ``dataio.sample_fault``:
-by ``dataio.read_telemetry_csv`` and by :func:`segment_and_average`, not
+``telemetry.LogRecord``, belongs to the telemetry module with its reader
+(the writer is ``dataio``'s, with the other run outputs).  Samples are
+checked where they enter, for finite numbers and ``telemetry.sample_fault``:
+by ``telemetry.read_telemetry_csv`` and by :func:`segment_and_average`, not
 by the pass.
 """
 
@@ -32,9 +33,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .atmosphere import Environment, bind_wind
 from .cycle import RETRACTION, TRACTION, TRANSITION
-from .dataio import LogRecord, sample_fault
 from .errors import EmptyPhaseError, ValidationError
 from .steady_state import GRAVITY, KiteParams, TetherParams, aero_force_from_ground
+from .telemetry import LogRecord, sample_fault
 
 __all__ = [
     "EstimateRecord",

@@ -710,8 +710,9 @@ def test_import_does_not_load_scipy():
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     # Importing them costs more start-up time than simulating a preset, and
-    # only `estimate` uses the estimator.  -S keeps a site .pth file from
-    # importing any of them before kitecycle does.
+    # only `estimate` uses the estimator; only `estimate` and `simulate
+    # --telemetry-out` use the telemetry module.  -S keeps a site .pth file
+    # from importing any of them before kitecycle does.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys\n"
@@ -719,10 +720,67 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
             "from kitecycle.config import load_config, preset_path\n"
             "load_config(preset_path('strong_wind'))\n"
             "print(sorted({'dataclasses', 'inspect', 'kitecycle.estimation',\n"
-            "              'importlib.resources'} & set(sys.modules)))\n")
+            "              'kitecycle.telemetry', 'importlib.resources'} & set(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def simulated_log(tmp_path_factory):
+    """A telemetry log exported by `simulate --telemetry-out` on the strong preset."""
+    work = tmp_path_factory.mktemp("simulated_log")
+    assert run_command(["simulate", "--config", "strong_wind", "--out", str(work / "sim"),
+                        "--telemetry-out", str(work / "telemetry.csv")]) == 0
+    return work / "telemetry.csv"
+
+
+@pytest.mark.parametrize("command, loads", [
+    (["simulate", "--config", "strong_wind", "--no-gravity"], False),
+    (["simulate", "--config", "strong_wind", "--no-gravity", "--telemetry-out", "{tmp}/t.csv"],
+     True),
+    (["convergence", "--config", "strong_wind", "--no-gravity", "--dt-list", "0.1", "0.05"],
+     False),
+    (["sweep", "--config", "strong_wind", "--no-gravity", "--spec", "{tmp}/spec.json"], False),
+    (["estimate", "--config", "strong_wind", "--log", "{log}"], True),
+], ids=["simulate", "simulate-telemetry-out", "convergence", "sweep", "estimate"])
+def test_only_estimate_and_telemetry_out_load_the_telemetry_module(tmp_path, simulated_log,
+                                                                  command, loads):
+    (tmp_path / "spec.json").write_text(json.dumps({"parameter": "operation.F_out",
+                                                    "values": [3008.0]}))
+    argv = [arg.format(tmp=tmp_path, log=simulated_log) for arg in command]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from kitecycle.cli import run_command\n"
+            "code = run_command(sys.argv[1:])\n"
+            "print(code, 'kitecycle.telemetry' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "o")],
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == f"0 {loads}"
+
+
+def test_dataio_resolves_the_telemetry_names_to_the_telemetry_module():
+    from kitecycle import dataio, telemetry
+
+    for name in ("LogRecord", "read_telemetry_csv", "sample_fault", "cycle_to_log_records"):
+        assert name in dataio.__all__
+        assert getattr(dataio, name) is getattr(telemetry, name)
+    with pytest.raises(AttributeError, match="no attribute '_parse_rows'"):
+        dataio._parse_rows
+
+
+def test_log_with_a_byte_order_mark_estimates_the_same(tmp_path, simulated_log):
+    # Spreadsheets write "CSV UTF-8" with a BOM before the header.
+    bom_log = tmp_path / "bom.csv"
+    bom_log.write_bytes(b"\xef\xbb\xbf" + simulated_log.read_bytes())
+    outs = {}
+    for name, log in (("plain", simulated_log), ("bom", bom_log)):
+        outs[name] = tmp_path / name
+        assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                            "--out", str(outs[name])]) == 0
+    for name in ("estimates.csv", "phase_averages.json"):
+        assert read(outs["bom"] / name) == read(outs["plain"] / name)
 
 
 def test_no_private_names_imported_across_modules():

@@ -14,6 +14,7 @@ from kitecycle import (
     replace,
     segment_and_average,
     simulate_cycle,
+    telemetry,
 )
 from kitecycle.config import PRESET_NAMES
 from kitecycle.dataio import (
@@ -98,6 +99,11 @@ class TestLoadConfig:
         with pytest.raises(ParseError):
             load_config(tmp_path / "nope.json")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, strong_config):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + preset_path("strong_wind").read_bytes())
+        assert load_config(path) == strong_config
+
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
             preset_path("gale")
@@ -174,6 +180,8 @@ class TestSweepSpec:
         spec = load_sweep_spec(path)
         assert spec.values == (2000.0, 3008.0, 4000.0)
         assert spec.objective == "P_m"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # a BOM is skipped
+        assert load_sweep_spec(path) == spec
 
     def test_range_expansion(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -385,7 +393,8 @@ class TestTelemetryCsv:
                 built.append(fields[0])
                 return super()._make(fields)
 
-        monkeypatch.setattr(dataio, "LogRecord", CountedRecord)
+        # The reader builds records through the telemetry module's binding.
+        monkeypatch.setattr(telemetry, "LogRecord", CountedRecord)
         for records in ([rec._replace(chi=None) for rec in strong_telemetry], strong_telemetry):
             path = tmp_path / "telemetry.csv"
             write_telemetry_csv(path, records)

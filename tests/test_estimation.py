@@ -21,9 +21,9 @@ from kitecycle import (
 )
 from kitecycle import estimation
 from kitecycle.atmosphere import bind_wind
-from kitecycle.dataio import (_spherical_velocity_to_cartesian, read_telemetry_csv,
-                              write_telemetry_csv)
+from kitecycle.dataio import read_telemetry_csv, write_telemetry_csv
 from kitecycle.errors import EmptyPhaseError, ValidationError
+from kitecycle.telemetry import _spherical_velocity_to_cartesian
 
 ENV = Environment(v_w_ref=9.9, z_ref=6.0, z0=0.07)
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)
@@ -166,6 +166,24 @@ class TestKiteVelocityTooLargeToSquare:
                                             "invalid": before["retraction"]["invalid"] + 10}
         assert avg.counts["traction"]["invalid"] == before["traction"]["invalid"] + 1
         assert all(map(math.isfinite, (avg.C_R_i, avg.C_R_o, avg.LD_k_i, avg.LD_k_o)))
+
+
+def test_finite_numbers_whose_sum_overflows_are_checked_one_by_one(strong_config,
+                                                                   strong_telemetry):
+    # Every number of the sample is finite, but their sum is not, so the
+    # series check looks at each number and finds none to reject.  The
+    # wind at 1e308 m of tether is infinite: the sample is invalid.
+    args = (strong_config.kite, strong_config.tether, strong_config.environment)
+    series = list(strong_telemetry)
+    before = segment_and_average(series, *args).counts
+    i = [i for i, rec in enumerate(series) if rec.phase == "retraction"][20]
+    series[i] = series[i]._replace(F_tg=1e308, r=1e308)
+    assert not math.isfinite(sum(series[i][:5]))
+    avg = segment_and_average(series, *args)
+    assert avg.counts == {**before, "retraction": {
+        "valid": before["retraction"]["valid"] - 1,
+        "invalid": before["retraction"]["invalid"] + 1}}
+    assert not avg.estimates[i].valid
 
 
 # Finite samples where a divisor underflows to 0: the air density 10^4 km

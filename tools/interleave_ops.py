@@ -5,6 +5,8 @@ Usage, from the repository root:
 
     python3 tools/interleave_ops.py --parent REV [--rounds 10] [--best-of 5]
         [--workloads cycle-gravity,cycle-massless,estimate] [--work DIR]
+    python3 tools/interleave_ops.py --parent REV --startup N
+        [--workloads cycle-gravity] [--work DIR]
 
 The parent side runs from a ``git archive`` of REV, the change side from a
 copy of the working tree's files (tracked and untracked, not ignored),
@@ -38,6 +40,17 @@ every output file was byte-identical between the sides in each round, or
 how many differed and the first that did.  Outputs
 that differ are reported, not an error: a change may alter them on
 purpose.  An op that exits non-zero on either side is an error.
+
+``--startup N`` compares start-up instead of the op pools, as
+``perfbench/run.py`` measures ``setup_s``: N alternating rounds, in each
+of which each side starts ``FRESH_INTERPRETERS`` fresh interpreters that
+run perfbench's ``SETUP_CODE`` on the first config of the first workload's
+pool, each followed by one that runs ``BASELINE_CODE`` and scaled by
+``BASE_REF_S`` over that one's wall time.  A side's round figure is the
+median of its scaled times.  The script prints each side's median figure,
+the parent's interquartile range, the rounds in which the change was
+lower and each side's median peak resident set of start-up, read in one
+more, untimed ``SETUP_CODE`` process per round (see ``PEAK_CODE``).
 Standard library only.
 """
 
@@ -154,6 +167,57 @@ def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, in
         result["digests"]
 
 
+# Appended to SETUP_CODE in one more, untimed process per side and round:
+# prints the process's peak resident set [KB].  Linux keeps the starting
+# process's high-water mark across exec, so a child's ru_maxrss begins at
+# this script's own; VmHWM counts only what the interpreter mapped.
+PEAK_CODE = r"""
+for line in open("/proc/self/status", encoding="ascii"):
+    if line.startswith("VmHWM:"):
+        print(line.split()[1])
+"""
+
+
+def startup_round(tree: Path, config: str) -> tuple[float, int]:
+    """One side's start-up figure, as ``perfbench/run.py`` reports ``setup_s``,
+    and the peak resident set [KB] of one more ``SETUP_CODE`` process."""
+    import run  # perfbench's, on sys.path from main
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    scaled = []
+    for _ in range(run.FRESH_INTERPRETERS):  # as run.fresh_setup_s, with this side's src
+        setup = run._wall([sys.executable, "-c", run.SETUP_CODE, config], env)
+        baseline = run._wall([sys.executable, "-c", run.BASELINE_CODE], dict(os.environ))
+        scaled.append(setup * run.BASE_REF_S / baseline)
+    peak = subprocess.run([sys.executable, "-c", run.SETUP_CODE + PEAK_CODE, config], cwd=tree,
+                          env=env, check=True, capture_output=True, text=True).stdout.split()
+    return statistics.median(scaled), int(peak[-1]) if peak else 0
+
+
+def compare_startup(trees: dict[str, Path], config: str, rounds: int, parent_rev: str) -> None:
+    """Print the start-up comparison of ``rounds`` alternating rounds."""
+    times = {"parent": [], "change": []}
+    peaks = {"parent": [], "change": []}
+    for i in range(rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            figure, peak = startup_round(trees[side], config)
+            times[side].append(figure)
+            peaks[side].append(peak)
+        print(f"round {i + 1} start-up: parent {times['parent'][-1]:.4f} s, "
+              f"change {times['change'][-1]:.4f} s", flush=True)
+    parent, change = times["parent"], times["change"]
+    p, c = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent * (2 if rounds < 2 else 1), n=4,
+                                     method="inclusive")
+    lower = sum(b < a for a, b in zip(parent, change))
+    print(f"{rounds} alternating start-up rounds, parent {parent_rev}, config {config}:")
+    print(f"  setup_s: parent {p:.4f} s (IQR {(q3 - q1) / p:.2%} of its median), "
+          f"change {c:.4f} s ({(c - p) / p:+.1%}), change lower in {lower}/{rounds} rounds")
+    print(f"  start-up ru_maxrss (read as VmHWM): parent {statistics.median(peaks['parent']):.0f} KB, "
+          f"change {statistics.median(peaks['change']):.0f} KB")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git rev of the parent side")
@@ -163,10 +227,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated subset of " + ", ".join(WORKLOADS))
     parser.add_argument("--work", type=Path, default=None,
                         help="directory for the copies and inputs (default: a temporary one)")
+    parser.add_argument("--startup", type=int, default=None, metavar="N",
+                        help="compare start-up over N alternating rounds instead of the pools")
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     if not set(names) <= set(WORKLOADS) or args.rounds < 1 or args.best_of < 1:
         parser.error(f"--workloads must name some of {WORKLOADS}; --rounds and --best-of >= 1")
+    if args.startup is not None and args.startup < 1:
+        parser.error("--startup must be >= 1")
 
     work = args.work or Path(tempfile.mkdtemp(prefix="interleave_ops-"))
     trees = {"parent": work / "parent", "change": work / "change"}
@@ -178,6 +246,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             copy_working_tree(tree)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    if args.startup is not None:
+        pool = generate_pool(names[0], work / "pools")
+        config = json.loads(pool.read_text(encoding="utf-8"))[0]["argv"][2]
+        compare_startup(trees, config, args.startup, args.parent)
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+        return 0
     pools = {name: generate_pool(name, work / "pools") for name in names}
 
     times: dict[str, dict[str, list[float]]] = {name: {"parent": [], "change": []}
