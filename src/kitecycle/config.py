@@ -124,13 +124,23 @@ def _config_from_dict(raw: dict) -> RunConfig:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, once no key repeats in it."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return dict(pairs)
+
+
 def _read_json(path: Path) -> Any:
-    try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))  # a BOM is skipped
+    try:  # a BOM is skipped
+        return json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or too many digits
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, too many digits, a key twice
         raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deep") from None
 
 
 def load_config(path: str | Path, overrides: Optional[dict] = None) -> RunConfig:

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 from .atmosphere import Environment, bind_wind
 from .cycle import RETRACTION, TRACTION, TRANSITION
 from .errors import EmptyPhaseError, ValidationError
-from .steady_state import GRAVITY, KiteParams, TetherParams, aero_force_from_ground
+from .steady_state import GRAVITY, KiteParams, TetherParams, tether_balance
 from .telemetry import LogRecord, sample_fault
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
 SEGMENT_SPEED_BAND = 0.1  # m/s
 SEGMENT_MIN_DWELL = 2.0  # s
 CROSSWIND_RATIO = 1.5  # least traction kite speed over the reference wind
-LD_GRAVITY_UPDATES = 2  # the lift-to-drag ratio settles after two
 
 _NUMBERS = ("t", "F_tg", "r", "theta", "phi", "chi", "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref")
 
@@ -142,7 +141,7 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
         # airborne weights, unless the sag radicand is violated.
         m_t = per_metre * r
         try:
-            force = aero_force_from_ground(F_tg, sin_t, cos_t, m_t, m)
+            force = tether_balance(sin_t, cos_t, m_t, m, F_tg, True)
         except OverflowError:  # a force or tether beyond any kite violates it too
             force = None
         if force is None:
@@ -179,9 +178,8 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
 
         gravity_term = (sqrt(1.0 + kappa * kappa) * GRAVITY * (0.5 * m_t + m) * sin_t * cos_proj
                         / F_a)
-        G = kappa
-        for _ in range(LD_GRAVITY_UPDATES):
-            G = kappa + gravity_term * sqrt(1.0 + G * G)
+        G = kappa + gravity_term * sqrt(1.0 + kappa * kappa)
+        G = kappa + gravity_term * sqrt(1.0 + G * G)  # the lift-to-drag ratio settles after two
         if G <= 0.0:
             return make((t, C_R, nan, nan, kappa, v_a, False, phase))
         drag = F_a / sqrt(1.0 + G * G)

@@ -34,12 +34,12 @@ kappa at fixed f there, which it need not.  With K = kappa^2, F_a grows as
 Tether drag is lumped into the kite drag coefficient (one fourth of the
 tether drag area), and the tether weight is split between a radial term
 lumped with the kite weight and a sag-induced tangential reaction at the
-suspension points.  The tether force balance is kept in components: the
-radial tension is F_a_r less the radial kite weight at the kite, and less
-the radial tether weight too at the ground; each end's force is its hypot
-with the sag reaction, -sin(theta)*m_t*g/2.  Where the radial tension is
-not positive at the kite, or negative at the ground, the tether would
-push: TetherSagError.
+suspension points; :func:`tether_balance` writes these loads.  The balance is
+kept in components: the radial tension is F_a_r less the radial kite weight
+at the kite, and less the radial tether weight too at the ground; each end's
+force is its hypot with the sag reaction, -sin(theta)*m_t*g/2, and inverts to
+F_a_r the other way.  Where the radial tension is not positive at the kite,
+or negative at the ground, the tether would push: TetherSagError.
 
 Each of the four equilibria has one public function on scalars: its
 inputs (the reeling factor f, or the force set-point), then ``theta,
@@ -78,7 +78,7 @@ __all__ = [
     "massless_setpoint",
     "bind_setpoint",
     "massless_setpoint_step",
-    "aero_force_from_ground",
+    "tether_balance",
     "solve_kinematic_ratio",
     "gravity_setpoint",
     "gravity_setpoint_step",
@@ -144,10 +144,7 @@ class KiteParams(Frozen):
 
     def __init__(self, S: float, m: float, aero_traction: AeroSet, aero_retraction: AeroSet):
         super().__init__(S, m, aero_traction, aero_retraction)
-        if not 0.0 < S < math.inf:
-            raise ValidationError(f"projected wing area must be > 0 and finite, got {S}")
-        if not 0.0 <= m < math.inf:
-            raise ValidationError(f"airborne mass must be >= 0 and finite, got {m}")
+        _check_phase((), S, m)
 
 
 class EquilibriumResult(NamedTuple):
@@ -340,43 +337,43 @@ def massless_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v
     return f, (G, lam, v_a, F_t, F_t, 0.0, F_t, F_t, zeta, P, 0)
 
 
-def aero_force_from_ground(F_tg: float, sin_t: float, cos_t: float, m_t: float,
-                           m: float) -> Optional[tuple[float, float]]:
-    """Radial component and magnitude of the aerodynamic force on a kite
-    of mass ``m`` whose tether, of mass ``m_t``, carries ``F_tg`` at the
-    ground: the ground end of the tether force balance (see the module
-    docstring) inverted, plus the airborne weights.  None where F_tg is
-    below the sag reaction; ``F_tg**2`` may raise OverflowError."""
-    F_t_tau = 0.5 * sin_t * m_t * GRAVITY
-    radicand = F_tg**2 - F_t_tau**2
-    if radicand < 0.0:
-        return None
-    F_a_r = math.sqrt(radicand) + cos_t * (m_t + m) * GRAVITY
-    return F_a_r, math.hypot(F_a_r, -(0.5 * m_t + m) * GRAVITY * sin_t)
-
-
 TargetEnd = Literal["kite", "ground"]
 
 
-def _force_terms(sin_t: float, cos_t: float, C_L: float, C_D: float, m_t: float, m: float,
-                 S: float, v_w: float, rho: float) -> tuple:
-    """The constants (G*, q*S*C_R, F_a_theta, W_r, F_t_theta) of a
-    flight state's force geometry, once m_t >= 0, v_w > 0 and G* is positive and finite: W_r
-    is the kite weight's radial component, F_t_theta the tether's sag reaction."""
-    if m_t < 0.0:
-        raise ValidationError(f"tether mass must be >= 0, got {m_t}")
-    if v_w <= 0.0:
-        raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
-    G_star = C_L / C_D
-    if not 0.0 < G_star < math.inf:
-        raise _lift_to_drag_error(G_star)
+def tether_balance(sin_t: float, cos_t: float, m_t: float, m: float,
+                   F_end: Optional[float] = None, ground: bool = False,
+                   flight: Optional[tuple] = None) -> Optional[tuple]:
+    """The aerodynamic force (F_a_r, F_a) on a kite of mass ``m`` whose tether, of mass ``m_t``,
+    carries ``F_end`` at the ground (``ground``) or at the kite; None without F_end, or with one
+    below the sag reaction (or at it, at the kite).  ``F_end**2`` may raise OverflowError.  Given
+    ``flight`` = (C_L, C_D, S, v_w, rho), once m_t >= 0, v_w > 0 and 0 < G* < inf, the flight
+    state's (G*, q*S*C_R, F_a_theta, radial weights W_r and W_t, sag reaction, force) instead."""
+    if flight is not None:
+        C_L, C_D, S, v_w, rho = flight
+        if m_t < 0.0:
+            raise ValidationError(f"tether mass must be >= 0, got {m_t}")
+        if v_w <= 0.0:
+            raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
+        G_star = C_L / C_D
+        if not 0.0 < G_star < math.inf:
+            raise _lift_to_drag_error(G_star)
+        try:
+            force_coefficient = 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L)
+        except OverflowError:
+            raise _beyond_floats(v_w) from None
     F_a_theta = -(0.5 * m_t + m) * GRAVITY * sin_t
-    try:
-        force_coefficient = 0.5 * rho * v_w**2 * S * math.hypot(C_D, C_L)
-    except OverflowError:
-        raise _beyond_floats(v_w) from None
-    return (G_star, force_coefficient, F_a_theta, m * GRAVITY * cos_t,
-            -0.5 * sin_t * m_t * GRAVITY)
+    W_r, F_t_theta = m * GRAVITY * cos_t, -0.5 * sin_t * m_t * GRAVITY
+    force = None
+    # As in _equilibrium, the radial tension must be > 0 at the kite and >= 0 at the ground.
+    if F_end is not None and (ground or F_end > abs(F_t_theta)):
+        radicand = F_end**2 - F_t_theta**2
+        if not radicand < 0.0:
+            # The ground end's weight is its own product, not W_r + W_t, float for float.
+            F_a_r = math.sqrt(radicand) + (cos_t * (m_t + m) * GRAVITY if ground else W_r)
+            force = F_a_r, math.hypot(F_a_r, F_a_theta)
+    if flight is None:
+        return force
+    return G_star, force_coefficient, F_a_theta, W_r, cos_t * m_t * GRAVITY, F_t_theta, force
 
 
 def _lift_to_drag_error(G: float) -> ValidationError:
@@ -395,21 +392,21 @@ def _beyond_floats(v_w: float) -> SteadyStateError:
                             f"underflows to 0")
 
 
-def _equilibrium(value: tuple, f: float, iterations: int, trig: tuple, terms: tuple,
-                 m_t: float, S: float, v_w: float, rho: float) -> tuple:
+def _equilibrium(value: tuple, f: float, iterations: int, terms: tuple, S: float, v_w: float,
+                 rho: float) -> tuple:
     """The solved (kappa, lam, v_a, F_a, F_a_r) at reeling factor ``f``,
-    completed to the fields of an equilibrium by the tether force balance
-    in components.  Raises TetherSagError where the tether would push on
-    the kite or on the ground station."""
+    completed to the fields of an equilibrium by the :func:`tether_balance`
+    ``terms`` in components.  Raises TetherSagError where the tether would
+    push on the kite or on the ground station."""
     kappa, lam, v_a, F_a, F_a_r = value
-    _, _, F_a_theta, W_r, F_t_theta = terms
+    _, _, F_a_theta, W_r, W_t, F_t_theta, _ = terms
     radial_kite = F_a_r - W_r
     if radial_kite <= 0.0:
         raise TetherSagError(f"kite tension {radial_kite:.1f} N (radial) leaves the tether pushing "
                              f"on the kite: F_a_r {F_a_r:.1f} N cannot carry the radial kite "
                              f"weight {W_r:.1f} N")
     F_t_kite = math.hypot(radial_kite, F_t_theta)
-    radial_ground = radial_kite - trig[3] * m_t * GRAVITY
+    radial_ground = radial_kite - W_t
     if radial_ground < 0.0:
         raise TetherSagError(f"kite tension {F_t_kite:.1f} N leaves the tether pushing on the "
                              f"ground station: it cannot carry the radial tether weight "
@@ -469,8 +466,8 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
         raise ValidationError(f"reeling factor must be finite, got {f}")
     if f >= b:
         raise _no_tension(f, b)
-    terms = _force_terms(sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
-    G_star, force_coefficient, F_a_theta, _, _ = terms
+    terms = tether_balance(sin_t, cos_t, m_t, m, flight=(C_L, C_D, S, v_w, rho))
+    G_star, force_coefficient, F_a_theta, _, _, _, _ = terms
     b_f = b - f
     evaluations = 0
 
@@ -511,7 +508,7 @@ def solve_kinematic_ratio(f: float, theta: float, angles: tuple, C_L: float, C_D
         raise SteadyStateError(f"converged to a negative tangential velocity "
                                f"factor ({lam:.3g})")
     value = (math.exp(x), lam, math.sqrt(A) * v_w, F_a, math.sqrt(fr2))
-    return EquilibriumResult(*_equilibrium(value, f, evaluations, trig, terms, m_t, S, v_w, rho))
+    return EquilibriumResult(*_equilibrium(value, f, evaluations, terms, S, v_w, rho))
 
 
 def _largest_root(probe: Callable[[float], tuple], x_max: float) -> tuple:
@@ -571,7 +568,7 @@ def _drag_condition(A: float, F_a: float, F_a_r: float, trig: tuple, angles: tup
     SteadyStateError where b - f > 0 squares to 0."""
     a, b, _, cos_t = trig
     _, cos_p, _, cos_c = angles
-    G_star, _, F_a_theta, _, _ = terms
+    G_star, _, F_a_theta, _, _, _, _ = terms
     # The drag condition solved for b - f = c0 + c1*lam, put into
     # |v_a|^2/v_w^2 = A: alpha*lam^2 + 2*h*lam + C = 0.
     c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r
@@ -615,9 +612,9 @@ def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angle
     ``F_target`` at the tether end ``target_end``, in closed form, with
     ``angles`` the :func:`angle_trig` of phi and chi.
 
-    The set-point fixes the aerodynamic force at the kite (from the
-    ground end by :func:`aero_force_from_ground`) and the apparent wind
-    speed; the drag condition and the apparent wind speed then give a
+    The set-point fixes the aerodynamic force at the kite (by
+    :func:`tether_balance`'s inversion at ``target_end``) and the apparent
+    wind speed; the drag condition and the apparent wind speed then give a
     quadratic in the tangential velocity factor lam (see the module
     docstring).  Its larger root is admitted if lam >= max(a, 0), the
     tether carries tension (f < sin(theta)*cos(phi)), f >= -3 and G rises
@@ -654,19 +651,12 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
     """:func:`gravity_setpoint` for the :func:`bind_setpoint` constants ``bound``."""
     F_target, target_end, angles, C_L, m, S = bound
     a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
-    _, force_coefficient, F_a_theta, W_r, F_t_theta = terms = _force_terms(
-        sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
-    # The aerodynamic force (F_a_r, F_a) that carries the set-point.
-    try:
-        if target_end == "ground":
-            force = aero_force_from_ground(F_target, sin_t, cos_t, m_t, m)
-        elif F_target > abs(F_t_theta):
-            F_a_r = math.sqrt(F_target**2 - F_t_theta**2) + W_r
-            force = F_a_r, math.hypot(F_a_r, F_a_theta)
-        else:
-            force = None
+    try:  # the aerodynamic force (F_a_r, F_a) that carries the set-point
+        terms = tether_balance(sin_t, cos_t, m_t, m, F_target, target_end == "ground",
+                               (C_L, C_D, S, v_w, rho))
     except OverflowError:
         raise _unreachable(F_target, target_end, "its square overflows") from None
+    _, force_coefficient, _, W_r, _, F_t_theta, force = terms
     if force is None or min(force[0], force[0] - W_r) <= 0.0:
         raise _unreachable(F_target, target_end, f"no radial tension at the kite (sag reaction "
                                                  f"{abs(F_t_theta):.1f} N)")
@@ -693,5 +683,5 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
         raise _unreachable(F_target, target_end, f"f = {f:.6g} is below {_F_LO}")
     if not rises:
         raise _unreachable(F_target, target_end, f"G falls through G* with kappa at f = {f:.4f}")
-    return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 0, trig,
-                           terms, m_t, S, v_w, rho)
+    return f, _equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 0, terms,
+                           S, v_w, rho)

@@ -142,8 +142,8 @@ def _reject_numbers(where: str, row: list[str], columns: list[tuple[str, int]]) 
 def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
     """Parse a telemetry CSV and validate the series invariants.
 
-    Columns are found by their header names, in any order.  A UTF-8
-    byte-order mark and blank lines are skipped.  A row whose field count
+    Columns are found by their header names, in any order, once none of
+    them repeats.  A UTF-8 byte-order mark and blank lines are skipped.  A row whose field count
     differs from the header's, a numeric value that is not finite, text
     that is not UTF-8 or a field longer than ``csv``'s limit is a
     ``ParseError`` naming the file line.
@@ -178,11 +178,13 @@ def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
     header = next(reader, None)
     if header is None:
         raise ParseError(f"{path}: empty file")
-    # A repeated name reads its last column, as csv.DictReader does.
     index = {name: i for i, name in enumerate(header)}
     missing = set(_REQUIRED_COLUMNS) - set(index)
     if missing:
         raise ParseError(f"{path}: missing column(s) {sorted(missing)}")
+    repeated = [col for col in TELEMETRY_COLUMNS if header.count(col) > 1]
+    if repeated:
+        raise ParseError(f"{path}: repeated column(s) {repeated}")
     columns = [(col, index[col]) for col in [*_REQUIRED_COLUMNS, "chi_deg"] if col in index]
     numbers = itemgetter(*(index[col] for col in _REQUIRED_COLUMNS))
     i_chi, i_phase = index.get("chi_deg"), index.get("phase")

@@ -200,20 +200,14 @@ def probe_setpoint_step(bound, theta, C_D, m_t, v_w, rho):
     is not.  Its ``iterations`` is 1, the probe."""
     ss = steady_state
     F_target, target_end, angles, C_L, m, S = bound
-    a, b, sin_t, cos_t = trig = ss._trig(theta, angles, C_L, C_D, v_w, rho)
-    G_star, force_coefficient, F_a_theta, W_r, F_t_theta = terms = ss._force_terms(
-        sin_t, cos_t, C_L, C_D, m_t, m, S, v_w, rho)
+    a, b, sin_t, cos_t = ss._trig(theta, angles, C_L, C_D, v_w, rho)
     _, cos_p, _, cos_c = angles
     try:
-        if target_end == "ground":
-            force = ss.aero_force_from_ground(F_target, sin_t, cos_t, m_t, m)
-        elif F_target > abs(F_t_theta):
-            F_a_r = math.sqrt(F_target**2 - F_t_theta**2) + W_r
-            force = F_a_r, math.hypot(F_a_r, F_a_theta)
-        else:
-            force = None
+        terms = ss.tether_balance(sin_t, cos_t, m_t, m, F_target, target_end == "ground",
+                                  (C_L, C_D, S, v_w, rho))
     except OverflowError:
         raise ss._unreachable(F_target, target_end, "its square overflows") from None
+    G_star, force_coefficient, F_a_theta, W_r, _, F_t_theta, force = terms
     if force is None or min(force[0], force[0] - W_r) <= 0.0:
         raise ss._unreachable(F_target, target_end, f"no radial tension at the kite (sag "
                                                     f"reaction {abs(F_t_theta):.1f} N)")
@@ -247,7 +241,7 @@ def probe_setpoint_step(bound, theta, C_D, m_t, v_w, rho):
         raise ss._unreachable(F_target, target_end, f"G falls through G* with kappa at "
                                                     f"f = {f:.4f}")
     return f, ss._equilibrium((math.sqrt(kappa2), lam, math.sqrt(A) * v_w, F_a, F_a_r), f, 1,
-                              trig, terms, m_t, S, v_w, rho)
+                              terms, S, v_w, rho)
 
 
 def coasting_first_controller(engine):

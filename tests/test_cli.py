@@ -122,6 +122,30 @@ def test_oversized_and_undecodable_configs_rejected_at_parse(tmp_path, capsys):
         assert err.startswith("ParseError") and where in err, err
 
 
+@pytest.mark.parametrize("kind", ["config", "sweep spec"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, kind):
+    # json.loads used to raise RecursionError out of run_command (exit 1).
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    argv = (["simulate", "--config", str(bad)] if kind == "config" else
+            ["sweep", "--config", "strong_wind", "--spec", str(bad)])
+    assert run_command([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"ParseError: {bad}: nested too deep")
+
+
+@pytest.mark.parametrize("key,first,second", [("dT", "0.5", "0.01"),
+                                              ("gravity", "false", "true")])
+def test_duplicated_config_key_exits_2(tmp_path, capsys, key, first, second):
+    # The last value used to win silently: a doubled dT ran at 0.01 and exited 0.
+    text = preset_path("strong_wind").read_text()
+    assert f'"{key}": {second}' in text
+    bad = tmp_path / "doubled.json"
+    bad.write_text(text.replace(f'"{key}": {second}', f'"{key}": {first}, "{key}": {second}'))
+    assert run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"ParseError: {bad}: duplicate key '{key}'")
+    assert not (tmp_path / "o").exists()
+
+
 # Values of every JSON kind; each fuzzed leaf draws one of another kind.
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),

@@ -339,6 +339,19 @@ class TestTelemetryCsv:
         with pytest.raises(ParseError):
             read_telemetry_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path, strong_telemetry):
+        # An extra trailing t column of 1s used to be read in place of the
+        # first and fail as timestamps that do not increase.
+        path = tmp_path / "telemetry.csv"
+        write_telemetry_csv(path, strong_telemetry[:3])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0] + ",t,phase", *(line + ",1,traction" for line in
+                                                             lines[1:])]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=r"telemetry\.csv: repeated column\(s\) \['t', "
+                                             r"'phase'\]$"):
+            read_telemetry_csv(path)
+
     def test_parse_error_wins_over_an_earlier_invalid_row(self, tmp_path, strong_telemetry):
         # r = 0 on line 3 breaks an invariant; "abc" on line 5 does not parse.
         path = tmp_path / "telemetry.csv"

@@ -5,7 +5,11 @@ from pathlib import Path
 import kitecycle
 from kitecycle.dataio import TELEMETRY_COLUMNS, TIMESERIES_COLUMNS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCE = ROOT / "src" / "kitecycle"
+# The size the package is held to (ROADMAP's "small" aim): its modules in lines.
+LINE_CAP = 2500
 
 
 def library_section():
@@ -40,3 +44,10 @@ def test_readme_column_lists_are_the_written_columns():
         lists[name] = re.search(re.escape(name) + r"\s*`([^`]*)`", text).group(1).split(",")
     assert lists["`timeseries.csv` columns:"] == TIMESERIES_COLUMNS
     assert lists["Telemetry CSV columns:"] == TELEMETRY_COLUMNS
+
+
+def test_package_stays_within_the_line_cap():
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in SOURCE.glob("*.py")}
+    assert len(lines) >= 10
+    assert sum(lines.values()) <= LINE_CAP, lines

@@ -77,7 +77,8 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
-from kitecycle.steady_state import _rises, bind_setpoint, gravity_setpoint_step
+from kitecycle.steady_state import (_equilibrium, _rises, bind_setpoint,
+                                    gravity_setpoint_step, tether_balance)
 from oracles import (bisect_kappa, coasting_first_controller, course_angles, dictreader_telemetry,
                      implied_lift_to_drag, probe_setpoint_step)
 
@@ -411,6 +412,43 @@ def test_rising_test_where_lam_is_a():
     assert _rises(1.0, 1e-300, 1.0, 1.0, 1.0, 1.0, 1e-290)
     assert not _rises(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5)
     assert not _rises(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5)
+
+
+# The flight constants (C_L, C_D, S, v_w, rho) of the balance tests; no load depends on them.
+FLIGHT = (1.0, 0.2, 10.2, 10.0, 1.2)
+
+
+@PROPERTY
+@given(st.floats(-1.5, 3.1), st.floats(0.0, 50.0), st.floats(0.0, 60.0), st.floats(10.0, 1e5),
+       st.booleans())
+def test_tether_balance_inverts_the_forward_balance(theta, m_t, m, F_end, ground):
+    # The end force inverted to the aerodynamic force, then carried back along
+    # the tether by the equilibrium's forward balance, is the end force again.
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    force = tether_balance(sin_t, cos_t, m_t, m, F_end, ground)
+    terms = tether_balance(sin_t, cos_t, m_t, m, F_end, ground, FLIGHT)
+    assert terms[-1] == force
+    assume(force is not None)
+    F_a_r, F_a = force
+    assert F_a == pytest.approx(math.hypot(F_a_r, terms[2]), rel=1e-15)
+    try:
+        fields = _equilibrium((1.0, 1.0, 1.0, F_a, F_a_r), 0.5, 0, terms, *FLIGHT[2:])
+    except TetherSagError:  # the tether would push on the kite or the ground station
+        assume(False)
+    assert fields[7 if ground else 6] == pytest.approx(F_end, rel=1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.01, 3.1), st.floats(0.01, 50.0), st.floats(0.0, 60.0))
+def test_kite_force_at_the_sag_reaction_is_unreachable(theta, m_t, m):
+    # The kite end carries no force at or below its sag reaction.
+    F_t_theta = tether_balance(math.sin(theta), math.cos(theta), m_t, m, None, False, FLIGHT)[5]
+    F_target = abs(F_t_theta)
+    with pytest.raises(SetpointUnreachableError) as info:
+        gravity_setpoint(F_target, "kite", theta, angle_trig(0.0, 0.0), *FLIGHT[:2], m_t, m,
+                         *FLIGHT[2:])
+    assert str(info.value) == (f"force {F_target:.6g} N at the kite: no radial tension at the "
+                               f"kite (sag reaction {F_target:.1f} N)")
 
 
 @PROPERTY

@@ -28,7 +28,7 @@ from kitecycle.errors import (
     TetherSagError,
     ValidationError,
 )
-from kitecycle.steady_state import aero_force_from_ground
+from kitecycle.steady_state import tether_balance
 from oracles import bisect_kappa, grid_scan_kappa, scan_harvesting_factor
 
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)
@@ -402,11 +402,11 @@ class TestGroundTetherForce:
     def kite_tension(self, F_tg, theta, m_t):
         """The kite-end tension that carries ``F_tg`` at the ground.  The
         equilibrium's ground force, taken from that tension, is ``F_tg``
-        again, and its aerodynamic force is aero_force_from_ground's."""
+        again, and its aerodynamic force is tether_balance's inversion."""
         _, eq = self.setpoint(F_tg, "ground", theta, m_t)
         assert eq.F_tg == pytest.approx(F_tg, rel=1e-12)
-        assert (eq.F_a_r, eq.F_a) == aero_force_from_ground(F_tg, math.sin(theta),
-                                                            math.cos(theta), m_t, 0.0)
+        assert (eq.F_a_r, eq.F_a) == tether_balance(math.sin(theta), math.cos(theta), m_t, 0.0,
+                                                    F_tg, True)
         return eq.F_t_kite
 
     def test_horizontal_tether_identity(self):
@@ -429,11 +429,21 @@ class TestGroundTetherForce:
     def test_sag_too_large(self):
         # Half the weight of 5 kg of tether, 24.5 N tangential at the
         # ground, exceeds 10 N there.
-        assert aero_force_from_ground(10.0, 1.0, 0.0, 5.0, 0.0) is None
+        assert tether_balance(1.0, 0.0, 5.0, 0.0, 10.0, True) is None
         with pytest.raises(SetpointUnreachableError,
                            match=r"^force 10 N at the ground: no radial tension at the kite "
                                  r"\(sag reaction 24\.5 N\)$"):
             self.setpoint(10.0, "ground", math.pi / 2, 5.0)
+
+    def test_sag_reaction_too_large_to_square(self):
+        # The kite end compares a force with its sag reaction before squaring
+        # either; the ground end squares both, as its radicand may be 0.
+        sag = r"\(sag reaction \d{161}\.0 N\)"
+        for end, reason in (("kite", rf"no radial tension at the kite {sag}"),
+                            ("ground", "its square overflows")):
+            with pytest.raises(SetpointUnreachableError,
+                               match=rf"^force 1000 N at the {end}: {reason}$"):
+                self.setpoint(1e3, end, math.pi / 2, 1e160)
 
     def test_tether_cannot_push_on_the_ground_station(self):
         # Near the zenith 5 kg of tether weighs 49 N radially; 40 N at the
