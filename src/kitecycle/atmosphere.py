@@ -57,23 +57,15 @@ class Environment(Frozen):
                                   f"z0={z0}")
         object.__setattr__(self, "_log_z_ref", log_z_ref)
 
-    def wind_speed(self, z: float) -> float:
-        """Wind speed [m/s] at altitude ``z`` by the logarithmic wind law."""
-        return bind_wind(self)(z)[0]
-
 
 class WindState(NamedTuple):
     """Local flow conditions at one altitude, unchecked: the equilibrium
-    functions check v_w >= 0 and rho > 0.  ``q`` (dynamic pressure) and
-    ``P_w`` (wind power density) are derived from ``v_w`` and ``rho``.
+    functions check v_w >= 0 and rho > 0.  ``P_w`` (wind power density) is
+    derived from ``v_w`` and ``rho``.
     """
 
     v_w: float
     rho: float
-
-    @property
-    def q(self) -> float:
-        return 0.5 * self.rho * self.v_w**2
 
     @property
     def P_w(self) -> float:

@@ -167,7 +167,6 @@ class _PhaseEngine:
         if env.v_w_ref <= 0.0:
             raise ValidationError("cycle simulation requires a positive reference wind speed")
         self.kite = kite
-        self.tether = tether
         self.op = op
         self.aero_set = aero_set
         self.phi, self.chi = phi, chi
@@ -403,9 +402,10 @@ def convergence_study(env: Environment, kite: KiteParams, tether: TetherParams,
     if any(b > a for a, b in zip(dT_list, dT_list[1:])):
         raise ValidationError("dT_list must be sorted in descending order")
     ops = [replace(op, dT=dT) for dT in dT_list]  # checks every dT before the first run
-    results = [simulate_cycle(env, kite, tether, op_dT) for op_dT in ops]
-    zeta_ref = results[-1].zeta_m
-    return [
-        {"dT": dT, "zeta_m": res.zeta_m, "steps": res.steps, "ratio": res.zeta_m / zeta_ref}
-        for dT, res in zip(dT_list, results)
-    ]
+    runs = []
+    for op_dT in ops:  # holds one cycle, with its step series, at a time
+        cycle = simulate_cycle(env, kite, tether, op_dT)
+        runs.append((cycle.zeta_m, cycle.steps))
+        del cycle
+    return [{"dT": dT, "zeta_m": zeta_m, "steps": steps, "ratio": zeta_m / runs[-1][0]}
+            for dT, (zeta_m, steps) in zip(dT_list, runs)]

@@ -199,7 +199,7 @@ def bind_tether(tether: TetherParams, kite: KiteParams,
     per_metre, d_t, C_D_c, S, C_D_k = tether.mass(1.0), tether.d_t, tether.C_D_c, kite.S, aero.C_D_k
 
     def properties(r: float) -> tuple[float, float]:
-        if r <= 0.0:
+        if not r > 0.0:
             raise ValidationError(f"tether length must be > 0, got {r}")
         return per_metre * r, C_D_k + 0.25 * (d_t * r / S) * C_D_c
     return properties
@@ -350,7 +350,7 @@ def tether_balance(sin_t: float, cos_t: float, m_t: float, m: float,
     state's (G*, q*S*C_R, F_a_theta, radial weights W_r and W_t, sag reaction, force) instead."""
     if flight is not None:
         C_L, C_D, S, v_w, rho = flight
-        if m_t < 0.0:
+        if not m_t >= 0.0:
             raise ValidationError(f"tether mass must be >= 0, got {m_t}")
         if v_w <= 0.0:
             raise ValidationError("the quasi-steady equilibrium requires a positive wind speed")
@@ -402,15 +402,15 @@ def _equilibrium(value: tuple, f: float, iterations: int, terms: tuple, S: float
     _, _, F_a_theta, W_r, W_t, F_t_theta, _ = terms
     radial_kite = F_a_r - W_r
     if radial_kite <= 0.0:
-        raise TetherSagError(f"kite tension {radial_kite:.1f} N (radial) leaves the tether pushing "
-                             f"on the kite: F_a_r {F_a_r:.1f} N cannot carry the radial kite "
-                             f"weight {W_r:.1f} N")
+        raise TetherSagError(f"kite tension {radial_kite:.6g} N (radial) leaves the tether pushing "
+                             f"on the kite: F_a_r {F_a_r:.6g} N cannot carry the radial kite "
+                             f"weight {W_r:.6g} N")
     F_t_kite = math.hypot(radial_kite, F_t_theta)
     radial_ground = radial_kite - W_t
     if radial_ground < 0.0:
-        raise TetherSagError(f"kite tension {F_t_kite:.1f} N leaves the tether pushing on the "
+        raise TetherSagError(f"kite tension {F_t_kite:.6g} N leaves the tether pushing on the "
                              f"ground station: it cannot carry the radial tether weight "
-                             f"{radial_kite - radial_ground:.1f} N")
+                             f"{radial_kite - radial_ground:.6g} N")
     F_tg = math.hypot(radial_ground, F_t_theta)
     P = F_tg * f * v_w
     # P_w = 0.5*rho*v_w**3 is taken last: v_w**3 may overflow where the checks fail first.
@@ -554,7 +554,7 @@ def _largest_root(probe: Callable[[float], tuple], x_max: float) -> tuple:
             else:
                 reason = f"{n[3]} below kappa = {math.exp(p[0]):.4g}"
         p = q
-    raise SteadyStateError(f"no sign change of G(kappa) - G* on (0, {math.exp(x_max):.1f}]: "
+    raise SteadyStateError(f"no sign change of G(kappa) - G* on (0, {math.exp(x_max):.6g}]: "
                            f"{reason or f'G > G* down to kappa = {math.exp(x):.4g}'}")
 
 
@@ -659,7 +659,7 @@ def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_
     _, force_coefficient, _, W_r, _, F_t_theta, force = terms
     if force is None or min(force[0], force[0] - W_r) <= 0.0:
         raise _unreachable(F_target, target_end, f"no radial tension at the kite (sag reaction "
-                                                 f"{abs(F_t_theta):.1f} N)")
+                                                 f"{abs(F_t_theta):.6g} N)")
     F_a_r, F_a = force
     try:
         A = F_a / force_coefficient  # |v_a|^2/v_w^2

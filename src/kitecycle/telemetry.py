@@ -43,34 +43,6 @@ class LogRecord(NamedTuple):
     v_w_ref: float
     phase: Optional[str] = None
 
-    @classmethod
-    def from_speed(
-        cls,
-        t: float,
-        F_tg: float,
-        r: float,
-        theta: float,
-        phi: float,
-        chi: float,
-        v_k: float,
-        v_t: float,
-        v_w_ref: float,
-        phase: Optional[str] = None,
-    ) -> "LogRecord":
-        """Build a record from kite speed magnitude and radial component.
-
-        The tangential speed sqrt(v_k^2 - v_t^2) is pointed along the
-        course angle to reconstruct the velocity vector.
-        """
-        if abs(v_t) > abs(v_k):
-            raise ValidationError(
-                f"radial speed {v_t} exceeds kite speed magnitude {v_k}"
-            )
-        v_tau = math.sqrt(max(v_k**2 - v_t**2, 0.0))
-        vk = _spherical_velocity_to_cartesian(theta, phi, chi, v_t, v_tau)
-        return cls(t=t, F_tg=F_tg, r=r, theta=theta, phi=phi, chi=chi,
-                   vk=vk, v_t=v_t, v_w_ref=v_w_ref, phase=phase)
-
 
 def _spherical_velocity_to_cartesian(
     theta: float, phi: float, chi: float, v_r: float, v_tau: float
@@ -98,7 +70,8 @@ def sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
 
 
 def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
-    """Export a simulated cycle in the shape of a telemetry log.
+    """Export a simulated cycle in the shape of a telemetry log: each velocity
+    vector points the tangential speed sqrt(v_k^2 - v_t^2) along the course angle.
 
     The duplicated state at each phase boundary (end of one phase, start
     of the next) is collapsed to keep timestamps strictly increasing.
@@ -108,10 +81,10 @@ def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
         for rec in phase.series:
             if records and rec.t <= records[-1].t:
                 continue
-            records.append(LogRecord.from_speed(
-                t=rec.t, F_tg=rec.F_tg, r=rec.r, theta=rec.theta, phi=rec.phi,
-                chi=rec.chi, v_k=rec.v_k, v_t=rec.v_t, v_w_ref=v_w_ref, phase=phase.phase,
-            ))
+            v_tau = math.sqrt(max(rec.v_k**2 - rec.v_t**2, 0.0))
+            vk = _spherical_velocity_to_cartesian(rec.theta, rec.phi, rec.chi, rec.v_t, v_tau)
+            records.append(LogRecord(rec.t, rec.F_tg, rec.r, rec.theta, rec.phi, rec.chi, vk,
+                                     rec.v_t, v_w_ref, phase.phase))
     return records
 
 

@@ -210,7 +210,7 @@ def probe_setpoint_step(bound, theta, C_D, m_t, v_w, rho):
     G_star, force_coefficient, F_a_theta, W_r, _, F_t_theta, force = terms
     if force is None or min(force[0], force[0] - W_r) <= 0.0:
         raise ss._unreachable(F_target, target_end, f"no radial tension at the kite (sag "
-                                                    f"reaction {abs(F_t_theta):.1f} N)")
+                                                    f"reaction {abs(F_t_theta):.6g} N)")
     F_a_r, F_a = force
     A = F_a / force_coefficient
     c0 = (F_a * math.sqrt(A / (1.0 + G_star * G_star)) - F_a_theta * cos_t * cos_p) / F_a_r

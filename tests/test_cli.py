@@ -396,15 +396,52 @@ def test_run_that_never_ends_exits_3(tmp_path, capsys, monkeypatch, key, value):
 # Finite config numbers at the edges of the float range.
 EXTREMES = (1e-300, 5e-324, 1e300)
 NUMBER_LEAVES = [path for path, kind in leaves(strong_raw()) if kind == "number"]
+MARK = "\x00mark"
+
+
+def key_paths(node, path=()):
+    """The path of every key of a parsed JSON object, at any depth."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, path + (key,))
+
+
+def restructured(raw, path, how):
+    """``raw`` as JSON text, with the key at ``path`` dropped, written twice,
+    its value wrapped in a list, or nested under itself 100 000 deep."""
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if how == "drop":
+        del node[path[-1]]
+        return json.dumps(raw)
+    key, value = json.dumps(path[-1]), json.dumps(node[path[-1]])
+    node[path[-1]] = MARK
+    fragment = {"duplicate": f"{value}, {key}: {value}", "list": f"[{value}]",
+                "nest": f"{{{key}: " * 100_000 + value + "}" * 100_000}[how]
+    return json.dumps(raw).replace(json.dumps(MARK), fragment)
+
+
+# A key of the preset or of a sweep spec (None), and the change to its structure.
+STRUCTURES = st.tuples(
+    st.sampled_from([(None, path) for path in key_paths(strong_raw())]
+                    + [(spec, path) for spec in (VALUES_SPEC, RANGE_SPEC)
+                       for path in key_paths(spec)]),
+    st.sampled_from(["drop", "duplicate", "list", "nest"]))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(preset=st.sampled_from(["strong_wind", "moderate_wind"]), gravity=st.booleans(),
        changes=st.dictionaries(st.sampled_from(NUMBER_LEAVES), st.sampled_from(EXTREMES),
-                               max_size=3))
-def test_simulate_ends_with_a_definite_exit_code(tmp_path_factory, preset, gravity, changes):
-    # Each config number is its preset value or a float-range extreme: a run
-    # exits 0, 2 or 3 and raises nothing.
+                               max_size=3),
+       structure=st.none() | STRUCTURES)
+def test_simulate_ends_with_a_definite_exit_code(tmp_path_factory, preset, gravity, changes,
+                                                 structure):
+    # Each config number is its preset value or a float-range extreme, and
+    # one key of the config, or of a sweep spec, may change its structure:
+    # a simulate or sweep run exits 0, 2 or 3 and raises nothing.
     raw = {**json.loads(preset_path(preset).read_text()), "gravity": gravity}
     for (section, *rest), value in changes.items():
         node = raw[section]
@@ -413,9 +450,17 @@ def test_simulate_ends_with_a_definite_exit_code(tmp_path_factory, preset, gravi
         node[rest[-1]] = value
     work = tmp_path_factory.getbasetemp() / "extremes"
     work.mkdir(exist_ok=True)
-    config = work / "config.json"
+    config, spec = work / "config.json", work / "sweep.json"
     config.write_text(json.dumps(raw))
-    assert run_command(["simulate", "--config", str(config), "--out", str(work / "o")]) in (0, 2, 3)
+    argv = ["simulate", "--config", str(config)]
+    if structure is not None:
+        (sweep, path), how = structure
+        if sweep is None:
+            config.write_text(restructured(raw, path, how))
+        else:
+            spec.write_text(restructured(sweep, path, how))
+            argv = ["sweep", "--config", str(config), "--spec", str(spec)]
+    assert run_command([*argv, "--out", str(work / "o")]) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("field", ["F_tg", "r"])
@@ -589,6 +634,17 @@ def test_cli_module_runs_from_a_checkout(tmp_path):
                           env=env, capture_output=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "e" / "estimates.csv").exists()
+
+
+def test_main_exits_with_the_command_code(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.json"
+    monkeypatch.setattr(sys, "argv", ["kitecycle", "simulate", "--config", str(missing),
+                                      "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"ParseError: {missing}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_telemetry_file_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -345,6 +346,23 @@ class TestConvergenceStudy:
         rows = convergence_study(cfg.environment, cfg.kite, cfg.tether, cfg.operation,
                                  [0.01, 0.005])
         assert abs(rows[0]["zeta_m"] / rows[1]["zeta_m"] - 1.0) < 0.01
+
+    def test_holds_one_cycle_at_a_time(self, strong_config):
+        # The study keeps each run's zeta_m and steps, not its step series.
+        cfg = strong_config
+        op = replace(cfg.operation, dT=0.002)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one = peak(lambda: simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op))
+        three = peak(lambda: convergence_study(cfg.environment, cfg.kite, cfg.tether, op,
+                                               [0.002, 0.002, 0.002]))
+        assert three < 1.5 * one
 
     def test_rejects_unsorted_list(self, strong_config):
         cfg = strong_config

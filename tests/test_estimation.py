@@ -12,16 +12,19 @@ from kitecycle import (
     TetherParams,
     angle_trig,
     estimate_record,
+    load_config,
     massless_state,
+    preset_path,
     replace,
     segment_and_average,
     segment_phases,
+    simulate_cycle,
     solve_kinematic_ratio,
     wind_state_at,
 )
 from kitecycle import estimation
 from kitecycle.atmosphere import bind_wind
-from kitecycle.dataio import read_telemetry_csv, write_telemetry_csv
+from kitecycle.dataio import cycle_to_log_records, read_telemetry_csv, write_telemetry_csv
 from kitecycle.errors import EmptyPhaseError, ValidationError
 from kitecycle.telemetry import _spherical_velocity_to_cartesian
 
@@ -80,7 +83,7 @@ class TestDeriveKinematics:
         rec = LogRecord(t=0.0, F_tg=100.0, r=10000.0, theta=math.radians(89.99),
                         phi=0.0, chi=0.0, vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
         est = estimate_record(rec, KITE, TETHER, ENV)
-        v_w = ENV.wind_speed(10000.0 * math.cos(math.radians(89.99)))
+        v_w = wind_state_at(10000.0 * math.cos(math.radians(89.99)), ENV).v_w
         assert est.v_a == pytest.approx(v_w, rel=1e-12)
         assert est.kappa == pytest.approx(0.0, abs=1e-3)
 
@@ -103,7 +106,7 @@ class TestDeriveKinematics:
     def test_reeling_at_wind_speed_is_invalid(self):
         theta = math.radians(63)
         z = 300.0 * math.cos(theta)
-        v_w = ENV.wind_speed(z)
+        v_w = wind_state_at(z, ENV).v_w
         rec = LogRecord(t=0.0, F_tg=100.0, r=300.0, theta=theta, phi=0.0, chi=0.0,
                         vk=(0.0, 0.0, 0.0), v_t=v_w * math.sin(theta), v_w_ref=9.9)
         est = estimate_record(rec, KITE, TETHER, ENV)
@@ -465,23 +468,30 @@ def test_noise_degrades_spread_not_mean(strong_config, strong_telemetry):
     assert abs(np.mean(noisy) - np.mean(clean)) < tolerance
 
 
-def test_record_from_speed_matches_vector_form():
-    st = Flight(r=450.0, theta=math.radians(63), phi=math.radians(10),
-                   chi=math.radians(100), f=0.3)
-    rec = synthetic_record(st, replace(KITE, m=0.0), TETHER, ENV, gravity=False)
-    v_k = math.sqrt(sum(c * c for c in rec.vk))
-    rebuilt = LogRecord.from_speed(t=rec.t, F_tg=rec.F_tg, r=rec.r, theta=rec.theta,
-                                   phi=rec.phi, chi=rec.chi, v_k=v_k, v_t=rec.v_t,
-                                   v_w_ref=rec.v_w_ref)
-    for a, b in zip(rebuilt.vk, rec.vk):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-
-
-def test_record_from_speed_rejects_a_radial_speed_above_the_kite_speed():
-    with pytest.raises(ValidationError, match=r"^radial speed -5\.0 exceeds kite speed "
-                                              r"magnitude 4\.0$"):
-        LogRecord.from_speed(t=0.0, F_tg=1000.0, r=300.0, theta=1.0, phi=0.0, chi=1.0, v_k=4.0,
-                             v_t=-5.0, v_w_ref=10.0)
+def test_exported_records_keep_the_kite_and_radial_speeds():
+    # On both presets and in both gravity modes, each exported velocity
+    # vector has the step's speed v_k, and its component along the tether
+    # is the step's radial speed v_t; at a phase boundary the export keeps
+    # the end of the phase before.
+    for preset in ("strong_wind", "moderate_wind"):
+        cfg = load_config(preset_path(preset))
+        for gravity in (True, False):
+            cycle = simulate_cycle(cfg.environment, cfg.kite, cfg.tether,
+                                   replace(cfg.operation, gravity=gravity))
+            steps = {}
+            for phase in cycle.phases:
+                for step in phase.series:
+                    steps.setdefault(step.t, step)
+            records = cycle_to_log_records(cycle, cfg.environment.v_w_ref)
+            assert [rec.t for rec in records] == sorted(steps)
+            for rec in records:
+                step = steps[rec.t]
+                sin_t = math.sin(rec.theta)
+                radial = (sin_t * math.cos(rec.phi), sin_t * math.sin(rec.phi),
+                          math.cos(rec.theta))
+                assert math.hypot(*rec.vk) == pytest.approx(step.v_k, rel=1e-12)
+                assert sum(a * b for a, b in zip(rec.vk, radial)) == pytest.approx(
+                    step.v_t, rel=1e-12, abs=1e-12 * step.v_k)
 
 
 def test_log_record_invariants(tmp_path, strong_config, strong_telemetry):

@@ -308,7 +308,7 @@ def outcome(call):
 def public_inversion(engine, F_target, r, theta, wind):
     """massless_setpoint, or gravity_setpoint where the engine has
     gravity, called with the engine's angles and coefficients at ``r``."""
-    m_t, C_D = tether_properties(r, engine.tether, engine.kite, engine.aero_set)
+    m_t, C_D = engine.tether_at(r)
     head = (theta, angle_trig(engine.phi, engine.chi), engine.aero_set.C_L, C_D)
     if engine.op.gravity:
         return gravity_setpoint(F_target, engine.op.force_at, *head, m_t, engine.kite.m,
@@ -448,7 +448,7 @@ def test_kite_force_at_the_sag_reaction_is_unreachable(theta, m_t, m):
         gravity_setpoint(F_target, "kite", theta, angle_trig(0.0, 0.0), *FLIGHT[:2], m_t, m,
                          *FLIGHT[2:])
     assert str(info.value) == (f"force {F_target:.6g} N at the kite: no radial tension at the "
-                               f"kite (sag reaction {F_target:.1f} N)")
+                               f"kite (sag reaction {F_target:.6g} N)")
 
 
 @PROPERTY
@@ -543,7 +543,7 @@ def test_massless_step_fails_as_the_public_inversion(case):
     engine = phase_engine(C_L, LD_k, 0.0, chi)
     wind = WindState(10.0, 1.2)
     if F is None:
-        _, C_D = tether_properties(150.0, engine.tether, engine.kite, engine.aero_set)
+        _, C_D = engine.tether_at(150.0)
         F = force_scale(C_L, C_D, *wind) * b_f**2
     args = (engine, F, 150.0, theta, wind)
     got = outcome(lambda: engine_step(*args))
