@@ -12,7 +12,7 @@ _EXPORTS = {
     "cycle": ("CycleResult", "OperationSettings", "PhaseResult", "StepRecord",
               "convergence_study", "simulate_cycle", "simulate_retraction",
               "simulate_traction", "simulate_transition"),
-    "estimation": ("EstimateRecord", "PhaseAverages", "estimate_record",
+    "estimation": ("EstimateRecord", "PhaseAverages", "estimate_log", "estimate_record",
                    "segment_and_average", "segment_phases"),
     "frozen": ("replace",),
     "steady_state": ("GRAVITY", "AeroSet", "EquilibriumResult", "KiteParams", "TetherParams",

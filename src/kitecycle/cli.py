@@ -71,11 +71,9 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
-    from .estimation import segment_and_average  # the one command that estimates
-
-    records = dataio.read_telemetry_csv(args.log)
+    from .estimation import estimate_log  # the one command that estimates
     # Average before writing, so a failed run leaves no partial outputs.
-    averages = segment_and_average(records, cfg.kite, cfg.tether, cfg.environment)
+    averages = estimate_log(args.log, cfg.kite, cfg.tether, cfg.environment)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_estimates_csv(out / "estimates.csv", averages.estimates)
     dataio.write_phase_averages(out / "phase_averages.json", averages)

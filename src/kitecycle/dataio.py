@@ -19,9 +19,9 @@ Within a phase, :func:`write_timeseries_csv` reuses the text of a number
 that repeats (the elevation traction holds, a set-point force), keyed on its
 value; a zero is formatted each time, as 0.0 and -0.0 are one key, and a NaN
 matches only itself as an object: the bytes stay ``csv.writer``'s.
-Files are UTF-8, CSV uses comma separators and ``.`` decimals, with a
-header row; JSON is indented by two spaces and ends with a newline.
-Outputs carry no timestamps so identical runs are byte-identical.
+Files are UTF-8; a CSV, written ``_CHUNK`` lines a write, has comma separators,
+``.`` decimals and a header row; JSON is indented by two spaces and ends with a
+newline.  Outputs carry no timestamps so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import io
 import json
 import math
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -69,6 +70,7 @@ TELEMETRY_COLUMNS = [
 
 # The telemetry module's names, which __getattr__ resolves on first access.
 _TELEMETRY = ("LogRecord", "sample_fault", "cycle_to_log_records", "read_telemetry_csv")
+_CHUNK = 256  # lines that _write_csv joins into one write
 
 
 def __getattr__(name: str):
@@ -81,11 +83,13 @@ def __getattr__(name: str):
 
 
 def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write ``header`` through ``csv.writer``, then each of ``lines``, a
-    row's fields joined by commas and ended in CRLF."""
+    """Write ``header`` through ``csv.writer``, then ``lines``, each a row's
+    fields joined by commas and ended in CRLF, ``_CHUNK`` lines a write."""
+    lines = iter(lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(lines)
+        while chunk := "".join(islice(lines, _CHUNK)):  # a line is never empty
+            fh.write(chunk)
 
 
 @lru_cache(maxsize=64)

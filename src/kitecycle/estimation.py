@@ -9,8 +9,8 @@ The pass is :func:`bind_estimator`'s closure over what a series never
 changes: the wind law and density (``atmosphere.bind_wind``), the tether's
 mass per metre, diameter and drag coefficient, and the kite's mass and wing area.
 :func:`segment_and_average` labels a series, binds the pass once, maps it
-over the samples and averages per phase; :func:`estimate_record` is the
-pass bound for one sample.
+over the samples and averages per phase; :func:`estimate_log` does so for
+a telemetry CSV; :func:`estimate_record` is the pass bound for one sample.
 Wind at the kite is always extrapolated from the reference measurement
 with the logarithmic profile, so gusts the ground measurement cannot see
 show up as outliers; such samples are flagged invalid and skipped, never
@@ -19,9 +19,8 @@ interpolated.
 The records are NamedTuples that check nothing; the telemetry record,
 ``telemetry.LogRecord``, belongs to the telemetry module with its reader
 (the writer is ``dataio``'s, with the other run outputs).  Samples are
-checked where they enter, for finite numbers and ``telemetry.sample_fault``:
-by ``telemetry.read_telemetry_csv`` and by :func:`segment_and_average`, not
-by the pass.
+checked once, for finite numbers and ``sample_fault``, where they enter: by
+the reader (:func:`estimate_log`) or :func:`segment_and_average`, not the pass.
 """
 
 from __future__ import annotations
@@ -29,8 +28,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from itertools import groupby
+from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
+from . import dataio
 from .atmosphere import Environment, bind_wind
 from .cycle import RETRACTION, TRACTION, TRANSITION
 from .errors import EmptyPhaseError, ValidationError
@@ -41,6 +42,7 @@ __all__ = [
     "EstimateRecord",
     "PhaseAverages",
     "bind_estimator",
+    "estimate_log",
     "estimate_record",
     "segment_phases",
     "segment_and_average",
@@ -111,7 +113,7 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
     z0, wind = env.z0, bind_wind(env)
     # mass(r) is its product up to d_t**2 times r: mass(1.0)*r, float for float.
     per_metre, d_t, C_D_c, m, S = tether.mass(1.0), tether.d_t, tether.C_D_c, kite.m, kite.S
-    make, nan, inf = EstimateRecord._make, math.nan, math.inf
+    new, nan, inf = tuple.__new__, math.nan, math.inf
     sqrt, sin, cos, hypot = math.sqrt, math.sin, math.cos, math.hypot
 
     def estimate(rec: LogRecord, phase: Optional[str]) -> EstimateRecord:
@@ -123,11 +125,11 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
         z = r * cos_t
         v_w, rho = (0.0, 0.0) if z < z0 else wind(z, v_w_ref)
         if v_w <= 0.0:  # below the roughness length too
-            return make((t, nan, nan, nan, nan, nan, False, phase))
+            return new(EstimateRecord, (t, nan, nan, nan, nan, nan, False, phase))
         v_a = sqrt((v_w - vk_x) * (v_w - vk_x) + vk_y * vk_y + vk_z * vk_z)
         b_f = sin_t * cos_p - v_t / v_w
         if b_f <= 0.0:
-            return make((t, nan, nan, nan, nan, v_a, False, phase))
+            return new(EstimateRecord, (t, nan, nan, nan, nan, v_a, False, phase))
         try:
             radicand = (v_a / (v_w * b_f)) ** 2 - 1.0
         except (OverflowError, ZeroDivisionError):
@@ -135,7 +137,7 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
             radicand = inf
         # NaN for an infinite wind at the kite, inf for an infinite v_a or ratio.
         if not 0.0 <= radicand < inf:
-            return make((t, nan, nan, nan, nan, v_a, False, phase))
+            return new(EstimateRecord, (t, nan, nan, nan, nan, v_a, False, phase))
         kappa = sqrt(radicand)  # v_a > 0 here: v_a = 0 gives radicand -1
         # Aerodynamic force at the kite: the measured ground force plus the
         # airborne weights, unless the sag radicand is violated.
@@ -145,12 +147,12 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
         except OverflowError:  # a force or tether beyond any kite violates it too
             force = None
         if force is None:
-            return make((t, nan, nan, nan, kappa, v_a, False, phase))
+            return new(EstimateRecord, (t, nan, nan, nan, kappa, v_a, False, phase))
         F_a = force[1]
         try:
             C_R = 2.0 * F_a / (rho * v_a**2 * S)
         except ZeroDivisionError:  # the density underflows to 0 far above any kite
-            return make((t, nan, nan, nan, kappa, v_a, False, phase))
+            return new(EstimateRecord, (t, nan, nan, nan, kappa, v_a, False, phase))
 
         if phase == TRACTION:
             gated = sqrt(vk_x * vk_x + vk_y * vk_y + vk_z * vk_z) / v_w_ref < CROSSWIND_RATIO
@@ -160,7 +162,7 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
         else:
             gated = False
         if gated or F_a <= 0.0:
-            return make((t, C_R, nan, nan, kappa, v_a, False, phase))
+            return new(EstimateRecord, (t, C_R, nan, nan, kappa, v_a, False, phase))
         # Gravity acts along e_theta = (cos_t*cos_p, cos_t*sin_p, -sin_t); the
         # apparent wind's tangential flow has components along it and e_phi =
         # (-sin_p, cos_p, 0).
@@ -171,22 +173,23 @@ def bind_estimator(kite: KiteParams, tether: TetherParams,
         va_tau = hypot(va_th, -v_w * sin_p - vk_ph)
         if va_tau < 1e-9:
             if chi is None:
-                return make((t, C_R, nan, nan, kappa, v_a, False, phase))
+                return new(EstimateRecord, (t, C_R, nan, nan, kappa, v_a, False, phase))
             cos_proj = -cos(chi)
         else:
             cos_proj = va_th / va_tau
 
-        gravity_term = (sqrt(1.0 + kappa * kappa) * GRAVITY * (0.5 * m_t + m) * sin_t * cos_proj
-                        / F_a)
-        G = kappa + gravity_term * sqrt(1.0 + kappa * kappa)
+        norm = sqrt(1.0 + kappa * kappa)
+        gravity_term = norm * GRAVITY * (0.5 * m_t + m) * sin_t * cos_proj / F_a
+        G = kappa + gravity_term * norm
         G = kappa + gravity_term * sqrt(1.0 + G * G)  # the lift-to-drag ratio settles after two
         if G <= 0.0:
-            return make((t, C_R, nan, nan, kappa, v_a, False, phase))
+            return new(EstimateRecord, (t, C_R, nan, nan, kappa, v_a, False, phase))
         drag = F_a / sqrt(1.0 + G * G)
         drag_tether = 0.125 * rho * d_t * r * C_D_c * v_a**2
         if drag <= drag_tether:
-            return make((t, C_R, nan, nan, kappa, v_a, False, phase))
-        return make((t, C_R, G, G * drag / (drag - drag_tether), kappa, v_a, True, phase))
+            return new(EstimateRecord, (t, C_R, nan, nan, kappa, v_a, False, phase))
+        LD_k = G * drag / (drag - drag_tether)
+        return new(EstimateRecord, (t, C_R, G, LD_k, kappa, v_a, True, phase))
     return estimate
 
 
@@ -269,8 +272,6 @@ def segment_and_average(
             index), or the series is not strictly increasing in time.
         EmptyPhaseError: if retraction or traction has no valid samples.
     """
-    if not series:
-        raise ValidationError("telemetry series is empty")
     last_t = -math.inf
     for i, rec in enumerate(series):
         t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
@@ -284,7 +285,19 @@ def segment_and_average(
         if t <= last_t:
             raise ValidationError("telemetry timestamps must be strictly increasing")
         last_t = t
+    return _average_checked(series, kite, tether, env)
 
+
+def estimate_log(path: str | Path, kite: KiteParams, tether: TetherParams,
+                 env: Environment) -> PhaseAverages:
+    """:func:`segment_and_average` of the telemetry CSV at ``path``, read by
+    ``dataio.read_telemetry_csv``, which checks each sample once."""
+    return _average_checked(dataio.read_telemetry_csv(path), kite, tether, env)
+
+
+def _average_checked(series: Sequence[LogRecord], kite, tether, env) -> PhaseAverages:
+    if not series:
+        raise ValidationError("telemetry series is empty")
     estimates = list(map(bind_estimator(kite, tether, env), series, segment_phases(series)))
     sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0, 0], TRACTION: [0.0, 0.0, 0]}
     counts = {phase: {"valid": 0, "invalid": 0} for phase in (RETRACTION, TRANSITION, TRACTION)}

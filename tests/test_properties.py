@@ -17,8 +17,9 @@ every failure is one of a few definite reasons, and each entry point
 rejects a state, coefficient set or wind outside its domain with the
 message its record constructor used to give.
 The telemetry reader reads every valid log as the ``csv.DictReader``
-reference does, each CSV writer writes the bytes ``csv.writer`` writes
-for the same values,
+reference does, and every log it accepts passes the series check of
+``segment_and_average``; each CSV writer writes the bytes ``csv.writer``
+writes for the same values, whatever the row count,
 and a simulated cycle's phase energies add up to its mean power times
 its duration.
 """
@@ -48,6 +49,7 @@ from kitecycle import (
     TetherParams,
     WindState,
     angle_trig,
+    estimate_log,
     estimate_record,
     gravity_setpoint,
     load_config,
@@ -832,6 +834,84 @@ def test_telemetry_reader_matches_the_dictreader_reference(log):
     assert repr(course_angles(unfilled)) == repr(records)
 
 
+def number(low, high, *edges):
+    """Floats in [low, high], or one of ``edges``."""
+    return st.floats(low, high) | st.sampled_from(edges)
+
+
+# A finite number so large that a sum of two overflows.
+HUGE = 1e308
+
+
+@st.composite
+def drawn_samples(draw):
+    """Telemetry samples, each a time step (None: one ulp) and its columns,
+    at the edges of the reader's checks: finite numbers whose sum
+    overflows, blank chi_deg and time steps of one ulp; now and then, one
+    sample is out of its domain or out of order."""
+    n = draw(st.integers(1, 12))
+    fault = draw(st.sampled_from([None] * 8 + ["t", "F_tg", "r", "v_w_ref"]))
+    at = draw(st.integers(0, n - 1))
+    samples = []
+    for i in range(n):
+        step = draw(st.none() | st.floats(1e-3, 10.0))
+        row = {"F_tg": draw(number(0.0, 5e3, HUGE)), "r": draw(number(1e-3, 1500.0, HUGE)),
+               "theta_deg": draw(number(-90.0, 90.0, HUGE, -HUGE)),
+               "phi_deg": draw(number(-60.0, 60.0, HUGE, -HUGE)),
+               "chi_deg": draw(number(-180.0, 180.0, "", HUGE, -HUGE)),
+               "vk_x": draw(number(-40.0, 40.0, HUGE, -HUGE)), "vk_y": draw(SPEED),
+               "vk_z": draw(SPEED), "v_t": draw(number(-10.0, 10.0, HUGE, -HUGE)),
+               "v_w_ref": draw(number(0.0, 20.0, HUGE)),
+               "phase": draw(st.sampled_from(["", "retraction", "transition", "traction"]))}
+        if i == at and fault == "t":
+            step = 0.0
+        elif i == at and fault is not None:
+            row[fault] = {"F_tg": -1.0, "r": 0.0, "v_w_ref": -1e-300}[fault]
+        samples.append((step, row))
+    return samples
+
+
+def estimation_outcome(estimate, *args):
+    """What ``estimate(*args)`` gives: its averages and estimates as text
+    (repr tells every float apart), or the error it raises."""
+    try:
+        averages = estimate(*args)
+    except KitecycleError as exc:
+        return type(exc), str(exc)
+    return repr(averages), [repr(est) for est in averages.estimates]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(samples=drawn_samples())
+def test_a_log_the_reader_accepts_passes_the_series_check(strong_telemetry, samples):
+    # estimate_log checks each sample once, in the reader, and skips the
+    # series check of segment_and_average: sound only if that check passes
+    # every series the reader returns.  A log the reader rejects fails
+    # estimate_log with the reader's error.  The drawn samples follow a
+    # valid log, so that most logs average.
+    cfg = ESTIMATE_CONFIG
+    args = (cfg.kite, cfg.tether, cfg.environment)
+    base = strong_telemetry[::14]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "telemetry.csv"
+        dataio.write_telemetry_csv(path, base)
+        t = base[-1].t
+        with open(path, "a", newline="", encoding="utf-8") as fh:
+            for step, row in samples:
+                t = math.nextafter(t, math.inf) if step is None else t + step
+                csv.writer(fh).writerow([t if col == "t" else row[col]
+                                         for col in TELEMETRY_COLUMNS])
+        estimated = estimation_outcome(estimate_log, path, *args)
+        try:
+            records = read_telemetry_csv(path)
+        except KitecycleError as exc:
+            assert estimated == (type(exc), str(exc))
+            return
+    checked = estimation_outcome(segment_and_average, records, *args)
+    assert checked[0] is not ValidationError, checked
+    assert estimated == checked
+
+
 # CSV values: floats with the edge values, and labels that are None, blank
 # or built from characters csv.writer quotes for.
 FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
@@ -948,6 +1028,20 @@ def test_convergence_writer_matches_the_csv_module(rows):
 def test_sweep_writer_matches_the_csv_module(parameter, rows):
     assert written_bytes(dataio.write_sweep_csv, parameter, rows) == csv_module_bytes(
         [parameter, "P_m", "zeta_m"], [[row["value"], row["P_m"], row["zeta_m"]] for row in rows])
+
+
+@pytest.mark.parametrize("rows_of", ["0", "N-1", "N", "N+1", "2N+1"])
+def test_csv_writer_keeps_every_row_across_chunks(rows_of):
+    # A CSV is written N = _CHUNK lines a write: no row is lost or doubled
+    # at a chunk's end.
+    n = dataio._CHUNK
+    count = {"0": 0, "N-1": n - 1, "N": n, "N+1": n + 1, "2N+1": 2 * n + 1}[rows_of]
+    draw = random.Random(count)
+    rows = [{"value": draw.uniform(-1e3, 1e3), "P_m": draw.uniform(-1e4, 1e4),
+             "zeta_m": draw.random()} for _ in range(count)]
+    assert written_bytes(dataio.write_sweep_csv, "operation.F_out", rows) == csv_module_bytes(
+        ["operation.F_out", "P_m", "zeta_m"],
+        [[row["value"], row["P_m"], row["zeta_m"]] for row in rows])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from kitecycle import cycle, load_config, preset_path, replace
+from kitecycle import cycle, dataio, load_config, preset_path, replace
+from kitecycle.cli import run_command
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +51,22 @@ def test_cycle_spans_count_their_calls(spans, gravity):
         assert calls["steady_state.kinematic_solve"] > 0
     else:
         assert calls["steady_state.closed_form"] > 0
+
+
+def test_estimate_spans_see_the_read_and_the_writes(spans, tmp_path, strong_telemetry):
+    # The estimator reads a log through dataio's binding of the reader, the
+    # one the dataio.read span wraps, not the telemetry module's.
+    log = tmp_path / "telemetry.csv"
+    dataio.write_telemetry_csv(log, strong_telemetry)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                            "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = {name: acc[0] for name, acc in tracer.per_op()[-1].items()}
+    assert calls["dataio.read"] == 1
+    assert calls["estimation.segment_phases"] == 1
+    assert calls["dataio.write"] == 2

@@ -34,12 +34,13 @@ pass counts the Python-level calls inside each ``simulate_cycle`` (the
 the integration steps it returns.
 At the end the script prints, per workload, each side's median figure,
 the relative change of the medians and the rounds the change was faster
-in, then each side's calls of the counted functions in one pass over
-each pool and its Python-level calls per integration step, then whether
-every output file was byte-identical between the sides in each round, or
-how many differed and the first that did.  Outputs
-that differ are reported, not an error: a change may alter them on
-purpose.  An op that exits non-zero on either side is an error.
+in, then each side's median peak resident set of its pool's process (read
+as VmHWM, as ``--startup`` reads it), then each side's calls of the
+counted functions in one pass over each pool and its Python-level calls
+per integration step, then whether every output file was byte-identical
+between the sides in each round, or how many differed and the first that
+did.  Outputs that differ are reported, not an error: a change may alter
+them on purpose.  An op that exits non-zero on either side is an error.
 
 ``--startup N`` compares start-up instead of the op pools, as
 ``perfbench/run.py`` measures ``setup_s``: N alternating rounds, in each
@@ -78,7 +79,8 @@ COUNTED = ("solve_kinematic_ratio", "gravity_setpoint_step", "_drag_condition")
 # the pool file and the number of passes; prints the least time per op,
 # the calls of each COUNTED function in one more, untimed pass (0 for one
 # its side lacks), the Python-level calls and steps of simulate_cycle in that
-# pass, and the sha256 of each output file, keyed by its op's --out name and path.
+# pass, the sha256 of each output file, keyed by its op's --out name and path,
+# and the process's peak resident set [KB], read as VmHWM (see PEAK_CODE).
 CHILD = r"""
 import contextlib, hashlib, io, json, shutil, sys, time
 from pathlib import Path
@@ -134,8 +136,11 @@ for out in outs:
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         key = f"{out.name}/{path.relative_to(out).as_posix()}"
         digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+peak = [line.split()[1] for line in open("/proc/self/status", encoding="ascii")
+        if line.startswith("VmHWM:")]
 print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__,
-                  "calls": calls, "profiled": profiled, "digests": digests}))
+                  "calls": calls, "profiled": profiled, "digests": digests,
+                  "peak_kb": int(peak[0]) if peak else 0}))
 """
 
 
@@ -148,10 +153,11 @@ def generate_pool(workload: str, work: Path) -> Path:
 
 
 def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, int],
-                                                           dict[str, str]]:
+                                                           dict[str, str], int]:
     """Sum over the pool of each op's least time, in ms, from a fresh process,
     the calls of each COUNTED function and the Python-level calls and steps of
-    ``simulate_cycle`` in one pass, and the digest of each output file."""
+    ``simulate_cycle`` in one pass, the digest of each output file and the
+    process's peak resident set [KB]."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of),
                            ",".join(COUNTED)], cwd=tree, env=env, capture_output=True, text=True)
@@ -164,7 +170,7 @@ def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, in
     if result["codes"] != [0]:
         sys.exit(f"interleave_ops: {tree.name} on {pool.stem}: exit codes {result['codes']}")
     return 1e3 * sum(result["best"]), {**result["calls"], **result["profiled"]}, \
-        result["digests"]
+        result["digests"], result["peak_kb"]
 
 
 # Appended to SETUP_CODE in one more, untimed process per side and round:
@@ -257,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
 
     times: dict[str, dict[str, list[float]]] = {name: {"parent": [], "change": []}
                                                 for name in names}
+    peaks: dict[str, dict[str, list[int]]] = {name: {"parent": [], "change": []}
+                                              for name in names}
     # Output files that differed between the sides in some round, per workload.
     differ: dict[str, set[str]] = {name: set() for name in names}
     files: dict[str, set[str]] = {name: set() for name in names}
@@ -268,8 +276,10 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             digests = {}
             for side in order:
-                ms, counts, digests[side] = time_pool(trees[side], pools[name], args.best_of)
+                ms, counts, digests[side], peak = time_pool(trees[side], pools[name],
+                                                            args.best_of)
                 times[name][side].append(ms)
+                peaks[name][side].append(peak)
                 if calls[name].setdefault(side, counts) != counts:
                     sys.exit(f"interleave_ops: {side} on {name}: calls {counts} in round "
                              f"{i + 1}, {calls[name][side]} before")
@@ -288,6 +298,11 @@ def main(argv: list[str] | None = None) -> int:
         won = sum(b < a for a, b in zip(parent, change))
         print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}), "
               f"change faster in {won}/{args.rounds} rounds")
+    print("Peak resident set of a pool's process (read as VmHWM), median:")
+    for name in names:
+        p, c = (statistics.median(peaks[name][side]) for side in ("parent", "change"))
+        print(f"  {name}: parent {p:.0f} KB, change {c:.0f} KB"
+              + (f" ({(c - p) / p:+.2%})" if p else ""))
     print("Calls in one pass over the pool:")
     for name in names:
         for side in ("parent", "change"):
