@@ -32,10 +32,7 @@ class Environment(Frozen):
         H_rho: Scale height [m] of the density decay.
     """
 
-    _fields = ("v_w_ref", "z_ref", "z0", "rho0", "H_rho")
-    # _log_z_ref is derived, not a field: out of ==, repr and replace(),
-    # which recomputes it through __init__.
-    __slots__ = _fields + ("_log_z_ref",)
+    __slots__ = _fields = ("v_w_ref", "z_ref", "z0", "rho0", "H_rho")
 
     def __init__(self, v_w_ref: float, z_ref: float, z0: float, rho0: float = 1.225,
                  H_rho: float = 8550.0):
@@ -51,11 +48,10 @@ class Environment(Frozen):
             raise ValidationError(f"sea-level density must be > 0 and finite, got {rho0}")
         if not 0.0 < H_rho < math.inf:
             raise ValidationError(f"density scale height must be > 0 and finite, got {H_rho}")
-        log_z_ref = math.log(z_ref / z0)  # inf where z_ref/z0 overflows, 0 where it rounds to 1
-        if not 0.0 < log_z_ref < math.inf:
+        # The log is inf where z_ref/z0 overflows, 0 where it rounds to 1.
+        if not 0.0 < math.log(z_ref / z0) < math.inf:
             raise ValidationError(f"log(z_ref/z0) must be finite and > 0, got z_ref={z_ref}, "
                                   f"z0={z0}")
-        object.__setattr__(self, "_log_z_ref", log_z_ref)
 
 
 class WindState(NamedTuple):
@@ -85,7 +81,8 @@ def bind_wind(env: Environment) -> Callable[..., tuple[float, float]]:
     """:func:`wind_state_at` as ``(z, v_ref=v_w_ref) -> (v_w, rho)``, a plain
     tuple, with the wind law scaled to the wind speed ``v_ref`` measured at
     ``z_ref``; it raises the DomainError of an altitude below ``z0``."""
-    z0, v_w_ref, log_z_ref, rho0, H_rho = env.z0, env.v_w_ref, env._log_z_ref, env.rho0, env.H_rho
+    z0, v_w_ref, rho0, H_rho = env.z0, env.v_w_ref, env.rho0, env.H_rho
+    log_z_ref = math.log(env.z_ref / z0)
 
     def wind(z: float, v_ref: float = v_w_ref) -> tuple[float, float]:
         if z < z0:

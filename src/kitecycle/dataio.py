@@ -1,7 +1,7 @@
 """CSV/JSON writers of every run output and of the telemetry log.
 
 The telemetry log's record, reader and export (``LogRecord``,
-``sample_fault``, ``read_telemetry_csv``, ``cycle_to_log_records``) live in
+``read_telemetry_csv``, ``cycle_to_log_records``) live in
 :mod:`kitecycle.telemetry`, which only ``estimate`` and ``simulate
 --telemetry-out`` load; this module resolves those names on first access
 (PEP 562) to the telemetry module's objects.
@@ -45,7 +45,6 @@ __all__ = [
     "TIMESERIES_COLUMNS",
     "TELEMETRY_COLUMNS",
     "LogRecord",
-    "sample_fault",
     "write_timeseries_csv",
     "write_cycle_summary",
     "cycle_to_log_records",
@@ -69,7 +68,7 @@ TELEMETRY_COLUMNS = [
 ]
 
 # The telemetry module's names, which __getattr__ resolves on first access.
-_TELEMETRY = ("LogRecord", "sample_fault", "cycle_to_log_records", "read_telemetry_csv")
+_TELEMETRY = ("LogRecord", "cycle_to_log_records", "read_telemetry_csv")
 _CHUNK = 256  # lines that _write_csv joins into one write
 
 

@@ -5,7 +5,7 @@ speed, each sample is derived in one pass: its kinematics and the wind
 and density at the kite; the tether mass and aerodynamic force at the kite;
 the resultant aerodynamic force coefficient; and, via a short fixed-point
 correction for gravity, the system and kite-only lift-to-drag ratios.
-The pass is :func:`bind_estimator`'s closure over what a series never
+The pass is ``_bind_estimator``'s closure over what a series never
 changes: the wind law and density (``atmosphere.bind_wind``), the tether's
 mass per metre, diameter and drag coefficient, and the kite's mass and wing area.
 :func:`segment_and_average` labels a series, binds the pass once, maps it
@@ -18,9 +18,9 @@ interpolated.
 
 The records are NamedTuples that check nothing; the telemetry record,
 ``telemetry.LogRecord``, belongs to the telemetry module with its reader
-(the writer is ``dataio``'s, with the other run outputs).  Samples are
-checked once, for finite numbers and ``sample_fault``, where they enter: by
-the reader (:func:`estimate_log`) or :func:`segment_and_average`, not the pass.
+(the writer is ``dataio``'s, with the other run outputs).  Each sample is
+checked once where it enters, by the telemetry module's rule: in the reader
+(:func:`estimate_log`) or by ``telemetry.record_fault``, not in the pass.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from .atmosphere import Environment, bind_wind
 from .cycle import RETRACTION, TRACTION, TRANSITION
 from .errors import EmptyPhaseError, ValidationError
 from .steady_state import GRAVITY, KiteParams, TetherParams, tether_balance
-from .telemetry import LogRecord, sample_fault
+from .telemetry import LogRecord, record_fault
 
 __all__ = [
     "EstimateRecord",
     "PhaseAverages",
-    "bind_estimator",
     "estimate_log",
     "estimate_record",
     "segment_phases",
@@ -52,19 +51,6 @@ __all__ = [
 SEGMENT_SPEED_BAND = 0.1  # m/s
 SEGMENT_MIN_DWELL = 2.0  # s
 CROSSWIND_RATIO = 1.5  # least traction kite speed over the reference wind
-
-_NUMBERS = ("t", "F_tg", "r", "theta", "phi", "chi", "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref")
-
-
-def _non_finite(rec: LogRecord) -> Optional[str]:
-    """The first number of ``rec`` that is NaN or infinite, with its value, or None."""
-    t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
-    for name, value in zip(_NUMBERS, (t, F_tg, r, theta, phi, 0.0 if chi is None else chi,
-                                      vk_x, vk_y, vk_z, v_t, v_w_ref)):
-        if not math.isfinite(value):
-            return f"{name} is not finite: {value}"
-    return None
-
 
 class EstimateRecord(NamedTuple):
     """Derived aerodynamic estimates for one telemetry sample.
@@ -105,11 +91,12 @@ class PhaseAverages(NamedTuple):
         return f"PhaseAverages({fields})"
 
 
-def bind_estimator(kite: KiteParams, tether: TetherParams,
-                   env: Environment) -> Callable[[LogRecord, Optional[str]], EstimateRecord]:
+def _bind_estimator(kite: KiteParams, tether: TetherParams,
+                    env: Environment) -> Callable[[LogRecord, Optional[str]], EstimateRecord]:
     """:func:`estimate_record` as ``(rec, phase) -> EstimateRecord``, with the
     constants of a series bound once; ``phase``, not the record's own label,
-    selects the phase gate."""
+    selects the phase gate.  It checks nothing: its callers pass only records
+    that ``telemetry.record_fault`` or the reader accepted."""
     z0, wind = env.z0, bind_wind(env)
     # mass(r) is its product up to d_t**2 times r: mass(1.0)*r, float for float.
     per_metre, d_t, C_D_c, m, S = tether.mass(1.0), tether.d_t, tether.C_D_c, kite.m, kite.S
@@ -200,7 +187,7 @@ def estimate_record(
     env: Environment,
     phase: Optional[str] = None,
 ) -> EstimateRecord:
-    """All estimates for one sample, each derived once: :func:`bind_estimator`
+    """All estimates for one sample, each derived once: ``_bind_estimator``
     applied to ``rec`` under ``phase``, or its own label if None.  It is
     valid when it yields the lift-to-drag pair; each gate returns the
     record with NaN for what it rejects.
@@ -217,8 +204,11 @@ def estimate_record(
     tether drag share of the total drag.  Traction samples must fly fast
     relative to the reference wind (``CROSSWIND_RATIO``), retraction
     samples near upward in-plane flight; these phase gates never reject C_R.
+    A sample that breaks ``telemetry.record_fault`` is a ValidationError.
     """
-    return bind_estimator(kite, tether, env)(rec, rec.phase if phase is None else phase)
+    if (fault := record_fault(rec)) is not None:
+        raise ValidationError(fault)
+    return _bind_estimator(kite, tether, env)(rec, rec.phase if phase is None else phase)
 
 
 def segment_phases(series: Sequence[LogRecord]) -> list[str]:
@@ -267,24 +257,18 @@ def segment_and_average(
     traction values characterise the kite itself.
 
     Raises:
-        ValidationError: if the series is empty, a sample has a NaN or
-            infinite number, r <= 0, F_tg < 0 or v_w_ref < 0 (naming its
-            index), or the series is not strictly increasing in time.
+        ValidationError: if the series is empty, a sample fails
+            ``telemetry.record_fault`` (naming its index), or the series
+            is not strictly increasing in time.
         EmptyPhaseError: if retraction or traction has no valid samples.
     """
     last_t = -math.inf
     for i, rec in enumerate(series):
-        t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
-        # A finite sum means finite numbers, at a third of the cost of the
-        # check per number, which a sum that is not finite or overflows gets.
-        finite = math.isfinite(t + F_tg + r + theta + phi + (chi or 0.0) + vk_x + vk_y + vk_z
-                               + v_t + v_w_ref)
-        fault = (None if finite else _non_finite(rec)) or sample_fault(r, F_tg, v_w_ref)
-        if fault is not None:
+        if (fault := record_fault(rec)) is not None:
             raise ValidationError(f"sample {i}: {fault}")
-        if t <= last_t:
+        if rec.t <= last_t:
             raise ValidationError("telemetry timestamps must be strictly increasing")
-        last_t = t
+        last_t = rec.t
     return _average_checked(series, kite, tether, env)
 
 
@@ -298,7 +282,7 @@ def estimate_log(path: str | Path, kite: KiteParams, tether: TetherParams,
 def _average_checked(series: Sequence[LogRecord], kite, tether, env) -> PhaseAverages:
     if not series:
         raise ValidationError("telemetry series is empty")
-    estimates = list(map(bind_estimator(kite, tether, env), series, segment_phases(series)))
+    estimates = list(map(_bind_estimator(kite, tether, env), series, segment_phases(series)))
     sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0, 0], TRACTION: [0.0, 0.0, 0]}
     counts = {phase: {"valid": 0, "invalid": 0} for phase in (RETRACTION, TRANSITION, TRACTION)}
     for _, C_R, LD_sys, LD_k, _, _, valid, phase in estimates:

@@ -11,8 +11,7 @@ class Frozen:
     A subclass lists its fields in ``_fields`` and ``__slots__``; its
     ``__init__`` hands their values to ``Frozen.__init__`` in that order,
     then checks them.  Instances refuse assignment, compare and hash by
-    class and fields, and show their fields in ``repr``.  A slot not in
-    ``_fields`` holds a value derived from them and stays out of all three.
+    class and fields, and show their fields in ``repr``.
     """
 
     __slots__ = ()

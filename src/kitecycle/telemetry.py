@@ -1,5 +1,7 @@
-"""The telemetry log's record (:class:`LogRecord`, checked by
-:func:`sample_fault`), its reader and a simulated cycle's export to it.
+"""The telemetry log's record (:class:`LogRecord`), the one rule for a valid
+record (:func:`record_fault`), its reader and a simulated cycle's export to it.
+Every estimator entry applies the rule: the reader to each row's text, the
+others through :func:`record_fault`.
 
 Only ``estimate`` and ``simulate --telemetry-out`` load this module.  The
 writer and the column names stay in ``dataio`` with the other outputs;
@@ -18,7 +20,7 @@ from .cycle import CycleResult
 from .dataio import TELEMETRY_COLUMNS
 from .errors import ParseError, ValidationError
 
-__all__ = ["LogRecord", "sample_fault", "cycle_to_log_records", "read_telemetry_csv"]
+__all__ = ["LogRecord", "record_fault", "cycle_to_log_records", "read_telemetry_csv"]
 
 # Telemetry columns every log must fill; chi_deg and phase may be blank.
 _REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
@@ -58,7 +60,7 @@ def _spherical_velocity_to_cartesian(
     )
 
 
-def sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
+def _sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
     """The invariant a sample breaks, r > 0, F_tg >= 0 or v_w_ref >= 0, or None."""
     if r <= 0.0:
         return f"tether length must be > 0, got {r}"
@@ -67,6 +69,20 @@ def sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
     if v_w_ref < 0.0:
         return f"reference wind speed must be >= 0, got {v_w_ref}"
     return None
+
+
+def record_fault(rec: LogRecord) -> Optional[str]:
+    """The first number of ``rec`` that is NaN or infinite, with its value, else
+    the invariant it breaks (``_sample_fault``), or None; chi may be None."""
+    t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
+    numbers = (t, F_tg, r, theta, phi, 0.0 if chi is None else chi, vk_x, vk_y, vk_z, v_t, v_w_ref)
+    # A finite sum means finite numbers: only a sum that is not finite, or
+    # overflows, takes the check per number.
+    if not math.isfinite(sum(numbers)):
+        for name, x in zip("t F_tg r theta phi chi vk_x vk_y vk_z v_t v_w_ref".split(), numbers):
+            if not math.isfinite(x):
+                return f"{name} is not finite: {x}"
+    return _sample_fault(r, F_tg, v_w_ref)
 
 
 def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
@@ -181,7 +197,7 @@ def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
             finite = False
         if not finite:  # raises, unless only the sum of finite values overflowed
             _reject_numbers(f"{path}: line {reader.line_num}", row, columns)
-        if fault is None and (why := sample_fault(r, F_tg, v_w_ref)) is not None:
+        if fault is None and (why := _sample_fault(r, F_tg, v_w_ref)) is not None:
             fault = f"{path}: line {reader.line_num}: {why}"
         ordered, last_t = ordered and t > last_t, t
         theta, phi = radians(theta), radians(phi)

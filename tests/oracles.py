@@ -7,6 +7,10 @@ reeling factor by direct evaluation of the harvesting factor on a fine
 grid.  The telemetry reader's reference reads each row through
 ``csv.DictReader`` and checks each value on its own.
 
+Traction's reference is its duration as a one-dimensional integral over
+the tether length, by Gauss-Legendre quadrature, and its energy in closed
+form.
+
 Two oracles are the package's earlier code, kept as the reference for the
 cheaper code that replaced it: the gravity set-point step whose check that
 G rises through G* is a finite-difference probe of the force geometry just
@@ -16,10 +20,12 @@ at f = 0 before it reels.
 
 import csv
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from kitecycle import steady_state
+from kitecycle.cycle import _PhaseEngine
 from kitecycle.dataio import TELEMETRY_COLUMNS, LogRecord
 from kitecycle.errors import NoTensionError, ParseError, TetherSagError, ValidationError
 from kitecycle.steady_state import massless_state, solve_kinematic_ratio
@@ -267,3 +273,45 @@ def coasting_first_controller(engine):
             return kernel(reel_in, theta, C_D, m_t, v_w, rho)
         return 0.0, eq0
     return controller
+
+
+class TractionReference(NamedTuple):
+    """Traction's exact duration and energy, or ``stall``, the first sampled
+    tether length where the reeling speed is not positive, with both inf."""
+
+    duration: float
+    energy: float
+    stall: Optional[float] = None
+
+
+def traction_reference(env, kite, tether, op, r_start):
+    """Traction from ``r_start`` to ``r_max`` at the phase engine's own
+    set-point kernel, for a ground-end set-point (``op.force_at``).
+
+    Traction holds theta, phi and chi, so dr/dt = f(r)*v_w(r*cos(theta)) is
+    autonomous in r: the duration is the integral of dr/(f*v_w) over
+    [r_start, r_max], by 8-node Gauss-Legendre quadrature, and the
+    energy, F_tg*dr/dt integrated over time at F_tg = F_out, is
+    F_out*(r_max - r_start).  Where f <= 0 at r_start, a node or r_max
+    (f is monotone in r on the presets' traction), the integral has no
+    finite value, and the first such r is reported instead.
+    """
+    if op.force_at != "ground":
+        raise ValueError("the energy is F_out times the distance only at the ground end")
+    engine = _PhaseEngine(env, kite, tether, op, kite.aero_traction, op.phi_o, op.chi_o)
+    bound, theta = engine.bind(op.F_out), op.theta_o
+
+    def speed(r):  # dr/dt
+        v_w, rho = engine.wind_at(r * math.cos(theta))
+        m_t, C_D = engine.tether_at(r)
+        return engine.kernel(bound, theta, C_D, m_t, v_w, rho)[0] * v_w
+
+    x, w = np.polynomial.legendre.leggauss(8)
+    half, mid = 0.5 * (op.r_max - r_start), 0.5 * (op.r_max + r_start)
+    lengths = [mid + half * float(node) for node in x]
+    speeds = [speed(r) for r in lengths]
+    for r, v in zip([r_start, *lengths, op.r_max], [speed(r_start), *speeds, speed(op.r_max)]):
+        if not v > 0.0:
+            return TractionReference(math.inf, math.inf, r)
+    duration = half * sum(float(weight) / v for weight, v in zip(w, speeds))
+    return TractionReference(duration, op.F_out * (op.r_max - r_start))

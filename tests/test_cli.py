@@ -843,7 +843,7 @@ def test_only_estimate_and_telemetry_out_load_the_telemetry_module(tmp_path, sim
 def test_dataio_resolves_the_telemetry_names_to_the_telemetry_module():
     from kitecycle import dataio, telemetry
 
-    for name in ("LogRecord", "read_telemetry_csv", "sample_fault", "cycle_to_log_records"):
+    for name in ("LogRecord", "read_telemetry_csv", "cycle_to_log_records"):
         assert name in dataio.__all__
         assert getattr(dataio, name) is getattr(telemetry, name)
     with pytest.raises(AttributeError, match="no attribute '_parse_rows'"):

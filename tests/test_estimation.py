@@ -554,7 +554,7 @@ def test_segment_and_average_binds_the_estimator_once(monkeypatch, strong_config
     cfg = strong_config
     args = (cfg.kite, cfg.tether, cfg.environment)
     bound, passes = [], []
-    bind_estimator = estimation.bind_estimator
+    bind_estimator = estimation._bind_estimator
 
     def counting(*bind_args):
         bound.append(bind_args)
@@ -565,7 +565,7 @@ def test_segment_and_average_binds_the_estimator_once(monkeypatch, strong_config
             return estimate(rec, phase)
         return counted
 
-    monkeypatch.setattr(estimation, "bind_estimator", counting)
+    monkeypatch.setattr(estimation, "_bind_estimator", counting)
     segment_and_average(strong_telemetry, *args)
     assert bound == [args] and passes == list(strong_telemetry)
     bound.clear()
