@@ -16,8 +16,7 @@ _EXPORTS = {
                    "segment_and_average", "segment_phases"),
     "frozen": ("replace",),
     "steady_state": ("GRAVITY", "AeroSet", "EquilibriumResult", "KiteParams", "TetherParams",
-                     "angle_trig", "gravity_setpoint", "massless_setpoint", "massless_state",
-                     "solve_kinematic_ratio", "tether_properties"),
+                     "angle_trig", "massless_state", "solve_kinematic_ratio", "tether_properties"),
     "telemetry": ("LogRecord",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -41,16 +41,16 @@ force is its hypot with the sag reaction, -sin(theta)*m_t*g/2, and inverts to
 F_a_r the other way.  Where the radial tension is not positive at the kite,
 or negative at the ground, the tether would push: TetherSagError.
 
-Each of the four equilibria has one public function on scalars: its
-inputs (the reeling factor f, or the force set-point), then ``theta,
-angles, C_L, C_D, [m_t, m,] S, v_w, rho``, where ``angles`` is the
-:func:`angle_trig` of phi and chi, taken once per phase, and the massless
-pair takes no masses.  Each checks every input first and raises
-ValidationError for the first out of its domain.  A set-point is its
-step kernel applied to :func:`bind_setpoint`: the binder checks the
-constants of a phase (F_target, target_end, angles, C_L, m, S) once, the
-kernel (:func:`gravity_setpoint_step`, :func:`massless_setpoint_step`)
-the per-step inputs ``theta, C_D, m_t, v_w, rho``, and returns (f, the
+The two fixed-factor equilibria, :func:`massless_state` and
+:func:`solve_kinematic_ratio`, are functions on scalars: the reeling factor
+f, then ``theta, angles, C_L, C_D, [m_t, m,] S, v_w, rho``, where ``angles``
+is the :func:`angle_trig` of phi and chi, taken once per phase, and the
+massless one takes no masses.  Each checks every input first and raises
+ValidationError for the first out of its domain.  A force set-point is a
+step kernel (:func:`gravity_setpoint_step`, :func:`massless_setpoint_step`)
+applied to :func:`bind_setpoint`: the binder checks the constants of a
+phase (F_target, target_end, angles, C_L, m, S) once, the kernel the
+per-step inputs ``theta, C_D, m_t, v_w, rho``, and returns (f, the
 EquilibriumResult fields as a tuple).  The simulator calls a kernel once
 per step; the massless kernel is the whole massless closed form, the fixed
 factor of :func:`massless_state` included, so it calls only :func:`_trig`.
@@ -75,12 +75,10 @@ __all__ = [
     "bind_tether",
     "angle_trig",
     "massless_state",
-    "massless_setpoint",
     "bind_setpoint",
     "massless_setpoint_step",
     "tether_balance",
     "solve_kinematic_ratio",
-    "gravity_setpoint",
     "gravity_setpoint_step",
 ]
 
@@ -262,34 +260,25 @@ def massless_state(f: float, theta: float, angles: tuple, C_L: float, C_D: float
                                                      C_D, 0.0, v_w, rho, f)[1])
 
 
-def massless_setpoint(F_target: float, theta: float, angles: tuple, C_L: float, C_D: float,
-                      S: float, v_w: float, rho: float) -> tuple[float, EquilibriumResult]:
-    """Reeling factor that produces tether force ``F_target`` (massless),
-    and its :func:`massless_state` equilibrium.
+def massless_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_w: float,
+                           rho: float, f: Optional[float] = None) -> tuple[float, tuple]:
+    """Reeling factor that produces the massless tether force F_target of
+    the :func:`bind_setpoint` constants ``bound``, whose target end and masses
+    it ignores, as (f, the equilibrium's fields); given ``f``,
+    :func:`massless_state` at ``f`` instead, which ignores the target too.
 
     Inverts the normalised tether-force relation; the smaller quadratic
     root is taken since the larger one corresponds to a compressed
-    tether.  Large targets give a negative factor, i.e. reeling in.
+    tether.  Large targets give a negative factor, i.e. reeling in.  It
+    checks G* after the state's tension check and after the set-point's
+    wind check, where the gravity kernel checks it.
 
     Raises:
         SetpointUnreachableError: if the factor is below -3, the bound of
-            :func:`gravity_setpoint`.
+            :func:`gravity_setpoint_step`.
         NoTensionError, SteadyStateError: as :func:`massless_state` at
             that factor.
     """
-    f, values = massless_setpoint_step(bind_setpoint(F_target, "kite", angles, C_L, 0.0, S),
-                                       theta, C_D, 0.0, v_w, rho)
-    return f, EquilibriumResult(*values)
-
-
-def massless_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_w: float,
-                           rho: float, f: Optional[float] = None) -> tuple[float, tuple]:
-    """:func:`massless_setpoint` for the :func:`bind_setpoint` constants
-    ``bound``, whose target end and masses it ignores, as (f, the
-    equilibrium's fields); given ``f``, :func:`massless_state` at ``f``
-    instead, which ignores the target too.  It checks G* after the state's
-    tension check and after the set-point's wind check, where the gravity
-    pair checks it."""
     F_target, _, angles, C_L, _, S = bound
     a, b, _, _ = _trig(theta, angles, C_L, C_D, v_w, rho)
     setpoint = f is None
@@ -605,36 +594,6 @@ def _unreachable(F_target: float, target_end: TargetEnd, reason: str) -> Setpoin
     return SetpointUnreachableError(f"force {F_target:.6g} N at the {target_end}: {reason}")
 
 
-def gravity_setpoint(F_target: float, target_end: TargetEnd, theta: float, angles: tuple,
-                     C_L: float, C_D: float, m_t: float, m: float, S: float, v_w: float,
-                     rho: float) -> tuple[float, EquilibriumResult]:
-    """Reeling factor whose gravity-including equilibrium carries
-    ``F_target`` at the tether end ``target_end``, in closed form, with
-    ``angles`` the :func:`angle_trig` of phi and chi.
-
-    The set-point fixes the aerodynamic force at the kite (by
-    :func:`tether_balance`'s inversion at ``target_end``) and the apparent
-    wind speed; the drag condition and the apparent wind speed then give a
-    quadratic in the tangential velocity factor lam (see the module
-    docstring).  Its larger root is admitted if lam >= max(a, 0), the
-    tether carries tension (f < sin(theta)*cos(phi)), f >= -3 and G rises
-    through G* with kappa there, by the sign of d log G / d log kappa at
-    fixed f in closed form.  That is the root :func:`solve_kinematic_ratio`
-    finds at f, except where a weight-dominated kite has a second, larger
-    kappa root.  Returns the factor and its equilibrium, whose
-    ``iterations`` is 0.
-
-    Raises:
-        SetpointUnreachableError: if no admissible reeling factor exists;
-            the message names the condition that failed.
-        TetherSagError: if the ground-end force of the root leaves the
-            tether pushing on the ground station.
-    """
-    f, values = gravity_setpoint_step(bind_setpoint(F_target, target_end, angles, C_L, m, S),
-                                      theta, C_D, m_t, v_w, rho)
-    return f, EquilibriumResult(*values)
-
-
 def bind_setpoint(F_target: float, target_end: TargetEnd, angles: tuple, C_L: float, m: float,
                   S: float) -> tuple:
     """The phase constants of a set-point's step kernel, checked once."""
@@ -648,7 +607,27 @@ def bind_setpoint(F_target: float, target_end: TargetEnd, angles: tuple, C_L: fl
 
 def gravity_setpoint_step(bound: tuple, theta: float, C_D: float, m_t: float, v_w: float,
                           rho: float) -> tuple[float, tuple]:
-    """:func:`gravity_setpoint` for the :func:`bind_setpoint` constants ``bound``."""
+    """Reeling factor whose gravity-including equilibrium carries the force
+    F_target of the :func:`bind_setpoint` constants ``bound`` at their tether
+    end, in closed form, as (f, the equilibrium's fields).
+
+    The set-point fixes the aerodynamic force at the kite (by
+    :func:`tether_balance`'s inversion at the target end) and the apparent
+    wind speed; the drag condition and the apparent wind speed then give a
+    quadratic in the tangential velocity factor lam (see the module
+    docstring).  Its larger root is admitted if lam >= max(a, 0), the
+    tether carries tension (f < sin(theta)*cos(phi)), f >= -3 and G rises
+    through G* with kappa there, by the sign of d log G / d log kappa at
+    fixed f in closed form.  That is the root :func:`solve_kinematic_ratio`
+    finds at f, except where a weight-dominated kite has a second, larger
+    kappa root.  The equilibrium's ``iterations`` is 0.
+
+    Raises:
+        SetpointUnreachableError: if no admissible reeling factor exists;
+            the message names the condition that failed.
+        TetherSagError: if the ground-end force of the root leaves the
+            tether pushing on the ground station.
+    """
     F_target, target_end, angles, C_L, m, S = bound
     a, b, sin_t, cos_t = trig = _trig(theta, angles, C_L, C_D, v_w, rho)
     try:  # the aerodynamic force (F_a_r, F_a) that carries the set-point

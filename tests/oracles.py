@@ -16,6 +16,10 @@ cheaper code that replaced it: the gravity set-point step whose check that
 G rises through G* is a finite-difference probe of the force geometry just
 above the root, and transition's controller that makes the coasting solve
 at f = 0 before it reels.
+
+Two helpers are not oracles: the force set-points on scalars, each its step
+kernel applied to ``bind_setpoint`` as the simulator binds a phase, with the
+fields as an ``EquilibriumResult``.
 """
 
 import csv
@@ -193,6 +197,22 @@ def dictreader_telemetry(path):
     if any(rec.chi is None for rec in records):
         records = course_angles(records)
     return records
+
+
+def gravity_setpoint(F_target, target_end, theta, angles, C_L, C_D, m_t, m, S, v_w, rho):
+    """(f, equilibrium) that carries ``F_target`` at ``target_end``, with gravity."""
+    f, values = steady_state.gravity_setpoint_step(
+        steady_state.bind_setpoint(F_target, target_end, angles, C_L, m, S), theta, C_D, m_t, v_w,
+        rho)
+    return f, steady_state.EquilibriumResult(*values)
+
+
+def massless_setpoint(F_target, theta, angles, C_L, C_D, S, v_w, rho):
+    """(f, massless equilibrium) that carries the tether force ``F_target``."""
+    f, values = steady_state.massless_setpoint_step(
+        steady_state.bind_setpoint(F_target, "kite", angles, C_L, 0.0, S), theta, C_D, 0.0, v_w,
+        rho)
+    return f, steady_state.EquilibriumResult(*values)
 
 
 # Step in log kappa of the probe that checks G rises through G*.

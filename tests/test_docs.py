@@ -32,9 +32,18 @@ def test_every_exported_function_is_in_the_readme():
     named = set(re.findall(r"[A-Za-z_]\w*", library_section()))
     exported = [name for name in kitecycle.__all__
                 if inspect.isfunction(getattr(kitecycle, name))]
-    assert len(exported) >= 19
+    assert len(exported) >= 18
     missing = [name for name in exported if name not in named]
     assert not missing, f"README's Library section does not name: {missing}"
+
+
+def test_readme_library_examples_run():
+    # In order and in one namespace: the second example uses the first's cfg.
+    blocks = re.findall(r"```python\n(.*?)```", library_section(), re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_readme_column_lists_are_the_written_columns():

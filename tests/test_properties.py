@@ -52,9 +52,7 @@ from kitecycle import (
     angle_trig,
     estimate_log,
     estimate_record,
-    gravity_setpoint,
     load_config,
-    massless_setpoint,
     massless_state,
     replace,
     segment_and_average,
@@ -83,7 +81,8 @@ from kitecycle.errors import (
 from kitecycle.steady_state import (_equilibrium, _rises, bind_setpoint,
                                     gravity_setpoint_step, tether_balance)
 from oracles import (bisect_kappa, coasting_first_controller, course_angles, dictreader_telemetry,
-                     implied_lift_to_drag, probe_setpoint_step)
+                     gravity_setpoint, implied_lift_to_drag, massless_setpoint,
+                     probe_setpoint_step)
 
 # Only S and m enter the gravity model; the aero sets are replaced by the
 # drawn effective coefficients.

@@ -13,8 +13,6 @@ from kitecycle import (
     TetherParams,
     WindState,
     angle_trig,
-    gravity_setpoint,
-    massless_setpoint,
     massless_state,
     replace,
     solve_kinematic_ratio,
@@ -29,7 +27,8 @@ from kitecycle.errors import (
     ValidationError,
 )
 from kitecycle.steady_state import tether_balance
-from oracles import bisect_kappa, grid_scan_kappa, scan_harvesting_factor
+from oracles import (bisect_kappa, gravity_setpoint, grid_scan_kappa, massless_setpoint,
+                     scan_harvesting_factor)
 
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)
 STRONG_KITE = KiteParams(
@@ -270,8 +269,11 @@ class TestBeyondFloats:
             6.96325811709686e+128, 2.4265204409046656e+61, 2.3616130055868022e-269,
             4.776253041331276e-124, 3.969506068631448e-164, 6.656959321051297e+140,
             2.1415357110878365e-100), "6.66e+140"),
+        # q*S*C_R*(b - f)**2 underflows to 0 before the search starts.
+        (solve_kinematic_ratio, (0.0, math.radians(63.0), angle_trig(0.0, math.pi), 0.17, 0.09,
+                                 6.5, 15.0, 10.2, 1e-200, 1.2), "1e-200"),
     ], ids=["fixed-factor-overflow", "fixed-factor-underflow", "setpoint-underflow",
-            "setpoint-overflow"])
+            "setpoint-overflow", "fixed-factor-force-underflow"])
     def test_wind_power_density_beyond_floats(self, solve, args, v_w):
         with pytest.raises(SteadyStateError,
                            match=rf"^wind speed {re.escape(v_w)} m/s is beyond float arithmetic"):
