@@ -19,7 +19,8 @@ length, or elevation in transition) with its end value and direction, and
 its climb factor - run by ``_integrate``: one rates function per phase maps
 (t, r, theta) to the step record and dr/dt, dtheta/dt, and one explicit
 Euler rule steps them and sums the phase energy.  A phase binds its wind
-law, tether properties, set-point kernel and set-point constants once; a
+law, tether properties, set-point kernel and set-point constants once, and
+its fixed angles go on its ``PhaseResult``, not on each step record; a
 step makes one call each for the wind, the tether mass and drag and the
 equilibrium.  Retraction's and traction's step is their set-point's kernel
 itself, transition's a controller that composes the kernels of both
@@ -57,7 +58,7 @@ __all__ = [
 RETRACTION = "retraction"
 TRANSITION = "transition"
 TRACTION = "traction"
-_DT_MIN = 1e-5  # smallest dT: up to ≈ 0.5 M steps and 230 MB a preset cycle
+_DT_MIN = 1e-5  # smallest dT: up to ≈ 0.5 M steps and 220 MB a preset cycle
 
 
 class OperationSettings(Frozen):
@@ -102,8 +103,6 @@ class StepRecord(NamedTuple):
     t: float
     r: float
     theta: float
-    phi: float
-    chi: float
     f: float
     v_t: float
     v_k: float
@@ -114,13 +113,16 @@ class StepRecord(NamedTuple):
 
 
 class PhaseResult(NamedTuple):
-    """Time series and aggregate quantities of one phase."""
+    """Time series and aggregate quantities of one phase, flown at the fixed
+    angles ``phi`` and ``chi``."""
 
     phase: str
     duration: float
     mean_power: float
     energy: float
     steps: int
+    phi: float
+    chi: float
     series: list[StepRecord]
 
     def __repr__(self) -> str:  # without the series: one record per step
@@ -182,12 +184,11 @@ class _PhaseEngine:
         return bind_setpoint(F_target, self.op.force_at, self.angles, self.aero_set.C_L,
                              self.kite.m, self.kite.S)
 
-    @staticmethod
-    def finish(phase: str, series: list[StepRecord], energy: float) -> PhaseResult:
+    def finish(self, phase: str, series: list[StepRecord], energy: float) -> PhaseResult:
         duration = series[-1].t - series[0].t
         mean_power = energy / duration if duration > 0.0 else 0.0
         return PhaseResult(phase=phase, duration=duration, mean_power=mean_power, energy=energy,
-                           steps=len(series) - 1, series=series)
+                           steps=len(series) - 1, phi=self.phi, chi=self.chi, series=series)
 
 
 def _integrate(
@@ -219,12 +220,13 @@ def _integrate(
     Raises:
         SolverError: a PhaseError if, for ten characteristic times, each
             step's rate leaves the end over ten characteristic times away (a
-            rate <= 0 never reaches it), or what the wind law or ``step``
-            raised, chained and prefixed with the phase, t, r and elevation.
+            rate <= 0 never reaches it), or if a step takes the tether length
+            to r <= 0; or what the wind law or ``step`` raised; each chained
+            and prefixed with the phase, t, r and elevation.
         ValidationError: a step input out of a kernel's domain, chained and
             prefixed the same way.
     """
-    wind_at, tether_at, phi, chi = engine.wind_at, engine.tether_at, engine.phi, engine.chi
+    wind_at, tether_at = engine.wind_at, engine.tether_at
     cos, hypot, new = math.cos, math.hypot, tuple.__new__
 
     def rates(t: float, r: float, theta: float) -> tuple[StepRecord, float, float]:
@@ -233,8 +235,7 @@ def _integrate(
         f, (_, lam, v_a, _, _, _, F_t_kite, F_tg, _, P, _) = step(bound, theta, C_D, m_t, v_w,
                                                                    rho)
         v_t, v_tau = f * v_w, lam * v_w
-        record = new(StepRecord, (t, r, theta, phi, chi, f, v_t, hypot(v_t, v_tau), v_a,
-                                  F_t_kite, F_tg, P))
+        record = new(StepRecord, (t, r, theta, f, v_t, hypot(v_t, v_tau), v_a, F_t_kite, F_tg, P))
         return record, v_t, v_tau * climb / r
 
     sign, h, energy = (1.0 if increasing else -1.0), engine.dt, 0.0
@@ -266,6 +267,9 @@ def _integrate(
             r += dr * dt
             theta += dtheta * dt
             t += dt
+            if r <= 0.0:  # before the wind law fails on the altitude
+                raise PhaseError(f"tether length fell to zero, from a reeling factor of "
+                                 f"{series[0].f:.3g} at the phase start")
             if done:
                 # Land exactly on the end condition.
                 if by_elevation:
@@ -274,7 +278,7 @@ def _integrate(
                     r = end
             prev, (record, dr, dtheta) = record, rates(t, r, theta)
             series.append(record)
-            energy += 0.5 * (prev[11] + record[11]) * (t - prev[0])  # P and t
+            energy += 0.5 * (prev[9] + record[9]) * (t - prev[0])  # P and t
             if done:
                 return engine.finish(phase, series, energy)
     except (SolverError, ValidationError) as exc:

@@ -1,10 +1,9 @@
 """CSV/JSON writers of every run output and of the telemetry log.
 
-The telemetry log's record, reader and export (``LogRecord``,
-``read_telemetry_csv``, ``cycle_to_log_records``) live in
+The telemetry log's record, reader and export live in
 :mod:`kitecycle.telemetry`, which only ``estimate`` and ``simulate
---telemetry-out`` load; this module resolves those names on first access
-(PEP 562) to the telemetry module's objects.
+--telemetry-out`` load; this module resolves ``read_telemetry_csv`` on first
+access (PEP 562) to the telemetry module's reader.
 
 Every CSV goes through ``_write_csv`` and every JSON run output through
 :func:`write_json`.  A CSV file holds the bytes ``csv.writer`` writes for
@@ -15,10 +14,11 @@ is blank and every line ends in CRLF; the header goes through
 ``csv.writer``.  Rows format a number as ``{x!s}``: ``{x}`` gives the same
 text through ``format(x, '')``, a ``__format__`` lookup and a spec parse
 more per field, and ``{x!r}`` writes a numpy 2 float64 as ``np.float64(1.5)``.
-Within a phase, :func:`write_timeseries_csv` reuses the text of a number
-that repeats (the elevation traction holds, a set-point force), keyed on its
-value; a zero is formatted each time, as 0.0 and -0.0 are one key, and a NaN
-matches only itself as an object: the bytes stay ``csv.writer``'s.
+:func:`write_timeseries_csv` formats each phase's angle pair once and,
+within a phase, reuses the text of a number that repeats (the elevation
+traction holds, a set-point force), keyed on its value; a zero is formatted
+each time, as 0.0 and -0.0 are one key, and a NaN matches only itself as an
+object: the bytes stay ``csv.writer``'s.
 Files are UTF-8; a CSV, written ``_CHUNK`` lines a write, has comma separators,
 ``.`` decimals and a header row; JSON is indented by two spaces and ends with a
 newline.  Outputs carry no timestamps so identical runs are byte-identical.
@@ -44,10 +44,8 @@ if TYPE_CHECKING:  # the estimator and the telemetry reader load only where they
 __all__ = [
     "TIMESERIES_COLUMNS",
     "TELEMETRY_COLUMNS",
-    "LogRecord",
     "write_timeseries_csv",
     "write_cycle_summary",
-    "cycle_to_log_records",
     "write_telemetry_csv",
     "read_telemetry_csv",
     "write_estimates_csv",
@@ -67,18 +65,16 @@ TELEMETRY_COLUMNS = [
     "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref", "phase",
 ]
 
-# The telemetry module's names, which __getattr__ resolves on first access.
-_TELEMETRY = ("LogRecord", "cycle_to_log_records", "read_telemetry_csv")
 _CHUNK = 256  # lines that _write_csv joins into one write
 
 
-def __getattr__(name: str):
-    if name not in _TELEMETRY:
+def __getattr__(name: str):  # perfbench's dataio.read span wraps this name here
+    if name != "read_telemetry_csv":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import telemetry
+    from .telemetry import read_telemetry_csv
 
-    value = globals()[name] = getattr(telemetry, name)
-    return value
+    globals()[name] = read_telemetry_csv
+    return read_telemetry_csv
 
 
 def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
@@ -122,12 +118,10 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
     def lines() -> Iterator[str]:
         degrees = math.degrees
         for phase in cycle.phases:
-            label, phi, chi, held = _label(phase.phase), None, None, None
+            label, held = _label(phase.phase), None
+            angles = f"{degrees(phase.phi)!s},{degrees(phase.chi)!s}"
             kite_texts, ground_texts = {}, {}
-            for t, r, theta, rec_phi, rec_chi, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.series:
-                if rec_phi is not phi or rec_chi is not chi:  # a phase's records share them
-                    phi, chi = rec_phi, rec_chi
-                    angles = f"{degrees(phi)!s},{degrees(chi)!s}"
+            for t, r, theta, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.series:
                 if theta != held or not theta:  # traction holds theta; ±0.0 and NaN anew
                     held = theta
                     elevation = f"{degrees(theta)!s},{degrees(0.5 * math.pi - theta)!s}"

@@ -5,7 +5,7 @@ others through :func:`record_fault`.
 
 Only ``estimate`` and ``simulate --telemetry-out`` load this module.  The
 writer and the column names stay in ``dataio`` with the other outputs;
-``dataio`` resolves the names below on first access, as the same objects.
+``dataio`` resolves ``read_telemetry_csv`` on first access, as the same object.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
             if records and rec.t <= records[-1].t:
                 continue
             v_tau = math.sqrt(max(rec.v_k**2 - rec.v_t**2, 0.0))
-            vk = _spherical_velocity_to_cartesian(rec.theta, rec.phi, rec.chi, rec.v_t, v_tau)
-            records.append(LogRecord(rec.t, rec.F_tg, rec.r, rec.theta, rec.phi, rec.chi, vk,
+            vk = _spherical_velocity_to_cartesian(rec.theta, phase.phi, phase.chi, rec.v_t, v_tau)
+            records.append(LogRecord(rec.t, rec.F_tg, rec.r, rec.theta, phase.phi, phase.chi, vk,
                                      rec.v_t, v_w_ref, phase.phase))
     return records
 

@@ -30,9 +30,10 @@ import numpy as np
 
 from kitecycle import steady_state
 from kitecycle.cycle import _PhaseEngine
-from kitecycle.dataio import TELEMETRY_COLUMNS, LogRecord
+from kitecycle.dataio import TELEMETRY_COLUMNS
 from kitecycle.errors import NoTensionError, ParseError, TetherSagError, ValidationError
 from kitecycle.steady_state import massless_state, solve_kinematic_ratio
+from kitecycle.telemetry import LogRecord
 
 
 def implied_lift_to_drag(kappa, f, theta, angles, C_L, C_D, m_t, m, S, v_w, rho):

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -562,6 +563,37 @@ def test_failed_sweep_point_names_its_value(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(prefix)
 
 
+@pytest.mark.parametrize("preset,flags,message", [
+    ("strong_wind", [], r"PhaseError: traction at t = 231\.583 s, r = -2\.33604 m, .*: tether "
+                        r"length fell to zero, from a reeling factor of -0\.291 at the phase "
+                        r"start"),
+    ("strong_wind", ["--no-gravity"], r"PhaseError: traction at t = 294\.016 s, r = -1\.53215 "
+                                      r"m, .*: tether length fell to zero, from a reeling factor "
+                                      r"of -0\.222 at the phase start"),
+    # The moderate preset's traction ends before the tether length reaches
+    # zero: with gravity at r = 7.7 mm, whose altitude is below the roughness
+    # length, and without it in a stall.
+    ("moderate_wind", [], r"DomainError: traction at t = 325\.748 s, r = 0\.00772574 m, .*: "
+                          r"altitude .* is below the roughness length"),
+    ("moderate_wind", ["--no-gravity"], r"PhaseError: traction at t = 428\.047 s, .*: tether "
+                                        r"length failed to increase for 1001 consecutive steps"),
+], ids=["strong-gravity", "strong-massless", "moderate-gravity", "moderate-massless"])
+def test_traction_that_reels_in_at_low_wind_names_why_it_ends(tmp_path, capsys, preset, flags,
+                                                              message):
+    # At 4 m/s traction's force set-point reels in from its first step.  A
+    # step that takes the tether length to r <= 0 is a PhaseError: the wind
+    # law's DomainError, at a negative altitude, used to end the run.
+    raw = json.loads(preset_path(preset).read_text())
+    raw["environment"]["v_w_ref"] = 4.0
+    config = tmp_path / "low_wind.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_command(["simulate", "--config", str(config), "--out", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert re.match(message, err), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec,message", [
     # Each of the first five used to raise a TypeError or resolve a field
     # of the parsed objects; the range used to sweep NaN masses (exit 3).
@@ -843,9 +875,8 @@ def test_only_estimate_and_telemetry_out_load_the_telemetry_module(tmp_path, sim
 def test_dataio_resolves_the_telemetry_names_to_the_telemetry_module():
     from kitecycle import dataio, telemetry
 
-    for name in ("LogRecord", "read_telemetry_csv", "cycle_to_log_records"):
-        assert name in dataio.__all__
-        assert getattr(dataio, name) is getattr(telemetry, name)
+    assert "read_telemetry_csv" in dataio.__all__
+    assert dataio.read_telemetry_csv is telemetry.read_telemetry_csv
     with pytest.raises(AttributeError, match="no attribute '_parse_rows'"):
         dataio._parse_rows
 

@@ -20,13 +20,12 @@ from kitecycle.config import PRESET_NAMES
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
     TIMESERIES_COLUMNS,
-    LogRecord,
-    cycle_to_log_records,
     read_telemetry_csv,
     write_telemetry_csv,
     write_timeseries_csv,
 )
 from kitecycle.errors import ParseError, ValidationError
+from kitecycle.telemetry import LogRecord, cycle_to_log_records
 
 
 def strong_raw() -> dict:
@@ -259,8 +258,9 @@ class TestTimeseriesCsv:
     @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
     def test_full_precision_round_trip(self, tmp_path, strong_config, strong_cycle, gravity):
         # Every row and column reads back its record's value exactly; the
-        # degree columns are math.degrees of the record's angles.  Without
-        # gravity every record's F_tg is its F_t_kite object.
+        # degree columns are math.degrees of the record's elevation and of
+        # its phase's angle pair.  Without gravity every record's F_tg is
+        # its F_t_kite object.
         cfg = strong_config
         cycle = strong_cycle if gravity else simulate_cycle(
             cfg.environment, cfg.kite, cfg.tether, replace(cfg.operation, gravity=False))
@@ -268,12 +268,13 @@ class TestTimeseriesCsv:
         write_timeseries_csv(path, cycle)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        records = [(phase.phase, rec) for phase in cycle.phases for rec in phase.series]
+        records = [(phase, rec) for phase in cycle.phases for rec in phase.series]
         assert len(rows) == len(records)
         for row, (phase, rec) in zip(rows, records):
-            expected = {**rec._asdict(), "phase": phase, "theta_deg": math.degrees(rec.theta),
+            expected = {**rec._asdict(), "phase": phase.phase,
+                        "theta_deg": math.degrees(rec.theta),
                         "beta_deg": math.degrees(0.5 * math.pi - rec.theta),
-                        "phi_deg": math.degrees(rec.phi), "chi_deg": math.degrees(rec.chi)}
+                        "phi_deg": math.degrees(phase.phi), "chi_deg": math.degrees(phase.chi)}
             assert list(row) == TIMESERIES_COLUMNS
             for column, text in row.items():
                 value = text if column == "phase" else float(text)

@@ -149,11 +149,15 @@ def test_euler_rule_of_every_phase(request, monkeypatch, preset, gravity):
                 continue
             v_tau = math.sqrt(cur.v_k**2 - cur.v_t**2)
             assert nxt.theta - cur.theta == pytest.approx(
-                v_tau * math.cos(cur.chi) / cur.r * dt, rel=1e-9)
+                v_tau * math.cos(phase.chi) / cur.r * dt, rel=1e-9)
     assert all(rec.theta == op.theta_o for rec in res.traction.series)
     assert res.retraction.end.r == op.r_min
     assert res.transition.end.theta == 0.5 * math.pi - op.beta_o
     assert res.traction.end.r == op.r_max
+    # Each phase flies at fixed angles, which its PhaseResult holds once.
+    assert (res.retraction.phi, res.retraction.chi) == (0.0, math.pi)
+    assert (res.transition.phi, res.transition.chi) == (0.0, 0.0)
+    assert (res.traction.phi, res.traction.chi) == (op.phi_o, op.chi_o)
 
 
 def test_transition_degenerate_start(strong_config):
@@ -175,13 +179,14 @@ def test_traction_degenerate_start(strong_config):
 
 def test_traction_stalls_without_wind(strong_config):
     # In weak wind the high force set-point is only reachable by reeling
-    # in, so the tether shortens instead of extending.  With gravity the
-    # kite is reeled in below the roughness length, where the log wind law
-    # is undefined, before the stall limit is reached.  Massless, the
-    # set-point first needs f < -3 (at r = 5.6 m), which is unreachable.
+    # in, so the tether shortens instead of extending.  With gravity one
+    # Euler step takes the tether length below zero (to -28.3 m) before the
+    # stall limit is reached.  Massless, the set-point first needs f < -3
+    # (at r = 5.6 m), which is unreachable.
     cfg = strong_config
     env = Environment(v_w_ref=2.0, z_ref=6.0, z0=0.07)
-    for gravity, error, message in ((True, DomainError, "roughness length"),
+    for gravity, error, message in ((True, PhaseError, r"^traction at .*: tether length fell "
+                                     r"to zero, from a reeling factor of -1\.44 at the phase"),
                                     (False, SetpointUnreachableError, "is below -3.0")):
         op = replace(cfg.operation, dT=0.5, gravity=gravity)
         with pytest.raises(error, match=message):

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import kitecycle
+from kitecycle.cycle import StepRecord
 from kitecycle.dataio import TELEMETRY_COLUMNS, TIMESERIES_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +45,12 @@ def test_readme_library_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_gives_the_step_record_fields():
+    fields = re.search(r"`StepRecord` per step, with\s+the ten fields `([^`]*)`",
+                       library_section()).group(1)
+    assert fields.split(", ") == list(StepRecord._fields)
 
 
 def test_readme_column_lists_are_the_written_columns():

@@ -67,7 +67,7 @@ from kitecycle.cycle import (CycleResult, PhaseResult, StepRecord, _PhaseEngine,
                              _transition_controller)
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
-from kitecycle.dataio import TELEMETRY_COLUMNS, LogRecord, read_telemetry_csv
+from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv
 from kitecycle.estimation import EstimateRecord
 from kitecycle.errors import (
     KitecycleError,
@@ -80,6 +80,7 @@ from kitecycle.errors import (
 )
 from kitecycle.steady_state import (_equilibrium, _rises, bind_setpoint,
                                     gravity_setpoint_step, tether_balance)
+from kitecycle.telemetry import LogRecord
 from oracles import (bisect_kappa, coasting_first_controller, course_angles, dictreader_telemetry,
                      gravity_setpoint, implied_lift_to_drag, massless_setpoint,
                      probe_setpoint_step)
@@ -1030,13 +1031,14 @@ def csv_module_bytes(header, rows):
 
 def pool(draw, values):
     """A strategy that draws from a small drawn pool of ``values``, so that
-    runs of draws share one object, as a phase's records share its angles."""
+    runs of draws share one object, as runs of a log's records share their
+    angles."""
     return st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
 
 
 @st.composite
 def cycles(draw):
-    angle, kept = pool(draw, FLOAT), dataio._FORCE_TEXTS
+    kept = dataio._FORCE_TEXTS
     phases = []
     for _ in range(3):
         # theta and the forces repeat within a phase, as traction's held theta
@@ -1053,25 +1055,26 @@ def cycles(draw):
             t, r, f, v_t, v_k, v_a, P = draw(st.tuples(*[number] * 7))
             F_t_kite = forces[i] if long and i < len(forces) else draw(st.sampled_from(forces))
             F_tg = F_t_kite if draw(st.booleans()) else draw(st.sampled_from(forces))
-            series.append(StepRecord(t, r, draw(theta), draw(angle), draw(angle), f, v_t, v_k,
-                                     v_a, F_t_kite, F_tg, P))
-        phases.append(PhaseResult(draw(LABEL), 0.0, 0.0, 0.0, len(series), series))
+            series.append(StepRecord(t, r, draw(theta), f, v_t, v_k, v_a, F_t_kite, F_tg, P))
+        phi, chi = draw(FLOAT), draw(FLOAT)  # one angle pair a phase
+        phases.append(PhaseResult(draw(LABEL), 0.0, 0.0, 0.0, len(series), phi, chi, series))
     return CycleResult(*phases, 0.0, 0.0, 0.0, 0)
 
 
 @PROPERTY
 @given(cycles())
-# Equal numbers that print differently: the writer reuses the text of an
-# angle only for the same object, of theta and a force never for a zero, and
-# of F_t_kite for F_tg only for the same object.
+# Equal numbers that print differently: the writer reuses the text of theta
+# and a force never for a zero, and of F_t_kite for F_tg only for the same
+# object.
 @example(CycleResult(
-    PhaseResult("traction", 0.0, 0.0, 0.0, 2, [StepRecord(*[0.0] * 12), StepRecord(*[-0.0] * 12),
-                                               StepRecord(*[0.0] * 10, -0.0, 0.0)]),
-    *[PhaseResult("", 0.0, 0.0, 0.0, 0, [])] * 2, 0.0, 0.0, 0.0, 0))
+    PhaseResult("traction", 0.0, 0.0, 0.0, 2, 0.0, -0.0,
+                [StepRecord(*[0.0] * 10), StepRecord(*[-0.0] * 10),
+                 StepRecord(*[0.0] * 8, -0.0, 0.0)]),
+    *[PhaseResult("", 0.0, 0.0, 0.0, 0, 0.0, 0.0, [])] * 2, 0.0, 0.0, 0.0, 0))
 def test_timeseries_writer_matches_the_csv_module(cycle):
     rows = [[rec.t, phase.phase, rec.r, math.degrees(rec.theta),
-             math.degrees(0.5 * math.pi - rec.theta), math.degrees(rec.phi),
-             math.degrees(rec.chi), *rec[5:]] for phase in cycle.phases for rec in phase.series]
+             math.degrees(0.5 * math.pi - rec.theta), math.degrees(phase.phi),
+             math.degrees(phase.chi), *rec[3:]] for phase in cycle.phases for rec in phase.series]
     assert written_bytes(dataio.write_timeseries_csv, cycle) == csv_module_bytes(
         dataio.TIMESERIES_COLUMNS, rows)
 

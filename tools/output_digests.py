@@ -8,7 +8,9 @@ The commands run in-process through ``kitecycle.cli.run_command``:
 
 - ``simulate`` with and without ``--no-gravity``, each with
   ``--telemetry-out``, on both presets and on the ten seed-1 configs of
-  the ``cycle-gravity`` and ``cycle-massless`` benchmark pools;
+  the ``cycle-gravity`` and ``cycle-massless`` benchmark pools, and on
+  both presets at ``v_w_ref`` 4.0 (``LOW_WIND``), where traction reels
+  in and the run fails (exit 3) with its reason on standard error;
 - ``convergence --dt-list 0.01 0.002`` on both presets;
 - ``sweep`` with a values spec and with a range spec;
 - ``estimate`` on the five seed-1 logs of the ``estimate`` pool and on
@@ -39,6 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from kitecycle.cli import run_command  # noqa: E402
+from kitecycle.config import preset_path  # noqa: E402
 
 SWEEP_SPECS = {
     "values": ("strong_wind", {"parameter": "operation.F_out",
@@ -46,6 +49,7 @@ SWEEP_SPECS = {
     "range": ("moderate_wind", {"parameter": "kite.m", "objective": "zeta_m",
                                 "range": {"start": 10.0, "stop": 20.0, "num": 3}}),
 }
+LOW_WIND = 4.0  # m/s: traction's force set-point reels in on both presets
 
 
 def _option(argv: list[str], name: str) -> str:
@@ -58,6 +62,12 @@ def commands(inputs: Path) -> dict[str, list[str]]:
     for workload in ("cycle-gravity", "cycle-massless"):
         for op in workloads.cycle_ops(workload, workloads.DEFAULT_SEED, inputs):
             configs[Path(_option(op["argv"], "--config")).stem] = _option(op["argv"], "--config")
+    for name in workloads.PRESETS:
+        raw = json.loads(preset_path(name).read_text(encoding="utf-8"))
+        raw["environment"]["v_w_ref"] = LOW_WIND
+        path = inputs / f"{name}-low_wind.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        configs[path.stem] = str(path)
     runs = {}
     for name, config in configs.items():
         runs[f"simulate/{name}"] = ["simulate", "--config", config]
