@@ -3,7 +3,8 @@ power systems.
 
 The public names below are resolved on first access (PEP 562), so
 importing the package, or a command that needs only some of its modules,
-loads nothing else: a simulation never imports the estimator.
+loads nothing else: a simulation imports the estimator, which holds the
+telemetry log's record and export, only for ``simulate --telemetry-out``.
 """
 
 _EXPORTS = {
@@ -12,12 +13,11 @@ _EXPORTS = {
     "cycle": ("CycleResult", "OperationSettings", "PhaseResult", "StepRecord",
               "convergence_study", "simulate_cycle", "simulate_retraction",
               "simulate_traction", "simulate_transition"),
-    "estimation": ("EstimateRecord", "PhaseAverages", "estimate_log", "estimate_record",
-                   "segment_and_average", "segment_phases"),
+    "estimation": ("EstimateRecord", "LogRecord", "PhaseAverages", "estimate_log",
+                   "estimate_record", "segment_and_average", "segment_phases"),
     "frozen": ("replace",),
     "steady_state": ("GRAVITY", "AeroSet", "EquilibriumResult", "KiteParams", "TetherParams",
                      "angle_trig", "massless_state", "solve_kinematic_ratio", "tether_properties"),
-    "telemetry": ("LogRecord",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

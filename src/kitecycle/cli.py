@@ -30,7 +30,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # The telemetry goes first: its path may fail, and then --out holds no file.
     if args.telemetry_out:
-        from .telemetry import cycle_to_log_records  # loaded only for this export
+        from .estimation import cycle_to_log_records  # loaded only for this export
         records = cycle_to_log_records(cycle, cfg.environment.v_w_ref)
         dataio.write_telemetry_csv(args.telemetry_out, records)
     dataio.write_cycle_summary(out / "cycle_summary.json", cycle)

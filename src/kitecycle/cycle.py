@@ -32,11 +32,13 @@ is truncated at the crossing, so durations are not quantised.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from typing import NamedTuple
 
 from .atmosphere import Environment, bind_wind, wind_state_at
-from .errors import NoTensionError, PhaseError, SolverError, TetherSagError, ValidationError
+from .errors import (NoTensionError, PhaseError, SolverError, SteadyStateError, TetherSagError,
+                     ValidationError)
 from .frozen import Frozen, replace
 from .steady_state import (AeroSet, KiteParams, TetherParams, angle_trig, bind_setpoint,
                            bind_tether, massless_setpoint_step, massless_state,
@@ -381,6 +383,9 @@ def simulate_cycle(env: Environment, kite: KiteParams, tether: TetherParams,
     P_m = energy / duration
     z_mt = 0.5 * math.cos(op.theta_o) * (op.r_min + op.r_max)
     wind_mt = wind_state_at(z_mt, env)
+    if wind_mt.P_w * kite.S < sys.float_info.min:  # subnormal or 0: zeta_m loses its digits
+        raise SteadyStateError(f"wind speed {wind_mt.v_w:.3g} m/s at z_mt = {z_mt:.6g} m is beyond "
+                               "float arithmetic: the wind power density underflows")
     zeta_m = P_m / (wind_mt.P_w * kite.S)
     return CycleResult(
         retraction=retraction,

@@ -1,9 +1,9 @@
 """CSV/JSON writers of every run output and of the telemetry log.
 
-The telemetry log's record, reader and export live in
-:mod:`kitecycle.telemetry`, which only ``estimate`` and ``simulate
+The telemetry log's record, reader and export live with the estimator in
+:mod:`kitecycle.estimation`, which only ``estimate`` and ``simulate
 --telemetry-out`` load; this module resolves ``read_telemetry_csv`` on first
-access (PEP 562) to the telemetry module's reader.
+access (PEP 562) to the estimation module's reader.
 
 Every CSV goes through ``_write_csv`` and every JSON run output through
 :func:`write_json`.  A CSV file holds the bytes ``csv.writer`` writes for
@@ -38,8 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 from .cycle import CycleResult, PhaseResult
 
 if TYPE_CHECKING:  # the estimator and the telemetry reader load only where they run
-    from .estimation import EstimateRecord, PhaseAverages
-    from .telemetry import LogRecord
+    from .estimation import EstimateRecord, LogRecord, PhaseAverages
 
 __all__ = [
     "TIMESERIES_COLUMNS",
@@ -71,7 +70,7 @@ _CHUNK = 256  # lines that _write_csv joins into one write
 def __getattr__(name: str):  # perfbench's dataio.read span wraps this name here
     if name != "read_telemetry_csv":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .telemetry import read_telemetry_csv
+    from .estimation import read_telemetry_csv
 
     globals()[name] = read_telemetry_csv
     return read_telemetry_csv

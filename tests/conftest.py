@@ -1,7 +1,7 @@
 import pytest
 
 from kitecycle import load_config, preset_path, simulate_cycle
-from kitecycle.telemetry import cycle_to_log_records
+from kitecycle.estimation import cycle_to_log_records
 
 
 @pytest.fixture(scope="session")

@@ -32,8 +32,8 @@ from kitecycle import steady_state
 from kitecycle.cycle import _PhaseEngine
 from kitecycle.dataio import TELEMETRY_COLUMNS
 from kitecycle.errors import NoTensionError, ParseError, TetherSagError, ValidationError
+from kitecycle.estimation import LogRecord
 from kitecycle.steady_state import massless_state, solve_kinematic_ratio
-from kitecycle.telemetry import LogRecord
 
 
 def implied_lift_to_drag(kappa, f, theta, angles, C_L, C_D, m_t, m, S, v_w, rho):

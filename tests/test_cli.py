@@ -344,6 +344,34 @@ def test_reference_wind_beyond_the_float_range_exits_3(tmp_path, capsys, v_w_ref
     assert " m/s is beyond float arithmetic: " in err, err
 
 
+@pytest.mark.parametrize("v_w_ref, expected", [(1e-110, 3), (1e-108, 3), (1e-100, 0)])
+def test_wind_power_density_that_underflows_exits_3(tmp_path, capsys, v_w_ref, expected):
+    # With the forces scaled by the wind's square every massless step
+    # solves, but the wind power density at z_mt underflows: to 0 at 1e-110,
+    # which raised ZeroDivisionError, a traceback and exit 1; to a subnormal
+    # at 1e-108, which wrote zeta_m = 0.1 from P_m = 5e-324.
+    raw = strong_raw()
+    raw["environment"]["v_w_ref"] = v_w_ref
+    for key in ("F_out", "F_in"):
+        raw["operation"][key] *= (v_w_ref / 9.9) ** 2
+    weak = tmp_path / "weak.json"
+    weak.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_command(["simulate", "--config", str(weak), "--out", str(out),
+                        "--no-gravity"]) == expected
+    if expected == 3:
+        err = capsys.readouterr().err
+        assert err.startswith("SteadyStateError: wind speed "), err
+        assert " m/s at z_mt = 251.965 m is beyond float arithmetic: " in err, err
+        assert not out.exists()
+        return
+    assert run_command(["simulate", "--config", "strong_wind", "--out", str(tmp_path / "ref"),
+                        "--no-gravity"]) == 0
+    zeta_m, reference = (json.loads((path / "cycle_summary.json").read_text())["zeta_m"]
+                         for path in (out, tmp_path / "ref"))
+    assert zeta_m == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
 def test_lift_to_drag_ratio_that_underflows_exits_2(tmp_path, capsys):
     # A tiny C_L over a tether drag of 1e300 gives C_L/C_D = 0, whose log
     # raised ValueError, a traceback and exit 1, with gravity.  The error
@@ -822,8 +850,8 @@ def test_import_does_not_load_scipy():
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     # Importing them costs more start-up time than simulating a preset, and
-    # only `estimate` uses the estimator; only `estimate` and `simulate
-    # --telemetry-out` use the telemetry module.  -S keeps a site .pth file
+    # only `estimate` and `simulate --telemetry-out` use the estimation
+    # module, which holds the telemetry log.  -S keeps a site .pth file
     # from importing any of them before kitecycle does.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -832,7 +860,7 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
             "from kitecycle.config import load_config, preset_path\n"
             "load_config(preset_path('strong_wind'))\n"
             "print(sorted({'dataclasses', 'inspect', 'kitecycle.estimation',\n"
-            "              'kitecycle.telemetry', 'importlib.resources'} & set(sys.modules)))\n")
+            "              'importlib.resources'} & set(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout == "[]\n"
@@ -865,7 +893,7 @@ def test_only_estimate_and_telemetry_out_load_the_telemetry_module(tmp_path, sim
     code = ("import sys\n"
             "from kitecycle.cli import run_command\n"
             "code = run_command(sys.argv[1:])\n"
-            "print(code, 'kitecycle.telemetry' in sys.modules)\n")
+            "print(code, 'kitecycle.estimation' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "o")],
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True,
                           capture_output=True, text=True)
@@ -873,10 +901,11 @@ def test_only_estimate_and_telemetry_out_load_the_telemetry_module(tmp_path, sim
 
 
 def test_dataio_resolves_the_telemetry_names_to_the_telemetry_module():
-    from kitecycle import dataio, telemetry
+    from kitecycle import dataio, estimation
 
     assert "read_telemetry_csv" in dataio.__all__
-    assert dataio.read_telemetry_csv is telemetry.read_telemetry_csv
+    assert dataio.read_telemetry_csv is estimation.read_telemetry_csv
+    assert kitecycle.LogRecord is estimation.LogRecord
     with pytest.raises(AttributeError, match="no attribute '_parse_rows'"):
         dataio._parse_rows
 

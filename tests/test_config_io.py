@@ -8,13 +8,13 @@ import pytest
 
 from kitecycle import (
     dataio,
+    estimation,
     load_config,
     load_sweep_spec,
     preset_path,
     replace,
     segment_and_average,
     simulate_cycle,
-    telemetry,
 )
 from kitecycle.config import PRESET_NAMES
 from kitecycle.dataio import (
@@ -25,7 +25,7 @@ from kitecycle.dataio import (
     write_timeseries_csv,
 )
 from kitecycle.errors import ParseError, ValidationError
-from kitecycle.telemetry import LogRecord, cycle_to_log_records
+from kitecycle.estimation import LogRecord, cycle_to_log_records
 
 
 def strong_raw() -> dict:
@@ -407,8 +407,8 @@ class TestTelemetryCsv:
                 built.append(fields[0])
                 return super()._make(fields)
 
-        # The reader builds records through the telemetry module's binding.
-        monkeypatch.setattr(telemetry, "LogRecord", CountedRecord)
+        # The reader builds records through the estimation module's binding.
+        monkeypatch.setattr(estimation, "LogRecord", CountedRecord)
         for records in ([rec._replace(chi=None) for rec in strong_telemetry], strong_telemetry):
             path = tmp_path / "telemetry.csv"
             write_telemetry_csv(path, records)

@@ -26,7 +26,7 @@ from kitecycle import estimation
 from kitecycle.atmosphere import bind_wind
 from kitecycle.dataio import read_telemetry_csv, write_telemetry_csv
 from kitecycle.errors import EmptyPhaseError, ValidationError
-from kitecycle.telemetry import _spherical_velocity_to_cartesian, cycle_to_log_records
+from kitecycle.estimation import _spherical_velocity_to_cartesian, cycle_to_log_records
 
 ENV = Environment(v_w_ref=9.9, z_ref=6.0, z0=0.07)
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)

@@ -68,7 +68,7 @@ from kitecycle.cycle import (CycleResult, PhaseResult, StepRecord, _PhaseEngine,
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
 from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv
-from kitecycle.estimation import EstimateRecord
+from kitecycle.estimation import EstimateRecord, LogRecord
 from kitecycle.errors import (
     KitecycleError,
     NoTensionError,
@@ -80,7 +80,6 @@ from kitecycle.errors import (
 )
 from kitecycle.steady_state import (_equilibrium, _rises, bind_setpoint,
                                     gravity_setpoint_step, tether_balance)
-from kitecycle.telemetry import LogRecord
 from oracles import (bisect_kappa, coasting_first_controller, course_angles, dictreader_telemetry,
                      gravity_setpoint, implied_lift_to_drag, massless_setpoint,
                      probe_setpoint_step)

@@ -94,7 +94,7 @@ def test_cycle_spans_count_their_calls(spans, gravity):
 
 def test_estimate_spans_see_the_read_and_the_writes(spans, tmp_path, strong_telemetry):
     # The estimator reads a log through dataio's binding of the reader, the
-    # one the dataio.read span wraps, not the telemetry module's.
+    # one the dataio.read span wraps, not its own module's.
     log = tmp_path / "telemetry.csv"
     dataio.write_telemetry_csv(log, strong_telemetry)
     tracer = spans.Tracer()

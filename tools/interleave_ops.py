@@ -33,13 +33,15 @@ pass counts the Python-level calls inside each ``simulate_cycle`` (the
 ``sys.setprofile`` "call" events, less those of the counters above) and
 the integration steps it returns.
 At the end the script prints, per workload, each side's median figure,
-the relative change of the medians and the rounds the change was faster
-in, then each side's median peak resident set of its pool's process (read
-as VmHWM, as ``--startup`` reads it), then each side's calls of the
-counted functions in one pass over each pool and its Python-level calls
-per integration step, then whether every output file was byte-identical
-between the sides in each round, or how many differed and the first that
-did.  Outputs that differ are reported, not an error: a change may alter
+the relative change of the medians, the median over rounds of the change's
+figure over the parent's less 1, each ratio taken within its round (a slow
+round slows both sides, so it moves this ratio less than either median),
+and the rounds the change was faster in, then each side's median peak
+resident set of its pool's process (read as VmHWM, as ``--startup`` reads
+it), then each side's calls of the counted functions in one pass over each
+pool and its Python-level calls per integration step, then whether every
+output file was byte-identical between the sides in each round, or how
+many differed and the first that did.  Outputs that differ are reported, not an error: a change may alter
 them on purpose.  An op that exits non-zero on either side is an error.
 
 ``--startup N`` compares start-up instead of the op pools, as
@@ -49,9 +51,10 @@ run perfbench's ``SETUP_CODE`` on the first config of the first workload's
 pool, each followed by one that runs ``BASELINE_CODE`` and scaled by
 ``BASE_REF_S`` over that one's wall time.  A side's round figure is the
 median of its scaled times.  The script prints each side's median figure,
-the parent's interquartile range, the rounds in which the change was
-lower and each side's median peak resident set of start-up, read in one
-more, untimed ``SETUP_CODE`` process per round (see ``PEAK_CODE``).
+the parent's interquartile range, the median within-round ratio as above,
+the rounds in which the change was lower and each side's median peak
+resident set of start-up, read in one more, untimed ``SETUP_CODE`` process
+per round (see ``PEAK_CODE``).
 Standard library only.
 """
 
@@ -200,6 +203,11 @@ def startup_round(tree: Path, config: str) -> tuple[float, int]:
     return statistics.median(scaled), int(peak[-1]) if peak else 0
 
 
+def within_rounds(parent: list[float], change: list[float]) -> float:
+    """The median over rounds of change/parent - 1, each ratio within its round."""
+    return statistics.median(b / a - 1.0 for a, b in zip(parent, change))
+
+
 def compare_startup(trees: dict[str, Path], config: str, rounds: int, parent_rev: str) -> None:
     """Print the start-up comparison of ``rounds`` alternating rounds."""
     times = {"parent": [], "change": []}
@@ -219,7 +227,8 @@ def compare_startup(trees: dict[str, Path], config: str, rounds: int, parent_rev
     lower = sum(b < a for a, b in zip(parent, change))
     print(f"{rounds} alternating start-up rounds, parent {parent_rev}, config {config}:")
     print(f"  setup_s: parent {p:.4f} s (IQR {(q3 - q1) / p:.2%} of its median), "
-          f"change {c:.4f} s ({(c - p) / p:+.1%}), change lower in {lower}/{rounds} rounds")
+          f"change {c:.4f} s ({(c - p) / p:+.1%}; within rounds "
+          f"{within_rounds(parent, change):+.1%}), change lower in {lower}/{rounds} rounds")
     print(f"  start-up ru_maxrss (read as VmHWM): parent {statistics.median(peaks['parent']):.0f} KB, "
           f"change {statistics.median(peaks['change']):.0f} KB")
 
@@ -296,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         parent, change = times[name]["parent"], times[name]["change"]
         p, c = statistics.median(parent), statistics.median(change)
         won = sum(b < a for a, b in zip(parent, change))
-        print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}), "
+        print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}; within "
+              f"rounds {within_rounds(parent, change):+.1%}), "
               f"change faster in {won}/{args.rounds} rounds")
     print("Peak resident set of a pool's process (read as VmHWM), median:")
     for name in names:
