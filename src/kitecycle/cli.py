@@ -35,7 +35,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
         dataio.write_telemetry_csv(args.telemetry_out, records)
     dataio.write_cycle_summary(out / "cycle_summary.json", cycle)
     dataio.write_timeseries_csv(out / "timeseries.csv", cycle)
-    print(f"P_m = {cycle.P_m:.1f} W over {cycle.duration:.1f} s "
+    print(f"P_m = {cycle.P_m:.6g} W over {cycle.duration:.6g} s "
           f"(zeta_m = {cycle.zeta_m:.4f}); outputs in {out}")
     return 0
 

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
+from array import array
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .atmosphere import Environment, bind_wind, wind_state_at
@@ -60,7 +61,7 @@ __all__ = [
 RETRACTION = "retraction"
 TRANSITION = "transition"
 TRACTION = "traction"
-_DT_MIN = 1e-5  # smallest dT: up to ≈ 0.5 M steps and 220 MB a preset cycle
+_DT_MIN = 1e-5  # smallest dT: up to ≈ 0.5 M steps and 42 MB a preset cycle
 
 
 class OperationSettings(Frozen):
@@ -116,7 +117,9 @@ class StepRecord(NamedTuple):
 
 class PhaseResult(NamedTuple):
     """Time series and aggregate quantities of one phase, flown at the fixed
-    angles ``phi`` and ``chi``."""
+    angles ``phi`` and ``chi``.  ``values`` holds the steps as one flat array,
+    ten doubles a step in ``StepRecord`` field order; ``series`` builds their
+    records on each access."""
 
     phase: str
     duration: float
@@ -125,19 +128,27 @@ class PhaseResult(NamedTuple):
     steps: int
     phi: float
     chi: float
-    series: list[StepRecord]
+    values: array
 
-    def __repr__(self) -> str:  # without the series: one record per step
+    def __repr__(self) -> str:  # without the series: ten doubles per step
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
         return f"PhaseResult({fields})"
 
+    def rows(self) -> Iterator[tuple]:
+        """Each step as a plain tuple of its ten fields."""
+        return zip(*[iter(self.values)] * 10)
+
+    @property
+    def series(self) -> list[StepRecord]:
+        return list(map(StepRecord._make, self.rows()))
+
     @property
     def start(self) -> StepRecord:
-        return self.series[0]
+        return StepRecord._make(self.values[:10])
 
     @property
     def end(self) -> StepRecord:
-        return self.series[-1]
+        return StepRecord._make(self.values[-10:])
 
 
 class CycleResult(NamedTuple):
@@ -186,11 +197,11 @@ class _PhaseEngine:
         return bind_setpoint(F_target, self.op.force_at, self.angles, self.aero_set.C_L,
                              self.kite.m, self.kite.S)
 
-    def finish(self, phase: str, series: list[StepRecord], energy: float) -> PhaseResult:
-        duration = series[-1].t - series[0].t
+    def finish(self, phase: str, values: array, energy: float) -> PhaseResult:
+        duration = values[-10] - values[0]  # t of the last step less t of the first
         mean_power = energy / duration if duration > 0.0 else 0.0
         return PhaseResult(phase=phase, duration=duration, mean_power=mean_power, energy=energy,
-                           steps=len(series) - 1, phi=self.phi, chi=self.chi, series=series)
+                           steps=len(values) // 10 - 1, phi=self.phi, chi=self.chi, values=values)
 
 
 def _integrate(
@@ -209,15 +220,16 @@ def _integrate(
 ) -> PhaseResult:
     """Explicit Euler integration of one phase until its end condition.
 
-    ``rates`` maps (t, r, theta) to the step record, dr/dt = f*v_w and
+    ``rates`` maps (t, r, theta) to the step's ten fields, dr/dt = f*v_w and
     dtheta/dt = lam*v_w*climb/r, where ``climb`` is cos(chi), or 0 to hold
     theta: it takes (v_w, rho) = ``engine.wind_at(r*cos(theta))`` and (m_t,
     C_D) = ``engine.tether_at(r)``, and ``step(bound, theta, C_D, m_t, v_w,
     rho) -> (f, equilibrium fields)``, a set-point kernel or a controller that
-    composes kernels.  The trapezoid energy is summed as the records come, in
-    series order.  The phase ends when the tether length, or the elevation if
-    ``by_elevation``, reaches ``end`` moving up if ``increasing``, else down;
-    a start already there gives a one-record phase.
+    composes kernels.  The fields are appended to one flat array, and the
+    trapezoid energy is summed as the steps come, in series order.  The phase
+    ends when the tether length, or the elevation if ``by_elevation``, reaches
+    ``end`` moving up if ``increasing``, else down; a start already there
+    gives a one-record phase.
 
     Raises:
         SolverError: a PhaseError if, for ten characteristic times, each
@@ -229,15 +241,15 @@ def _integrate(
             prefixed the same way.
     """
     wind_at, tether_at = engine.wind_at, engine.tether_at
-    cos, hypot, new = math.cos, math.hypot, tuple.__new__
+    cos, hypot = math.cos, math.hypot
 
-    def rates(t: float, r: float, theta: float) -> tuple[StepRecord, float, float]:
+    def rates(t: float, r: float, theta: float) -> tuple[tuple, float, float]:
         v_w, rho = wind_at(r * cos(theta))
         m_t, C_D = tether_at(r)
         f, (_, lam, v_a, _, _, _, F_t_kite, F_tg, _, P, _) = step(bound, theta, C_D, m_t, v_w,
                                                                    rho)
         v_t, v_tau = f * v_w, lam * v_w
-        record = new(StepRecord, (t, r, theta, f, v_t, hypot(v_t, v_tau), v_a, F_t_kite, F_tg, P))
+        record = (t, r, theta, f, v_t, hypot(v_t, v_tau), v_a, F_t_kite, F_tg, P)
         return record, v_t, v_tau * climb / r
 
     sign, h, energy = (1.0 if increasing else -1.0), engine.dt, 0.0
@@ -245,7 +257,7 @@ def _integrate(
     stall, stall_limit, horizon = 0, max(1, math.ceil(10.0 / engine.op.dT)), 10.0 * engine.t_char
     try:
         record, dr, dtheta = rates(t, r, theta)
-        series = [record]
+        series = array("d", record)
         if sign * (0.5 * math.pi - theta if by_elevation else r) >= signed_end:
             return engine.finish(phase, series, energy)
 
@@ -271,7 +283,7 @@ def _integrate(
             t += dt
             if r <= 0.0:  # before the wind law fails on the altitude
                 raise PhaseError(f"tether length fell to zero, from a reeling factor of "
-                                 f"{series[0].f:.3g} at the phase start")
+                                 f"{series[3]:.3g} at the phase start")  # the first step's f
             if done:
                 # Land exactly on the end condition.
                 if by_elevation:
@@ -279,7 +291,7 @@ def _integrate(
                 else:
                     r = end
             prev, (record, dr, dtheta) = record, rates(t, r, theta)
-            series.append(record)
+            series.extend(record)
             energy += 0.5 * (prev[9] + record[9]) * (t - prev[0])  # P and t
             if done:
                 return engine.finish(phase, series, energy)

@@ -16,9 +16,10 @@ text through ``format(x, '')``, a ``__format__`` lookup and a spec parse
 more per field, and ``{x!r}`` writes a numpy 2 float64 as ``np.float64(1.5)``.
 :func:`write_timeseries_csv` formats each phase's angle pair once and,
 within a phase, reuses the text of a number that repeats (the elevation
-traction holds, a set-point force), keyed on its value; a zero is formatted
-each time, as 0.0 and -0.0 are one key, and a NaN matches only itself as an
-object: the bytes stay ``csv.writer``'s.
+traction holds, a set-point force), keyed on its value, and F_t_kite's text
+for F_tg only for an equal non-zero value; a zero is formatted each time, as
+0.0 and -0.0 are equal, and a NaN, equal to nothing, is too: the bytes stay
+``csv.writer``'s.
 Files are UTF-8; a CSV, written ``_CHUNK`` lines a write, has comma separators,
 ``.`` decimals and a header row; JSON is indented by two spaces and ends with a
 newline.  Outputs carry no timestamps so identical runs are byte-identical.
@@ -120,12 +121,12 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
             label, held = _label(phase.phase), None
             angles = f"{degrees(phase.phi)!s},{degrees(phase.chi)!s}"
             kite_texts, ground_texts = {}, {}
-            for t, r, theta, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.series:
+            for t, r, theta, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.rows():
                 if theta != held or not theta:  # traction holds theta; ±0.0 and NaN anew
                     held = theta
                     elevation = f"{degrees(theta)!s},{degrees(0.5 * math.pi - theta)!s}"
                 kite = kite_texts.get(F_t_kite) or _force_text(kite_texts, F_t_kite)
-                ground = kite if F_tg is F_t_kite else (
+                ground = kite if F_tg == F_t_kite and F_tg else (
                     ground_texts.get(F_tg) or _force_text(ground_texts, F_tg))
                 yield (f"{t!s},{label},{r!s},{elevation},{angles},{f!s},{v_t!s},{v_k!s},"
                        f"{v_a!s},{kite},{ground},{P!s}\r\n")

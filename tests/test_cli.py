@@ -372,6 +372,24 @@ def test_wind_power_density_that_underflows_exits_3(tmp_path, capsys, v_w_ref, e
     assert zeta_m == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
+def test_simulate_prints_its_summary_in_six_significant_digits(tmp_path, capsys):
+    # At a tiny wind the line used to print P_m as 0.0 and the duration with
+    # all 104 of its digits before the point.
+    raw = strong_raw()
+    raw["environment"]["v_w_ref"] = 1e-100
+    for key in ("F_out", "F_in"):
+        raw["operation"][key] *= (1e-100 / 9.9) ** 2
+    weak = tmp_path / "weak.json"
+    weak.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_command(["simulate", "--config", str(weak), "--out", str(out), "--no-gravity"]) == 0
+    summary = json.loads((out / "cycle_summary.json").read_text())
+    line = capsys.readouterr().out
+    assert line == (f"P_m = {summary['P_m']:.6g} W over {summary['duration']:.6g} s "
+                    f"(zeta_m = {summary['zeta_m']:.4f}); outputs in {out}\n")
+    assert line.startswith("P_m = 4.66401e-300 W over 1.63684e+103 s "), line
+
+
 def test_lift_to_drag_ratio_that_underflows_exits_2(tmp_path, capsys):
     # A tiny C_L over a tether drag of 1e300 gives C_L/C_D = 0, whose log
     # raised ValueError, a traceback and exit 1, with gravity.  The error

@@ -108,6 +108,37 @@ def test_determinism(strong_config):
 
 @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
 @pytest.mark.parametrize("preset", ["strong_config", "moderate_config"])
+def test_cycle_holds_its_steps_as_ten_doubles_each(request, preset, gravity):
+    # One flat array of ten doubles a step (80 B and the array's spare room);
+    # a StepRecord of ten float objects held ≈ 350-380 B a step.
+    cfg = request.getfixturevalue(preset)
+    op = replace(cfg.operation, dT=0.001, gravity=gravity)
+    tracemalloc.start()
+    try:
+        res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 120 * res.steps, held / res.steps
+
+
+def test_series_rows_start_and_end_agree(strong_config, strong_cycle):
+    cfg = strong_config
+    # A start already at the end gives a one-record phase.
+    single = simulate_traction(cfg.environment, cfg.kite, cfg.tether, cfg.operation,
+                               r_start=cfg.operation.r_max)
+    for phase in (*strong_cycle.phases, single):
+        series = phase.series
+        assert phase.steps + 1 == len(series) == len(phase.values) // 10
+        assert all(type(rec) is cycle.StepRecord for rec in series)
+        assert list(phase.rows()) == [tuple(rec) for rec in series]
+        assert (phase.start, phase.end) == (series[0], series[-1])
+        assert phase.duration == phase.end.t - phase.start.t
+    assert single.steps == 0 and single.start == single.end
+
+
+@pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
+@pytest.mark.parametrize("preset", ["strong_config", "moderate_config"])
 def test_euler_rule_of_every_phase(request, monkeypatch, preset, gravity):
     cfg = request.getfixturevalue(preset)
     op = replace(cfg.operation, dT=0.01, gravity=gravity)

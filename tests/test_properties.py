@@ -33,6 +33,7 @@ import json
 import math
 import random
 import tempfile
+from array import array
 from pathlib import Path
 from typing import NamedTuple
 
@@ -63,8 +64,7 @@ from kitecycle import (
 )
 from kitecycle import dataio
 from kitecycle.atmosphere import bind_wind
-from kitecycle.cycle import (CycleResult, PhaseResult, StepRecord, _PhaseEngine,
-                             _transition_controller)
+from kitecycle.cycle import CycleResult, PhaseResult, _PhaseEngine, _transition_controller
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
 from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv
@@ -1048,28 +1048,28 @@ def cycles(draw):
         forces = draw(st.lists(FLOAT, min_size=kept + 1, max_size=kept + 4, unique=True)
                       if long else st.lists(FLOAT, min_size=1, max_size=3))
         theta, number = pool(draw, FLOAT), pool(draw, FLOAT) if long else FLOAT
-        series = []
+        values = array("d")
         for i in range(draw(st.integers(len(forces), len(forces) + kept) if long
                             else st.integers(0, 4))):
             t, r, f, v_t, v_k, v_a, P = draw(st.tuples(*[number] * 7))
             F_t_kite = forces[i] if long and i < len(forces) else draw(st.sampled_from(forces))
             F_tg = F_t_kite if draw(st.booleans()) else draw(st.sampled_from(forces))
-            series.append(StepRecord(t, r, draw(theta), f, v_t, v_k, v_a, F_t_kite, F_tg, P))
+            values.extend((t, r, draw(theta), f, v_t, v_k, v_a, F_t_kite, F_tg, P))
         phi, chi = draw(FLOAT), draw(FLOAT)  # one angle pair a phase
-        phases.append(PhaseResult(draw(LABEL), 0.0, 0.0, 0.0, len(series), phi, chi, series))
+        phases.append(PhaseResult(draw(LABEL), 0.0, 0.0, 0.0, len(values) // 10, phi, chi,
+                                  values))
     return CycleResult(*phases, 0.0, 0.0, 0.0, 0)
 
 
 @PROPERTY
 @given(cycles())
 # Equal numbers that print differently: the writer reuses the text of theta
-# and a force never for a zero, and of F_t_kite for F_tg only for the same
-# object.
+# and a force never for a zero, and of F_t_kite for F_tg only for an equal
+# non-zero value.
 @example(CycleResult(
     PhaseResult("traction", 0.0, 0.0, 0.0, 2, 0.0, -0.0,
-                [StepRecord(*[0.0] * 10), StepRecord(*[-0.0] * 10),
-                 StepRecord(*[0.0] * 8, -0.0, 0.0)]),
-    *[PhaseResult("", 0.0, 0.0, 0.0, 0, 0.0, 0.0, [])] * 2, 0.0, 0.0, 0.0, 0))
+                array("d", [0.0] * 10 + [-0.0] * 10 + [0.0] * 8 + [-0.0, 0.0])),
+    *[PhaseResult("", 0.0, 0.0, 0.0, 0, 0.0, 0.0, array("d"))] * 2, 0.0, 0.0, 0.0, 0))
 def test_timeseries_writer_matches_the_csv_module(cycle):
     rows = [[rec.t, phase.phase, rec.r, math.degrees(rec.theta),
              math.degrees(0.5 * math.pi - rec.theta), math.degrees(phase.phi),

@@ -31,18 +31,23 @@ work that timings alone do not tell apart; a name that a side lacks
 counts 0 there, so a side from before the kernel still runs.  The same
 pass counts the Python-level calls inside each ``simulate_cycle`` (the
 ``sys.setprofile`` "call" events, less those of the counters above) and
-the integration steps it returns.
+the integration steps it returns, and traces each op with ``tracemalloc``:
+the op's traced peak over its steps, as the median over the ops that
+integrate (not the estimate pool's), is a memory figure per step that,
+unlike the resident set, does not move with the length of the tree's path.
 At the end the script prints, per workload, each side's median figure,
 the relative change of the medians, the median over rounds of the change's
 figure over the parent's less 1, each ratio taken within its round (a slow
 round slows both sides, so it moves this ratio less than either median),
 and the rounds the change was faster in, then each side's median peak
-resident set of its pool's process (read as VmHWM, as ``--startup`` reads
-it), then each side's calls of the counted functions in one pass over each
-pool and its Python-level calls per integration step, then whether every
-output file was byte-identical between the sides in each round, or how
-many differed and the first that did.  Outputs that differ are reported, not an error: a change may alter
-them on purpose.  An op that exits non-zero on either side is an error.
+resident set of its pool's process over the timed passes (read as VmHWM,
+as ``--startup`` reads it) and its traced peak bytes per step, then each
+side's calls of the counted functions in one pass over each pool and its
+Python-level calls per integration step, then whether every output file
+was byte-identical between the sides in each round, or how many differed
+and the first that did.  Outputs that differ are reported, not an error: a
+change may alter them on purpose.  An op that exits non-zero on either
+side is an error.
 
 ``--startup N`` compares start-up instead of the op pools, as
 ``perfbench/run.py`` measures ``setup_s``: N alternating rounds, in each
@@ -82,10 +87,12 @@ COUNTED = ("solve_kinematic_ratio", "gravity_setpoint_step", "_drag_condition")
 # the pool file and the number of passes; prints the least time per op,
 # the calls of each COUNTED function in one more, untimed pass (0 for one
 # its side lacks), the Python-level calls and steps of simulate_cycle in that
-# pass, the sha256 of each output file, keyed by its op's --out name and path,
-# and the process's peak resident set [KB], read as VmHWM (see PEAK_CODE).
+# pass, the median over its ops with steps of each op's tracemalloc peak over
+# its steps (null if none has steps), the sha256 of each output file, keyed by
+# its op's --out name and path, and the process's peak resident set [KB] over
+# the timed passes, read as VmHWM (see PEAK_CODE).
 CHILD = r"""
-import contextlib, hashlib, io, json, shutil, sys, time
+import contextlib, hashlib, io, json, shutil, statistics, sys, time, tracemalloc
 from pathlib import Path
 import kitecycle.cli, kitecycle.cycle, kitecycle.steady_state as ss
 ops = json.loads(open(sys.argv[1], encoding="utf-8").read())
@@ -99,6 +106,9 @@ for _ in range(int(sys.argv[2])):
             start = time.perf_counter()
             codes.add(kitecycle.cli.run_command(op["argv"]))
             best[i] = min(best[i], time.perf_counter() - start)
+# Before the untimed pass, whose tracemalloc would raise the high-water mark.
+peak = [line.split()[1] for line in open("/proc/self/status", encoding="ascii")
+        if line.startswith("VmHWM:")]
 calls = dict.fromkeys(sys.argv[3].split(","), 0)
 
 def counting(name, fn):
@@ -131,19 +141,25 @@ def profiling(fn):
     return simulate
 
 kitecycle.cli.simulate_cycle = profiling(kitecycle.cli.simulate_cycle)
+per_step = []
 for op in ops:
+    steps = profiled["steps"]
+    tracemalloc.start()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.add(kitecycle.cli.run_command(op["argv"]))
+    traced_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    if profiled["steps"] > steps:
+        per_step.append(traced_peak / (profiled["steps"] - steps))
 digests = {}
 for out in outs:
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         key = f"{out.name}/{path.relative_to(out).as_posix()}"
         digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
-peak = [line.split()[1] for line in open("/proc/self/status", encoding="ascii")
-        if line.startswith("VmHWM:")]
 print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__,
                   "calls": calls, "profiled": profiled, "digests": digests,
-                  "peak_kb": int(peak[0]) if peak else 0}))
+                  "peak_kb": int(peak[0]) if peak else 0,
+                  "bytes_per_step": statistics.median(per_step) if per_step else None}))
 """
 
 
@@ -156,11 +172,12 @@ def generate_pool(workload: str, work: Path) -> Path:
 
 
 def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, int],
-                                                           dict[str, str], int]:
+                                                           dict[str, str], int, float | None]:
     """Sum over the pool of each op's least time, in ms, from a fresh process,
     the calls of each COUNTED function and the Python-level calls and steps of
-    ``simulate_cycle`` in one pass, the digest of each output file and the
-    process's peak resident set [KB]."""
+    ``simulate_cycle`` in one pass, the digest of each output file, the
+    process's peak resident set [KB] and the median traced peak bytes per step
+    of the ops that integrate (None if none does)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of),
                            ",".join(COUNTED)], cwd=tree, env=env, capture_output=True, text=True)
@@ -173,7 +190,7 @@ def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, in
     if result["codes"] != [0]:
         sys.exit(f"interleave_ops: {tree.name} on {pool.stem}: exit codes {result['codes']}")
     return 1e3 * sum(result["best"]), {**result["calls"], **result["profiled"]}, \
-        result["digests"], result["peak_kb"]
+        result["digests"], result["peak_kb"], result["bytes_per_step"]
 
 
 # Appended to SETUP_CODE in one more, untimed process per side and round:
@@ -274,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
                                                 for name in names}
     peaks: dict[str, dict[str, list[int]]] = {name: {"parent": [], "change": []}
                                               for name in names}
+    # Traced peak bytes per step of each round, per workload and side.
+    traced: dict[str, dict[str, list[float]]] = {name: {"parent": [], "change": []}
+                                                 for name in names}
     # Output files that differed between the sides in some round, per workload.
     differ: dict[str, set[str]] = {name: set() for name in names}
     files: dict[str, set[str]] = {name: set() for name in names}
@@ -285,10 +305,12 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             digests = {}
             for side in order:
-                ms, counts, digests[side], peak = time_pool(trees[side], pools[name],
-                                                            args.best_of)
+                ms, counts, digests[side], peak, per_step = time_pool(trees[side], pools[name],
+                                                                      args.best_of)
                 times[name][side].append(ms)
                 peaks[name][side].append(peak)
+                if per_step is not None:
+                    traced[name][side].append(per_step)
                 if calls[name].setdefault(side, counts) != counts:
                     sys.exit(f"interleave_ops: {side} on {name}: calls {counts} in round "
                              f"{i + 1}, {calls[name][side]} before")
@@ -313,6 +335,13 @@ def main(argv: list[str] | None = None) -> int:
         p, c = (statistics.median(peaks[name][side]) for side in ("parent", "change"))
         print(f"  {name}: parent {p:.0f} KB, change {c:.0f} KB"
               + (f" ({(c - p) / p:+.2%})" if p else ""))
+    print("Traced peak bytes per step of an op (tracemalloc), median over the pool and rounds:")
+    for name in names:
+        if traced[name]["parent"] and traced[name]["change"]:
+            p, c = (statistics.median(traced[name][side]) for side in ("parent", "change"))
+            print(f"  {name}: parent {p:.1f} B, change {c:.1f} B ({(c - p) / p:+.1%})")
+        else:
+            print(f"  {name}: n/a (no op integrates a cycle)")
     print("Calls in one pass over the pool:")
     for name in names:
         for side in ("parent", "change"):
