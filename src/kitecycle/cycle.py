@@ -38,8 +38,8 @@ from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .atmosphere import Environment, bind_wind, wind_state_at
-from .errors import (NoTensionError, PhaseError, SolverError, SteadyStateError, TetherSagError,
-                     ValidationError)
+from .errors import (DomainError, NoTensionError, PhaseError, SolverError, SteadyStateError,
+                     TetherSagError, ValidationError)
 from .frozen import Frozen, replace
 from .steady_state import (AeroSet, KiteParams, TetherParams, angle_trig, bind_setpoint,
                            bind_tether, massless_setpoint_step, massless_state,
@@ -118,8 +118,8 @@ class StepRecord(NamedTuple):
 class PhaseResult(NamedTuple):
     """Time series and aggregate quantities of one phase, flown at the fixed
     angles ``phi`` and ``chi``.  ``values`` holds the steps as one flat array,
-    ten doubles a step in ``StepRecord`` field order; ``series`` builds their
-    records on each access."""
+    ten doubles a step in ``StepRecord`` field order: ``rows()`` yields them
+    and ``values[k::10]`` is one field; ``start`` and ``end`` are records."""
 
     phase: str
     duration: float
@@ -137,10 +137,6 @@ class PhaseResult(NamedTuple):
     def rows(self) -> Iterator[tuple]:
         """Each step as a plain tuple of its ten fields."""
         return zip(*[iter(self.values)] * 10)
-
-    @property
-    def series(self) -> list[StepRecord]:
-        return list(map(StepRecord._make, self.rows()))
 
     @property
     def start(self) -> StepRecord:
@@ -234,9 +230,9 @@ def _integrate(
     Raises:
         SolverError: a PhaseError if, for ten characteristic times, each
             step's rate leaves the end over ten characteristic times away (a
-            rate <= 0 never reaches it), or if a step takes the tether length
-            to r <= 0; or what the wind law or ``step`` raised; each chained
-            and prefixed with the phase, t, r and elevation.
+            rate <= 0 never reaches it), or if a step takes the kite to r <= 0
+            or out of the wind law's domain; or what the wind law, at the phase start, or
+            ``step`` raised; each chained and prefixed with the phase, t, r and elevation.
         ValidationError: a step input out of a kernel's domain, chained and
             prefixed the same way.
     """
@@ -255,9 +251,10 @@ def _integrate(
     sign, h, energy = (1.0 if increasing else -1.0), engine.dt, 0.0
     signed_end = sign * end
     stall, stall_limit, horizon = 0, max(1, math.ceil(10.0 / engine.op.dT)), 10.0 * engine.t_char
+    series = array("d")  # the records so far
     try:
         record, dr, dtheta = rates(t, r, theta)
-        series = array("d", record)
+        series.extend(record)
         if sign * (0.5 * math.pi - theta if by_elevation else r) >= signed_end:
             return engine.finish(phase, series, energy)
 
@@ -297,8 +294,12 @@ def _integrate(
                 return engine.finish(phase, series, energy)
     except (SolverError, ValidationError) as exc:
         beta = math.degrees(0.5 * math.pi - theta)
-        raise type(exc)(f"{phase} at t = {t:.6g} s, r = {r:.6g} m, beta = {beta:.6g} deg: "
-                        f"{exc}") from exc
+        kind, why = type(exc), str(exc)
+        if kind is DomainError and series:  # a step, not the start, left the wind law's domain
+            kind = PhaseError
+            why += f", from a reeling factor of {series[3]:.3g} at the phase start"
+        raise kind(f"{phase} at t = {t:.6g} s, r = {r:.6g} m, beta = {beta:.6g} deg: "
+                   f"{why}") from exc
 
 
 def simulate_retraction(env: Environment, kite: KiteParams, tether: TetherParams,

@@ -154,7 +154,7 @@ def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
     write_json(path, summary)
 
 
-def write_telemetry_csv(path: str | Path, records: Sequence[LogRecord]) -> None:
+def write_telemetry_csv(path: str | Path, records: Iterable[LogRecord]) -> None:
     def lines() -> Iterator[str]:
         degrees, phi, chi = math.degrees, None, None
         for t, F_tg, r, theta, rec_phi, rec_chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, phase in records:

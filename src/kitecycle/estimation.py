@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -117,23 +117,22 @@ def record_fault(rec: LogRecord) -> Optional[str]:
     return _sample_fault(r, F_tg, v_w_ref)
 
 
-def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> list[LogRecord]:
-    """Export a simulated cycle in the shape of a telemetry log: each velocity
+def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> Iterator[LogRecord]:
+    """Yield a simulated cycle in the shape of a telemetry log: each velocity
     vector points the tangential speed sqrt(v_k^2 - v_t^2) along the course angle.
 
-    The duplicated state at each phase boundary (end of one phase, start
-    of the next) is collapsed to keep timestamps strictly increasing.
+    A step no later than the last yielded, the state each phase boundary
+    duplicates, is skipped to keep timestamps strictly increasing.
     """
-    records: list[LogRecord] = []
+    last = -math.inf
     for phase in cycle.phases:
-        for rec in phase.series:
-            if records and rec.t <= records[-1].t:
+        for t, r, theta, _, v_t, v_k, _, _, F_tg, _ in phase.rows():
+            if t <= last:
                 continue
-            v_tau = math.sqrt(max(rec.v_k**2 - rec.v_t**2, 0.0))
-            vk = _spherical_velocity_to_cartesian(rec.theta, phase.phi, phase.chi, rec.v_t, v_tau)
-            records.append(LogRecord(rec.t, rec.F_tg, rec.r, rec.theta, phase.phi, phase.chi, vk,
-                                     rec.v_t, v_w_ref, phase.phase))
-    return records
+            last = t
+            v_tau = math.sqrt(max(v_k**2 - v_t**2, 0.0))
+            vk = _spherical_velocity_to_cartesian(theta, phase.phi, phase.chi, v_t, v_tau)
+            yield LogRecord(t, F_tg, r, theta, phase.phi, phase.chi, vk, v_t, v_w_ref, phase.phase)
 
 
 def _course_angle(last: float, theta: float, phi: float, nxt_theta: float,

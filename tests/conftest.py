@@ -23,4 +23,4 @@ def strong_cycle(strong_config):
 
 @pytest.fixture(scope="session")
 def strong_telemetry(strong_config, strong_cycle):
-    return cycle_to_log_records(strong_cycle, strong_config.environment.v_w_ref)
+    return list(cycle_to_log_records(strong_cycle, strong_config.environment.v_w_ref))

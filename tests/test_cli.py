@@ -618,9 +618,11 @@ def test_failed_sweep_point_names_its_value(tmp_path, capsys):
                                       r"of -0\.222 at the phase start"),
     # The moderate preset's traction ends before the tether length reaches
     # zero: with gravity at r = 7.7 mm, whose altitude is below the roughness
-    # length, and without it in a stall.
-    ("moderate_wind", [], r"DomainError: traction at t = 325\.748 s, r = 0\.00772574 m, .*: "
-                          r"altitude .* is below the roughness length"),
+    # length, a PhaseError from the wind law's DomainError, and without it in
+    # a stall.
+    ("moderate_wind", [], r"PhaseError: traction at t = 325\.748 s, r = 0\.00772574 m, .*: "
+                          r"altitude .* is below the roughness length .*, from a reeling "
+                          r"factor of -0\.072 at the phase start"),
     ("moderate_wind", ["--no-gravity"], r"PhaseError: traction at t = 428\.047 s, .*: tether "
                                         r"length failed to increase for 1001 consecutive steps"),
 ], ids=["strong-gravity", "strong-massless", "moderate-gravity", "moderate-massless"])

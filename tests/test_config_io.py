@@ -17,6 +17,7 @@ from kitecycle import (
     simulate_cycle,
 )
 from kitecycle.config import PRESET_NAMES
+from kitecycle.cycle import StepRecord
 from kitecycle.dataio import (
     TELEMETRY_COLUMNS,
     TIMESERIES_COLUMNS,
@@ -268,12 +269,13 @@ class TestTimeseriesCsv:
         write_timeseries_csv(path, cycle)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        records = [(phase, rec) for phase in cycle.phases for rec in phase.series]
+        records = [(phase, step) for phase in cycle.phases for step in phase.rows()]
         assert len(rows) == len(records)
-        for row, (phase, rec) in zip(rows, records):
-            expected = {**rec._asdict(), "phase": phase.phase,
-                        "theta_deg": math.degrees(rec.theta),
-                        "beta_deg": math.degrees(0.5 * math.pi - rec.theta),
+        for row, (phase, step) in zip(rows, records):
+            theta = step[2]
+            expected = {**dict(zip(StepRecord._fields, step)), "phase": phase.phase,
+                        "theta_deg": math.degrees(theta),
+                        "beta_deg": math.degrees(0.5 * math.pi - theta),
                         "phi_deg": math.degrees(phase.phi), "chi_deg": math.degrees(phase.chi)}
             assert list(row) == TIMESERIES_COLUMNS
             for column, text in row.items():
@@ -375,7 +377,7 @@ class TestTelemetryCsv:
         back = read_telemetry_csv(path)
         assert all(rec.chi is not None for rec in back)
         # Retraction flies upward: derived course angle near 180 deg.
-        mid = len(strong_cycle.retraction.series) // 2
+        mid = (strong_cycle.retraction.steps + 1) // 2
         assert abs(math.remainder(back[mid].chi - math.pi, 2 * math.pi)) < math.radians(15)
 
     def test_finite_values_whose_sum_overflows_parse(self, tmp_path, strong_telemetry):

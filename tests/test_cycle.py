@@ -69,16 +69,16 @@ def test_phase_continuity(strong_cycle):
 def test_force_control_tracks_setpoints(strong_config, strong_cycle):
     op = strong_config.operation
     ret, trans, trac = strong_cycle.phases
-    for rec in ret.series:
-        assert rec.F_tg == pytest.approx(op.F_in, rel=1e-6)
-    for rec in trac.series:
-        assert rec.F_tg == pytest.approx(op.F_out, rel=1e-6)
-    for rec in trans.series:
-        if rec.f == 0.0:
-            assert op.F_in * (1 - 1e-9) <= rec.F_tg <= op.F_out * (1 + 1e-9)
+    for F_tg in ret.values[8::10]:
+        assert F_tg == pytest.approx(op.F_in, rel=1e-6)
+    for F_tg in trac.values[8::10]:
+        assert F_tg == pytest.approx(op.F_out, rel=1e-6)
+    for f, F_tg in zip(trans.values[3::10], trans.values[8::10]):
+        if f == 0.0:
+            assert op.F_in * (1 - 1e-9) <= F_tg <= op.F_out * (1 + 1e-9)
         else:
-            near_out = abs(rec.F_tg - op.F_out) <= 1e-6 * op.F_out
-            near_in = abs(rec.F_tg - op.F_in) <= 1e-6 * op.F_in
+            near_out = abs(F_tg - op.F_out) <= 1e-6 * op.F_out
+            near_in = abs(F_tg - op.F_in) <= 1e-6 * op.F_in
             assert near_out or near_in
 
 
@@ -93,7 +93,7 @@ def test_cycle_power_is_time_weighted_phase_mean(strong_cycle):
 def test_retraction_monotone_with_gravity(strong_config, moderate_config):
     for cfg in (strong_config, moderate_config):
         ret = simulate_retraction(cfg.environment, cfg.kite, cfg.tether, cfg.operation)
-        radii = [rec.r for rec in ret.series]
+        radii = ret.values[1::10]
         assert all(b <= a + 1e-12 for a, b in zip(radii, radii[1:]))
 
 
@@ -103,7 +103,7 @@ def test_determinism(strong_config):
     c2 = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, cfg.operation)
     assert c1.P_m == c2.P_m and c1.zeta_m == c2.zeta_m
     for p1, p2 in zip(c1.phases, c2.phases):
-        assert p1.series == p2.series
+        assert p1.values == p2.values
 
 
 @pytest.mark.parametrize("gravity", [True, False], ids=["gravity", "massless"])
@@ -128,11 +128,11 @@ def test_series_rows_start_and_end_agree(strong_config, strong_cycle):
     single = simulate_traction(cfg.environment, cfg.kite, cfg.tether, cfg.operation,
                                r_start=cfg.operation.r_max)
     for phase in (*strong_cycle.phases, single):
-        series = phase.series
-        assert phase.steps + 1 == len(series) == len(phase.values) // 10
-        assert all(type(rec) is cycle.StepRecord for rec in series)
-        assert list(phase.rows()) == [tuple(rec) for rec in series]
-        assert (phase.start, phase.end) == (series[0], series[-1])
+        rows = list(phase.rows())
+        assert phase.steps + 1 == len(rows) and len(phase.values) == 10 * len(rows)
+        assert rows == [tuple(phase.values[10 * i:10 * i + 10]) for i in range(len(rows))]
+        assert type(phase.start) is type(phase.end) is cycle.StepRecord
+        assert (phase.start, phase.end) == (rows[0], rows[-1])
         assert phase.duration == phase.end.t - phase.start.t
     assert single.steps == 0 and single.start == single.end
 
@@ -162,26 +162,27 @@ def test_euler_rule_of_every_phase(request, monkeypatch, preset, gravity):
     res = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
     # One wind lookup per record, through its phase's bound wind law, and
     # one for the mean traction altitude.
-    assert len(lookups) == sum(len(phase.series) for phase in res.phases)
+    assert len(lookups) == sum(phase.steps + 1 for phase in res.phases)
     assert mean_lookups == [res.z_mt]
     for phase in res.phases:
         assert phase.steps > 1
-        # The phase energy is the trapezoid sum over its series, taken in
-        # series order, bit for bit.
-        energy = 0.0
-        for prev, cur in zip(phase.series, phase.series[1:]):
-            energy += 0.5 * (prev.P + cur.P) * (cur.t - prev.t)
+        # The phase energy is the trapezoid sum over its steps, taken in
+        # step order, bit for bit.
+        energy, ts, Ps = 0.0, phase.values[0::10], phase.values[9::10]
+        for t0, t1, P0, P1 in zip(ts, ts[1:], Ps, Ps[1:]):
+            energy += 0.5 * (P0 + P1) * (t1 - t0)
         assert phase.energy == energy
         # Every step but the last, which is truncated onto the end condition.
-        for cur, nxt in zip(phase.series[:-2], phase.series[1:-1]):
-            dt = nxt.t - cur.t
-            assert nxt.r - cur.r == pytest.approx(cur.v_t * dt, rel=1e-9)
+        rows = list(phase.rows())
+        for (t0, r0, theta0, _, v_t, v_k, *_), (t1, r1, theta1, *_) in zip(rows[:-2], rows[1:-1]):
+            dt = t1 - t0
+            assert r1 - r0 == pytest.approx(v_t * dt, rel=1e-9)
             if phase is res.traction:
                 continue
-            v_tau = math.sqrt(cur.v_k**2 - cur.v_t**2)
-            assert nxt.theta - cur.theta == pytest.approx(
-                v_tau * math.cos(phase.chi) / cur.r * dt, rel=1e-9)
-    assert all(rec.theta == op.theta_o for rec in res.traction.series)
+            v_tau = math.sqrt(v_k**2 - v_t**2)
+            assert theta1 - theta0 == pytest.approx(
+                v_tau * math.cos(phase.chi) / r0 * dt, rel=1e-9)
+    assert all(theta == op.theta_o for theta in res.traction.values[2::10])
     assert res.retraction.end.r == op.r_min
     assert res.transition.end.theta == 0.5 * math.pi - op.beta_o
     assert res.traction.end.r == op.r_max
@@ -377,7 +378,7 @@ def test_gravity_step_work_count(strong_config, monkeypatch):
     # the kernel: the count cannot pass by counting nothing.
     assert sum(inversions) >= res.retraction.steps + res.traction.steps
     assert set(inversions) <= {0, 1}
-    assert 0 < len(solves) < len(res.transition.series)
+    assert 0 < len(solves) < res.transition.steps + 1
     assert sum(inversions) + sum(solves) == len(probes)
     assert sum(solves) <= 15 * len(solves)
 
@@ -404,8 +405,8 @@ def test_transition_step_takes_tether_properties_once(request, monkeypatch, pres
     monkeypatch.setattr(cycle, "bind_tether", counted_binder)
     res = simulate_transition(cfg.environment, cfg.kite, cfg.tether, op, start.r, start.theta,
                               start.t)
-    assert any(rec.f != 0.0 for rec in res.series)  # some steps reel at a set-point
-    assert calls == [rec.r for rec in res.series]
+    assert any(f != 0.0 for f in res.values[3::10])  # some steps reel at a set-point
+    assert calls == res.values[1::10].tolist()
 
 
 class TestConvergenceStudy:
@@ -489,7 +490,7 @@ def test_overflown_retraction_completes(moderate_config):
     op = replace(cfg.operation, gravity=False)
     ret = simulate_retraction(cfg.environment, cfg.kite, cfg.tether, op)
     assert ret.end.r == pytest.approx(cfg.operation.r_min, abs=1e-9)
-    max_beta = max(0.5 * math.pi - rec.theta for rec in ret.series)
+    max_beta = max(0.5 * math.pi - theta for theta in ret.values[2::10])
     assert max_beta > 0.5 * math.pi
     cycle = simulate_cycle(cfg.environment, cfg.kite, cfg.tether, op)
     assert cycle.duration > 0

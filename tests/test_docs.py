@@ -48,7 +48,7 @@ def test_readme_library_examples_run():
 
 
 def test_readme_gives_the_step_record_fields():
-    fields = re.search(r"`StepRecord` per step, with\s+the ten fields `([^`]*)`",
+    fields = re.search(r"`StepRecord`'s\s+ten fields `([^`]*)`",
                        library_section()).group(1)
     assert fields.split(", ") == list(StepRecord._fields)
 

@@ -1071,9 +1071,9 @@ def cycles(draw):
                 array("d", [0.0] * 10 + [-0.0] * 10 + [0.0] * 8 + [-0.0, 0.0])),
     *[PhaseResult("", 0.0, 0.0, 0.0, 0, 0.0, 0.0, array("d"))] * 2, 0.0, 0.0, 0.0, 0))
 def test_timeseries_writer_matches_the_csv_module(cycle):
-    rows = [[rec.t, phase.phase, rec.r, math.degrees(rec.theta),
-             math.degrees(0.5 * math.pi - rec.theta), math.degrees(phase.phi),
-             math.degrees(phase.chi), *rec[3:]] for phase in cycle.phases for rec in phase.series]
+    rows = [[t, phase.phase, r, math.degrees(theta), math.degrees(0.5 * math.pi - theta),
+             math.degrees(phase.phi), math.degrees(phase.chi), *rest]
+            for phase in cycle.phases for t, r, theta, *rest in phase.rows()]
     assert written_bytes(dataio.write_timeseries_csv, cycle) == csv_module_bytes(
         dataio.TIMESERIES_COLUMNS, rows)
 

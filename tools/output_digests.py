@@ -10,7 +10,8 @@ The commands run in-process through ``kitecycle.cli.run_command``:
   ``--telemetry-out``, on both presets and on the ten seed-1 configs of
   the ``cycle-gravity`` and ``cycle-massless`` benchmark pools, and on
   both presets at ``v_w_ref`` 4.0 (``LOW_WIND``), where traction reels
-  in and the run fails (exit 3) with its reason on standard error;
+  in and all four runs end in a ``PhaseError`` (exit 3), its reason on
+  standard error;
 - ``convergence --dt-list 0.01 0.002`` on both presets;
 - ``sweep`` with a values spec and with a range spec;
 - ``estimate`` on the five seed-1 logs of the ``estimate`` pool and on
