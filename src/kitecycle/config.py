@@ -2,7 +2,8 @@
 
 Angles are degrees in files and radians internally.  Parsing is strict:
 unknown keys raise ParseError so typos cannot silently fall back to
-defaults.
+defaults.  A number may be written as a JSON integer or with a decimal
+point: both read as the same float.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _take(mapping: dict, context: str, required: tuple[str, ...],
     """Extract exactly the allowed keys from a parsed JSON object.
 
     With ``numbers``, every value must be a finite number (see
-    :func:`_number`).
+    :func:`_number`), and a new dict of those numbers as floats is returned.
     """
     if not isinstance(mapping, dict):
         raise ParseError(f"{context}: expected an object, got {type(mapping).__name__}")
@@ -73,9 +74,8 @@ def _take(mapping: dict, context: str, required: tuple[str, ...],
     missing = set(required) - set(mapping)
     if missing:
         raise ParseError(f"{context}: missing key(s) {sorted(missing)}")
-    for key, value in mapping.items():
-        if numbers:
-            _number(value, f"{context}.{key}")
+    if numbers:
+        return {key: _number(value, f"{context}.{key}") for key, value in mapping.items()}
     return mapping
 
 
@@ -103,17 +103,12 @@ def _config_from_dict(raw: dict) -> RunConfig:
     o = _take(top["operation"], "operation",
               ("beta_deg", "phi_deg", "chi_deg", "r_min", "r_max", "F_out", "F_in"),
               ("dT",))
-    operation = OperationSettings(
-        beta_o=math.radians(o["beta_deg"]),
-        phi_o=math.radians(o["phi_deg"]),
-        chi_o=math.radians(o["chi_deg"]),
-        r_min=o["r_min"],
-        r_max=o["r_max"],
-        F_out=o["F_out"],
-        F_in=o["F_in"],
-        dT=o.get("dT", 0.01),
-        gravity=top.get("gravity", True),
-        force_at=top.get("force_at", "kite"),
+    operation = OperationSettings(  # o's other keys, gravity and force_at are its own names
+        beta_o=math.radians(o.pop("beta_deg")),
+        phi_o=math.radians(o.pop("phi_deg")),
+        chi_o=math.radians(o.pop("chi_deg")),
+        **o,
+        **{key: top[key] for key in ("gravity", "force_at") if key in top},
     )
     return RunConfig(
         environment=environment,
@@ -209,15 +204,11 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         if num > _SWEEP_POINTS_MAX:
             raise ParseError(f"sweep.range.num: {num:.6g} exceeds the limit of {_SWEEP_POINTS_MAX}")
         start, stop = rng["start"], rng["stop"]
-        try:
-            step = (stop - start) / (num - 1)
-        except OverflowError:  # whole numbers whose span exceeds the float range
-            step = math.inf
+        step = (stop - start) / (num - 1)
         values = tuple(start + i * step for i in range(num))
         if not all(map(math.isfinite, values)):
             raise ParseError(f"sweep.range: {num} values from {start} to {stop} include "
                              "one that is not finite")
-    return SweepSpec(parameter=_string(spec["parameter"], "sweep.parameter"),
-                     values=values,
-                     objective=spec.get("objective", "P_m"))
+    return SweepSpec(parameter=_string(spec["parameter"], "sweep.parameter"), values=values,
+                     **({"objective": spec["objective"]} if "objective" in spec else {}))
 

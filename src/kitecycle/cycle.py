@@ -193,12 +193,6 @@ class _PhaseEngine:
         return bind_setpoint(F_target, self.op.force_at, self.angles, self.aero_set.C_L,
                              self.kite.m, self.kite.S)
 
-    def finish(self, phase: str, values: array, energy: float) -> PhaseResult:
-        duration = values[-10] - values[0]  # t of the last step less t of the first
-        mean_power = energy / duration if duration > 0.0 else 0.0
-        return PhaseResult(phase=phase, duration=duration, mean_power=mean_power, energy=energy,
-                           steps=len(values) // 10 - 1, phi=self.phi, chi=self.chi, values=values)
-
 
 def _integrate(
     engine: _PhaseEngine,
@@ -255,10 +249,8 @@ def _integrate(
     try:
         record, dr, dtheta = rates(t, r, theta)
         series.extend(record)
-        if sign * (0.5 * math.pi - theta if by_elevation else r) >= signed_end:
-            return engine.finish(phase, series, energy)
-
-        while True:
+        done = sign * (0.5 * math.pi - theta if by_elevation else r) >= signed_end
+        while not done:
             # theta = pi/2 - beta
             value, rate = (0.5 * math.pi - theta, -dtheta) if by_elevation else (r, dr)
             done = sign * (value + rate * h) >= signed_end and sign * rate > 0.0
@@ -290,8 +282,6 @@ def _integrate(
             prev, (record, dr, dtheta) = record, rates(t, r, theta)
             series.extend(record)
             energy += 0.5 * (prev[9] + record[9]) * (t - prev[0])  # P and t
-            if done:
-                return engine.finish(phase, series, energy)
     except (SolverError, ValidationError) as exc:
         beta = math.degrees(0.5 * math.pi - theta)
         kind, why = type(exc), str(exc)
@@ -300,6 +290,10 @@ def _integrate(
             why += f", from a reeling factor of {series[3]:.3g} at the phase start"
         raise kind(f"{phase} at t = {t:.6g} s, r = {r:.6g} m, beta = {beta:.6g} deg: "
                    f"{why}") from exc
+    duration = series[-10] - series[0]  # t of the last step less t of the first
+    return PhaseResult(phase=phase, duration=duration,
+                       mean_power=energy / duration if duration > 0.0 else 0.0, energy=energy,
+                       steps=len(series) // 10 - 1, phi=engine.phi, chi=engine.chi, values=series)
 
 
 def simulate_retraction(env: Environment, kite: KiteParams, tether: TetherParams,

@@ -36,7 +36,7 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .cycle import CycleResult, PhaseResult
+from .cycle import CycleResult
 
 if TYPE_CHECKING:  # the estimator and the telemetry reader load only where they run
     from .estimation import EstimateRecord, LogRecord, PhaseAverages
@@ -133,15 +133,6 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
     _write_csv(path, TIMESERIES_COLUMNS, lines())
 
 
-def _phase_summary(phase: PhaseResult) -> dict:
-    return {
-        "duration": phase.duration,
-        "mean_power": phase.mean_power,
-        "energy": phase.energy,
-        "steps": phase.steps,
-    }
-
-
 def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
     summary = {
         "P_m": cycle.P_m,
@@ -149,7 +140,8 @@ def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
         "z_mt": cycle.z_mt,
         "duration": cycle.duration,
         "steps": cycle.steps,
-        "phases": {p.phase: _phase_summary(p) for p in cycle.phases},
+        "phases": {p.phase: {"duration": p.duration, "mean_power": p.mean_power,
+                             "energy": p.energy, "steps": p.steps} for p in cycle.phases},
     }
     write_json(path, summary)
 

@@ -108,12 +108,9 @@ def record_fault(rec: LogRecord) -> Optional[str]:
     the invariant it breaks (``_sample_fault``), or None; chi may be None."""
     t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
     numbers = (t, F_tg, r, theta, phi, 0.0 if chi is None else chi, vk_x, vk_y, vk_z, v_t, v_w_ref)
-    # A finite sum means finite numbers: only a sum that is not finite, or
-    # overflows, takes the check per number.
-    if not math.isfinite(sum(numbers)):
-        for name, x in zip("t F_tg r theta phi chi vk_x vk_y vk_z v_t v_w_ref".split(), numbers):
-            if not math.isfinite(x):
-                return f"{name} is not finite: {x}"
+    for name, x in zip("t F_tg r theta phi chi vk_x vk_y vk_z v_t v_w_ref".split(), numbers):
+        if not math.isfinite(x):
+            return f"{name} is not finite: {x}"
     return _sample_fault(r, F_tg, v_w_ref)
 
 
@@ -182,14 +179,14 @@ def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
             return _parse_rows(path, reader)
         except csv.Error as exc:  # a field over the size limit, as an unclosed quote makes
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:  # raised for a chunk: the file's own offset names the line
+        except UnicodeDecodeError as exc:  # raised for a chunk: the file's offset names the line
             data = Path(path).read_bytes()
             try:
                 data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
-                raise ParseError(f"{path}: line {line}: {exc}") from None
-            raise
+            except UnicodeDecodeError as again:
+                line = data.count(b"\n", 0, again.start) + 1
+                raise ParseError(f"{path}: line {line}: {again}") from None
+            raise ParseError(f"{path}: {exc}") from None  # the file changed between the reads
 
 
 def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
@@ -485,7 +482,7 @@ def _average_checked(series: Sequence[LogRecord], kite, tether, env) -> PhaseAve
     if not series:
         raise ValidationError("telemetry series is empty")
     estimates = list(map(_bind_estimator(kite, tether, env), series, segment_phases(series)))
-    sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0, 0], TRACTION: [0.0, 0.0, 0]}
+    sums: dict[str, list[float]] = {RETRACTION: [0.0, 0.0], TRACTION: [0.0, 0.0]}
     counts = {phase: {"valid": 0, "invalid": 0} for phase in (RETRACTION, TRANSITION, TRACTION)}
     for _, C_R, LD_sys, LD_k, _, _, valid, phase in estimates:
         counts[phase]["valid" if valid else "invalid"] += 1
@@ -499,13 +496,12 @@ def _average_checked(series: Sequence[LogRecord], kite, tether, env) -> PhaseAve
         acc = sums[phase]
         acc[0] += math.hypot(C_L, C_D_kite)
         acc[1] += LD_k
-        acc[2] += 1
 
     for phase in (RETRACTION, TRACTION):
-        if sums[phase][2] == 0:
+        if counts[phase]["valid"] == 0:
             raise EmptyPhaseError(f"no valid {phase} samples to average")
 
-    n_i, n_o = sums[RETRACTION][2], sums[TRACTION][2]
+    n_i, n_o = counts[RETRACTION]["valid"], counts[TRACTION]["valid"]
     return PhaseAverages(
         C_R_i=sums[RETRACTION][0] / n_i,
         C_R_o=sums[TRACTION][0] / n_o,

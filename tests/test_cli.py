@@ -328,6 +328,45 @@ def test_finite_config_values_beyond_the_model_exit_2(tmp_path, capsys, section,
     assert f"ValidationError: {where}{message}" in capsys.readouterr().err
 
 
+def test_a_json_integer_is_checked_as_its_float(tmp_path, capsys):
+    # d_t as the JSON integer 10**200 used to reach TetherParams.mass as an
+    # int, whose float() raised OverflowError: a traceback and exit 1.
+    for value in (10**200, 1e200):
+        raw = strong_raw()
+        raw["tether"]["d_t"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = run_command(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("ValidationError: tether mass per metre must be finite"
+                in capsys.readouterr().err), value
+
+
+def test_every_config_number_as_a_huge_json_integer_ends_in_an_exit_code(tmp_path, capsys):
+    # The same run from the float 1e200 reads the same exit code and error.
+    def leaves(node):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from leaves(value)
+            elif isinstance(value, float):
+                yield node, key
+
+    raw = strong_raw()
+    found = list(leaves(raw))
+    assert len(found) == 20
+    for node, key in found:
+        kept, ends = node[key], []
+        for value in (10**200, 1e200):
+            node[key] = value
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(raw))
+            ends.append((run_command(["simulate", "--config", str(path),
+                                      "--out", str(tmp_path / key)]),
+                         capsys.readouterr().err))
+        node[key] = kept
+        assert ends[0] == ends[1] and ends[0][0] in (0, 2, 3), (key, ends)
+
+
 @pytest.mark.parametrize("flags", [[], ["--no-gravity"]], ids=["gravity", "massless"])
 @pytest.mark.parametrize("v_w_ref", [1e-300, 5e-324, 1e300])
 def test_reference_wind_beyond_the_float_range_exits_3(tmp_path, capsys, v_w_ref, flags):
@@ -830,6 +869,24 @@ def test_telemetry_that_is_not_utf8_exits_2(tmp_path, capsys):
                         "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"ParseError: {log}: line 351: 'utf-8' codec can't decode byte 0xff" in err, err
+    assert not out.exists()
+
+
+def test_telemetry_that_decodes_when_read_again_exits_2(tmp_path, capsys, monkeypatch):
+    # The log fails to decode, then reads cleanly when it is read again to
+    # find the line (it changed between the reads): the first error used to
+    # escape run_command.
+    lines = [line.encode() for line in telemetry_lines(3)]
+    log = tmp_path / "changing.csv"
+    log.write_bytes(b"\n".join(lines[:2] + [lines[2] + b"\xff"]) + b"\n")
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: (b"\n".join(lines) + b"\n"
+                                                          if path == log else read_bytes(path)))
+    out = tmp_path / "o"
+    assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
+                        "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: {log}: 'utf-8' codec can't decode byte 0xff"), err
     assert not out.exists()
 
 

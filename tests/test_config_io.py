@@ -104,6 +104,37 @@ class TestLoadConfig:
         path.write_bytes(b"\xef\xbb\xbf" + preset_path("strong_wind").read_bytes())
         assert load_config(path) == strong_config
 
+    def test_json_integers_read_as_their_floats(self, tmp_path, strong_config):
+        def as_integers(node):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    as_integers(value)
+                elif isinstance(value, float) and value.is_integer():
+                    node[key] = int(value)
+
+        raw = strong_raw()
+        as_integers(raw)
+        assert [raw["operation"][k] for k in ("r_min", "r_max", "F_out", "F_in")] == [
+            390, 720, 3008, 749]
+        path = tmp_path / "integers.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        assert cfg == strong_config
+
+        def numbers(obj, where):
+            for name in obj._fields:
+                value = getattr(obj, name)
+                if hasattr(value, "_fields"):
+                    yield from numbers(value, f"{where}.{name}")
+                elif not isinstance(value, (bool, str)):
+                    yield f"{where}.{name}", value
+
+        fields = dict(numbers(cfg.environment, "environment"))
+        for section in ("kite", "tether", "operation"):
+            fields.update(numbers(getattr(cfg, section), section))
+        assert len(fields) == 22
+        assert {key for key, value in fields.items() if type(value) is not float} == set()
+
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
             preset_path("gale")

@@ -19,7 +19,10 @@ command, the parent rev, the host, how the pairs ran, the claim (null
 without ``--claim``), a summary per end-to-end metric and workload of ``BENCHMARK.json``
 (quartiles of each side, pairs the change won, relative change of the
 medians, the bound and whether it holds), failed, attempted and correct
-ops per side, and the last JSON line of every run.  After each run it
+ops per side, and the last JSON line of every run.  Beside each run's
+metrics, ``host_state`` holds per workload the wall-time ``ops_per_s`` and
+the machine speed (relative to perfbench's reference) that the run's notes
+print, so a file shows afterwards which host state a run met.  After each run it
 prints the claimed metric's value, if there is a claim.  At the end it
 prints the verdict of the claim, if any: met when the change wins at least nine tenths
 of the pairs, ties counting for neither, the medians differ in the
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -47,6 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMAND = "python3 perfbench/run.py --workload all --seed SEED --seconds {seconds}"
+WORKLOAD_LINE = re.compile(r"perfbench (\S+): seed ")
+HOST_NOTE = re.compile(r"as wall time: ops_per_s (\S+?),.* machine speed (\S+) of reference")
 
 
 def seeds_of(text: str) -> list[int]:
@@ -74,8 +80,22 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
+def host_state(stdout: str) -> dict:
+    """Per workload of a ``perfbench/run.py`` stdout, the wall-time
+    ``ops_per_s`` and the machine speed its notes print."""
+    state, workload = {}, None
+    for line in stdout.splitlines():
+        if head := WORKLOAD_LINE.match(line):
+            workload = head.group(1)
+        elif workload and (note := HOST_NOTE.search(line)):
+            state[workload] = {"wall_ops_per_s": float(note.group(1)),
+                               "machine_speed": float(note.group(2))}
+    return state
+
+
 def run_side(side: str, rev: str, work: Path, seed: int, seconds: int) -> dict:
-    """One benchmark run from a fresh copy of one side; its last JSON line."""
+    """One benchmark run from a fresh copy of one side: its last JSON line,
+    with the ``host_state`` of its stdout."""
     tree = work / side
     shutil.rmtree(tree, ignore_errors=True)
     tree.mkdir(parents=True)
@@ -90,7 +110,7 @@ def run_side(side: str, rev: str, work: Path, seed: int, seconds: int) -> dict:
     if proc.returncode != 0 or not lines:
         sys.exit(f"bench_pairs: {side} run, seed {seed}, exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "host_state": host_state(proc.stdout)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -189,7 +209,8 @@ def report(args, rev: str, runs: list[dict], spec: dict) -> dict:
                   f"the others the change; 'first' names the side that ran first; the parent "
                   f"ran from a fresh `git archive` of its commit, the change from a fresh copy "
                   f"of the working tree's files; each entry holds the last JSON line of each "
-                  f"run"),
+                  f"run and its host_state, the wall-time ops_per_s and machine speed per "
+                  f"workload from the run's notes"),
         "claim": (claim_of(runs, summary, args.claim, args.predicted, args.min_gain)
                   if args.claim else None),
         "summary": summary,
