@@ -4,7 +4,7 @@ power systems.
 The public names below are resolved on first access (PEP 562), so
 importing the package, or a command that needs only some of its modules,
 loads nothing else: a simulation imports the estimator, which holds the
-telemetry log's record and export, only for ``simulate --telemetry-out``.
+telemetry log and its writer, only for ``simulate --telemetry-out``.
 """
 
 _EXPORTS = {

@@ -30,9 +30,9 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # The telemetry goes first: its path may fail, and then --out holds no file.
     if args.telemetry_out:
-        from .estimation import cycle_to_log_records  # loaded only for this export
+        from .estimation import cycle_to_log_records, write_telemetry_csv  # only for this export
         records = cycle_to_log_records(cycle, cfg.environment.v_w_ref)
-        dataio.write_telemetry_csv(args.telemetry_out, records)
+        write_telemetry_csv(args.telemetry_out, records)
     dataio.write_cycle_summary(out / "cycle_summary.json", cycle)
     dataio.write_timeseries_csv(out / "timeseries.csv", cycle)
     print(f"P_m = {cycle.P_m:.6g} W over {cycle.duration:.6g} s "

@@ -16,7 +16,7 @@ from typing import Any, NamedTuple, Optional
 
 from .atmosphere import Environment
 from .cycle import OperationSettings
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, clip
 from .frozen import Frozen
 from .steady_state import AeroSet, KiteParams, TetherParams
 
@@ -46,16 +46,16 @@ class RunConfig(NamedTuple):
 def _number(value: Any, path: str) -> float:
     """A finite JSON number that fits a float; booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {json.dumps(value)}")
+        raise ParseError(f"{path}: expected a number, got {clip(json.dumps(value))}")
     # Compared, not converted: float() of a huge JSON integer overflows.
     if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ParseError(f"{path}: expected a finite number, got {value}")
+        raise ParseError(f"{path}: expected a finite number, got {clip(str(value))}")
     return float(value)
 
 
 def _string(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"{path}: expected a string, got {json.dumps(value)}")
+        raise ParseError(f"{path}: expected a string, got {clip(json.dumps(value))}")
     return value
 
 
@@ -70,7 +70,7 @@ def _take(mapping: dict, context: str, required: tuple[str, ...],
         raise ParseError(f"{context}: expected an object, got {type(mapping).__name__}")
     unknown = set(mapping) - set(required) - set(optional)
     if unknown:
-        raise ParseError(f"{context}: unknown key(s) {sorted(unknown)}")
+        raise ParseError(f"{context}: unknown key(s) {clip(str(sorted(unknown)))}")
     missing = set(required) - set(mapping)
     if missing:
         raise ParseError(f"{context}: missing key(s) {sorted(missing)}")

@@ -1,15 +1,15 @@
-"""CSV/JSON writers of every run output and of the telemetry log.
+"""CSV/JSON writers of every run output, and the CSV row contract.
 
-The telemetry log's record, reader and export live with the estimator in
-:mod:`kitecycle.estimation`, which only ``estimate`` and ``simulate
---telemetry-out`` load; this module resolves ``read_telemetry_csv`` on first
-access (PEP 562) to the estimation module's reader.
+The telemetry log's columns, record, writer, reader and export live with the
+estimator in :mod:`kitecycle.estimation`, which only ``estimate`` and
+``simulate --telemetry-out`` load; this module resolves ``read_telemetry_csv``
+on first access (PEP 562) to the estimation module's reader.
 
-Every CSV goes through ``_write_csv`` and every JSON run output through
+Every CSV goes through :func:`write_csv` and every JSON run output through
 :func:`write_json`.  A CSV file holds the bytes ``csv.writer`` writes for
 the same values, by the row contract each writer keeps as it formats its
 lines: a number is its ``str`` (a float's shortest round-trip ``repr``),
-a phase label is quoted by the csv rules (:func:`_label`), a missing value
+a phase label is quoted by the csv rules (:func:`csv_label`), a missing value
 is blank and every line ends in CRLF; the header goes through
 ``csv.writer``.  Rows format a number as ``{x!s}``: ``{x}`` gives the same
 text through ``format(x, '')``, a ``__format__`` lookup and a spec parse
@@ -24,7 +24,6 @@ Files are UTF-8; a CSV, written ``_CHUNK`` lines a write, has comma separators,
 ``.`` decimals and a header row; JSON is indented by two spaces and ends with a
 newline.  Outputs carry no timestamps so identical runs are byte-identical.
 """
-
 from __future__ import annotations
 
 import csv
@@ -38,15 +37,15 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .cycle import CycleResult
 
-if TYPE_CHECKING:  # the estimator and the telemetry reader load only where they run
-    from .estimation import EstimateRecord, LogRecord, PhaseAverages
+if TYPE_CHECKING:  # the estimator loads only where it runs
+    from .estimation import EstimateRecord, PhaseAverages
 
 __all__ = [
     "TIMESERIES_COLUMNS",
-    "TELEMETRY_COLUMNS",
+    "write_csv",
+    "csv_label",
     "write_timeseries_csv",
     "write_cycle_summary",
-    "write_telemetry_csv",
     "read_telemetry_csv",
     "write_estimates_csv",
     "write_phase_averages",
@@ -60,12 +59,7 @@ TIMESERIES_COLUMNS = [
     "f", "v_t", "v_k", "v_a", "F_t_kite", "F_tg", "P",
 ]
 
-TELEMETRY_COLUMNS = [
-    "t", "F_tg", "r", "theta_deg", "phi_deg", "chi_deg",
-    "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref", "phase",
-]
-
-_CHUNK = 256  # lines that _write_csv joins into one write
+_CHUNK = 256  # lines that write_csv joins into one write
 
 
 def __getattr__(name: str):  # perfbench's dataio.read span wraps this name here
@@ -77,7 +71,7 @@ def __getattr__(name: str):  # perfbench's dataio.read span wraps this name here
     return read_telemetry_csv
 
 
-def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write ``header`` through ``csv.writer``, then ``lines``, each a row's
     fields joined by commas and ended in CRLF, ``_CHUNK`` lines a write."""
     lines = iter(lines)
@@ -88,7 +82,7 @@ def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) ->
 
 
 @lru_cache(maxsize=64)
-def _label(value: Optional[str]) -> str:
+def csv_label(value: Optional[str]) -> str:
     """``value`` as ``csv.writer`` writes it in a row of several fields."""
     text = io.StringIO()
     csv.writer(text).writerow([value, ""])
@@ -118,7 +112,7 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
     def lines() -> Iterator[str]:
         degrees = math.degrees
         for phase in cycle.phases:
-            label, held = _label(phase.phase), None
+            label, held = csv_label(phase.phase), None
             angles = f"{degrees(phase.phi)!s},{degrees(phase.chi)!s}"
             kite_texts, ground_texts = {}, {}
             for t, r, theta, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.rows():
@@ -130,7 +124,7 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
                     ground_texts.get(F_tg) or _force_text(ground_texts, F_tg))
                 yield (f"{t!s},{label},{r!s},{elevation},{angles},{f!s},{v_t!s},{v_k!s},"
                        f"{v_a!s},{kite},{ground},{P!s}\r\n")
-    _write_csv(path, TIMESERIES_COLUMNS, lines())
+    write_csv(path, TIMESERIES_COLUMNS, lines())
 
 
 def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
@@ -146,21 +140,9 @@ def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:
     write_json(path, summary)
 
 
-def write_telemetry_csv(path: str | Path, records: Iterable[LogRecord]) -> None:
-    def lines() -> Iterator[str]:
-        degrees, phi, chi = math.degrees, None, None
-        for t, F_tg, r, theta, rec_phi, rec_chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, phase in records:
-            if rec_phi is not phi or rec_chi is not chi:  # runs of records share them
-                phi, chi = rec_phi, rec_chi
-                angles = f"{degrees(phi)!s},{'' if chi is None else degrees(chi)!s}"
-            yield (f"{t!s},{F_tg!s},{r!s},{degrees(theta)!s},{angles},{vk_x!s},{vk_y!s},"
-                   f"{vk_z!s},{v_t!s},{v_w_ref!s},{_label(phase or '')}\r\n")
-    _write_csv(path, TELEMETRY_COLUMNS, lines())
-
-
 def write_estimates_csv(path: str | Path, estimates: Sequence[EstimateRecord]) -> None:
-    _write_csv(path, ["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"], (
-        f"{t!s},{_label(phase or '')},{C_R!s},{LD_sys!s},{LD_k!s},{kappa!s},{v_a!s},"
+    write_csv(path, ["t", "phase", "C_R", "LD_sys", "LD_k", "kappa", "v_a", "valid"], (
+        f"{t!s},{csv_label(phase or '')},{C_R!s},{LD_sys!s},{LD_k!s},{kappa!s},{v_a!s},"
         f"{1 if valid else 0}\r\n"
         for t, C_R, LD_sys, LD_k, kappa, v_a, valid, phase in estimates))
 
@@ -177,11 +159,11 @@ def write_phase_averages(path: str | Path, averages: PhaseAverages) -> None:
 
 
 def write_convergence_csv(path: str | Path, rows: Sequence[dict]) -> None:
-    _write_csv(path, ["dT", "zeta_m", "steps", "ratio_to_ref"],
+    write_csv(path, ["dT", "zeta_m", "steps", "ratio_to_ref"],
                (f"{row['dT']!s},{row['zeta_m']!s},{row['steps']!s},{row['ratio']!s}\r\n"
                 for row in rows))
 
 
 def write_sweep_csv(path: str | Path, parameter: str, rows: Sequence[dict]) -> None:
-    _write_csv(path, [parameter, "P_m", "zeta_m"],
+    write_csv(path, [parameter, "P_m", "zeta_m"],
                (f"{row['value']!s},{row['P_m']!s},{row['zeta_m']!s}\r\n" for row in rows))

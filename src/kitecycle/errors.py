@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and how a message echoes input.
 
 The CLI maps ``ParseError``/``ValidationError`` to exit code 2 and every
 other :class:`KitecycleError` to exit code 3.
 """
+
+
+def clip(text: str) -> str:
+    """``text`` to echo in a message: whole up to 80 characters, else cut there, with its length."""
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 class KitecycleError(Exception):

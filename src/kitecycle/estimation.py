@@ -1,11 +1,11 @@
 """The telemetry log and aerodynamic coefficient estimation from it.
 
-The log's record (:class:`LogRecord`), the one rule for a valid record
-(:func:`record_fault`), its reader and a simulated cycle's export to it
-live with the estimator: only ``estimate`` and ``simulate --telemetry-out``
-load this module.  The writer and the column names stay in ``dataio`` with
-the other run outputs; ``dataio`` resolves ``read_telemetry_csv`` on first
-access, as the same object.
+The log's columns (:data:`TELEMETRY_COLUMNS`), its record (:class:`LogRecord`,
+one row), the one rule for a valid record (:func:`record_fault`), its writer
+and reader, and a simulated cycle's export to it live with the estimator: only
+``estimate`` and ``simulate --telemetry-out`` load this module.  The writer
+keeps ``dataio``'s row contract (``write_csv``, ``csv_label``); ``dataio``
+resolves ``read_telemetry_csv`` on first access, as the same object.
 
 Given ground tether force, kite position/velocity and a reference wind
 speed, each sample is derived in one pass: its kinematics and the wind
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -41,30 +41,32 @@ from typing import NamedTuple, Optional, Sequence
 from . import dataio
 from .atmosphere import Environment, bind_wind
 from .cycle import RETRACTION, TRACTION, TRANSITION, CycleResult
-from .dataio import TELEMETRY_COLUMNS
-from .errors import EmptyPhaseError, ParseError, ValidationError
+from .dataio import csv_label, write_csv
+from .errors import EmptyPhaseError, ParseError, ValidationError, clip
 from .steady_state import GRAVITY, KiteParams, TetherParams, tether_balance
 
-__all__ = ["LogRecord", "record_fault", "cycle_to_log_records", "read_telemetry_csv",
-           "EstimateRecord", "PhaseAverages", "estimate_log", "estimate_record",
-           "segment_phases", "segment_and_average"]
+__all__ = ["TELEMETRY_COLUMNS", "LogRecord", "record_fault", "cycle_to_log_records",
+           "write_telemetry_csv", "read_telemetry_csv", "EstimateRecord", "PhaseAverages",
+           "estimate_log", "estimate_record", "segment_phases", "segment_and_average"]
 
 # Dead band and dwell of the reeling-speed segmentation heuristic.
 SEGMENT_SPEED_BAND = 0.1  # m/s
 SEGMENT_MIN_DWELL = 2.0  # s
 CROSSWIND_RATIO = 1.5  # least traction kite speed over the reference wind
 
+TELEMETRY_COLUMNS = [
+    "t", "F_tg", "r", "theta_deg", "phi_deg", "chi_deg",
+    "vk_x", "vk_y", "vk_z", "v_t", "v_w_ref", "phase",
+]
 # Telemetry columns every log must fill; chi_deg and phase may be blank.
 _REQUIRED_COLUMNS = [col for col in TELEMETRY_COLUMNS if col not in ("chi_deg", "phase")]
 
 
 class LogRecord(NamedTuple):
-    """One telemetry sample.
-
-    ``vk`` is the kite velocity vector in the wind reference frame
-    (x downwind, z up).  ``chi`` may be None when the logger did not
-    record a course angle; ``read_telemetry_csv`` derives it from positions.
-    """
+    """One telemetry sample, a row of :data:`TELEMETRY_COLUMNS` with its angles in
+    radians.  ``vk_x, vk_y, vk_z`` is the kite velocity in the wind reference frame
+    (x downwind, z up).  ``chi`` may be None when the logger did not record a course
+    angle; ``read_telemetry_csv`` derives it from positions."""
 
     t: float
     F_tg: float
@@ -72,7 +74,9 @@ class LogRecord(NamedTuple):
     theta: float
     phi: float
     chi: Optional[float]
-    vk: tuple[float, float, float]
+    vk_x: float
+    vk_y: float
+    vk_z: float
     v_t: float
     v_w_ref: float
     phase: Optional[str] = None
@@ -106,12 +110,10 @@ def _sample_fault(r: float, F_tg: float, v_w_ref: float) -> Optional[str]:
 def record_fault(rec: LogRecord) -> Optional[str]:
     """The first number of ``rec`` that is NaN or infinite, with its value, else
     the invariant it breaks (``_sample_fault``), or None; chi may be None."""
-    t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
-    numbers = (t, F_tg, r, theta, phi, 0.0 if chi is None else chi, vk_x, vk_y, vk_z, v_t, v_w_ref)
-    for name, x in zip("t F_tg r theta phi chi vk_x vk_y vk_z v_t v_w_ref".split(), numbers):
-        if not math.isfinite(x):
+    for name, x in zip(LogRecord._fields[:-1], rec):  # all but the phase label
+        if x is not None and not math.isfinite(x):
             return f"{name} is not finite: {x}"
-    return _sample_fault(r, F_tg, v_w_ref)
+    return _sample_fault(rec.r, rec.F_tg, rec.v_w_ref)
 
 
 def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> Iterator[LogRecord]:
@@ -123,13 +125,22 @@ def cycle_to_log_records(cycle: CycleResult, v_w_ref: float) -> Iterator[LogReco
     """
     last = -math.inf
     for phase in cycle.phases:
+        phi, chi, label = phase.phi, phase.chi, phase.phase
         for t, r, theta, _, v_t, v_k, _, _, F_tg, _ in phase.rows():
             if t <= last:
                 continue
             last = t
             v_tau = math.sqrt(max(v_k**2 - v_t**2, 0.0))
-            vk = _spherical_velocity_to_cartesian(theta, phase.phi, phase.chi, v_t, v_tau)
-            yield LogRecord(t, F_tg, r, theta, phase.phi, phase.chi, vk, v_t, v_w_ref, phase.phase)
+            vk_x, vk_y, vk_z = _spherical_velocity_to_cartesian(theta, phi, chi, v_t, v_tau)
+            yield LogRecord(t, F_tg, r, theta, phi, chi, vk_x, vk_y, vk_z, v_t, v_w_ref, label)
+
+
+def write_telemetry_csv(path: str | Path, records: Iterable[LogRecord]) -> None:
+    write_csv(path, TELEMETRY_COLUMNS, (
+        f"{t!s},{F_tg!s},{r!s},{math.degrees(theta)!s},{math.degrees(phi)!s},"
+        f"{'' if chi is None else math.degrees(chi)!s},{vk_x!s},{vk_y!s},{vk_z!s},{v_t!s},"
+        f"{v_w_ref!s},{csv_label(phase or '')}\r\n"
+        for t, F_tg, r, theta, phi, chi, vk_x, vk_y, vk_z, v_t, v_w_ref, phase in records))
 
 
 def _course_angle(last: float, theta: float, phi: float, nxt_theta: float,
@@ -151,9 +162,9 @@ def _reject_numbers(where: str, row: list[str], columns: list[tuple[str, int]]) 
         try:
             value = float(row[i])
         except ValueError as exc:
-            raise ParseError(f"{where}: column {column}: {exc}") from None
+            raise ParseError(f"{where}: column {column}: {clip(str(exc))}") from None
         if not math.isfinite(value):
-            raise ParseError(f"{where}: column {column} is not finite: {row[i]!r}")
+            raise ParseError(f"{where}: column {column} is not finite: {clip(repr(row[i]))}")
 
 
 def read_telemetry_csv(path: str | Path) -> list[LogRecord]:
@@ -235,11 +246,11 @@ def _parse_rows(path: str | Path, reader) -> list[LogRecord]:
             held = None
         phase = (row[i_phase] or None) if i_phase is not None else None
         if chi is None:
-            held = [t, F_tg, r, theta, phi, None, (vk_x, vk_y, vk_z), v_t, v_w_ref, phase]
+            held = [t, F_tg, r, theta, phi, None, vk_x, vk_y, vk_z, v_t, v_w_ref, phase]
         else:
             last_chi = radians(chi)
-            records.append(make((t, F_tg, r, theta, phi, last_chi, (vk_x, vk_y, vk_z), v_t,
-                                 v_w_ref, phase)))
+            records.append(make((t, F_tg, r, theta, phi, last_chi, vk_x, vk_y, vk_z, v_t, v_w_ref,
+                                 phase)))
     if held is not None:  # the last sample inherits the course angle before it
         held[5] = last_chi
         records.append(make(held))
@@ -302,7 +313,7 @@ def _bind_estimator(kite: KiteParams, tether: TetherParams,
     sqrt, sin, cos, hypot = math.sqrt, math.sin, math.cos, math.hypot
 
     def estimate(rec: LogRecord, phase: Optional[str]) -> EstimateRecord:
-        t, F_tg, r, theta, phi, chi, (vk_x, vk_y, vk_z), v_t, v_w_ref, _ = rec
+        t, F_tg, r, theta, phi, chi, vk_x, vk_y, vk_z, v_t, v_w_ref, _ = rec
         sin_t, cos_t, cos_p = sin(theta), cos(theta), cos(phi)
         # Kinematics: the apparent wind speed (the extrapolated wind less the
         # kite velocity) and the kinematic ratio, from the apparent wind over
@@ -421,7 +432,7 @@ def segment_phases(series: Sequence[LogRecord]) -> list[str]:
     given = {rec.phase for rec in series}
     bad = given - {None, RETRACTION, TRANSITION, TRACTION}
     if bad:
-        raise ValidationError(f"unknown phase labels: {sorted(bad)}")
+        raise ValidationError(f"unknown phase labels: {clip(str(sorted(bad)))}")
     if None not in given:
         return [rec.phase for rec in series]
 

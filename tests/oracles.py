@@ -30,9 +30,8 @@ import numpy as np
 
 from kitecycle import steady_state
 from kitecycle.cycle import _PhaseEngine
-from kitecycle.dataio import TELEMETRY_COLUMNS
 from kitecycle.errors import NoTensionError, ParseError, TetherSagError, ValidationError
-from kitecycle.estimation import LogRecord
+from kitecycle.estimation import TELEMETRY_COLUMNS, LogRecord
 from kitecycle.steady_state import massless_state, solve_kinematic_ratio
 
 
@@ -190,7 +189,7 @@ def dictreader_telemetry(path):
             chi = math.radians(_finite(row, "chi_deg", where)) if row.get("chi_deg") else None
             records.append(LogRecord(
                 t=t, F_tg=F_tg, r=r, theta=math.radians(theta), phi=math.radians(phi),
-                chi=chi, vk=(vk_x, vk_y, vk_z), v_t=v_t, v_w_ref=v_w_ref,
+                chi=chi, vk_x=vk_x, vk_y=vk_y, vk_z=vk_z, v_t=v_t, v_w_ref=v_w_ref,
                 phase=row.get("phase") or None,
             ))
     if any(b.t <= a.t for a, b in zip(records, records[1:])):

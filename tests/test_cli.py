@@ -18,12 +18,8 @@ import kitecycle
 from kitecycle import cli, cycle, load_config, preset_path, segment_and_average
 from kitecycle.atmosphere import bind_wind
 from kitecycle.cli import run_command
-from kitecycle.dataio import (
-    TELEMETRY_COLUMNS,
-    read_telemetry_csv,
-    write_phase_averages,
-    write_telemetry_csv,
-)
+from kitecycle.dataio import read_telemetry_csv, write_phase_averages
+from kitecycle.estimation import TELEMETRY_COLUMNS, write_telemetry_csv
 
 
 def read(path: Path) -> bytes:
@@ -583,14 +579,14 @@ def test_kite_velocity_too_large_to_square_is_invalid(tmp_path, strong_config, s
     if case == "infinite_apparent_wind":
         rows = [i for i, rec in enumerate(series) if rec.phase == "retraction"][10:20]
         for i in rows:
-            series[i] = series[i]._replace(vk=(1e200, *series[i].vk[1:]))
+            series[i] = series[i]._replace(vk_x=1e200)
     else:
         rows = [next(i for i, rec in enumerate(series) if rec.phase == "traction")]
         rec = series[rows[0]]
         # The angles as the reader gives them back, where b_f is 1e-9.
         theta, phi = (math.radians(float(f"{math.degrees(a)!s}")) for a in (rec.theta, rec.phi))
         v_w = bind_wind(cfg.environment)(rec.r * math.cos(theta), rec.v_w_ref)[0]
-        series[rows[0]] = rec._replace(vk=(1e150, 0.0, 0.0),
+        series[rows[0]] = rec._replace(vk_x=1e150, vk_y=0.0, vk_z=0.0,
                                        v_t=v_w * (math.sin(theta) * math.cos(phi) - 1e-9))
     log, out = tmp_path / "telemetry.csv", tmp_path / "out"
     write_telemetry_csv(log, series)
@@ -617,10 +613,11 @@ def test_underflowing_divisor_is_an_invalid_sample(tmp_path, strong_config, stro
     i = next(i for i, rec in enumerate(series) if rec.phase == "traction")
     if case == "density_underflow":
         series[i] = series[i]._replace(F_tg=3000.0, r=1e7, theta=0.0, phi=0.0, chi=1.0,
-                                       vk=(-20.0, 0.0, 0.0), v_t=-5.0, v_w_ref=10.0)
+                                       vk_x=-20.0, vk_y=0.0, vk_z=0.0, v_t=-5.0, v_w_ref=10.0)
     else:
         series[i] = series[i]._replace(F_tg=3000.0, r=0.0700000001, theta=1e-300, phi=0.0,
-                                       chi=1.0, vk=(-20.0, 0.0, 0.0), v_t=0.0, v_w_ref=1e-20)
+                                       chi=1.0, vk_x=-20.0, vk_y=0.0, vk_z=0.0, v_t=0.0,
+                                       v_w_ref=1e-20)
     log, out = tmp_path / "telemetry.csv", tmp_path / "out"
     write_telemetry_csv(log, series)
     assert run_command(["estimate", "--config", "strong_wind", "--log", str(log),
@@ -851,6 +848,54 @@ def test_telemetry_errors_name_the_file_line(tmp_path, capsys):
         assert error.format(log=log) in err, err
 
 
+LONG = 100_000  # characters of an input that an error message would echo
+
+
+def long_config(tmp_path, case):
+    """The strong preset with one value made long, and the key its error names."""
+    raw = strong_raw()
+    if case == "integer 10**309":
+        raw["kite"]["m"], key = 10**309, "kite.m"
+    elif case == "integer 10**4000":
+        raw["kite"]["m"], key = 10**4000, "kite.m"
+    elif case == "string":
+        raw["kite"]["S"], key = "x" * LONG, "kite.S"
+    elif case == "unknown key":
+        raw["kite"]["x" * LONG], key = 1.0, "kite: unknown key(s)"
+    else:  # a list where a string belongs
+        raw["out_dir"], key = [0] * LONG, "config.out_dir"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    return path, key
+
+
+def long_log(tmp_path, case):
+    """A telemetry log with one long field in its third line, and what its error names."""
+    column, value = {"digits": ("vk_x", "1" * LONG), "text": ("vk_x", "a" * LONG),
+                     "phase": ("phase", "p" * LONG)}[case]
+    bad = ",".join({**TELEMETRY_ROW, "t": "0.1", column: value}.values())
+    log = tmp_path / "long.csv"
+    log.write_text("\n".join([",".join(TELEMETRY_COLUMNS), ",".join(TELEMETRY_ROW.values()),
+                              bad]) + "\n")
+    return log, ("unknown phase labels" if column == "phase" else "line 3: column vk_x")
+
+
+@pytest.mark.parametrize("case", ["integer 10**309", "integer 10**4000", "string", "unknown key",
+                                  "list", "digits", "text", "phase"])
+def test_an_error_message_clips_a_long_input(tmp_path, capsys, case):
+    # The message used to echo the whole value: 348 characters for 10**309,
+    # and more than 100 000 for a long string, field or label.
+    if case in ("digits", "text", "phase"):
+        log, names = long_log(tmp_path, case)
+        argv = ["estimate", "--config", "strong_wind", "--log", str(log)]
+    else:
+        config, names = long_config(tmp_path, case)
+        argv = ["simulate", "--config", str(config)]
+    assert run_command([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 300 and names in err and " characters)" in err, err
+
+
 def telemetry_lines(rows):
     """The header and ``rows`` valid rows, 0.1 s apart, of a telemetry log."""
     return [",".join(TELEMETRY_COLUMNS)] + [",".join({**TELEMETRY_ROW, "t": f"{0.1 * i:.1f}"}
@@ -985,6 +1030,17 @@ def test_dataio_resolves_the_telemetry_names_to_the_telemetry_module():
     assert kitecycle.LogRecord is estimation.LogRecord
     with pytest.raises(AttributeError, match="no attribute '_parse_rows'"):
         dataio._parse_rows
+
+
+def test_the_log_record_is_the_telemetry_row():
+    # One module holds the log's columns and writer, and a record's fields
+    # are the columns, angles in radians.
+    from kitecycle import dataio, estimation
+
+    assert ([col.removesuffix("_deg") for col in estimation.TELEMETRY_COLUMNS]
+            == list(estimation.LogRecord._fields))
+    assert not hasattr(dataio, "write_telemetry_csv")
+    assert not hasattr(dataio, "TELEMETRY_COLUMNS")
 
 
 def test_log_with_a_byte_order_mark_estimates_the_same(tmp_path, simulated_log):

@@ -18,15 +18,14 @@ from kitecycle import (
 )
 from kitecycle.config import PRESET_NAMES
 from kitecycle.cycle import StepRecord
-from kitecycle.dataio import (
-    TELEMETRY_COLUMNS,
-    TIMESERIES_COLUMNS,
-    read_telemetry_csv,
-    write_telemetry_csv,
-    write_timeseries_csv,
-)
+from kitecycle.dataio import TIMESERIES_COLUMNS, read_telemetry_csv, write_timeseries_csv
 from kitecycle.errors import ParseError, ValidationError
-from kitecycle.estimation import LogRecord, cycle_to_log_records
+from kitecycle.estimation import (
+    TELEMETRY_COLUMNS,
+    LogRecord,
+    cycle_to_log_records,
+    write_telemetry_csv,
+)
 
 
 def strong_raw() -> dict:
@@ -347,7 +346,7 @@ class TestTelemetryCsv:
             assert a.t == b.t
             assert a.F_tg == b.F_tg
             assert a.r == b.r
-            assert a.vk == b.vk
+            assert (a.vk_x, a.vk_y, a.vk_z) == (b.vk_x, b.vk_y, b.vk_z)
             assert a.phase == b.phase
             assert a.theta == pytest.approx(b.theta, rel=1e-14)
 
@@ -478,7 +477,7 @@ def test_writers_write_numpy_floats_as_their_str(tmp_path, strong_config, strong
              "P_m": -math.inf}]
     writers = [
         (dataio.write_timeseries_csv, strong_cycle),
-        (dataio.write_telemetry_csv, strong_telemetry),
+        (write_telemetry_csv, strong_telemetry),
         (dataio.write_estimates_csv, estimates),
         (dataio.write_convergence_csv, rows),
         (lambda path, rows: dataio.write_sweep_csv(path, "operation.F_out", rows), rows),
@@ -491,7 +490,7 @@ def test_writers_write_numpy_floats_as_their_str(tmp_path, strong_config, strong
 
 def test_read_telemetry_derives_course_angle_direction(tmp_path):
     # Two samples descending in elevation (theta increasing): chi ~ 0.
-    base = dict(F_tg=100.0, r=400.0, phi=0.0, chi=None, vk=(0.0, 0.0, 0.0),
+    base = dict(F_tg=100.0, r=400.0, phi=0.0, chi=None, vk_x=0.0, vk_y=0.0, vk_z=0.0,
                 v_t=0.0, v_w_ref=9.9)
     recs = [
         LogRecord(t=0.0, theta=math.radians(30), **base),

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import kitecycle
 from kitecycle.cycle import StepRecord
-from kitecycle.dataio import TELEMETRY_COLUMNS, TIMESERIES_COLUMNS
+from kitecycle.dataio import TIMESERIES_COLUMNS
+from kitecycle.estimation import TELEMETRY_COLUMNS, LogRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -51,6 +52,12 @@ def test_readme_gives_the_step_record_fields():
     fields = re.search(r"`StepRecord`'s\s+ten fields `([^`]*)`",
                        library_section()).group(1)
     assert fields.split(", ") == list(StepRecord._fields)
+
+
+def test_readme_gives_the_log_record_fields():
+    fields = re.search(r"`LogRecord`'s\s+twelve fields\s+`([^`]*)`",
+                       library_section()).group(1)
+    assert fields.split(", ") == list(LogRecord._fields)
 
 
 def test_readme_column_lists_are_the_written_columns():

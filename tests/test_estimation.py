@@ -25,9 +25,13 @@ from kitecycle import (
 )
 from kitecycle import estimation
 from kitecycle.atmosphere import bind_wind
-from kitecycle.dataio import read_telemetry_csv, write_telemetry_csv
+from kitecycle.dataio import read_telemetry_csv
 from kitecycle.errors import EmptyPhaseError, ValidationError
-from kitecycle.estimation import _spherical_velocity_to_cartesian, cycle_to_log_records
+from kitecycle.estimation import (
+    _spherical_velocity_to_cartesian,
+    cycle_to_log_records,
+    write_telemetry_csv,
+)
 
 ENV = Environment(v_w_ref=9.9, z_ref=6.0, z0=0.07)
 TETHER = TetherParams(d_t=0.004, rho_t=724.0)
@@ -62,9 +66,10 @@ def synthetic_record(st: Flight, kite: KiteParams, tether: TetherParams,
     else:
         eq = massless_state(*head, kite.S, v_w, rho)
     v_t = st.f * v_w
-    vk = _spherical_velocity_to_cartesian(st.theta, st.phi, st.chi, v_t, eq.lam * v_w)
+    vk_x, vk_y, vk_z = _spherical_velocity_to_cartesian(st.theta, st.phi, st.chi, v_t,
+                                                        eq.lam * v_w)
     return LogRecord(t=t, F_tg=eq.F_tg, r=st.r, theta=st.theta, phi=st.phi, chi=st.chi,
-                     vk=vk, v_t=v_t, v_w_ref=env.v_w_ref, phase=phase)
+                     vk_x=vk_x, vk_y=vk_y, vk_z=vk_z, v_t=v_t, v_w_ref=env.v_w_ref, phase=phase)
 
 
 def system_C_R(r, aero_set, kite=KITE, tether=TETHER):
@@ -82,7 +87,7 @@ class TestDeriveKinematics:
         # the kite altitude drops below the roughness length, so probe
         # just above it at long tether length.)
         rec = LogRecord(t=0.0, F_tg=100.0, r=10000.0, theta=math.radians(89.99),
-                        phi=0.0, chi=0.0, vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
+                        phi=0.0, chi=0.0, vk_x=0.0, vk_y=0.0, vk_z=0.0, v_t=0.0, v_w_ref=9.9)
         est = estimate_record(rec, KITE, TETHER, ENV)
         v_w = wind_state_at(10000.0 * math.cos(math.radians(89.99)), ENV).v_w
         assert est.v_a == pytest.approx(v_w, rel=1e-12)
@@ -90,7 +95,7 @@ class TestDeriveKinematics:
 
     def test_below_roughness_length_is_flagged_not_raised(self):
         rec = LogRecord(t=0.0, F_tg=100.0, r=300.0, theta=math.pi / 2, phi=0.0,
-                        chi=0.0, vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
+                        chi=0.0, vk_x=0.0, vk_y=0.0, vk_z=0.0, v_t=0.0, v_w_ref=9.9)
         est = estimate_record(rec, KITE, TETHER, ENV)
         assert not est.valid
         assert math.isnan(est.v_a) and math.isnan(est.kappa)
@@ -109,7 +114,7 @@ class TestDeriveKinematics:
         z = 300.0 * math.cos(theta)
         v_w = wind_state_at(z, ENV).v_w
         rec = LogRecord(t=0.0, F_tg=100.0, r=300.0, theta=theta, phi=0.0, chi=0.0,
-                        vk=(0.0, 0.0, 0.0), v_t=v_w * math.sin(theta), v_w_ref=9.9)
+                        vk_x=0.0, vk_y=0.0, vk_z=0.0, v_t=v_w * math.sin(theta), v_w_ref=9.9)
         est = estimate_record(rec, KITE, TETHER, ENV)
         assert not est.valid
         assert est.v_a == pytest.approx(v_w, rel=1e-12)
@@ -119,7 +124,7 @@ class TestDeriveKinematics:
         # z/z0 overflows, so the log wind law gives an infinite wind and
         # the kinematic ratio's radicand is NaN.
         rec = LogRecord(t=0.0, F_tg=100.0, r=1e308, theta=0.5, phi=0.0, chi=0.0,
-                        vk=(0.0, 0.0, 0.0), v_t=0.0, v_w_ref=9.9)
+                        vk_x=0.0, vk_y=0.0, vk_z=0.0, v_t=0.0, v_w_ref=9.9)
         est = estimate_record(rec, KITE, TETHER, ENV)
         assert not est.valid
         assert math.isnan(est.kappa)
@@ -131,7 +136,7 @@ def overflowing_ratio(vk_x=1e150, b_f=1e-13, theta=1.0, phi=0.1, r=300.0, v_w_re
     share, b_f times the wind at the kite, too large to square."""
     v_w = bind_wind(ENV)(r * math.cos(theta), v_w_ref)[0]
     v_t = v_w * (math.sin(theta) * math.cos(phi) - b_f)
-    return LogRecord(1.0, 3000.0, r, theta, phi, 1.0, (vk_x, 0.0, 0.0), v_t, v_w_ref, phase)
+    return LogRecord(1.0, 3000.0, r, theta, phi, 1.0, vk_x, 0.0, 0.0, v_t, v_w_ref, phase)
 
 
 class TestKiteVelocityTooLargeToSquare:
@@ -140,7 +145,7 @@ class TestKiteVelocityTooLargeToSquare:
     # kinematics, whatever its phase.
     @pytest.mark.parametrize("phase", ["retraction", "transition", "traction"])
     def test_infinite_apparent_wind_is_invalid(self, phase):
-        rec = LogRecord(1.0, 3000.0, 300.0, 1.0, 0.1, 1.0, (1e160, 0.0, 0.0), 1.0, 10.0, phase)
+        rec = LogRecord(1.0, 3000.0, 300.0, 1.0, 0.1, 1.0, 1e160, 0.0, 0.0, 1.0, 10.0, phase)
         est = estimate_record(rec, KITE, TETHER, ENV)
         assert not est.valid
         assert math.isinf(est.v_a)
@@ -160,7 +165,7 @@ class TestKiteVelocityTooLargeToSquare:
         before = segment_and_average(series, *args).counts
         retraction = [i for i, rec in enumerate(series) if rec.phase == "retraction"][10:20]
         for i in retraction:
-            series[i] = series[i]._replace(vk=(1e200, *series[i].vk[1:]))
+            series[i] = series[i]._replace(vk_x=1e200)
         i = next(i for i, rec in enumerate(series) if rec.phase == "traction")
         rec = series[i]
         series[i] = overflowing_ratio(theta=rec.theta, phi=rec.phi, r=rec.r,
@@ -194,8 +199,8 @@ def test_finite_numbers_whose_sum_overflows_are_checked_one_by_one(strong_config
 # up, and the wind's radial share b_f*v_w of a 1e-20 m/s wind just above
 # the roughness length at theta = 1e-300.
 UNDERFLOWING = {
-    "density": LogRecord(1.0, 3000.0, 1e7, 0.0, 0.0, 1.0, (-20.0, 0.0, 0.0), -5.0, 10.0),
-    "ratio": LogRecord(1.0, 3000.0, 0.0700000001, 1e-300, 0.0, 1.0, (-20.0, 0.0, 0.0), 0.0, 1e-20),
+    "density": LogRecord(1.0, 3000.0, 1e7, 0.0, 0.0, 1.0, -20.0, 0.0, 0.0, -5.0, 10.0),
+    "ratio": LogRecord(1.0, 3000.0, 0.0700000001, 1e-300, 0.0, 1.0, -20.0, 0.0, 0.0, 0.0, 1e-20),
 }
 
 
@@ -299,7 +304,7 @@ class TestEstimateLD:
                        chi=math.radians(100.9), f=0.4)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=AeroSet(C_L=0.69, LD_k=2.5))
-        assert math.sqrt(sum(c * c for c in rec.vk)) < 1.5 * rec.v_w_ref
+        assert math.hypot(rec.vk_x, rec.vk_y, rec.vk_z) < 1.5 * rec.v_w_ref
         est = estimate_record(rec, KITE, TETHER, ENV, phase="traction")
         assert not est.valid
         assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
@@ -323,8 +328,8 @@ class TestEstimateLD:
         e_r = (math.sin(rec.theta) * math.cos(rec.phi), math.sin(rec.theta) * math.sin(rec.phi),
                math.cos(rec.theta))
         v_a = 20.0
-        return rec._replace(chi=None, vk=(v_w - v_a * e_r[0], -v_a * e_r[1], -v_a * e_r[2]),
-                            v_t=v_w * e_r[0] - 0.5 * v_a)
+        return rec._replace(chi=None, vk_x=v_w - v_a * e_r[0], vk_y=-v_a * e_r[1],
+                            vk_z=-v_a * e_r[2], v_t=v_w * e_r[0] - 0.5 * v_a)
 
     @pytest.mark.parametrize("gate", [
         "wind at the kite", "kinematic radicand", "misaligned retraction",
@@ -348,8 +353,8 @@ class TestEstimateLD:
         rec, kite, tether, phase, has_C_R = {
             "wind at the kite": (traction._replace(v_w_ref=0.0), KITE, TETHER, "traction", False),
             # Flying downwind at 0.9 v_w leaves too little apparent wind.
-            "kinematic radicand": (traction._replace(vk=(0.9 * v_w, 0.0, 0.0), v_t=0.0), KITE,
-                                   TETHER, "traction", False),
+            "kinematic radicand": (traction._replace(vk_x=0.9 * v_w, vk_y=0.0, vk_z=0.0, v_t=0.0),
+                                   KITE, TETHER, "traction", False),
             "misaligned retraction": (retraction._replace(phi=0.5), KITE, TETHER, "retraction",
                                       True),
             "retraction without course angle": (retraction._replace(chi=None), KITE, TETHER,
@@ -384,7 +389,7 @@ class TestSegmentation:
         for i, v_t in enumerate(v_ts):
             recs.append(LogRecord(t=i * dt, F_tg=500.0, r=400.0,
                                   theta=math.radians(63), phi=0.0, chi=0.0,
-                                  vk=(1.0, 0.0, 0.0), v_t=v_t, v_w_ref=9.9,
+                                  vk_x=1.0, vk_y=0.0, vk_z=0.0, v_t=v_t, v_w_ref=9.9,
                                   phase=phase))
         return recs
 
@@ -490,8 +495,9 @@ def test_exported_records_keep_the_kite_and_radial_speeds():
                 sin_t = math.sin(rec.theta)
                 radial = (sin_t * math.cos(rec.phi), sin_t * math.sin(rec.phi),
                           math.cos(rec.theta))
-                assert math.hypot(*rec.vk) == pytest.approx(v_k, rel=1e-12)
-                assert sum(a * b for a, b in zip(rec.vk, radial)) == pytest.approx(
+                vk = (rec.vk_x, rec.vk_y, rec.vk_z)
+                assert math.hypot(*vk) == pytest.approx(v_k, rel=1e-12)
+                assert sum(a * b for a, b in zip(vk, radial)) == pytest.approx(
                     v_t, rel=1e-12, abs=1e-12 * v_k)
 
 
@@ -535,11 +541,7 @@ def test_log_record_invariants(tmp_path, strong_config, strong_telemetry):
 
 
 def with_number(rec: LogRecord, field: str, value: float) -> LogRecord:
-    """``rec`` with one number replaced; vk_x, vk_y and vk_z name a component of vk."""
-    if field.startswith("vk_"):
-        vk = list(rec.vk)
-        vk["xyz".index(field[-1])] = value
-        return rec._replace(vk=tuple(vk))
+    """``rec`` with one number replaced."""
     return rec._replace(**{field: value})
 
 

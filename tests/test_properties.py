@@ -62,13 +62,13 @@ from kitecycle import (
     tether_properties,
     wind_state_at,
 )
-from kitecycle import dataio
+from kitecycle import dataio, estimation
 from kitecycle.atmosphere import bind_wind
 from kitecycle.cycle import CycleResult, PhaseResult, _PhaseEngine, _transition_controller
 from kitecycle.cli import run_command
 from kitecycle.config import preset_path
-from kitecycle.dataio import TELEMETRY_COLUMNS, read_telemetry_csv
-from kitecycle.estimation import EstimateRecord, LogRecord
+from kitecycle.dataio import read_telemetry_csv
+from kitecycle.estimation import TELEMETRY_COLUMNS, EstimateRecord, LogRecord
 from kitecycle.errors import (
     KitecycleError,
     NoTensionError,
@@ -684,6 +684,21 @@ def test_dip_search_keeps_its_outcomes(draw):
         assert abs(p.solve().kappa / expected - 1.0) <= 1e-11
 
 
+# Seed 2 #30630, numbered as DIP_DRAWS: _largest_root narrows a bracket to
+# its width with a negative residual at one end, and returns the end of the
+# smaller residual, here the positive one.  It solves in 16 kernel evaluations.
+NARROWED_DRAW = Problem(890.3025548431593, 1.507201544472842, 0.25173742307852887,
+                        5.760495502950926, 0.8382368544077876, 0.21097976376413397,
+                        0.47787312265189663, 6.04581414550034, 1.1752708549627222,
+                        35.16124996294741, 0.7117906625361723)
+
+
+def test_a_bracket_narrowed_to_a_negative_residual_keeps_its_outcome():
+    res = NARROWED_DRAW.solve()
+    assert abs(res.kappa / 13.587646357644257 - 1.0) <= 1e-11
+    assert res.iterations == 16
+
+
 @PROPERTY
 @given(problems(), st.floats(10.0, 1e5), st.sampled_from(["kite", "ground"]))
 def test_failures_are_definite(p, F_target, end):
@@ -758,7 +773,7 @@ def overflowing_ratio_sample():
     theta, phi, r, v_w_ref = 1.0, 0.1, 300.0, 10.0
     v_w = bind_wind(ESTIMATE_CONFIG.environment)(r * math.cos(theta), v_w_ref)[0]
     v_t = v_w * (math.sin(theta) * math.cos(phi) - 1e-13)
-    return LogRecord(0.0, 3000.0, r, theta, phi, 1.0, (1e150, 0.0, 0.0), v_t, v_w_ref, "traction")
+    return LogRecord(0.0, 3000.0, r, theta, phi, 1.0, 1e150, 0.0, 0.0, v_t, v_w_ref, "traction")
 
 
 @st.composite
@@ -800,17 +815,17 @@ def estimate_samples(draw, gate):
             chi, F_tg = draw(st.floats(-0.3, 0.3)), sag + draw(st.floats(0.0, 300.0))
     elif gate == "tether_drag":  # a fast apparent wind on a long tether
         vk, phase = (-draw(st.floats(60.0, 150.0)), draw(SPEED), draw(SPEED)), "transition"
-    return LogRecord(0.0, F_tg, r, theta, phi, chi, vk, v_t, v_w_ref, phase)
+    return LogRecord(0.0, F_tg, r, theta, phi, chi, *vk, v_t, v_w_ref, phase)
 
 
 @settings(PROPERTY, max_examples=60)
 @given(st.tuples(*map(estimate_samples, ESTIMATE_GATES)))
 # Kite velocities too large to square: an infinite apparent wind, and a
 # finite one over a tiny radial share; and a ground force too large to square.
-@example([LogRecord(0.0, 3000.0, 300.0, 1.0, 0.1, 1.0, (1e160, 0.0, 0.0), 1.0, 10.0,
+@example([LogRecord(0.0, 3000.0, 300.0, 1.0, 0.1, 1.0, 1e160, 0.0, 0.0, 1.0, 10.0,
                     "traction")])
 @example([overflowing_ratio_sample()])
-@example([LogRecord(0.0, 1e308, 300.0, 1.0, 0.1, 1.0, (-20.0, 5.0, 1.0), 1.0, 10.0, "traction")])
+@example([LogRecord(0.0, 1e308, 300.0, 1.0, 0.1, 1.0, -20.0, 5.0, 1.0, 1.0, 10.0, "traction")])
 def test_bound_estimator_is_the_per_sample_path(strong_telemetry, samples):
     # segment_and_average binds the estimator once per series; each of its
     # estimates is estimate_record's for that sample and label, bit for bit
@@ -860,12 +875,7 @@ def test_estimate_record_rejects_a_malformed_sample_as_the_series_check_does(
     in_phase = [rec for rec in strong_telemetry if rec.phase == phase]
     rec = in_phase[int(at * (len(in_phase) - 1))]
     name, value = bad
-    if name.startswith("vk_"):
-        vk = list(rec.vk)
-        vk["xyz".index(name[-1])] = value
-        rec = rec._replace(vk=tuple(vk))
-    else:
-        rec = rec._replace(**{name: value})
+    rec = rec._replace(**{name: value})
     with pytest.raises(ValidationError) as series:
         segment_and_average([rec], *args)
     assert str(series.value).startswith("sample 0: ")
@@ -987,7 +997,7 @@ def test_a_log_the_reader_accepts_passes_the_series_check(strong_telemetry, samp
     base = strong_telemetry[::14]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "telemetry.csv"
-        dataio.write_telemetry_csv(path, base)
+        estimation.write_telemetry_csv(path, base)
         t = base[-1].t
         with open(path, "a", newline="", encoding="utf-8") as fh:
             for step, row in samples:
@@ -1082,7 +1092,7 @@ def test_timeseries_writer_matches_the_csv_module(cycle):
 def log_records(draw):
     phi, chi = pool(draw, FLOAT), pool(draw, st.none() | FLOAT)
     return [LogRecord(*draw(st.tuples(FLOAT, FLOAT, FLOAT, FLOAT, phi, chi,
-                                      st.tuples(FLOAT, FLOAT, FLOAT), FLOAT, FLOAT, LABEL)))
+                                      FLOAT, FLOAT, FLOAT, FLOAT, FLOAT, LABEL)))
             for _ in range(draw(st.integers(0, 6)))]
 
 
@@ -1090,9 +1100,9 @@ def log_records(draw):
 @given(log_records())
 def test_telemetry_writer_matches_the_csv_module(records):
     rows = [[rec.t, rec.F_tg, rec.r, math.degrees(rec.theta), math.degrees(rec.phi),
-             "" if rec.chi is None else math.degrees(rec.chi), *rec.vk, rec.v_t, rec.v_w_ref,
-             rec.phase or ""] for rec in records]
-    assert written_bytes(dataio.write_telemetry_csv, records) == csv_module_bytes(
+             "" if rec.chi is None else math.degrees(rec.chi), rec.vk_x, rec.vk_y, rec.vk_z,
+             rec.v_t, rec.v_w_ref, rec.phase or ""] for rec in records]
+    assert written_bytes(estimation.write_telemetry_csv, records) == csv_module_bytes(
         TELEMETRY_COLUMNS, rows)
 
 

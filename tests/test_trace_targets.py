@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kitecycle import cycle, dataio, load_config, preset_path, replace
+from kitecycle import cycle, estimation, load_config, preset_path, replace
 from kitecycle.cli import run_command
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -96,7 +96,7 @@ def test_estimate_spans_see_the_read_and_the_writes(spans, tmp_path, strong_tele
     # The estimator reads a log through dataio's binding of the reader, the
     # one the dataio.read span wraps, not its own module's.
     log = tmp_path / "telemetry.csv"
-    dataio.write_telemetry_csv(log, strong_telemetry)
+    estimation.write_telemetry_csv(log, strong_telemetry)
     tracer = spans.Tracer()
     tracer.install()
     try:

@@ -34,8 +34,11 @@ relative to its pair's parent run, which host drift over a run shifts less
 than it shifts the medians of the sides.  Every
 other pairing of workload and end-to-end metric is printed as better, within its bound, worse beyond its
 bound, or unresolved where the parent's own spread is wider than the
-bound and not every change run beats every parent run.  Standard
-library only.
+bound and not every change run beats every parent run.  Last, per workload,
+it prints each side's median machine speed from the stored ``host_state``
+and the largest difference of the two within a pair, so a verdict shows
+whether both sides met a like host; runs stored without ``host_state`` print
+none of this, and it judges nothing.  Standard library only.
 """
 
 from __future__ import annotations
@@ -166,6 +169,23 @@ def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str,
     }
 
 
+def host_lines(runs: list[dict]) -> list[str]:
+    """Per workload in every run's ``host_state``, each side's median machine
+    speed and the largest difference of the two sides within a pair."""
+    states = [run[side].get("host_state", {}) for run in runs for side in ("parent", "change")]
+    workloads = [name for name in states[0] if all(name in state for state in states)]
+    if not workloads:
+        return []
+    lines = ["machine speed of reference, median per side (largest gap within a pair):"]
+    for name in workloads:
+        parent, change = ([run[side]["host_state"][name]["machine_speed"] for run in runs]
+                          for side in ("parent", "change"))
+        gap = max(abs(before - after) for before, after in zip(parent, change))
+        lines.append(f"  {name}: parent {statistics.median(parent):.3f}, change "
+                     f"{statistics.median(change):.3f} ({gap:.3f})")
+    return lines
+
+
 def verdict(runs: list[dict], summary: dict, claim: dict | None) -> str:
     if claim is None:
         lines = ["no claim; every end-to-end metric:"]
@@ -194,7 +214,7 @@ def verdict(runs: list[dict], summary: dict, claim: dict | None) -> str:
             status = "within its bound"
         lines.append(f"  {name}: {entry['median_change']:+.1%}, change wins "
                      f"{entry['change_wins']}: {status}")
-    return "\n".join(lines)
+    return "\n".join(lines + host_lines(runs))
 
 
 def report(args, rev: str, runs: list[dict], spec: dict) -> dict:
