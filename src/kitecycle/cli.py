@@ -15,7 +15,7 @@ from __future__ import annotations
 from .config import PRESET_NAMES, RunConfig, load_config, load_sweep_spec, preset_path
 from .cycle import convergence_study, simulate_cycle
 from . import dataio
-from .errors import KitecycleError, ParseError, ValidationError
+from .errors import KitecycleError, ParseError, ValidationError, clip
 
 import argparse
 import functools
@@ -59,7 +59,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
             cycle = simulate_cycle(varied.environment, varied.kite, varied.tether,
                                    varied.operation)
         except KitecycleError as exc:
-            raise type(exc)(f"{spec.parameter} = {value}: {exc}") from exc
+            raise type(exc)(f"{clip(spec.parameter)} = {value}: {exc}") from exc
         rows.append({"value": value, "P_m": cycle.P_m, "zeta_m": cycle.zeta_m})
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_sweep_csv(out / "sweep.csv", spec.parameter, rows)
@@ -84,8 +84,8 @@ def _cmd_estimate(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def _config(args: argparse.Namespace, overrides: dict) -> RunConfig:
-    """The ``--config`` file or preset, with ``overrides`` and
-    ``--no-gravity`` written into its JSON before it is parsed."""
+    """The ``--config`` file or preset, with ``overrides`` and the massless
+    flag written into its JSON before it is parsed."""
     if getattr(args, "no_gravity", False):
         overrides = {"gravity": False, **overrides}
     return load_config(preset_path(args.config) if args.config in PRESET_NAMES
@@ -107,24 +107,22 @@ def _parser() -> argparse.ArgumentParser:
                         help="run configuration JSON, or a preset name "
                              f"({', '.join(PRESET_NAMES)})")
     common.add_argument("--out", default=None, help="output directory (default: out)")
+    gravity = argparse.ArgumentParser(add_help=False)  # for the commands that simulate
+    gravity.add_argument("--no-gravity", action="store_true", help="use the massless model variant")
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate one pumping cycle")
-    p.add_argument("--no-gravity", action="store_true",
-                   help="use the massless model variant")
+    p = sub.add_parser("simulate", parents=[common, gravity], help="simulate one pumping cycle")
     p.add_argument("--telemetry-out", default=None,
                    help="also export the cycle as a telemetry CSV")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("convergence", parents=[common],
+    p = sub.add_parser("convergence", parents=[common, gravity],
                        help="time-step refinement study")
     p.add_argument("--dt-list", nargs="+", type=float, required=True, metavar="DT",
                    help="nondimensional time steps; the smallest is the reference")
-    p.add_argument("--no-gravity", action="store_true")
     p.set_defaults(func=_cmd_convergence)
 
-    p = sub.add_parser("sweep", parents=[common], help="one-parameter sweep")
+    p = sub.add_parser("sweep", parents=[common, gravity], help="one-parameter sweep")
     p.add_argument("--spec", required=True, help="sweep specification JSON")
-    p.add_argument("--no-gravity", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("estimate", parents=[common],
@@ -145,12 +143,9 @@ def run_command(argv: list[str]) -> int:
         # Each command makes the output directory just before its first
         # write, so a command that fails earlier leaves none behind.
         return args.func(args, cfg, Path(args.out or cfg.out_dir or "out"))
-    except (ParseError, ValidationError, OSError) as exc:
+    except (KitecycleError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except KitecycleError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ParseError, ValidationError, OSError)) else 3
 
 
 def main() -> None:

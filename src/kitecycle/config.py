@@ -123,7 +123,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A JSON object as a dict, once no key repeats in it."""
     keys = [key for key, _ in pairs]
     if len(set(keys)) < len(keys):
-        raise ValueError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+        twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"duplicate key {clip(repr(twice))}")
     return dict(pairs)
 
 
@@ -156,7 +157,7 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> RunConfig
         for name in parents:
             node = node.setdefault(name, {}) if isinstance(node, dict) else None
         if not isinstance(node, dict):
-            raise ValidationError(f"cannot set {key!r}: a part of it is not an object")
+            raise ValidationError(f"cannot set {clip(repr(key))}: a part of it is not an object")
         node[leaf] = value
     return _config_from_dict(raw)
 
@@ -179,7 +180,8 @@ class SweepSpec(Frozen):
         if not values:
             raise ValidationError("sweep requires at least one value")
         if objective not in ("P_m", "zeta_m"):
-            raise ValidationError(f"objective must be 'P_m' or 'zeta_m', got {objective!r}")
+            raise ValidationError("objective must be 'P_m' or 'zeta_m', got "
+                                  + clip(repr(objective)))
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:

@@ -156,15 +156,12 @@ class CycleResult(NamedTuple):
     P_m: float
     zeta_m: float
     z_mt: float
+    duration: float
     steps: int
 
     @property
     def phases(self) -> tuple[PhaseResult, PhaseResult, PhaseResult]:
         return (self.retraction, self.transition, self.traction)
-
-    @property
-    def duration(self) -> float:
-        return sum(p.duration for p in self.phases)
 
 
 class _PhaseEngine:
@@ -224,8 +221,9 @@ def _integrate(
     Raises:
         SolverError: a PhaseError if, for ten characteristic times, each
             step's rate leaves the end over ten characteristic times away (a
-            rate <= 0 never reaches it), or if a step takes the kite to r <= 0
-            or out of the wind law's domain; or what the wind law, at the phase start, or
+            rate <= 0 never reaches it); the one PhaseError of both domain exits,
+            a step to r <= 0 or out of the wind law's domain, naming the start
+            record's reeling factor; or what the wind law, at the start record, or
             ``step`` raised; each chained and prefixed with the phase, t, r and elevation.
         ValidationError: a step input out of a kernel's domain, chained and
             prefixed the same way.
@@ -271,8 +269,7 @@ def _integrate(
             theta += dtheta * dt
             t += dt
             if r <= 0.0:  # before the wind law fails on the altitude
-                raise PhaseError(f"tether length fell to zero, from a reeling factor of "
-                                 f"{series[3]:.3g} at the phase start")  # the first step's f
+                raise DomainError("tether length fell to zero")
             if done:
                 # Land exactly on the end condition.
                 if by_elevation:
@@ -285,7 +282,7 @@ def _integrate(
     except (SolverError, ValidationError) as exc:
         beta = math.degrees(0.5 * math.pi - theta)
         kind, why = type(exc), str(exc)
-        if kind is DomainError and series:  # a step, not the start, left the wind law's domain
+        if kind is DomainError and series:  # a step, not the start, left the model's domain
             kind = PhaseError
             why += f", from a reeling factor of {series[3]:.3g} at the phase start"
         raise kind(f"{phase} at t = {t:.6g} s, r = {r:.6g} m, beta = {beta:.6g} deg: "
@@ -401,6 +398,7 @@ def simulate_cycle(env: Environment, kite: KiteParams, tether: TetherParams,
         P_m=P_m,
         zeta_m=zeta_m,
         z_mt=z_mt,
+        duration=duration,
         steps=retraction.steps + transition.steps + traction.steps,
     )
 

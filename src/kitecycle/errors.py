@@ -29,7 +29,7 @@ class SolverError(KitecycleError):
 class DomainError(SolverError):
     """An input is outside the model's domain of validity, e.g. an
     altitude below the roughness length where the log wind law is
-    undefined."""
+    undefined, or a tether length r <= 0."""
 
 
 class NoTensionError(SolverError):

@@ -394,12 +394,11 @@ def estimate_record(
     kite: KiteParams,
     tether: TetherParams,
     env: Environment,
-    phase: Optional[str] = None,
 ) -> EstimateRecord:
     """All estimates for one sample, each derived once: ``_bind_estimator``
-    applied to ``rec`` under ``phase``, or its own label if None.  It is
-    valid when it yields the lift-to-drag pair; each gate returns the
-    record with NaN for what it rejects.
+    applied to ``rec`` under its own label (``rec._replace(phase=...)`` for
+    another).  It is valid when it yields the lift-to-drag pair; each gate
+    returns the record with NaN for what it rejects.
 
     C_R normalises the aerodynamic force at the kite (the measured ground
     force plus the airborne weights) by the apparent-wind dynamic
@@ -417,7 +416,7 @@ def estimate_record(
     """
     if (fault := record_fault(rec)) is not None:
         raise ValidationError(fault)
-    return _bind_estimator(kite, tether, env)(rec, rec.phase if phase is None else phase)
+    return _bind_estimator(kite, tether, env)(rec, rec.phase)
 
 
 def segment_phases(series: Sequence[LogRecord]) -> list[str]:

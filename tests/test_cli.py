@@ -862,11 +862,33 @@ def long_config(tmp_path, case):
         raw["kite"]["S"], key = "x" * LONG, "kite.S"
     elif case == "unknown key":
         raw["kite"]["x" * LONG], key = 1.0, "kite: unknown key(s)"
+    elif case == "repeated key":  # written into the text below: a dict holds a key once
+        key = "duplicate key"
     else:  # a list where a string belongs
         raw["out_dir"], key = [0] * LONG, "config.out_dir"
+    text = json.dumps(raw)
+    if case == "repeated key":
+        repeated = json.dumps("x" * LONG)
+        text = f"{text[:-1]}, {repeated}: 1, {repeated}: 2}}"
     path = tmp_path / "long.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(text)
     return path, key
+
+
+def long_sweep(tmp_path, case):
+    """A sweep spec with one long value, and what its error names."""
+    spec, names = {
+        "objective": ({"parameter": "kite.m", "values": [1.0], "objective": "x" * LONG},
+                      "objective must be"),
+        # load_config names the key, and the sweep names the point with it.
+        "parameter through a number": ({"parameter": "kite.m." + "x" * LONG, "values": [1.0]},
+                                       "cannot set"),
+        "unknown parameter": ({"parameter": "operation." + "x" * LONG, "values": [1.0]},
+                              "operation: unknown key(s)"),
+    }[case]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    return path, names
 
 
 def long_log(tmp_path, case):
@@ -881,19 +903,33 @@ def long_log(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["integer 10**309", "integer 10**4000", "string", "unknown key",
-                                  "list", "digits", "text", "phase"])
+                                  "repeated key", "list", "digits", "text", "phase", "objective",
+                                  "parameter through a number", "unknown parameter"])
 def test_an_error_message_clips_a_long_input(tmp_path, capsys, case):
     # The message used to echo the whole value: 348 characters for 10**309,
-    # and more than 100 000 for a long string, field or label.
+    # and more than 100 000 for a long string, field, label, key, objective
+    # or sweep parameter (200 087 for one that load_config names too).
     if case in ("digits", "text", "phase"):
         log, names = long_log(tmp_path, case)
         argv = ["estimate", "--config", "strong_wind", "--log", str(log)]
+    elif case in ("objective", "parameter through a number", "unknown parameter"):
+        spec, names = long_sweep(tmp_path, case)
+        argv = ["sweep", "--config", "strong_wind", "--spec", str(spec)]
     else:
         config, names = long_config(tmp_path, case)
         argv = ["simulate", "--config", str(config)]
     assert run_command([*argv, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert len(err) < 300 and names in err and " characters)" in err, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence", "sweep", "estimate"])
+def test_each_command_that_simulates_lists_the_massless_flag(capsys, command):
+    # One parent parser declares the flag for the three; convergence and
+    # sweep used to list it without help.
+    assert run_command([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert ("--no-gravity use the massless model variant" in out) is (command != "estimate"), out
 
 
 def telemetry_lines(rows):

@@ -209,11 +209,11 @@ def test_underflowing_divisor_is_invalid(strong_config, phase):
     # Both used to raise ZeroDivisionError.  An underflowing density
     # leaves C_R undefined; an underflowing radial share is a ratio too
     # large to square, so the kinematic ratio is undefined too.
-    args = (strong_config.kite, strong_config.tether, strong_config.environment, phase)
-    density = estimate_record(UNDERFLOWING["density"], *args)
+    args = (strong_config.kite, strong_config.tether, strong_config.environment)
+    density = estimate_record(UNDERFLOWING["density"]._replace(phase=phase), *args)
     assert not density.valid
     assert math.isnan(density.C_R) and math.isfinite(density.kappa)
-    ratio = estimate_record(UNDERFLOWING["ratio"], *args)
+    ratio = estimate_record(UNDERFLOWING["ratio"]._replace(phase=phase), *args)
     assert not ratio.valid
     assert all(map(math.isnan, (ratio.C_R, ratio.LD_sys, ratio.LD_k, ratio.kappa)))
 
@@ -244,7 +244,8 @@ class TestEstimateCR:
         assert weak
         for rec in bad + weak:
             for label in ("retraction", "transition", "traction"):
-                est = estimate_record(rec, cfg.kite, cfg.tether, cfg.environment, phase=label)
+                est = estimate_record(rec._replace(phase=label), cfg.kite, cfg.tether,
+                                      cfg.environment)
                 assert not est.valid
                 assert all(math.isnan(v) for v in (est.C_R, est.LD_sys, est.LD_k))
 
@@ -271,7 +272,8 @@ class TestEstimateLD:
                        chi=math.radians(100), f=0.3)
         kite0 = replace(KITE, m=0.0)
         rec = synthetic_record(st, kite0, TETHER, ENV, gravity=False)
-        est = estimate_record(rec, kite0, replace(TETHER, rho_t=1e-12), ENV, phase="traction")
+        est = estimate_record(rec._replace(phase="traction"), kite0,
+                              replace(TETHER, rho_t=1e-12), ENV)
         assert est.LD_sys == pytest.approx(est.kappa, rel=1e-9)
 
     def test_zero_diameter_tether_skips_drag_correction(self):
@@ -280,21 +282,21 @@ class TestEstimateLD:
         kite0 = replace(KITE, m=0.0)
         thin = TetherParams(d_t=1e-9, rho_t=724.0)
         rec = synthetic_record(st, kite0, thin, ENV, gravity=False)
-        est = estimate_record(rec, kite0, thin, ENV, phase="traction")
+        est = estimate_record(rec._replace(phase="traction"), kite0, thin, ENV)
         assert est.LD_k == pytest.approx(est.LD_sys, rel=1e-6)
 
     def test_gravity_traction_recovery(self):
         st = Flight(r=550.0, theta=math.radians(63), phi=math.radians(10.5),
                        chi=math.radians(100.9), f=0.4)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True)
-        est = estimate_record(rec, KITE, TETHER, ENV, phase="traction")
+        est = estimate_record(rec._replace(phase="traction"), KITE, TETHER, ENV)
         assert est.LD_k == pytest.approx(4.0, rel=0.02)
 
     def test_gravity_retraction_recovery(self):
         st = Flight(r=550.0, theta=math.radians(40), phi=0.0, chi=math.pi, f=-0.3)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=KITE.aero_retraction)
-        est = estimate_record(rec, KITE, TETHER, ENV, phase="retraction")
+        est = estimate_record(rec._replace(phase="retraction"), KITE, TETHER, ENV)
         assert est.LD_k == pytest.approx(3.1, rel=0.02)
 
     def test_slow_traction_sample_flagged(self):
@@ -305,18 +307,18 @@ class TestEstimateLD:
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=AeroSet(C_L=0.69, LD_k=2.5))
         assert math.hypot(rec.vk_x, rec.vk_y, rec.vk_z) < 1.5 * rec.v_w_ref
-        est = estimate_record(rec, KITE, TETHER, ENV, phase="traction")
+        est = estimate_record(rec._replace(phase="traction"), KITE, TETHER, ENV)
         assert not est.valid
         assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
         assert not math.isnan(est.C_R)
-        assert estimate_record(rec, KITE, TETHER, ENV, phase="transition").valid
+        assert estimate_record(rec._replace(phase="transition"), KITE, TETHER, ENV).valid
 
     def test_misaligned_retraction_sample_flagged(self):
         st = Flight(r=550.0, theta=math.radians(40), phi=0.0,
                        chi=math.radians(100), f=-0.3)
         rec = synthetic_record(st, KITE, TETHER, ENV, gravity=True,
                                aero_set=KITE.aero_retraction)
-        est = estimate_record(rec, KITE, TETHER, ENV, phase="retraction")
+        est = estimate_record(rec._replace(phase="retraction"), KITE, TETHER, ENV)
         assert not est.valid
         assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
 
@@ -348,7 +350,7 @@ class TestEstimateLD:
             KITE, TETHER, ENV, gravity=True)
         for base, label in ((traction, "traction"), (retraction, "retraction"),
                             (downward, "transition")):
-            assert estimate_record(base, KITE, TETHER, ENV, phase=label).valid
+            assert estimate_record(base._replace(phase=label), KITE, TETHER, ENV).valid
         v_w = bind_wind(ENV)(traction.r * math.cos(traction.theta), traction.v_w_ref)[0]
         rec, kite, tether, phase, has_C_R = {
             "wind at the kite": (traction._replace(v_w_ref=0.0), KITE, TETHER, "traction", False),
@@ -365,7 +367,7 @@ class TestEstimateLD:
             "G <= 0": (downward, replace(KITE, m=1e4), TETHER, "transition", True),
             "tether drag": (traction, KITE, replace(TETHER, C_D_c=1e3), "traction", True),
         }[gate]
-        est =estimate_record(rec, kite, tether, ENV, phase=phase)
+        est = estimate_record(rec._replace(phase=phase), kite, tether, ENV)
         assert not est.valid
         assert math.isnan(est.LD_sys) and math.isnan(est.LD_k)
         assert math.isnan(est.C_R) is not has_C_R
@@ -621,5 +623,5 @@ def test_averages_carry_the_per_sample_estimates(strong_config, strong_telemetry
     labels = segment_phases(strong_telemetry)
     assert len(avg.estimates) == len(strong_telemetry)
     for est, rec, label in zip(avg.estimates, strong_telemetry, labels):
-        assert repr(est) == repr(estimate_record(rec, *args, phase=label))
+        assert repr(est) == repr(estimate_record(rec._replace(phase=label), *args))
     assert "estimates" not in repr(avg)

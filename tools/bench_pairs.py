@@ -31,14 +31,17 @@ median gain, relative to the parent's median, is at least ``--min-gain``
 (default 0, no minimum).  The claim also reports, but is not judged by,
 ``pair_gain_median``: the median over pairs of the change's signed gain
 relative to its pair's parent run, which host drift over a run shifts less
-than it shifts the medians of the sides.  Every
+than it shifts the medians of the sides, and the same median over the
+like-speed pairs only: those whose two sides ran the claim's workload at
+machine speeds within ``LIKE_SPEED`` of their mean.  Every
 other pairing of workload and end-to-end metric is printed as better, within its bound, worse beyond its
 bound, or unresolved where the parent's own spread is wider than the
 bound and not every change run beats every parent run.  Last, per workload,
-it prints each side's median machine speed from the stored ``host_state``
-and the largest difference of the two within a pair, so a verdict shows
-whether both sides met a like host; runs stored without ``host_state`` print
-none of this, and it judges nothing.  Standard library only.
+it prints each side's median machine speed from the stored ``host_state``,
+the largest difference of the two within a pair and the count of like-speed
+pairs, so a verdict shows whether both sides met a like host; runs stored
+without ``host_state`` print none of this, and it judges nothing.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMAND = "python3 perfbench/run.py --workload all --seed SEED --seconds {seconds}"
 WORKLOAD_LINE = re.compile(r"perfbench (\S+): seed ")
 HOST_NOTE = re.compile(r"as wall time: ops_per_s (\S+?),.* machine speed (\S+) of reference")
+# A pair's sides ran at a like speed when their machine speeds differ by at
+# most this share of their mean.  It judges nothing until a null run sets it.
+LIKE_SPEED = 0.10
 
 
 def seeds_of(text: str) -> list[int]:
@@ -126,6 +132,23 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
 
 
+def pair_gain_median(parent: list[float], change: list[float], sign: float = 1.0) -> float:
+    """The median over pairs of change/parent - 1, each ratio within its pair,
+    times ``sign`` (-1 where lower is better, so that a gain is positive)."""
+    return statistics.median(sign * (after / before - 1.0) for before, after in zip(parent, change))
+
+
+def like_speed(runs: list[dict], workload: str) -> list[bool] | None:
+    """Per pair, whether its sides ran ``workload`` at machine speeds within
+    ``LIKE_SPEED`` of their mean; None unless every run stored both speeds."""
+    try:
+        speeds = [[run[side]["host_state"][workload]["machine_speed"]
+                   for side in ("parent", "change")] for run in runs]
+    except KeyError:
+        return None
+    return [abs(before - after) <= LIKE_SPEED * 0.5 * (before + after) for before, after in speeds]
+
+
 def summarize(runs: list[dict], spec: dict) -> dict:
     summary = {}
     for workload in spec["workloads"]:
@@ -158,12 +181,17 @@ def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str,
     iqr = p["q3"] - p["q1"]
     parent = [run["parent"]["metrics"][metric]["value"] for run in runs]
     change = [run["change"]["metrics"][metric]["value"] for run in runs]
-    pair_gains = [sign * (after - before) / before for before, after in zip(parent, change)]
+    like = like_speed(runs, metric.split(".", 1)[0])
+    alike = [pair for pair, keep in zip(zip(parent, change), like or []) if keep]
     return {
         "metric": metric, "predicted": predicted, "min_gain": min_gain,
         "median_parent": p["median"], "median_change": c["median"],
         "median_gain": round(gain / p["median"], 4),
-        "pair_gain_median": round(statistics.median(pair_gains), 4), "parent_iqr": iqr,
+        "pair_gain_median": round(pair_gain_median(parent, change, sign), 4),
+        "like_speed_pairs": None if like is None else f"{sum(like)}/{len(runs)}",
+        "like_speed_pair_gain_median": (round(pair_gain_median(*zip(*alike), sign), 4)
+                                        if alike else None),
+        "parent_iqr": iqr,
         "change_wins": entry["change_wins"],
         "met": 10 * won >= 9 * len(runs) and gain > iqr and gain >= min_gain * p["median"],
     }
@@ -171,7 +199,8 @@ def claim_of(runs: list[dict], summary: dict, metric: str, predicted: str,
 
 def host_lines(runs: list[dict]) -> list[str]:
     """Per workload in every run's ``host_state``, each side's median machine
-    speed and the largest difference of the two sides within a pair."""
+    speed, the largest difference of the two sides within a pair and the
+    pairs whose sides ran at a like speed (see ``like_speed``)."""
     states = [run[side].get("host_state", {}) for run in runs for side in ("parent", "change")]
     workloads = [name for name in states[0] if all(name in state for state in states)]
     if not workloads:
@@ -182,7 +211,8 @@ def host_lines(runs: list[dict]) -> list[str]:
                           for side in ("parent", "change"))
         gap = max(abs(before - after) for before, after in zip(parent, change))
         lines.append(f"  {name}: parent {statistics.median(parent):.3f}, change "
-                     f"{statistics.median(change):.3f} ({gap:.3f})")
+                     f"{statistics.median(change):.3f} ({gap:.3f}); within {LIKE_SPEED:.0%} "
+                     f"of their mean in {sum(like_speed(runs, name))}/{len(runs)} pairs")
     return lines
 
 
@@ -190,9 +220,12 @@ def verdict(runs: list[dict], summary: dict, claim: dict | None) -> str:
     if claim is None:
         lines = ["no claim; every end-to-end metric:"]
     else:
+        like = claim["like_speed_pair_gain_median"]
+        alike = (f", {like:+.1%} over the {claim['like_speed_pairs']} like-speed pairs"
+                 if like is not None else "")
         lines = [f"claim {claim['metric']}: parent {claim['median_parent']:.4g}, change "
                  f"{claim['median_change']:.4g} ({claim['median_gain']:+.1%}; median of the "
-                 f"per-pair gains {claim['pair_gain_median']:+.1%}), parent IQR "
+                 f"per-pair gains {claim['pair_gain_median']:+.1%}{alike}), parent IQR "
                  f"{claim['parent_iqr']:.3g}, change wins {claim['change_wins']}, minimum "
                  f"gain {claim['min_gain']:.1%}: {'MET' if claim['met'] else 'NOT MET'}"]
     for name, entry in summary.items():

@@ -76,7 +76,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT, copy_working_tree, extract_parent  # noqa: E402
+from bench_pairs import ROOT, copy_working_tree, extract_parent, pair_gain_median  # noqa: E402
 
 WORKLOADS = ("cycle-gravity", "cycle-massless", "estimate")
 
@@ -220,11 +220,6 @@ def startup_round(tree: Path, config: str) -> tuple[float, int]:
     return statistics.median(scaled), int(peak[-1]) if peak else 0
 
 
-def within_rounds(parent: list[float], change: list[float]) -> float:
-    """The median over rounds of change/parent - 1, each ratio within its round."""
-    return statistics.median(b / a - 1.0 for a, b in zip(parent, change))
-
-
 def compare_startup(trees: dict[str, Path], config: str, rounds: int, parent_rev: str) -> None:
     """Print the start-up comparison of ``rounds`` alternating rounds."""
     times = {"parent": [], "change": []}
@@ -245,7 +240,7 @@ def compare_startup(trees: dict[str, Path], config: str, rounds: int, parent_rev
     print(f"{rounds} alternating start-up rounds, parent {parent_rev}, config {config}:")
     print(f"  setup_s: parent {p:.4f} s (IQR {(q3 - q1) / p:.2%} of its median), "
           f"change {c:.4f} s ({(c - p) / p:+.1%}; within rounds "
-          f"{within_rounds(parent, change):+.1%}), change lower in {lower}/{rounds} rounds")
+          f"{pair_gain_median(parent, change):+.1%}), change lower in {lower}/{rounds} rounds")
     print(f"  start-up ru_maxrss (read as VmHWM): parent {statistics.median(peaks['parent']):.0f} KB, "
           f"change {statistics.median(peaks['change']):.0f} KB")
 
@@ -328,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         p, c = statistics.median(parent), statistics.median(change)
         won = sum(b < a for a, b in zip(parent, change))
         print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}; within "
-              f"rounds {within_rounds(parent, change):+.1%}), "
+              f"rounds {pair_gain_median(parent, change):+.1%}), "
               f"change faster in {won}/{args.rounds} rounds")
     print("Peak resident set of a pool's process (read as VmHWM), median:")
     for name in names:
