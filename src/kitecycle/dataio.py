@@ -19,7 +19,9 @@ within a phase, reuses the text of a number that repeats (the elevation
 traction holds, a set-point force), keyed on its value, and F_t_kite's text
 for F_tg only for an equal non-zero value; a zero is formatted each time, as
 0.0 and -0.0 are equal, and a NaN, equal to nothing, is too: the bytes stay
-``csv.writer``'s.
+``csv.writer``'s.  From ``_SPLIT_ROWS`` rows a forked child formats the second
+half into a temporary file that this process, having written the first, appends:
+the same bytes.  With no ``os.fork``, or if the fork or child fails, it writes all.
 Files are UTF-8; a CSV, written ``_CHUNK`` lines a write, has comma separators,
 ``.`` decimals and a header row; JSON is indented by two spaces and ends with a
 newline.  Outputs carry no timestamps so identical runs are byte-identical.
@@ -30,6 +32,7 @@ import csv
 import io
 import json
 import math
+import os
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
@@ -60,6 +63,7 @@ TIMESERIES_COLUMNS = [
 ]
 
 _CHUNK = 256  # lines that write_csv joins into one write
+_SPLIT_ROWS = 2048  # timeseries rows from which a forked child formats the second half
 
 
 def __getattr__(name: str):  # perfbench's dataio.read span wraps this name here
@@ -74,11 +78,15 @@ def __getattr__(name: str):  # perfbench's dataio.read span wraps this name here
 def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write ``header`` through ``csv.writer``, then ``lines``, each a row's
     fields joined by commas and ended in CRLF, ``_CHUNK`` lines a write."""
-    lines = iter(lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        while chunk := "".join(islice(lines, _CHUNK)):  # a line is never empty
-            fh.write(chunk)
+        _write_lines(fh, lines)
+
+
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, _CHUNK)):  # a line is never empty
+        fh.write(chunk)
 
 
 @lru_cache(maxsize=64)
@@ -109,13 +117,14 @@ def _force_text(texts: dict, force: float) -> str:
 
 
 def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
-    def lines() -> Iterator[str]:
-        degrees = math.degrees
+    def lines(lo: int, hi: int) -> Iterator[str]:  # the rows lo to hi - 1 of the cycle
+        degrees, start = math.degrees, 0
         for phase in cycle.phases:
+            a, b, start = max(lo - start, 0), max(hi - start, 0), start + len(phase.values) // 10
             label, held = csv_label(phase.phase), None
             angles = f"{degrees(phase.phi)!s},{degrees(phase.chi)!s}"
             kite_texts, ground_texts = {}, {}
-            for t, r, theta, f, v_t, v_k, v_a, F_t_kite, F_tg, P in phase.rows():
+            for t, r, theta, f, v_t, v_k, v_a, F_t_kite, F_tg, P in islice(phase.rows(), a, b):
                 if theta != held or not theta:  # traction holds theta; ±0.0 and NaN anew
                     held = theta
                     elevation = f"{degrees(theta)!s},{degrees(0.5 * math.pi - theta)!s}"
@@ -124,7 +133,38 @@ def write_timeseries_csv(path: str | Path, cycle: CycleResult) -> None:
                     ground_texts.get(F_tg) or _force_text(ground_texts, F_tg))
                 yield (f"{t!s},{label},{r!s},{elevation},{angles},{f!s},{v_t!s},{v_k!s},"
                        f"{v_a!s},{kite},{ground},{P!s}\r\n")
-    write_csv(path, TIMESERIES_COLUMNS, lines())
+    rows = sum(len(phase.values) for phase in cycle.phases) // 10
+    if rows < _SPLIT_ROWS or not hasattr(os, "fork"):
+        return write_csv(path, TIMESERIES_COLUMNS, lines(0, rows))
+    import shutil, tempfile  # only a split write loads them
+    half = rows // 2
+    with open(path, "w", newline="", encoding="utf-8") as fh, tempfile.TemporaryFile(
+            "w+", newline="", encoding="utf-8", dir=Path(path).parent) as tail:
+        csv.writer(fh).writerow(TIMESERIES_COLUMNS)
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = -1
+        if pid == 0:  # the child writes the second half to tail, never to fh
+            try:
+                _write_lines(tail, lines(half, rows))
+                tail.flush()
+                os._exit(0)
+            finally:  # reached only if the child raised: os._exit does not return
+                os._exit(1)
+        try:
+            _write_lines(fh, lines(0, half))
+        finally:
+            try:  # where SIGCHLD is ignored, the child reaps itself and leaves no status
+                status = os.waitpid(pid, 0)[1] if pid > 0 else -1
+            except ChildProcessError:
+                status = -1
+        if status == 0:
+            fh.flush()
+            tail.seek(0)
+            shutil.copyfileobj(tail.buffer, fh.buffer)
+        else:  # no fork, a failed child or no exit status: this process writes the second half
+            _write_lines(fh, lines(half, rows))
 
 
 def write_cycle_summary(path: str | Path, cycle: CycleResult) -> None:

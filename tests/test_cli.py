@@ -1009,8 +1009,9 @@ def test_import_does_not_load_scipy():
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     # Importing them costs more start-up time than simulating a preset, and
     # only `estimate` and `simulate --telemetry-out` use the estimation
-    # module, which holds the telemetry log.  -S keeps a site .pth file
-    # from importing any of them before kitecycle does.
+    # module, which holds the telemetry log; only a timeseries.csv split
+    # between two processes uses tempfile and shutil.  -S keeps a site .pth
+    # file from importing any of them before kitecycle does.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys\n"
@@ -1018,7 +1019,7 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
             "from kitecycle.config import load_config, preset_path\n"
             "load_config(preset_path('strong_wind'))\n"
             "print(sorted({'dataclasses', 'inspect', 'kitecycle.estimation',\n"
-            "              'importlib.resources'} & set(sys.modules)))\n")
+            "              'importlib.resources', 'tempfile', 'shutil'} & set(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout == "[]\n"

@@ -1,7 +1,10 @@
 import csv
+import errno
 import json
 import math
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -311,6 +314,53 @@ class TestTimeseriesCsv:
             for column, text in row.items():
                 value = text if column == "phase" else float(text)
                 assert value == expected[column], (column, row)
+
+    @pytest.fixture(scope="class")
+    def fine_cycle(self, strong_config):
+        """The massless strong-wind cycle at dT 0.001: ≈ 5 000 rows, a split write."""
+        cfg = strong_config
+        return simulate_cycle(cfg.environment, cfg.kite, cfg.tether,
+                              replace(cfg.operation, gravity=False, dT=0.001))
+
+    @pytest.mark.parametrize("fault", [None, "no fork", "fork fails", "child fails",
+                                       "SIGCHLD ignored"])
+    def test_split_write_writes_the_serial_bytes_and_leaves_nothing(
+            self, request, tmp_path, monkeypatch, fine_cycle, fault):
+        # A forked child formats the second half; with no fork, a fork that
+        # fails, a child that fails or one that leaves no exit status (where
+        # SIGCHLD is ignored, as a process inherits from its parent across
+        # exec, children reap themselves), this process formats it.  Either
+        # way no child and no temporary file is left.
+        assert sum(len(phase.values) for phase in fine_cycle.phases) // 10 >= dataio._SPLIT_ROWS
+        with monkeypatch.context() as serial:
+            serial.setattr(dataio, "_SPLIT_ROWS", math.inf)
+            write_timeseries_csv(tmp_path / "serial.csv", fine_cycle)
+        parent, label = os.getpid(), dataio.csv_label
+
+        def fork():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        def label_in_the_parent(value):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            return label(value)
+
+        if fault == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif fault == "fork fails":
+            monkeypatch.setattr(os, "fork", fork)
+        elif fault == "child fails":
+            monkeypatch.setattr(dataio, "csv_label", label_in_the_parent)
+        elif fault == "SIGCHLD ignored":
+            handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, handler))
+        out = tmp_path / "out"
+        out.mkdir()
+        write_timeseries_csv(out / "timeseries.csv", fine_cycle)
+        assert (out / "timeseries.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert [path.name for path in out.iterdir()] == ["timeseries.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestEstimatesCsv:

@@ -36,6 +36,7 @@ import tempfile
 from array import array
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -1071,20 +1072,24 @@ def cycles(draw):
 
 
 @PROPERTY
-@given(cycles())
+@given(cycles(), st.floats(0, 1))
 # Equal numbers that print differently: the writer reuses the text of theta
 # and a force never for a zero, and of F_t_kite for F_tg only for an equal
 # non-zero value.
 @example(CycleResult(
     PhaseResult("traction", 0.0, 0.0, 0.0, 2, 0.0, -0.0,
                 array("d", [0.0] * 10 + [-0.0] * 10 + [0.0] * 8 + [-0.0, 0.0])),
-    *[PhaseResult("", 0.0, 0.0, 0.0, 0, 0.0, 0.0, array("d"))] * 2, 0.0, 0.0, 0.0, 0.0, 0))
-def test_timeseries_writer_matches_the_csv_module(cycle):
+    *[PhaseResult("", 0.0, 0.0, 0.0, 0, 0.0, 0.0, array("d"))] * 2, 0.0, 0.0, 0.0, 0.0, 0), 0.5)
+def test_timeseries_writer_matches_the_csv_module(cycle, split_at):
     rows = [[t, phase.phase, r, math.degrees(theta), math.degrees(0.5 * math.pi - theta),
              math.degrees(phase.phi), math.degrees(phase.chi), *rest]
             for phase in cycle.phases for t, r, theta, *rest in phase.rows()]
-    assert written_bytes(dataio.write_timeseries_csv, cycle) == csv_module_bytes(
-        dataio.TIMESERIES_COLUMNS, rows)
+    expected = csv_module_bytes(dataio.TIMESERIES_COLUMNS, rows)
+    assert written_bytes(dataio.write_timeseries_csv, cycle) == expected
+    # Once more split, with _SPLIT_ROWS drawn from 1 to the row count: the
+    # forked child's half starts inside a phase or on a phase boundary.
+    with mock.patch.object(dataio, "_SPLIT_ROWS", max(1, round(split_at * len(rows)))):
+        assert written_bytes(dataio.write_timeseries_csv, cycle) == expected
 
 
 @st.composite

@@ -39,10 +39,15 @@ At the end the script prints, per workload, each side's median figure,
 the relative change of the medians, the median over rounds of the change's
 figure over the parent's less 1, each ratio taken within its round (a slow
 round slows both sides, so it moves this ratio less than either median),
-and the rounds the change was faster in, then each side's median peak
-resident set of its pool's process over the timed passes (read as VmHWM,
-as ``--startup`` reads it) and its traced peak bytes per step, then each
-side's calls of the counted functions in one pass over each pool and its
+and the rounds the change was faster in.  Then, as medians over rounds,
+each side's peak resident set of its pool's process over the timed passes
+(read as VmHWM, as ``--startup`` reads it), the CPU seconds of those
+passes, the process's own plus its children's (``resource.getrusage``),
+and its children's peak resident set (``ru_maxrss``, 0 with no child):
+work a change moves into a forked child shows in the last two, which
+``perfbench``'s ``peak_rss_mb`` (``RUSAGE_SELF`` only) misses.  Then each
+side's traced peak bytes per step, then its calls of the counted
+functions in one pass over each pool and its
 Python-level calls per integration step, then whether every output file
 was byte-identical between the sides in each round, or how many differed
 and the first that did.  Outputs that differ are reported, not an error: a
@@ -83,16 +88,25 @@ WORKLOADS = ("cycle-gravity", "cycle-massless", "estimate")
 # The steady_state functions whose calls a side's untimed pass counts.
 COUNTED = ("solve_kinematic_ratio", "gravity_setpoint_step", "_drag_condition")
 
+# A pool process's resources over its timed passes, as CHILD prints them, with
+# the title and unit each is printed with.
+RESOURCES = {
+    "peak_kb": ("Peak resident set of a pool's process (read as VmHWM)", "KB"),
+    "cpu_s": ("CPU seconds of the timed passes, self plus children", "s"),
+    "children_peak_kb": ("Peak resident set of its children (ru_maxrss)", "KB"),
+}
+
 # Run in a fresh process with its side's src first on sys.path: argv is
 # the pool file and the number of passes; prints the least time per op,
 # the calls of each COUNTED function in one more, untimed pass (0 for one
 # its side lacks), the Python-level calls and steps of simulate_cycle in that
 # pass, the median over its ops with steps of each op's tracemalloc peak over
 # its steps (null if none has steps), the sha256 of each output file, keyed by
-# its op's --out name and path, and the process's peak resident set [KB] over
-# the timed passes, read as VmHWM (see PEAK_CODE).
+# its op's --out name and path, the process's peak resident set [KB] over
+# the timed passes, read as VmHWM (see PEAK_CODE), the CPU seconds of those
+# passes, its own plus its children's, and its children's peak ru_maxrss [KB].
 CHILD = r"""
-import contextlib, hashlib, io, json, shutil, statistics, sys, time, tracemalloc
+import contextlib, hashlib, io, json, resource, shutil, statistics, sys, time, tracemalloc
 from pathlib import Path
 import kitecycle.cli, kitecycle.cycle, kitecycle.steady_state as ss
 ops = json.loads(open(sys.argv[1], encoding="utf-8").read())
@@ -100,6 +114,12 @@ outs = [Path(op["argv"][op["argv"].index("--out") + 1]) for op in ops]
 for out in outs:
     shutil.rmtree(out, ignore_errors=True)
 best, codes = [float("inf")] * len(ops), set()
+
+def cpu_s():
+    return sum(usage.ru_utime + usage.ru_stime for usage in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+
+cpu = -cpu_s()
 for _ in range(int(sys.argv[2])):
     for i, op in enumerate(ops):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -107,6 +127,7 @@ for _ in range(int(sys.argv[2])):
             codes.add(kitecycle.cli.run_command(op["argv"]))
             best[i] = min(best[i], time.perf_counter() - start)
 # Before the untimed pass, whose tracemalloc would raise the high-water mark.
+cpu, children_peak = cpu + cpu_s(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 peak = [line.split()[1] for line in open("/proc/self/status", encoding="ascii")
         if line.startswith("VmHWM:")]
 calls = dict.fromkeys(sys.argv[3].split(","), 0)
@@ -158,7 +179,8 @@ for out in outs:
         digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
 print(json.dumps({"best": best, "codes": sorted(codes), "module": kitecycle.cli.__file__,
                   "calls": calls, "profiled": profiled, "digests": digests,
-                  "peak_kb": int(peak[0]) if peak else 0,
+                  "peak_kb": int(peak[0]) if peak else 0, "cpu_s": cpu,
+                  "children_peak_kb": children_peak,
                   "bytes_per_step": statistics.median(per_step) if per_step else None}))
 """
 
@@ -172,12 +194,13 @@ def generate_pool(workload: str, work: Path) -> Path:
 
 
 def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, int],
-                                                           dict[str, str], int, float | None]:
+                                                           dict[str, str], dict, float | None]:
     """Sum over the pool of each op's least time, in ms, from a fresh process,
     the calls of each COUNTED function and the Python-level calls and steps of
     ``simulate_cycle`` in one pass, the digest of each output file, the
-    process's peak resident set [KB] and the median traced peak bytes per step
-    of the ops that integrate (None if none does)."""
+    process's resources over the timed passes (``peak_kb``, ``cpu_s`` and
+    ``children_peak_kb``, as CHILD prints them) and the median traced peak
+    bytes per step of the ops that integrate (None if none does)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, str(pool), str(best_of),
                            ",".join(COUNTED)], cwd=tree, env=env, capture_output=True, text=True)
@@ -189,8 +212,9 @@ def time_pool(tree: Path, pool: Path, best_of: int) -> tuple[float, dict[str, in
         sys.exit(f"interleave_ops: {tree.name} imported kitecycle from {result['module']}")
     if result["codes"] != [0]:
         sys.exit(f"interleave_ops: {tree.name} on {pool.stem}: exit codes {result['codes']}")
+    usage = {key: result[key] for key in RESOURCES}
     return 1e3 * sum(result["best"]), {**result["calls"], **result["profiled"]}, \
-        result["digests"], result["peak_kb"], result["bytes_per_step"]
+        result["digests"], usage, result["bytes_per_step"]
 
 
 # Appended to SETUP_CODE in one more, untimed process per side and round:
@@ -284,8 +308,10 @@ def main(argv: list[str] | None = None) -> int:
 
     times: dict[str, dict[str, list[float]]] = {name: {"parent": [], "change": []}
                                                 for name in names}
-    peaks: dict[str, dict[str, list[int]]] = {name: {"parent": [], "change": []}
-                                              for name in names}
+    # Each round's resources of a pool's process, per workload, side and RESOURCES key.
+    usages: dict[str, dict[str, dict[str, list[float]]]] = {
+        name: {side: {key: [] for key in RESOURCES} for side in ("parent", "change")}
+        for name in names}
     # Traced peak bytes per step of each round, per workload and side.
     traced: dict[str, dict[str, list[float]]] = {name: {"parent": [], "change": []}
                                                  for name in names}
@@ -300,10 +326,11 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             digests = {}
             for side in order:
-                ms, counts, digests[side], peak, per_step = time_pool(trees[side], pools[name],
-                                                                      args.best_of)
+                ms, counts, digests[side], usage, per_step = time_pool(trees[side], pools[name],
+                                                                       args.best_of)
                 times[name][side].append(ms)
-                peaks[name][side].append(peak)
+                for key, value in usage.items():
+                    usages[name][side][key].append(value)
                 if per_step is not None:
                     traced[name][side].append(per_step)
                 if calls[name].setdefault(side, counts) != counts:
@@ -325,11 +352,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name}: parent {p:.1f} ms, change {c:.1f} ms ({(c - p) / p:+.1%}; within "
               f"rounds {pair_gain_median(parent, change):+.1%}), "
               f"change faster in {won}/{args.rounds} rounds")
-    print("Peak resident set of a pool's process (read as VmHWM), median:")
-    for name in names:
-        p, c = (statistics.median(peaks[name][side]) for side in ("parent", "change"))
-        print(f"  {name}: parent {p:.0f} KB, change {c:.0f} KB"
-              + (f" ({(c - p) / p:+.2%})" if p else ""))
+    for key, (title, unit) in RESOURCES.items():
+        print(f"{title}, median:")
+        for name in names:
+            p, c = (statistics.median(usages[name][side][key]) for side in ("parent", "change"))
+            digits = 2 if unit == "s" else 0
+            print(f"  {name}: parent {p:.{digits}f} {unit}, change {c:.{digits}f} {unit}"
+                  + (f" ({(c - p) / p:+.2%})" if p else ""))
     print("Traced peak bytes per step of an op (tracemalloc), median over the pool and rounds:")
     for name in names:
         if traced[name]["parent"] and traced[name]["change"]:
