@@ -11,8 +11,8 @@ _EXPORTS = {
     "atmosphere": ("Environment", "WindState", "wind_state_at"),
     "config": ("RunConfig", "SweepSpec", "load_config", "load_sweep_spec", "preset_path"),
     "cycle": ("CycleResult", "OperationSettings", "PhaseResult", "StepRecord",
-              "convergence_study", "simulate_cycle", "simulate_retraction",
-              "simulate_traction", "simulate_transition"),
+              "convergence_study", "cycle_summaries", "simulate_cycle",
+              "simulate_retraction", "simulate_traction", "simulate_transition"),
     "estimation": ("EstimateRecord", "LogRecord", "PhaseAverages", "estimate_log",
                    "estimate_record", "segment_and_average", "segment_phases"),
     "frozen": ("replace",),

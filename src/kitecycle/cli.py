@@ -13,7 +13,7 @@ from __future__ import annotations
 # steady_state is start-up's peak of memory, and it leaves ≈ 0.35 MB more
 # resident when it runs after the other imports.
 from .config import PRESET_NAMES, RunConfig, load_config, load_sweep_spec, preset_path
-from .cycle import convergence_study, simulate_cycle
+from .cycle import convergence_study, cycle_summaries, simulate_cycle
 from . import dataio
 from .errors import KitecycleError, ParseError, ValidationError, clip
 
@@ -44,25 +44,27 @@ def _cmd_convergence(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int
     dt_list = sorted(args.dt_list, reverse=True)
     rows = convergence_study(cfg.environment, cfg.kite, cfg.tether, cfg.operation, dt_list)
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_convergence_csv(out / "convergence.csv", rows)
+    dataio.write_rows(out / "convergence.csv", ["dT", "zeta_m", "steps", "ratio_to_ref"],
+                      map(dict.values, rows))
     print(f"{len(rows)} rows written to {out / 'convergence.csv'}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     spec = load_sweep_spec(args.spec)
-
-    rows = []
-    for value in spec.values:
-        try:
-            varied = _config(args, {spec.parameter: value})
-            cycle = simulate_cycle(varied.environment, varied.kite, varied.tether,
-                                   varied.operation)
-        except KitecycleError as exc:
-            raise type(exc)(f"{clip(spec.parameter)} = {value}: {exc}") from exc
-        rows.append({"value": value, "P_m": cycle.P_m, "zeta_m": cycle.zeta_m})
+    runs, rows = [], []
+    try:
+        for value in spec.values:  # every point is checked before the first cycle runs
+            runs.append(_config(args, {spec.parameter: value})[:4])  # env, kite, tether, op
+        summaries = cycle_summaries(runs)
+        for value in spec.values:  # bound before its cycle runs, for the error's prefix
+            P_m, zeta_m, _ = next(summaries)
+            rows.append({"value": value, "P_m": P_m, "zeta_m": zeta_m})
+    except KitecycleError as exc:
+        raise type(exc)(f"{clip(spec.parameter)} = {value}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_sweep_csv(out / "sweep.csv", spec.parameter, rows)
+    dataio.write_rows(out / "sweep.csv", [spec.parameter, "P_m", "zeta_m"],
+                      map(dict.values, rows))
     best = max(rows, key=lambda row: row[spec.objective])
     dataio.write_json(out / "argmax.json",
                       {"parameter": spec.parameter, "objective": spec.objective, **best})

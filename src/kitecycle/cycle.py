@@ -34,7 +34,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import starmap
+from operator import attrgetter
 from typing import NamedTuple
 
 from .atmosphere import Environment, bind_wind, wind_state_at
@@ -55,6 +57,7 @@ __all__ = [
     "simulate_transition",
     "simulate_traction",
     "simulate_cycle",
+    "cycle_summaries",
     "convergence_study",
 ]
 
@@ -403,6 +406,12 @@ def simulate_cycle(env: Environment, kite: KiteParams, tether: TetherParams,
     )
 
 
+def cycle_summaries(runs: Iterable[tuple]) -> Iterator[tuple[float, float, int]]:
+    """``(P_m, zeta_m, steps)`` of each ``(env, kite, tether, op)`` cycle, run as the iterator
+    advances; ``map`` drops each cycle, with its step series, before the next is built."""
+    return map(attrgetter("P_m", "zeta_m", "steps"), starmap(simulate_cycle, runs))
+
+
 def convergence_study(env: Environment, kite: KiteParams, tether: TetherParams,
                       op: OperationSettings, dT_list: list[float]) -> list[dict]:
     """Cycle power harvesting factor for a list of time steps.
@@ -416,10 +425,6 @@ def convergence_study(env: Environment, kite: KiteParams, tether: TetherParams,
     if any(b > a for a, b in zip(dT_list, dT_list[1:])):
         raise ValidationError("dT_list must be sorted in descending order")
     ops = [replace(op, dT=dT) for dT in dT_list]  # checks every dT before the first run
-    runs = []
-    for op_dT in ops:  # holds one cycle, with its step series, at a time
-        cycle = simulate_cycle(env, kite, tether, op_dT)
-        runs.append((cycle.zeta_m, cycle.steps))
-        del cycle
-    return [{"dT": dT, "zeta_m": zeta_m, "steps": steps, "ratio": zeta_m / runs[-1][0]}
-            for dT, (zeta_m, steps) in zip(dT_list, runs)]
+    summaries = list(cycle_summaries((env, kite, tether, op_dT) for op_dT in ops))
+    return [{"dT": dT, "zeta_m": zeta_m, "steps": steps, "ratio": zeta_m / summaries[-1][1]}
+            for dT, (_, zeta_m, steps) in zip(dT_list, summaries)]

@@ -5,15 +5,15 @@ estimator in :mod:`kitecycle.estimation`, which only ``estimate`` and
 ``simulate --telemetry-out`` load; this module resolves ``read_telemetry_csv``
 on first access (PEP 562) to the estimation module's reader.
 
-Every CSV goes through :func:`write_csv` and every JSON run output through
-:func:`write_json`.  A CSV file holds the bytes ``csv.writer`` writes for
-the same values, by the row contract each writer keeps as it formats its
-lines: a number is its ``str`` (a float's shortest round-trip ``repr``),
-a phase label is quoted by the csv rules (:func:`csv_label`), a missing value
-is blank and every line ends in CRLF; the header goes through
-``csv.writer``.  Rows format a number as ``{x!s}``: ``{x}`` gives the same
-text through ``format(x, '')``, a ``__format__`` lookup and a spec parse
-more per field, and ``{x!r}`` writes a numpy 2 float64 as ``np.float64(1.5)``.
+Every CSV goes through :func:`write_csv`, a table of numbers (convergence, sweep)
+through :func:`write_rows`, and every JSON run output through :func:`write_json`.
+A CSV file holds the bytes ``csv.writer`` writes for the same values, by the row
+contract each writer keeps: a number is its ``str`` (a float's shortest round-trip
+``repr``), a phase label is quoted by the csv rules (:func:`csv_label`), a missing
+value is blank and every line ends in CRLF; the header goes through ``csv.writer``.
+Rows format a number as ``{x!s}``: ``{x}`` gives the same text through
+``format(x, '')``, a ``__format__`` lookup and a spec parse more per field, and
+``{x!r}`` writes a numpy 2 float64 as ``np.float64(1.5)``.
 :func:`write_timeseries_csv` formats each phase's angle pair once and,
 within a phase, reuses the text of a number that repeats (the elevation
 traction holds, a set-point force), keyed on its value, and F_t_kite's text
@@ -52,8 +52,7 @@ __all__ = [
     "read_telemetry_csv",
     "write_estimates_csv",
     "write_phase_averages",
-    "write_convergence_csv",
-    "write_sweep_csv",
+    "write_rows",
     "write_json",
 ]
 
@@ -198,12 +197,6 @@ def write_phase_averages(path: str | Path, averages: PhaseAverages) -> None:
     write_json(path, payload)
 
 
-def write_convergence_csv(path: str | Path, rows: Sequence[dict]) -> None:
-    write_csv(path, ["dT", "zeta_m", "steps", "ratio_to_ref"],
-               (f"{row['dT']!s},{row['zeta_m']!s},{row['steps']!s},{row['ratio']!s}\r\n"
-                for row in rows))
-
-
-def write_sweep_csv(path: str | Path, parameter: str, rows: Sequence[dict]) -> None:
-    write_csv(path, [parameter, "P_m", "zeta_m"],
-               (f"{row['value']!s},{row['P_m']!s},{row['zeta_m']!s}\r\n" for row in rows))
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write ``rows`` of numbers, each as its ``str``: convergence and sweep tables."""
+    write_csv(path, header, (",".join(map(str, row)) + "\r\n" for row in rows))

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import copy
 import importlib
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -186,6 +188,16 @@ def no_simulation(*args, **kwargs):
     raise AssertionError("a malformed input reached a simulation")
 
 
+@contextlib.contextmanager
+def simulations_forbidden():
+    """Both bindings a command calls ``simulate_cycle`` through raise:
+    ``simulate`` calls ``cli``'s, ``sweep`` and ``convergence`` the runner's
+    in ``cycle``."""
+    with mock.patch.object(cli, "simulate_cycle", no_simulation), \
+            mock.patch.object(cycle, "simulate_cycle", no_simulation):
+        yield
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(leaf=st.sampled_from(FUZZED), data=st.data())
 def test_config_fuzzing_exits_2_before_simulating(tmp_path_factory, leaf, data):
@@ -209,7 +221,7 @@ def test_config_fuzzing_exits_2_before_simulating(tmp_path_factory, leaf, data):
         config.write_text(json.dumps({**PRESET, "out_dir": str(work / "out")}))
         spec.write_text(json.dumps(raw))
         argv = ["sweep", "--config", str(config), "--spec", str(spec)]
-    with mock.patch.object(cli, "simulate_cycle", no_simulation):
+    with simulations_forbidden():
         assert run_command(argv) == 2
 
 
@@ -275,7 +287,7 @@ def test_time_step_below_the_floor_exits_2_before_simulating(tmp_path, capsys):
     config, out = tmp_path / "cfg.json", tmp_path / "o"
     config.write_text(json.dumps(raw))
     message = "ValidationError: nondimensional time step must be in [1e-05, 1], got 1e-300"
-    with mock.patch("kitecycle.cycle.simulate_cycle", no_simulation):
+    with simulations_forbidden():
         for argv in (["simulate", "--config", str(config)],
                      ["convergence", "--config", "strong_wind", "--dt-list", "0.01", "1e-300"]):
             assert run_command([*argv, "--out", str(out)]) == 2
@@ -635,11 +647,14 @@ def test_failed_sweep_point_names_its_value(tmp_path, capsys):
     # An invalid point is a ValidationError (exit 2), a failed solve
     # keeps its solver class (exit 3); both name the parameter value.
     spec = tmp_path / "sweep.json"
-    for parameter, value, code, prefix in (
-            ("operation.F_in", 1.0e8, 2, "ValidationError: operation.F_in = 100000000.0: "),
-            ("operation.F_out", 2.0e8, 3,
+    for parameter, values, code, prefix in (
+            ("operation.F_in", [1.0e8], 2, "ValidationError: operation.F_in = 100000000.0: "),
+            ("operation.F_out", [2.0e8], 3,
+             "SetpointUnreachableError: operation.F_out = 200000000.0: traction at t = "),
+            # The point that fails after a feasible one: not the one before it.
+            ("operation.F_out", [3008.0, 2.0e8], 3,
              "SetpointUnreachableError: operation.F_out = 200000000.0: traction at t = ")):
-        spec.write_text(json.dumps({"parameter": parameter, "values": [value]}))
+        spec.write_text(json.dumps({"parameter": parameter, "values": values}))
         assert run_command(["sweep", "--config", "strong_wind", "--spec", str(spec),
                             "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err.startswith(prefix)
@@ -701,15 +716,36 @@ def test_traction_that_reels_in_at_low_wind_names_why_it_ends(tmp_path, capsys, 
     # A step this small used to integrate until memory ran out.
     ({"parameter": "operation.dT", "values": [1e-300]},
      "ValidationError: operation.dT = 1e-300: nondimensional time step must be in [1e-05, 1]"),
+    # A bad last point used to exit 2 only after the points before it had run.
+    ({"parameter": "operation.dT", "values": [0.01, 0.01, 1e-300]},
+     "ValidationError: operation.dT = 1e-300: nondimensional time step must be in [1e-05, 1]"),
 ])
 def test_bad_sweep_parameter_exits_2_before_simulating(tmp_path, capsys, spec, message):
     path, out = tmp_path / "sweep.json", tmp_path / "o"
     path.write_text(json.dumps(spec))
-    with mock.patch.object(cli, "simulate_cycle", no_simulation):
+    with simulations_forbidden():
         assert run_command(["sweep", "--config", "strong_wind", "--spec", str(path),
                             "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+def test_sweep_holds_one_cycle_at_a_time(tmp_path):
+    # A sweep keeps each point's P_m and zeta_m, not its step series; it used
+    # to hold one point's cycle while the next one ran.
+    def peak(points, dT=5e-4):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"parameter": "operation.dT", "values": [dT] * points}))
+        tracemalloc.start()
+        try:
+            assert run_command(["sweep", "--config", "strong_wind", "--spec", str(spec),
+                                "--no-gravity", "--out", str(tmp_path / "o")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(1, dT=0.05)  # the first command also builds what later ones reuse, such as the parser
+    one = peak(1)
+    assert peak(3) < 1.5 * one
 
 
 def test_sweep_parameter_is_a_file_key_in_file_units(tmp_path):

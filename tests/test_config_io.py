@@ -529,8 +529,10 @@ def test_writers_write_numpy_floats_as_their_str(tmp_path, strong_config, strong
         (dataio.write_timeseries_csv, strong_cycle),
         (write_telemetry_csv, strong_telemetry),
         (dataio.write_estimates_csv, estimates),
-        (dataio.write_convergence_csv, rows),
-        (lambda path, rows: dataio.write_sweep_csv(path, "operation.F_out", rows), rows),
+        (lambda path, rows: dataio.write_rows(path, ["dT", "zeta_m", "steps", "ratio_to_ref"], [
+            (row["dT"], row["zeta_m"], row["steps"], row["ratio"]) for row in rows]), rows),
+        (lambda path, rows: dataio.write_rows(path, ["operation.F_out", "P_m", "zeta_m"], [
+            (row["value"], row["P_m"], row["zeta_m"]) for row in rows]), rows),
     ]
     for write, value in writers:
         write(tmp_path / "python.csv", value)

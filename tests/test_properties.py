@@ -1124,9 +1124,9 @@ def test_estimates_writer_matches_the_csv_module(estimates):
 @given(st.lists(st.fixed_dictionaries({"dT": FLOAT, "zeta_m": FLOAT, "steps": st.integers(),
                                        "ratio": FLOAT}), max_size=6))
 def test_convergence_writer_matches_the_csv_module(rows):
-    assert written_bytes(dataio.write_convergence_csv, rows) == csv_module_bytes(
-        ["dT", "zeta_m", "steps", "ratio_to_ref"],
-        [[row["dT"], row["zeta_m"], row["steps"], row["ratio"]] for row in rows])
+    header = ["dT", "zeta_m", "steps", "ratio_to_ref"]
+    table = [[row["dT"], row["zeta_m"], row["steps"], row["ratio"]] for row in rows]
+    assert written_bytes(dataio.write_rows, header, table) == csv_module_bytes(header, table)
 
 
 @PROPERTY
@@ -1135,8 +1135,9 @@ def test_convergence_writer_matches_the_csv_module(rows):
                                        "zeta_m": FLOAT}), max_size=6))
 @example('kite.m "S",\r\n', [{"value": 3, "P_m": -0.0, "zeta_m": math.nan}])
 def test_sweep_writer_matches_the_csv_module(parameter, rows):
-    assert written_bytes(dataio.write_sweep_csv, parameter, rows) == csv_module_bytes(
-        [parameter, "P_m", "zeta_m"], [[row["value"], row["P_m"], row["zeta_m"]] for row in rows])
+    header = [parameter, "P_m", "zeta_m"]
+    table = [[row["value"], row["P_m"], row["zeta_m"]] for row in rows]
+    assert written_bytes(dataio.write_rows, header, table) == csv_module_bytes(header, table)
 
 
 @pytest.mark.parametrize("rows_of", ["0", "N-1", "N", "N+1", "2N+1"])
@@ -1148,9 +1149,9 @@ def test_csv_writer_keeps_every_row_across_chunks(rows_of):
     draw = random.Random(count)
     rows = [{"value": draw.uniform(-1e3, 1e3), "P_m": draw.uniform(-1e4, 1e4),
              "zeta_m": draw.random()} for _ in range(count)]
-    assert written_bytes(dataio.write_sweep_csv, "operation.F_out", rows) == csv_module_bytes(
-        ["operation.F_out", "P_m", "zeta_m"],
-        [[row["value"], row["P_m"], row["zeta_m"]] for row in rows])
+    header = ["operation.F_out", "P_m", "zeta_m"]
+    table = [[row["value"], row["P_m"], row["zeta_m"]] for row in rows]
+    assert written_bytes(dataio.write_rows, header, table) == csv_module_bytes(header, table)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -109,3 +109,20 @@ def test_estimate_spans_see_the_read_and_the_writes(spans, tmp_path, strong_tele
     assert calls["dataio.read"] == 1
     assert calls["estimation.segment_phases"] == 1
     assert calls["dataio.write"] == 2
+
+
+def test_sweep_spans_count_each_point(spans, tmp_path):
+    # The sweep's runner looks up cycle.simulate_cycle as it runs, so the
+    # span sees each point's cycle.
+    spec = tmp_path / "sweep.json"
+    spec.write_text('{"parameter": "operation.F_out", "values": [2500.0, 3008.0, 3500.0]}')
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = run_command(["sweep", "--config", "strong_wind", "--spec", str(spec),
+                            "--no-gravity", "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = {name: acc[0] for name, acc in tracer.per_op()[-1].items()}
+    assert calls.get("cycle.simulate_cycle", 0) == 3
